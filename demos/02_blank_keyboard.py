@@ -19,7 +19,7 @@ from visualauth.protocols import (
     Outcome,
     Protocol,
     SessionConfig,
-    run_protocol1,
+    run_flow,
 )
 
 print("== the layout only the phone sees ==")
@@ -44,7 +44,7 @@ print(f"  observing position (2, 2) twice instead leaves "
 
 print("\n== the full protocol, honestly ==")
 store = CredentialStore.provision(2026)
-result = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=2026), store)
+result = run_flow(SessionConfig(protocol=Protocol.P1, seed=2026), store)
 print(f"  outcome: {result.outcome.value}")
 
 transcript = export_transcript(result.session)

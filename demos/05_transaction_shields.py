@@ -17,14 +17,13 @@ from visualauth.protocols import (
     CredentialStore,
     Protocol,
     SessionConfig,
-    run_secure_view,
-    run_tx_verification,
+    run_flow,
 )
 
 store = CredentialStore.provision(555)
 
 print("== verifying a transfer on the phone ==")
-result = run_tx_verification(
+result = run_flow(
     SessionConfig(protocol=Protocol.TXVERIFY, seed=rng.child_seed(555, "tx")), store
 )
 print(f"  intended: {DEFAULT_TX.amount} minor units to {DEFAULT_TX.receiver_name!r}")
@@ -45,7 +44,7 @@ print("  (the replayed receipt only convinces anyone when nothing binds it "
       "to this session)")
 
 print("\n== reading the books through an untrusted screen ==")
-view = run_secure_view(
+view = run_flow(
     SessionConfig(protocol=Protocol.SECUREVIEW, seed=rng.child_seed(555, "view")), store
 )
 print(f"  outcome: {view.outcome.value}")

@@ -48,11 +48,6 @@ from .protocols import (
     Transaction,
     run_flow,
     run_hijack_guard,
-    run_protocol1,
-    run_protocol2,
-    run_protocol3,
-    run_secure_view,
-    run_tx_verification,
 )
 from .qr import EcLevel, FrameSpec, Mode, VisualFrame, capacity, qr_decode, qr_encode
 
@@ -97,12 +92,7 @@ __all__ = [
     "run_flow",
     "run_hijack_guard",
     "run_matrix",
-    "run_protocol1",
-    "run_protocol2",
-    "run_protocol3",
     "run_scenarios",
-    "run_secure_view",
-    "run_tx_verification",
     "scan_states_for_secrets",
     "secrecy_violations",
     "sign",

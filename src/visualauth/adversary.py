@@ -15,10 +15,10 @@ fresh session, or runs a whole login with whatever credentials or keys it
 exfiltrated, and reports what the server said. The resistance matrix is
 therefore an output of the state machines, not a transcription.
 
-A fifth kind, the phishing fake_server, only makes sense as a scenario
-(it impersonates the far end rather than compromising a locus) and gets
-its own functions, as do the documented caveats: the dual-view shoulder
-surfer and the one-time-password race.
+Phishing is not an adversary kind: a fake server impersonates the far
+end rather than compromising a locus, so it lives in its own scenario
+function (``fake_server_scenario``), as do the documented caveats: the
+dual-view shoulder surfer and the one-time-password race.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .protocols import (
     Protocol,
     SessionConfig,
     SessionFlags,
+    SessionResult,
     Transaction,
     run_flow,
     run_hijack_guard,
@@ -50,7 +51,6 @@ class AdversaryKind(enum.Enum):
     KEYLOGGER = "keylogger"
     MALWARE = "malware"
     SHOULDER_SURFER = "shoulder_surfer"
-    FAKE_SERVER = "fake_server"
     BRUTE_FORCE = "brute_force"
 
 
@@ -86,36 +86,12 @@ class AdversaryConfig:
         if self.locus not in MATRIX_LOCI:
             raise ValueError("locus must be terminal or smartphone")
 
-    @property
-    def capabilities(self) -> frozenset[str]:
-        caps = set()
-        if self.kind is AdversaryKind.KEYLOGGER:
-            caps.add(f"tap_input:{self.locus.value}")
-        elif self.kind is AdversaryKind.SHOULDER_SURFER:
-            caps.add(f"view_display:{self.locus.value}")
-        elif self.kind is AdversaryKind.MALWARE:
-            caps.update(
-                {
-                    f"tap_io:{self.locus.value}",
-                    f"read_state:{self.locus.value}",
-                    f"alter_outbound:{self.locus.value}",
-                }
-            )
-        elif self.kind is AdversaryKind.BRUTE_FORCE:
-            caps.add("guess_offline")
-        elif self.kind is AdversaryKind.FAKE_SERVER:
-            caps.add("impersonate_server")
-        return frozenset(caps)
-
 
 @dataclass(frozen=True)
 class Observation:
     step: int
     channel_kind: ChannelKind
     data: tuple
-
-    def line(self) -> str:
-        return f"{self.step}|{self.channel_kind.value}|{'|'.join(map(str, self.data))}"
 
 
 @dataclass(frozen=True)
@@ -224,7 +200,7 @@ def attach(config: AdversaryConfig, session: Session) -> AttackerHandle:
             return msg
 
         entity.outbound_hooks.append(alter_hook)
-    # fake_server and brute_force hold no foothold inside the session
+    # brute_force holds no foothold inside the session
     return handle
 
 
@@ -252,7 +228,7 @@ def _attempt(config: SessionConfig, store: CredentialStore) -> bool:
 def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
     """Mount every strategy the observations support against a new session."""
     session = handle.session
-    protocol = session.protocol
+    protocol = session.config.protocol
     if protocol not in AUTH_PROTOCOLS:
         return False
     store: CredentialStore = session.store
@@ -327,18 +303,8 @@ def _transaction_alteration(handle: AttackerHandle) -> bool:
         followup = attach(handle.config, new_session)
         followup.alter_tx = EVIL_TX
 
-    result = run_hijack_guard(config, store, adversaries=[_Installer(install)])
+    result = run_hijack_guard(config, store, adversaries=[install])
     return result.session.executed_tx == EVIL_TX
-
-
-class _Installer:
-    """Adapter so a bare callable can ride the adversaries= hook point."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def install(self, session: Session) -> None:
-        self._fn(session)
 
 
 def evaluate(handle: AttackerHandle, followup_budget: int = FOLLOWUP_BUDGET) -> AttackOutcome:
@@ -363,7 +329,7 @@ def run_attacked_session(
     store: CredentialStore | None = None,
     flags: SessionFlags = SessionFlags(),
     session_config: SessionConfig | None = None,
-) -> tuple[AttackerHandle, "SessionResultLike"]:
+) -> tuple[AttackerHandle, SessionResult]:
     """Honest run with the adversary attached; returns handle + result."""
     store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
     if session_config is None:
@@ -373,11 +339,8 @@ def run_attacked_session(
     def install(session: Session) -> None:
         holder.append(attach(config, session))
 
-    result = run_flow(session_config, store, adversaries=[_Installer(install)])
+    result = run_flow(session_config, store, adversaries=[install])
     return holder[0], result
-
-
-SessionResultLike = object
 
 
 # -------- the keylogger posterior, by plain enumeration --------
@@ -445,7 +408,7 @@ def dual_locus_surfer_scenario(seed: int, store: CredentialStore | None = None) 
         handles.append(attach(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.TERMINAL), session))
         handles.append(attach(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.SMARTPHONE), session))
 
-    result = run_flow(session_config, store, adversaries=[_Installer(install)])
+    result = run_flow(session_config, store, adversaries=[install])
     positions = None
     layout_bytes = None
     for handle in handles:
@@ -477,7 +440,7 @@ def fake_server_scenario(seed: int, store: CredentialStore | None = None) -> dic
     store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
     credential = store.users["alice"]
     fake_pair = crypto.generate_keypair(crypto.Role.SERVER, rngmod.fork(seed, "fake-server"))
-    fake_nonce = crypto.fresh_nonce(rngmod.fork(seed, "fake-nonce"), session_id=0)
+    fake_nonce = crypto.fresh_nonce(rngmod.fork(seed, "fake-nonce"))
 
     # what the phone would upload after scanning the phisher's nonce frame
     from .protocols import _pack_credentials  # shared wire layout
@@ -549,7 +512,7 @@ def confirmation_replay_scenario(
     clean = run_flow(
         SessionConfig(protocol=Protocol.TXVERIFY, seed=rngmod.child_seed(seed, "clean"), flags=flags),
         store,
-        adversaries=[_Installer(recorder)],
+        adversaries=[recorder],
     )
 
     def replayer(session: Session) -> None:
@@ -571,7 +534,7 @@ def confirmation_replay_scenario(
             protocol=Protocol.TXVERIFY, seed=rngmod.child_seed(seed, "attacked"), flags=flags
         ),
         store,
-        adversaries=[_Installer(replayer)],
+        adversaries=[replayer],
     )
     return {
         "clean_outcome": clean.outcome,
@@ -615,7 +578,7 @@ def otp_race_scenario(seed: int, hijack_guard: bool, store: CredentialStore | No
         h.alter_tx = EVIL_TX
         followup.append(h)
 
-    hijack = run_hijack_guard(hijack_config, store, adversaries=[_Installer(install)])
+    hijack = run_hijack_guard(hijack_config, store, adversaries=[install])
     return {
         "login_outcome": login_result.outcome,
         "otp_captured": captured is not None,

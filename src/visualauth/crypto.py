@@ -17,7 +17,6 @@ tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
 
 from __future__ import annotations
 
-import base64
 import enum
 import random
 import struct
@@ -41,20 +40,16 @@ from .rng import as_rng
 # 6x6 on-screen grid: lowercase letters then digits, case-insensitive inputs
 # are folded before lookup.
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
-ALPHABET_SIZE = len(ALPHABET)
 ALPHABET_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
 
 NONCE_LEN = 16
 DEFAULT_OTP_LEN = 8
 SYMMETRIC_KEY_LEN = 24  # AES-192
-SYMMETRIC_MAX_MESSAGE = 4096  # fixed-buffer symmetric mode refuses more
 
 _GCM_NONCE_LEN = 12
 _GCM_TAG_LEN = 16
 _RAW = serialization.Encoding.Raw
 _RAW_PUB = serialization.PublicFormat.Raw
-
-KEYFILE_MAGIC = b"VAK1"
 
 
 class CryptoError(Exception):
@@ -65,10 +60,6 @@ class IntegrityError(CryptoError):
     """Ciphertext failed authentication: tampered, truncated, or wrong key."""
 
 
-class OversizeMessageError(CryptoError):
-    """Message exceeds the fixed symmetric buffer."""
-
-
 class Role(enum.Enum):
     USER = "user"
     SERVER = "server"
@@ -76,10 +67,9 @@ class Role(enum.Enum):
 
 class Scheme(enum.Enum):
     PUBLIC_KEY_HYBRID = "public_key_hybrid"
-    SYMMETRIC_CTR = "symmetric_ctr"
 
 
-_SCHEME_BYTE = {Scheme.PUBLIC_KEY_HYBRID: 0x01, Scheme.SYMMETRIC_CTR: 0x02}
+_SCHEME_BYTE = {Scheme.PUBLIC_KEY_HYBRID: 0x01}
 _BYTE_SCHEME = {v: k for k, v in _SCHEME_BYTE.items()}
 
 
@@ -106,10 +96,6 @@ class KeyPair:
     def seal_public(self) -> bytes:
         return self.public_key[:32]
 
-    @property
-    def sign_public(self) -> bytes:
-        return self.public_key[32:]
-
 
 def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
     """Deterministically derive a keypair from a seed or PRNG stream.
@@ -128,24 +114,6 @@ def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
     return KeyPair(role=role, public_key=pub, private_key=seal_raw + sign_raw)
 
 
-def save_keypair(path, pair: KeyPair) -> None:
-    """Write magic + role byte + public + private, 133 bytes total."""
-    role_byte = b"\x00" if pair.role is Role.USER else b"\x01"
-    with open(path, "wb") as fh:
-        fh.write(KEYFILE_MAGIC + role_byte + pair.public_key + pair.private_key)
-
-
-def load_keypair(path) -> KeyPair:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != KEYFILE_MAGIC:
-        raise ValueError("not a key file: bad magic header")
-    if len(blob) != 4 + 1 + 64 + 64:
-        raise ValueError("key file truncated or overlong")
-    role = Role.USER if blob[4] == 0 else Role.SERVER
-    return KeyPair(role=role, public_key=blob[5:69], private_key=blob[69:])
-
-
 # -------- sealed payloads --------
 
 
@@ -153,9 +121,8 @@ def load_keypair(path) -> KeyPair:
 class Ciphertext:
     """An integrity-protected sealed payload.
 
-    body layout for PUBLIC_KEY_HYBRID: ephemeral public key (32) +
-    cipher nonce (12) + ciphertext. For SYMMETRIC_CTR: cipher nonce (12) +
-    ciphertext. tag is the 16-byte authenticator in both schemes.
+    body layout: ephemeral public key (32) + cipher nonce (12) +
+    ciphertext. tag is the 16-byte authenticator.
     """
 
     scheme_id: Scheme
@@ -235,42 +202,6 @@ def decrypt(pair: KeyPair, ciphertext: Ciphertext) -> bytes:
         raise IntegrityError("ciphertext rejected") from exc
 
 
-def symmetric_encrypt(
-    key: bytes, message: bytes, rng: random.Random | int
-) -> Ciphertext:
-    """Counter-mode seal under a raw 24-byte key; fixed-buffer mode."""
-    if len(key) != SYMMETRIC_KEY_LEN:
-        raise ValueError(f"symmetric key must be {SYMMETRIC_KEY_LEN} bytes")
-    if len(message) > SYMMETRIC_MAX_MESSAGE:
-        raise OversizeMessageError(
-            f"message of {len(message)} bytes exceeds the "
-            f"{SYMMETRIC_MAX_MESSAGE}-byte symmetric buffer"
-        )
-    rng = as_rng(rng)
-    nonce = rng.randbytes(_GCM_NONCE_LEN)
-    aad = bytes([_SCHEME_BYTE[Scheme.SYMMETRIC_CTR]])
-    sealed = AESGCM(key).encrypt(nonce, message, aad)
-    return Ciphertext(
-        scheme_id=Scheme.SYMMETRIC_CTR,
-        body=nonce + sealed[:-_GCM_TAG_LEN],
-        tag=sealed[-_GCM_TAG_LEN:],
-    )
-
-
-def symmetric_decrypt(key: bytes, ciphertext: Ciphertext) -> bytes:
-    if ciphertext.scheme_id is not Scheme.SYMMETRIC_CTR:
-        raise IntegrityError("scheme mismatch: expected symmetric_ctr")
-    if len(ciphertext.body) < _GCM_NONCE_LEN:
-        raise IntegrityError("ciphertext body too short")
-    nonce = ciphertext.body[:_GCM_NONCE_LEN]
-    ct = ciphertext.body[_GCM_NONCE_LEN:] + ciphertext.tag
-    try:
-        aad = bytes([_SCHEME_BYTE[Scheme.SYMMETRIC_CTR]])
-        return AESGCM(key).decrypt(nonce, ct, aad)
-    except (InvalidTag, ValueError) as exc:
-        raise IntegrityError("ciphertext rejected") from exc
-
-
 # -------- signatures --------
 
 
@@ -345,17 +276,9 @@ class KeyboardPermutation:
     def serialize(self) -> bytes:
         return "".join(self.mapping).encode("ascii")
 
-    def to_base64(self) -> str:
-        # for embedding in text contexts (reports, dumps)
-        return base64.b64encode(self.serialize()).decode("ascii")
-
     @classmethod
     def from_serialized(cls, blob: bytes) -> "KeyboardPermutation":
         return cls(tuple(blob.decode("ascii")))
-
-    @classmethod
-    def from_base64(cls, text: str) -> "KeyboardPermutation":
-        return cls.from_serialized(base64.b64decode(text.encode("ascii")))
 
     @classmethod
     def identity(cls) -> "KeyboardPermutation":
@@ -414,23 +337,20 @@ def generate_otp(
 @dataclass(frozen=True)
 class Nonce:
     value: bytes
-    issued_to_session: int
 
     def __post_init__(self):
         if len(self.value) != NONCE_LEN:
             raise ValueError(f"nonce must be {NONCE_LEN} bytes")
 
 
-def fresh_nonce(
-    rng: random.Random | int, session_id: int, seen: set[bytes] | None = None
-) -> Nonce:
+def fresh_nonce(rng: random.Random | int, seen: set[bytes] | None = None) -> Nonce:
     """Draw a nonce, redrawing on collision with the seen set (which is
     updated in place so one server instance never repeats itself)."""
     rng = as_rng(rng)
     while True:
         value = rng.randbytes(NONCE_LEN)
         if seen is None:
-            return Nonce(value, session_id)
+            return Nonce(value)
         if value not in seen:
             seen.add(value)
-            return Nonce(value, session_id)
+            return Nonce(value)

@@ -245,12 +245,14 @@ class Entity:
 
 
 class Session:
-    """One protocol run: entities, channels, queues, transcript, verdict."""
+    """One protocol run: entities, channels, queues, transcript, verdict.
 
-    _ids = iter(range(1, 1 << 62))
+    config and store are set by the protocol layer when it assembles the
+    session; the handlers fill in the abort reason, the executed
+    transaction and the viewed fields as the run goes.
+    """
 
     def __init__(self, seed: int, flags=None):
-        self.session_id = next(Session._ids)
         self.seed = seed
         self.rng = rngmod.fork(seed, "session")
         self.flags = flags
@@ -267,6 +269,13 @@ class Session:
         self.closed = False
         self.frame_log: list[tuple[int, str, VisualFrame]] = []
         self.secret_probes: list[SecretProbe] = []
+        self.config = None
+        self.store = None
+        self.abort_reason: str | None = None
+        self.abort_retryable = False
+        self.executed_tx = None
+        self.view_values: dict[str, str] = {}
+        self.view_failures: tuple[str, ...] = ()
 
     def add_entity(self, entity: Entity) -> None:
         if entity.kind in self.entities:

@@ -100,9 +100,6 @@ class CredentialStore:
             raise ValueError(f"duplicate user id {credential.user_id!r}")
         self.users[credential.user_id] = credential
 
-    def public_key_of(self, user_id: str) -> bytes:
-        return self.users[user_id].keypair.public_key
-
     @classmethod
     def provision(cls, seed: int, server_name: str = "acme-bank", users=(("alice", "data"),)):
         store = cls(
@@ -178,12 +175,6 @@ class SignedConfirmation:
         (n,) = struct.unpack(">I", payload[:4])
         tx, nonce = parse_tx_canonical(payload[4 : 4 + n])
         return cls(tx=tx, nonce=nonce, signature=Signature.from_bytes(payload[4 + n :]))
-
-
-@dataclass(frozen=True)
-class SecureDocument:
-    labels: tuple[str, ...]
-    frames: tuple[VisualFrame, ...]
 
 
 # -------- session configuration --------
@@ -621,7 +612,7 @@ class UserModel(Entity):
         return pw
 
     def begin(self) -> None:
-        protocol = self.session.protocol
+        protocol = self.session.config.protocol
         if protocol in (Protocol.P1, Protocol.P2):
             self.emit("click_terminal", TypeId(user_id=self.state["user_id"]))
         elif protocol is Protocol.P3:
@@ -711,7 +702,7 @@ class Terminal(Entity):
 
     def on_type_id(self, msg: TypeId) -> None:
         self.state["user_id"] = msg.user_id
-        self.emit("net_up", LoginRequest(user_id=msg.user_id, protocol=self.session.protocol.value))
+        self.emit("net_up", LoginRequest(user_id=msg.user_id, protocol=self.session.config.protocol.value))
 
     def on_connect(self, msg: Connect) -> None:
         self.emit("net_up", ConnectRequest())
@@ -893,10 +884,23 @@ class Smartphone(Entity):
         self.emit("phone_display_user", ShowFields(values=tuple(values), failures=tuple(failures)))
 
 
+# The net_up and cellular messages the server takes in each flow; any
+# other tag ends the session ABORTED.
+SERVER_ACCEPTS: dict[Protocol, frozenset[str]] = {
+    Protocol.P1: frozenset({LoginRequest.TAG, SubmitPositions.TAG}),
+    Protocol.P2: frozenset({LoginRequest.TAG, SubmitOtp.TAG}),
+    Protocol.P3: frozenset({ConnectRequest.TAG, SubmitCiphertext.TAG}),
+    Protocol.TXVERIFY: frozenset({SubmitTx.TAG, ForwardConfirm.TAG}),
+    Protocol.SECUREVIEW: frozenset({ConnectRequest.TAG}),
+    Protocol.HIJACKGUARD: frozenset({SubmitTx.TAG, SideCopy.TAG}),
+}
+
+
 class Server(Entity):
     """The verifier: issues challenges, alone resolves click positions,
     enforces one-time and freshness semantics, and executes transactions
-    only past the enabled guards."""
+    only past the enabled guards. It fails closed on a message outside
+    the flow's protocol and on a submission that precedes its challenge."""
 
     kind = EntityKind.SERVER
 
@@ -910,6 +914,17 @@ class Server(Entity):
             attempts=0,
             executed_tx=None,
         )
+
+    def handle(self, message: Message) -> None:
+        if self.session.outcome is Outcome.ABORTED:
+            return  # a dead session takes no more input
+        if message.tag not in SERVER_ACCEPTS[self.session.config.protocol]:
+            _abort(self.session, f"{message.tag}_out_of_protocol", retryable=False)
+            return
+        super().handle(message)
+
+    def _out_of_order(self, msg: Message) -> None:
+        _abort(self.session, f"{msg.tag}_before_challenge", retryable=False)
 
     # -- challenge issuance --
 
@@ -953,7 +968,7 @@ class Server(Entity):
         self.emit("net_down", OtpChallenge(frame=frame))
 
     def _issue_nonce(self) -> None:
-        nonce = crypto.fresh_nonce(self.session.rng, self.session.session_id, self.store.issued_nonces)
+        nonce = crypto.fresh_nonce(self.session.rng, self.store.issued_nonces)
         self.state["nonce"] = nonce
         self.state["nonce_consumed"] = False
         frame = _frame(self.session, nonce.value, "nonce_challenge")
@@ -964,13 +979,13 @@ class Server(Entity):
             self._deny()
             return
         self.state["user_id"] = msg.user_id
-        if self.session.protocol is Protocol.P1:
+        if self.session.config.protocol is Protocol.P1:
             self._issue_keyboard()
         else:
             self._issue_otp()
 
     def on_connect_request(self, msg: ConnectRequest) -> None:
-        if self.session.protocol is Protocol.SECUREVIEW:
+        if self.session.config.protocol is Protocol.SECUREVIEW:
             self._issue_document()
         else:
             self._issue_nonce()
@@ -996,7 +1011,7 @@ class Server(Entity):
         # the one place click positions turn back into symbols
         layout: KeyboardPermutation | None = self.state.get("layout")
         if layout is None:
-            self._deny()
+            self._out_of_order(msg)
             return
         candidate = layout.resolve(msg.positions)
         password, _ = self.state["registry"][self.state["user_id"]]
@@ -1007,13 +1022,20 @@ class Server(Entity):
 
     def on_submit_otp(self, msg: SubmitOtp) -> None:
         token: OtpToken | None = self.state.get("token")
-        if token is not None and not token.consumed and msg.otp == token.value:
+        if token is None:
+            self._out_of_order(msg)
+            return
+        if not token.consumed and msg.otp == token.value:
             token.consume()
             self._authenticate()
         else:
             self._retry_or_deny(self._issue_otp)
 
     def on_submit_ciphertext(self, msg: SubmitCiphertext) -> None:
+        nonce: Nonce | None = self.state.get("nonce")
+        if nonce is None:
+            self._out_of_order(msg)
+            return
         try:
             plain = crypto.decrypt(
                 self.state["keypair"], crypto.Ciphertext.from_bytes(msg.blob)
@@ -1022,12 +1044,7 @@ class Server(Entity):
         except (crypto.IntegrityError, struct.error, UnicodeDecodeError):
             self._retry_or_deny(self._issue_nonce)
             return
-        nonce: Nonce | None = self.state.get("nonce")
-        fresh = (
-            nonce is not None
-            and not self.state["nonce_consumed"]
-            and nonce_value == nonce.value
-        )
+        fresh = not self.state["nonce_consumed"] and nonce_value == nonce.value
         self.state["nonce_consumed"] = True
         entry = self.state["registry"].get(user_id)
         if fresh and server_name == self.state["name"] and entry is not None and password == entry[0]:
@@ -1039,7 +1056,7 @@ class Server(Entity):
 
     def on_submit_tx(self, msg: SubmitTx) -> None:
         self.state["received_tx"] = msg.tx
-        if self.session.protocol is Protocol.HIJACKGUARD:
+        if self.session.config.protocol is Protocol.HIJACKGUARD:
             if not self.session.flags.hijack_guard:
                 self._execute_tx(msg.tx)
             else:
@@ -1054,6 +1071,9 @@ class Server(Entity):
         self.emit("net_down", TxConfirmation(display_tx=msg.tx, frame=frame))
 
     def on_forward_confirm(self, msg: ForwardConfirm) -> None:
+        if "received_tx" not in self.state:
+            self._out_of_order(msg)
+            return
         if msg.ok:
             self._execute_tx(self.state["received_tx"])
             self.session.finish(Outcome.CONFIRMED)
@@ -1089,7 +1109,7 @@ class Server(Entity):
     def on_idle(self) -> None:
         # a transaction with no matching side-channel copy dies here
         if (
-            self.session.protocol is Protocol.HIJACKGUARD
+            self.session.config.protocol is Protocol.HIJACKGUARD
             and self.session.outcome is None
             and self.session.flags.hijack_guard
         ):
@@ -1099,7 +1119,7 @@ class Server(Entity):
     def _execute_tx(self, tx: Transaction) -> None:
         self.state["executed_tx"] = tx
         self.session.executed_tx = tx
-        if self.session.protocol is Protocol.HIJACKGUARD and not self.session.flags.hijack_guard:
+        if self.session.config.protocol is Protocol.HIJACKGUARD and not self.session.flags.hijack_guard:
             self.session.finish(Outcome.ACCEPTED)
             self.emit("net_down", TxResult(accepted=True))
 
@@ -1126,7 +1146,7 @@ class Server(Entity):
         self.emit("net_down", SecureDocMessage(labels=tuple(labels), frames=tuple(frames)))
 
 
-# -------- session assembly and runners --------
+# -------- session assembly and run_flow --------
 
 
 def build_session(config: SessionConfig, store: CredentialStore) -> Session:
@@ -1143,13 +1163,7 @@ def build_session(config: SessionConfig, store: CredentialStore) -> Session:
         )
     session = Session(config.seed, flags=config.flags)
     session.config = config
-    session.protocol = config.protocol
     session.store = store
-    session.abort_reason = None
-    session.abort_retryable = False
-    session.executed_tx = None
-    session.view_values = {}
-    session.view_failures = ()
 
     phone_pair = config.phone_keypair_override or credential.keypair
     user = UserModel(session, config, credential.password)
@@ -1185,7 +1199,7 @@ def build_session(config: SessionConfig, store: CredentialStore) -> Session:
     if config.protocol in (Protocol.TXVERIFY, Protocol.HIJACKGUARD):
         # extensions presuppose an authenticated session; both ends already
         # share its nonce
-        nonce = crypto.fresh_nonce(session.rng, session.session_id, store.issued_nonces)
+        nonce = crypto.fresh_nonce(session.rng, store.issued_nonces)
         server.state["session_nonce"] = nonce.value
         phone.state["session_nonce"] = nonce.value
     return session
@@ -1201,11 +1215,16 @@ class SessionResult:
         return self.outcome is Outcome.AUTHENTICATED
 
 
-def _run(config: SessionConfig, store: CredentialStore | None, adversaries=()) -> SessionResult:
+def run_flow(config: SessionConfig, store: CredentialStore | None = None, adversaries=()) -> SessionResult:
+    """Run one session of config.protocol to its verdict.
+
+    Each adversary is a callable that gets the built session before the
+    user begins, to install its taps and hooks.
+    """
     store = store or CredentialStore.provision(config.seed)
     session = build_session(config, store)
-    for adversary in adversaries:
-        adversary.install(session)
+    for install in adversaries:
+        install(session)
     session.entities[EntityKind.USER].begin()
     session.run()
     if session.outcome is None:
@@ -1213,51 +1232,7 @@ def _run(config: SessionConfig, store: CredentialStore | None, adversaries=()) -
     return SessionResult(outcome=session.outcome, session=session)
 
 
-def run_protocol1(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
-    if config.protocol is not Protocol.P1:
-        config = replace(config, protocol=Protocol.P1)
-    return _run(config, store, adversaries)
-
-
-def run_protocol2(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
-    if config.protocol is not Protocol.P2:
-        config = replace(config, protocol=Protocol.P2)
-    return _run(config, store, adversaries)
-
-
-def run_protocol3(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
-    if config.protocol is not Protocol.P3:
-        config = replace(config, protocol=Protocol.P3)
-    return _run(config, store, adversaries)
-
-
-def run_tx_verification(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
-    if config.protocol is not Protocol.TXVERIFY:
-        config = replace(config, protocol=Protocol.TXVERIFY)
-    return _run(config, store, adversaries)
-
-
-def run_secure_view(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
-    if config.protocol is not Protocol.SECUREVIEW:
-        config = replace(config, protocol=Protocol.SECUREVIEW)
-    return _run(config, store, adversaries)
-
-
 def run_hijack_guard(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
-    if config.protocol is not Protocol.HIJACKGUARD:
-        config = replace(config, protocol=Protocol.HIJACKGUARD)
-    return _run(config, store, adversaries)
-
-
-RUNNERS = {
-    Protocol.P1: run_protocol1,
-    Protocol.P2: run_protocol2,
-    Protocol.P3: run_protocol3,
-    Protocol.TXVERIFY: run_tx_verification,
-    Protocol.SECUREVIEW: run_secure_view,
-    Protocol.HIJACKGUARD: run_hijack_guard,
-}
-
-
-def run_flow(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
-    return RUNNERS[config.protocol](config, store, adversaries)
+    """run_flow as HIJACKGUARD, under its own name so traces can count the
+    alteration sessions apart from the other sessions an adversary starts."""
+    return run_flow(replace(config, protocol=Protocol.HIJACKGUARD), store, adversaries)

@@ -139,15 +139,6 @@ class TestExpectedPattern:
         with pytest.raises(ValueError):
             AdversaryConfig(AdversaryKind.KEYLOGGER, EntityKind.SERVER)
 
-    def test_capability_sets(self):
-        key = AdversaryConfig(AdversaryKind.KEYLOGGER, EntityKind.TERMINAL)
-        assert key.capabilities == {"tap_input:terminal"}
-        mal = AdversaryConfig(AdversaryKind.MALWARE, EntityKind.SMARTPHONE)
-        assert "read_state:smartphone" in mal.capabilities
-        assert "alter_outbound:smartphone" in mal.capabilities
-        brute = AdversaryConfig(AdversaryKind.BRUTE_FORCE)
-        assert brute.capabilities == {"guess_offline"}
-
 
 def _attack(protocol, kind, locus, seed):
     handle, result = run_attacked_session(protocol, AdversaryConfig(kind, locus), seed)

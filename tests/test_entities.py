@@ -32,7 +32,7 @@ from visualauth.protocols import (
     SessionConfig,
     TypeId,
     build_session,
-    run_protocol1,
+    run_flow,
 )
 
 
@@ -153,7 +153,7 @@ class TestRunLoop:
             session.run(max_deliveries=3)
 
     def test_default_budget_covers_honest_runs(self):
-        result = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=904))
+        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=904))
         assert len(result.session.transcript) < MAX_DELIVERIES
 
     def test_finish_is_first_write_wins(self):
@@ -189,20 +189,20 @@ class TestRunLoop:
 
 class TestTranscript:
     def test_same_seed_same_bytes(self):
-        a = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=905))
-        b = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=905))
+        a = run_flow(SessionConfig(protocol=Protocol.P1, seed=905))
+        b = run_flow(SessionConfig(protocol=Protocol.P1, seed=905))
         text_a = export_transcript(a.session)
         text_b = export_transcript(b.session)
         assert text_a == text_b
         assert text_a.encode() == text_b.encode()
 
     def test_different_seed_different_bytes(self):
-        a = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=906))
-        b = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=907))
+        a = run_flow(SessionConfig(protocol=Protocol.P1, seed=906))
+        b = run_flow(SessionConfig(protocol=Protocol.P1, seed=907))
         assert export_transcript(a.session) != export_transcript(b.session)
 
     def test_line_format(self):
-        result = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=908))
+        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=908))
         for line in export_transcript(result.session).splitlines():
             step, kind, sender, receiver, tag, digest = line.split("|")
             assert step.isdigit()
@@ -213,12 +213,12 @@ class TestTranscript:
             assert len(digest) == 16 and int(digest, 16) >= 0
 
     def test_steps_count_up_from_one(self):
-        result = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=909))
+        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=909))
         steps = [event.step for event in result.session.transcript]
         assert steps == list(range(1, len(steps) + 1))
 
     def test_snapshot_per_delivery(self):
-        result = run_protocol1(SessionConfig(protocol=Protocol.P1, seed=910))
+        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=910))
         per_entity = sum(
             len(entity.snapshots) for entity in result.session.entities.values()
         )

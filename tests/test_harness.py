@@ -101,6 +101,7 @@ class TestParsing:
             ("[scenario]\nprotocol = p1\ntrials = soon\n", 3, "integer"),
             ("[matrix]\n\n[matrix]\n", 3, "one [matrix]"),
             ("[scenario]\nprotocol = p1\nadversary = ghost\n", 3, "unknown adversary"),
+            ("[scenario]\nprotocol = p1\nadversary = fake_server\n", 3, "unknown adversary"),
             ("[scenario]\nprotocol = p1\nlocus = server\n", 3, "unknown locus"),
             ("[scenario]\nprotocol = p1\nec_level = z\n", 3, "unknown ec level"),
             ("[scenario]\nprotocol = p1\ncredentials = stolen\n", 3, "honest or wrong"),

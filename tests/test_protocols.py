@@ -14,28 +14,28 @@ from visualauth.entities import (
     secrecy_violations,
 )
 from visualauth.protocols import (
+    AUTH_PROTOCOLS,
     DEFAULT_TX,
     DEFAULT_VIEW_FIELDS,
     GRID_COLS,
     GRID_ROWS,
     CredentialStore,
+    ForwardConfirm,
     Outcome,
     Protocol,
     SessionConfig,
     SessionFlags,
     ShowTxPage,
     SignedConfirmation,
+    SubmitCiphertext,
+    SubmitOtp,
     SubmitTx,
     Transaction,
+    build_session,
     canonical_tx_bytes,
     parse_tx_canonical,
     run_flow,
     run_hijack_guard,
-    run_protocol1,
-    run_protocol2,
-    run_protocol3,
-    run_secure_view,
-    run_tx_verification,
 )
 
 EVIL = Transaction(receiver_account="ACCT-0666", amount=999900, receiver_name="mule household")
@@ -43,6 +43,10 @@ EVIL = Transaction(receiver_account="ACCT-0666", amount=999900, receiver_name="m
 
 def _cfg(protocol, seed, **kw):
     return SessionConfig(protocol=protocol, seed=seed, **kw)
+
+
+def _login_id(protocol):
+    return f"{protocol}-run_flow"
 
 
 class TestTransactionRecords:
@@ -86,39 +90,35 @@ class TestTransactionRecords:
 
 class TestHonestLogins:
     def test_p1_authenticates_in_eleven_steps(self):
-        result = run_protocol1(_cfg(Protocol.P1, 101))
+        result = run_flow(_cfg(Protocol.P1, 101))
         assert result.outcome is Outcome.AUTHENTICATED
         assert result.authenticated
         assert len(result.session.transcript) == 11
 
     def test_p2_authenticates_in_eleven_steps(self):
-        result = run_protocol2(_cfg(Protocol.P2, 102))
+        result = run_flow(_cfg(Protocol.P2, 102))
         assert result.outcome is Outcome.AUTHENTICATED
         assert len(result.session.transcript) == 11
 
     def test_p3_authenticates_in_eleven_steps(self):
-        result = run_protocol3(_cfg(Protocol.P3, 103))
+        result = run_flow(_cfg(Protocol.P3, 103))
         assert result.outcome is Outcome.AUTHENTICATED
         assert len(result.session.transcript) == 11
 
     def test_every_honest_login_is_secrecy_clean(self):
-        for protocol, runner in (
-            (Protocol.P1, run_protocol1),
-            (Protocol.P2, run_protocol2),
-            (Protocol.P3, run_protocol3),
-        ):
-            result = runner(_cfg(protocol, 104))
+        for protocol in AUTH_PROTOCOLS:
+            result = run_flow(_cfg(protocol, 104))
             assert secrecy_violations(result.session) == [], protocol
 
     def test_p1_password_never_reaches_terminal_or_phone(self):
-        result = run_protocol1(_cfg(Protocol.P1, 105))
+        result = run_flow(_cfg(Protocol.P1, 105))
         password = result.session.store.users["alice"].password.encode()
         for kind in (EntityKind.TERMINAL, EntityKind.SMARTPHONE):
             snaps = result.session.entities[kind].snapshots
             assert all(password not in snap for _, snap in snaps), kind
 
     def test_p1_user_sees_result(self):
-        result = run_protocol1(_cfg(Protocol.P1, 106))
+        result = run_flow(_cfg(Protocol.P1, 106))
         user = result.session.entities[EntityKind.USER]
         assert user.state["saw_result"] is True
 
@@ -138,13 +138,13 @@ class TestHonestLogins:
         assert (shown[0].rows, shown[0].cols) == (6, 6)
 
     def test_p3_masks_the_password_on_the_phone_display(self):
-        result = run_protocol3(_cfg(Protocol.P3, 108))
+        result = run_flow(_cfg(Protocol.P3, 108))
         user = result.session.entities[EntityKind.USER]
         password = result.session.store.users["alice"].password
         assert user.state["masked_echo"] == "*" * len(password)
 
     def test_p3_terminal_holds_ciphertext_only(self):
-        result = run_protocol3(_cfg(Protocol.P3, 109))
+        result = run_flow(_cfg(Protocol.P3, 109))
         terminal = result.session.entities[EntityKind.TERMINAL]
         blob = terminal.state["credential_blob"]
         password = result.session.store.users["alice"].password.encode()
@@ -157,23 +157,23 @@ class TestHonestLogins:
 
 class TestWrongCredentials:
     def test_p1_wrong_password_denied(self):
-        result = run_protocol1(_cfg(Protocol.P1, 110, submit_passwords=("wrongpw0",)))
+        result = run_flow(_cfg(Protocol.P1, 110, submit_passwords=("wrongpw0",)))
         assert result.outcome is Outcome.DENIED
 
     def test_p2_mistyped_otp_denied(self):
-        result = run_protocol2(_cfg(Protocol.P2, 111, mistype_otp=True))
+        result = run_flow(_cfg(Protocol.P2, 111, mistype_otp=True))
         assert result.outcome is Outcome.DENIED
 
     def test_p3_wrong_password_denied(self):
-        result = run_protocol3(_cfg(Protocol.P3, 112, submit_passwords=("wrongpw0",)))
+        result = run_flow(_cfg(Protocol.P3, 112, submit_passwords=("wrongpw0",)))
         assert result.outcome is Outcome.DENIED
 
     def test_unknown_user_denied(self):
-        result = run_protocol1(_cfg(Protocol.P1, 113, user_id="mallory"))
+        result = run_flow(_cfg(Protocol.P1, 113, user_id="mallory"))
         assert result.outcome is Outcome.DENIED
 
     def test_p1_wrong_then_right_with_two_attempts(self):
-        result = run_protocol1(
+        result = run_flow(
             _cfg(Protocol.P1, 114, submit_passwords=("wrongpw0", "data"), max_attempts=2)
         )
         assert result.outcome is Outcome.AUTHENTICATED
@@ -198,26 +198,26 @@ class TestWrongCredentials:
         assert layouts[0] != layouts[1]
 
     def test_p3_wrong_then_right_with_two_attempts(self):
-        result = run_protocol3(
+        result = run_flow(
             _cfg(Protocol.P3, 116, submit_passwords=("wrongpw0", "data"), max_attempts=2)
         )
         assert result.outcome is Outcome.AUTHENTICATED
 
     def test_p2_mistypes_exhaust_attempts(self):
-        result = run_protocol2(_cfg(Protocol.P2, 117, mistype_otp=True, max_attempts=2))
+        result = run_flow(_cfg(Protocol.P2, 117, mistype_otp=True, max_attempts=2))
         assert result.outcome is Outcome.DENIED
         user = result.session.entities[EntityKind.USER]
         assert user.state["typed_otps"] == 2
 
     def test_single_attempt_is_the_default(self):
-        result = run_protocol1(_cfg(Protocol.P1, 118, submit_passwords=("wrongpw0", "data")))
+        result = run_flow(_cfg(Protocol.P1, 118, submit_passwords=("wrongpw0", "data")))
         assert result.outcome is Outcome.DENIED
 
 
 class TestPositionSemantics:
     def test_identity_layout_maps_password_to_alphabet_indices(self):
         store = CredentialStore.provision(119, users=(("ann", "aaaa"),))
-        result = run_protocol1(
+        result = run_flow(
             _cfg(
                 Protocol.P1,
                 119,
@@ -232,7 +232,7 @@ class TestPositionSemantics:
 
     def test_identity_layout_spells_mixed_password(self):
         store = CredentialStore.provision(120, users=(("bob", "b0b"),))
-        result = run_protocol1(
+        result = run_flow(
             _cfg(
                 Protocol.P1,
                 120,
@@ -247,7 +247,7 @@ class TestPositionSemantics:
         assert result.outcome is Outcome.AUTHENTICATED
 
     def test_positions_resolve_only_at_the_server(self):
-        result = run_protocol1(_cfg(Protocol.P1, 121))
+        result = run_flow(_cfg(Protocol.P1, 121))
         transcript = export_transcript(result.session)
         assert "submit_positions" in transcript
         # the layout serialization never crosses the network channels
@@ -259,31 +259,31 @@ class TestPositionSemantics:
 
 class TestOtpSemantics:
     def test_token_consumed_on_success(self):
-        result = run_protocol2(_cfg(Protocol.P2, 122))
+        result = run_flow(_cfg(Protocol.P2, 122))
         server = result.session.entities[EntityKind.SERVER]
         assert server.state["token"].consumed
 
     def test_token_not_consumed_on_mistype(self):
-        result = run_protocol2(_cfg(Protocol.P2, 123, mistype_otp=True))
+        result = run_flow(_cfg(Protocol.P2, 123, mistype_otp=True))
         server = result.session.entities[EntityKind.SERVER]
         assert not server.state["token"].consumed
 
     def test_otp_length_is_configurable(self):
-        result = run_protocol2(_cfg(Protocol.P2, 124, otp_length=12))
+        result = run_flow(_cfg(Protocol.P2, 124, otp_length=12))
         server = result.session.entities[EntityKind.SERVER]
         assert len(server.state["token"].value) == 12
 
 
 class TestCiphertextReplayAndTamper:
     def _steal_blob(self, seed, store):
-        honest = run_protocol3(_cfg(Protocol.P3, seed), store=store)
+        honest = run_flow(_cfg(Protocol.P3, seed), store=store)
         assert honest.outcome is Outcome.AUTHENTICATED
         return honest.session.entities[EntityKind.TERMINAL].state["credential_blob"]
 
     def test_replaying_the_exact_ciphertext_is_denied(self):
         store = CredentialStore.provision(125)
         blob = self._steal_blob(125, store)
-        replay = run_protocol3(
+        replay = run_flow(
             _cfg(Protocol.P3, 126, scripted_ciphertext=blob), store=store
         )
         assert replay.outcome is Outcome.DENIED
@@ -294,7 +294,7 @@ class TestCiphertextReplayAndTamper:
         for i in range(0, len(blob), 8):
             mangled = bytearray(blob)
             mangled[i] ^= 0x01
-            result = run_protocol3(
+            result = run_flow(
                 _cfg(Protocol.P3, 128, scripted_ciphertext=bytes(mangled)), store=store
             )
             assert result.outcome is Outcome.DENIED, f"byte {i}"
@@ -302,43 +302,35 @@ class TestCiphertextReplayAndTamper:
     def test_ciphertext_for_the_wrong_server_is_denied(self):
         # a phone that believes a different server name seals a credential
         # the real server refuses
-        result = run_protocol3(
+        result = run_flow(
             _cfg(Protocol.P3, 129, phone_server_name_override="totally-real-bank")
         )
         assert result.outcome is Outcome.DENIED
 
 
 class TestFrameHandling:
-    @pytest.mark.parametrize("protocol,runner", [
-        (Protocol.P1, run_protocol1),
-        (Protocol.P2, run_protocol2),
-        (Protocol.P3, run_protocol3),
-    ])
-    def test_damage_at_the_budget_still_authenticates(self, protocol, runner):
-        result = runner(_cfg(protocol, 130, corrupt_codewords="budget"))
+    @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=_login_id)
+    def test_damage_at_the_budget_still_authenticates(self, protocol):
+        result = run_flow(_cfg(protocol, 130, corrupt_codewords="budget"))
         assert result.outcome is Outcome.AUTHENTICATED
 
-    @pytest.mark.parametrize("protocol,runner", [
-        (Protocol.P1, run_protocol1),
-        (Protocol.P2, run_protocol2),
-        (Protocol.P3, run_protocol3),
-    ])
-    def test_damage_past_the_budget_aborts_retryable(self, protocol, runner):
-        result = runner(_cfg(protocol, 131, corrupt_codewords="budget+1"))
+    @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=_login_id)
+    def test_damage_past_the_budget_aborts_retryable(self, protocol):
+        result = run_flow(_cfg(protocol, 131, corrupt_codewords="budget+1"))
         assert result.outcome is Outcome.ABORTED
         assert result.session.abort_retryable
         assert "undecodable" in result.session.abort_reason
 
     def test_frame_log_records_contexts(self):
-        result = run_protocol1(_cfg(Protocol.P1, 132))
+        result = run_flow(_cfg(Protocol.P1, 132))
         contexts = [context for _, context, _ in result.session.frame_log]
         assert contexts == ["keyboard_challenge"]
-        result3 = run_protocol3(_cfg(Protocol.P3, 133))
+        result3 = run_flow(_cfg(Protocol.P3, 133))
         contexts3 = [context for _, context, _ in result3.session.frame_log]
         assert contexts3 == ["nonce_challenge", "credential_upload"]
 
     def test_frames_use_the_smallest_fitting_version(self):
-        result = run_protocol1(_cfg(Protocol.P1, 134))
+        result = run_flow(_cfg(Protocol.P1, 134))
         for _, _, frame in result.session.frame_log:
             spec = frame.spec
             assert len(frame.payload) <= qr.capacity(spec)
@@ -371,20 +363,20 @@ class TestFrameHandling:
 
     def test_wrong_phone_key_aborts_fatal(self):
         stranger = crypto.generate_keypair(Role.USER, seed=136)
-        result = run_protocol1(_cfg(Protocol.P1, 136, phone_keypair_override=stranger))
+        result = run_flow(_cfg(Protocol.P1, 136, phone_keypair_override=stranger))
         assert result.outcome is Outcome.ABORTED
         assert result.session.abort_reason == "challenge_ciphertext_rejected"
         assert not result.session.abort_retryable
 
     def test_unsigned_challenges_accepted_when_signing_disabled(self):
         flags = SessionFlags(sign_server_payloads=False)
-        result = run_protocol1(_cfg(Protocol.P1, 137, flags=flags))
+        result = run_flow(_cfg(Protocol.P1, 137, flags=flags))
         assert result.outcome is Outcome.AUTHENTICATED
 
 
 class TestTransactionVerification:
     def test_honest_confirmation(self):
-        result = run_tx_verification(_cfg(Protocol.TXVERIFY, 140))
+        result = run_flow(_cfg(Protocol.TXVERIFY, 140))
         assert result.outcome is Outcome.CONFIRMED
         assert result.session.executed_tx == DEFAULT_TX
 
@@ -425,7 +417,7 @@ class TestTransactionVerification:
         assert session.executed_tx is None
 
     def test_confirmation_names_the_session_nonce(self):
-        result = run_tx_verification(_cfg(Protocol.TXVERIFY, 143))
+        result = run_flow(_cfg(Protocol.TXVERIFY, 143))
         phone = result.session.entities[EntityKind.SMARTPHONE]
         server = result.session.entities[EntityKind.SERVER]
         assert phone.state["session_nonce"] == server.state["session_nonce"]
@@ -434,13 +426,13 @@ class TestTransactionVerification:
 
 class TestSecureView:
     def test_honest_view(self):
-        result = run_secure_view(_cfg(Protocol.SECUREVIEW, 150))
+        result = run_flow(_cfg(Protocol.SECUREVIEW, 150))
         assert result.outcome is Outcome.VIEWED
         assert result.session.view_values == dict(DEFAULT_VIEW_FIELDS)
         assert result.session.view_failures == ()
 
     def test_terminal_never_sees_field_plaintext(self):
-        result = run_secure_view(_cfg(Protocol.SECUREVIEW, 151))
+        result = run_flow(_cfg(Protocol.SECUREVIEW, 151))
         terminal = result.session.entities[EntityKind.TERMINAL]
         for _, value in DEFAULT_VIEW_FIELDS:
             for _, snap in terminal.snapshots:
@@ -448,7 +440,7 @@ class TestSecureView:
         assert secrecy_violations(result.session) == []
 
     def test_single_field_corruption_fails_just_that_field(self):
-        result = run_secure_view(
+        result = run_flow(
             _cfg(
                 Protocol.SECUREVIEW,
                 152,
@@ -463,7 +455,7 @@ class TestSecureView:
 
     def test_custom_fields(self):
         fields = (("iban", "DE89 3704"), ("limit", "5000"))
-        result = run_secure_view(_cfg(Protocol.SECUREVIEW, 153, view_fields=fields))
+        result = run_flow(_cfg(Protocol.SECUREVIEW, 153, view_fields=fields))
         assert result.session.view_values == dict(fields)
 
 
@@ -519,14 +511,52 @@ class TestDispatch:
         assert run_flow(_cfg(Protocol.P2, 170)).outcome is Outcome.AUTHENTICATED
         assert run_flow(_cfg(Protocol.SECUREVIEW, 171)).outcome is Outcome.VIEWED
 
-    def test_runners_coerce_their_protocol(self):
-        # handing a P1 config to the P2 runner runs P2
-        result = run_protocol2(_cfg(Protocol.P1, 172))
-        assert result.session.protocol is Protocol.P2
-        assert result.outcome is Outcome.AUTHENTICATED
-
     def test_same_seed_reproduces_the_whole_run(self):
         a = run_flow(_cfg(Protocol.TXVERIFY, 173))
         b = run_flow(_cfg(Protocol.TXVERIFY, 173))
         assert export_transcript(a.session) == export_transcript(b.session)
         assert a.outcome is b.outcome
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_same_seed_reproduces_every_snapshot(self, protocol):
+        # two runs in one process, each against its own store: no state
+        # may carry anything from the first run into the second
+        a, b = (run_flow(_cfg(protocol, 174), CredentialStore.provision(174)) for _ in range(2))
+        for kind, entity in a.session.entities.items():
+            assert entity.snapshots == b.session.entities[kind].snapshots, kind
+
+
+def _run_with_injected(config, message):
+    """Queue message on net_up before the user begins, as an attacker on
+    the terminal's network path could, then run the session."""
+    session = build_session(config, CredentialStore.provision(config.seed))
+    session.inject("net_up", message)
+    session.entities[EntityKind.USER].begin()
+    session.run()
+    return session
+
+
+class TestServerFailsClosed:
+    def test_ciphertext_injected_into_p1_aborts(self):
+        # P3's submission is foreign to P1; accepting it used to answer
+        # with a nonce, walk the user into typing the password on the
+        # phone and authenticate
+        session = _run_with_injected(
+            _cfg(Protocol.P1, 180, max_attempts=2), SubmitCiphertext(blob=b"garbage")
+        )
+        assert session.outcome is Outcome.ABORTED
+        assert session.abort_reason == "submit_ciphertext_out_of_protocol"
+        assert secrecy_violations(session) == []
+
+    def test_otp_before_its_challenge_aborts(self):
+        session = _run_with_injected(_cfg(Protocol.P2, 181, max_attempts=2), SubmitOtp(otp="guess"))
+        assert session.outcome is Outcome.ABORTED
+        assert session.abort_reason == "submit_otp_before_challenge"
+        assert session.entities[EntityKind.SERVER].state.get("token") is None
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_confirm_before_any_transaction_aborts(self, protocol):
+        session = _run_with_injected(_cfg(protocol, 182), ForwardConfirm(ok=True))
+        assert session.outcome is Outcome.ABORTED
+        assert session.abort_reason.startswith("forward_confirm_")
+        assert session.executed_tx is None
