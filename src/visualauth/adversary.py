@@ -217,10 +217,6 @@ def _exfiltrate(handle: AttackerHandle) -> None:
 # -------- followup attacks: the adversary actually tries --------
 
 
-def _followup_config(protocol: Protocol, seed: int, **overrides) -> SessionConfig:
-    return SessionConfig(protocol=protocol, seed=seed, **overrides)
-
-
 def _attempt(config: SessionConfig, store: CredentialStore) -> bool:
     return run_flow(config, store).outcome is Outcome.AUTHENTICATED
 
@@ -240,9 +236,9 @@ def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
         user_id, password = login
         own_phone = crypto.generate_keypair(crypto.Role.USER, rngmod.fork(seed, "attacker-phone"))
         if _attempt(
-            _followup_config(
-                protocol,
-                rngmod.child_seed(seed, "learned-creds"),
+            SessionConfig(
+                protocol=protocol,
+                seed=rngmod.child_seed(seed, "learned-creds"),
                 user_id=user_id,
                 submit_passwords=(password,),
                 phone_keypair_override=own_phone,
@@ -254,9 +250,9 @@ def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
     if handle.stolen_keypair is not None and protocol is Protocol.P2:
         # the exfiltrated private key opens any future challenge
         if _attempt(
-            _followup_config(
-                protocol,
-                rngmod.child_seed(seed, "stolen-key"),
+            SessionConfig(
+                protocol=protocol,
+                seed=rngmod.child_seed(seed, "stolen-key"),
                 user_id=session.config.user_id,
                 phone_keypair_override=handle.stolen_keypair,
             ),
@@ -273,9 +269,9 @@ def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
     captured = handle.observed(label)
     if captured is not None:
         if _attempt(
-            _followup_config(
-                protocol,
-                rngmod.child_seed(seed, "replay"),
+            SessionConfig(
+                protocol=protocol,
+                seed=rngmod.child_seed(seed, "replay"),
                 user_id=session.config.user_id,
                 **{config_field: captured[0]},
             ),

@@ -213,8 +213,8 @@ class SecretSighting:
 class Entity:
     """Base participant: a tag-dispatched state machine with a state dict.
 
-    Handlers are on_<tag> methods; each delivery runs exactly one handler
-    and then snapshots the entity's state.
+    Each delivery runs exactly one handler, by default the on_<tag> method
+    (a subclass may override handler_for), then snapshots the state.
     """
 
     kind: ClassVar[EntityKind]
@@ -230,12 +230,15 @@ class Entity:
         self.session.emit(self, channel_name, message)
 
     def handle(self, message: Message) -> None:
+        self.handler_for(message)(message)
+
+    def handler_for(self, message: Message) -> Callable[[Message], None]:
         handler = getattr(self, "on_" + message.tag, None)
         if handler is None:
             raise ProtocolViolation(
                 f"{self.kind.value} has no handler for {message.tag!r}"
             )
-        handler(message)
+        return handler
 
     def on_idle(self) -> None:
         """Called once when the queues drain without an outcome."""
@@ -264,7 +267,6 @@ class Session:
         self.step = 0
         self._seq = 0
         self._order: deque[Envelope] = deque()
-        self._emitted: list[Message] | None = None
         self.outcome = None
         self.closed = False
         self.frame_log: list[tuple[int, str, VisualFrame]] = []
@@ -312,8 +314,6 @@ class Session:
         self._order.append(envelope)
         for tap in channel.taps:
             tap(self.step, channel, message)
-        if self._emitted is not None:
-            self._emitted.append(message)
 
     def inject(self, channel_name: str, message: Message) -> Envelope:
         """Queue a message without a sending entity (adversarial insertion)."""
@@ -352,11 +352,11 @@ class Session:
         return self.outcome
 
 
-def deliver(session: Session, envelope: Envelope) -> list[Message]:
+def deliver(session: Session, envelope: Envelope) -> None:
     """Deliver one event: advance the receiving machine exactly one handler.
 
-    Returns the messages the handler emitted. Raises ProtocolViolation for
-    events delivered to a closed session or that no handler accepts.
+    Raises ProtocolViolation for events delivered to a closed session or
+    that no handler accepts.
     """
     if session.closed:
         raise ProtocolViolation("message delivered to a completed session")
@@ -383,14 +383,8 @@ def deliver(session: Session, envelope: Envelope) -> list[Message]:
     )
     for tap in receiver.io_taps:
         tap("in", channel, msg)
-    previous, session._emitted = session._emitted, []
-    try:
-        receiver.handle(msg)
-        emitted = session._emitted
-    finally:
-        session._emitted = previous
+    receiver.handle(msg)
     receiver.take_snapshot(session.step)
-    return emitted
 
 
 def export_transcript(session: Session) -> str:

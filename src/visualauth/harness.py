@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, replace
 from . import qr, rng as rngmod
 from .adversary import (
     FOLLOWUP_BUDGET,
+    MATRIX_KINDS,
+    MATRIX_LOCI,
     AdversaryConfig,
     AdversaryKind,
     MatrixCell,
@@ -26,6 +28,7 @@ from .adversary import (
 )
 from .entities import EntityKind, export_transcript
 from .protocols import (
+    AUTH_PROTOCOLS,
     CredentialStore,
     Outcome,
     Protocol,
@@ -433,18 +436,10 @@ def run_scenarios(path: str) -> Report:
 def _matrix_rows(cells: list[MatrixCell]) -> list[tuple]:
     by_key = {(c.protocol, c.kind, c.locus): c for c in cells}
     rows = []
-    for protocol in (Protocol.P1, Protocol.P2, Protocol.P3):
-        for kind in (
-            AdversaryKind.KEYLOGGER,
-            AdversaryKind.MALWARE,
-            AdversaryKind.SHOULDER_SURFER,
-            AdversaryKind.BRUTE_FORCE,
-        ):
-            pair = []
-            for locus in (EntityKind.TERMINAL, EntityKind.SMARTPHONE):
-                cell = by_key.get((protocol, kind, locus))
-                if cell is not None:
-                    pair.append(cell)
+    for protocol in AUTH_PROTOCOLS:
+        for kind in MATRIX_KINDS:
+            found = (by_key.get((protocol, kind, locus)) for locus in MATRIX_LOCI)
+            pair = [cell for cell in found if cell is not None]
             if pair:
                 rows.append((protocol, kind, pair))
     return rows

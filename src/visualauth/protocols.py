@@ -575,6 +575,8 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
 
 
 def _abort(session: Session, reason: str, retryable: bool) -> None:
+    if session.outcome is not None:
+        return  # the first verdict stands, and so does its reason
     session.abort_reason = reason
     session.abort_retryable = retryable
     session.finish(Outcome.ABORTED)
@@ -884,25 +886,15 @@ class Smartphone(Entity):
         self.emit("phone_display_user", ShowFields(values=tuple(values), failures=tuple(failures)))
 
 
-# The net_up and cellular messages the server takes in each flow; any
-# other tag ends the session ABORTED.
-SERVER_ACCEPTS: dict[Protocol, frozenset[str]] = {
-    Protocol.P1: frozenset({LoginRequest.TAG, SubmitPositions.TAG}),
-    Protocol.P2: frozenset({LoginRequest.TAG, SubmitOtp.TAG}),
-    Protocol.P3: frozenset({ConnectRequest.TAG, SubmitCiphertext.TAG}),
-    Protocol.TXVERIFY: frozenset({SubmitTx.TAG, ForwardConfirm.TAG}),
-    Protocol.SECUREVIEW: frozenset({ConnectRequest.TAG}),
-    Protocol.HIJACKGUARD: frozenset({SubmitTx.TAG, SideCopy.TAG}),
-}
-
-
 class Server(Entity):
     """The verifier: issues challenges, alone resolves click positions,
     enforces one-time and freshness semantics, and executes transactions
-    only past the enabled guards. It fails closed on a message outside
-    the flow's protocol and on a submission that precedes its challenge."""
+    only past the enabled guards. It takes messages only in the order its
+    flow's SERVER_FLOWS table allows, from the phase it stands in; anything
+    else aborts the session, and an aborted session takes no more input."""
 
     kind = EntityKind.SERVER
+    phase = "start"
 
     def __init__(self, session, store: CredentialStore):
         super().__init__(session)
@@ -915,16 +907,21 @@ class Server(Entity):
             executed_tx=None,
         )
 
-    def handle(self, message: Message) -> None:
-        if self.session.outcome is Outcome.ABORTED:
-            return  # a dead session takes no more input
-        if message.tag not in SERVER_ACCEPTS[self.session.config.protocol]:
-            _abort(self.session, f"{message.tag}_out_of_protocol", retryable=False)
-            return
-        super().handle(message)
+    def handler_for(self, message: Message):
+        flow = SERVER_FLOWS[self.session.config.protocol]
+        phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase
+        row = flow.get(phase, {}).get(message.tag)
+        if row is None:
+            known = any(message.tag in rows for rows in flow.values())
+            reason = f"{message.tag}_{'out_of_order' if known else 'out_of_protocol'}"
+            return lambda msg: _abort(self.session, reason, retryable=False)
+        handler, next_phase = row
 
-    def _out_of_order(self, msg: Message) -> None:
-        _abort(self.session, f"{msg.tag}_before_challenge", retryable=False)
+        def step(msg: Message) -> None:
+            self.phase = next_phase
+            handler(self, msg)
+
+        return step
 
     # -- challenge issuance --
 
@@ -974,29 +971,22 @@ class Server(Entity):
         frame = _frame(self.session, nonce.value, "nonce_challenge")
         self.emit("net_down", NonceChallenge(frame=frame))
 
-    def on_login_request(self, msg: LoginRequest) -> None:
+    def _login(self, msg: LoginRequest, issue) -> None:
         if msg.user_id not in self.state["registry"]:
             self._deny()
             return
         self.state["user_id"] = msg.user_id
-        if self.session.config.protocol is Protocol.P1:
-            self._issue_keyboard()
-        else:
-            self._issue_otp()
-
-    def on_connect_request(self, msg: ConnectRequest) -> None:
-        if self.session.config.protocol is Protocol.SECUREVIEW:
-            self._issue_document()
-        else:
-            self._issue_nonce()
+        issue()
 
     # -- verdicts --
 
     def _deny(self) -> None:
+        self.phase = "done"
         self.session.finish(Outcome.DENIED)
         self.emit("net_down", AuthResult(ok=False))
 
     def _authenticate(self) -> None:
+        self.phase = "done"
         self.session.finish(Outcome.AUTHENTICATED)
         self.emit("net_down", AuthResult(ok=True))
 
@@ -1009,11 +999,7 @@ class Server(Entity):
 
     def on_submit_positions(self, msg: SubmitPositions) -> None:
         # the one place click positions turn back into symbols
-        layout: KeyboardPermutation | None = self.state.get("layout")
-        if layout is None:
-            self._out_of_order(msg)
-            return
-        candidate = layout.resolve(msg.positions)
+        candidate = self.state["layout"].resolve(msg.positions)
         password, _ = self.state["registry"][self.state["user_id"]]
         if candidate == password:
             self._authenticate()
@@ -1021,10 +1007,7 @@ class Server(Entity):
             self._retry_or_deny(self._issue_keyboard)
 
     def on_submit_otp(self, msg: SubmitOtp) -> None:
-        token: OtpToken | None = self.state.get("token")
-        if token is None:
-            self._out_of_order(msg)
-            return
+        token: OtpToken = self.state["token"]
         if not token.consumed and msg.otp == token.value:
             token.consume()
             self._authenticate()
@@ -1032,10 +1015,7 @@ class Server(Entity):
             self._retry_or_deny(self._issue_otp)
 
     def on_submit_ciphertext(self, msg: SubmitCiphertext) -> None:
-        nonce: Nonce | None = self.state.get("nonce")
-        if nonce is None:
-            self._out_of_order(msg)
-            return
+        nonce: Nonce = self.state["nonce"]
         try:
             plain = crypto.decrypt(
                 self.state["keypair"], crypto.Ciphertext.from_bytes(msg.blob)
@@ -1055,13 +1035,8 @@ class Server(Entity):
     # -- transactions --
 
     def on_submit_tx(self, msg: SubmitTx) -> None:
+        # TXVERIFY: sign the transaction for the phone to show the user
         self.state["received_tx"] = msg.tx
-        if self.session.config.protocol is Protocol.HIJACKGUARD:
-            if not self.session.flags.hijack_guard:
-                self._execute_tx(msg.tx)
-            else:
-                self._check_guard()
-            return
         nonce = self.state["session_nonce"] if self.session.flags.tx_nonce_freshness else None
         canonical = canonical_tx_bytes(msg.tx, nonce)
         conf = SignedConfirmation(
@@ -1071,15 +1046,22 @@ class Server(Entity):
         self.emit("net_down", TxConfirmation(display_tx=msg.tx, frame=frame))
 
     def on_forward_confirm(self, msg: ForwardConfirm) -> None:
-        if "received_tx" not in self.state:
-            self._out_of_order(msg)
-            return
         if msg.ok:
             self._execute_tx(self.state["received_tx"])
             self.session.finish(Outcome.CONFIRMED)
         else:
             self.session.finish(Outcome.USER_FLAGGED_MISMATCH)
         self.emit("net_down", TxResult(accepted=msg.ok))
+
+    def on_guarded_tx(self, msg: SubmitTx) -> None:
+        # HIJACKGUARD: execute only once the side copy matches
+        self.state["received_tx"] = msg.tx
+        if self.session.flags.hijack_guard:
+            self._check_guard()
+        else:
+            self._execute_tx(msg.tx)
+            self.session.finish(Outcome.ACCEPTED)
+            self.emit("net_down", TxResult(accepted=True))
 
     def on_side_copy(self, msg: SideCopy) -> None:
         self.state["side_tx"] = msg.tx
@@ -1119,9 +1101,6 @@ class Server(Entity):
     def _execute_tx(self, tx: Transaction) -> None:
         self.state["executed_tx"] = tx
         self.session.executed_tx = tx
-        if self.session.config.protocol is Protocol.HIJACKGUARD and not self.session.flags.hijack_guard:
-            self.session.finish(Outcome.ACCEPTED)
-            self.emit("net_down", TxResult(accepted=True))
 
     # -- secure viewing --
 
@@ -1144,6 +1123,41 @@ class Server(Entity):
             frames.append(_frame(self.session, ct.to_bytes(), f"secure_field:{label}"))
         self.state["document_labels"] = tuple(labels)
         self.emit("net_down", SecureDocMessage(labels=tuple(labels), frames=tuple(frames)))
+
+
+# The server's legal message order: SERVER_FLOWS[protocol][phase][tag] =
+# (handler, next phase). A tag foreign to the flow aborts <tag>_out_of_protocol,
+# one in the wrong phase <tag>_out_of_order. A login retry reissues the
+# challenge in "challenged"; a login verdict moves the server to "done".
+SERVER_FLOWS: dict[Protocol, dict[str, dict[str, tuple]]] = {
+    Protocol.P1: {
+        "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_keyboard), "challenged")},
+        "challenged": {SubmitPositions.TAG: (Server.on_submit_positions, "challenged")},
+    },
+    Protocol.P2: {
+        "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_otp), "challenged")},
+        "challenged": {SubmitOtp.TAG: (Server.on_submit_otp, "challenged")},
+    },
+    Protocol.P3: {
+        "start": {ConnectRequest.TAG: (lambda s, m: s._issue_nonce(), "challenged")},
+        "challenged": {SubmitCiphertext.TAG: (Server.on_submit_ciphertext, "challenged")},
+    },
+    Protocol.TXVERIFY: {
+        "start": {SubmitTx.TAG: (Server.on_submit_tx, "challenged")},
+        "challenged": {ForwardConfirm.TAG: (Server.on_forward_confirm, "done")},
+    },
+    Protocol.SECUREVIEW: {
+        "start": {ConnectRequest.TAG: (lambda s, m: s._issue_document(), "done")},
+    },
+    Protocol.HIJACKGUARD: {
+        "start": {
+            SubmitTx.TAG: (Server.on_guarded_tx, "tx_held"),
+            SideCopy.TAG: (Server.on_side_copy, "side_held"),
+        },
+        "tx_held": {SideCopy.TAG: (Server.on_side_copy, "done")},
+        "side_held": {SubmitTx.TAG: (Server.on_guarded_tx, "done")},
+    },
+}
 
 
 # -------- session assembly and run_flow --------

@@ -19,16 +19,20 @@ from visualauth.protocols import (
     DEFAULT_VIEW_FIELDS,
     GRID_COLS,
     GRID_ROWS,
+    ConnectRequest,
     CredentialStore,
     ForwardConfirm,
+    LoginRequest,
     Outcome,
     Protocol,
     SessionConfig,
     SessionFlags,
     ShowTxPage,
+    SideCopy,
     SignedConfirmation,
     SubmitCiphertext,
     SubmitOtp,
+    SubmitPositions,
     SubmitTx,
     Transaction,
     build_session,
@@ -526,14 +530,46 @@ class TestDispatch:
             assert entity.snapshots == b.session.entities[kind].snapshots, kind
 
 
-def _run_with_injected(config, message):
-    """Queue message on net_up before the user begins, as an attacker on
-    the terminal's network path could, then run the session."""
-    session = build_session(config, CredentialStore.provision(config.seed))
-    session.inject("net_up", message)
+def _run_with_injected(config, message, at=0):
+    """Queue message on its channel to the server, as an attacker on the
+    terminal's network path or the cellular link could, then run the
+    session. at=0 injects before the user begins; at=k as the k-th
+    delivery starts. The store also provisions a second user, bob."""
+    store = CredentialStore.provision(config.seed, users=(("alice", "data"), ("bob", "b0b5")))
+    session = build_session(config, store)
+    channel = "cellular" if message.tag == SideCopy.TAG else "net_up"
+    deliveries = 0
+
+    def count(direction, _channel, _msg):
+        nonlocal deliveries
+        if direction == "in":
+            deliveries += 1
+            if deliveries == at:
+                session.inject(channel, message)
+
+    for entity in session.entities.values():
+        entity.io_taps.append(count)
+    if at == 0:
+        session.inject(channel, message)
     session.entities[EntityKind.USER].begin()
     session.run()
     return session
+
+
+# one of each message the server takes in some flow
+SERVER_BOUND = (
+    LoginRequest(user_id="alice", protocol="P1"),
+    SubmitPositions(positions=(0, 1, 2, 3)),
+    SubmitOtp(otp="guess"),
+    ConnectRequest(),
+    SubmitCiphertext(blob=b"garbage"),
+    SubmitTx(tx=EVIL),
+    ForwardConfirm(ok=True),
+    SideCopy(
+        tx=EVIL,
+        signature=crypto.sign(crypto.generate_keypair(Role.USER, seed=186), canonical_tx_bytes(EVIL)),
+    ),
+)
 
 
 class TestServerFailsClosed:
@@ -551,8 +587,54 @@ class TestServerFailsClosed:
     def test_otp_before_its_challenge_aborts(self):
         session = _run_with_injected(_cfg(Protocol.P2, 181, max_attempts=2), SubmitOtp(otp="guess"))
         assert session.outcome is Outcome.ABORTED
-        assert session.abort_reason == "submit_otp_before_challenge"
+        assert session.abort_reason == "submit_otp_out_of_order"
         assert session.entities[EntityKind.SERVER].state.get("token") is None
+
+    @pytest.mark.parametrize(
+        "protocol, message, at",
+        [
+            # bob's challenge reaches alice's phone, which cannot open it;
+            # that later abort must not overwrite the server's reason
+            (Protocol.P1, LoginRequest(user_id="bob", protocol="P1"), 0),
+            (Protocol.P3, ConnectRequest(), 0),
+            (Protocol.SECUREVIEW, ConnectRequest(), 0),
+            # delivery 7 is the user's confirm_tx reaching the terminal, so
+            # the attacker's transaction lands before the forwarded confirm
+            (Protocol.TXVERIFY, SubmitTx(tx=EVIL), 7),
+        ],
+        ids=lambda v: getattr(v, "tag", str(v)),
+    )
+    def test_repeated_flow_message_aborts(self, protocol, message, at):
+        session = _run_with_injected(_cfg(protocol, 183), message, at=at)
+        assert session.outcome is Outcome.ABORTED
+        assert session.abort_reason == f"{message.tag}_out_of_order"
+        assert session.executed_tx is None
+
+    def test_guard_off_executes_one_transaction(self):
+        # with the guard off the attacker's submission goes through, as
+        # conceded; the honest one after it must not execute as well
+        flags = SessionFlags(hijack_guard=False)
+        session = _run_with_injected(_cfg(Protocol.HIJACKGUARD, 184, flags=flags), SubmitTx(tx=EVIL))
+        assert session.outcome is Outcome.ACCEPTED
+        assert session.executed_tx == EVIL
+        assert session.entities[EntityKind.SERVER].state["executed_tx"] == EVIL
+        results = [e for e in session.transcript if e.tag == "tx_result"]
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_injection_sweep(self, protocol):
+        # every server-bound message at every delivery point of the honest run
+        config = _cfg(protocol, 185)
+        deliveries = run_flow(config).session.step
+        for message in SERVER_BOUND:
+            for at in range(deliveries + 1):
+                session = _run_with_injected(config, message, at=at)
+                where = (message.tag, at)
+                assert session.outcome is not None, where
+                assert secrecy_violations(session) == [], where
+                assert session.executed_tx in (None, config.tx), where
+                if session.outcome is not Outcome.ABORTED:
+                    assert session.abort_reason is None, where
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_confirm_before_any_transaction_aborts(self, protocol):
