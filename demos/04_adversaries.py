@@ -19,14 +19,14 @@ from visualauth.adversary import (
     run_matrix,
 )
 from visualauth.entities import EntityKind
-from visualauth.protocols import CredentialStore, Protocol
+from visualauth.protocols import CredentialStore, Protocol, SessionConfig
 
 store = CredentialStore.provision(412)
 
 
 def spy(protocol, kind, locus, seed):
     handle, result = run_attacked_session(
-        protocol, AdversaryConfig(kind, locus), seed, store
+        SessionConfig(protocol=protocol, seed=seed), AdversaryConfig(kind, locus), store
     )
     outcome = evaluate(handle)
     seen = sorted({obs.data[0] for obs in handle.observations})
@@ -35,9 +35,6 @@ def spy(protocol, kind, locus, seed):
     print(f"    observed: {seen or 'nothing'}")
     if outcome.learned_password:
         print("    learned the password outright")
-    if outcome.posterior_candidate_count is not None:
-        print(f"    click trail narrows the password to "
-              f"{outcome.posterior_candidate_count} candidates, not one")
     return outcome
 
 

@@ -31,6 +31,7 @@ from . import crypto, rng as rngmod
 from .entities import Channel, ChannelKind, EntityKind, Message, Session
 from .protocols import (
     AUTH_PROTOCOLS,
+    DEFAULT_TX,
     CredentialStore,
     Outcome,
     Protocol,
@@ -100,7 +101,6 @@ class AttackOutcome:
     learned_reusable_secret: bool
     can_authenticate_later: bool
     can_alter_transaction: bool
-    posterior_candidate_count: int | None
 
     def resisted(self) -> bool:
         return not self.can_authenticate_later
@@ -291,7 +291,7 @@ def _transaction_alteration(handle: AttackerHandle) -> bool:
     session = handle.session
     store: CredentialStore = session.store
     seed = rngmod.child_seed(session.seed, "alter-tx", handle.config.locus.value)
-    config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.flags)
+    config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.config.flags)
     followup = None
 
     def install(new_session: Session) -> None:
@@ -314,22 +314,16 @@ def evaluate(handle: AttackerHandle, followup_budget: int = FOLLOWUP_BUDGET) -> 
         learned_reusable_secret=learned_password or handle.stolen_keypair is not None,
         can_authenticate_later=later,
         can_alter_transaction=_transaction_alteration(handle),
-        posterior_candidate_count=None,  # full 36-symbol instance: see posterior_count
     )
 
 
 def run_attacked_session(
-    protocol: Protocol,
+    session_config: SessionConfig,
     config: AdversaryConfig,
-    seed: int,
     store: CredentialStore | None = None,
-    flags: SessionFlags = SessionFlags(),
-    session_config: SessionConfig | None = None,
 ) -> tuple[AttackerHandle, SessionResult]:
     """Honest run with the adversary attached; returns handle + result."""
-    store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
-    if session_config is None:
-        session_config = SessionConfig(protocol=protocol, seed=seed, flags=flags)
+    store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
     holder = []
 
     def install(session: Session) -> None:
@@ -491,7 +485,6 @@ def confirmation_replay_scenario(
     """
     store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
     flags = SessionFlags(tx_nonce_freshness=tx_nonce_freshness)
-    intended = SessionConfig(protocol=Protocol.TXVERIFY, seed=0).tx
 
     captured: dict = {}
 
@@ -536,7 +529,7 @@ def confirmation_replay_scenario(
         "clean_outcome": clean.outcome,
         "attacked_outcome": attacked.outcome,
         "attacker_tx_executed": attacked.session.executed_tx == EVIL_TX,
-        "intended_tx": intended,
+        "intended_tx": DEFAULT_TX,
     }
 
 
@@ -552,7 +545,9 @@ def otp_race_scenario(seed: int, hijack_guard: bool, store: CredentialStore | No
     store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
     flags = SessionFlags(hijack_guard=hijack_guard)
     config = AdversaryConfig(AdversaryKind.MALWARE, EntityKind.TERMINAL)
-    handle, login_result = run_attacked_session(Protocol.P2, config, seed, store, flags=flags)
+    handle, login_result = run_attacked_session(
+        SessionConfig(protocol=Protocol.P2, seed=seed, flags=flags), config, store
+    )
 
     captured = handle.observed("otp")
     replay = run_flow(
@@ -621,7 +616,9 @@ def run_matrix(seed: int, trials: int = 100, followup_budget: int = FOLLOWUP_BUD
                         seed, protocol.value, kind.value, locus.value, str(trial)
                     )
                     handle, result = run_attacked_session(
-                        protocol, AdversaryConfig(kind, locus), trial_seed, store
+                        SessionConfig(protocol=protocol, seed=trial_seed),
+                        AdversaryConfig(kind, locus),
+                        store,
                     )
                     outcome = evaluate(handle, followup_budget)
                     if outcome.can_authenticate_later:

@@ -159,12 +159,10 @@ class Channel:
     sender: EntityKind
     receiver: EntityKind
     taps: list[Callable] = field(default_factory=list)
-    queue: deque = field(default_factory=deque)
 
 
 @dataclass(frozen=True)
 class Envelope:
-    seq: int
     channel_name: str
     message: Message
 
@@ -241,31 +239,29 @@ class Entity:
         return handler
 
     def on_idle(self) -> None:
-        """Called once when the queues drain without an outcome."""
+        """Called once when the queue drains without an outcome."""
 
     def take_snapshot(self, step: int) -> None:
         self.snapshots.append((step, canonical_bytes(self.state)))
 
 
 class Session:
-    """One protocol run: entities, channels, queues, transcript, verdict.
+    """One protocol run: entities, channels, queue, transcript, verdict.
 
     config and store are set by the protocol layer when it assembles the
     session; the handlers fill in the abort reason, the executed
     transaction and the viewed fields as the run goes.
     """
 
-    def __init__(self, seed: int, flags=None):
+    def __init__(self, seed: int):
         self.seed = seed
         self.rng = rngmod.fork(seed, "session")
-        self.flags = flags
         self.channels: dict[str, Channel] = {
             name: Channel(name, *TOPOLOGY[name]) for name in TOPOLOGY
         }
         self.entities: dict[EntityKind, Entity] = {}
         self.transcript: list[TranscriptEvent] = []
         self.step = 0
-        self._seq = 0
         self._order: deque[Envelope] = deque()
         self.outcome = None
         self.closed = False
@@ -308,19 +304,12 @@ class Session:
                 return  # dropped in transit by the compromise
         for tap in sender.io_taps:
             tap("out", channel, message)
-        self._seq += 1
-        envelope = Envelope(self._seq, channel_name, message)
-        channel.queue.append(envelope)
-        self._order.append(envelope)
-        for tap in channel.taps:
-            tap(self.step, channel, message)
+        self.inject(channel_name, message)
 
     def inject(self, channel_name: str, message: Message) -> Envelope:
         """Queue a message without a sending entity (adversarial insertion)."""
         channel = self.channels[channel_name]
-        self._seq += 1
-        envelope = Envelope(self._seq, channel_name, message)
-        channel.queue.append(envelope)
+        envelope = Envelope(channel_name, message)
         self._order.append(envelope)
         for tap in channel.taps:
             tap(self.step, channel, message)
@@ -331,7 +320,7 @@ class Session:
             self.outcome = outcome
 
     def run(self, max_deliveries: int = MAX_DELIVERIES):
-        """Drain the queues; one idle round lets timeouts fire fail-closed."""
+        """Drain the queue; one idle round lets timeouts fire fail-closed."""
         deliveries = 0
         idled = False
         while True:
@@ -340,7 +329,7 @@ class Session:
                     raise LivenessError(
                         f"exceeded {max_deliveries} deliveries without settling"
                     )
-                deliver(self, self._order[0])
+                deliver(self, self._order.popleft())
                 deliveries += 1
             if self.outcome is not None or idled:
                 break
@@ -361,11 +350,6 @@ def deliver(session: Session, envelope: Envelope) -> None:
     if session.closed:
         raise ProtocolViolation("message delivered to a completed session")
     channel = session.channels[envelope.channel_name]
-    try:
-        channel.queue.remove(envelope)
-        session._order.remove(envelope)
-    except ValueError:
-        pass  # out-of-band envelope, delivered directly
     receiver = session.entities.get(channel.receiver)
     if receiver is None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")

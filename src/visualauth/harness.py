@@ -2,17 +2,22 @@
 
 The config format is deliberately dumb: flat ``key = value`` lines under
 ``[scenario]`` section headers, hash comments, nothing nested. A scenario
-names a protocol, optionally an adversary, a trial count and seed, flag
-overrides, and any number of embedded ``expect_*`` assertions that the
-runner checks after the batch. Reports come out twice from one structure:
-a human table and line-delimited machine records; both are byte-stable
-under a fixed config and seed.
+is one SessionConfig run for a number of trials, optionally under an
+adversary, plus any number of embedded ``expect_*`` assertions that the
+runner checks after the batch. Each key has one parser in
+``_SCENARIO_KEYS``, and its value lands on the Scenario, SessionFlags or
+SessionConfig field of the same name; ``_build_scenario`` maps the few
+keys that differ. Defaults live only in those dataclasses.
+
+Reports come out twice from one structure: a human table and
+line-delimited machine records; both are byte-stable under a fixed config
+and seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import qr, rng as rngmod
 from .adversary import (
@@ -26,7 +31,7 @@ from .adversary import (
     run_attacked_session,
     run_matrix,
 )
-from .entities import EntityKind, export_transcript
+from .entities import export_transcript
 from .protocols import (
     AUTH_PROTOCOLS,
     CredentialStore,
@@ -42,16 +47,13 @@ WRONG_PASSWORD = "wrongpw0"  # over the same alphabet, never the provisioned one
 SCAN_MODEL_A = 1.2  # seconds, per-scan fixed cost
 SCAN_MODEL_B = 0.00048  # seconds per module
 
-_COUNT_KEYS = (
-    "authenticated",
-    "denied",
-    "aborted_retryable",
-    "aborted_fatal",
-    "confirmed",
-    "user_flagged_mismatch",
-    "accepted",
-    "rejected",
-    "viewed",
+# one count per outcome; an abort counts as retryable or fatal
+_COUNT_KEYS = tuple(
+    key
+    for outcome in Outcome
+    for key in (
+        ("aborted_retryable", "aborted_fatal") if outcome is Outcome.ABORTED else (outcome.value,)
+    )
 )
 
 
@@ -66,59 +68,16 @@ class ConfigError(Exception):
 # -------- scenario model --------
 
 
-_PROTOCOL_NAMES = {p.value.lower(): p for p in Protocol}
-_ADVERSARY_NAMES = {k.value: k for k in AdversaryKind}
-_LOCUS_NAMES = {"terminal": EntityKind.TERMINAL, "smartphone": EntityKind.SMARTPHONE}
-_EC_NAMES = {level.value.lower(): level for level in qr.EcLevel}
-
-
 @dataclass
 class Scenario:
+    """A batch: config.seed seeds the store and every trial's session."""
+
     name: str
-    protocol: Protocol
+    config: SessionConfig
     trials: int = 1
-    seed: int = 0
     adversary: AdversaryConfig | None = None
-    flags: SessionFlags = SessionFlags()
-    ec_level: qr.EcLevel = qr.EcLevel.M
-    corrupt_codewords: int | str = 0
-    corrupt_context: str | None = None
-    credentials: str = "honest"  # or "wrong"
-    max_attempts: int = 1
-    drop_side_copy: bool = False
     followup_budget: int = FOLLOWUP_BUDGET
     expectations: dict[str, int] = field(default_factory=dict)
-
-    def session_config(self) -> SessionConfig:
-        wrong = self.credentials == "wrong"
-        return SessionConfig(
-            protocol=self.protocol,
-            seed=self.seed,
-            flags=self.flags,
-            frame_ec=self.ec_level,
-            corrupt_codewords=self.corrupt_codewords,
-            corrupt_context=self.corrupt_context,
-            max_attempts=self.max_attempts,
-            drop_side_copy=self.drop_side_copy,
-            submit_passwords=(WRONG_PASSWORD,) if wrong and self.protocol is not Protocol.P2 else None,
-            mistype_otp=wrong and self.protocol is Protocol.P2,
-        )
-
-
-def _parse_bool(raw: str, line_no: int) -> bool:
-    lowered = raw.lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(line_no, f"expected a boolean, got {raw!r}")
-
-
-def _parse_int(raw: str, line_no: int, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(line_no, f"{key} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -134,143 +93,160 @@ class ParsedConfig:
     matrix: MatrixRequest | None = None
 
 
+# -------- the key table: key -> parser(raw, key) -> value, raising ValueError --------
+
+
+def _choice(names: dict, complaint: str):
+    """A case-insensitive pick from names; complaint formats the raw value."""
+
+    def parse(raw: str, key: str):
+        try:
+            return names[raw.lower()]
+        except KeyError:
+            raise ValueError(complaint.format(raw)) from None
+
+    return parse
+
+
+def _integer(raw: str, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {raw!r}") from None
+
+
+def _at_least(minimum: int):
+    def parse(raw: str, key: str) -> int:
+        value = _integer(raw, key)
+        if value < minimum:
+            raise ValueError(f"{key} must be >= {minimum}")
+        return value
+
+    return parse
+
+
+def _seed(raw: str, key: str) -> int:
+    value = _integer(raw, key)
+    if not 0 <= value < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
+    return value
+
+
+def _codewords(raw: str, key: str) -> int | str:
+    return raw if raw in ("budget", "budget+1") else _at_least(0)(raw, key)
+
+
+_boolean = _choice(
+    {word: True for word in ("on", "true", "yes", "1")}
+    | {word: False for word in ("off", "false", "no", "0")},
+    "expected a boolean, got {!r}",
+)
+
+_SCENARIO_KEYS = {
+    "name": lambda raw, key: raw,
+    "protocol": _choice({p.value.lower(): p for p in Protocol}, "unknown protocol {!r}"),
+    "trials": _at_least(1),
+    "seed": _seed,
+    "adversary": _choice(
+        {"none": None} | {k.value: k for k in AdversaryKind}, "unknown adversary {!r}"
+    ),
+    "locus": _choice({locus.value: locus for locus in MATRIX_LOCI}, "unknown locus {!r}"),
+    "sign_server_payloads": _boolean,
+    "hijack_guard": _boolean,
+    "tx_nonce_freshness": _boolean,
+    "drop_side_copy": _boolean,
+    "ec_level": _choice({level.value.lower(): level for level in qr.EcLevel}, "unknown ec level {!r}"),
+    "corrupt_codewords": _codewords,
+    "corrupt_context": lambda raw, key: raw,
+    "credentials": _choice(
+        {"honest": False, "wrong": True}, "credentials must be honest or wrong, got {!r}"
+    ),
+    "max_attempts": _at_least(1),
+    "followup_budget": _integer,
+}
 _MATRIX_KEYS = ("trials", "seed", "followup_budget")
+_FLAG_FIELDS = tuple(f.name for f in fields(SessionFlags))
+_SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))
+
+
+def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scenario:
+    """Route parsed values to the Scenario, SessionFlags or SessionConfig
+    field of the same name; ec_level, credentials, adversary and locus map
+    by hand."""
+    if "protocol" not in values:
+        raise ConfigError(end_line, f"scenario {values['name']!r} never named a protocol")
+    if values.get("adversary") is not None:
+        locus = {"locus": values.pop("locus")} if "locus" in values else {}
+        values["adversary"] = AdversaryConfig(values["adversary"], **locus)
+    else:
+        for key in ("locus", "expect_breaches"):
+            if key in lines:
+                raise ConfigError(lines[key], f"{key} needs an adversary")
+    if "ec_level" in values:
+        values["frame_ec"] = values.pop("ec_level")
+    if values.pop("credentials", False):
+        if values["protocol"] is Protocol.P2:
+            values["mistype_otp"] = True
+        else:
+            values["submit_passwords"] = (WRONG_PASSWORD,)
+    flags = SessionFlags(**{key: values.pop(key) for key in _FLAG_FIELDS if key in values})
+    outer = {key: values.pop(key) for key in _SCENARIO_FIELDS if key in values}
+    return Scenario(config=SessionConfig(flags=flags, **values), **outer)
 
 
 def parse_config(text: str) -> ParsedConfig:
     """Parse a scenario file; every complaint names its line number."""
     scenarios: list[Scenario] = []
     matrix: MatrixRequest | None = None
-    current: dict | None = None
     section: str | None = None
-    seen_keys: set[str] = set()
+    values: dict = {}
+    lines: dict[str, int] = {}  # key -> the line that set it
 
-    def close_current(line_no: int) -> None:
-        nonlocal current, matrix
-        if current is None:
-            return
+    def close(line_no: int) -> None:
+        nonlocal matrix
         if section == "matrix":
-            request = MatrixRequest(
-                trials=current.get("trials", 100),
-                seed=current.get("seed", 2026),
-                followup_budget=current.get("followup_budget", FOLLOWUP_BUDGET),
-            )
-            if request.trials < 1:
-                raise ConfigError(line_no, "trials must be >= 1")
-            matrix = request
-            current = None
-            return
-        if "protocol" not in current:
-            raise ConfigError(line_no, f"scenario {current['name']!r} never named a protocol")
-        adversary = None
-        if current.get("adversary") is not None:
-            adversary = AdversaryConfig(current["adversary"], current.get("locus", EntityKind.TERMINAL))
-        scenario = Scenario(
-            name=current["name"],
-            protocol=current["protocol"],
-            trials=current.get("trials", 1),
-            seed=current.get("seed", 0),
-            adversary=adversary,
-            flags=SessionFlags(
-                sign_server_payloads=current.get("sign_server_payloads", True),
-                hijack_guard=current.get("hijack_guard", True),
-                tx_nonce_freshness=current.get("tx_nonce_freshness", True),
-            ),
-            ec_level=current.get("ec_level", qr.EcLevel.M),
-            corrupt_codewords=current.get("corrupt_codewords", 0),
-            corrupt_context=current.get("corrupt_context"),
-            credentials=current.get("credentials", "honest"),
-            max_attempts=current.get("max_attempts", 1),
-            drop_side_copy=current.get("drop_side_copy", False),
-            followup_budget=current.get("followup_budget", FOLLOWUP_BUDGET),
-            expectations=current.get("expectations", {}),
-        )
-        if scenario.trials < 1:
-            raise ConfigError(line_no, "trials must be >= 1")
-        if not 0 <= scenario.seed < 1 << 64:
-            raise ConfigError(line_no, "seed must fit in 64 bits")
-        scenarios.append(scenario)
-        current = None
+            matrix = MatrixRequest(**values)
+        elif section == "scenario":
+            scenarios.append(_build_scenario(values, lines, line_no))
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
-            if line == "[scenario]":
-                close_current(line_no)
-                section = "scenario"
-                current = {"name": f"scenario-{len(scenarios) + 1}"}
-            elif line == "[matrix]":
-                close_current(line_no)
-                if matrix is not None:
-                    raise ConfigError(line_no, "only one [matrix] section allowed")
-                section = "matrix"
-                current = {}
-            else:
+            if line not in ("[scenario]", "[matrix]"):
                 raise ConfigError(line_no, f"unknown section {line!r}")
-            seen_keys = set()
+            close(line_no)
+            if line == "[matrix]" and matrix is not None:
+                raise ConfigError(line_no, "only one [matrix] section allowed")
+            section, lines = line[1:-1], {}
+            values = {"name": f"scenario-{len(scenarios) + 1}"} if section == "scenario" else {}
             continue
         if "=" not in line:
             raise ConfigError(line_no, f"expected key = value, got {line!r}")
-        if current is None:
+        if section is None:
             raise ConfigError(line_no, "key outside any [scenario] section")
-        key, _, raw_value = line.partition("=")
-        key, value = key.strip(), raw_value.strip()
-        if key in seen_keys:
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key in lines:
             raise ConfigError(line_no, f"duplicate key {key!r} in one scenario")
-        seen_keys.add(key)
-
-        if section == "matrix":
-            if key not in _MATRIX_KEYS:
-                raise ConfigError(line_no, f"unknown key {key!r} in [matrix]")
-            current[key] = _parse_int(value, line_no, key)
-            continue
-
-        if key == "name":
-            current["name"] = value
-        elif key == "protocol":
-            if value.lower() not in _PROTOCOL_NAMES:
-                raise ConfigError(line_no, f"unknown protocol {value!r}")
-            current["protocol"] = _PROTOCOL_NAMES[value.lower()]
-        elif key == "adversary":
-            if value.lower() == "none":
-                current["adversary"] = None
-            elif value.lower() in _ADVERSARY_NAMES:
-                current["adversary"] = _ADVERSARY_NAMES[value.lower()]
-            else:
-                raise ConfigError(line_no, f"unknown adversary {value!r}")
-        elif key == "locus":
-            if value.lower() not in _LOCUS_NAMES:
-                raise ConfigError(line_no, f"unknown locus {value!r}")
-            current["locus"] = _LOCUS_NAMES[value.lower()]
-        elif key in ("trials", "seed", "max_attempts", "followup_budget"):
-            current[key] = _parse_int(value, line_no, key)
-        elif key in ("sign_server_payloads", "hijack_guard", "tx_nonce_freshness", "drop_side_copy"):
-            current[key] = _parse_bool(value, line_no)
-        elif key == "ec_level":
-            if value.lower() not in _EC_NAMES:
-                raise ConfigError(line_no, f"unknown ec level {value!r}")
-            current["ec_level"] = _EC_NAMES[value.lower()]
-        elif key == "corrupt_codewords":
-            if value in ("budget", "budget+1"):
-                current["corrupt_codewords"] = value
-            else:
-                current["corrupt_codewords"] = _parse_int(value, line_no, key)
-        elif key == "corrupt_context":
-            current["corrupt_context"] = value
-        elif key == "credentials":
-            if value not in ("honest", "wrong"):
-                raise ConfigError(line_no, f"credentials must be honest or wrong, got {value!r}")
-            current["credentials"] = value
-        elif key.startswith("expect_"):
-            current.setdefault("expectations", {})[key[len("expect_") :]] = _parse_int(
-                value, line_no, key
-            )
-        else:
+        lines[key] = line_no
+        if section == "matrix" and key not in _MATRIX_KEYS:
+            raise ConfigError(line_no, f"unknown key {key!r} in [matrix]")
+        expectation = section == "scenario" and key.startswith("expect_")
+        parse = _integer if expectation else _SCENARIO_KEYS.get(key)
+        if parse is None:
             raise ConfigError(line_no, f"unknown key {key!r}")
+        try:
+            value = parse(raw, key)
+        except ValueError as exc:
+            raise ConfigError(line_no, str(exc)) from None
+        if expectation:
+            values.setdefault("expectations", {})[key[len("expect_") :]] = value
+        else:
+            values[key] = value
 
-    close_current(len(text.splitlines()) + 1)
+    close(len(text.splitlines()) + 1)
     if not scenarios and matrix is None:
         raise ConfigError(0, "config declares no [scenario] or [matrix] sections")
     return ParsedConfig(scenarios=scenarios, matrix=matrix)
@@ -299,23 +275,17 @@ def _count_key(result) -> str:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    store = CredentialStore.provision(rngmod.child_seed(scenario.seed, "store", scenario.name))
-    counts = {key: 0 for key in _COUNT_KEYS}
+    base = scenario.config
+    store = CredentialStore.provision(rngmod.child_seed(base.seed, "store", scenario.name))
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
     breaches = 0 if scenario.adversary else None
     frame_specs: list[tuple[str, int, str]] = []
     first_session = None
 
     for trial in range(scenario.trials):
-        trial_seed = rngmod.child_seed(scenario.seed, scenario.name, str(trial))
-        config = replace(scenario.session_config(), seed=trial_seed)
+        config = replace(base, seed=rngmod.child_seed(base.seed, scenario.name, str(trial)))
         if scenario.adversary is not None:
-            handle, result = run_attacked_session(
-                scenario.protocol,
-                scenario.adversary,
-                trial_seed,
-                store,
-                session_config=config,
-            )
+            handle, result = run_attacked_session(config, scenario.adversary, store)
             attack = evaluate(handle, scenario.followup_budget)
             if attack.can_authenticate_later:
                 breaches += 1
@@ -330,7 +300,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     failures = []
     for key, expected in scenario.expectations.items():
         if key == "breaches":
-            actual = breaches if breaches is not None else 0
+            actual = breaches
         elif key == "aborted":
             actual = counts["aborted_retryable"] + counts["aborted_fatal"]
         elif key in counts:
@@ -343,7 +313,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 
     return ScenarioReport(
         name=scenario.name,
-        protocol=scenario.protocol,
+        protocol=base.protocol,
         trials=scenario.trials,
         counts=counts,
         breaches=breaches,
@@ -396,7 +366,6 @@ class Report:
     scenarios: list[ScenarioReport] = field(default_factory=list)
     matrix: list[MatrixCell] = field(default_factory=list)
     checks: list[NumericCheck] = field(default_factory=list)
-    scan_model: tuple[float, float] = (SCAN_MODEL_A, SCAN_MODEL_B)
 
     @property
     def failures(self) -> list[str]:
@@ -488,12 +457,11 @@ def render_text(report: Report) -> str:
         {(ctx, v, ec) for sr in report.scenarios for (ctx, v, ec) in sr.frame_specs}
     )
     if frame_specs:
-        a, b = report.scan_model
         lines.append("frame usage (scan seconds are a fitted estimate, never asserted)")
         lines.append("-" * 72)
         for ctx, version, ec in frame_specs:
             spec = qr.FrameSpec(version, qr.EcLevel(ec), qr.Mode.BYTE)
-            est = qr.estimated_scan_seconds(spec, a, b)
+            est = qr.estimated_scan_seconds(spec, SCAN_MODEL_A, SCAN_MODEL_B)
             lines.append(f"{ctx:28} version={version:<3} ec={ec} est_scan={est:.3f}s")
         lines.append("")
     lines.append("RESULT: " + ("pass" if report.ok else "FAIL"))

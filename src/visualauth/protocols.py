@@ -203,19 +203,15 @@ class SessionConfig:
     """
 
     protocol: Protocol
-    seed: int
+    seed: int = 0
     user_id: str = "alice"
     submit_passwords: tuple[str, ...] | None = None
     max_attempts: int = 1
     flags: SessionFlags = SessionFlags()
     frame_ec: EcLevel = EcLevel.M
     corrupt_codewords: int | str = 0  # int, "budget", or "budget+1"
-    otp_length: int = crypto.DEFAULT_OTP_LEN
     mistype_otp: bool = False  # user fat-fingers one symbol of the shown OTP
     corrupt_context: str | None = None  # None corrupts every capture
-    forced_permutation: KeyboardPermutation | None = None
-    tx: Transaction = DEFAULT_TX
-    view_fields: tuple[tuple[str, str], ...] = DEFAULT_VIEW_FIELDS
     scripted_positions: tuple[int, ...] | None = None
     scripted_otp: str | None = None
     scripted_ciphertext: bytes | None = None
@@ -560,17 +556,14 @@ def _frame(session: Session, payload: bytes, context: str) -> VisualFrame:
 def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
     """A camera capture: apply the scenario's corruption, then decode."""
     cfg = session.config
-    setting = cfg.corrupt_codewords
+    count = cfg.corrupt_codewords
     if cfg.corrupt_context is not None and cfg.corrupt_context != context:
-        setting = 0
-    if setting == "budget":
-        count = qr.correction_budget(frame.spec)
-    elif setting == "budget+1":
-        count = qr.correction_budget(frame.spec) + 1
-    else:
-        count = int(setting)
+        count = 0
+    elif count in ("budget", "budget+1"):
+        count = qr.correction_budget(frame.spec) + (count == "budget+1")
     if count:
-        frame = qr.corrupt(frame, count, session.rng)
+        # a count past the frame damages every codeword, so the decode refuses it
+        frame = qr.corrupt(frame, min(count, len(frame.codewords)), session.rng)
     return qr.qr_decode(frame)
 
 
@@ -604,7 +597,7 @@ class UserModel(Entity):
             keyboard_shown=False,
             pending_otp=None,
             typed_otps=0,
-            intended_tx=config.tx,
+            intended_tx=DEFAULT_TX,
             page_tx=None,
         )
 
@@ -806,7 +799,7 @@ class Smartphone(Entity):
         except (struct.error, crypto.IntegrityError, ValueError):
             _abort(self.session, "challenge_malformed", retryable=False)
             return None
-        if self.session.flags.sign_server_payloads:
+        if self.session.config.flags.sign_server_payloads:
             if sig is None or not crypto.verify(self.state["server_public"], ct.to_bytes(), sig):
                 _abort(self.session, "challenge_signature_invalid", retryable=False)
                 return None
@@ -860,7 +853,7 @@ class Smartphone(Entity):
             self.emit("phone_display_user", ShowVerifiedTx(tx=None, sig_valid=False, fresh=False))
             return
         valid = conf.verify(self.state["server_public"])
-        if self.session.flags.tx_nonce_freshness:
+        if self.session.config.flags.tx_nonce_freshness:
             fresh = conf.nonce is not None and conf.nonce == self.state.get("session_nonce")
         else:
             fresh = True
@@ -926,8 +919,7 @@ class Server(Entity):
     # -- challenge issuance --
 
     def _issue_keyboard(self) -> None:
-        cfg = self.session.config
-        layout = cfg.forced_permutation or crypto.generate_permutation(self.session.rng)
+        layout = crypto.generate_permutation(self.session.rng)
         self.state["layout"] = layout
         self.session.register_secret(
             SecretKind.PERMUTATION,
@@ -938,17 +930,15 @@ class Server(Entity):
         ct = crypto.encrypt(public_key, layout.serialize(), self.session.rng)
         sig = (
             crypto.sign(self.state["keypair"], ct.to_bytes())
-            if self.session.flags.sign_server_payloads
+            if self.session.config.flags.sign_server_payloads
             else None
         )
         frame = _frame(self.session, _pack_signed(ct, sig), "keyboard_challenge")
         self.emit("net_down", KeyboardChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
     def _issue_otp(self) -> None:
-        cfg = self.session.config
         token = crypto.generate_otp(
             self.session.rng,
-            length=cfg.otp_length,
             issued_at=self.session.step,
             outstanding=[t for t in (self.state.get("token"),) if t],
         )
@@ -958,7 +948,7 @@ class Server(Entity):
         ct = crypto.encrypt(public_key, token.value.encode("ascii"), self.session.rng)
         sig = (
             crypto.sign(self.state["keypair"], ct.to_bytes())
-            if self.session.flags.sign_server_payloads
+            if self.session.config.flags.sign_server_payloads
             else None
         )
         frame = _frame(self.session, _pack_signed(ct, sig), "otp_challenge")
@@ -1037,7 +1027,7 @@ class Server(Entity):
     def on_submit_tx(self, msg: SubmitTx) -> None:
         # TXVERIFY: sign the transaction for the phone to show the user
         self.state["received_tx"] = msg.tx
-        nonce = self.state["session_nonce"] if self.session.flags.tx_nonce_freshness else None
+        nonce = self.state["session_nonce"] if self.session.config.flags.tx_nonce_freshness else None
         canonical = canonical_tx_bytes(msg.tx, nonce)
         conf = SignedConfirmation(
             tx=msg.tx, nonce=nonce, signature=crypto.sign(self.state["keypair"], canonical)
@@ -1056,7 +1046,7 @@ class Server(Entity):
     def on_guarded_tx(self, msg: SubmitTx) -> None:
         # HIJACKGUARD: execute only once the side copy matches
         self.state["received_tx"] = msg.tx
-        if self.session.flags.hijack_guard:
+        if self.session.config.flags.hijack_guard:
             self._check_guard()
         else:
             self._execute_tx(msg.tx)
@@ -1066,7 +1056,7 @@ class Server(Entity):
     def on_side_copy(self, msg: SideCopy) -> None:
         self.state["side_tx"] = msg.tx
         self.state["side_sig"] = msg.signature
-        if self.session.flags.hijack_guard:
+        if self.session.config.flags.hijack_guard:
             self._check_guard()
 
     def _check_guard(self) -> None:
@@ -1093,7 +1083,7 @@ class Server(Entity):
         if (
             self.session.config.protocol is Protocol.HIJACKGUARD
             and self.session.outcome is None
-            and self.session.flags.hijack_guard
+            and self.session.config.flags.hijack_guard
         ):
             self.session.finish(Outcome.REJECTED)
             self.emit("net_down", TxResult(accepted=False))
@@ -1105,14 +1095,13 @@ class Server(Entity):
     # -- secure viewing --
 
     def _issue_document(self) -> None:
-        cfg = self.session.config
-        entry = self.state["registry"].get(cfg.user_id)
+        entry = self.state["registry"].get(self.session.config.user_id)
         if entry is None:
             self._deny()
             return
         _, public_key = entry
         labels, frames = [], []
-        for label, value in cfg.view_fields:
+        for label, value in DEFAULT_VIEW_FIELDS:
             self.session.register_secret(
                 SecretKind.VIEW_FIELD,
                 value.encode("utf-8"),
@@ -1175,7 +1164,7 @@ def build_session(config: SessionConfig, store: CredentialStore) -> Session:
                 Role.USER, rngmod.fork(config.seed, "unprovisioned-key", config.user_id)
             ),
         )
-    session = Session(config.seed, flags=config.flags)
+    session = Session(config.seed)
     session.config = config
     session.store = store
 

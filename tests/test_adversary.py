@@ -29,6 +29,7 @@ from visualauth.protocols import (
     CredentialStore,
     Outcome,
     Protocol,
+    SessionConfig,
 )
 
 
@@ -141,7 +142,9 @@ class TestExpectedPattern:
 
 
 def _attack(protocol, kind, locus, seed):
-    handle, result = run_attacked_session(protocol, AdversaryConfig(kind, locus), seed)
+    handle, result = run_attacked_session(
+        SessionConfig(protocol=protocol, seed=seed), AdversaryConfig(kind, locus)
+    )
     return handle, result, evaluate(handle)
 
 

@@ -142,7 +142,7 @@ class TestChannelDiscipline:
         session.run()
         assert session.closed
         with pytest.raises(ProtocolViolation):
-            deliver(session, Envelope(999, "click_terminal", TypeId(user_id="alice")))
+            deliver(session, Envelope("click_terminal", TypeId(user_id="alice")))
 
 
 class TestRunLoop:

@@ -7,14 +7,16 @@ import os
 
 import pytest
 
-from visualauth import crypto, harness
+from visualauth import crypto, harness, qr
+from visualauth.adversary import AdversaryConfig, AdversaryKind
 from visualauth.cli import main
-from visualauth.entities import export_transcript
+from visualauth.entities import EntityKind, export_transcript
 from visualauth.harness import (
     WRONG_PASSWORD,
     ConfigError,
     MatrixRequest,
     Report,
+    Scenario,
     machine_records,
     numeric_checks,
     parse_config,
@@ -22,7 +24,7 @@ from visualauth.harness import (
     run_scenario,
     run_scenarios,
 )
-from visualauth.protocols import Protocol
+from visualauth.protocols import Protocol, SessionConfig, SessionFlags
 
 GOOD_CONFIG = """
 # three honest logins and a watched one
@@ -65,9 +67,9 @@ class TestParsing:
     def test_good_config(self):
         parsed = parse_config(GOOD_CONFIG)
         assert [s.name for s in parsed.scenarios] == ["honest-p1", "wrong-p2", "watched-p1"]
-        assert parsed.scenarios[0].protocol is Protocol.P1
+        assert parsed.scenarios[0].config.protocol is Protocol.P1
         assert parsed.scenarios[0].expectations == {"authenticated": 5}
-        assert parsed.scenarios[1].credentials == "wrong"
+        assert parsed.scenarios[1].config.mistype_otp
         assert parsed.scenarios[2].adversary is not None
         assert parsed.matrix is None
 
@@ -77,7 +79,7 @@ class TestParsing:
 
     def test_comments_and_blanks_ignored(self):
         parsed = parse_config("# header\n\n[scenario]\nprotocol = p3  # inline\n")
-        assert parsed.scenarios[0].protocol is Protocol.P3
+        assert parsed.scenarios[0].config.protocol is Protocol.P3
 
     def test_matrix_section(self):
         parsed = parse_config("[matrix]\ntrials = 7\nseed = 99\n")
@@ -86,7 +88,7 @@ class TestParsing:
 
     def test_protocol_names_case_insensitive(self):
         parsed = parse_config("[scenario]\nprotocol = TXVERIFY\n")
-        assert parsed.scenarios[0].protocol is Protocol.TXVERIFY
+        assert parsed.scenarios[0].config.protocol is Protocol.TXVERIFY
 
     @pytest.mark.parametrize(
         "text,line_no,fragment",
@@ -105,8 +107,13 @@ class TestParsing:
             ("[scenario]\nprotocol = p1\nlocus = server\n", 3, "unknown locus"),
             ("[scenario]\nprotocol = p1\nec_level = z\n", 3, "unknown ec level"),
             ("[scenario]\nprotocol = p1\ncredentials = stolen\n", 3, "honest or wrong"),
-            ("[scenario]\nprotocol = p1\ntrials = 0\n", 4, "trials must be"),
-            ("[scenario]\nprotocol = p1\nseed = 99999999999999999999\n", 4, "64 bits"),
+            ("[scenario]\nprotocol = p1\ntrials = 0\n", 3, "trials must be"),
+            ("[scenario]\nprotocol = p1\nseed = 99999999999999999999\n", 3, "64 bits"),
+            ("[scenario]\nprotocol = p1\ncorrupt_codewords = -1\n", 3, "corrupt_codewords must be >= 0"),
+            ("[scenario]\nprotocol = p1\nmax_attempts = 0\n", 3, "max_attempts must be >= 1"),
+            ("[scenario]\nprotocol = p1\nexpect_breaches = 0\n", 3, "needs an adversary"),
+            ("[scenario]\nlocus = smartphone\nprotocol = p1\n", 2, "needs an adversary"),
+            ("[scenario]\nprotocol = p1\nadversary = none\nlocus = terminal\n", 4, "needs an adversary"),
             ("[scenario]\nprotocol = p1\njust words\n", 3, "key = value"),
             ("[matrix]\ncolor = red\n", 2, "in [matrix]"),
             ("# nothing here\n", 0, "no [scenario]"),
@@ -124,7 +131,7 @@ class TestParsing:
             "[scenario]\nprotocol = p1\ncorrupt_codewords = budget+1\n"
             "[scenario]\nprotocol = p1\ncorrupt_codewords = 3\n"
         )
-        values = [s.corrupt_codewords for s in parsed.scenarios]
+        values = [s.config.corrupt_codewords for s in parsed.scenarios]
         assert values == ["budget", "budget+1", 3]
 
     def test_wrong_credential_mapping_per_protocol(self):
@@ -132,12 +139,45 @@ class TestParsing:
             "[scenario]\nprotocol = p1\ncredentials = wrong\n"
             "[scenario]\nprotocol = p2\ncredentials = wrong\n"
         )
-        p1_cfg = parsed.scenarios[0].session_config()
-        p2_cfg = parsed.scenarios[1].session_config()
+        p1_cfg = parsed.scenarios[0].config
+        p2_cfg = parsed.scenarios[1].config
         assert p1_cfg.submit_passwords == (WRONG_PASSWORD,)
         assert not p1_cfg.mistype_otp
         assert p2_cfg.submit_passwords is None
         assert p2_cfg.mistype_otp
+
+    def test_every_key_lands_on_its_field(self):
+        text = (
+            "[scenario]\nname = every-key\nprotocol = p1\ntrials = 3\nseed = 77\n"
+            "adversary = malware\nlocus = smartphone\nsign_server_payloads = off\n"
+            "hijack_guard = no\ntx_nonce_freshness = false\ndrop_side_copy = yes\n"
+            "ec_level = h\ncorrupt_codewords = 2\ncorrupt_context = keyboard\n"
+            "credentials = wrong\nmax_attempts = 2\nfollowup_budget = 5\n"
+            "expect_denied = 3\nexpect_breaches = 0\n"
+        )
+        keys = {line.split(" = ")[0] for line in text.splitlines()[1:]}
+        assert keys - {"expect_denied", "expect_breaches"} == set(harness._SCENARIO_KEYS)
+        expected = Scenario(
+            name="every-key",
+            config=SessionConfig(
+                protocol=Protocol.P1,
+                seed=77,
+                submit_passwords=(WRONG_PASSWORD,),
+                max_attempts=2,
+                flags=SessionFlags(
+                    sign_server_payloads=False, hijack_guard=False, tx_nonce_freshness=False
+                ),
+                frame_ec=qr.EcLevel.H,
+                corrupt_codewords=2,
+                corrupt_context="keyboard",
+                drop_side_copy=True,
+            ),
+            trials=3,
+            adversary=AdversaryConfig(AdversaryKind.MALWARE, EntityKind.SMARTPHONE),
+            followup_budget=5,
+            expectations={"denied": 3, "breaches": 0},
+        )
+        assert parse_config(text).scenarios == [expected]
 
     def test_wrong_password_is_typeable_and_wrong(self):
         assert all(ch in crypto.ALPHABET for ch in WRONG_PASSWORD)
@@ -170,6 +210,15 @@ class TestScenarioRuns:
         report = run_scenario(parsed.scenarios[0])
         assert report.failures == []
         assert report.counts["aborted_retryable"] == 3
+
+    def test_count_past_the_frame_is_refused(self):
+        parsed = parse_config(
+            "[scenario]\nname = overkill\nprotocol = p1\ntrials = 2\nseed = 54\n"
+            "corrupt_codewords = 5000\nexpect_aborted = 2\n"
+        )
+        report = run_scenario(parsed.scenarios[0])
+        assert report.failures == []
+        assert report.counts["aborted_retryable"] == 2
 
     def test_adversary_breach_counting(self):
         parsed = parse_config(
