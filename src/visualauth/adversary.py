@@ -1,12 +1,15 @@
 """The attacker repertoire: what each adversary sees, and what that buys.
 
-Four attacker kinds live on one of two loci (terminal or smartphone):
+Four attacker kinds live on one of two loci (terminal or smartphone). Each
+sees one surface of its locus, a set of (direction, channel kind) pairs
+that one io tap on the locus filters by (``SURFACES``):
 
-* keylogger: read-only tap on the input events arriving at its locus.
-* shoulder_surfer: read-only view of the displays its locus renders.
-* malware: full compromise of the locus; reads its io both ways, reads
-  its state, and may rewrite or drop what it sends.
-* brute_force: no foothold at all; a budget-capped password guesser.
+* keylogger: ("in", CLICK), the input events arriving at its locus.
+* shoulder_surfer: ("out", VISUAL), the displays its locus renders.
+* malware: every message in and out; it also reads the locus's state, and
+  an outbound hook lets it rewrite what the locus sends.
+* brute_force: nothing; no foothold at all, a budget-capped password
+  guesser.
 
 Nothing here is scored by argument. ``evaluate`` decides whether an
 adversary "can authenticate later" by actually mounting the followup: it
@@ -76,6 +79,18 @@ BROKEN_CELLS = frozenset(
 
 def expected_resistance(protocol: Protocol, kind: AdversaryKind, locus: EntityKind) -> bool:
     return (protocol, kind, locus) not in BROKEN_CELLS
+
+
+# what each kind sees of its locus: the (direction, channel kind) pairs of
+# the locus's io that its tap records
+SURFACES: dict[AdversaryKind, frozenset[tuple[str, ChannelKind]]] = {
+    AdversaryKind.KEYLOGGER: frozenset({("in", ChannelKind.CLICK)}),
+    AdversaryKind.SHOULDER_SURFER: frozenset({("out", ChannelKind.VISUAL)}),
+    AdversaryKind.MALWARE: frozenset(
+        (direction, kind) for direction in ("in", "out") for kind in ChannelKind
+    ),
+    AdversaryKind.BRUTE_FORCE: frozenset(),
+}
 
 
 @dataclass(frozen=True)
@@ -169,38 +184,26 @@ class AttackerHandle:
 
 
 def attach(config: AdversaryConfig, session: Session) -> AttackerHandle:
-    """Install the adversary's taps/hooks on a built (not yet run) session."""
+    """Install the adversary's tap and hook on a built (not yet run) session."""
     handle = AttackerHandle(config=config, session=session)
-    kind, locus = config.kind, config.locus
+    surface = SURFACES[config.kind]
+    if not surface:
+        return handle
+    entity = session.entities[config.locus]
 
-    def channel_tap(step: int, channel: Channel, msg: Message) -> None:
-        handle.record(step, channel.kind, msg)
-
-    if kind is AdversaryKind.KEYLOGGER:
-        for channel in session.channels.values():
-            if channel.kind is ChannelKind.CLICK and channel.receiver is locus:
-                channel.taps.append(channel_tap)
-    elif kind is AdversaryKind.SHOULDER_SURFER:
-        for channel in session.channels.values():
-            if channel.kind is ChannelKind.VISUAL and channel.sender is locus:
-                channel.taps.append(channel_tap)
-    elif kind is AdversaryKind.MALWARE:
-        entity = session.entities[locus]
-
-        def io_tap(direction: str, channel: Channel, msg: Message) -> None:
+    def tap(direction: str, channel: Channel, msg: Message) -> None:
+        if (direction, channel.kind) in surface:
             handle.record(session.step, channel.kind, msg)
 
-        entity.io_taps.append(io_tap)
+    entity.io_taps.append(tap)
+    if config.kind is AdversaryKind.MALWARE:
 
-        def alter_hook(channel_name: str, msg: Message):
-            if handle.alter_tx is not None and msg.tag == "submit_tx":
-                return replace(msg, tx=handle.alter_tx)
-            if handle.alter_tx is not None and msg.tag == "side_copy":
+        def alter_hook(msg: Message) -> Message:
+            if handle.alter_tx is not None and msg.tag in ("submit_tx", "side_copy"):
                 return replace(msg, tx=handle.alter_tx)
             return msg
 
         entity.outbound_hooks.append(alter_hook)
-    # brute_force holds no foothold inside the session
     return handle
 
 
@@ -507,7 +510,7 @@ def confirmation_replay_scenario(
     def replayer(session: Session) -> None:
         terminal = session.entities[EntityKind.TERMINAL]
 
-        def hook(channel_name: str, msg):
+        def hook(msg):
             if msg.tag == "submit_tx":
                 return replace(msg, tx=EVIL_TX)
             if msg.tag == "show_tx_frame":

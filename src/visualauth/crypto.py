@@ -65,12 +65,9 @@ class Role(enum.Enum):
     SERVER = "server"
 
 
-class Scheme(enum.Enum):
-    PUBLIC_KEY_HYBRID = "public_key_hybrid"
-
-
-_SCHEME_BYTE = {Scheme.PUBLIC_KEY_HYBRID: 0x01}
-_BYTE_SCHEME = {v: k for k, v in _SCHEME_BYTE.items()}
+# the one sealing scheme, X25519 + AES-GCM; its byte leads every ciphertext
+# on the wire and is bound into the authenticated data
+_HYBRID_SCHEME = b"\x01"
 
 
 # -------- key pairs --------
@@ -122,32 +119,26 @@ class Ciphertext:
     """An integrity-protected sealed payload.
 
     body layout: ephemeral public key (32) + cipher nonce (12) +
-    ciphertext. tag is the 16-byte authenticator.
+    ciphertext. tag is the 16-byte authenticator. The wire form is the
+    scheme byte, the body length, the body and the tag.
     """
 
-    scheme_id: Scheme
     body: bytes
     tag: bytes
 
     def to_bytes(self) -> bytes:
-        return (
-            bytes([_SCHEME_BYTE[self.scheme_id]])
-            + struct.pack(">I", len(self.body))
-            + self.body
-            + self.tag
-        )
+        return _HYBRID_SCHEME + struct.pack(">I", len(self.body)) + self.body + self.tag
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Ciphertext":
         if len(blob) < 5 + _GCM_TAG_LEN:
             raise IntegrityError("ciphertext too short")
-        scheme = _BYTE_SCHEME.get(blob[0])
-        if scheme is None:
+        if blob[:1] != _HYBRID_SCHEME:
             raise IntegrityError("unknown scheme byte")
         (body_len,) = struct.unpack(">I", blob[1:5])
         if len(blob) != 5 + body_len + _GCM_TAG_LEN:
             raise IntegrityError("ciphertext length mismatch")
-        return cls(scheme, blob[5 : 5 + body_len], blob[5 + body_len :])
+        return cls(blob[5 : 5 + body_len], blob[5 + body_len :])
 
 
 def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
@@ -173,20 +164,13 @@ def encrypt(public_key: bytes, message: bytes, rng: random.Random | int) -> Ciph
     eph_pub = eph_priv.public_key().public_bytes(_RAW, _RAW_PUB)
     key = _hybrid_key(eph_priv.exchange(recipient), eph_pub, public_key[:32])
     nonce = rng.randbytes(_GCM_NONCE_LEN)
-    aad = bytes([_SCHEME_BYTE[Scheme.PUBLIC_KEY_HYBRID]]) + public_key[:32]
-    sealed = AESGCM(key).encrypt(nonce, message, aad)
-    return Ciphertext(
-        scheme_id=Scheme.PUBLIC_KEY_HYBRID,
-        body=eph_pub + nonce + sealed[:-_GCM_TAG_LEN],
-        tag=sealed[-_GCM_TAG_LEN:],
-    )
+    sealed = AESGCM(key).encrypt(nonce, message, _HYBRID_SCHEME + public_key[:32])
+    return Ciphertext(body=eph_pub + nonce + sealed[:-_GCM_TAG_LEN], tag=sealed[-_GCM_TAG_LEN:])
 
 
 def decrypt(pair: KeyPair, ciphertext: Ciphertext) -> bytes:
     """Open a sealed payload. Raises IntegrityError on any tampering,
     truncation, or wrong-key attempt; never returns corrupted plaintext."""
-    if ciphertext.scheme_id is not Scheme.PUBLIC_KEY_HYBRID:
-        raise IntegrityError("scheme mismatch: expected public_key_hybrid")
     if len(ciphertext.body) < 32 + _GCM_NONCE_LEN:
         raise IntegrityError("ciphertext body too short")
     eph_pub = ciphertext.body[:32]
@@ -196,8 +180,7 @@ def decrypt(pair: KeyPair, ciphertext: Ciphertext) -> bytes:
         priv = X25519PrivateKey.from_private_bytes(pair.private_key[:32])
         shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         key = _hybrid_key(shared, eph_pub, pair.seal_public)
-        aad = bytes([_SCHEME_BYTE[Scheme.PUBLIC_KEY_HYBRID]]) + pair.seal_public
-        return AESGCM(key).decrypt(nonce, ct, aad)
+        return AESGCM(key).decrypt(nonce, ct, _HYBRID_SCHEME + pair.seal_public)
     except (InvalidTag, ValueError) as exc:
         raise IntegrityError("ciphertext rejected") from exc
 
@@ -260,9 +243,6 @@ class KeyboardPermutation:
         if sorted(self.mapping) != sorted(ALPHABET):
             raise ValueError("mapping is not a bijection over the alphabet")
 
-    def symbol_at(self, position: int) -> str:
-        return self.mapping[position]
-
     def position_of(self, symbol: str) -> int:
         sym = symbol.lower()
         if sym not in ALPHABET_INDEX:
@@ -279,10 +259,6 @@ class KeyboardPermutation:
     @classmethod
     def from_serialized(cls, blob: bytes) -> "KeyboardPermutation":
         return cls(tuple(blob.decode("ascii")))
-
-    @classmethod
-    def identity(cls) -> "KeyboardPermutation":
-        return cls(tuple(ALPHABET))
 
 
 def generate_permutation(rng: random.Random | int) -> KeyboardPermutation:

@@ -8,9 +8,10 @@ payload digest) and a per-entity history of serialized state snapshots.
 
 The snapshot history exists for one reason: secrecy claims about where
 plaintext secrets may live are checked by scanning it, not by trusting
-the protocol code. Channels carry read-only taps (for passive observers)
-and entities carry outbound hooks and io taps (for an in-place
-compromise); the honest handler code cannot tell whether it is being
+the protocol code. Channels are fixed module-level declarations and
+carry nothing; an observer watches an entity instead, through its io taps
+(every message in and out) and outbound hooks (which may rewrite or drop
+what it sends). The honest handler code cannot tell whether it is being
 watched.
 """
 
@@ -21,7 +22,8 @@ import enum
 import hashlib
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, ClassVar
 
 from . import rng as rngmod
@@ -67,23 +69,37 @@ TOPOLOGY: dict[str, tuple[ChannelKind, EntityKind, EntityKind]] = {
 }
 
 
+@dataclass(frozen=True)
+class Channel:
+    name: str
+    kind: ChannelKind
+    sender: EntityKind
+    receiver: EntityKind
+
+
+CHANNELS = MappingProxyType({name: Channel(name, *spec) for name, spec in TOPOLOGY.items()})
+
+
 # -------- message vocabulary --------
 
 _TAG_BYTES: dict[str, int] = {}
-_TAG_CHANNEL: dict[str, str] = {}
 
 
 def register_message(channel_name: str):
-    """Bind a message class to its one legal channel and assign a wire tag."""
+    """Bind a message class to its one legal channel and assign a wire tag.
+
+    This is the only place a message's channel is stated: Entity.emit
+    routes by it.
+    """
 
     def deco(cls):
         tag = cls.TAG
         if tag in _TAG_BYTES:
             raise ValueError(f"duplicate message tag {tag}")
-        if channel_name not in TOPOLOGY:
+        if channel_name not in CHANNELS:
             raise ValueError(f"unknown channel {channel_name}")
         _TAG_BYTES[tag] = len(_TAG_BYTES) + 1
-        _TAG_CHANNEL[tag] = channel_name
+        cls.CHANNEL = CHANNELS[channel_name]
         return cls
 
     return deco
@@ -133,6 +149,7 @@ def canonical_bytes(obj) -> bytes:
 @dataclass(frozen=True)
 class Message:
     TAG: ClassVar[str] = ""
+    CHANNEL: ClassVar[Channel]  # set by register_message
 
     @property
     def tag(self) -> str:
@@ -150,15 +167,6 @@ class Message:
 
     def digest(self) -> str:
         return hashlib.sha256(self.wire()).hexdigest()[:16]
-
-
-@dataclass
-class Channel:
-    name: str
-    kind: ChannelKind
-    sender: EntityKind
-    receiver: EntityKind
-    taps: list[Callable] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -221,11 +229,23 @@ class Entity:
         self.session = session
         self.state: dict = {}
         self.snapshots: list[tuple[int, bytes]] = []
-        self.outbound_hooks: list[Callable] = []  # installed by a compromise
+        # installed by observers: hook(message) -> message or None (dropped),
+        # tap(direction, channel, message) with direction "in" or "out"
+        self.outbound_hooks: list[Callable] = []
         self.io_taps: list[Callable] = []
 
-    def emit(self, channel_name: str, message: Message) -> None:
-        self.session.emit(self, channel_name, message)
+    def emit(self, message: Message) -> None:
+        """Send message on the channel its class was registered for."""
+        channel = message.CHANNEL
+        if channel.sender is not self.kind:
+            raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")
+        for hook in self.outbound_hooks:
+            message = hook(message)
+            if message is None:
+                return  # dropped in transit by the compromise
+        for tap in self.io_taps:
+            tap("out", channel, message)
+        self.session.inject(channel.name, message)
 
     def handle(self, message: Message) -> None:
         self.handler_for(message)(message)
@@ -246,7 +266,7 @@ class Entity:
 
 
 class Session:
-    """One protocol run: entities, channels, queue, transcript, verdict.
+    """One protocol run: entities, queue, transcript, verdict.
 
     config and store are set by the protocol layer when it assembles the
     session; the handlers fill in the abort reason, the executed
@@ -256,9 +276,6 @@ class Session:
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = rngmod.fork(seed, "session")
-        self.channels: dict[str, Channel] = {
-            name: Channel(name, *TOPOLOGY[name]) for name in TOPOLOGY
-        }
         self.entities: dict[EntityKind, Entity] = {}
         self.transcript: list[TranscriptEvent] = []
         self.step = 0
@@ -288,31 +305,13 @@ class Session:
     def note_frame(self, context: str, frame: VisualFrame) -> None:
         self.frame_log.append((self.step, context, frame))
 
-    def emit(self, sender: Entity, channel_name: str, message: Message) -> None:
-        channel = self.channels[channel_name]
-        if channel.sender is not sender.kind:
-            raise ProtocolViolation(
-                f"{sender.kind.value} cannot send on {channel_name}"
-            )
-        if _TAG_CHANNEL.get(message.tag) != channel_name:
-            raise ProtocolViolation(
-                f"message {message.tag!r} is not declared for channel {channel_name}"
-            )
-        for hook in sender.outbound_hooks:
-            message = hook(channel_name, message)
-            if message is None:
-                return  # dropped in transit by the compromise
-        for tap in sender.io_taps:
-            tap("out", channel, message)
-        self.inject(channel_name, message)
-
     def inject(self, channel_name: str, message: Message) -> Envelope:
-        """Queue a message without a sending entity (adversarial insertion)."""
-        channel = self.channels[channel_name]
+        """Queue a message on any channel, its declared one or not; with no
+        sending entity, this is also how an attacker inserts traffic."""
+        if channel_name not in CHANNELS:
+            raise KeyError(channel_name)
         envelope = Envelope(channel_name, message)
         self._order.append(envelope)
-        for tap in channel.taps:
-            tap(self.step, channel, message)
         return envelope
 
     def finish(self, outcome) -> None:
@@ -349,7 +348,7 @@ def deliver(session: Session, envelope: Envelope) -> None:
     """
     if session.closed:
         raise ProtocolViolation("message delivered to a completed session")
-    channel = session.channels[envelope.channel_name]
+    channel = CHANNELS[envelope.channel_name]
     receiver = session.entities.get(channel.receiver)
     if receiver is None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")

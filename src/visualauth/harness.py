@@ -34,6 +34,7 @@ from .adversary import (
 from .entities import export_transcript
 from .protocols import (
     AUTH_PROTOCOLS,
+    CAPTURE_CONTEXTS,
     CredentialStore,
     Outcome,
     Protocol,
@@ -157,12 +158,14 @@ _SCENARIO_KEYS = {
     "drop_side_copy": _boolean,
     "ec_level": _choice({level.value.lower(): level for level in qr.EcLevel}, "unknown ec level {!r}"),
     "corrupt_codewords": _codewords,
-    "corrupt_context": lambda raw, key: raw,
+    "corrupt_context": _choice(
+        {context: context for context in CAPTURE_CONTEXTS}, "unknown capture context {!r}"
+    ),
     "credentials": _choice(
         {"honest": False, "wrong": True}, "credentials must be honest or wrong, got {!r}"
     ),
     "max_attempts": _at_least(1),
-    "followup_budget": _integer,
+    "followup_budget": _at_least(1),
 }
 _MATRIX_KEYS = ("trials", "seed", "followup_budget")
 _FLAG_FIELDS = tuple(f.name for f in fields(SessionFlags))
@@ -185,6 +188,8 @@ def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scena
     if "ec_level" in values:
         values["frame_ec"] = values.pop("ec_level")
     if values.pop("credentials", False):
+        if values["protocol"] not in AUTH_PROTOCOLS:
+            raise ConfigError(lines["credentials"], "credentials = wrong needs a login protocol")
         if values["protocol"] is Protocol.P2:
             values["mistype_otp"] = True
         else:

@@ -190,6 +190,12 @@ class SessionFlags:
 DEFAULT_TX = Transaction(receiver_account="ACCT-7291", amount=25000, receiver_name="northwind supply")
 DEFAULT_VIEW_FIELDS = (("balance", "10452.17"), ("statement", "paid 93.40 to coastal water"))
 
+# every camera capture a flow makes, by the context _capture is called with;
+# a SessionConfig.corrupt_context names one of these
+CAPTURE_CONTEXTS = ("keyboard", "otp", "nonce", "credential_upload", "tx_confirmation") + tuple(
+    f"secure_field:{label}" for label, _ in DEFAULT_VIEW_FIELDS
+)
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -609,23 +615,23 @@ class UserModel(Entity):
     def begin(self) -> None:
         protocol = self.session.config.protocol
         if protocol in (Protocol.P1, Protocol.P2):
-            self.emit("click_terminal", TypeId(user_id=self.state["user_id"]))
+            self.emit(TypeId(user_id=self.state["user_id"]))
         elif protocol is Protocol.P3:
-            self.emit("click_terminal", Connect())
+            self.emit(Connect())
         elif protocol in (Protocol.TXVERIFY, Protocol.HIJACKGUARD):
-            self.emit("click_terminal", RequestTx(tx=self.state["intended_tx"]))
+            self.emit(RequestTx(tx=self.state["intended_tx"]))
             if protocol is Protocol.HIJACKGUARD:
-                self.emit("click_phone", ConfirmOnPhone(tx=self.state["intended_tx"]))
+                self.emit(ConfirmOnPhone(tx=self.state["intended_tx"]))
         elif protocol is Protocol.SECUREVIEW:
-            self.emit("click_terminal", Connect())
+            self.emit(Connect())
 
     def on_show_keyboard(self, msg: ShowKeyboard) -> None:
         self.state["keyboard_shown"] = True
         cfg = self.session.config
         if cfg.scripted_positions is not None:
-            self.emit("click_terminal", ClickPositions(positions=tuple(cfg.scripted_positions)))
+            self.emit(ClickPositions(positions=tuple(cfg.scripted_positions)))
         elif cfg.scripted_otp is not None:
-            self.emit("click_terminal", TypeOtp(otp=cfg.scripted_otp))
+            self.emit(TypeOtp(otp=cfg.scripted_otp))
         elif self.state["pending_otp"] is not None:
             self._type_pending_otp()
 
@@ -633,7 +639,7 @@ class UserModel(Entity):
         # find each password symbol on the freshly decrypted layout
         password = self._next_password()
         positions = tuple(msg.layout.position_of(ch) for ch in password)
-        self.emit("click_terminal", ClickPositions(positions=positions))
+        self.emit(ClickPositions(positions=positions))
 
     def on_show_otp(self, msg: ShowOtp) -> None:
         self.state["pending_otp"] = msg.otp
@@ -647,13 +653,10 @@ class UserModel(Entity):
             # one symbol off: the next alphabet symbol in the first slot
             shifted = crypto.ALPHABET[(crypto.ALPHABET.index(otp[0]) + 1) % len(crypto.ALPHABET)]
             otp = shifted + otp[1:]
-        self.emit("click_terminal", TypeOtp(otp=otp))
+        self.emit(TypeOtp(otp=otp))
 
     def on_show_login_box(self, msg: ShowLoginBox) -> None:
-        self.emit(
-            "click_phone",
-            TypeCredentials(user_id=self.state["user_id"], password=self._next_password()),
-        )
+        self.emit(TypeCredentials(user_id=self.state["user_id"], password=self._next_password()))
 
     def on_echo_clicks(self, msg: EchoClicks) -> None:
         self.state["echo_positions"] = msg.positions
@@ -680,7 +683,7 @@ class UserModel(Entity):
         )
         if not ok:
             self.session.finish(Outcome.USER_FLAGGED_MISMATCH)
-        self.emit("click_terminal", ConfirmTx(ok=ok))
+        self.emit(ConfirmTx(ok=ok))
 
     def on_show_fields(self, msg: ShowFields) -> None:
         self.state["viewed_fields"] = msg.values
@@ -697,38 +700,38 @@ class Terminal(Entity):
 
     def on_type_id(self, msg: TypeId) -> None:
         self.state["user_id"] = msg.user_id
-        self.emit("net_up", LoginRequest(user_id=msg.user_id, protocol=self.session.config.protocol.value))
+        self.emit(LoginRequest(user_id=msg.user_id, protocol=self.session.config.protocol.value))
 
     def on_connect(self, msg: Connect) -> None:
-        self.emit("net_up", ConnectRequest())
+        self.emit(ConnectRequest())
 
     def on_kbd_challenge(self, msg: KeyboardChallenge) -> None:
         self.state["challenge_payload"] = msg.frame.payload
-        self.emit("terminal_display_phone", ShowFrame(frame=msg.frame, context="keyboard"))
-        self.emit("terminal_display_user", ShowKeyboard(layout_kind="blank", rows=msg.grid_rows, cols=msg.grid_cols))
+        self.emit(ShowFrame(frame=msg.frame, context="keyboard"))
+        self.emit(ShowKeyboard(layout_kind="blank", rows=msg.grid_rows, cols=msg.grid_cols))
 
     def on_otp_challenge(self, msg: OtpChallenge) -> None:
         self.state["challenge_payload"] = msg.frame.payload
-        self.emit("terminal_display_phone", ShowFrame(frame=msg.frame, context="otp"))
-        self.emit("terminal_display_user", ShowKeyboard(layout_kind="full", rows=4, cols=10))
+        self.emit(ShowFrame(frame=msg.frame, context="otp"))
+        self.emit(ShowKeyboard(layout_kind="full", rows=4, cols=10))
 
     def on_nonce_challenge(self, msg: NonceChallenge) -> None:
         self.state["nonce_frame_payload"] = msg.frame.payload
         cfg = self.session.config
         if cfg.scripted_ciphertext is not None:
-            self.emit("net_up", SubmitCiphertext(blob=cfg.scripted_ciphertext))
+            self.emit(SubmitCiphertext(blob=cfg.scripted_ciphertext))
             return
-        self.emit("terminal_display_phone", ShowFrame(frame=msg.frame, context="nonce"))
+        self.emit(ShowFrame(frame=msg.frame, context="nonce"))
 
     def on_click_positions(self, msg: ClickPositions) -> None:
         self.state["positions"] = msg.positions
-        self.emit("terminal_display_user", EchoClicks(positions=msg.positions))
-        self.emit("net_up", SubmitPositions(positions=msg.positions))
+        self.emit(EchoClicks(positions=msg.positions))
+        self.emit(SubmitPositions(positions=msg.positions))
 
     def on_type_otp(self, msg: TypeOtp) -> None:
         self.state["typed_otp"] = msg.otp
-        self.emit("terminal_display_user", EchoOtp(otp=msg.otp))
-        self.emit("net_up", SubmitOtp(otp=msg.otp))
+        self.emit(EchoOtp(otp=msg.otp))
+        self.emit(SubmitOtp(otp=msg.otp))
 
     def on_upload_frame(self, msg: UploadFrame) -> None:
         try:
@@ -737,31 +740,31 @@ class Terminal(Entity):
             _abort(self.session, "upload_frame_undecodable", retryable=True)
             return
         self.state["credential_blob"] = blob
-        self.emit("net_up", SubmitCiphertext(blob=blob))
+        self.emit(SubmitCiphertext(blob=blob))
 
     def on_auth_result(self, msg: AuthResult) -> None:
         self.state["auth_ok"] = msg.ok
-        self.emit("terminal_display_user", ShowResult(ok=msg.ok))
+        self.emit(ShowResult(ok=msg.ok))
 
     def on_request_tx(self, msg: RequestTx) -> None:
         self.state["form_tx"] = msg.tx
-        self.emit("net_up", SubmitTx(tx=msg.tx))
+        self.emit(SubmitTx(tx=msg.tx))
 
     def on_tx_confirmation(self, msg: TxConfirmation) -> None:
         self.state["page_tx"] = msg.display_tx
-        self.emit("terminal_display_phone", ShowTxFrame(frame=msg.frame))
-        self.emit("terminal_display_user", ShowTxPage(tx=msg.display_tx))
+        self.emit(ShowTxFrame(frame=msg.frame))
+        self.emit(ShowTxPage(tx=msg.display_tx))
 
     def on_confirm_tx(self, msg: ConfirmTx) -> None:
-        self.emit("net_up", ForwardConfirm(ok=msg.ok))
+        self.emit(ForwardConfirm(ok=msg.ok))
 
     def on_tx_result(self, msg: TxResult) -> None:
         self.state["tx_ok"] = msg.accepted
-        self.emit("terminal_display_user", ShowResult(ok=msg.accepted))
+        self.emit(ShowResult(ok=msg.accepted))
 
     def on_secure_doc(self, msg: SecureDocMessage) -> None:
         self.state["doc_payloads"] = tuple(f.payload for f in msg.frames)
-        self.emit("terminal_display_phone", ShowDoc(labels=msg.labels, frames=msg.frames))
+        self.emit(ShowDoc(labels=msg.labels, frames=msg.frames))
 
 
 class Smartphone(Entity):
@@ -789,7 +792,7 @@ class Smartphone(Entity):
             self._handle_otp_payload(payload)
         elif msg.context == "nonce":
             self.state["nonce"] = payload
-            self.emit("phone_display_user", ShowLoginBox())
+            self.emit(ShowLoginBox())
         else:
             raise entities.ProtocolViolation(f"unknown frame context {msg.context!r}")
 
@@ -815,7 +818,7 @@ class Smartphone(Entity):
             return
         layout = KeyboardPermutation.from_serialized(plain)
         self.state["layout"] = layout
-        self.emit("phone_display_user", ShowLayout(layout=layout))
+        self.emit(ShowLayout(layout=layout))
 
     def _handle_otp_payload(self, payload: bytes) -> None:
         plain = self._verify_and_open(payload)
@@ -823,15 +826,12 @@ class Smartphone(Entity):
             return
         otp = plain.decode("ascii")
         self.state["otp"] = otp
-        self.emit("phone_display_user", ShowOtp(otp=otp))
+        self.emit(ShowOtp(otp=otp))
 
     def on_type_credentials(self, msg: TypeCredentials) -> None:
         # the login box masks the password; only glyph count is rendered
         self.state["login"] = (msg.user_id, msg.password)
-        self.emit(
-            "phone_display_user",
-            EchoMaskedCredentials(user_id=msg.user_id, masked=MASK_GLYPH * len(msg.password)),
-        )
+        self.emit(EchoMaskedCredentials(user_id=msg.user_id, masked=MASK_GLYPH * len(msg.password)))
         nonce = self.state.get("nonce")
         if nonce is None:
             _abort(self.session, "no_nonce_scanned", retryable=False)
@@ -843,14 +843,14 @@ class Smartphone(Entity):
             SecretKind.CREDENTIAL_CIPHERTEXT, blob, allowed=set(EntityKind)
         )
         frame = _frame(self.session, blob, "credential_upload")
-        self.emit("phone_display_terminal", UploadFrame(frame=frame))
+        self.emit(UploadFrame(frame=frame))
 
     def on_show_tx_frame(self, msg: ShowTxFrame) -> None:
         try:
             payload = _capture(self.session, msg.frame, "tx_confirmation")
             conf = SignedConfirmation.from_payload(payload)
         except (qr.UncorrectableFrameError, struct.error, ValueError, KeyError):
-            self.emit("phone_display_user", ShowVerifiedTx(tx=None, sig_valid=False, fresh=False))
+            self.emit(ShowVerifiedTx(tx=None, sig_valid=False, fresh=False))
             return
         valid = conf.verify(self.state["server_public"])
         if self.session.config.flags.tx_nonce_freshness:
@@ -858,13 +858,13 @@ class Smartphone(Entity):
         else:
             fresh = True
         self.state["verified_tx"] = conf.tx
-        self.emit("phone_display_user", ShowVerifiedTx(tx=conf.tx, sig_valid=valid, fresh=fresh))
+        self.emit(ShowVerifiedTx(tx=conf.tx, sig_valid=valid, fresh=fresh))
 
     def on_confirm_on_phone(self, msg: ConfirmOnPhone) -> None:
         if self.session.config.drop_side_copy:
             return  # side channel suppressed in this scenario
         sig = crypto.sign(self.state["keypair"], canonical_tx_bytes(msg.tx))
-        self.emit("cellular", SideCopy(tx=msg.tx, signature=sig))
+        self.emit(SideCopy(tx=msg.tx, signature=sig))
 
     def on_show_doc(self, msg: ShowDoc) -> None:
         values, failures = [], []
@@ -876,7 +876,7 @@ class Smartphone(Entity):
             except (qr.UncorrectableFrameError, crypto.IntegrityError):
                 failures.append(label)
         self.state["doc_values"] = tuple(values)
-        self.emit("phone_display_user", ShowFields(values=tuple(values), failures=tuple(failures)))
+        self.emit(ShowFields(values=tuple(values), failures=tuple(failures)))
 
 
 class Server(Entity):
@@ -934,7 +934,7 @@ class Server(Entity):
             else None
         )
         frame = _frame(self.session, _pack_signed(ct, sig), "keyboard_challenge")
-        self.emit("net_down", KeyboardChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
+        self.emit(KeyboardChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
     def _issue_otp(self) -> None:
         token = crypto.generate_otp(
@@ -952,14 +952,14 @@ class Server(Entity):
             else None
         )
         frame = _frame(self.session, _pack_signed(ct, sig), "otp_challenge")
-        self.emit("net_down", OtpChallenge(frame=frame))
+        self.emit(OtpChallenge(frame=frame))
 
     def _issue_nonce(self) -> None:
         nonce = crypto.fresh_nonce(self.session.rng, self.store.issued_nonces)
         self.state["nonce"] = nonce
         self.state["nonce_consumed"] = False
         frame = _frame(self.session, nonce.value, "nonce_challenge")
-        self.emit("net_down", NonceChallenge(frame=frame))
+        self.emit(NonceChallenge(frame=frame))
 
     def _login(self, msg: LoginRequest, issue) -> None:
         if msg.user_id not in self.state["registry"]:
@@ -973,12 +973,12 @@ class Server(Entity):
     def _deny(self) -> None:
         self.phase = "done"
         self.session.finish(Outcome.DENIED)
-        self.emit("net_down", AuthResult(ok=False))
+        self.emit(AuthResult(ok=False))
 
     def _authenticate(self) -> None:
         self.phase = "done"
         self.session.finish(Outcome.AUTHENTICATED)
-        self.emit("net_down", AuthResult(ok=True))
+        self.emit(AuthResult(ok=True))
 
     def _retry_or_deny(self, reissue) -> None:
         self.state["attempts"] += 1
@@ -1033,7 +1033,7 @@ class Server(Entity):
             tx=msg.tx, nonce=nonce, signature=crypto.sign(self.state["keypair"], canonical)
         )
         frame = _frame(self.session, conf.to_payload(), "tx_confirmation")
-        self.emit("net_down", TxConfirmation(display_tx=msg.tx, frame=frame))
+        self.emit(TxConfirmation(display_tx=msg.tx, frame=frame))
 
     def on_forward_confirm(self, msg: ForwardConfirm) -> None:
         if msg.ok:
@@ -1041,7 +1041,7 @@ class Server(Entity):
             self.session.finish(Outcome.CONFIRMED)
         else:
             self.session.finish(Outcome.USER_FLAGGED_MISMATCH)
-        self.emit("net_down", TxResult(accepted=msg.ok))
+        self.emit(TxResult(accepted=msg.ok))
 
     def on_guarded_tx(self, msg: SubmitTx) -> None:
         # HIJACKGUARD: execute only once the side copy matches
@@ -1051,7 +1051,7 @@ class Server(Entity):
         else:
             self._execute_tx(msg.tx)
             self.session.finish(Outcome.ACCEPTED)
-            self.emit("net_down", TxResult(accepted=True))
+            self.emit(TxResult(accepted=True))
 
     def on_side_copy(self, msg: SideCopy) -> None:
         self.state["side_tx"] = msg.tx
@@ -1067,7 +1067,7 @@ class Server(Entity):
         entry = self.state["registry"].get(self.session.config.user_id)
         if entry is None:
             self.session.finish(Outcome.REJECTED)
-            self.emit("net_down", TxResult(accepted=False))
+            self.emit(TxResult(accepted=False))
             return
         _, public_key = entry
         sig_ok = crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"])
@@ -1076,7 +1076,7 @@ class Server(Entity):
             self.session.finish(Outcome.ACCEPTED)
         else:
             self.session.finish(Outcome.REJECTED)
-        self.emit("net_down", TxResult(accepted=self.session.outcome is Outcome.ACCEPTED))
+        self.emit(TxResult(accepted=self.session.outcome is Outcome.ACCEPTED))
 
     def on_idle(self) -> None:
         # a transaction with no matching side-channel copy dies here
@@ -1086,7 +1086,7 @@ class Server(Entity):
             and self.session.config.flags.hijack_guard
         ):
             self.session.finish(Outcome.REJECTED)
-            self.emit("net_down", TxResult(accepted=False))
+            self.emit(TxResult(accepted=False))
 
     def _execute_tx(self, tx: Transaction) -> None:
         self.state["executed_tx"] = tx
@@ -1111,7 +1111,7 @@ class Server(Entity):
             labels.append(label)
             frames.append(_frame(self.session, ct.to_bytes(), f"secure_field:{label}"))
         self.state["document_labels"] = tuple(labels)
-        self.emit("net_down", SecureDocMessage(labels=tuple(labels), frames=tuple(frames)))
+        self.emit(SecureDocMessage(labels=tuple(labels), frames=tuple(frames)))
 
 
 # The server's legal message order: SERVER_FLOWS[protocol][phase][tag] =

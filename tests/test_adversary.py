@@ -148,6 +148,49 @@ def _attack(protocol, kind, locus, seed):
     return handle, result, evaluate(handle)
 
 
+T, S = EntityKind.TERMINAL, EntityKind.SMARTPHONE
+K, M, V, B = (
+    AdversaryKind.KEYLOGGER,
+    AdversaryKind.MALWARE,
+    AdversaryKind.SHOULDER_SURFER,
+    AdversaryKind.BRUTE_FORCE,
+)
+
+# the observation labels each adversary records at seed 2: what the
+# surface of its locus shows, cell by cell
+SURFACE_LABELS = {
+    (Protocol.P1, K, T): {"typed_id", "positions"},
+    (Protocol.P1, K, S): set(),
+    (Protocol.P1, M, T): {"frame_payload", "keyboard", "positions", "typed_id"},
+    (Protocol.P1, M, S): {"frame_payload", "layout"},
+    (Protocol.P1, V, T): {"frame_payload", "keyboard", "positions"},
+    (Protocol.P1, V, S): {"layout"},
+    (Protocol.P2, K, T): {"otp", "typed_id"},
+    (Protocol.P2, K, S): set(),
+    (Protocol.P2, M, T): {"frame_payload", "keyboard", "otp", "typed_id"},
+    (Protocol.P2, M, S): {"frame_payload", "otp"},
+    (Protocol.P2, V, T): {"frame_payload", "keyboard", "otp"},
+    (Protocol.P2, V, S): {"otp"},
+    (Protocol.P3, K, T): {"click"},
+    (Protocol.P3, K, S): {"login"},
+    (Protocol.P3, M, T): {"ciphertext", "click", "frame_payload"},
+    (Protocol.P3, M, S): {"ciphertext", "frame_payload", "login", "masked_login"},
+    (Protocol.P3, V, T): {"frame_payload"},
+    (Protocol.P3, V, S): {"ciphertext", "masked_login"},
+} | {(protocol, B, locus): set() for protocol in AUTH_PROTOCOLS for locus in (T, S)}
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(SURFACE_LABELS, key=str), ids=lambda c: "-".join(x.value for x in c)
+)
+def test_each_adversary_records_its_surface(cell):
+    protocol, kind, locus = cell
+    handle, _ = run_attacked_session(
+        SessionConfig(protocol=protocol, seed=2), AdversaryConfig(kind, locus)
+    )
+    assert {obs.data[0] for obs in handle.observations} == SURFACE_LABELS[cell]
+
+
 class TestKeyloggerCells:
     def test_p1_terminal_sees_positions_but_no_symbols(self):
         handle, result, outcome = _attack(

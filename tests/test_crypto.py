@@ -93,6 +93,14 @@ class TestSealing:
             with pytest.raises(IntegrityError):
                 Ciphertext.from_bytes(wire[:cut])
 
+    def test_unknown_scheme_byte_rejected(self, pair):
+        wire = crypto.encrypt(pair.public_key, b"relabel me", rng=8).to_bytes()
+        assert wire[0] == 0x01
+        for scheme in range(256):
+            if scheme != 0x01:
+                with pytest.raises(IntegrityError, match="unknown scheme byte"):
+                    Ciphertext.from_bytes(bytes([scheme]) + wire[1:])
+
 
 class TestSignatures:
     def test_sign_verify(self, server_pair):
@@ -146,7 +154,7 @@ class TestKeyboardPermutation:
     def test_position_symbol_inverse(self):
         perm = crypto.generate_permutation(fork(6, "p"))
         for pos in range(36):
-            assert perm.position_of(perm.symbol_at(pos)) == pos
+            assert perm.position_of(perm.mapping[pos]) == pos
 
     def test_resolve_composes_clicks(self):
         perm = crypto.generate_permutation(fork(7, "p"))
@@ -154,12 +162,12 @@ class TestKeyboardPermutation:
         assert perm.resolve(positions) == "data99"
 
     def test_case_folds(self):
-        perm = KeyboardPermutation.identity()
+        perm = KeyboardPermutation(tuple(ALPHABET))
         assert perm.position_of("A") == perm.position_of("a")
 
     def test_non_alphabet_symbol_rejected(self):
         with pytest.raises(ValueError):
-            KeyboardPermutation.identity().position_of("!")
+            KeyboardPermutation(tuple(ALPHABET)).position_of("!")
 
     def test_serialize_round_trip(self):
         perm = crypto.generate_permutation(fork(8, "p"))
@@ -178,8 +186,8 @@ class TestKeyboardPermutation:
         assert all(low <= c <= high for c in counts), counts
 
     def test_identity_layout(self):
-        ident = KeyboardPermutation.identity()
-        assert ident.symbol_at(0) == "a"
+        ident = KeyboardPermutation(tuple(ALPHABET))
+        assert ident.mapping[0] == "a"
         assert ident.position_of("9") == 35
 
 

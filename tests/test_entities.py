@@ -25,8 +25,8 @@ from visualauth.entities import (
     secrecy_violations,
 )
 from visualauth.protocols import (
-    ClickPositions,
     CredentialStore,
+    LoginRequest,
     Outcome,
     Protocol,
     SessionConfig,
@@ -118,16 +118,9 @@ class TestChannelDiscipline:
     def test_wrong_sender_rejected(self):
         session = _built_session()
         user = session.entities[EntityKind.USER]
-        # net_up belongs to the terminal
+        # a login request travels on net_up, which belongs to the terminal
         with pytest.raises(ProtocolViolation):
-            user.emit("net_up", TypeId(user_id="alice"))
-
-    def test_wrong_tag_for_channel_rejected(self):
-        session = _built_session()
-        user = session.entities[EntityKind.USER]
-        # click_positions is a click_terminal message; click_phone refuses it
-        with pytest.raises(ProtocolViolation):
-            user.emit("click_phone", ClickPositions(positions=(0, 1)))
+            user.emit(LoginRequest(user_id="alice", protocol="P1"))
 
     def test_unknown_handler_rejected(self):
         session = _built_session()
@@ -295,11 +288,13 @@ class TestTaps:
         seen = []
         store = CredentialStore.provision(911)
         session = build_session(SessionConfig(protocol=Protocol.P1, seed=911), store)
-        for channel in session.channels.values():
-            if channel.kind is ChannelKind.CLICK:
-                channel.taps.append(
-                    lambda step, ch, msg: seen.append((ch.name, msg.tag))
-                )
+
+        def tap(direction, channel, msg):
+            if direction == "in" and channel.kind is ChannelKind.CLICK:
+                seen.append((channel.name, msg.tag))
+
+        for entity in session.entities.values():
+            entity.io_taps.append(tap)
         session.entities[EntityKind.USER].begin()
         assert session.run() is Outcome.AUTHENTICATED
         assert ("click_terminal", "type_id") in seen
@@ -308,7 +303,7 @@ class TestTaps:
     def test_outbound_hook_can_drop_messages(self):
         session = _built_session(seed=912)
         user = session.entities[EntityKind.USER]
-        user.outbound_hooks.append(lambda channel_name, msg: None)
+        user.outbound_hooks.append(lambda msg: None)
         user.begin()
         # everything the user says is swallowed; nothing is ever delivered
         assert session.transcript == []

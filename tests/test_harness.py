@@ -114,6 +114,12 @@ class TestParsing:
             ("[scenario]\nprotocol = p1\nexpect_breaches = 0\n", 3, "needs an adversary"),
             ("[scenario]\nlocus = smartphone\nprotocol = p1\n", 2, "needs an adversary"),
             ("[scenario]\nprotocol = p1\nadversary = none\nlocus = terminal\n", 4, "needs an adversary"),
+            ("[scenario]\nprotocol = p1\ncorrupt_codewords = budget+1\ncorrupt_context = keybaord\n", 4, "unknown capture context"),
+            ("[scenario]\nprotocol = txverify\ncredentials = wrong\n", 3, "needs a login protocol"),
+            ("[scenario]\ncredentials = wrong\nprotocol = secureview\n", 2, "needs a login protocol"),
+            ("[scenario]\nprotocol = hijackguard\ncredentials = wrong\n", 3, "needs a login protocol"),
+            ("[scenario]\nprotocol = p1\nadversary = brute_force\nfollowup_budget = -5\n", 4, "followup_budget must be >= 1"),
+            ("[matrix]\nfollowup_budget = -1\n", 2, "followup_budget must be >= 1"),
             ("[scenario]\nprotocol = p1\njust words\n", 3, "key = value"),
             ("[matrix]\ncolor = red\n", 2, "in [matrix]"),
             ("# nothing here\n", 0, "no [scenario]"),

@@ -10,15 +10,18 @@ from visualauth import crypto, qr
 from visualauth.crypto import Role
 from visualauth.entities import (
     EntityKind,
+    Message,
     export_transcript,
     secrecy_violations,
 )
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
+    CAPTURE_CONTEXTS,
     DEFAULT_TX,
     DEFAULT_VIEW_FIELDS,
     GRID_COLS,
     GRID_ROWS,
+    SERVER_FLOWS,
     ConnectRequest,
     CredentialStore,
     ForwardConfirm,
@@ -30,11 +33,14 @@ from visualauth.protocols import (
     ShowTxPage,
     SideCopy,
     SignedConfirmation,
+    Smartphone,
     SubmitCiphertext,
     SubmitOtp,
     SubmitPositions,
     SubmitTx,
+    Terminal,
     Transaction,
+    UserModel,
     build_session,
     canonical_tx_bytes,
     parse_tx_canonical,
@@ -133,8 +139,8 @@ class TestHonestLogins:
         from visualauth.protocols import build_session
 
         session = build_session(_cfg(Protocol.P1, 107), store)
-        session.channels["terminal_display_user"].taps.append(
-            lambda step, ch, msg: shown.append(msg) if msg.tag == "show_keyboard" else None
+        session.entities[EntityKind.TERMINAL].io_taps.append(
+            lambda direction, ch, msg: shown.append(msg) if msg.tag == "show_keyboard" else None
         )
         session.entities[EntityKind.USER].begin()
         session.run()
@@ -193,8 +199,10 @@ class TestWrongCredentials:
             _cfg(Protocol.P1, 115, submit_passwords=("wrongpw0", "data"), max_attempts=2),
             store,
         )
-        session.channels["phone_display_user"].taps.append(
-            lambda step, ch, msg: layouts.append(msg.layout)
+        session.entities[EntityKind.SMARTPHONE].io_taps.append(
+            lambda direction, ch, msg: layouts.append(msg.layout)
+            if msg.tag == "show_layout"
+            else None
         )
         session.entities[EntityKind.USER].begin()
         assert session.run() is Outcome.AUTHENTICATED
@@ -334,7 +342,7 @@ class TestFrameHandling:
 
         session = build_session(_cfg(Protocol.P1, 135), store)
 
-        def mangle(channel_name, msg):
+        def mangle(msg):
             if msg.tag != "kbd_challenge":
                 return msg
             ct, sig = _unpack_signed(msg.frame.payload)
@@ -376,7 +384,7 @@ class TestTransactionVerification:
 
         session = build_session(_cfg(Protocol.TXVERIFY, 141), store)
 
-        def rewrite(channel_name, msg):
+        def rewrite(msg):
             if msg.tag == "submit_tx":
                 return SubmitTx(tx=EVIL)
             return msg
@@ -394,7 +402,7 @@ class TestTransactionVerification:
 
         session = build_session(_cfg(Protocol.TXVERIFY, 142), store)
 
-        def lie(channel_name, msg):
+        def lie(msg):
             if msg.tag == "show_tx_page":
                 return ShowTxPage(tx=EVIL)
             return msg
@@ -442,6 +450,30 @@ class TestSecureView:
         assert "balance" not in result.session.view_values
 
 
+SUCCESS = {
+    Protocol.P1: Outcome.AUTHENTICATED,
+    Protocol.P2: Outcome.AUTHENTICATED,
+    Protocol.P3: Outcome.AUTHENTICATED,
+    Protocol.TXVERIFY: Outcome.CONFIRMED,
+    Protocol.SECUREVIEW: Outcome.VIEWED,
+    Protocol.HIJACKGUARD: Outcome.ACCEPTED,
+}
+
+
+@pytest.mark.parametrize(
+    "context,captured", [(context, True) for context in CAPTURE_CONTEXTS] + [("keybaord", False)]
+)
+def test_capture_contexts_name_real_captures(context, captured):
+    # past the cliff, a context some flow captures costs that flow its
+    # success or a view field; a name no flow captures changes nothing
+    def damaged(protocol):
+        config = _cfg(protocol, 190, corrupt_codewords="budget+1", corrupt_context=context)
+        result = run_flow(config)
+        return result.outcome is not SUCCESS[protocol] or bool(result.session.view_failures)
+
+    assert any(damaged(protocol) for protocol in Protocol) is captured
+
+
 class TestHijackGuard:
     def test_honest_transfer_accepted(self):
         result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160))
@@ -454,7 +486,7 @@ class TestHijackGuard:
 
         session = build_session(_cfg(Protocol.HIJACKGUARD, 161), store)
 
-        def rewrite(channel_name, msg):
+        def rewrite(msg):
             if msg.tag == "submit_tx":
                 return SubmitTx(tx=EVIL)
             return msg
@@ -490,6 +522,24 @@ class TestHijackGuard:
 
 
 class TestDispatch:
+    def test_every_message_has_a_handler_at_its_receiver(self):
+        # emit routes a message by its declared channel; whoever sits at the
+        # far end of that channel must have a handler for it
+        entity_classes = {
+            EntityKind.USER: UserModel,
+            EntityKind.TERMINAL: Terminal,
+            EntityKind.SMARTPHONE: Smartphone,
+        }
+        server_tags = {
+            tag for flow in SERVER_FLOWS.values() for rows in flow.values() for tag in rows
+        }
+        for cls in Message.__subclasses__():
+            receiver = cls.CHANNEL.receiver
+            if receiver is EntityKind.SERVER:
+                assert cls.TAG in server_tags, cls.TAG
+            else:
+                assert hasattr(entity_classes[receiver], "on_" + cls.TAG), cls.TAG
+
     def test_run_flow_routes_by_protocol(self):
         assert run_flow(_cfg(Protocol.P2, 170)).outcome is Outcome.AUTHENTICATED
         assert run_flow(_cfg(Protocol.SECUREVIEW, 171)).outcome is Outcome.VIEWED
