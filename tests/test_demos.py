@@ -1,4 +1,5 @@
-"""Every walkthrough under demos/ runs to completion."""
+"""Every walkthrough under demos/ runs to completion and prints what it
+printed when tests/golden/digests.json was written."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from golden import goldens
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -20,3 +23,11 @@ def test_demo_exits_cleanly(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
+    assert goldens.sha256(out.stdout) == goldens.load()[goldens.demo_key(demo.stem)], (
+        f"{demo.stem} stdout moved from tests/golden/digests.json"
+    )
+
+
+def test_every_demo_has_a_golden():
+    pinned = {key for key in goldens.load() if key.startswith("demo/")}
+    assert pinned == {goldens.demo_key(demo.stem) for demo in DEMOS}

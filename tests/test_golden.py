@@ -1,0 +1,31 @@
+"""Byte-identity under a fixed seed, pinned: outputs hash to tests/golden.
+
+A deliberate output change rewrites the goldens with
+``python tests/golden/regenerate.py``; the demos' stdout digests are
+checked in test_demos.py.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from golden import goldens
+
+GOLDEN = goldens.load()
+SECTIONS = {
+    "flow/": goldens.flow_digests,
+    "matrix/": goldens.matrix_digests,
+    "scenarios/": goldens.scenario_digests,
+}
+
+
+@pytest.mark.parametrize("prefix", SECTIONS, ids=lambda prefix: prefix.rstrip("/"))
+def test_outputs_match_goldens(prefix):
+    computed = SECTIONS[prefix]()
+    pinned = {key: digest for key, digest in GOLDEN.items() if key.startswith(prefix)}
+    moved = sorted(key for key in computed.keys() | pinned.keys() if computed.get(key) != pinned.get(key))
+    assert not moved, f"outputs moved from tests/golden/digests.json: {moved}"
+
+
+def test_every_golden_belongs_to_a_section():
+    assert all(key.startswith((*SECTIONS, "demo/")) for key in GOLDEN)
