@@ -31,7 +31,7 @@ print(f"  format ceilings: numeric {qr.GLOBAL_MAX[Mode.NUMERIC]}, "
 
 section("picking a frame for a payload")
 payload = b"the quick brown fox jumps over 36 lazy symbols"
-spec = qr.choose_spec(payload, Mode.BYTE, EcLevel.M)
+spec = qr.choose_spec(payload, EcLevel.M)
 print(f"  {len(payload)} bytes at level M fits version {spec.version} "
       f"({spec.module_count} modules, about "
       f"{qr.estimated_scan_seconds(spec, SCAN_A, SCAN_B):.2f}s to scan)")

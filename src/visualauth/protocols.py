@@ -46,7 +46,7 @@ from .entities import (
     Session,
     register_message,
 )
-from .qr import EcLevel, Mode, VisualFrame
+from .qr import EcLevel, VisualFrame
 
 GRID_ROWS = 6
 GRID_COLS = 6
@@ -553,7 +553,7 @@ def _unpack_credentials(blob: bytes) -> tuple[bytes, str, str, str]:
 
 def _frame(session: Session, payload: bytes, context: str) -> VisualFrame:
     """Auto-select the smallest fitting version at the session's ec level."""
-    spec = qr.choose_spec(payload, Mode.BYTE, session.config.frame_ec)
+    spec = qr.choose_spec(payload, session.config.frame_ec)
     frame = qr.qr_encode(payload, spec)
     session.note_frame(context, frame)
     return frame

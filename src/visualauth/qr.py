@@ -1,9 +1,12 @@
 """The machine-readable visual channel: framing, capacity, corruption.
 
-A frame is the data layer of a 2D barcode: mode header + packed payload
-bits + pad codewords + Reed-Solomon parity over GF(256), flattened to a
-single block. Matrix layout, masking, and optics sit below the modeled
-granularity; corruption is applied per codeword.
+A frame is the data layer of a 2D barcode in ISO/IEC 18004 byte mode:
+mode indicator + byte count + payload bytes + terminator + pad codewords,
+then Reed-Solomon parity over GF(256), flattened to a single block. Every
+payload a protocol frames is a ciphertext, a signed confirmation or a
+nonce, so byte mode is the only mode encoded, and the bitstream is packed
+and parsed as one big-endian integer. Matrix layout, masking, and optics
+sit below the modeled granularity; corruption is applied per codeword.
 
 Decoding success is a step function of the damage: a frame with c
 corrupted codewords decodes iff c <= correction_budget(spec), where the
@@ -12,11 +15,10 @@ healed and the bitstream is parsed for real; beyond it decoding raises.
 A parity recheck after healing means a decode can never silently return
 wrong bytes, even for damage inflicted behind the model's back.
 
-Capacity constants for versions 1..10 are the published standard values;
-the test suite re-derives every entry from the codeword counts and the
-bit-packing arithmetic. Letters in alphanumeric mode are lowercase here
-(the protocol alphabet is lowercase); uppercase input is folded. The
-45-value capacity arithmetic is unchanged by that swap.
+Capacity constants for versions 1..10 are the published standard values
+for all three modes; the numeric and alphanumeric columns back the format
+ceilings and the keyboard-layout fit, and the test suite re-derives every
+entry from the codeword counts and each mode's packing arithmetic.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ class CapacityError(ChannelError):
         self.required_version = required_version
 
 
-class PayloadError(ChannelError):
-    """Payload contains symbols outside the mode's charset."""
-
-
 class UncorrectableFrameError(ChannelError):
     """Damage exceeds the correction budget (or was inflicted off the books)."""
 
@@ -67,8 +65,7 @@ class Mode(enum.Enum):
     BYTE = "byte"
 
 
-_MODE_INDICATOR = {Mode.NUMERIC: 0b0001, Mode.ALPHANUMERIC: 0b0010, Mode.BYTE: 0b0100}
-_INDICATOR_MODE = {v: k for k, v in _MODE_INDICATOR.items()}
+_BYTE_INDICATOR = 0b0100
 
 # total codewords per version 1..10
 _TOTAL_CODEWORDS = (26, 44, 70, 100, 134, 172, 196, 242, 292, 346)
@@ -106,17 +103,9 @@ GLOBAL_MAX = {Mode.NUMERIC: 7089, Mode.ALPHANUMERIC: 4296, Mode.BYTE: 2953}
 
 _MODE_COLUMN = {Mode.NUMERIC: 0, Mode.ALPHANUMERIC: 1, Mode.BYTE: 2}
 
-# digits, lowercase letters, then the nine specials; 45 values as standard
-ALNUM_CHARSET = "0123456789abcdefghijklmnopqrstuvwxyz $%*+-./:"
-_ALNUM_INDEX = {ch: i for i, ch in enumerate(ALNUM_CHARSET)}
 
-
-def _count_bits(version: int, mode: Mode) -> int:
-    # count-indicator width; versions 1..9 vs 10.. differ
-    if mode is Mode.NUMERIC:
-        return 10 if version <= 9 else 12
-    if mode is Mode.ALPHANUMERIC:
-        return 9 if version <= 9 else 11
+def _count_bits(version: int) -> int:
+    # byte-count width; versions 1..9 vs 10.. differ
     return 8 if version <= 9 else 16
 
 
@@ -155,23 +144,6 @@ def parity_codeword_count(spec: FrameSpec) -> int:
 def correction_budget(spec: FrameSpec) -> int:
     """Codewords of damage the frame survives: floor(parity / 2)."""
     return parity_codeword_count(spec) // 2
-
-
-def derived_capacity(spec: FrameSpec) -> int:
-    """Capacity re-derived from codeword counts and packing arithmetic.
-
-    Exists so the published table can be cross-checked rather than trusted.
-    """
-    bits = 8 * data_codeword_count(spec) - 4 - _count_bits(spec.version, spec.mode)
-    if bits < 0:
-        return 0
-    if spec.mode is Mode.NUMERIC:
-        triples, rem = divmod(bits, 10)
-        return 3 * triples + (2 if rem >= 7 else 1 if rem >= 4 else 0)
-    if spec.mode is Mode.ALPHANUMERIC:
-        pairs, rem = divmod(bits, 11)
-        return 2 * pairs + (1 if rem >= 6 else 0)
-    return bits // 8
 
 
 # -------- GF(256) Reed-Solomon parity --------
@@ -224,124 +196,36 @@ def rs_parity(data: bytes, degree: int) -> bytes:
     return bytes(rem)
 
 
-# -------- bit packing --------
-
-
-class _BitWriter:
-    def __init__(self):
-        self.bits: list[int] = []
-
-    def put(self, value: int, width: int) -> None:
-        for shift in range(width - 1, -1, -1):
-            self.bits.append((value >> shift) & 1)
-
-    def to_codewords(self, n_codewords: int) -> bytes:
-        bits = self.bits
-        # terminator: up to four zero bits, then pad to a byte boundary
-        bits = bits + [0] * min(4, 8 * n_codewords - len(bits))
-        bits = bits + [0] * (-len(bits) % 8)
-        out = bytearray()
-        for i in range(0, len(bits), 8):
-            byte = 0
-            for b in bits[i : i + 8]:
-                byte = (byte << 1) | b
-            out.append(byte)
-        # alternate pad codewords fill the remainder
-        pads = (0xEC, 0x11)
-        i = 0
-        while len(out) < n_codewords:
-            out.append(pads[i % 2])
-            i += 1
-        return bytes(out)
-
-
-class _BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, width: int) -> int:
-        value = 0
-        for _ in range(width):
-            byte = self.data[self.pos >> 3]
-            value = (value << 1) | ((byte >> (7 - (self.pos & 7))) & 1)
-            self.pos += 1
-        return value
-
-
-def _fold_payload(payload: bytes, mode: Mode) -> bytes:
-    if mode is Mode.BYTE:
-        return payload
-    try:
-        text = payload.decode("ascii")
-    except UnicodeDecodeError:
-        raise PayloadError("text modes take ASCII payloads") from None
-    text = text.lower()
-    if mode is Mode.NUMERIC:
-        if not all(c.isdigit() for c in text):
-            raise PayloadError("numeric mode takes digits only")
-    else:
-        bad = [c for c in text if c not in _ALNUM_INDEX]
-        if bad:
-            raise PayloadError(f"symbols outside the alphanumeric charset: {bad[:5]!r}")
-    return text.encode("ascii")
+# -------- byte-mode packing --------
 
 
 def _pack(payload: bytes, spec: FrameSpec) -> bytes:
-    w = _BitWriter()
-    w.put(_MODE_INDICATOR[spec.mode], 4)
-    w.put(len(payload), _count_bits(spec.version, spec.mode))
-    if spec.mode is Mode.NUMERIC:
-        text = payload.decode("ascii")
-        for i in range(0, len(text) - 2, 3):
-            w.put(int(text[i : i + 3]), 10)
-        rem = len(text) % 3
-        if rem == 2:
-            w.put(int(text[-2:]), 7)
-        elif rem == 1:
-            w.put(int(text[-1:]), 4)
-    elif spec.mode is Mode.ALPHANUMERIC:
-        vals = [_ALNUM_INDEX[c] for c in payload.decode("ascii")]
-        for i in range(0, len(vals) - 1, 2):
-            w.put(vals[i] * 45 + vals[i + 1], 11)
-        if len(vals) % 2:
-            w.put(vals[-1], 6)
-    else:
-        for byte in payload:
-            w.put(byte, 8)
-    return w.to_codewords(data_codeword_count(spec))
+    """Indicator, count and payload as one integer, then the terminator
+    (up to four zero bits), zeros to a byte boundary, and pad codewords."""
+    n_codewords = data_codeword_count(spec)
+    count_bits = _count_bits(spec.version)
+    n = len(payload)
+    stream = (_BYTE_INDICATOR << count_bits | n) << 8 * n | int.from_bytes(payload, "big")
+    bits = 4 + count_bits + 8 * n
+    tail = min(4, 8 * n_codewords - bits)
+    tail += -(bits + tail) % 8
+    data = (stream << tail).to_bytes((bits + tail) // 8, "big")
+    return data + (b"\xec\x11" * n_codewords)[: n_codewords - len(data)]
 
 
 def _unpack(data_codewords: bytes, version: int) -> bytes:
-    r = _BitReader(data_codewords)
-    indicator = r.take(4)
-    mode = _INDICATOR_MODE.get(indicator)
-    if mode is None:
+    count_bits = _count_bits(version)
+    free = 8 * len(data_codewords) - 4  # bits after the mode indicator
+    stream = int.from_bytes(data_codewords, "big")
+    indicator = stream >> free
+    if indicator != _BYTE_INDICATOR:
         raise UncorrectableFrameError(f"bad mode indicator {indicator:#06b}")
-    count = r.take(_count_bits(version, mode))
-    try:
-        if mode is Mode.NUMERIC:
-            out = []
-            for i in range(0, count - 2, 3):
-                out.append(f"{r.take(10):03d}")
-            rem = count % 3
-            if rem == 2:
-                out.append(f"{r.take(7):02d}")
-            elif rem == 1:
-                out.append(f"{r.take(4):01d}")
-            return "".join(out).encode("ascii")
-        if mode is Mode.ALPHANUMERIC:
-            out = []
-            for _ in range(count // 2):
-                pair = r.take(11)
-                out.append(ALNUM_CHARSET[pair // 45])
-                out.append(ALNUM_CHARSET[pair % 45])
-            if count % 2:
-                out.append(ALNUM_CHARSET[r.take(6)])
-            return "".join(out).encode("ascii")
-        return bytes(r.take(8) for _ in range(count))
-    except IndexError:
-        raise UncorrectableFrameError("bitstream ran dry while parsing") from None
+    free -= count_bits
+    count = stream >> free & ((1 << count_bits) - 1)
+    free -= 8 * count
+    if free < 0:
+        raise UncorrectableFrameError("bitstream ran dry while parsing")
+    return (stream >> free & ((1 << 8 * count) - 1)).to_bytes(count, "big")
 
 
 # -------- frames --------
@@ -364,7 +248,8 @@ class VisualFrame:
 
 def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
     """Frame a payload, or raise CapacityError naming the version needed."""
-    payload = _fold_payload(payload, spec.mode)
+    if spec.mode is not Mode.BYTE:
+        raise ValueError(f"frames carry bytes; {spec.mode.value} mode is not encoded")
     cap = capacity(spec)
     if len(payload) > cap:
         required = None
@@ -390,18 +275,14 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
     return VisualFrame(spec=spec, payload=payload, codewords=data + parity)
 
 
-def choose_spec(
-    payload: bytes, mode: Mode = Mode.BYTE, ec_level: EcLevel = EcLevel.M
-) -> FrameSpec:
-    """Smallest version whose capacity fits the payload at ec_level/mode."""
-    length = len(_fold_payload(payload, mode))
+def choose_spec(payload: bytes, ec_level: EcLevel = EcLevel.M) -> FrameSpec:
+    """Smallest byte-mode version whose capacity fits the payload at ec_level."""
     for v in range(MIN_VERSION, MAX_VERSION + 1):
-        spec = FrameSpec(v, ec_level, mode)
-        if length <= capacity(spec):
+        spec = FrameSpec(v, ec_level, Mode.BYTE)
+        if len(payload) <= capacity(spec):
             return spec
     raise CapacityError(
-        f"{length} symbols fit no version up to {MAX_VERSION} at "
-        f"{ec_level.value}/{mode.value}",
+        f"{len(payload)} symbols fit no version up to {MAX_VERSION} at {ec_level.value}/byte",
         required_version=None,
     )
 

