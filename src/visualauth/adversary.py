@@ -27,7 +27,7 @@ dual-view shoulder surfer and the one-time-password race.
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from . import crypto, rng as rngmod
@@ -336,31 +336,22 @@ def run_attacked_session(
     return holder[0], result
 
 
-# -------- the keylogger posterior, by plain enumeration --------
+# -------- the keylogger posterior, in closed form --------
 
 
 def posterior_count(observed_positions: tuple[int, ...] | list[int], k: int, n: int) -> int:
     """Passwords of length n over a k-symbol alphabet consistent with the
     observed click positions on a k-position blank keyboard.
 
-    Enumerates all k! layouts; each layout determines the one password
-    that would have produced the clicks, so the posterior is a set size.
-    Small instances only.
+    A uniformly random layout maps the d distinct observed positions to d
+    distinct symbols, any of them; repeated positions repeat a symbol. So
+    the posterior is the falling factorial P(k, d).
     """
-    if n < 0 or n > 4:
-        raise ValueError("password length out of the desk-scale range (n <= 4)")
     if len(observed_positions) != n:
         raise ValueError("need exactly one observed position per password symbol")
-    if n == 0:
-        return 1
-    if k > 10:
-        raise ValueError("instance too large: k <= 10 for full enumeration")
     if any(p < 0 or p >= k for p in observed_positions):
         raise ValueError("observed position outside the keyboard")
-    candidates = set()
-    for layout in itertools.permutations(range(k)):
-        candidates.add(tuple(layout[p] for p in observed_positions))
-    return len(candidates)
+    return math.perm(k, len(set(observed_positions)))
 
 
 # -------- offline guessing --------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 
 import pytest
 
@@ -38,8 +39,8 @@ from visualauth.protocols import (
 # Desk-scale instance: a 5-position blank keyboard and 2-symbol passwords.
 # The oracle enumerates BOTH sides (all 120 layouts x all 25 candidate
 # passwords) and asks, per password, whether some layout reconciles it
-# with the observed clicks. posterior_count enumerates layouts only, so
-# the two routes agree only if the counting logic is right.
+# with the observed clicks. posterior_count is a closed form; the layout
+# enumeration below checks it on every small instance.
 
 ORACLE_K = 5
 ORACLE_N = 2
@@ -59,6 +60,14 @@ def _feasible_passwords(observed: tuple[int, ...], k: int) -> set[tuple[int, ...
                 feasible.add(password)
                 break
     return feasible
+
+
+def _layout_posterior(observed: tuple[int, ...], layouts: list[tuple[int, ...]]) -> int:
+    """Distinct passwords the clicks spell under some layout."""
+    if not observed:
+        return 1
+    spell = operator.itemgetter(*observed)
+    return len({spell(layout) for layout in layouts})
 
 
 def _falling_factorial(k: int, d: int) -> int:
@@ -95,6 +104,17 @@ class TestPosteriorOracle:
                 expected = _falling_factorial(k, len(set(positions)))
                 assert posterior_count(positions, k, len(positions)) == expected
 
+    def test_layout_enumeration_agrees_on_every_small_instance(self):
+        # every position tuple with k <= 7 and n <= 4: 5,635 instances
+        checked = 0
+        for k in range(1, 8):
+            layouts = list(itertools.permutations(range(k)))
+            for n in range(5):
+                for positions in itertools.product(range(k), repeat=n):
+                    assert posterior_count(positions, k, n) == _layout_posterior(positions, layouts)
+                    checked += 1
+        assert checked == 5635
+
     def test_full_keyboard_zero_observations(self):
         # nothing observed: the posterior is everything, reported as 1
         # consistent with the empty password
@@ -102,13 +122,11 @@ class TestPosteriorOracle:
 
     def test_instance_guards(self):
         with pytest.raises(ValueError):
-            posterior_count((0,) * 5, 5, 5)  # n > 4
-        with pytest.raises(ValueError):
             posterior_count((0, 1), 5, 3)  # length mismatch
         with pytest.raises(ValueError):
-            posterior_count((0, 1), 36, 2)  # k too large to enumerate
-        with pytest.raises(ValueError):
             posterior_count((7,), 5, 1)  # position off the keyboard
+        # the real k = 36 case, past any enumeration: P(36, 4)
+        assert posterior_count((0, 1, 2, 3), 36, 4) == 1413720
 
 
 class TestExpectedPattern:
