@@ -159,7 +159,8 @@ _SCENARIO_KEYS = {
     "ec_level": _choice({level.value.lower(): level for level in qr.EcLevel}, "unknown ec level {!r}"),
     "corrupt_codewords": _codewords,
     "corrupt_context": _choice(
-        {context: context for context in CAPTURE_CONTEXTS}, "unknown capture context {!r}"
+        {context: context for contexts in CAPTURE_CONTEXTS.values() for context in contexts},
+        "unknown capture context {!r}",
     ),
     "credentials": _choice(
         {"honest": False, "wrong": True}, "credentials must be honest or wrong, got {!r}"
@@ -175,22 +176,31 @@ _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))
 def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scenario:
     """Route parsed values to the Scenario, SessionFlags or SessionConfig
     field of the same name; ec_level, credentials, adversary and locus map
-    by hand."""
+    by hand. A key the scenario's flow or adversary would ignore is refused."""
     if "protocol" not in values:
         raise ConfigError(end_line, f"scenario {values['name']!r} never named a protocol")
+    protocol = values["protocol"]
     if values.get("adversary") is not None:
         locus = {"locus": values.pop("locus")} if "locus" in values else {}
         values["adversary"] = AdversaryConfig(values["adversary"], **locus)
     else:
-        for key in ("locus", "expect_breaches"):
+        for key in ("locus", "expect_breaches", "followup_budget"):
             if key in lines:
                 raise ConfigError(lines[key], f"{key} needs an adversary")
+    contexts = CAPTURE_CONTEXTS[protocol]
+    if "corrupt_codewords" in lines and not contexts:
+        raise ConfigError(lines["corrupt_codewords"], f"{protocol.value} captures no frames")
+    context = values.get("corrupt_context")
+    if context is not None and context not in contexts:
+        raise ConfigError(lines["corrupt_context"], f"{protocol.value} makes no {context!r} capture")
+    if "drop_side_copy" in lines and protocol is not Protocol.HIJACKGUARD:
+        raise ConfigError(lines["drop_side_copy"], "drop_side_copy needs protocol = hijackguard")
     if "ec_level" in values:
         values["frame_ec"] = values.pop("ec_level")
     if values.pop("credentials", False):
-        if values["protocol"] not in AUTH_PROTOCOLS:
+        if protocol not in AUTH_PROTOCOLS:
             raise ConfigError(lines["credentials"], "credentials = wrong needs a login protocol")
-        if values["protocol"] is Protocol.P2:
+        if protocol is Protocol.P2:
             values["mistype_otp"] = True
         else:
             values["submit_passwords"] = (WRONG_PASSWORD,)

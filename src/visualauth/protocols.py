@@ -190,11 +190,16 @@ class SessionFlags:
 DEFAULT_TX = Transaction(receiver_account="ACCT-7291", amount=25000, receiver_name="northwind supply")
 DEFAULT_VIEW_FIELDS = (("balance", "10452.17"), ("statement", "paid 93.40 to coastal water"))
 
-# every camera capture a flow makes, by the context _capture is called with;
-# a SessionConfig.corrupt_context names one of these
-CAPTURE_CONTEXTS = ("keyboard", "otp", "nonce", "credential_upload", "tx_confirmation") + tuple(
-    f"secure_field:{label}" for label, _ in DEFAULT_VIEW_FIELDS
-)
+# the camera captures each flow makes, by the context _capture is called
+# with; a SessionConfig.corrupt_context names one of its flow's
+CAPTURE_CONTEXTS = {
+    Protocol.P1: ("keyboard",),
+    Protocol.P2: ("otp",),
+    Protocol.P3: ("nonce", "credential_upload"),
+    Protocol.TXVERIFY: ("tx_confirmation",),
+    Protocol.SECUREVIEW: tuple(f"secure_field:{label}" for label, _ in DEFAULT_VIEW_FIELDS),
+    Protocol.HIJACKGUARD: (),
+}
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,10 @@ class TestParsing:
             ("[scenario]\nprotocol = hijackguard\ncredentials = wrong\n", 3, "needs a login protocol"),
             ("[scenario]\nprotocol = p1\nadversary = brute_force\nfollowup_budget = -5\n", 4, "followup_budget must be >= 1"),
             ("[matrix]\nfollowup_budget = -1\n", 2, "followup_budget must be >= 1"),
+            ("[scenario]\nprotocol = p1\ncorrupt_codewords = budget+1\ncorrupt_context = otp\n", 4, "P1 makes no 'otp' capture"),
+            ("[scenario]\nprotocol = hijackguard\ncorrupt_codewords = budget+1\n", 3, "HIJACKGUARD captures no frames"),
+            ("[scenario]\nprotocol = p2\nfollowup_budget = 3\n", 3, "followup_budget needs an adversary"),
+            ("[scenario]\ndrop_side_copy = on\nprotocol = p2\n", 2, "drop_side_copy needs protocol = hijackguard"),
             ("[scenario]\nprotocol = p1\njust words\n", 3, "key = value"),
             ("[matrix]\ncolor = red\n", 2, "in [matrix]"),
             ("# nothing here\n", 0, "no [scenario]"),
@@ -153,17 +157,20 @@ class TestParsing:
         assert p2_cfg.mistype_otp
 
     def test_every_key_lands_on_its_field(self):
+        # drop_side_copy only means something on HIJACKGUARD, so it gets a
+        # second scenario; between them the two set every key
         text = (
             "[scenario]\nname = every-key\nprotocol = p1\ntrials = 3\nseed = 77\n"
             "adversary = malware\nlocus = smartphone\nsign_server_payloads = off\n"
-            "hijack_guard = no\ntx_nonce_freshness = false\ndrop_side_copy = yes\n"
+            "hijack_guard = no\ntx_nonce_freshness = false\n"
             "ec_level = h\ncorrupt_codewords = 2\ncorrupt_context = keyboard\n"
             "credentials = wrong\nmax_attempts = 2\nfollowup_budget = 5\n"
             "expect_denied = 3\nexpect_breaches = 0\n"
+            "[scenario]\nname = side-copy\nprotocol = hijackguard\ndrop_side_copy = yes\n"
         )
-        keys = {line.split(" = ")[0] for line in text.splitlines()[1:]}
+        keys = {line.split(" = ")[0] for line in text.splitlines() if " = " in line}
         assert keys - {"expect_denied", "expect_breaches"} == set(harness._SCENARIO_KEYS)
-        expected = Scenario(
+        every_key = Scenario(
             name="every-key",
             config=SessionConfig(
                 protocol=Protocol.P1,
@@ -176,14 +183,17 @@ class TestParsing:
                 frame_ec=qr.EcLevel.H,
                 corrupt_codewords=2,
                 corrupt_context="keyboard",
-                drop_side_copy=True,
             ),
             trials=3,
             adversary=AdversaryConfig(AdversaryKind.MALWARE, EntityKind.SMARTPHONE),
             followup_budget=5,
             expectations={"denied": 3, "breaches": 0},
         )
-        assert parse_config(text).scenarios == [expected]
+        side_copy = Scenario(
+            name="side-copy",
+            config=SessionConfig(protocol=Protocol.HIJACKGUARD, drop_side_copy=True),
+        )
+        assert parse_config(text).scenarios == [every_key, side_copy]
 
     def test_wrong_password_is_typeable_and_wrong(self):
         assert all(ch in crypto.ALPHABET for ch in WRONG_PASSWORD)

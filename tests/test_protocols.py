@@ -461,17 +461,22 @@ SUCCESS = {
 
 
 @pytest.mark.parametrize(
-    "context,captured", [(context, True) for context in CAPTURE_CONTEXTS] + [("keybaord", False)]
+    "context,captured",
+    [(context, True) for contexts in CAPTURE_CONTEXTS.values() for context in contexts]
+    + [("keybaord", False)],
 )
 def test_capture_contexts_name_real_captures(context, captured):
-    # past the cliff, a context some flow captures costs that flow its
-    # success or a view field; a name no flow captures changes nothing
+    # past the cliff, a context costs exactly the flows that list it their
+    # success or a view field; every other flow, and a name no flow
+    # captures, changes nothing
     def damaged(protocol):
         config = _cfg(protocol, 190, corrupt_codewords="budget+1", corrupt_context=context)
         result = run_flow(config)
         return result.outcome is not SUCCESS[protocol] or bool(result.session.view_failures)
 
-    assert any(damaged(protocol) for protocol in Protocol) is captured
+    listed = {protocol for protocol, contexts in CAPTURE_CONTEXTS.items() if context in contexts}
+    assert {protocol for protocol in Protocol if damaged(protocol)} == listed
+    assert bool(listed) is captured
 
 
 class TestHijackGuard:
