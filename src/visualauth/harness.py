@@ -188,8 +188,9 @@ def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scena
             if key in lines:
                 raise ConfigError(lines[key], f"{key} needs an adversary")
     contexts = CAPTURE_CONTEXTS[protocol]
-    if "corrupt_codewords" in lines and not contexts:
-        raise ConfigError(lines["corrupt_codewords"], f"{protocol.value} captures no frames")
+    for key in ("ec_level", "corrupt_codewords"):
+        if key in lines and not contexts:
+            raise ConfigError(lines[key], f"{key} does nothing: {protocol.value} captures no frames")
     context = values.get("corrupt_context")
     if context is not None and context not in contexts:
         raise ConfigError(lines["corrupt_context"], f"{protocol.value} makes no {context!r} capture")
@@ -197,6 +198,8 @@ def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scena
         raise ConfigError(lines["drop_side_copy"], "drop_side_copy needs protocol = hijackguard")
     if "ec_level" in values:
         values["frame_ec"] = values.pop("ec_level")
+    if "max_attempts" in lines and protocol not in AUTH_PROTOCOLS:
+        raise ConfigError(lines["max_attempts"], "max_attempts needs a login protocol")
     if values.pop("credentials", False):
         if protocol not in AUTH_PROTOCOLS:
             raise ConfigError(lines["credentials"], "credentials = wrong needs a login protocol")

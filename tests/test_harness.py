@@ -123,6 +123,10 @@ class TestParsing:
             ("[scenario]\nprotocol = p1\ncorrupt_codewords = budget+1\ncorrupt_context = otp\n", 4, "P1 makes no 'otp' capture"),
             ("[scenario]\nprotocol = hijackguard\ncorrupt_codewords = budget+1\n", 3, "HIJACKGUARD captures no frames"),
             ("[scenario]\nprotocol = p2\nfollowup_budget = 3\n", 3, "followup_budget needs an adversary"),
+            ("[scenario]\nprotocol = hijackguard\nec_level = h\n", 3, "ec_level does nothing: HIJACKGUARD captures no frames"),
+            ("[scenario]\nprotocol = txverify\nmax_attempts = 3\n", 3, "max_attempts needs a login protocol"),
+            ("[scenario]\nmax_attempts = 2\nprotocol = secureview\n", 2, "max_attempts needs a login protocol"),
+            ("[scenario]\nprotocol = hijackguard\nmax_attempts = 3\n", 3, "max_attempts needs a login protocol"),
             ("[scenario]\ndrop_side_copy = on\nprotocol = p2\n", 2, "drop_side_copy needs protocol = hijackguard"),
             ("[scenario]\nprotocol = p1\njust words\n", 3, "key = value"),
             ("[matrix]\ncolor = red\n", 2, "in [matrix]"),

@@ -255,16 +255,28 @@ class TestReedSolomon:
             assert remainder == [0] * parity_codeword_count(spec), spec
 
     def test_rs_parity_matches_slow_division(self):
+        # every published parity degree, on empty, one-byte and full data
         rng = random.Random(89)
-        for degree in (7, 10, 16, 22):
-            data = list(rng.randbytes(40))
-            fast = list(qr.rs_parity(bytes(data), degree))
-            slow = poly_mod_slow(data + [0] * degree, generator_poly_slow(degree))
-            assert fast == slow
+        spec_of_degree = {}
+        for spec in BYTE_SPECS:
+            spec_of_degree.setdefault(parity_codeword_count(spec), spec)
+        for degree, spec in spec_of_degree.items():
+            g = generator_poly_slow(degree)
+            for length in (0, 1, data_codeword_count(spec)):
+                data = list(rng.randbytes(length))
+                fast = list(qr.rs_parity(bytes(data), degree))
+                assert fast == poly_mod_slow(data + [0] * degree, g), (spec, length)
 
     def test_generator_tables_agree(self):
-        for degree in (7, 13, 18, 28):
-            assert list(qr._generator_poly(degree)) == generator_poly_slow(degree)
+        # row f of the cached table is f times the generator without its
+        # leading term, packed big-endian into one integer
+        for degree in (7, 13, 18, 28, 224):
+            tail = generator_poly_slow(degree)[1:]
+            rows = qr._generator_poly(degree)
+            assert len(rows) == 256
+            for f, row in enumerate(rows):
+                expected = bytes(gf_mul_slow(f, coef) for coef in tail)
+                assert row.to_bytes(degree, "big") == expected, (degree, f)
 
 
 class TestCorruption:
