@@ -18,6 +18,10 @@ fresh session, or runs a whole login with whatever credentials or keys it
 exfiltrated, and reports what the server said. The resistance matrix is
 therefore an output of the state machines, not a transcription.
 
+Every attack is an honest session plus installs handed to ``run_flow``:
+taps and hooks on a locus (``attach``, ``replaying``) or state planted on
+the phone (``phone_holding``). No entity reads an attacker setting.
+
 Phishing is not an adversary kind: a fake server impersonates the far
 end rather than compromising a locus, so it lives in its own scenario
 function (``fake_server_scenario``), as do the documented caveats: the
@@ -41,6 +45,9 @@ from .protocols import (
     SessionConfig,
     SessionFlags,
     SessionResult,
+    SubmitCiphertext,
+    SubmitOtp,
+    SubmitPositions,
     Transaction,
     run_flow,
     run_hijack_guard,
@@ -217,11 +224,46 @@ def _exfiltrate(handle: AttackerHandle) -> None:
         handle.stolen_keypair = pair
 
 
+# -------- installs that turn an honest session into an attempt --------
+
+
+def replaying(submission: Message):
+    """A terminal that forwards only what it sends the server, so the
+    victim's phone and user take no part, and sends submission up once,
+    when the server's first message reaches it."""
+
+    def install(session: Session) -> None:
+        terminal = session.entities[EntityKind.TERMINAL]
+        sent = False
+
+        def submit(direction: str, channel: Channel, msg: Message) -> None:
+            nonlocal sent
+            if direction == "in" and channel.name == "net_down" and not sent:
+                sent = True
+                session.inject("net_up", submission)
+
+        terminal.outbound_hooks.append(lambda msg: msg if msg.CHANNEL.receiver is EntityKind.SERVER else None)
+        terminal.io_taps.append(submit)
+
+    return install
+
+
+def phone_holding(**state):
+    """A phone that holds state of the attacker's choosing before the user
+    begins: a stolen key, the attacker's own key, or a phished
+    server_name."""
+
+    def install(session: Session) -> None:
+        session.entities[EntityKind.SMARTPHONE].state.update(state)
+
+    return install
+
+
 # -------- followup attacks: the adversary actually tries --------
 
 
-def _attempt(config: SessionConfig, store: CredentialStore) -> bool:
-    return run_flow(config, store).outcome is Outcome.AUTHENTICATED
+def _attempt(config: SessionConfig, store: CredentialStore, install) -> bool:
+    return run_flow(config, store, adversaries=[install]).outcome is Outcome.AUTHENTICATED
 
 
 def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
@@ -233,57 +275,41 @@ def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
     store: CredentialStore = session.store
     seed = rngmod.child_seed(session.seed, "followup", handle.config.kind.value)
 
+    user_id = session.config.user_id
     login = handle.observed("login")
     if login is not None and protocol is Protocol.P3:
         # learned credentials suffice: encrypt them on any phone at all
-        user_id, password = login
+        learned_id, password = login
         own_phone = crypto.generate_keypair(crypto.Role.USER, rngmod.fork(seed, "attacker-phone"))
-        if _attempt(
-            SessionConfig(
-                protocol=protocol,
-                seed=rngmod.child_seed(seed, "learned-creds"),
-                user_id=user_id,
-                submit_passwords=(password,),
-                phone_keypair_override=own_phone,
-            ),
-            store,
-        ):
+        config = SessionConfig(
+            protocol=protocol,
+            seed=rngmod.child_seed(seed, "learned-creds"),
+            user_id=learned_id,
+            submit_passwords=(password,),
+        )
+        if _attempt(config, store, phone_holding(keypair=own_phone)):
             return True
 
     if handle.stolen_keypair is not None and protocol is Protocol.P2:
         # the exfiltrated private key opens any future challenge
-        if _attempt(
-            SessionConfig(
-                protocol=protocol,
-                seed=rngmod.child_seed(seed, "stolen-key"),
-                user_id=session.config.user_id,
-                phone_keypair_override=handle.stolen_keypair,
-            ),
-            store,
-        ):
+        config = SessionConfig(protocol=protocol, seed=rngmod.child_seed(seed, "stolen-key"), user_id=user_id)
+        if _attempt(config, store, phone_holding(keypair=handle.stolen_keypair)):
             return True
 
     replays = {
-        Protocol.P1: ("positions", "scripted_positions"),
-        Protocol.P2: ("otp", "scripted_otp"),
-        Protocol.P3: ("ciphertext", "scripted_ciphertext"),
+        Protocol.P1: ("positions", SubmitPositions),
+        Protocol.P2: ("otp", SubmitOtp),
+        Protocol.P3: ("ciphertext", SubmitCiphertext),
     }
-    label, config_field = replays[protocol]
+    label, submission = replays[protocol]
     captured = handle.observed(label)
     if captured is not None:
-        if _attempt(
-            SessionConfig(
-                protocol=protocol,
-                seed=rngmod.child_seed(seed, "replay"),
-                user_id=session.config.user_id,
-                **{config_field: captured[0]},
-            ),
-            store,
-        ):
+        config = SessionConfig(protocol=protocol, seed=rngmod.child_seed(seed, "replay"), user_id=user_id)
+        if _attempt(config, store, replaying(submission(captured[0]))):
             return True
 
     if handle.config.kind is AdversaryKind.BRUTE_FORCE:
-        return brute_force_guessing(store, session.config.user_id, budget, seed) > 0
+        return brute_force_guessing(store, user_id, budget, seed) > 0
     return False
 
 
@@ -439,21 +465,15 @@ def fake_server_scenario(seed: int, store: CredentialStore | None = None) -> dic
         phisher_decrypted = False
 
     relay = run_flow(
-        SessionConfig(
-            protocol=Protocol.P3,
-            seed=rngmod.child_seed(seed, "relay"),
-            scripted_ciphertext=blob,
-        ),
+        SessionConfig(protocol=Protocol.P3, seed=rngmod.child_seed(seed, "relay")),
         store,
+        adversaries=[replaying(SubmitCiphertext(blob=blob))],
     )
 
     misdirected = run_flow(
-        SessionConfig(
-            protocol=Protocol.P3,
-            seed=rngmod.child_seed(seed, "misdirected"),
-            phone_server_name_override="totally-real-bank",
-        ),
+        SessionConfig(protocol=Protocol.P3, seed=rngmod.child_seed(seed, "misdirected")),
         store,
+        adversaries=[phone_holding(server_name="totally-real-bank")],
     )
 
     return {
@@ -545,12 +565,9 @@ def otp_race_scenario(seed: int, hijack_guard: bool, store: CredentialStore | No
 
     captured = handle.observed("otp")
     replay = run_flow(
-        SessionConfig(
-            protocol=Protocol.P2,
-            seed=rngmod.child_seed(seed, "race-replay"),
-            scripted_otp=captured[0] if captured else "",
-        ),
+        SessionConfig(protocol=Protocol.P2, seed=rngmod.child_seed(seed, "race-replay")),
         store,
+        adversaries=[replaying(SubmitOtp(otp=captured[0] if captured else ""))],
     )
 
     hijack_config = SessionConfig(

@@ -70,6 +70,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.trials < 1:
             print("config error: --trials must be >= 1", file=sys.stderr)
             return 2
+        if not 0 <= args.seed < 1 << 64:
+            print("config error: --seed must fit in 64 bits", file=sys.stderr)
+            return 2
         report = harness.Report(matrix=run_matrix(args.seed, args.trials))
         _emit(report, args.machine)
         return 0 if report.ok else 1

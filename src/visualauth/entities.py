@@ -12,7 +12,9 @@ the protocol code. Channels are fixed module-level declarations and
 carry nothing; an observer watches an entity instead, through its io taps
 (every message in and out) and outbound hooks (which may rewrite or drop
 what it sends). The honest handler code cannot tell whether it is being
-watched.
+watched. Attackers reach a session only through these taps and hooks, or
+by queueing traffic with Session.inject, all installed before the user
+begins; no entity reads an attacker setting.
 """
 
 from __future__ import annotations

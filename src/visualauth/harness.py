@@ -56,6 +56,8 @@ _COUNT_KEYS = tuple(
         ("aborted_retryable", "aborted_fatal") if outcome is Outcome.ABORTED else (outcome.value,)
     )
 )
+# what an expect_<name> key may name: a count, both abort buckets, or breaches
+_EXPECTATIONS = (*_COUNT_KEYS, "aborted", "breaches")
 
 
 class ConfigError(Exception):
@@ -252,6 +254,8 @@ def parse_config(text: str) -> ParsedConfig:
         if section == "matrix" and key not in _MATRIX_KEYS:
             raise ConfigError(line_no, f"unknown key {key!r} in [matrix]")
         expectation = section == "scenario" and key.startswith("expect_")
+        if expectation and key[len("expect_") :] not in _EXPECTATIONS:
+            raise ConfigError(line_no, f"unknown expectation {key!r}")
         parse = _integer if expectation else _SCENARIO_KEYS.get(key)
         if parse is None:
             raise ConfigError(line_no, f"unknown key {key!r}")
@@ -321,11 +325,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             actual = breaches
         elif key == "aborted":
             actual = counts["aborted_retryable"] + counts["aborted_fatal"]
-        elif key in counts:
-            actual = counts[key]
         else:
-            failures.append(f"{scenario.name}: unknown expectation {key!r}")
-            continue
+            actual = counts[key]
         if actual != expected:
             failures.append(f"{scenario.name}: expected {key}={expected}, got {actual}")
 

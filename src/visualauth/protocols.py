@@ -207,10 +207,10 @@ class SessionConfig:
     """Everything one run needs besides the provisioned store.
 
     submit_passwords is what the user-model will type, one entry per
-    attempt; None means the genuine password once. The scripted_* fields
-    turn the session into an attacker's replay attempt: the smartphone
-    goes inert and the scripted value is submitted in place of the honest
-    step. phone_keypair_override arms the phone with a stolen key.
+    attempt; None means the genuine password once. Every field describes
+    an honest session; an attacker reaches a session only through the
+    installs run_flow takes (see adversary.replaying and
+    adversary.phone_holding).
     """
 
     protocol: Protocol
@@ -223,20 +223,7 @@ class SessionConfig:
     corrupt_codewords: int | str = 0  # int, "budget", or "budget+1"
     mistype_otp: bool = False  # user fat-fingers one symbol of the shown OTP
     corrupt_context: str | None = None  # None corrupts every capture
-    scripted_positions: tuple[int, ...] | None = None
-    scripted_otp: str | None = None
-    scripted_ciphertext: bytes | None = None
-    phone_keypair_override: KeyPair | None = None
-    phone_server_name_override: str | None = None  # a phished phone's belief
     drop_side_copy: bool = False
-
-    @property
-    def phone_inert(self) -> bool:
-        return (
-            self.scripted_positions is not None
-            or self.scripted_otp is not None
-            or self.scripted_ciphertext is not None
-        )
 
 
 # -------- message vocabulary --------
@@ -632,12 +619,7 @@ class UserModel(Entity):
 
     def on_show_keyboard(self, msg: ShowKeyboard) -> None:
         self.state["keyboard_shown"] = True
-        cfg = self.session.config
-        if cfg.scripted_positions is not None:
-            self.emit(ClickPositions(positions=tuple(cfg.scripted_positions)))
-        elif cfg.scripted_otp is not None:
-            self.emit(TypeOtp(otp=cfg.scripted_otp))
-        elif self.state["pending_otp"] is not None:
+        if self.state["pending_otp"] is not None:
             self._type_pending_otp()
 
     def on_show_layout(self, msg: ShowLayout) -> None:
@@ -722,10 +704,6 @@ class Terminal(Entity):
 
     def on_nonce_challenge(self, msg: NonceChallenge) -> None:
         self.state["nonce_frame_payload"] = msg.frame.payload
-        cfg = self.session.config
-        if cfg.scripted_ciphertext is not None:
-            self.emit(SubmitCiphertext(blob=cfg.scripted_ciphertext))
-            return
         self.emit(ShowFrame(frame=msg.frame, context="nonce"))
 
     def on_click_positions(self, msg: ClickPositions) -> None:
@@ -778,14 +756,11 @@ class Smartphone(Entity):
 
     kind = EntityKind.SMARTPHONE
 
-    def __init__(self, session, keypair: KeyPair, server_public: bytes, server_name: str, inert: bool):
+    def __init__(self, session, keypair: KeyPair, server_public: bytes, server_name: str):
         super().__init__(session)
-        self.inert = inert
         self.state.update(keypair=keypair, server_public=server_public, server_name=server_name)
 
     def on_show_frame(self, msg: ShowFrame) -> None:
-        if self.inert:
-            return
         try:
             payload = _capture(self.session, msg.frame, msg.context)
         except qr.UncorrectableFrameError:
@@ -1069,12 +1044,7 @@ class Server(Entity):
         side_tx = self.state.get("side_tx")
         if received is None or side_tx is None:
             return  # wait for the other half; on_idle fails closed
-        entry = self.state["registry"].get(self.session.config.user_id)
-        if entry is None:
-            self.session.finish(Outcome.REJECTED)
-            self.emit(TxResult(accepted=False))
-            return
-        _, public_key = entry
+        _, public_key = self.state["registry"][self.session.config.user_id]
         sig_ok = crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"])
         if sig_ok and side_tx == received:
             self._execute_tx(received)
@@ -1100,11 +1070,7 @@ class Server(Entity):
     # -- secure viewing --
 
     def _issue_document(self) -> None:
-        entry = self.state["registry"].get(self.session.config.user_id)
-        if entry is None:
-            self._deny()
-            return
-        _, public_key = entry
+        _, public_key = self.state["registry"][self.session.config.user_id]
         labels, frames = [], []
         for label, value in DEFAULT_VIEW_FIELDS:
             self.session.register_secret(
@@ -1160,28 +1126,18 @@ SERVER_FLOWS: dict[Protocol, dict[str, dict[str, tuple]]] = {
 def build_session(config: SessionConfig, store: CredentialStore) -> Session:
     credential = store.users.get(config.user_id)
     if credential is None:
-        # an id the server never provisioned still gets to walk up to the
-        # terminal and be denied; give the session disposable material
-        credential = Credential(
-            user_id=config.user_id,
-            password="unprovisioned",
-            keypair=crypto.generate_keypair(
-                Role.USER, rngmod.fork(config.seed, "unprovisioned-key", config.user_id)
-            ),
-        )
+        raise ValueError(f"no provisioned user {config.user_id!r}")
     session = Session(config.seed)
     session.config = config
     session.store = store
 
-    phone_pair = config.phone_keypair_override or credential.keypair
     user = UserModel(session, config, credential.password)
     terminal = Terminal(session)
     phone = Smartphone(
         session,
-        keypair=phone_pair,
+        keypair=credential.keypair,
         server_public=store.server_pair.public_key,
-        server_name=config.phone_server_name_override or store.server_name,
-        inert=config.phone_inert,
+        server_name=store.server_name,
     )
     server = Server(session, store)
     for entity in (user, terminal, phone, server):

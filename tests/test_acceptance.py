@@ -16,6 +16,7 @@ from visualauth import qr, rng as rngmod
 from visualauth.adversary import (
     confirmation_replay_scenario,
     posterior_count,
+    replaying,
     run_matrix,
 )
 from visualauth.entities import EntityKind, export_transcript
@@ -34,6 +35,8 @@ from visualauth.protocols import (
     Outcome,
     Protocol,
     SessionConfig,
+    SubmitCiphertext,
+    SubmitOtp,
     run_flow,
 )
 from visualauth.qr import EcLevel, FrameSpec, Mode
@@ -193,6 +196,7 @@ def test_criterion_6_keylogger_posterior():
 def test_criterion_7_replay_and_freshness():
     store3 = CredentialStore.provision(rngmod.child_seed(BASE_SEED, "replay3-store"))
     replayed_p3 = 0
+    aborted = 0  # a replay must be judged; an abort would prove nothing
     for i in range(REPLAY_RUNS):
         honest_seed = rngmod.child_seed(BASE_SEED, "replay3", "honest", str(i))
         honest = run_flow(SessionConfig(protocol=Protocol.P3, seed=honest_seed), store3)
@@ -200,10 +204,12 @@ def test_criterion_7_replay_and_freshness():
         blob = honest.session.entities[EntityKind.TERMINAL].state["credential_blob"]
         replay_seed = rngmod.child_seed(BASE_SEED, "replay3", "replay", str(i))
         replay = run_flow(
-            SessionConfig(protocol=Protocol.P3, seed=replay_seed, scripted_ciphertext=blob),
+            SessionConfig(protocol=Protocol.P3, seed=replay_seed),
             store3,
+            adversaries=[replaying(SubmitCiphertext(blob=blob))],
         )
         replayed_p3 += replay.outcome is Outcome.AUTHENTICATED
+        aborted += replay.outcome is Outcome.ABORTED
 
     store2 = CredentialStore.provision(rngmod.child_seed(BASE_SEED, "replay2-store"))
     reused_p2 = 0
@@ -214,10 +220,12 @@ def test_criterion_7_replay_and_freshness():
         spent = honest.session.entities[EntityKind.SERVER].state["token"].value
         replay_seed = rngmod.child_seed(BASE_SEED, "replay2", "replay", str(i))
         replay = run_flow(
-            SessionConfig(protocol=Protocol.P2, seed=replay_seed, scripted_otp=spent),
+            SessionConfig(protocol=Protocol.P2, seed=replay_seed),
             store2,
+            adversaries=[replaying(SubmitOtp(otp=spent))],
         )
         reused_p2 += replay.outcome is Outcome.AUTHENTICATED
+        aborted += replay.outcome is Outcome.ABORTED
 
     # positive control: without nonce freshness the stale receipt convinces
     control = confirmation_replay_scenario(
@@ -233,13 +241,20 @@ def test_criterion_7_replay_and_freshness():
         )
         confirmed_replays += outcome["attacked_outcome"] is Outcome.CONFIRMED
 
-    ok = replayed_p3 == 0 and reused_p2 == 0 and gap_demonstrated and confirmed_replays == 0
+    ok = (
+        replayed_p3 == 0
+        and reused_p2 == 0
+        and aborted == 0
+        and gap_demonstrated
+        and confirmed_replays == 0
+    )
     assert _line(
         7,
         "replay/freshness",
         ok,
         f"{replayed_p3}/{REPLAY_RUNS} ciphertext replays, {reused_p2}/{REPLAY_RUNS} reused "
-        f"one-time passwords, positive control {'held' if gap_demonstrated else 'failed'}, "
+        f"one-time passwords, {aborted} replays aborted, "
+        f"positive control {'held' if gap_demonstrated else 'failed'}, "
         f"{confirmed_replays}/{REPLAY_RUNS} stale confirmations accepted",
     )
 

@@ -7,6 +7,7 @@ import operator
 
 import pytest
 
+from visualauth import adversary
 from visualauth.adversary import (
     BROKEN_CELLS,
     EVIL_TX,
@@ -21,6 +22,7 @@ from visualauth.adversary import (
     fake_server_scenario,
     otp_race_scenario,
     posterior_count,
+    replaying,
     run_attacked_session,
     run_matrix,
 )
@@ -31,6 +33,8 @@ from visualauth.protocols import (
     Outcome,
     Protocol,
     SessionConfig,
+    SubmitPositions,
+    run_flow,
 )
 
 
@@ -412,6 +416,42 @@ class TestMatrix:
         )
         assert not breached.resisted
         assert breached.matches_expected
+
+
+class TestReplaysAreJudged:
+    def test_positions_that_spell_the_password_authenticate(self):
+        # positive control: the server judges what replaying submits, so the
+        # positions that spell the password on this seed's layout log in
+        store = CredentialStore.provision(281)
+        config = SessionConfig(protocol=Protocol.P1, seed=281)
+        probe = run_flow(config, store, adversaries=[replaying(SubmitPositions(positions=(0, 0, 0, 0)))])
+        assert probe.outcome is Outcome.DENIED
+        layout = probe.session.entities[EntityKind.SERVER].state["layout"]
+        spelled = tuple(layout.position_of(ch) for ch in store.users["alice"].password)
+        result = run_flow(config, store, adversaries=[replaying(SubmitPositions(positions=spelled))])
+        assert result.outcome is Outcome.AUTHENTICATED
+        # type_id, login_request, kbd_challenge, submit_positions, auth_result
+        assert result.session.step == 5
+        assert all(event.receiver is not EntityKind.SMARTPHONE for event in result.session.transcript)
+
+    def test_matrix_replays_are_denied_not_aborted(self, monkeypatch):
+        # an abort would mean the replay arrived out of order, and the
+        # cell's "resist" would prove nothing
+        sessions = []
+
+        def recording(submission):
+            install = replaying(submission)
+
+            def record(session):
+                sessions.append(session)
+                install(session)
+
+            return record
+
+        monkeypatch.setattr(adversary, "replaying", recording)
+        run_matrix(2026, trials=1)
+        assert {session.config.protocol for session in sessions} == set(AUTH_PROTOCOLS)
+        assert {session.outcome for session in sessions} == {Outcome.DENIED}
 
 
 class TestDualLocusSurfer:

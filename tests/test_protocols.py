@@ -7,10 +7,13 @@ import dataclasses
 import pytest
 
 from visualauth import crypto, qr
+from visualauth.adversary import phone_holding, replaying
 from visualauth.crypto import Role
 from visualauth.entities import (
     EntityKind,
+    Envelope,
     Message,
+    deliver,
     export_transcript,
     secrecy_violations,
 )
@@ -179,8 +182,16 @@ class TestWrongCredentials:
         assert result.outcome is Outcome.DENIED
 
     def test_unknown_user_denied(self):
-        result = run_flow(_cfg(Protocol.P1, 113, user_id="mallory"))
-        assert result.outcome is Outcome.DENIED
+        # an id the store never provisioned arrives on the wire
+        session = _run_with_injected(
+            _cfg(Protocol.P1, 113), LoginRequest(user_id="mallory", protocol="P1")
+        )
+        assert session.outcome is Outcome.DENIED
+        assert "layout" not in session.entities[EntityKind.SERVER].state
+
+    def test_session_user_must_be_provisioned(self):
+        with pytest.raises(ValueError, match="mallory"):
+            build_session(_cfg(Protocol.P1, 113, user_id="mallory"), CredentialStore.provision(113))
 
     def test_p1_wrong_then_right_with_two_attempts(self):
         result = run_flow(
@@ -280,7 +291,7 @@ class TestCiphertextReplayAndTamper:
         store = CredentialStore.provision(125)
         blob = self._steal_blob(125, store)
         replay = run_flow(
-            _cfg(Protocol.P3, 126, scripted_ciphertext=blob), store=store
+            _cfg(Protocol.P3, 126), store=store, adversaries=[replaying(SubmitCiphertext(blob=blob))]
         )
         assert replay.outcome is Outcome.DENIED
 
@@ -291,7 +302,9 @@ class TestCiphertextReplayAndTamper:
             mangled = bytearray(blob)
             mangled[i] ^= 0x01
             result = run_flow(
-                _cfg(Protocol.P3, 128, scripted_ciphertext=bytes(mangled)), store=store
+                _cfg(Protocol.P3, 128),
+                store=store,
+                adversaries=[replaying(SubmitCiphertext(blob=bytes(mangled)))],
             )
             assert result.outcome is Outcome.DENIED, f"byte {i}"
 
@@ -299,7 +312,7 @@ class TestCiphertextReplayAndTamper:
         # a phone that believes a different server name seals a credential
         # the real server refuses
         result = run_flow(
-            _cfg(Protocol.P3, 129, phone_server_name_override="totally-real-bank")
+            _cfg(Protocol.P3, 129), adversaries=[phone_holding(server_name="totally-real-bank")]
         )
         assert result.outcome is Outcome.DENIED
 
@@ -359,7 +372,7 @@ class TestFrameHandling:
 
     def test_wrong_phone_key_aborts_fatal(self):
         stranger = crypto.generate_keypair(Role.USER, seed=136)
-        result = run_flow(_cfg(Protocol.P1, 136, phone_keypair_override=stranger))
+        result = run_flow(_cfg(Protocol.P1, 136), adversaries=[phone_holding(keypair=stranger)])
         assert result.outcome is Outcome.ABORTED
         assert result.session.abort_reason == "challenge_ciphertext_rejected"
         assert not result.session.abort_retryable
@@ -519,8 +532,7 @@ class TestHijackGuard:
         store = CredentialStore.provision(164)
         stranger = crypto.generate_keypair(Role.USER, seed=164)
         result = run_hijack_guard(
-            _cfg(Protocol.HIJACKGUARD, 164, phone_keypair_override=stranger),
-            store=store,
+            _cfg(Protocol.HIJACKGUARD, 164), store=store, adversaries=[phone_holding(keypair=stranger)]
         )
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
@@ -676,3 +688,28 @@ class TestServerFailsClosed:
         assert session.outcome is Outcome.ABORTED
         assert session.abort_reason.startswith("forward_confirm_")
         assert session.executed_tx is None
+
+    def test_server_bound_covers_the_registry(self):
+        registered = {
+            cls.TAG for cls in Message.__subclasses__() if cls.CHANNEL.receiver is EntityKind.SERVER
+        }
+        assert registered <= {message.tag for message in SERVER_BOUND}
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_every_tag_a_phase_lacks_aborts(self, protocol):
+        # generated from the table: each phase of the flow, and "done",
+        # refuses every server-bound tag it has no row for
+        flow = SERVER_FLOWS[protocol]
+        known = {tag for rows in flow.values() for tag in rows}
+        store = CredentialStore.provision(187)
+        for phase in (*flow, "done"):
+            for message in SERVER_BOUND:
+                if message.tag in flow.get(phase, {}):
+                    continue
+                session = build_session(_cfg(protocol, 187), store)
+                session.entities[EntityKind.SERVER].phase = phase
+                deliver(session, Envelope(message.CHANNEL.name, message))
+                where = (phase, message.tag)
+                assert session.outcome is Outcome.ABORTED, where
+                kind = "out_of_order" if message.tag in known else "out_of_protocol"
+                assert session.abort_reason == f"{message.tag}_{kind}", where
