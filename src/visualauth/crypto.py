@@ -5,6 +5,10 @@ Design constraints this module enforces:
 * Every keypair is reproducible from a seed. Both curve25519 halves are
   derived from raw private bytes drawn off the caller's PRNG stream, so a
   scenario seed pins all key material.
+* A KeyPair is its raw bytes. The private key objects that decrypt and
+  sign use are loaded once per KeyPair, on first use, and held on the
+  instance outside its dataclass fields, so equality, hashing and
+  serialization never see them and no key is shared between pairs.
 * Every ciphertext is integrity protected. There is no unauthenticated
   mode; a flipped bit anywhere in a sealed payload must surface as
   IntegrityError at decryption, never as silently wrong plaintext.
@@ -18,6 +22,7 @@ tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import struct
 from dataclasses import dataclass
@@ -92,6 +97,16 @@ class KeyPair:
     @property
     def seal_public(self) -> bytes:
         return self.public_key[:32]
+
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # dataclass allows; the loaded keys are not fields
+    @functools.cached_property
+    def _seal_private(self) -> X25519PrivateKey:
+        return X25519PrivateKey.from_private_bytes(self.private_key[:32])
+
+    @functools.cached_property
+    def _sign_private(self) -> Ed25519PrivateKey:
+        return Ed25519PrivateKey.from_private_bytes(self.private_key[32:])
 
 
 def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
@@ -177,8 +192,7 @@ def decrypt(pair: KeyPair, ciphertext: Ciphertext) -> bytes:
     nonce = ciphertext.body[32 : 32 + _GCM_NONCE_LEN]
     ct = ciphertext.body[32 + _GCM_NONCE_LEN :] + ciphertext.tag
     try:
-        priv = X25519PrivateKey.from_private_bytes(pair.private_key[:32])
-        shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = pair._seal_private.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         key = _hybrid_key(shared, eph_pub, pair.seal_public)
         return AESGCM(key).decrypt(nonce, ct, _HYBRID_SCHEME + pair.seal_public)
     except (InvalidTag, ValueError) as exc:
@@ -205,8 +219,7 @@ class Signature:
 
 def sign(pair: KeyPair, message: bytes) -> Signature:
     """Detached signature over message with the signing half of pair."""
-    priv = Ed25519PrivateKey.from_private_bytes(pair.private_key[32:])
-    return Signature(sig=priv.sign(message), signer=pair.role)
+    return Signature(sig=pair._sign_private.sign(message), signer=pair.role)
 
 
 def verify(public_key: bytes, message: bytes, signature: Signature) -> bool:

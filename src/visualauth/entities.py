@@ -15,12 +15,19 @@ what it sends). The honest handler code cannot tell whether it is being
 watched. Attackers reach a session only through these taps and hooks, or
 by queueing traffic with Session.inject, all installed before the user
 begins; no entity reads an attacker setting.
+
+Snapshots and message digests both serialize through canonical_bytes,
+which runs on every delivery. It dispatches through a table of one
+encoder per exact type, filled the first time a type is seen; a subclass
+gets the encoder of the first base it matches, in the order
+canonical_bytes documents.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import struct
 from collections import deque
@@ -108,44 +115,103 @@ def register_message(channel_name: str):
 
 
 def canonical_bytes(obj) -> bytes:
-    """Stable type-tagged serialization used for digests and snapshots."""
-    if obj is None:
-        return b"N"
-    if isinstance(obj, bool):
-        return b"?" + (b"\x01" if obj else b"\x00")
-    if isinstance(obj, int):
-        enc = str(obj).encode()
-        return b"i" + struct.pack(">I", len(enc)) + enc
-    if isinstance(obj, float):
-        enc = repr(obj).encode()
-        return b"f" + struct.pack(">I", len(enc)) + enc
-    if isinstance(obj, str):
-        enc = obj.encode("utf-8")
-        return b"s" + struct.pack(">I", len(enc)) + enc
-    if isinstance(obj, (bytes, bytearray)):
-        return b"b" + struct.pack(">I", len(obj)) + bytes(obj)
-    if isinstance(obj, enum.Enum):
-        return canonical_bytes(obj.value)
-    if isinstance(obj, (tuple, list)):
-        parts = [canonical_bytes(x) for x in obj]
-        return b"l" + struct.pack(">I", len(parts)) + b"".join(parts)
-    if isinstance(obj, (set, frozenset)):
-        parts = sorted(canonical_bytes(x) for x in obj)
-        return b"e" + struct.pack(">I", len(parts)) + b"".join(parts)
-    if isinstance(obj, dict):
-        items = sorted((canonical_bytes(k), canonical_bytes(v)) for k, v in obj.items())
-        return (
-            b"d"
-            + struct.pack(">I", len(items))
-            + b"".join(k + v for k, v in items)
-        )
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        name = type(obj).__name__.encode()
-        body = b"".join(
-            canonical_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        )
-        return b"D" + struct.pack(">I", len(name)) + name + body
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+    """Stable type-tagged serialization used for digests and snapshots.
+
+    The encoder comes from _ENCODERS, keyed by exact type. A new type is
+    resolved once against _RESOLUTION, in this order: None, bool, int,
+    float, str, bytes or bytearray, Enum, tuple or list, set or frozenset,
+    dict, and last a dataclass instance. So a str- or int-mixin enum
+    member encodes as that builtin, through str() or .encode() on the
+    member itself, and a plain enum as its value. Anything else, a class
+    object included, raises TypeError.
+    """
+    encode = _ENCODERS.get(type(obj))
+    if encode is None:
+        encode = _resolve_encoder(type(obj))
+    return encode(obj)
+
+
+_u32 = struct.Struct(">I").pack
+
+
+def _encode_int(obj) -> bytes:
+    enc = str(obj).encode()
+    return b"i" + _u32(len(enc)) + enc
+
+
+def _encode_float(obj) -> bytes:
+    enc = repr(obj).encode()
+    return b"f" + _u32(len(enc)) + enc
+
+
+def _encode_str(obj) -> bytes:
+    enc = obj.encode("utf-8")
+    return b"s" + _u32(len(enc)) + enc
+
+
+def _encode_bytes(obj) -> bytes:
+    return b"b" + _u32(len(obj)) + bytes(obj)
+
+
+def _encode_sequence(obj) -> bytes:
+    return b"l" + _u32(len(obj)) + b"".join([canonical_bytes(x) for x in obj])
+
+
+def _encode_set(obj) -> bytes:
+    return b"e" + _u32(len(obj)) + b"".join(sorted([canonical_bytes(x) for x in obj]))
+
+
+def _encode_dict(obj) -> bytes:
+    # sort (key, value) pairs, never their concatenations: one key's
+    # encoding may be a prefix of another's
+    items = sorted([(canonical_bytes(k), canonical_bytes(v)) for k, v in obj.items()])
+    return b"d" + _u32(len(items)) + b"".join([k + v for k, v in items])
+
+
+_ENCODERS: dict[type, Callable[[object], bytes]] = {}
+
+# the isinstance chain a type meets on first sight; dataclasses come last
+_RESOLUTION = (
+    (type(None), lambda obj: b"N"),
+    (bool, lambda obj: b"?\x01" if obj else b"?\x00"),
+    (int, _encode_int),
+    (float, _encode_float),
+    (str, _encode_str),
+    ((bytes, bytearray), _encode_bytes),
+    (enum.Enum, lambda obj: canonical_bytes(obj.value)),
+    ((tuple, list), _encode_sequence),
+    ((set, frozenset), _encode_set),
+    (dict, _encode_dict),
+)
+
+
+def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
+    for bases, encode in _RESOLUTION:
+        if issubclass(cls, bases):
+            break
+    else:
+        if not dataclasses.is_dataclass(cls) or issubclass(cls, type):
+            raise TypeError(f"cannot canonicalize {cls.__name__}")
+        name = cls.__name__.encode()
+        header = b"D" + _u32(len(name)) + name
+        body = _fields_encoder(cls)
+
+        def encode(obj) -> bytes:
+            return header + body(obj)
+
+    _ENCODERS[cls] = encode
+    return encode
+
+
+@functools.cache
+def _fields_encoder(cls: type) -> Callable[[object], bytes]:
+    """A dataclass's field encodings, concatenated in declaration order."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+
+    def body(obj) -> bytes:
+        return b"".join([canonical_bytes(getattr(obj, name)) for name in names])
+
+    return body
 
 
 @dataclass(frozen=True)
@@ -158,14 +224,12 @@ class Message:
         return type(self).TAG
 
     def body_bytes(self) -> bytes:
-        return b"".join(
-            canonical_bytes(getattr(self, f.name)) for f in dataclasses.fields(self)
-        )
+        return _fields_encoder(type(self))(self)
 
     def wire(self) -> bytes:
         # tag byte, big-endian length, body
         body = self.body_bytes()
-        return bytes([_TAG_BYTES[self.tag]]) + struct.pack(">I", len(body)) + body
+        return bytes([_TAG_BYTES[self.tag]]) + _u32(len(body)) + body
 
     def digest(self) -> str:
         return hashlib.sha256(self.wire()).hexdigest()[:16]

@@ -17,6 +17,7 @@ and seed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 from . import qr, rng as rngmod
@@ -135,6 +136,16 @@ def _seed(raw: str, key: str) -> int:
     return value
 
 
+# names become file names and a field of the machine records
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
+def _name(raw: str, key: str) -> str:
+    if not _NAME.fullmatch(raw):
+        raise ValueError(f"name must match {_NAME.pattern}, got {raw!r}")
+    return raw
+
+
 def _codewords(raw: str, key: str) -> int | str:
     return raw if raw in ("budget", "budget+1") else _at_least(0)(raw, key)
 
@@ -146,7 +157,7 @@ _boolean = _choice(
 )
 
 _SCENARIO_KEYS = {
-    "name": lambda raw, key: raw,
+    "name": _name,
     "protocol": _choice({p.value.lower(): p for p in Protocol}, "unknown protocol {!r}"),
     "trials": _at_least(1),
     "seed": _seed,
@@ -227,6 +238,8 @@ def parse_config(text: str) -> ParsedConfig:
         if section == "matrix":
             matrix = MatrixRequest(**values)
         elif section == "scenario":
+            if any(s.name == values["name"] for s in scenarios):
+                raise ConfigError(lines.get("name", line_no), f"scenario name {values['name']!r} used twice")
             scenarios.append(_build_scenario(values, lines, line_no))
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):

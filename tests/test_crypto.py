@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -14,9 +15,11 @@ from visualauth.crypto import (
     CryptoError,
     IntegrityError,
     KeyboardPermutation,
+    KeyPair,
     Role,
     Signature,
 )
+from visualauth.entities import canonical_bytes
 from visualauth.rng import fork
 
 
@@ -42,6 +45,44 @@ class TestKeyPairs:
         # 32 sealing + 32 signing bytes on each half
         assert len(pair.public_key) == 64
         assert len(pair.private_key) == 64
+
+
+def _use(pair: KeyPair) -> Ciphertext:
+    """Make pair load both private keys: it opens a payload and signs."""
+    ct = crypto.encrypt(pair.public_key, b"for this pair only", rng=1101)
+    assert crypto.decrypt(pair, ct) == b"for this pair only"
+    assert crypto.verify(pair.public_key, b"statement", crypto.sign(pair, b"statement"))
+    return ct
+
+
+class TestLoadedKeys:
+    """Each KeyPair loads its private keys once, outside its fields."""
+
+    def test_loaded_keys_are_not_fields(self, pair):
+        def rebuilt():
+            return KeyPair(pair.role, pair.public_key, pair.private_key)
+
+        assert [f.name for f in fields(KeyPair)] == ["role", "public_key", "private_key"]
+        for _ in range(2):  # before the pair has used its keys, then after
+            fresh = rebuilt()
+            assert pair == fresh and hash(pair) == hash(fresh) and repr(pair) == repr(fresh)
+            assert canonical_bytes(pair) == canonical_bytes(fresh)
+            _use(pair)
+
+    def test_loaded_keys_never_cross_pairs(self, pair):
+        ct = _use(pair)
+        other = crypto.generate_keypair(pair.role, seed=1102)
+        # same role and same public key as pair, other private bytes
+        impostor = KeyPair(pair.role, pair.public_key, other.private_key)
+        for stranger in (other, impostor):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(stranger, ct)
+            forged = crypto.sign(stranger, b"statement")
+            assert not crypto.verify(pair.public_key, b"statement", forged)
+
+    def test_pair_built_from_raw_bytes_opens_its_own_mail(self, pair):
+        stolen = KeyPair(Role.USER, bytes(pair.public_key), bytes(pair.private_key))
+        _use(stolen)
 
 
 class TestSealing:

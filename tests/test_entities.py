@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import struct
 from dataclasses import dataclass
 
 import pytest
 
+from visualauth import entities
+from visualauth.adversary import run_matrix
 from visualauth.entities import (
     MAX_DELIVERIES,
     TOPOLOGY,
@@ -24,6 +28,7 @@ from visualauth.entities import (
     scan_states_for_secrets,
     secrecy_violations,
 )
+from visualauth.harness import Report, machine_records
 from visualauth.protocols import (
     CredentialStore,
     LoginRequest,
@@ -34,6 +39,56 @@ from visualauth.protocols import (
     build_session,
     run_flow,
 )
+
+
+def reference_canonical_bytes(obj) -> bytes:
+    """The recursive isinstance chain that canonical_bytes replaced, kept
+    verbatim as the oracle for its dispatch table."""
+    if obj is None:
+        return b"N"
+    if isinstance(obj, bool):
+        return b"?" + (b"\x01" if obj else b"\x00")
+    if isinstance(obj, int):
+        enc = str(obj).encode()
+        return b"i" + struct.pack(">I", len(enc)) + enc
+    if isinstance(obj, float):
+        enc = repr(obj).encode()
+        return b"f" + struct.pack(">I", len(enc)) + enc
+    if isinstance(obj, str):
+        enc = obj.encode("utf-8")
+        return b"s" + struct.pack(">I", len(enc)) + enc
+    if isinstance(obj, (bytes, bytearray)):
+        return b"b" + struct.pack(">I", len(obj)) + bytes(obj)
+    if isinstance(obj, enum.Enum):
+        return reference_canonical_bytes(obj.value)
+    if isinstance(obj, (tuple, list)):
+        parts = [reference_canonical_bytes(x) for x in obj]
+        return b"l" + struct.pack(">I", len(parts)) + b"".join(parts)
+    if isinstance(obj, (set, frozenset)):
+        parts = sorted(reference_canonical_bytes(x) for x in obj)
+        return b"e" + struct.pack(">I", len(parts)) + b"".join(parts)
+    if isinstance(obj, dict):
+        items = sorted(
+            (reference_canonical_bytes(k), reference_canonical_bytes(v)) for k, v in obj.items()
+        )
+        return (
+            b"d"
+            + struct.pack(">I", len(items))
+            + b"".join(k + v for k, v in items)
+        )
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        name = type(obj).__name__.encode()
+        body = b"".join(
+            reference_canonical_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        )
+        return b"D" + struct.pack(">I", len(name)) + name + body
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def _reference_body_bytes(message) -> bytes:
+    return b"".join(
+        reference_canonical_bytes(getattr(message, f.name)) for f in dataclasses.fields(message)
+    )
 
 
 class TestCanonicalBytes:
@@ -47,8 +102,8 @@ class TestCanonicalBytes:
         assert canonical_bytes(b"hi")[:1] == b"b"
 
     def test_type_tags_disambiguate(self):
-        # int 1, str "1", bytes b"1", True: all distinct encodings
-        values = [1, "1", b"1", True]
+        # int 1, str "1", bytes b"1", True, float 1.0: all distinct encodings
+        values = [1, "1", b"1", True, 1.0]
         encodings = {canonical_bytes(v) for v in values}
         assert len(encodings) == len(values)
 
@@ -84,6 +139,118 @@ class TestCanonicalBytes:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             canonical_bytes(object())
+
+
+class StrColor(str, enum.Enum):
+    RED = "red"
+
+
+class IntLevel(int, enum.Enum):
+    LOW = 1
+
+
+class Shouty(int):
+    def __str__(self):
+        return "many"
+
+
+class Label(str):
+    pass
+
+
+class Bag(dict):
+    pass
+
+
+# two dataclasses named Key: the short one's encoding is a prefix of the long one's
+ShortKey = dataclasses.make_dataclass("Key", [("a", int)], frozen=True)
+LongKey = dataclasses.make_dataclass("Key", [("a", int), ("b", int)], frozen=True)
+
+
+@dataclass
+class Box:
+    x: int
+
+
+class TestEncoderOracle:
+    """canonical_bytes against the isinstance chain it replaced."""
+
+    HAND_BUILT = [
+        None, 1, True, False, 1.0, -0.0, 10**30, "", "é", b"", bytearray(b"ab"),
+        StrColor.RED, IntLevel.LOW, Shouty(3), Label("red"), Bag(x=1, y=[2]),
+        [1, 2], (1, 2), {1, 2}, frozenset({1, 2}), {ShortKey(1): "s", LongKey(1, 2): 0},
+        {"nested": [(ShortKey(2), {b"k": {3.5}})]}, Box(7), [Box(8), None],
+    ]
+
+    @pytest.mark.parametrize("value", HAND_BUILT, ids=repr)
+    def test_hand_built_values_match_the_reference(self, value):
+        assert canonical_bytes(value) == reference_canonical_bytes(value)
+
+    def test_enums_and_subclasses_resolve_like_the_chain(self):
+        assert canonical_bytes(StrColor.RED) == canonical_bytes("red")
+        # an int-mixin enum is an int first: str() of the member, not its value
+        assert canonical_bytes(IntLevel.LOW) == b"i" + canonical_bytes(str(IntLevel.LOW))[1:]
+        assert canonical_bytes(Shouty(3)) == canonical_bytes(0)[:1] + canonical_bytes("many")[1:]
+        assert canonical_bytes(Label("red")) == canonical_bytes("red")
+        assert canonical_bytes(Bag(x=1)) == canonical_bytes({"x": 1})
+        assert canonical_bytes([1, 2]) == canonical_bytes((1, 2))
+        assert canonical_bytes({1, 2}) == canonical_bytes(frozenset({1, 2}))
+
+    def test_dict_sorts_pairs_not_concatenations(self):
+        short, long = ShortKey(1), LongKey(1, 2)
+        assert canonical_bytes(long).startswith(canonical_bytes(short))
+        expected = (
+            b"d" + struct.pack(">I", 2)
+            + canonical_bytes(short) + canonical_bytes("s")
+            + canonical_bytes(long) + canonical_bytes(0)
+        )
+        assert canonical_bytes({long: 0, short: "s"}) == expected
+
+    def test_mutable_dataclass_is_encoded_as_it_is_now(self):
+        box = Box(1)
+        first = canonical_bytes(box)
+        box.x = 2
+        assert canonical_bytes(box) != first
+        assert canonical_bytes(box) == reference_canonical_bytes(box)
+
+    def test_class_objects_and_unknown_types_raise(self):
+        for value in (Box, StrColor, object()):
+            with pytest.raises(TypeError):
+                canonical_bytes(value)
+        assert canonical_bytes(Box(3)) == reference_canonical_bytes(Box(3))
+
+    @staticmethod
+    def _every_session(monkeypatch):
+        """Transcripts and snapshots of all six flows at seeds 0-2 and of
+        every session a one-trial matrix runs, plus its records."""
+        sessions = []
+        run = entities.Session.run
+
+        def recording_run(self, *args, **kwargs):
+            sessions.append(self)
+            return run(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(entities.Session, "run", recording_run)
+            for protocol in Protocol:
+                for seed in (0, 1, 2):
+                    run_flow(SessionConfig(protocol=protocol, seed=seed))
+            records = machine_records(Report(matrix=run_matrix(2026, trials=1)))
+        outputs = [
+            (export_transcript(s), {kind: e.snapshots for kind, e in s.entities.items()})
+            for s in sessions
+        ]
+        return outputs, records
+
+    def test_sessions_match_the_reference(self, monkeypatch):
+        outputs, records = self._every_session(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(entities, "canonical_bytes", reference_canonical_bytes)
+            patch.setattr(entities.Message, "body_bytes", _reference_body_bytes)
+            reference, reference_records = self._every_session(monkeypatch)
+        assert len(outputs) > 18 * 2
+        assert outputs == reference
+        assert records == reference_records
 
 
 class TestTopology:

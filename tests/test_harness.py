@@ -133,6 +133,11 @@ class TestParsing:
             ("[scenario]\nprotocol = p1\njust words\n", 3, "key = value"),
             ("[matrix]\ncolor = red\n", 2, "in [matrix]"),
             ("# nothing here\n", 0, "no [scenario]"),
+            ("[scenario]\nname = sub/dir\nprotocol = p1\n", 2, "name must match"),
+            ("[scenario]\nprotocol = p1\nname = ../x\n", 3, "name must match"),
+            ("[scenario]\nname = a|b\nprotocol = p1\n", 2, "name must match"),
+            ("[scenario]\nname = twin\nprotocol = p1\n[scenario]\nprotocol = p2\nname = twin\n", 6, "'twin' used twice"),
+            ("[scenario]\nprotocol = p1\n[scenario]\nname = scenario-1\nprotocol = p2\n", 4, "used twice"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line_no, fragment):
@@ -413,6 +418,34 @@ class TestCli:
         assert code == 0
         assert (transcripts / "cliart.transcript").exists()
         assert any(n.endswith(".qrv") for n in os.listdir(frames))
+
+    def test_run_refuses_a_path_in_a_name(self, tmp_path, capsys):
+        path = tmp_path / "escape.cfg"
+        path.write_text("[scenario]\nprotocol = p1\nname = sub/dir\n")
+        transcripts = tmp_path / "t"
+        assert main(["run", str(path), "--transcripts", str(transcripts)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not transcripts.exists()
+
+    def test_artifacts_land_directly_in_their_directories(self, tmp_path, capsys):
+        path = tmp_path / "names.cfg"
+        path.write_text(
+            "[scenario]\nname = v1..2\nprotocol = p3\nseed = 84\n"
+            "[scenario]\nname = A_b-c.d\nprotocol = p1\nseed = 85\n"
+            "[scenario]\nprotocol = txverify\nseed = 86\n"
+        )
+        frames, transcripts = tmp_path / "f", tmp_path / "t"
+        code = main(["run", str(path), "--dump-frames", str(frames), "--transcripts", str(transcripts)])
+        capsys.readouterr()
+        assert code == 0
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
+        assert all(p.parent in (frames, transcripts) for p in written)
+        assert sorted(p.name for p in transcripts.iterdir()) == [
+            "A_b-c.d.transcript", "scenario-3.transcript", "v1..2.transcript",
+        ]
+        prefixes = ("v1..2_", "A_b-c.d_", "scenario-3_")
+        dumps = list(frames.iterdir())
+        assert dumps and all(p.name.startswith(prefixes) for p in dumps)
 
     def test_matrix_exit_codes(self, capsys):
         assert main(["matrix", "--trials", "0"]) == 2
