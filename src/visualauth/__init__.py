@@ -11,8 +11,8 @@ protocol-vs-attack resistance matrix by actually mounting each attack.
 from .adversary import (
     AdversaryConfig,
     AdversaryKind,
+    AttackerHandle,
     AttackOutcome,
-    attach,
     evaluate,
     posterior_count,
     run_matrix,
@@ -57,6 +57,7 @@ __all__ = [
     "ALPHABET",
     "AdversaryConfig",
     "AdversaryKind",
+    "AttackerHandle",
     "AttackOutcome",
     "CredentialStore",
     "EcLevel",
@@ -75,7 +76,6 @@ __all__ = [
     "SessionFlags",
     "Transaction",
     "VisualFrame",
-    "attach",
     "capacity",
     "decrypt",
     "encrypt",

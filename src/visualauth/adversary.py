@@ -19,8 +19,10 @@ exfiltrated, and reports what the server said. The resistance matrix is
 therefore an output of the state machines, not a transcription.
 
 Every attack is an honest session plus installs handed to ``run_flow``:
-taps and hooks on a locus (``attach``, ``replaying``) or state planted on
-the phone (``phone_holding``). No entity reads an attacker setting.
+taps and hooks on a locus (an ``AttackerHandle``, ``replaying``) or state
+planted on the phone (``phone_holding``). No entity reads an attacker
+setting, and no install can move a message off the channel its class
+declares.
 
 Phishing is not an adversary kind: a fake server impersonates the far
 end rather than compromising a locus, so it lives in its own scenario
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import crypto, rng as rngmod
-from .entities import Channel, ChannelKind, EntityKind, Message, Session
+from .entities import ChannelKind, EntityKind, Message, Session
 from .protocols import (
     AUTH_PROTOCOLS,
     DEFAULT_TX,
@@ -170,48 +172,47 @@ def _observe(msg: Message) -> tuple | None:
 
 @dataclass
 class AttackerHandle:
-    """One adversary attached to one session: config, taps, takings."""
+    """One adversary on one session: config, taps, takings.
+
+    The handle is the install run_flow takes: called with the built (not
+    yet run) session, it records the session and puts its kind's tap on
+    the locus, and for malware with alter_tx set, a hook that rewrites the
+    transaction the locus sends.
+    """
 
     config: AdversaryConfig
-    session: Session
+    alter_tx: Transaction | None = None  # armed for transaction flows
+    session: Session | None = None
     observations: list[Observation] = field(default_factory=list)
     stolen_keypair: crypto.KeyPair | None = None
-    alter_tx: Transaction | None = None  # armed for transaction flows
 
-    def record(self, step: int, kind: ChannelKind, msg: Message) -> None:
-        data = _observe(msg)
-        if data is not None:
-            self.observations.append(Observation(step=step, channel_kind=kind, data=data))
+    def __call__(self, session: Session) -> None:
+        self.session = session
+        surface = SURFACES[self.config.kind]
+        if not surface:
+            return
+        entity = session.entities[self.config.locus]
+
+        def tap(direction: str, msg: Message) -> None:
+            kind = msg.CHANNEL.kind
+            data = _observe(msg) if (direction, kind) in surface else None
+            if data is not None:
+                self.observations.append(Observation(step=session.step, channel_kind=kind, data=data))
+
+        entity.io_taps.append(tap)
+        if self.config.kind is AdversaryKind.MALWARE and self.alter_tx is not None:
+            entity.outbound_hooks.append(self._alter)
+
+    def _alter(self, msg: Message) -> Message:
+        if msg.tag in ("submit_tx", "side_copy"):
+            return replace(msg, tx=self.alter_tx)
+        return msg
 
     def observed(self, label: str):
         for obs in self.observations:
             if obs.data[0] == label:
                 return obs.data[1:]
         return None
-
-
-def attach(config: AdversaryConfig, session: Session) -> AttackerHandle:
-    """Install the adversary's tap and hook on a built (not yet run) session."""
-    handle = AttackerHandle(config=config, session=session)
-    surface = SURFACES[config.kind]
-    if not surface:
-        return handle
-    entity = session.entities[config.locus]
-
-    def tap(direction: str, channel: Channel, msg: Message) -> None:
-        if (direction, channel.kind) in surface:
-            handle.record(session.step, channel.kind, msg)
-
-    entity.io_taps.append(tap)
-    if config.kind is AdversaryKind.MALWARE:
-
-        def alter_hook(msg: Message) -> Message:
-            if handle.alter_tx is not None and msg.tag in ("submit_tx", "side_copy"):
-                return replace(msg, tx=handle.alter_tx)
-            return msg
-
-        entity.outbound_hooks.append(alter_hook)
-    return handle
 
 
 def _exfiltrate(handle: AttackerHandle) -> None:
@@ -236,11 +237,11 @@ def replaying(submission: Message):
         terminal = session.entities[EntityKind.TERMINAL]
         sent = False
 
-        def submit(direction: str, channel: Channel, msg: Message) -> None:
+        def submit(direction: str, msg: Message) -> None:
             nonlocal sent
-            if direction == "in" and channel.name == "net_down" and not sent:
+            if direction == "in" and msg.CHANNEL.name == "net_down" and not sent:
                 sent = True
-                session.inject("net_up", submission)
+                session.inject(submission)
 
         terminal.outbound_hooks.append(lambda msg: msg if msg.CHANNEL.receiver is EntityKind.SERVER else None)
         terminal.io_taps.append(submit)
@@ -321,14 +322,7 @@ def _transaction_alteration(handle: AttackerHandle) -> bool:
     store: CredentialStore = session.store
     seed = rngmod.child_seed(session.seed, "alter-tx", handle.config.locus.value)
     config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.config.flags)
-    followup = None
-
-    def install(new_session: Session) -> None:
-        nonlocal followup
-        followup = attach(handle.config, new_session)
-        followup.alter_tx = EVIL_TX
-
-    result = run_hijack_guard(config, store, adversaries=[install])
+    result = run_hijack_guard(config, store, adversaries=[AttackerHandle(handle.config, alter_tx=EVIL_TX)])
     return result.session.executed_tx == EVIL_TX
 
 
@@ -353,13 +347,9 @@ def run_attacked_session(
 ) -> tuple[AttackerHandle, SessionResult]:
     """Honest run with the adversary attached; returns handle + result."""
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
-    holder = []
-
-    def install(session: Session) -> None:
-        holder.append(attach(config, session))
-
-    result = run_flow(session_config, store, adversaries=[install])
-    return holder[0], result
+    handle = AttackerHandle(config)
+    result = run_flow(session_config, store, adversaries=[handle])
+    return handle, result
 
 
 # -------- the keylogger posterior, in closed form --------
@@ -412,13 +402,8 @@ def dual_locus_surfer_scenario(seed: int, store: CredentialStore | None = None) 
     """
     store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
     session_config = SessionConfig(protocol=Protocol.P1, seed=seed)
-    handles = []
-
-    def install(session: Session) -> None:
-        handles.append(attach(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.TERMINAL), session))
-        handles.append(attach(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.SMARTPHONE), session))
-
-    result = run_flow(session_config, store, adversaries=[install])
+    handles = [AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, locus)) for locus in MATRIX_LOCI]
+    result = run_flow(session_config, store, adversaries=handles)
     positions = None
     layout_bytes = None
     for handle in handles:
@@ -505,7 +490,7 @@ def confirmation_replay_scenario(
     def recorder(session: Session) -> None:
         terminal = session.entities[EntityKind.TERMINAL]
 
-        def tap(direction: str, channel, msg) -> None:
+        def tap(direction: str, msg) -> None:
             if msg.tag == "tx_confirmation":
                 captured["frame"] = msg.frame
                 captured["display_tx"] = msg.display_tx
@@ -573,14 +558,7 @@ def otp_race_scenario(seed: int, hijack_guard: bool, store: CredentialStore | No
     hijack_config = SessionConfig(
         protocol=Protocol.HIJACKGUARD, seed=rngmod.child_seed(seed, "hijack"), flags=flags
     )
-    followup = []
-
-    def install(session: Session) -> None:
-        h = attach(config, session)
-        h.alter_tx = EVIL_TX
-        followup.append(h)
-
-    hijack = run_hijack_guard(hijack_config, store, adversaries=[install])
+    hijack = run_hijack_guard(hijack_config, store, adversaries=[AttackerHandle(config, alter_tx=EVIL_TX)])
     return {
         "login_outcome": login_result.outcome,
         "otp_captured": captured is not None,

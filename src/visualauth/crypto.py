@@ -6,9 +6,11 @@ Design constraints this module enforces:
   derived from raw private bytes drawn off the caller's PRNG stream, so a
   scenario seed pins all key material.
 * A KeyPair is its raw bytes. The private key objects that decrypt and
-  sign use are loaded once per KeyPair, on first use, and held on the
-  instance outside its dataclass fields, so equality, hashing and
-  serialization never see them and no key is shared between pairs.
+  sign use are loaded once per KeyPair and held on the instance outside
+  its dataclass fields, so equality, hashing and serialization never see
+  them and no key is shared between pairs. generate_keypair hands over
+  the objects it loaded to derive the public key; a pair built from raw
+  bytes loads each on first use.
 * Every ciphertext is integrity protected. There is no unauthenticated
   mode; a flipped bit anywhere in a sealed payload must surface as
   IntegrityError at decryption, never as silently wrong plaintext.
@@ -123,7 +125,10 @@ def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
         seal_priv.public_key().public_bytes(_RAW, _RAW_PUB)
         + sign_priv.public_key().public_bytes(_RAW, _RAW_PUB)
     )
-    return KeyPair(role=role, public_key=pub, private_key=seal_raw + sign_raw)
+    pair = KeyPair(role=role, public_key=pub, private_key=seal_raw + sign_raw)
+    # fill the cached properties with the keys already loaded
+    vars(pair).update(_seal_private=seal_priv, _sign_private=sign_priv)
+    return pair
 
 
 # -------- sealed payloads --------

@@ -9,12 +9,13 @@ payload digest) and a per-entity history of serialized state snapshots.
 The snapshot history exists for one reason: secrecy claims about where
 plaintext secrets may live are checked by scanning it, not by trusting
 the protocol code. Channels are fixed module-level declarations and
-carry nothing; an observer watches an entity instead, through its io taps
-(every message in and out) and outbound hooks (which may rewrite or drop
-what it sends). The honest handler code cannot tell whether it is being
-watched. Attackers reach a session only through these taps and hooks, or
-by queueing traffic with Session.inject, all installed before the user
-begins; no entity reads an attacker setting.
+carry nothing; a message travels only on the channel its class names.
+An observer watches an entity instead, through its io taps (every message
+in and out) and outbound hooks (which may rewrite or drop what it sends,
+but not send on another party's channel). The honest handler code cannot
+tell whether it is being watched. Attackers reach a session only through
+these taps and hooks, or by queueing traffic with Session.inject, all
+installed before the user begins; no entity reads an attacker setting.
 
 Snapshots and message digests both serialize through canonical_bytes,
 which runs on every delivery. It dispatches through a table of one
@@ -97,8 +98,8 @@ _TAG_BYTES: dict[str, int] = {}
 def register_message(channel_name: str):
     """Bind a message class to its one legal channel and assign a wire tag.
 
-    This is the only place a message's channel is stated: Entity.emit
-    routes by it.
+    This is the only place a message's channel is stated: Entity.emit,
+    Session.inject and deliver route by it.
     """
 
     def deco(cls):
@@ -236,12 +237,6 @@ class Message:
 
 
 @dataclass(frozen=True)
-class Envelope:
-    channel_name: str
-    message: Message
-
-
-@dataclass(frozen=True)
 class TranscriptEvent:
     step: int
     channel_kind: ChannelKind
@@ -296,22 +291,26 @@ class Entity:
         self.state: dict = {}
         self.snapshots: list[tuple[int, bytes]] = []
         # installed by observers: hook(message) -> message or None (dropped),
-        # tap(direction, channel, message) with direction "in" or "out"
+        # tap(direction, message) with direction "in" or "out"
         self.outbound_hooks: list[Callable] = []
         self.io_taps: list[Callable] = []
 
     def emit(self, message: Message) -> None:
-        """Send message on the channel its class was registered for."""
-        channel = message.CHANNEL
-        if channel.sender is not self.kind:
-            raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")
+        """Send message on the channel its class was registered for.
+
+        The sender is checked after the outbound hooks, so a hook cannot
+        turn a message into one that travels on another party's channel.
+        """
         for hook in self.outbound_hooks:
             message = hook(message)
             if message is None:
                 return  # dropped in transit by the compromise
+        channel = message.CHANNEL
+        if channel.sender is not self.kind:
+            raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")
         for tap in self.io_taps:
-            tap("out", channel, message)
-        self.session.inject(channel.name, message)
+            tap("out", message)
+        self.session.inject(message)
 
     def handle(self, message: Message) -> None:
         self.handler_for(message)(message)
@@ -345,7 +344,7 @@ class Session:
         self.entities: dict[EntityKind, Entity] = {}
         self.transcript: list[TranscriptEvent] = []
         self.step = 0
-        self._order: deque[Envelope] = deque()
+        self._order: deque[Message] = deque()
         self.outcome = None
         self.closed = False
         self.frame_log: list[tuple[int, str, VisualFrame]] = []
@@ -371,14 +370,10 @@ class Session:
     def note_frame(self, context: str, frame: VisualFrame) -> None:
         self.frame_log.append((self.step, context, frame))
 
-    def inject(self, channel_name: str, message: Message) -> Envelope:
-        """Queue a message on any channel, its declared one or not; with no
+    def inject(self, message: Message) -> None:
+        """Queue a message on the channel its class declares; with no
         sending entity, this is also how an attacker inserts traffic."""
-        if channel_name not in CHANNELS:
-            raise KeyError(channel_name)
-        envelope = Envelope(channel_name, message)
-        self._order.append(envelope)
-        return envelope
+        self._order.append(message)
 
     def finish(self, outcome) -> None:
         if self.outcome is None:
@@ -406,33 +401,33 @@ class Session:
         return self.outcome
 
 
-def deliver(session: Session, envelope: Envelope) -> None:
-    """Deliver one event: advance the receiving machine exactly one handler.
+def deliver(session: Session, message: Message) -> None:
+    """Deliver one message on its channel: advance the receiving machine
+    exactly one handler.
 
-    Raises ProtocolViolation for events delivered to a closed session or
-    that no handler accepts.
+    Raises ProtocolViolation for a message delivered to a closed session
+    or that no handler accepts.
     """
     if session.closed:
         raise ProtocolViolation("message delivered to a completed session")
-    channel = CHANNELS[envelope.channel_name]
+    channel = message.CHANNEL
     receiver = session.entities.get(channel.receiver)
     if receiver is None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")
     session.step += 1
-    msg = envelope.message
     session.transcript.append(
         TranscriptEvent(
             step=session.step,
             channel_kind=channel.kind,
             sender=channel.sender,
             receiver=channel.receiver,
-            tag=msg.tag,
-            digest=msg.digest(),
+            tag=message.tag,
+            digest=message.digest(),
         )
     )
     for tap in receiver.io_taps:
-        tap("in", channel, msg)
-    receiver.handle(msg)
+        tap("in", message)
+    receiver.handle(message)
     receiver.take_snapshot(session.step)
 
 

@@ -182,6 +182,15 @@ _SCENARIO_KEYS = {
     "followup_budget": _at_least(1),
 }
 _MATRIX_KEYS = ("trials", "seed", "followup_budget")
+# keys only some flows read: (key, those flows, what the refusal says);
+# only the keyboard and OTP challenges are signed
+_FLOW_ONLY_KEYS = (
+    ("sign_server_payloads", (Protocol.P1, Protocol.P2), "protocol = p1 or p2"),
+    ("tx_nonce_freshness", (Protocol.TXVERIFY,), "protocol = txverify"),
+    ("hijack_guard", (Protocol.HIJACKGUARD,), "protocol = hijackguard"),
+    ("drop_side_copy", (Protocol.HIJACKGUARD,), "protocol = hijackguard"),
+    ("max_attempts", AUTH_PROTOCOLS, "a login protocol"),
+)
 _FLAG_FIELDS = tuple(f.name for f in fields(SessionFlags))
 _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))
 
@@ -207,12 +216,11 @@ def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scena
     context = values.get("corrupt_context")
     if context is not None and context not in contexts:
         raise ConfigError(lines["corrupt_context"], f"{protocol.value} makes no {context!r} capture")
-    if "drop_side_copy" in lines and protocol is not Protocol.HIJACKGUARD:
-        raise ConfigError(lines["drop_side_copy"], "drop_side_copy needs protocol = hijackguard")
+    for key, flows, needs in _FLOW_ONLY_KEYS:
+        if key in lines and protocol not in flows:
+            raise ConfigError(lines[key], f"{key} needs {needs}")
     if "ec_level" in values:
         values["frame_ec"] = values.pop("ec_level")
-    if "max_attempts" in lines and protocol not in AUTH_PROTOCOLS:
-        raise ConfigError(lines["max_attempts"], "max_attempts needs a login protocol")
     if values.pop("credentials", False):
         if protocol not in AUTH_PROTOCOLS:
             raise ConfigError(lines["credentials"], "credentials = wrong needs a login protocol")

@@ -29,7 +29,7 @@ import enum
 import struct
 from dataclasses import dataclass, field, replace
 
-from . import crypto, entities, qr, rng as rngmod
+from . import crypto, qr, rng as rngmod
 from .crypto import (
     KeyPair,
     KeyboardPermutation,
@@ -200,6 +200,9 @@ CAPTURE_CONTEXTS = {
     Protocol.SECUREVIEW: tuple(f"secure_field:{label}" for label, _ in DEFAULT_VIEW_FIELDS),
     Protocol.HIJACKGUARD: (),
 }
+# the one ShowFrame context each login flow's phone scans; the flow, not
+# the terminal's label, says what the frame holds
+PHONE_SCANS = {Protocol.P1: "keyboard", Protocol.P2: "otp", Protocol.P3: "nonce"}
 
 
 @dataclass(frozen=True)
@@ -761,20 +764,24 @@ class Smartphone(Entity):
         self.state.update(keypair=keypair, server_public=server_public, server_name=server_name)
 
     def on_show_frame(self, msg: ShowFrame) -> None:
+        context = PHONE_SCANS.get(self.session.config.protocol)
+        if msg.context != context:
+            _abort(self.session, "show_frame_out_of_protocol", retryable=False)
+            return
         try:
-            payload = _capture(self.session, msg.frame, msg.context)
+            payload = _capture(self.session, msg.frame, context)
         except qr.UncorrectableFrameError:
             _abort(self.session, "frame_undecodable", retryable=True)
             return
-        if msg.context == "keyboard":
+        if context == "keyboard":
             self._handle_keyboard_payload(payload)
-        elif msg.context == "otp":
+        elif context == "otp":
             self._handle_otp_payload(payload)
-        elif msg.context == "nonce":
+        elif len(payload) != crypto.NONCE_LEN:
+            _abort(self.session, "nonce_malformed", retryable=False)
+        else:
             self.state["nonce"] = payload
             self.emit(ShowLoginBox())
-        else:
-            raise entities.ProtocolViolation(f"unknown frame context {msg.context!r}")
 
     def _verify_and_open(self, payload: bytes) -> bytes | None:
         try:

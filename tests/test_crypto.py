@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 from dataclasses import fields
@@ -83,6 +84,24 @@ class TestLoadedKeys:
     def test_pair_built_from_raw_bytes_opens_its_own_mail(self, pair):
         stolen = KeyPair(Role.USER, bytes(pair.public_key), bytes(pair.private_key))
         _use(stolen)
+
+    def test_generated_pair_keeps_the_keys_it_loaded(self, monkeypatch):
+        loads = collections.Counter()
+
+        def counted(key_class):
+            def from_private_bytes(raw):
+                loads[key_class.__name__] += 1
+                return key_class.from_private_bytes(raw)
+
+            return type(key_class.__name__, (), {"from_private_bytes": staticmethod(from_private_bytes)})
+
+        for name in ("X25519PrivateKey", "Ed25519PrivateKey"):
+            monkeypatch.setattr(crypto, name, counted(getattr(crypto, name)))
+        pair = crypto.generate_keypair(Role.USER, seed=1103)
+        assert loads == {"X25519PrivateKey": 1, "Ed25519PrivateKey": 1}
+        for _ in range(2):
+            _use(pair)  # each round also loads encrypt's ephemeral key
+        assert loads == {"X25519PrivateKey": 3, "Ed25519PrivateKey": 1}
 
 
 class TestSealing:

@@ -10,14 +10,13 @@ from dataclasses import dataclass
 import pytest
 
 from visualauth import entities
-from visualauth.adversary import run_matrix
+from visualauth.adversary import EVIL_TX, run_matrix
 from visualauth.entities import (
     MAX_DELIVERIES,
     TOPOLOGY,
     ChannelKind,
     Entity,
     EntityKind,
-    Envelope,
     LivenessError,
     ProtocolViolation,
     SecretKind,
@@ -30,6 +29,7 @@ from visualauth.entities import (
 )
 from visualauth.harness import Report, machine_records
 from visualauth.protocols import (
+    ConfirmOnPhone,
     CredentialStore,
     LoginRequest,
     Outcome,
@@ -289,12 +289,17 @@ class TestChannelDiscipline:
         with pytest.raises(ProtocolViolation):
             user.emit(LoginRequest(user_id="alice", protocol="P1"))
 
-    def test_unknown_handler_rejected(self):
-        session = _built_session()
-        envelope = session.inject("click_phone", TypeId(user_id="alice"))
-        # the phone has no on_type_id handler
-        with pytest.raises(ProtocolViolation):
-            deliver(session, envelope)
+    def test_hook_cannot_send_on_another_partys_channel(self):
+        # a tap on the phone's screen travels on click_phone, the user's
+        # channel; a terminal hook that produces one is refused, so the
+        # terminal cannot confirm a transaction in the user's name
+        session = _built_session(protocol=Protocol.HIJACKGUARD)
+        terminal = session.entities[EntityKind.TERMINAL]
+        terminal.outbound_hooks.append(lambda msg: ConfirmOnPhone(tx=EVIL_TX))
+        session.entities[EntityKind.USER].begin()
+        with pytest.raises(ProtocolViolation, match="terminal cannot send on click_phone"):
+            session.run()
+        assert session.executed_tx is None
 
     def test_delivery_to_closed_session_rejected(self):
         session = _built_session(seed=902)
@@ -302,7 +307,7 @@ class TestChannelDiscipline:
         session.run()
         assert session.closed
         with pytest.raises(ProtocolViolation):
-            deliver(session, Envelope("click_terminal", TypeId(user_id="alice")))
+            deliver(session, TypeId(user_id="alice"))
 
 
 class TestRunLoop:
@@ -456,9 +461,9 @@ class TestTaps:
         store = CredentialStore.provision(911)
         session = build_session(SessionConfig(protocol=Protocol.P1, seed=911), store)
 
-        def tap(direction, channel, msg):
-            if direction == "in" and channel.kind is ChannelKind.CLICK:
-                seen.append((channel.name, msg.tag))
+        def tap(direction, msg):
+            if direction == "in" and msg.CHANNEL.kind is ChannelKind.CLICK:
+                seen.append((msg.CHANNEL.name, msg.tag))
 
         for entity in session.entities.values():
             entity.io_taps.append(tap)
@@ -480,7 +485,7 @@ class TestTaps:
         store = CredentialStore.provision(913)
         session = build_session(SessionConfig(protocol=Protocol.P1, seed=913), store)
         terminal = session.entities[EntityKind.TERMINAL]
-        terminal.io_taps.append(lambda d, ch, msg: directions.add(d))
+        terminal.io_taps.append(lambda d, msg: directions.add(d))
         session.entities[EntityKind.USER].begin()
         session.run()
         assert directions == {"in", "out"}

@@ -128,6 +128,12 @@ class TestParsing:
             ("[scenario]\nmax_attempts = 2\nprotocol = secureview\n", 2, "max_attempts needs a login protocol"),
             ("[scenario]\nprotocol = hijackguard\nmax_attempts = 3\n", 3, "max_attempts needs a login protocol"),
             ("[scenario]\ndrop_side_copy = on\nprotocol = p2\n", 2, "drop_side_copy needs protocol = hijackguard"),
+            ("[scenario]\nprotocol = p3\nsign_server_payloads = off\n", 3, "sign_server_payloads needs protocol = p1 or p2"),
+            ("[scenario]\nsign_server_payloads = on\nprotocol = txverify\n", 2, "sign_server_payloads needs protocol = p1 or p2"),
+            ("[scenario]\nprotocol = p1\ntx_nonce_freshness = off\n", 3, "tx_nonce_freshness needs protocol = txverify"),
+            ("[scenario]\nprotocol = hijackguard\ntx_nonce_freshness = off\n", 3, "tx_nonce_freshness needs protocol = txverify"),
+            ("[scenario]\nprotocol = p2\nadversary = malware\nhijack_guard = off\n", 4, "hijack_guard needs protocol = hijackguard"),
+            ("[scenario]\nhijack_guard = on\nprotocol = txverify\n", 2, "hijack_guard needs protocol = hijackguard"),
             ("[scenario]\nprotocol = p1\nexpect_rainbows = 1\n", 3, "unknown expectation 'expect_rainbows'"),
             ("[scenario]\nprotocol = p1\ntrials = 2\nexpect_authenticatd = 2\n", 4, "unknown expectation"),
             ("[scenario]\nprotocol = p1\njust words\n", 3, "key = value"),
@@ -168,16 +174,17 @@ class TestParsing:
         assert p2_cfg.mistype_otp
 
     def test_every_key_lands_on_its_field(self):
-        # drop_side_copy only means something on HIJACKGUARD, so it gets a
-        # second scenario; between them the two set every key
+        # the transaction keys only mean something on their own flows, so
+        # they get a scenario each; between them the three set every key
         text = (
             "[scenario]\nname = every-key\nprotocol = p1\ntrials = 3\nseed = 77\n"
             "adversary = malware\nlocus = smartphone\nsign_server_payloads = off\n"
-            "hijack_guard = no\ntx_nonce_freshness = false\n"
             "ec_level = h\ncorrupt_codewords = 2\ncorrupt_context = keyboard\n"
             "credentials = wrong\nmax_attempts = 2\nfollowup_budget = 5\n"
             "expect_denied = 3\nexpect_breaches = 0\n"
             "[scenario]\nname = side-copy\nprotocol = hijackguard\ndrop_side_copy = yes\n"
+            "hijack_guard = no\n"
+            "[scenario]\nname = stale\nprotocol = txverify\ntx_nonce_freshness = false\n"
         )
         keys = {line.split(" = ")[0] for line in text.splitlines() if " = " in line}
         assert keys - {"expect_denied", "expect_breaches"} == set(harness._SCENARIO_KEYS)
@@ -188,9 +195,7 @@ class TestParsing:
                 seed=77,
                 submit_passwords=(WRONG_PASSWORD,),
                 max_attempts=2,
-                flags=SessionFlags(
-                    sign_server_payloads=False, hijack_guard=False, tx_nonce_freshness=False
-                ),
+                flags=SessionFlags(sign_server_payloads=False),
                 frame_ec=qr.EcLevel.H,
                 corrupt_codewords=2,
                 corrupt_context="keyboard",
@@ -202,9 +207,15 @@ class TestParsing:
         )
         side_copy = Scenario(
             name="side-copy",
-            config=SessionConfig(protocol=Protocol.HIJACKGUARD, drop_side_copy=True),
+            config=SessionConfig(
+                protocol=Protocol.HIJACKGUARD, drop_side_copy=True, flags=SessionFlags(hijack_guard=False)
+            ),
         )
-        assert parse_config(text).scenarios == [every_key, side_copy]
+        stale = Scenario(
+            name="stale",
+            config=SessionConfig(protocol=Protocol.TXVERIFY, flags=SessionFlags(tx_nonce_freshness=False)),
+        )
+        assert parse_config(text).scenarios == [every_key, side_copy, stale]
 
     def test_wrong_password_is_typeable_and_wrong(self):
         assert all(ch in crypto.ALPHABET for ch in WRONG_PASSWORD)

@@ -6,12 +6,11 @@ import dataclasses
 
 import pytest
 
-from visualauth import crypto, qr
+from visualauth import crypto, entities, qr
 from visualauth.adversary import phone_holding, replaying
 from visualauth.crypto import Role
 from visualauth.entities import (
     EntityKind,
-    Envelope,
     Message,
     deliver,
     export_transcript,
@@ -24,6 +23,7 @@ from visualauth.protocols import (
     DEFAULT_VIEW_FIELDS,
     GRID_COLS,
     GRID_ROWS,
+    PHONE_SCANS,
     SERVER_FLOWS,
     ConnectRequest,
     CredentialStore,
@@ -143,7 +143,7 @@ class TestHonestLogins:
 
         session = build_session(_cfg(Protocol.P1, 107), store)
         session.entities[EntityKind.TERMINAL].io_taps.append(
-            lambda direction, ch, msg: shown.append(msg) if msg.tag == "show_keyboard" else None
+            lambda direction, msg: shown.append(msg) if msg.tag == "show_keyboard" else None
         )
         session.entities[EntityKind.USER].begin()
         session.run()
@@ -211,7 +211,7 @@ class TestWrongCredentials:
             store,
         )
         session.entities[EntityKind.SMARTPHONE].io_taps.append(
-            lambda direction, ch, msg: layouts.append(msg.layout)
+            lambda direction, msg: layouts.append(msg.layout)
             if msg.tag == "show_layout"
             else None
         )
@@ -317,6 +317,22 @@ class TestCiphertextReplayAndTamper:
         assert result.outcome is Outcome.DENIED
 
 
+def _rewriting_frames(**changes):
+    """A terminal that rewrites the fields of every frame it shows the phone."""
+
+    def install(session):
+        session.entities[EntityKind.TERMINAL].outbound_hooks.append(
+            lambda msg: dataclasses.replace(msg, **changes) if msg.tag == "show_frame" else msg
+        )
+
+    return install
+
+
+def _frame_of(size):
+    payload = bytes(range(size))
+    return qr.qr_encode(payload, qr.choose_spec(payload))
+
+
 class TestFrameHandling:
     @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=_login_id)
     def test_damage_at_the_budget_still_authenticates(self, protocol):
@@ -381,6 +397,38 @@ class TestFrameHandling:
         flags = SessionFlags(sign_server_payloads=False)
         result = run_flow(_cfg(Protocol.P1, 137, flags=flags))
         assert result.outcome is Outcome.AUTHENTICATED
+
+    @pytest.mark.parametrize(
+        "protocol, label",
+        [
+            (protocol, label)
+            for protocol in AUTH_PROTOCOLS
+            for label in ("keyboard", "otp", "nonce", "credential_upload", "bogus")
+            if label != PHONE_SCANS[protocol]
+        ],
+        ids=str,
+    )
+    def test_relabelled_frame_aborts_fatal(self, protocol, label):
+        # the phone takes a frame's meaning from its own flow, never from
+        # the label the terminal puts on it
+        result = run_flow(_cfg(protocol, 138), adversaries=[_rewriting_frames(context=label)])
+        assert result.outcome is Outcome.ABORTED
+        assert result.session.abort_reason == "show_frame_out_of_protocol"
+        assert not result.session.abort_retryable
+        assert secrecy_violations(result.session) == []
+
+    @pytest.mark.parametrize("size", [15, 17, 200])
+    def test_malformed_nonce_aborts_fatal(self, size):
+        result = run_flow(_cfg(Protocol.P3, 139), adversaries=[_rewriting_frames(frame=_frame_of(size))])
+        assert result.outcome is Outcome.ABORTED
+        assert result.session.abort_reason == "nonce_malformed"
+        assert not result.session.abort_retryable
+
+    def test_well_formed_foreign_nonce_reaches_the_server(self):
+        # the control: a nonce of the right length is sealed and sent up,
+        # and the server denies it as not its own
+        result = run_flow(_cfg(Protocol.P3, 139), adversaries=[_rewriting_frames(frame=_frame_of(crypto.NONCE_LEN))])
+        assert result.outcome is Outcome.DENIED
 
 
 class TestTransactionVerification:
@@ -540,8 +588,8 @@ class TestHijackGuard:
 
 class TestDispatch:
     def test_every_message_has_a_handler_at_its_receiver(self):
-        # emit routes a message by its declared channel; whoever sits at the
-        # far end of that channel must have a handler for it
+        # a message travels only on its declared channel; whoever sits at
+        # the far end of that channel must have a handler for it
         entity_classes = {
             EntityKind.USER: UserModel,
             EntityKind.TERMINAL: Terminal,
@@ -550,7 +598,9 @@ class TestDispatch:
         server_tags = {
             tag for flow in SERVER_FLOWS.values() for rows in flow.values() for tag in rows
         }
-        for cls in Message.__subclasses__():
+        registered = Message.__subclasses__()
+        assert {cls.TAG for cls in registered} == set(entities._TAG_BYTES)
+        for cls in registered:
             receiver = cls.CHANNEL.receiver
             if receiver is EntityKind.SERVER:
                 assert cls.TAG in server_tags, cls.TAG
@@ -583,20 +633,19 @@ def _run_with_injected(config, message, at=0):
     delivery starts. The store also provisions a second user, bob."""
     store = CredentialStore.provision(config.seed, users=(("alice", "data"), ("bob", "b0b5")))
     session = build_session(config, store)
-    channel = "cellular" if message.tag == SideCopy.TAG else "net_up"
     deliveries = 0
 
-    def count(direction, _channel, _msg):
+    def count(direction, _msg):
         nonlocal deliveries
         if direction == "in":
             deliveries += 1
             if deliveries == at:
-                session.inject(channel, message)
+                session.inject(message)
 
     for entity in session.entities.values():
         entity.io_taps.append(count)
     if at == 0:
-        session.inject(channel, message)
+        session.inject(message)
     session.entities[EntityKind.USER].begin()
     session.run()
     return session
@@ -708,7 +757,7 @@ class TestServerFailsClosed:
                     continue
                 session = build_session(_cfg(protocol, 187), store)
                 session.entities[EntityKind.SERVER].phase = phase
-                deliver(session, Envelope(message.CHANNEL.name, message))
+                deliver(session, message)
                 where = (phase, message.tag)
                 assert session.outcome is Outcome.ABORTED, where
                 kind = "out_of_order" if message.tag in known else "out_of_protocol"
