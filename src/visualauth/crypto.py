@@ -27,7 +27,7 @@ import enum
 import functools
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -290,18 +290,22 @@ def generate_permutation(rng: random.Random | int) -> KeyboardPermutation:
 # -------- one-time passwords --------
 
 
-@dataclass
+@dataclass(frozen=True)
 class OtpToken:
-    """A single-use password. consumed may flip False -> True exactly once."""
+    """A single-use password, immutable like every other state value.
+
+    consume() returns the consumed copy for the holder to keep in the
+    token's place; consuming a consumed token raises.
+    """
 
     value: str
     issued_at: int
     consumed: bool = False
 
-    def consume(self) -> None:
+    def consume(self) -> "OtpToken":
         if self.consumed:
             raise CryptoError("token already consumed")
-        self.consumed = True
+        return replace(self, consumed=True)
 
 
 def generate_otp(

@@ -17,11 +17,15 @@ tell whether it is being watched. Attackers reach a session only through
 these taps and hooks, or by queueing traffic with Session.inject, all
 installed before the user begins; no entity reads an attacker setting.
 
-Snapshots and message digests both serialize through canonical_bytes,
-which runs on every delivery. It dispatches through a table of one
-encoder per exact type, filled the first time a type is seen; a subclass
-gets the encoder of the first base it matches, in the order
-canonical_bytes documents.
+Both records hold references, not bytes: a delivery keeps the message
+and a shallow copy of the receiver's state, and serializes neither.
+canonical_bytes runs when a snapshot or a digest is first read, and the
+result is cached. That gives the bytes of record time only because
+nothing recorded can change: messages are frozen dataclasses, and
+take_snapshot refuses a state value whose type is not immutable.
+canonical_bytes dispatches through a table of one encoder per exact
+type, filled the first time a type is seen; a subclass gets the encoder
+of the first base it matches, in the order canonical_bytes documents.
 """
 
 from __future__ import annotations
@@ -121,10 +125,11 @@ def canonical_bytes(obj) -> bytes:
     The encoder comes from _ENCODERS, keyed by exact type. A new type is
     resolved once against _RESOLUTION, in this order: None, bool, int,
     float, str, bytes or bytearray, Enum, tuple or list, set or frozenset,
-    dict, and last a dataclass instance. So a str- or int-mixin enum
-    member encodes as that builtin, through str() or .encode() on the
-    member itself, and a plain enum as its value. Anything else, a class
-    object included, raises TypeError.
+    dict or mappingproxy, and last a dataclass instance. So a str- or
+    int-mixin enum member encodes as that builtin, through str() or
+    .encode() on the member itself, a plain enum as its value, and a
+    mappingproxy as the dict it shows. Anything else, a class object
+    included, raises TypeError.
     """
     encode = _ENCODERS.get(type(obj))
     if encode is None:
@@ -182,7 +187,7 @@ _RESOLUTION = (
     (enum.Enum, lambda obj: canonical_bytes(obj.value)),
     ((tuple, list), _encode_sequence),
     ((set, frozenset), _encode_set),
-    (dict, _encode_dict),
+    ((dict, MappingProxyType), _encode_dict),
 )
 
 
@@ -238,12 +243,35 @@ class Message:
 
 @dataclass(frozen=True)
 class TranscriptEvent:
+    """One delivery: its step and the message, held by reference.
+
+    Channel, parties and tag come from the message's class; the digest is
+    computed on first read and cached, which is sound because messages
+    are frozen.
+    """
+
     step: int
-    channel_kind: ChannelKind
-    sender: EntityKind
-    receiver: EntityKind
-    tag: str
-    digest: str
+    message: Message
+
+    @property
+    def channel_kind(self) -> ChannelKind:
+        return self.message.CHANNEL.kind
+
+    @property
+    def sender(self) -> EntityKind:
+        return self.message.CHANNEL.sender
+
+    @property
+    def receiver(self) -> EntityKind:
+        return self.message.CHANNEL.receiver
+
+    @property
+    def tag(self) -> str:
+        return self.message.TAG
+
+    @functools.cached_property
+    def digest(self) -> str:
+        return self.message.digest()
 
     def line(self) -> str:
         return (
@@ -277,11 +305,37 @@ class SecretSighting:
     violation: bool
 
 
+# the state value types a snapshot may hold by reference; a frozen
+# dataclass also passes
+_IMMUTABLE_BASES = (
+    type(None), bool, int, float, str, bytes, tuple, frozenset, MappingProxyType, enum.Enum,
+)
+_IMMUTABLE: set[type] = set()  # types that passed, filled on first sight
+
+
+def _check_immutable(kind: EntityKind, state: dict) -> None:
+    for key, value in state.items():
+        cls = type(value)
+        if cls in _IMMUTABLE:
+            continue
+        if not (
+            issubclass(cls, _IMMUTABLE_BASES)
+            or (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+        ):
+            raise TypeError(
+                f"{kind.value} state {key!r} holds a mutable {cls.__name__};"
+                " a snapshot records state values by reference"
+            )
+        _IMMUTABLE.add(cls)
+
+
 class Entity:
     """Base participant: a tag-dispatched state machine with a state dict.
 
     Each delivery runs exactly one handler, by default the on_<tag> method
-    (a subclass may override handler_for), then snapshots the state.
+    (a subclass may override handler_for), then snapshots the state. The
+    snapshot is a shallow copy, encoded only when snapshots is read, so a
+    handler replaces a state value rather than changing it in place.
     """
 
     kind: ClassVar[EntityKind]
@@ -289,7 +343,8 @@ class Entity:
     def __init__(self, session: "Session"):
         self.session = session
         self.state: dict = {}
-        self.snapshots: list[tuple[int, bytes]] = []
+        self._snapshots: list[tuple[int, bytes]] = []
+        self._pending: list[tuple[int, dict]] = []  # recorded, not yet encoded
         # installed by observers: hook(message) -> message or None (dropped),
         # tap(direction, message) with direction "in" or "out"
         self.outbound_hooks: list[Callable] = []
@@ -327,7 +382,19 @@ class Entity:
         """Called once when the queue drains without an outcome."""
 
     def take_snapshot(self, step: int) -> None:
-        self.snapshots.append((step, canonical_bytes(self.state)))
+        """Record the state as of step; TypeError if a value is mutable."""
+        state = dict(self.state)
+        if not _IMMUTABLE.issuperset(map(type, state.values())):
+            _check_immutable(self.kind, state)
+        self._pending.append((step, state))
+
+    @property
+    def snapshots(self) -> list[tuple[int, bytes]]:
+        """(step, canonical_bytes of the state then), one per snapshot taken."""
+        if self._pending:
+            self._snapshots.extend((step, canonical_bytes(state)) for step, state in self._pending)
+            self._pending.clear()
+        return self._snapshots
 
 
 class Session:
@@ -415,16 +482,7 @@ def deliver(session: Session, message: Message) -> None:
     if receiver is None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")
     session.step += 1
-    session.transcript.append(
-        TranscriptEvent(
-            step=session.step,
-            channel_kind=channel.kind,
-            sender=channel.sender,
-            receiver=channel.receiver,
-            tag=message.tag,
-            digest=message.digest(),
-        )
-    )
+    session.transcript.append(TranscriptEvent(session.step, message))
     for tap in receiver.io_taps:
         tap("in", message)
     receiver.handle(message)

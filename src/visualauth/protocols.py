@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from . import crypto, qr, rng as rngmod
 from .crypto import (
@@ -803,7 +804,11 @@ class Smartphone(Entity):
         plain = self._verify_and_open(payload)
         if plain is None:
             return
-        layout = KeyboardPermutation.from_serialized(plain)
+        try:
+            layout = KeyboardPermutation.from_serialized(plain)
+        except ValueError:  # not ASCII, or not a layout of the alphabet
+            _abort(self.session, "challenge_malformed", retryable=False)
+            return
         self.state["layout"] = layout
         self.emit(ShowLayout(layout=layout))
 
@@ -811,7 +816,10 @@ class Smartphone(Entity):
         plain = self._verify_and_open(payload)
         if plain is None:
             return
-        otp = plain.decode("ascii")
+        otp = plain.decode("ascii", errors="replace")  # U+FFFD is not in the alphabet
+        if not otp or not all(ch in crypto.ALPHABET_INDEX for ch in otp):
+            _abort(self.session, "challenge_malformed", retryable=False)
+            return
         self.state["otp"] = otp
         self.emit(ShowOtp(otp=otp))
 
@@ -882,7 +890,9 @@ class Server(Entity):
         self.state.update(
             name=store.server_name,
             keypair=store.server_pair,
-            registry={uid: (c.password, c.keypair.public_key) for uid, c in store.users.items()},
+            registry=MappingProxyType(
+                {uid: (c.password, c.keypair.public_key) for uid, c in store.users.items()}
+            ),
             attempts=0,
             executed_tx=None,
         )
@@ -986,7 +996,7 @@ class Server(Entity):
     def on_submit_otp(self, msg: SubmitOtp) -> None:
         token: OtpToken = self.state["token"]
         if not token.consumed and msg.otp == token.value:
-            token.consume()
+            self.state["token"] = token.consume()
             self._authenticate()
         else:
             self._retry_or_deny(self._issue_otp)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import collections
 import math
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -268,10 +268,14 @@ class TestOtp:
     def test_consumption_state_machine(self):
         token = crypto.generate_otp(fork(3, "otp"))
         assert not token.consumed
-        token.consume()
-        assert token.consumed
+        spent = token.consume()
+        assert spent.consumed
+        assert (spent.value, spent.issued_at) == (token.value, token.issued_at)
+        assert not token.consumed  # frozen: the holder keeps the copy instead
         with pytest.raises(CryptoError):
-            token.consume()
+            spent.consume()
+        with pytest.raises(FrozenInstanceError):
+            token.consumed = True
 
     def test_freshness_against_outstanding(self):
         rng = fork(4, "otp")

@@ -6,6 +6,8 @@ import dataclasses
 import enum
 import struct
 from dataclasses import dataclass
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -27,7 +29,7 @@ from visualauth.entities import (
     scan_states_for_secrets,
     secrecy_violations,
 )
-from visualauth.harness import Report, machine_records
+from visualauth.harness import Report, machine_records, run_scenarios
 from visualauth.protocols import (
     ConfirmOnPhone,
     CredentialStore,
@@ -67,7 +69,7 @@ def reference_canonical_bytes(obj) -> bytes:
     if isinstance(obj, (set, frozenset)):
         parts = sorted(reference_canonical_bytes(x) for x in obj)
         return b"e" + struct.pack(">I", len(parts)) + b"".join(parts)
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, MappingProxyType)):
         items = sorted(
             (reference_canonical_bytes(k), reference_canonical_bytes(v)) for k, v in obj.items()
         )
@@ -180,6 +182,7 @@ class TestEncoderOracle:
         StrColor.RED, IntLevel.LOW, Shouty(3), Label("red"), Bag(x=1, y=[2]),
         [1, 2], (1, 2), {1, 2}, frozenset({1, 2}), {ShortKey(1): "s", LongKey(1, 2): 0},
         {"nested": [(ShortKey(2), {b"k": {3.5}})]}, Box(7), [Box(8), None],
+        MappingProxyType({"u": ("pw", b"pk"), LongKey(1, 2): None}),
     ]
 
     @pytest.mark.parametrize("value", HAND_BUILT, ids=repr)
@@ -251,6 +254,72 @@ class TestEncoderOracle:
         assert len(outputs) > 18 * 2
         assert outputs == reference
         assert records == reference_records
+
+
+GOLDEN_SCENARIOS = Path(__file__).resolve().parent / "golden" / "scenarios.cfg"
+
+
+class TestLazyRecords:
+    """Snapshots and digests are encoded on first read; they must equal
+    what encoding at record time gave."""
+
+    def test_reads_match_encoding_at_record_time(self, monkeypatch):
+        eager_snapshots: dict[Entity, list[tuple[int, bytes]]] = {}
+        eager_digests: dict[Session, list[str]] = {}
+        take_snapshot, deliver_ = Entity.take_snapshot, entities.deliver
+
+        def eager_take_snapshot(self, step):
+            eager_snapshots.setdefault(self, []).append((step, canonical_bytes(self.state)))
+            take_snapshot(self, step)
+
+        def eager_deliver(session, message):
+            hash(message)  # raises on a mutable field anywhere inside
+            digest = message.digest()
+            steps = len(session.transcript)
+            try:
+                deliver_(session, message)
+            finally:
+                if len(session.transcript) > steps:
+                    eager_digests.setdefault(session, []).append(digest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Entity, "take_snapshot", eager_take_snapshot)
+            patch.setattr(entities, "deliver", eager_deliver)
+            for protocol in Protocol:
+                for seed in range(5):
+                    run_flow(SessionConfig(protocol=protocol, seed=seed))
+            run_matrix(2026, trials=2)
+            run_scenarios(str(GOLDEN_SCENARIOS))
+        assert len(eager_digests) > 30 + 24 * 2
+        assert sum(map(len, eager_snapshots.values())) == sum(map(len, eager_digests.values()))
+        for entity, recorded in eager_snapshots.items():
+            assert entity.snapshots == recorded, entity.kind
+        for session, digests in eager_digests.items():
+            assert [event.digest for event in session.transcript] == digests
+
+    FROZEN = [
+        None, True, 3, 2.5, "s", b"b", ("t", 1), frozenset({1}), MappingProxyType({"k": 1}),
+        EntityKind.USER, StrColor.RED, ShortKey(1),
+    ]
+
+    @pytest.mark.parametrize("value", FROZEN, ids=repr)
+    def test_immutable_values_are_recorded(self, value):
+        box = _StateBox(Session(seed=8))
+        box.state["held"] = value
+        box.take_snapshot(step=1)
+        assert box.snapshots == [(1, canonical_bytes({"held": value}))]
+
+    @pytest.mark.parametrize(
+        "value", [[1], {"k": 1}, {1}, bytearray(b"ab"), Box(1)], ids=repr
+    )
+    def test_mutable_values_are_refused(self, value):
+        box = _StateBox(Session(seed=9))
+        box.state["fine"] = b"ok"
+        box.take_snapshot(step=1)
+        box.state["held"] = value
+        with pytest.raises(TypeError, match="terminal state 'held' holds a mutable"):
+            box.take_snapshot(step=2)
+        assert box.snapshots == [(1, canonical_bytes({"fine": b"ok"}))]
 
 
 class TestTopology:

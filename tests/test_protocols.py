@@ -44,6 +44,7 @@ from visualauth.protocols import (
     Terminal,
     Transaction,
     UserModel,
+    _pack_signed,
     build_session,
     canonical_tx_bytes,
     parse_tx_canonical,
@@ -428,6 +429,39 @@ class TestFrameHandling:
         # the control: a nonce of the right length is sealed and sent up,
         # and the server denies it as not its own
         result = run_flow(_cfg(Protocol.P3, 139), adversaries=[_rewriting_frames(frame=_frame_of(crypto.NONCE_LEN))])
+        assert result.outcome is Outcome.DENIED
+
+    @staticmethod
+    def _sealed_to_the_user(protocol, plain):
+        """With signing off, anyone may seal plain to the user's key and
+        show it to the phone in place of the server's challenge."""
+        store = CredentialStore.provision(5)
+        config = _cfg(protocol, 5, flags=SessionFlags(sign_server_payloads=False))
+        public_key = store.users[config.user_id].keypair.public_key
+        payload = _pack_signed(crypto.encrypt(public_key, plain, rng=5), None)
+        frame = qr.qr_encode(payload, qr.choose_spec(payload))
+        return run_flow(config, store=store, adversaries=[_rewriting_frames(frame=frame)])
+
+    @pytest.mark.parametrize(
+        "protocol, plain",
+        [
+            (Protocol.P1, b"junk"),
+            (Protocol.P1, b"\xff\xfe"),
+            (Protocol.P2, b"\xff\xfe"),
+            (Protocol.P2, b"JUNK"),
+        ],
+        ids=str,
+    )
+    def test_malformed_sealed_challenge_aborts_fatal(self, protocol, plain):
+        # a plaintext that is no layout, or no OTP over the alphabet
+        result = self._sealed_to_the_user(protocol, plain)
+        assert result.outcome is Outcome.ABORTED
+        assert result.session.abort_reason == "challenge_malformed"
+        assert not result.session.abort_retryable
+
+    def test_well_formed_foreign_otp_reaches_the_server(self):
+        # the control: an OTP over the alphabet is shown, typed and denied
+        result = self._sealed_to_the_user(Protocol.P2, b"abcd1234")
         assert result.outcome is Outcome.DENIED
 
 
