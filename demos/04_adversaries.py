@@ -11,14 +11,15 @@ it logs in later.
 
 from visualauth import rng
 from visualauth.adversary import (
+    ATTACKS,
     AdversaryConfig,
     AdversaryKind,
-    dual_locus_surfer_scenario,
     evaluate,
-    fake_server_scenario,
+    run_attack,
     run_attacked_session,
     run_matrix,
 )
+from visualauth.crypto import IntegrityError, Role, decrypt, encrypt, generate_keypair
 from visualauth.entities import EntityKind
 from visualauth.protocols import CredentialStore, Protocol, SessionConfig
 
@@ -67,12 +68,21 @@ print(f"  every cell matches the designed pattern: "
       f"{all(c.matches_expected for c in cells)}")
 
 print("\n== two onlookers beat one ==")
-both = dual_locus_surfer_scenario(rng.child_seed(412, "dual"))
+both = run_attack(ATTACKS["dual_locus_surfer"], rng.child_seed(412, "dual"))
 print(f"  layout from the phone screen + clicks from the terminal: "
-      f"password recovered = {both['password_recovered']}")
+      f"password recovered = {both.breached}")
 
 print("\n== a phishing server gets nothing ==")
-phish = fake_server_scenario(rng.child_seed(412, "phish"))
-print(f"  phisher opened the sealed upload: {phish['phisher_decrypted']}")
-print(f"  relaying it to the real server: {phish['relay_outcome'].value}")
-print(f"  sealing for the wrong server name: {phish['wrong_name_outcome'].value}")
+# the phone seals to the server key it pinned, never to the phisher's
+phisher = generate_keypair(Role.SERVER, rng.child_seed(412, "phisher"))
+upload = encrypt(store.server_pair.public_key, b"alice:data", rng.child_seed(412, "upload"))
+try:
+    decrypt(phisher, upload)
+    opened = True
+except IntegrityError:
+    opened = False
+print(f"  phisher opened the sealed upload: {opened}")
+relay = run_attack(ATTACKS["phish_relay"], rng.child_seed(412, "phish"))
+print(f"  relaying it to the real server: {relay.outcome.value}")
+wrong_name = run_attack(ATTACKS["phish_wrong_name"], rng.child_seed(412, "phish"))
+print(f"  sealing for the wrong server name: {wrong_name.outcome.value}")

@@ -10,7 +10,7 @@ submissions over a channel the terminal cannot touch.
 """
 
 from visualauth import rng
-from visualauth.adversary import confirmation_replay_scenario, otp_race_scenario
+from visualauth.adversary import ATTACKS, run_attack
 from visualauth.entities import EntityKind
 from visualauth.protocols import (
     DEFAULT_TX,
@@ -30,16 +30,12 @@ print(f"  intended: {DEFAULT_TX.amount} minor units to {DEFAULT_TX.receiver_name
 print(f"  outcome: {result.outcome.value}, executed: {result.session.executed_tx == DEFAULT_TX}")
 
 print("\n== the stale-receipt trick, with and without nonce freshness ==")
-with_freshness = confirmation_replay_scenario(
-    rng.child_seed(555, "fresh"), tx_nonce_freshness=True
-)
-without = confirmation_replay_scenario(
-    rng.child_seed(555, "stale"), tx_nonce_freshness=False
-)
-print(f"  freshness on:  attacked session ends {with_freshness['attacked_outcome'].value}, "
-      f"attacker's transfer executed: {with_freshness['attacker_tx_executed']}")
-print(f"  freshness off: attacked session ends {without['attacked_outcome'].value}, "
-      f"attacker's transfer executed: {without['attacker_tx_executed']}")
+with_freshness = run_attack(ATTACKS["stale_receipt"], rng.child_seed(555, "fresh"))
+without = run_attack(ATTACKS["stale_receipt/no_freshness"], rng.child_seed(555, "stale"))
+print(f"  freshness on:  attacked session ends {with_freshness.outcome.value}, "
+      f"attacker's transfer executed: {with_freshness.breached}")
+print(f"  freshness off: attacked session ends {without.outcome.value}, "
+      f"attacker's transfer executed: {without.breached}")
 print("  (the replayed receipt only convinces anyone when nothing binds it "
       "to this session)")
 
@@ -55,11 +51,12 @@ leaked = any(value in terminal_state for value in view.session.view_values.value
 print(f"  any field plaintext in the terminal's state: {leaked}")
 
 print("\n== session hijacking against the cellular side channel ==")
-guarded = otp_race_scenario(rng.child_seed(555, "race"), hijack_guard=True)
-unguarded = otp_race_scenario(rng.child_seed(555, "norace"), hijack_guard=False)
-print(f"  guard on:  hijack attempt ends {guarded['hijack_outcome'].value}, "
-      f"attacker tx executed: {guarded['attacker_tx_executed']}")
-print(f"  guard off: hijack attempt ends {unguarded['hijack_outcome'].value}, "
-      f"attacker tx executed: {unguarded['attacker_tx_executed']}")
+guarded = run_attack(ATTACKS["hijack"], rng.child_seed(555, "race"))
+unguarded = run_attack(ATTACKS["hijack/no_guard"], rng.child_seed(555, "norace"))
+replayed = run_attack(ATTACKS["otp_replay"], rng.child_seed(555, "race"))
+print(f"  guard on:  hijack attempt ends {guarded.outcome.value}, "
+      f"attacker tx executed: {guarded.breached}")
+print(f"  guard off: hijack attempt ends {unguarded.outcome.value}, "
+      f"attacker tx executed: {unguarded.breached}")
 print(f"  either way the captured one-time password stays dead: "
-      f"replay ended {guarded['replay_outcome'].value}")
+      f"replay ended {replayed.outcome.value}")

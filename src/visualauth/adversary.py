@@ -24,24 +24,27 @@ planted on the phone (``phone_holding``). No entity reads an attacker
 setting, and no install can move a message off the channel its class
 declares.
 
-Phishing is not an adversary kind: a fake server impersonates the far
-end rather than compromising a locus, so it lives in its own scenario
-function (``fake_server_scenario``), as do the documented caveats: the
-dual-view shoulder surfer and the one-time-password race.
+Attacks outside the matrix are rows of one catalogue, ``ATTACKS``, run by
+``run_attack``: phishing (a fake server impersonates the far end rather
+than compromising a locus, so it is not an adversary kind), the documented
+caveats (the dual-view shoulder surfer, a replayed one-time password), and
+an on/off pair for each defence flag (signing, transaction freshness, the
+hijack guard), the off row being that defence's positive control.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from . import crypto, rng as rngmod
+from . import crypto, qr, rng as rngmod
 from .entities import ChannelKind, EntityKind, Message, Session
 from .protocols import (
     AUTH_PROTOCOLS,
-    DEFAULT_TX,
     CredentialStore,
+    ForwardConfirm,
     Outcome,
     Protocol,
     SessionConfig,
@@ -50,7 +53,10 @@ from .protocols import (
     SubmitCiphertext,
     SubmitOtp,
     SubmitPositions,
+    SubmitTx,
     Transaction,
+    _pack_credentials,
+    _pack_signed,
     run_flow,
     run_hijack_guard,
 )
@@ -392,180 +398,169 @@ def brute_force_guessing(
     return hits
 
 
-# -------- named scenarios from the documented caveats --------
+# -------- the attack catalogue: named attacks beyond the matrix --------
+#
+# A row is one session of its protocol under its flags. Its setup(config,
+# store) runs any earlier session the attack needs on the same store and
+# returns the installs plus a breach test over the finished SessionResult.
+# A defence flag's pair of rows shares protocol and setup and differs only
+# in that flag; the off row is the defence's positive control.
 
 
-def dual_locus_surfer_scenario(seed: int, store: CredentialStore | None = None) -> dict:
-    """An onlooker watching BOTH screens during a keyboard-permutation
-    login composes the phone's layout with the terminal's click echoes and
-    reads the password off. The per-locus matrix survives; this does not.
-    """
+_TERMINAL_MALWARE = AdversaryConfig(AdversaryKind.MALWARE, EntityKind.TERMINAL)
+
+
+def _authenticated(result: SessionResult) -> bool:
+    return result.outcome is Outcome.AUTHENTICATED
+
+
+def _executed_evil(result: SessionResult) -> bool:
+    return result.session.executed_tx == EVIL_TX
+
+
+def _terminal_rewriting(**changes):
+    """A terminal that rewrites what it sends: changes maps a tag to new field values."""
+
+    def install(session: Session) -> None:
+        session.entities[EntityKind.TERMINAL].outbound_hooks.append(
+            lambda msg: replace(msg, **changes[msg.tag]) if msg.tag in changes else msg
+        )
+
+    return install
+
+
+def _dual_locus_surfer(config: SessionConfig, store: CredentialStore):
+    """Onlookers at BOTH screens apply the phone's layout to the terminal's
+    click echoes; neither screen alone leaks the password."""
+    terminal = AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.TERMINAL))
+    phone = AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.SMARTPHONE))
+
+    def breached(result: SessionResult) -> bool:
+        layout, clicks = phone.observed("layout"), terminal.observed("positions")
+        return bool(layout and clicks) and (
+            crypto.KeyboardPermutation.from_serialized(layout[0]).resolve(clicks[0])
+            == store.users[config.user_id].password
+        )
+
+    return [terminal, phone], breached
+
+
+def _forged_layout(config: SessionConfig, store: CredentialStore):
+    """Terminal malware shows the phone its own layout, sealed to the user's
+    public key (anyone can) but unsigned, and reads the password off the
+    clicks made under it. Only the server's signature exposes the swap."""
+    layout = crypto.generate_permutation(rngmod.fork(config.seed, "attacker-layout"))
+    user_public = store.users[config.user_id].keypair.public_key
+    sealed = crypto.encrypt(user_public, layout.serialize(), rngmod.fork(config.seed, "attacker-seal"))
+    payload = _pack_signed(sealed, None)
+    frame = qr.qr_encode(payload, qr.choose_spec(payload, config.frame_ec))
+
+    def breached(result: SessionResult) -> bool:
+        clicks = [e.message.positions for e in result.session.transcript if e.tag == "click_positions"]
+        return bool(clicks) and layout.resolve(clicks[0]) == store.users[config.user_id].password
+
+    return [_terminal_rewriting(show_frame={"frame": frame})], breached
+
+
+def _otp_replay(config: SessionConfig, store: CredentialStore):
+    """Replay the one-time password terminal malware read in an earlier login."""
+    earlier = replace(config, seed=rngmod.child_seed(config.seed, "capture"))
+    handle, _ = run_attacked_session(earlier, _TERMINAL_MALWARE, store)
+    (otp,) = handle.observed("otp")
+    return [replaying(SubmitOtp(otp=otp))], _authenticated
+
+
+def _phish_relay(config: SessionConfig, store: CredentialStore):
+    """Relay credentials the phone sealed over a phisher's nonce to the GENUINE server."""
+    credential = store.users[config.user_id]
+    nonce = crypto.fresh_nonce(rngmod.fork(config.seed, "phisher-nonce"))
+    plain = _pack_credentials(nonce.value, credential.user_id, credential.password, store.server_name)
+    sealed = crypto.encrypt(store.server_pair.public_key, plain, rngmod.fork(config.seed, "phone-seal"))
+    return [replaying(SubmitCiphertext(blob=sealed.to_bytes()))], _authenticated
+
+
+def _phish_wrong_name(config: SessionConfig, store: CredentialStore):
+    """A phone holding a phisher's server name seals it into the credentials."""
+    return [phone_holding(server_name="totally-real-bank")], _authenticated
+
+
+def _stale_receipt(config: SessionConfig, store: CredentialStore):
+    """Terminal malware submits its own transaction and papers over it with an
+    earlier clean session's receipt, barcode and page alike. Only the session
+    nonce inside the signed receipt tells the phone it is stale."""
+    clean = run_flow(replace(config, seed=rngmod.child_seed(config.seed, "clean")), store)
+    receipt = next(e.message for e in clean.session.transcript if e.tag == "tx_confirmation")
+    stale = _terminal_rewriting(
+        submit_tx={"tx": EVIL_TX},
+        show_tx_frame={"frame": receipt.frame},
+        show_tx_page={"tx": receipt.display_tx},
+    )
+    return [stale], _executed_evil
+
+
+def _forged_confirm(config: SessionConfig, store: CredentialStore):
+    """Terminal malware submits its own transaction and confirms it itself."""
+
+    def install(session: Session) -> None:
+        def forge(direction: str, msg: Message) -> None:
+            if direction == "in" and msg.tag == "request_tx":
+                session.inject(SubmitTx(tx=EVIL_TX))
+                session.inject(ForwardConfirm(ok=True))
+
+        session.entities[EntityKind.TERMINAL].io_taps.append(forge)
+
+    return [install], _executed_evil
+
+
+def _hijack(config: SessionConfig, store: CredentialStore):
+    """Terminal malware rewrites the live transaction; the phone's signed side copy shows it."""
+    return [AttackerHandle(_TERMINAL_MALWARE, alter_tx=EVIL_TX)], _executed_evil
+
+
+@dataclass(frozen=True)
+class Attack:
+    name: str
+    protocol: Protocol
+    flags: SessionFlags
+    setup: Callable[[SessionConfig, CredentialStore], tuple[list, Callable[[SessionResult], bool]]]
+    expect_breach: bool
+
+
+ATTACKS: dict[str, Attack] = {
+    attack.name: attack
+    for attack in (
+        Attack("dual_locus_surfer", Protocol.P1, SessionFlags(), _dual_locus_surfer, True),
+        Attack("forged_layout", Protocol.P1, SessionFlags(), _forged_layout, False),
+        Attack("forged_layout/no_signing", Protocol.P1, SessionFlags(sign_server_payloads=False),
+               _forged_layout, True),
+        Attack("otp_replay", Protocol.P2, SessionFlags(), _otp_replay, False),
+        Attack("phish_relay", Protocol.P3, SessionFlags(), _phish_relay, False),
+        Attack("phish_wrong_name", Protocol.P3, SessionFlags(), _phish_wrong_name, False),
+        Attack("stale_receipt", Protocol.TXVERIFY, SessionFlags(), _stale_receipt, False),
+        Attack("stale_receipt/no_freshness", Protocol.TXVERIFY, SessionFlags(tx_nonce_freshness=False),
+               _stale_receipt, True),
+        # the known break; binding the confirmation to the phone flips it
+        Attack("forged_confirm", Protocol.TXVERIFY, SessionFlags(), _forged_confirm, True),
+        Attack("hijack", Protocol.HIJACKGUARD, SessionFlags(), _hijack, False),
+        Attack("hijack/no_guard", Protocol.HIJACKGUARD, SessionFlags(hijack_guard=False), _hijack, True),
+    )
+}
+
+
+@dataclass(frozen=True)
+class AttackResult:
+    attack: Attack
+    outcome: Outcome
+    breached: bool
+
+
+def run_attack(attack: Attack, seed: int, store: CredentialStore | None = None) -> AttackResult:
+    """Run the row as one session of its protocol and judge it by its breach test."""
     store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
-    session_config = SessionConfig(protocol=Protocol.P1, seed=seed)
-    handles = [AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, locus)) for locus in MATRIX_LOCI]
-    result = run_flow(session_config, store, adversaries=handles)
-    positions = None
-    layout_bytes = None
-    for handle in handles:
-        positions = positions or handle.observed("positions")
-        layout_bytes = layout_bytes or handle.observed("layout")
-    recovered = None
-    if positions and layout_bytes:
-        layout = crypto.KeyboardPermutation.from_serialized(layout_bytes[0])
-        recovered = layout.resolve(positions[0])
-    actual = store.users[session_config.user_id].password
-    return {
-        "outcome": result.outcome,
-        "recovered_password": recovered,
-        "actual_password": actual,
-        "password_recovered": recovered == actual,
-    }
-
-
-def fake_server_scenario(seed: int, store: CredentialStore | None = None) -> dict:
-    """Phishing against the nonce-upload flow.
-
-    The fake far end issues its own nonce, the victim's phone dutifully
-    seals credentials, but to the GENUINE server's pinned public key with
-    the genuine server's name inside. Three failures follow: the phisher
-    cannot open the ciphertext, relaying it to the real server dies on
-    nonce freshness, and a ciphertext naming the wrong server dies on the
-    name check even with a live nonce.
-    """
-    store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
-    credential = store.users["alice"]
-    fake_pair = crypto.generate_keypair(crypto.Role.SERVER, rngmod.fork(seed, "fake-server"))
-    fake_nonce = crypto.fresh_nonce(rngmod.fork(seed, "fake-nonce"))
-
-    # what the phone would upload after scanning the phisher's nonce frame
-    from .protocols import _pack_credentials  # shared wire layout
-
-    plain = _pack_credentials(fake_nonce.value, credential.user_id, credential.password, store.server_name)
-    blob = crypto.encrypt(store.server_pair.public_key, plain, rngmod.fork(seed, "phone-seal")).to_bytes()
-
-    try:
-        crypto.decrypt(fake_pair, crypto.Ciphertext.from_bytes(blob))
-        phisher_decrypted = True
-    except crypto.IntegrityError:
-        phisher_decrypted = False
-
-    relay = run_flow(
-        SessionConfig(protocol=Protocol.P3, seed=rngmod.child_seed(seed, "relay")),
-        store,
-        adversaries=[replaying(SubmitCiphertext(blob=blob))],
-    )
-
-    misdirected = run_flow(
-        SessionConfig(protocol=Protocol.P3, seed=rngmod.child_seed(seed, "misdirected")),
-        store,
-        adversaries=[phone_holding(server_name="totally-real-bank")],
-    )
-
-    return {
-        "phisher_decrypted": phisher_decrypted,
-        "relay_outcome": relay.outcome,
-        "wrong_name_outcome": misdirected.outcome,
-    }
-
-
-def confirmation_replay_scenario(
-    seed: int, tx_nonce_freshness: bool, store: CredentialStore | None = None
-) -> dict:
-    """Terminal malware masks an altered transaction with an old receipt.
-
-    First a clean confirmation for the victim's usual transaction is
-    recorded. In the attacked session the malware rewrites the submission
-    to its own transaction, then papers over it: the terminal page and the
-    barcode it shows the phone are both the stale original. Without the
-    session nonce inside the signed blob the phone has no way to tell, the
-    user sees everything agree, and the altered transaction executes. With
-    freshness on, the stale receipt fails the nonce check and the user
-    flags it.
-    """
-    store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
-    flags = SessionFlags(tx_nonce_freshness=tx_nonce_freshness)
-
-    captured: dict = {}
-
-    def recorder(session: Session) -> None:
-        terminal = session.entities[EntityKind.TERMINAL]
-
-        def tap(direction: str, msg) -> None:
-            if msg.tag == "tx_confirmation":
-                captured["frame"] = msg.frame
-                captured["display_tx"] = msg.display_tx
-
-        terminal.io_taps.append(tap)
-
-    clean = run_flow(
-        SessionConfig(protocol=Protocol.TXVERIFY, seed=rngmod.child_seed(seed, "clean"), flags=flags),
-        store,
-        adversaries=[recorder],
-    )
-
-    def replayer(session: Session) -> None:
-        terminal = session.entities[EntityKind.TERMINAL]
-
-        def hook(msg):
-            if msg.tag == "submit_tx":
-                return replace(msg, tx=EVIL_TX)
-            if msg.tag == "show_tx_frame":
-                return replace(msg, frame=captured["frame"])
-            if msg.tag == "show_tx_page":
-                return replace(msg, tx=captured["display_tx"])
-            return msg
-
-        terminal.outbound_hooks.append(hook)
-
-    attacked = run_flow(
-        SessionConfig(
-            protocol=Protocol.TXVERIFY, seed=rngmod.child_seed(seed, "attacked"), flags=flags
-        ),
-        store,
-        adversaries=[replayer],
-    )
-    return {
-        "clean_outcome": clean.outcome,
-        "attacked_outcome": attacked.outcome,
-        "attacker_tx_executed": attacked.session.executed_tx == EVIL_TX,
-        "intended_tx": DEFAULT_TX,
-    }
-
-
-def otp_race_scenario(seed: int, hijack_guard: bool, store: CredentialStore | None = None) -> dict:
-    """Terminal malware in the one-time-password flow.
-
-    The compromise reads the token as it passes through (conceded and
-    unavoidable there) and then tries to spend the live session on its own
-    transaction. With the side-channel guard on, the altered transaction
-    dies on the mismatch; with it off, this is a working hijack. Either
-    way the captured token buys no LATER login: it is consumed.
-    """
-    store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
-    flags = SessionFlags(hijack_guard=hijack_guard)
-    config = AdversaryConfig(AdversaryKind.MALWARE, EntityKind.TERMINAL)
-    handle, login_result = run_attacked_session(
-        SessionConfig(protocol=Protocol.P2, seed=seed, flags=flags), config, store
-    )
-
-    captured = handle.observed("otp")
-    replay = run_flow(
-        SessionConfig(protocol=Protocol.P2, seed=rngmod.child_seed(seed, "race-replay")),
-        store,
-        adversaries=[replaying(SubmitOtp(otp=captured[0] if captured else ""))],
-    )
-
-    hijack_config = SessionConfig(
-        protocol=Protocol.HIJACKGUARD, seed=rngmod.child_seed(seed, "hijack"), flags=flags
-    )
-    hijack = run_hijack_guard(hijack_config, store, adversaries=[AttackerHandle(config, alter_tx=EVIL_TX)])
-    return {
-        "login_outcome": login_result.outcome,
-        "otp_captured": captured is not None,
-        "replay_outcome": replay.outcome,
-        "hijack_outcome": hijack.outcome,
-        "attacker_tx_executed": hijack.session.executed_tx == EVIL_TX,
-    }
+    config = SessionConfig(protocol=attack.protocol, seed=seed, flags=attack.flags)
+    installs, breached = attack.setup(config, store)
+    result = run_flow(config, store, adversaries=installs)
+    return AttackResult(attack, result.outcome, breached(result))
 
 
 # -------- the full resistance matrix --------

@@ -12,7 +12,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from visualauth.adversary import run_matrix
+from visualauth.adversary import ATTACKS, run_attack, run_matrix
 from visualauth.entities import export_transcript
 from visualauth.harness import Report, machine_records, run_scenarios
 from visualauth.protocols import Protocol, SessionConfig, run_flow
@@ -22,6 +22,7 @@ DIGESTS = HERE / "digests.json"
 SCENARIOS = HERE / "scenarios.cfg"
 
 FLOW_SEEDS = (0, 1)
+ATTACK_SEEDS = (0, 1)
 MATRIX_SEED = 2026
 
 
@@ -85,6 +86,15 @@ def scenario_digests() -> dict[str, str]:
     return digests
 
 
+def attack_digests() -> dict[str, str]:
+    digests = {}
+    for seed in ATTACK_SEEDS:
+        results = (run_attack(attack, seed) for attack in ATTACKS.values())
+        lines = "".join(f"{r.attack.name}|{r.outcome.value}|{r.breached}\n" for r in results)
+        digests[f"attacks/seed{seed}"] = sha256(lines)
+    return digests
+
+
 def compute() -> dict[str, str]:
     """Every digest that needs no demo run, keyed as in digests.json."""
-    return flow_digests() | matrix_digests() | scenario_digests()
+    return flow_digests() | matrix_digests() | scenario_digests() | attack_digests()

@@ -14,9 +14,10 @@ import time
 
 from visualauth import qr, rng as rngmod
 from visualauth.adversary import (
-    confirmation_replay_scenario,
+    ATTACKS,
     posterior_count,
     replaying,
+    run_attack,
     run_matrix,
 )
 from visualauth.entities import EntityKind, export_transcript
@@ -228,18 +229,14 @@ def test_criterion_7_replay_and_freshness():
         aborted += replay.outcome is Outcome.ABORTED
 
     # positive control: without nonce freshness the stale receipt convinces
-    control = confirmation_replay_scenario(
-        rngmod.child_seed(BASE_SEED, "confirm-control"), tx_nonce_freshness=False
+    control = run_attack(
+        ATTACKS["stale_receipt/no_freshness"], rngmod.child_seed(BASE_SEED, "confirm-control")
     )
-    gap_demonstrated = (
-        control["attacked_outcome"] is Outcome.CONFIRMED and control["attacker_tx_executed"]
-    )
+    gap_demonstrated = control.outcome is Outcome.CONFIRMED and control.breached
     confirmed_replays = 0
     for i in range(REPLAY_RUNS):
-        outcome = confirmation_replay_scenario(
-            rngmod.child_seed(BASE_SEED, "confirm", str(i)), tx_nonce_freshness=True
-        )
-        confirmed_replays += outcome["attacked_outcome"] is Outcome.CONFIRMED
+        result = run_attack(ATTACKS["stale_receipt"], rngmod.child_seed(BASE_SEED, "confirm", str(i)))
+        confirmed_replays += result.outcome is Outcome.CONFIRMED or result.breached
 
     ok = (
         replayed_p3 == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import operator
 
@@ -9,20 +10,18 @@ import pytest
 
 from visualauth import adversary
 from visualauth.adversary import (
+    ATTACKS,
     BROKEN_CELLS,
     EVIL_TX,
     AdversaryConfig,
     AdversaryKind,
     MatrixCell,
     brute_force_guessing,
-    confirmation_replay_scenario,
-    dual_locus_surfer_scenario,
     evaluate,
     expected_resistance,
-    fake_server_scenario,
-    otp_race_scenario,
     posterior_count,
     replaying,
+    run_attack,
     run_attacked_session,
     run_matrix,
 )
@@ -33,6 +32,7 @@ from visualauth.protocols import (
     Outcome,
     Protocol,
     SessionConfig,
+    SessionFlags,
     SubmitPositions,
     run_flow,
 )
@@ -454,56 +454,46 @@ class TestReplaysAreJudged:
         assert {session.outcome for session in sessions} == {Outcome.DENIED}
 
 
-class TestDualLocusSurfer:
-    def test_both_screens_together_leak_the_password(self):
-        report = dual_locus_surfer_scenario(seed=251)
-        assert report["outcome"] is Outcome.AUTHENTICATED
-        assert report["password_recovered"]
-        assert report["recovered_password"] == report["actual_password"] == "data"
-
-    def test_composition_is_layout_applied_to_clicks(self):
-        report = dual_locus_surfer_scenario(seed=252)
-        assert report["recovered_password"] == report["actual_password"]
-
-
-class TestFakeServer:
-    def test_phishing_fails_three_ways(self):
-        report = fake_server_scenario(seed=261)
-        assert report["phisher_decrypted"] is False
-        assert report["relay_outcome"] is Outcome.DENIED
-        assert report["wrong_name_outcome"] is Outcome.DENIED
+# every catalogue row's verdict: the session's outcome, and whether the
+# row's own breach test found the attack working
+ATTACK_VERDICTS = {
+    "dual_locus_surfer": Outcome.AUTHENTICATED,
+    "forged_layout": Outcome.ABORTED,
+    "forged_layout/no_signing": Outcome.DENIED,
+    "otp_replay": Outcome.DENIED,
+    "phish_relay": Outcome.DENIED,
+    "phish_wrong_name": Outcome.DENIED,
+    "stale_receipt": Outcome.USER_FLAGGED_MISMATCH,
+    "stale_receipt/no_freshness": Outcome.CONFIRMED,
+    "forged_confirm": Outcome.CONFIRMED,
+    "hijack": Outcome.REJECTED,
+    "hijack/no_guard": Outcome.ACCEPTED,
+}
 
 
-class TestOtpRace:
-    def test_with_the_guard_on(self):
-        report = otp_race_scenario(seed=271, hijack_guard=True)
-        assert report["login_outcome"] is Outcome.AUTHENTICATED
-        assert report["otp_captured"]
-        assert report["replay_outcome"] is Outcome.DENIED
-        assert report["hijack_outcome"] is Outcome.REJECTED
-        assert not report["attacker_tx_executed"]
+class TestAttackCatalogue:
+    @pytest.mark.parametrize("seed", (0, 1, 2), ids=lambda seed: f"seed{seed}")
+    @pytest.mark.parametrize("name", ATTACK_VERDICTS)
+    def test_row_gives_its_verdict(self, name, seed):
+        result = run_attack(ATTACKS[name], seed)
+        assert (result.outcome, result.breached) == (ATTACK_VERDICTS[name], ATTACKS[name].expect_breach)
 
-    def test_with_the_guard_off(self):
-        report = otp_race_scenario(seed=272, hijack_guard=False)
-        assert report["otp_captured"]
-        assert report["replay_outcome"] is Outcome.DENIED
-        assert report["hijack_outcome"] is Outcome.ACCEPTED
-        assert report["attacker_tx_executed"]
+    def test_every_row_is_pinned(self):
+        assert ATTACK_VERDICTS.keys() == ATTACKS.keys()
 
-
-class TestConfirmationReplay:
-    def test_freshness_on_catches_the_stale_receipt(self):
-        report = confirmation_replay_scenario(seed=281, tx_nonce_freshness=True)
-        assert report["clean_outcome"] is Outcome.CONFIRMED
-        assert report["attacked_outcome"] is Outcome.USER_FLAGGED_MISMATCH
-        assert not report["attacker_tx_executed"]
-
-    def test_freshness_off_is_the_documented_gap(self):
-        # positive control: remove the nonce and the replay walks through
-        report = confirmation_replay_scenario(seed=282, tx_nonce_freshness=False)
-        assert report["clean_outcome"] is Outcome.CONFIRMED
-        assert report["attacked_outcome"] is Outcome.CONFIRMED
-        assert report["attacker_tx_executed"]
+    @pytest.mark.parametrize("flag", [f.name for f in dataclasses.fields(SessionFlags)])
+    def test_every_defence_has_a_positive_control(self, flag):
+        # an on/off pair, alike but for the flag: off breaks, on resists
+        pairs = [
+            (on, off)
+            for on, off in itertools.permutations(ATTACKS.values(), 2)
+            if on.protocol is off.protocol
+            and on.setup is off.setup
+            and getattr(on.flags, flag)
+            and off.flags == dataclasses.replace(on.flags, **{flag: False})
+        ]
+        assert pairs, f"no on/off pair of rows for {flag}"
+        assert all(off.expect_breach and not on.expect_breach for on, off in pairs)
 
 
 class TestTransactionAlteration:

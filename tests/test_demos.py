@@ -1,5 +1,5 @@
-"""Every walkthrough under demos/ runs to completion and prints what it
-printed when tests/golden/digests.json was written."""
+"""Every walkthrough under demos/ runs to completion under ``-W error`` and
+prints what it printed when tests/golden/digests.json was written."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     assert goldens.sha256(out.stdout) == goldens.load()[goldens.demo_key(demo.stem)], (

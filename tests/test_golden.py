@@ -16,6 +16,7 @@ SECTIONS = {
     "flow/": goldens.flow_digests,
     "matrix/": goldens.matrix_digests,
     "scenarios/": goldens.scenario_digests,
+    "attacks/": goldens.attack_digests,
 }
 
 
