@@ -27,8 +27,8 @@ store = CredentialStore.provision(412)
 
 
 def spy(protocol, kind, locus, seed):
-    handle, result = run_attacked_session(
-        SessionConfig(protocol=protocol, seed=seed), AdversaryConfig(kind, locus), store
+    (handle,), result = run_attacked_session(
+        SessionConfig(protocol=protocol, seed=seed), [AdversaryConfig(kind, locus)], store
     )
     outcome = evaluate(handle)
     seen = sorted({obs.data[0] for obs in handle.observations})

@@ -18,6 +18,13 @@ fresh session, or runs a whole login with whatever credentials or keys it
 exfiltrated, and reports what the server said. The resistance matrix is
 therefore an output of the state machines, not a transcription.
 
+In the matrix, one honest session per (protocol, trial) is watched by all
+eight adversaries at once (``run_attacked_session`` takes a sequence of
+configs), and ``evaluate`` scores each handle into its own cell. That is
+sound because the matrix handles are passive: taps only, no hooks, so none
+changes what another sees. Follow-ups and alteration runs stay per handle,
+seeded by the handle's kind and locus.
+
 Every attack is an honest session plus installs handed to ``run_flow``:
 taps and hooks on a locus (an ``AttackerHandle``, ``replaying``) or state
 planted on the phone (``phone_holding``). No entity reads an attacker
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 from . import crypto, qr, rng as rngmod
@@ -116,6 +123,10 @@ class AdversaryConfig:
     def __post_init__(self):
         if self.locus not in MATRIX_LOCI:
             raise ValueError("locus must be terminal or smartphone")
+
+
+# the eight adversaries that watch each matrix session, in cell order
+MATRIX_ADVERSARIES = tuple(AdversaryConfig(kind, locus) for kind in MATRIX_KINDS for locus in MATRIX_LOCI)
 
 
 @dataclass(frozen=True)
@@ -280,7 +291,7 @@ def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
     if protocol not in AUTH_PROTOCOLS:
         return False
     store: CredentialStore = session.store
-    seed = rngmod.child_seed(session.seed, "followup", handle.config.kind.value)
+    seed = rngmod.child_seed(session.seed, "followup", handle.config.kind.value, handle.config.locus.value)
 
     user_id = session.config.user_id
     login = handle.observed("login")
@@ -348,14 +359,15 @@ def evaluate(handle: AttackerHandle, followup_budget: int = FOLLOWUP_BUDGET) -> 
 
 def run_attacked_session(
     session_config: SessionConfig,
-    config: AdversaryConfig,
+    configs: Sequence[AdversaryConfig],
     store: CredentialStore | None = None,
-) -> tuple[AttackerHandle, SessionResult]:
-    """Honest run with the adversary attached; returns handle + result."""
+) -> tuple[list[AttackerHandle], SessionResult]:
+    """Honest run with one adversary per config attached; returns the
+    handles, in the order of configs, and the result."""
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
-    handle = AttackerHandle(config)
-    result = run_flow(session_config, store, adversaries=[handle])
-    return handle, result
+    handles = [AttackerHandle(config) for config in configs]
+    result = run_flow(session_config, store, adversaries=handles)
+    return handles, result
 
 
 # -------- the keylogger posterior, in closed form --------
@@ -465,7 +477,7 @@ def _forged_layout(config: SessionConfig, store: CredentialStore):
 def _otp_replay(config: SessionConfig, store: CredentialStore):
     """Replay the one-time password terminal malware read in an earlier login."""
     earlier = replace(config, seed=rngmod.child_seed(config.seed, "capture"))
-    handle, _ = run_attacked_session(earlier, _TERMINAL_MALWARE, store)
+    (handle,), _ = run_attacked_session(earlier, [_TERMINAL_MALWARE], store)
     (otp,) = handle.observed("otp")
     return [replaying(SubmitOtp(otp=otp))], _authenticated
 
@@ -552,6 +564,7 @@ class AttackResult:
     attack: Attack
     outcome: Outcome
     breached: bool
+    late_verdicts: tuple[tuple[int, Outcome], ...]  # (step, verdict) after the outcome settled
 
 
 def run_attack(attack: Attack, seed: int, store: CredentialStore | None = None) -> AttackResult:
@@ -560,7 +573,7 @@ def run_attack(attack: Attack, seed: int, store: CredentialStore | None = None) 
     config = SessionConfig(protocol=attack.protocol, seed=seed, flags=attack.flags)
     installs, breached = attack.setup(config, store)
     result = run_flow(config, store, adversaries=installs)
-    return AttackResult(attack, result.outcome, breached(result))
+    return AttackResult(attack, result.outcome, breached(result), tuple(result.session.late_verdicts))
 
 
 # -------- the full resistance matrix --------
@@ -588,33 +601,31 @@ def run_matrix(seed: int, trials: int = 100, followup_budget: int = FOLLOWUP_BUD
     """Every protocol x adversary x locus, each cell over seeded trials.
 
     A cell resists when no trial's adversary could authenticate later.
+    Each (protocol, trial) is one honest session watched by all eight
+    adversaries at once. Sharing it is sound because every matrix handle
+    is passive: it installs taps and no hook, so no handle changes what
+    another sees. Each handle is then evaluated into its own cell, with
+    its own follow-ups and alteration run.
     """
     store = CredentialStore.provision(rngmod.child_seed(seed, "matrix-store"))
     cells = []
     for protocol in AUTH_PROTOCOLS:
-        for kind in MATRIX_KINDS:
-            for locus in MATRIX_LOCI:
-                breaches = 0
-                for trial in range(trials):
-                    trial_seed = rngmod.child_seed(
-                        seed, protocol.value, kind.value, locus.value, str(trial)
-                    )
-                    handle, result = run_attacked_session(
-                        SessionConfig(protocol=protocol, seed=trial_seed),
-                        AdversaryConfig(kind, locus),
-                        store,
-                    )
-                    outcome = evaluate(handle, followup_budget)
-                    if outcome.can_authenticate_later:
-                        breaches += 1
-                cells.append(
-                    MatrixCell(
-                        protocol=protocol,
-                        kind=kind,
-                        locus=locus,
-                        trials=trials,
-                        breaches=breaches,
-                        expected_resist=expected_resistance(protocol, kind, locus),
-                    )
-                )
+        breaches = dict.fromkeys(MATRIX_ADVERSARIES, 0)
+        for trial in range(trials):
+            session_config = SessionConfig(protocol=protocol, seed=rngmod.child_seed(seed, protocol.value, str(trial)))
+            handles, _ = run_attacked_session(session_config, MATRIX_ADVERSARIES, store)
+            for handle in handles:
+                if evaluate(handle, followup_budget).can_authenticate_later:
+                    breaches[handle.config] += 1
+        cells.extend(
+            MatrixCell(
+                protocol=protocol,
+                kind=config.kind,
+                locus=config.locus,
+                trials=trials,
+                breaches=breaches[config],
+                expected_resist=expected_resistance(protocol, config.kind, config.locus),
+            )
+            for config in MATRIX_ADVERSARIES
+        )
     return cells

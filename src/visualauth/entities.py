@@ -402,7 +402,9 @@ class Session:
 
     config and store are set by the protocol layer when it assembles the
     session; the handlers fill in the abort reason, the executed
-    transaction and the viewed fields as the run goes.
+    transaction and the viewed fields as the run goes. The first verdict
+    stands; each later one that differs from it goes to late_verdicts as
+    (step, verdict), so a refusal that comes too late still shows.
     """
 
     def __init__(self, seed: int):
@@ -413,6 +415,7 @@ class Session:
         self.step = 0
         self._order: deque[Message] = deque()
         self.outcome = None
+        self.late_verdicts: list[tuple[int, object]] = []
         self.closed = False
         self.frame_log: list[tuple[int, str, VisualFrame]] = []
         self.secret_probes: list[SecretProbe] = []
@@ -445,6 +448,8 @@ class Session:
     def finish(self, outcome) -> None:
         if self.outcome is None:
             self.outcome = outcome
+        elif outcome != self.outcome:
+            self.late_verdicts.append((self.step, outcome))
 
     def run(self, max_deliveries: int = MAX_DELIVERIES):
         """Drain the queue; one idle round lets timeouts fire fail-closed."""

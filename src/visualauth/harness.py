@@ -328,7 +328,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     for trial in range(scenario.trials):
         config = replace(base, seed=rngmod.child_seed(base.seed, scenario.name, str(trial)))
         if scenario.adversary is not None:
-            handle, result = run_attacked_session(config, scenario.adversary, store)
+            (handle,), result = run_attacked_session(config, [scenario.adversary], store)
             attack = evaluate(handle, scenario.followup_budget)
             if attack.can_authenticate_later:
                 breaches += 1

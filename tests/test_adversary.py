@@ -159,8 +159,8 @@ class TestExpectedPattern:
 
 
 def _attack(protocol, kind, locus, seed):
-    handle, result = run_attacked_session(
-        SessionConfig(protocol=protocol, seed=seed), AdversaryConfig(kind, locus)
+    (handle,), result = run_attacked_session(
+        SessionConfig(protocol=protocol, seed=seed), [AdversaryConfig(kind, locus)]
     )
     return handle, result, evaluate(handle)
 
@@ -202,8 +202,8 @@ SURFACE_LABELS = {
 )
 def test_each_adversary_records_its_surface(cell):
     protocol, kind, locus = cell
-    handle, _ = run_attacked_session(
-        SessionConfig(protocol=protocol, seed=2), AdversaryConfig(kind, locus)
+    (handle,), _ = run_attacked_session(
+        SessionConfig(protocol=protocol, seed=2), [AdversaryConfig(kind, locus)]
     )
     assert {obs.data[0] for obs in handle.observations} == SURFACE_LABELS[cell]
 
@@ -418,6 +418,76 @@ class TestMatrix:
         assert breached.matches_expected
 
 
+MATRIX_CONFIGS = list(adversary.MATRIX_ADVERSARIES)
+
+
+def _takings(handle):
+    return handle.observations, handle.stolen_keypair, evaluate(handle)
+
+
+class TestSharedSession:
+    """run_matrix lets all eight adversaries watch one session per trial;
+    a handle on the shared session must see and gain what it would alone."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=lambda p: p.value)
+    def test_sharing_is_invisible(self, protocol, seed):
+        # every run provisions a fresh store from the seed: a store that had
+        # issued this seed's nonce already would redraw it
+        config = SessionConfig(protocol=protocol, seed=seed)
+        shared, _ = run_attacked_session(config, MATRIX_CONFIGS)
+        assert [handle.config for handle in shared] == MATRIX_CONFIGS
+        shared_takings = [_takings(handle) for handle in shared]
+        alone_takings = [_takings(run_attacked_session(config, [c])[0][0]) for c in MATRIX_CONFIGS]
+        assert shared_takings == alone_takings
+
+    def test_an_active_handle_is_not_invisible(self):
+        # positive control: a hook that rewrites the transaction changes what
+        # the passive handles on the same session see
+        config = SessionConfig(protocol=Protocol.TXVERIFY, seed=0)
+        passive, _ = run_attacked_session(config, MATRIX_CONFIGS)
+        watched = [adversary.AttackerHandle(c) for c in MATRIX_CONFIGS]
+        hijacker = adversary.AttackerHandle(adversary._TERMINAL_MALWARE, alter_tx=EVIL_TX)
+        run_flow(config, adversaries=[*watched, hijacker])
+        changed = {
+            (a.config.kind, a.config.locus)
+            for a, b in zip(passive, watched)
+            if a.observations != b.observations
+        }
+        assert (AdversaryKind.SHOULDER_SURFER, EntityKind.TERMINAL) in changed
+        assert (AdversaryKind.MALWARE, EntityKind.SMARTPHONE) in changed
+
+    def test_cells_of_one_session_draw_their_own_guesses(self, monkeypatch):
+        # the two brute-force cells share a session, not their guesses
+        seeds = []
+        guess = adversary.brute_force_guessing
+
+        def recording(store, user_id, budget, seed):
+            seeds.append(seed)
+            return guess(store, user_id, budget, seed)
+
+        monkeypatch.setattr(adversary, "brute_force_guessing", recording)
+        run_matrix(2026, trials=2)
+        assert len(seeds) == len(set(seeds)) == len(AUTH_PROTOCOLS) * 2 * 2
+
+    def test_matrix_leaves_the_store_but_its_nonces_alone(self, monkeypatch):
+        seen = []
+        run = adversary.run_attacked_session
+
+        def recording(session_config, configs, store=None):
+            if not seen:
+                seen.append(
+                    (store, store.server_pair, store.server_name, dict(store.users), set(store.issued_nonces))
+                )
+            return run(session_config, configs, store)
+
+        monkeypatch.setattr(adversary, "run_attacked_session", recording)
+        run_matrix(2026, trials=2)
+        store, server_pair, server_name, users, nonces = seen[0]
+        assert (store.server_pair, store.server_name, store.users) == (server_pair, server_name, users)
+        assert store.issued_nonces > nonces
+
+
 class TestReplaysAreJudged:
     def test_positions_that_spell_the_password_authenticate(self):
         # positive control: the server judges what replaying submits, so the
@@ -494,6 +564,21 @@ class TestAttackCatalogue:
         ]
         assert pairs, f"no on/off pair of rows for {flag}"
         assert all(off.expect_breach and not on.expect_breach for on, off in pairs)
+
+    def test_a_late_refusal_is_recorded(self):
+        # the user refuses the forged transaction on the phone after the
+        # server executed it: the outcome stands, the refusal is kept
+        for seed in (0, 1, 5):
+            result = run_attack(ATTACKS["forged_confirm"], seed)
+            assert result.outcome is Outcome.CONFIRMED
+            assert [verdict for _, verdict in result.late_verdicts] == [Outcome.USER_FLAGGED_MISMATCH]
+        # stale_receipt's user flags twice; the repeat matches the verdict
+        for seed in (0, 1, 5):
+            result = run_attack(ATTACKS["stale_receipt"], seed)
+            assert (result.outcome, result.late_verdicts) == (Outcome.USER_FLAGGED_MISMATCH, ())
+        for protocol in Protocol:
+            for seed in (0, 1, 2):
+                assert run_flow(SessionConfig(protocol=protocol, seed=seed)).session.late_verdicts == []
 
 
 class TestTransactionAlteration:
