@@ -2,9 +2,10 @@
 
 A session wires one user, one terminal, one smartphone, and one server
 together over typed one-way channels and drives them with a
-single-threaded FIFO event loop. Everything observable about a run is
-captured twice: a transcript of every delivery (step, channel, tag,
-payload digest) and a per-entity history of serialized state snapshots.
+single-threaded FIFO event loop; the receiver's handler_for picks the one
+handler each delivery runs. Everything observable about a run is captured
+twice: a transcript of every delivery (step, channel, tag, payload digest)
+and a per-entity history of serialized state snapshots.
 
 The snapshot history exists for one reason: secrecy claims about where
 plaintext secrets may live are checked by scanning it, not by trusting
@@ -332,10 +333,10 @@ def _check_immutable(kind: EntityKind, state: dict) -> None:
 class Entity:
     """Base participant: a tag-dispatched state machine with a state dict.
 
-    Each delivery runs exactly one handler, by default the on_<tag> method
-    (a subclass may override handler_for), then snapshots the state. The
-    snapshot is a shallow copy, encoded only when snapshots is read, so a
-    handler replaces a state value rather than changing it in place.
+    Each delivery runs exactly one handler, the one the subclass's
+    handler_for(message) returns, then snapshots the state. The snapshot
+    is a shallow copy, encoded only when snapshots is read, so a handler
+    replaces a state value rather than changing it in place.
     """
 
     kind: ClassVar[EntityKind]
@@ -369,14 +370,6 @@ class Entity:
 
     def handle(self, message: Message) -> None:
         self.handler_for(message)(message)
-
-    def handler_for(self, message: Message) -> Callable[[Message], None]:
-        handler = getattr(self, "on_" + message.tag, None)
-        if handler is None:
-            raise ProtocolViolation(
-                f"{self.kind.value} has no handler for {message.tag!r}"
-            )
-        return handler
 
     def on_idle(self) -> None:
         """Called once when the queue drains without an outcome."""
@@ -478,7 +471,7 @@ def deliver(session: Session, message: Message) -> None:
     exactly one handler.
 
     Raises ProtocolViolation for a message delivered to a closed session
-    or that no handler accepts.
+    or to a party the session lacks.
     """
     if session.closed:
         raise ProtocolViolation("message delivered to a completed session")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from types import MappingProxyType
 
 from . import crypto, qr, rng as rngmod
@@ -201,9 +202,6 @@ CAPTURE_CONTEXTS = {
     Protocol.SECUREVIEW: tuple(f"secure_field:{label}" for label, _ in DEFAULT_VIEW_FIELDS),
     Protocol.HIJACKGUARD: (),
 }
-# the one ShowFrame context each login flow's phone scans; the flow, not
-# the terminal's label, says what the frame holds
-PHONE_SCANS = {Protocol.P1: "keyboard", Protocol.P2: "otp", Protocol.P3: "nonce"}
 
 
 @dataclass(frozen=True)
@@ -580,7 +578,32 @@ def _abort(session: Session, reason: str, retryable: bool) -> None:
 # -------- the four participants --------
 
 
-class UserModel(Entity):
+class Party(Entity):
+    """One of the four parties. It takes a message only where its FLOWS rows
+    allow, from the phase it stands in; a tag foreign to its rows in the flow
+    aborts <tag>_out_of_protocol, one in the wrong phase <tag>_out_of_order,
+    and once the session has aborted no party takes input."""
+
+    phase = "start"
+
+    def handler_for(self, message: Message):
+        flow = FLOWS[self.session.config.protocol][self.kind]
+        phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase
+        row = flow.get(phase, {}).get(message.tag)
+        if row is None:
+            known = any(message.tag in rows for rows in flow.values())
+            reason = f"{message.tag}_{'out_of_order' if known else 'out_of_protocol'}"
+            return lambda msg: _abort(self.session, reason, retryable=False)
+        handler, next_phase = row
+
+        def step(msg: Message) -> None:
+            self.phase = next_phase
+            handler(self, msg)
+
+        return step
+
+
+class UserModel(Party):
     """The human: remembers credentials and intent, reads screens, clicks.
 
     Confirms a transaction only when the smartphone-verified copy agrees
@@ -683,7 +706,7 @@ class UserModel(Entity):
         self.session.finish(Outcome.VIEWED)
 
 
-class Terminal(Entity):
+class Terminal(Party):
     """The untrusted browser/kiosk: routes, renders, never holds a secret
     beyond the one-time password it relays in the OTP flow."""
 
@@ -754,7 +777,7 @@ class Terminal(Entity):
         self.emit(ShowDoc(labels=msg.labels, frames=msg.frames))
 
 
-class Smartphone(Entity):
+class Smartphone(Party):
     """The trusted personal device: the only place the user's private key
     lives and the only party that renders decrypted content to the user."""
 
@@ -764,25 +787,31 @@ class Smartphone(Entity):
         super().__init__(session)
         self.state.update(keypair=keypair, server_public=server_public, server_name=server_name)
 
-    def on_show_frame(self, msg: ShowFrame) -> None:
-        context = PHONE_SCANS.get(self.session.config.protocol)
+    def on_show_frame(self, msg: ShowFrame, context: str) -> None:
+        # the flow's row, never the terminal's label, says what the frame holds
         if msg.context != context:
-            _abort(self.session, "show_frame_out_of_protocol", retryable=False)
+            self._refuse_scan("show_frame_out_of_protocol", retryable=False)
             return
         try:
             payload = _capture(self.session, msg.frame, context)
         except qr.UncorrectableFrameError:
-            _abort(self.session, "frame_undecodable", retryable=True)
+            self._refuse_scan("frame_undecodable", retryable=True)
             return
         if context == "keyboard":
             self._handle_keyboard_payload(payload)
         elif context == "otp":
             self._handle_otp_payload(payload)
         elif len(payload) != crypto.NONCE_LEN:
-            _abort(self.session, "nonce_malformed", retryable=False)
+            self._refuse_scan("nonce_malformed", retryable=False)
         else:
             self.state["nonce"] = payload
             self.emit(ShowLoginBox())
+
+    def _refuse_scan(self, reason: str, retryable: bool) -> None:
+        # a refused frame is no scan; when a verdict already stands the abort
+        # is void, and only this phase keeps the P3 phone from taking credentials
+        self.phase = "start"
+        _abort(self.session, reason, retryable)
 
     def _verify_and_open(self, payload: bytes) -> bytes | None:
         try:
@@ -827,11 +856,7 @@ class Smartphone(Entity):
         # the login box masks the password; only glyph count is rendered
         self.state["login"] = (msg.user_id, msg.password)
         self.emit(EchoMaskedCredentials(user_id=msg.user_id, masked=MASK_GLYPH * len(msg.password)))
-        nonce = self.state.get("nonce")
-        if nonce is None:
-            _abort(self.session, "no_nonce_scanned", retryable=False)
-            return
-        plain = _pack_credentials(nonce, msg.user_id, msg.password, self.state["server_name"])
+        plain = _pack_credentials(self.state["nonce"], msg.user_id, msg.password, self.state["server_name"])
         ct = crypto.encrypt(self.state["server_public"], plain, self.session.rng)
         blob = ct.to_bytes()
         self.session.register_secret(
@@ -874,15 +899,12 @@ class Smartphone(Entity):
         self.emit(ShowFields(values=tuple(values), failures=tuple(failures)))
 
 
-class Server(Entity):
+class Server(Party):
     """The verifier: issues challenges, alone resolves click positions,
     enforces one-time and freshness semantics, and executes transactions
-    only past the enabled guards. It takes messages only in the order its
-    flow's SERVER_FLOWS table allows, from the phase it stands in; anything
-    else aborts the session, and an aborted session takes no more input."""
+    only past the enabled guards."""
 
     kind = EntityKind.SERVER
-    phase = "start"
 
     def __init__(self, session, store: CredentialStore):
         super().__init__(session)
@@ -896,22 +918,6 @@ class Server(Entity):
             attempts=0,
             executed_tx=None,
         )
-
-    def handler_for(self, message: Message):
-        flow = SERVER_FLOWS[self.session.config.protocol]
-        phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase
-        row = flow.get(phase, {}).get(message.tag)
-        if row is None:
-            known = any(message.tag in rows for rows in flow.values())
-            reason = f"{message.tag}_{'out_of_order' if known else 'out_of_protocol'}"
-            return lambda msg: _abort(self.session, reason, retryable=False)
-        handler, next_phase = row
-
-        def step(msg: Message) -> None:
-            self.phase = next_phase
-            handler(self, msg)
-
-        return step
 
     # -- challenge issuance --
 
@@ -1102,37 +1108,77 @@ class Server(Entity):
         self.emit(SecureDocMessage(labels=tuple(labels), frames=tuple(frames)))
 
 
-# The server's legal message order: SERVER_FLOWS[protocol][phase][tag] =
-# (handler, next phase). A tag foreign to the flow aborts <tag>_out_of_protocol,
-# one in the wrong phase <tag>_out_of_order. A login retry reissues the
-# challenge in "challenged"; a login verdict moves the server to "done".
-SERVER_FLOWS: dict[Protocol, dict[str, dict[str, tuple]]] = {
+def _any_order(party: type, *messages: type, **bound) -> dict:
+    """One phase: party takes each message, in any order, by on_<tag>(msg, **bound)."""
+    rows = {cls.TAG: (partial(getattr(party, "on_" + cls.TAG), **bound), "start") for cls in messages}
+    return {"start": rows}
+
+
+# Every party's legal message order: FLOWS[protocol][party][phase][tag] =
+# (handler, next phase). A client stands in one phase wherever order does not
+# matter; the P3 phone takes credentials only after a scan. A login retry
+# reissues the challenge in "challenged"; a login verdict moves the server to "done".
+FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
     Protocol.P1: {
-        "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_keyboard), "challenged")},
-        "challenged": {SubmitPositions.TAG: (Server.on_submit_positions, "challenged")},
+        EntityKind.USER: _any_order(UserModel, ShowKeyboard, ShowLayout, EchoClicks, ShowResult),
+        EntityKind.TERMINAL: _any_order(Terminal, TypeId, KeyboardChallenge, ClickPositions, AuthResult),
+        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="keyboard"),
+        EntityKind.SERVER: {
+            "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_keyboard), "challenged")},
+            "challenged": {SubmitPositions.TAG: (Server.on_submit_positions, "challenged")},
+        },
     },
     Protocol.P2: {
-        "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_otp), "challenged")},
-        "challenged": {SubmitOtp.TAG: (Server.on_submit_otp, "challenged")},
+        EntityKind.USER: _any_order(UserModel, ShowKeyboard, ShowOtp, EchoOtp, ShowResult),
+        EntityKind.TERMINAL: _any_order(Terminal, TypeId, OtpChallenge, TypeOtp, AuthResult),
+        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="otp"),
+        EntityKind.SERVER: {
+            "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_otp), "challenged")},
+            "challenged": {SubmitOtp.TAG: (Server.on_submit_otp, "challenged")},
+        },
     },
     Protocol.P3: {
-        "start": {ConnectRequest.TAG: (lambda s, m: s._issue_nonce(), "challenged")},
-        "challenged": {SubmitCiphertext.TAG: (Server.on_submit_ciphertext, "challenged")},
+        EntityKind.USER: _any_order(UserModel, ShowLoginBox, EchoMaskedCredentials, ShowResult),
+        EntityKind.TERMINAL: _any_order(Terminal, Connect, NonceChallenge, UploadFrame, AuthResult),
+        EntityKind.SMARTPHONE: {
+            "start": {ShowFrame.TAG: (partial(Smartphone.on_show_frame, context="nonce"), "scanned")},
+            "scanned": {
+                ShowFrame.TAG: (partial(Smartphone.on_show_frame, context="nonce"), "scanned"),
+                TypeCredentials.TAG: (Smartphone.on_type_credentials, "scanned"),
+            },
+        },
+        EntityKind.SERVER: {
+            "start": {ConnectRequest.TAG: (lambda s, m: s._issue_nonce(), "challenged")},
+            "challenged": {SubmitCiphertext.TAG: (Server.on_submit_ciphertext, "challenged")},
+        },
     },
     Protocol.TXVERIFY: {
-        "start": {SubmitTx.TAG: (Server.on_submit_tx, "challenged")},
-        "challenged": {ForwardConfirm.TAG: (Server.on_forward_confirm, "done")},
+        EntityKind.USER: _any_order(UserModel, ShowTxPage, ShowVerifiedTx, ShowResult),
+        EntityKind.TERMINAL: _any_order(Terminal, RequestTx, TxConfirmation, ConfirmTx, TxResult),
+        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowTxFrame),
+        EntityKind.SERVER: {
+            "start": {SubmitTx.TAG: (Server.on_submit_tx, "challenged")},
+            "challenged": {ForwardConfirm.TAG: (Server.on_forward_confirm, "done")},
+        },
     },
     Protocol.SECUREVIEW: {
-        "start": {ConnectRequest.TAG: (lambda s, m: s._issue_document(), "done")},
+        EntityKind.USER: _any_order(UserModel, ShowFields),
+        EntityKind.TERMINAL: _any_order(Terminal, Connect, SecureDocMessage),
+        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowDoc),
+        EntityKind.SERVER: {"start": {ConnectRequest.TAG: (lambda s, m: s._issue_document(), "done")}},
     },
     Protocol.HIJACKGUARD: {
-        "start": {
-            SubmitTx.TAG: (Server.on_guarded_tx, "tx_held"),
-            SideCopy.TAG: (Server.on_side_copy, "side_held"),
+        EntityKind.USER: _any_order(UserModel, ShowResult),
+        EntityKind.TERMINAL: _any_order(Terminal, RequestTx, TxResult),
+        EntityKind.SMARTPHONE: _any_order(Smartphone, ConfirmOnPhone),
+        EntityKind.SERVER: {
+            "start": {
+                SubmitTx.TAG: (Server.on_guarded_tx, "tx_held"),
+                SideCopy.TAG: (Server.on_side_copy, "side_held"),
+            },
+            "tx_held": {SideCopy.TAG: (Server.on_side_copy, "done")},
+            "side_held": {SubmitTx.TAG: (Server.on_guarded_tx, "done")},
         },
-        "tx_held": {SideCopy.TAG: (Server.on_side_copy, "done")},
-        "side_held": {SubmitTx.TAG: (Server.on_guarded_tx, "done")},
     },
 }
 
@@ -1190,10 +1236,6 @@ def build_session(config: SessionConfig, store: CredentialStore) -> Session:
 class SessionResult:
     outcome: Outcome
     session: Session
-
-    @property
-    def authenticated(self) -> bool:
-        return self.outcome is Outcome.AUTHENTICATED
 
 
 def run_flow(config: SessionConfig, store: CredentialStore | None = None, adversaries=()) -> SessionResult:

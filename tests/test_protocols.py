@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -21,10 +22,9 @@ from visualauth.protocols import (
     CAPTURE_CONTEXTS,
     DEFAULT_TX,
     DEFAULT_VIEW_FIELDS,
+    FLOWS,
     GRID_COLS,
     GRID_ROWS,
-    PHONE_SCANS,
-    SERVER_FLOWS,
     ConnectRequest,
     CredentialStore,
     ForwardConfirm,
@@ -33,17 +33,16 @@ from visualauth.protocols import (
     Protocol,
     SessionConfig,
     SessionFlags,
+    ShowLoginBox,
     ShowTxPage,
     SideCopy,
     SignedConfirmation,
-    Smartphone,
     SubmitCiphertext,
     SubmitOtp,
     SubmitPositions,
     SubmitTx,
-    Terminal,
     Transaction,
-    UserModel,
+    TypeCredentials,
     _pack_signed,
     build_session,
     canonical_tx_bytes,
@@ -106,7 +105,6 @@ class TestHonestLogins:
     def test_p1_authenticates_in_eleven_steps(self):
         result = run_flow(_cfg(Protocol.P1, 101))
         assert result.outcome is Outcome.AUTHENTICATED
-        assert result.authenticated
         assert len(result.session.transcript) == 11
 
     def test_p2_authenticates_in_eleven_steps(self):
@@ -329,6 +327,10 @@ def _rewriting_frames(**changes):
     return install
 
 
+# the one frame context each login flow's phone scans, as its FLOWS row says
+SCANNED = {Protocol.P1: "keyboard", Protocol.P2: "otp", Protocol.P3: "nonce"}
+
+
 def _frame_of(size):
     payload = bytes(range(size))
     return qr.qr_encode(payload, qr.choose_spec(payload))
@@ -405,7 +407,7 @@ class TestFrameHandling:
             (protocol, label)
             for protocol in AUTH_PROTOCOLS
             for label in ("keyboard", "otp", "nonce", "credential_upload", "bogus")
-            if label != PHONE_SCANS[protocol]
+            if label != SCANNED[protocol]
         ],
         ids=str,
     )
@@ -417,6 +419,25 @@ class TestFrameHandling:
         assert result.session.abort_reason == "show_frame_out_of_protocol"
         assert not result.session.abort_retryable
         assert secrecy_violations(result.session) == []
+
+    def test_refused_scan_under_a_standing_verdict_takes_no_credentials(self):
+        # junk is denied before the phone's first scan, so the abort for
+        # the relabelled frame cannot register; the phone still counts as
+        # unscanned and refuses the credentials instead of raising
+        def install(session):
+            def tap(direction, msg):
+                if direction == "in" and msg.tag == "nonce_challenge":
+                    session.inject(SubmitCiphertext(blob=b"garbage"))
+                elif direction == "in" and msg.tag == "show_frame":
+                    session.inject(TypeCredentials(user_id="alice", password="data"))
+
+            for entity in session.entities.values():
+                entity.io_taps.append(tap)
+
+        result = run_flow(_cfg(Protocol.P3, 140), adversaries=[_rewriting_frames(context="bogus"), install])
+        assert result.outcome is Outcome.DENIED
+        assert "type_credentials" in [e.tag for e in result.session.transcript]
+        assert "login" not in result.session.entities[EntityKind.SMARTPHONE].state
 
     @pytest.mark.parametrize("size", [15, 17, 200])
     def test_malformed_nonce_aborts_fatal(self, size):
@@ -623,23 +644,28 @@ class TestHijackGuard:
 class TestDispatch:
     def test_every_message_has_a_handler_at_its_receiver(self):
         # a message travels only on its declared channel; whoever sits at
-        # the far end of that channel must have a handler for it
-        entity_classes = {
-            EntityKind.USER: UserModel,
-            EntityKind.TERMINAL: Terminal,
-            EntityKind.SMARTPHONE: Smartphone,
-        }
-        server_tags = {
-            tag for flow in SERVER_FLOWS.values() for rows in flow.values() for tag in rows
-        }
+        # the far end of that channel takes it in some flow's rows
         registered = Message.__subclasses__()
         assert {cls.TAG for cls in registered} == set(entities._TAG_BYTES)
         for cls in registered:
             receiver = cls.CHANNEL.receiver
-            if receiver is EntityKind.SERVER:
-                assert cls.TAG in server_tags, cls.TAG
-            else:
-                assert hasattr(entity_classes[receiver], "on_" + cls.TAG), cls.TAG
+            assert any(
+                cls.TAG in rows for flow in FLOWS.values() for rows in flow[receiver].values()
+            ), cls.TAG
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_every_row_is_delivered_by_the_honest_run(self, protocol):
+        # each party's rows name exactly the tags the honest run delivers
+        # to it: none is wider than its flow, and no delivery finds no row
+        # (which after the verdict would abort without a trace)
+        named = {
+            (party, tag) for party, phases in FLOWS[protocol].items() for rows in phases.values() for tag in rows
+        }
+        for seed in range(3):
+            result = run_flow(_cfg(protocol, seed))
+            assert result.session.abort_reason is None, seed
+            delivered = {(event.receiver, event.tag) for event in result.session.transcript}
+            assert delivered == named, (seed, delivered ^ named)
 
     def test_run_flow_routes_by_protocol(self):
         assert run_flow(_cfg(Protocol.P2, 170)).outcome is Outcome.AUTHENTICATED
@@ -661,10 +687,10 @@ class TestDispatch:
 
 
 def _run_with_injected(config, message, at=0):
-    """Queue message on its channel to the server, as an attacker on the
-    terminal's network path or the cellular link could, then run the
-    session. at=0 injects before the user begins; at=k as the k-th
-    delivery starts. The store also provisions a second user, bob."""
+    """Queue message on the channel its class declares, as an attacker on
+    that channel could, then run the session. at=0 injects before the user
+    begins; at=k as the k-th delivery starts. The store also provisions a
+    second user, bob."""
     store = CredentialStore.provision(config.seed, users=(("alice", "data"), ("bob", "b0b5")))
     session = build_session(config, store)
     deliveries = 0
@@ -701,7 +727,21 @@ SERVER_BOUND = (
 )
 
 
+@functools.cache
+def _client_bound(seed):
+    """One honest sample of each message a client takes: the first of each
+    tag that the honest runs of the six flows at seed deliver to a client."""
+    samples = {}
+    for protocol in Protocol:
+        for event in run_flow(_cfg(protocol, seed)).session.transcript:
+            if event.receiver is not EntityKind.SERVER:
+                samples.setdefault(event.tag, event.message)
+    return tuple(samples.values())
+
+
 class TestServerFailsClosed:
+    """Every party, the server first, refuses a message its FLOWS rows lack."""
+
     def test_ciphertext_injected_into_p1_aborts(self):
         # P3's submission is foreign to P1; accepting it used to answer
         # with a nonce, walk the user into typing the password on the
@@ -766,6 +806,32 @@ class TestServerFailsClosed:
                     assert session.abort_reason is None, where
 
     @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_client_injection_sweep(self, protocol):
+        # every client-bound message, one honest sample each, at every
+        # delivery point of the honest run. An injected login box used to
+        # make the user type the password into the phone outside P3, and an
+        # injected type_credentials put it on the phone directly
+        config = _cfg(protocol, 185)
+        deliveries = run_flow(config).session.step
+        for message in _client_bound(185):
+            for at in range(deliveries + 1):
+                session = _run_with_injected(config, message, at=at)
+                where = (message.tag, at)
+                assert session.outcome is not None, where
+                assert secrecy_violations(session) == [], where
+                assert session.executed_tx in (None, DEFAULT_TX), where
+                if session.outcome is not Outcome.ABORTED:
+                    assert session.abort_reason is None, where
+
+    def test_credentials_before_the_nonce_scan_abort(self):
+        # the user answers an early login box, but the P3 phone takes
+        # credentials only after it has scanned a nonce
+        session = _run_with_injected(_cfg(Protocol.P3, 188), ShowLoginBox())
+        assert session.outcome is Outcome.ABORTED
+        assert session.abort_reason == "type_credentials_out_of_order"
+        assert "login" not in session.entities[EntityKind.SMARTPHONE].state
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
     def test_confirm_before_any_transaction_aborts(self, protocol):
         session = _run_with_injected(_cfg(protocol, 182), ForwardConfirm(ok=True))
         assert session.outcome is Outcome.ABORTED
@@ -778,21 +844,29 @@ class TestServerFailsClosed:
         }
         assert registered <= {message.tag for message in SERVER_BOUND}
 
+    def test_client_bound_covers_the_registry(self):
+        registered = {
+            cls.TAG for cls in Message.__subclasses__() if cls.CHANNEL.receiver is not EntityKind.SERVER
+        }
+        assert len(registered) == 30
+        assert registered == {message.tag for message in _client_bound(185)}
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_every_tag_a_phase_lacks_aborts(self, protocol):
-        # generated from the table: each phase of the flow, and "done",
-        # refuses every server-bound tag it has no row for
-        flow = SERVER_FLOWS[protocol]
-        known = {tag for rows in flow.values() for tag in rows}
+        # generated from the table: each phase of each party's rows, and
+        # "done", refuses every tag bound to that party it has no row for
         store = CredentialStore.provision(187)
-        for phase in (*flow, "done"):
-            for message in SERVER_BOUND:
-                if message.tag in flow.get(phase, {}):
-                    continue
-                session = build_session(_cfg(protocol, 187), store)
-                session.entities[EntityKind.SERVER].phase = phase
-                deliver(session, message)
-                where = (phase, message.tag)
-                assert session.outcome is Outcome.ABORTED, where
-                kind = "out_of_order" if message.tag in known else "out_of_protocol"
-                assert session.abort_reason == f"{message.tag}_{kind}", where
+        for party, flow in FLOWS[protocol].items():
+            known = {tag for rows in flow.values() for tag in rows}
+            bound = [m for m in (*SERVER_BOUND, *_client_bound(185)) if m.CHANNEL.receiver is party]
+            for phase in (*flow, "done"):
+                for message in bound:
+                    if message.tag in flow.get(phase, {}):
+                        continue
+                    session = build_session(_cfg(protocol, 187), store)
+                    session.entities[party].phase = phase
+                    deliver(session, message)
+                    where = (party, phase, message.tag)
+                    assert session.outcome is Outcome.ABORTED, where
+                    kind = "out_of_order" if message.tag in known else "out_of_protocol"
+                    assert session.abort_reason == f"{message.tag}_{kind}", where
