@@ -1,10 +1,10 @@
 """Watching the watchers: what each attacker sees and what it buys them.
 
-An adversary here is one tap on one location (the terminal or the
-smartphone) that records the surface it sees there, plus every follow-up
-trick its loot supports: replaying captures, spending stolen keys,
-walking learned credentials to a fresh session. Resistance means none of
-it logs in later.
+An adversary here sits at one location (the terminal or the smartphone)
+and reads off the session's transcript the surface it sees there, plus
+every follow-up trick its loot supports: replaying captures, spending
+stolen keys, walking learned credentials to a fresh session. Resistance
+means none of it logs in later.
 
     python demos/04_adversaries.py
 """

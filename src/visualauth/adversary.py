@@ -2,12 +2,14 @@
 
 Four attacker kinds live on one of two loci (terminal or smartphone). Each
 sees one surface of its locus, a set of (direction, channel kind) pairs
-that one io tap on the locus filters by (``SURFACES``):
+(``SURFACES``); an ``AttackerHandle`` reads that surface off the finished
+session's transcript, with the step of each sighting:
 
 * keylogger: ("in", CLICK), the input events arriving at its locus.
 * shoulder_surfer: ("out", VISUAL), the displays its locus renders.
-* malware: every message in and out; it also reads the locus's state, and
-  an outbound hook lets it rewrite what the locus sends.
+* malware: every message in and out; it also reads the locus's state.
+  The malware that rewrites what its locus sends is an install,
+  ``_rewriting``, outside the matrix.
 * brute_force: nothing; no foothold at all, a budget-capped password
   guesser.
 
@@ -18,18 +20,17 @@ fresh session, or runs a whole login with whatever credentials or keys it
 exfiltrated, and reports what the server said. The resistance matrix is
 therefore an output of the state machines, not a transcription.
 
-In the matrix, one honest session per (protocol, trial) is watched by all
-eight adversaries at once (``run_attacked_session`` takes a sequence of
-configs), and ``evaluate`` scores each handle into its own cell. That is
-sound because the matrix handles are passive: taps only, no hooks, so none
-changes what another sees. Follow-ups and alteration runs stay per handle,
-seeded by the handle's kind and locus.
+In the matrix, one honest session per (protocol, trial) is read by all
+eight adversaries (``run_attacked_session`` returns one view per config),
+and ``evaluate`` scores each view into its own cell. A view only reads, so
+no adversary changes what another sees. Follow-ups and alteration runs
+stay per view, seeded by the view's kind and locus.
 
-Every attack is an honest session plus installs handed to ``run_flow``:
-taps and hooks on a locus (an ``AttackerHandle``, ``replaying``) or state
-planted on the phone (``phone_holding``). No entity reads an attacker
-setting, and no install can move a message off the channel its class
-declares.
+Every active attack is an honest session plus installs handed to
+``run_flow``: taps and hooks on a locus (``replaying``, ``_rewriting``) or
+state planted on the phone (``phone_holding``). No entity reads an
+attacker setting, and no install can move a message off the channel its
+class declares.
 
 Attacks outside the matrix are rows of one catalogue, ``ATTACKS``, run by
 ``run_attack``: phishing (a fake server impersonates the far end rather
@@ -47,7 +48,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 from . import crypto, qr, rng as rngmod
-from .entities import ChannelKind, EntityKind, Message, Session
+from .entities import CHANNELS, ChannelKind, EntityKind, Message, Session
 from .protocols import (
     AUTH_PROTOCOLS,
     CredentialStore,
@@ -68,7 +69,7 @@ from .protocols import (
     run_hijack_guard,
 )
 
-FOLLOWUP_BUDGET = 16  # default guess cap for the in-matrix brute forcer
+FOLLOWUP_BUDGET = 16  # guesses the brute forcer makes in its follow-up
 
 EVIL_TX = Transaction(receiver_account="ACCT-6660", amount=999900, receiver_name="mule household")
 
@@ -104,7 +105,7 @@ def expected_resistance(protocol: Protocol, kind: AdversaryKind, locus: EntityKi
 
 
 # what each kind sees of its locus: the (direction, channel kind) pairs of
-# the locus's io that its tap records
+# the traffic into ("in") and out of ("out") the locus that it records
 SURFACES: dict[AdversaryKind, frozenset[tuple[str, ChannelKind]]] = {
     AdversaryKind.KEYLOGGER: frozenset({("in", ChannelKind.CLICK)}),
     AdversaryKind.SHOULDER_SURFER: frozenset({("out", ChannelKind.VISUAL)}),
@@ -125,14 +126,26 @@ class AdversaryConfig:
             raise ValueError("locus must be terminal or smartphone")
 
 
-# the eight adversaries that watch each matrix session, in cell order
+# the eight adversaries that read each matrix session, in cell order
 MATRIX_ADVERSARIES = tuple(AdversaryConfig(kind, locus) for kind in MATRIX_KINDS for locus in MATRIX_LOCI)
+
+# (kind, locus) -> names of the channels that kind sees at that locus: "in"
+# where the locus receives, "out" where it is the channel's sender
+_VISIBLE = {
+    (kind, locus): frozenset(
+        channel.name
+        for channel in CHANNELS.values()
+        if ("in", channel.kind) in surface and channel.receiver is locus
+        or ("out", channel.kind) in surface and channel.sender is locus
+    )
+    for kind, surface in SURFACES.items()
+    for locus in MATRIX_LOCI
+}
 
 
 @dataclass(frozen=True)
 class Observation:
-    step: int
-    channel_kind: ChannelKind
+    step: int  # the transcript step of the delivery
     data: tuple
 
 
@@ -189,57 +202,37 @@ def _observe(msg: Message) -> tuple | None:
 
 @dataclass
 class AttackerHandle:
-    """One adversary on one session: config, taps, takings.
+    """What one adversary takes from one finished session: a read-only view.
 
-    The handle is the install run_flow takes: called with the built (not
-    yet run) session, it records the session and puts its kind's tap on
-    the locus, and for malware with alter_tx set, a hook that rewrites the
-    transaction the locus sends.
+    observations are the transcript events on a channel its kind's surface
+    shows at its locus, reduced by _observe, in transcript order. Traffic
+    is attributed by channel: a message injected on net_up reads as the
+    terminal's "out". Malware also reads its locus's final state, so a
+    phone compromise yields the key pair.
     """
 
     config: AdversaryConfig
-    alter_tx: Transaction | None = None  # armed for transaction flows
-    session: Session | None = None
-    observations: list[Observation] = field(default_factory=list)
-    stolen_keypair: crypto.KeyPair | None = None
+    session: Session
+    observations: list[Observation] = field(init=False)
+    stolen_keypair: crypto.KeyPair | None = field(init=False, default=None)
 
-    def __call__(self, session: Session) -> None:
-        self.session = session
-        surface = SURFACES[self.config.kind]
-        if not surface:
-            return
-        entity = session.entities[self.config.locus]
-
-        def tap(direction: str, msg: Message) -> None:
-            kind = msg.CHANNEL.kind
-            data = _observe(msg) if (direction, kind) in surface else None
-            if data is not None:
-                self.observations.append(Observation(step=session.step, channel_kind=kind, data=data))
-
-        entity.io_taps.append(tap)
-        if self.config.kind is AdversaryKind.MALWARE and self.alter_tx is not None:
-            entity.outbound_hooks.append(self._alter)
-
-    def _alter(self, msg: Message) -> Message:
-        if msg.tag in ("submit_tx", "side_copy"):
-            return replace(msg, tx=self.alter_tx)
-        return msg
+    def __post_init__(self):
+        visible = _VISIBLE[self.config.kind, self.config.locus]
+        self.observations = [
+            Observation(event.step, data)
+            for event in (self.session.transcript if visible else ())
+            if event.message.CHANNEL.name in visible and (data := _observe(event.message)) is not None
+        ]
+        if self.config.kind is AdversaryKind.MALWARE:
+            pair = self.session.entities[self.config.locus].state.get("keypair")
+            if isinstance(pair, crypto.KeyPair):
+                self.stolen_keypair = pair
 
     def observed(self, label: str):
         for obs in self.observations:
             if obs.data[0] == label:
                 return obs.data[1:]
         return None
-
-
-def _exfiltrate(handle: AttackerHandle) -> None:
-    """Malware reads its locus outright; a phone compromise yields the key."""
-    if handle.config.kind is not AdversaryKind.MALWARE:
-        return
-    state = handle.session.entities[handle.config.locus].state
-    pair = state.get("keypair")
-    if isinstance(pair, crypto.KeyPair):
-        handle.stolen_keypair = pair
 
 
 # -------- installs that turn an honest session into an attempt --------
@@ -254,9 +247,9 @@ def replaying(submission: Message):
         terminal = session.entities[EntityKind.TERMINAL]
         sent = False
 
-        def submit(direction: str, msg: Message) -> None:
+        def submit(msg: Message) -> None:
             nonlocal sent
-            if direction == "in" and msg.CHANNEL.name == "net_down" and not sent:
+            if msg.CHANNEL.name == "net_down" and not sent:
                 sent = True
                 session.inject(submission)
 
@@ -264,6 +257,23 @@ def replaying(submission: Message):
         terminal.io_taps.append(submit)
 
     return install
+
+
+def _rewriting(locus: EntityKind, **changes):
+    """Malware at locus that rewrites what the locus sends: changes maps a
+    tag to new values for that message's fields."""
+
+    def install(session: Session) -> None:
+        session.entities[locus].outbound_hooks.append(
+            lambda msg: replace(msg, **changes[msg.tag]) if msg.tag in changes else msg
+        )
+
+    return install
+
+
+def _altering(locus: EntityKind):
+    """Malware at locus that puts EVIL_TX in every transaction the locus sends."""
+    return _rewriting(locus, submit_tx={"tx": EVIL_TX}, side_copy={"tx": EVIL_TX})
 
 
 def phone_holding(**state):
@@ -284,7 +294,7 @@ def _attempt(config: SessionConfig, store: CredentialStore, install) -> bool:
     return run_flow(config, store, adversaries=[install]).outcome is Outcome.AUTHENTICATED
 
 
-def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
+def _later_authentication(handle: AttackerHandle) -> bool:
     """Mount every strategy the observations support against a new session."""
     session = handle.session
     protocol = session.config.protocol
@@ -327,7 +337,7 @@ def _later_authentication(handle: AttackerHandle, budget: int) -> bool:
             return True
 
     if handle.config.kind is AdversaryKind.BRUTE_FORCE:
-        return brute_force_guessing(store, user_id, budget, seed) > 0
+        return brute_force_guessing(store, user_id, FOLLOWUP_BUDGET, seed) > 0
     return False
 
 
@@ -339,16 +349,15 @@ def _transaction_alteration(handle: AttackerHandle) -> bool:
     store: CredentialStore = session.store
     seed = rngmod.child_seed(session.seed, "alter-tx", handle.config.locus.value)
     config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.config.flags)
-    result = run_hijack_guard(config, store, adversaries=[AttackerHandle(handle.config, alter_tx=EVIL_TX)])
+    result = run_hijack_guard(config, store, adversaries=[_altering(handle.config.locus)])
     return result.session.executed_tx == EVIL_TX
 
 
-def evaluate(handle: AttackerHandle, followup_budget: int = FOLLOWUP_BUDGET) -> AttackOutcome:
+def evaluate(handle: AttackerHandle) -> AttackOutcome:
     """Score a completed, observed session by attacking its aftermath."""
-    _exfiltrate(handle)
     login = handle.observed("login")
     learned_password = login is not None
-    later = _later_authentication(handle, followup_budget)
+    later = _later_authentication(handle)
     return AttackOutcome(
         learned_password=learned_password,
         learned_reusable_secret=learned_password or handle.stolen_keypair is not None,
@@ -362,12 +371,11 @@ def run_attacked_session(
     configs: Sequence[AdversaryConfig],
     store: CredentialStore | None = None,
 ) -> tuple[list[AttackerHandle], SessionResult]:
-    """Honest run with one adversary per config attached; returns the
-    handles, in the order of configs, and the result."""
+    """One honest run, read by one adversary per config; returns the
+    views, in the order of configs, and the result."""
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
-    handles = [AttackerHandle(config) for config in configs]
-    result = run_flow(session_config, store, adversaries=handles)
-    return handles, result
+    result = run_flow(session_config, store)
+    return [AttackerHandle(config, result.session) for config in configs], result
 
 
 # -------- the keylogger posterior, in closed form --------
@@ -430,31 +438,22 @@ def _executed_evil(result: SessionResult) -> bool:
     return result.session.executed_tx == EVIL_TX
 
 
-def _terminal_rewriting(**changes):
-    """A terminal that rewrites what it sends: changes maps a tag to new field values."""
-
-    def install(session: Session) -> None:
-        session.entities[EntityKind.TERMINAL].outbound_hooks.append(
-            lambda msg: replace(msg, **changes[msg.tag]) if msg.tag in changes else msg
-        )
-
-    return install
-
-
 def _dual_locus_surfer(config: SessionConfig, store: CredentialStore):
     """Onlookers at BOTH screens apply the phone's layout to the terminal's
     click echoes; neither screen alone leaks the password."""
-    terminal = AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.TERMINAL))
-    phone = AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.SMARTPHONE))
 
     def breached(result: SessionResult) -> bool:
+        terminal, phone = (
+            AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, locus), result.session)
+            for locus in MATRIX_LOCI
+        )
         layout, clicks = phone.observed("layout"), terminal.observed("positions")
         return bool(layout and clicks) and (
             crypto.KeyboardPermutation.from_serialized(layout[0]).resolve(clicks[0])
             == store.users[config.user_id].password
         )
 
-    return [terminal, phone], breached
+    return [], breached
 
 
 def _forged_layout(config: SessionConfig, store: CredentialStore):
@@ -471,7 +470,7 @@ def _forged_layout(config: SessionConfig, store: CredentialStore):
         clicks = [e.message.positions for e in result.session.transcript if e.tag == "click_positions"]
         return bool(clicks) and layout.resolve(clicks[0]) == store.users[config.user_id].password
 
-    return [_terminal_rewriting(show_frame={"frame": frame})], breached
+    return [_rewriting(EntityKind.TERMINAL, show_frame={"frame": frame})], breached
 
 
 def _otp_replay(config: SessionConfig, store: CredentialStore):
@@ -502,7 +501,8 @@ def _stale_receipt(config: SessionConfig, store: CredentialStore):
     nonce inside the signed receipt tells the phone it is stale."""
     clean = run_flow(replace(config, seed=rngmod.child_seed(config.seed, "clean")), store)
     receipt = next(e.message for e in clean.session.transcript if e.tag == "tx_confirmation")
-    stale = _terminal_rewriting(
+    stale = _rewriting(
+        EntityKind.TERMINAL,
         submit_tx={"tx": EVIL_TX},
         show_tx_frame={"frame": receipt.frame},
         show_tx_page={"tx": receipt.display_tx},
@@ -514,8 +514,8 @@ def _forged_confirm(config: SessionConfig, store: CredentialStore):
     """Terminal malware submits its own transaction and confirms it itself."""
 
     def install(session: Session) -> None:
-        def forge(direction: str, msg: Message) -> None:
-            if direction == "in" and msg.tag == "request_tx":
+        def forge(msg: Message) -> None:
+            if msg.tag == "request_tx":
                 session.inject(SubmitTx(tx=EVIL_TX))
                 session.inject(ForwardConfirm(ok=True))
 
@@ -526,7 +526,7 @@ def _forged_confirm(config: SessionConfig, store: CredentialStore):
 
 def _hijack(config: SessionConfig, store: CredentialStore):
     """Terminal malware rewrites the live transaction; the phone's signed side copy shows it."""
-    return [AttackerHandle(_TERMINAL_MALWARE, alter_tx=EVIL_TX)], _executed_evil
+    return [_altering(EntityKind.TERMINAL)], _executed_evil
 
 
 @dataclass(frozen=True)
@@ -597,15 +597,13 @@ class MatrixCell:
         return self.resisted == self.expected_resist
 
 
-def run_matrix(seed: int, trials: int = 100, followup_budget: int = FOLLOWUP_BUDGET) -> list[MatrixCell]:
+def run_matrix(seed: int, trials: int = 100) -> list[MatrixCell]:
     """Every protocol x adversary x locus, each cell over seeded trials.
 
     A cell resists when no trial's adversary could authenticate later.
-    Each (protocol, trial) is one honest session watched by all eight
-    adversaries at once. Sharing it is sound because every matrix handle
-    is passive: it installs taps and no hook, so no handle changes what
-    another sees. Each handle is then evaluated into its own cell, with
-    its own follow-ups and alteration run.
+    Each (protocol, trial) is one honest session read by all eight
+    adversaries; each view is evaluated into its own cell, with its own
+    follow-ups and alteration run.
     """
     store = CredentialStore.provision(rngmod.child_seed(seed, "matrix-store"))
     cells = []
@@ -615,7 +613,7 @@ def run_matrix(seed: int, trials: int = 100, followup_budget: int = FOLLOWUP_BUD
             session_config = SessionConfig(protocol=protocol, seed=rngmod.child_seed(seed, protocol.value, str(trial)))
             handles, _ = run_attacked_session(session_config, MATRIX_ADVERSARIES, store)
             for handle in handles:
-                if evaluate(handle, followup_budget).can_authenticate_later:
+                if evaluate(handle).can_authenticate_later:
                     breaches[handle.config] += 1
         cells.extend(
             MatrixCell(

@@ -11,12 +11,13 @@ The snapshot history exists for one reason: secrecy claims about where
 plaintext secrets may live are checked by scanning it, not by trusting
 the protocol code. Channels are fixed module-level declarations and
 carry nothing; a message travels only on the channel its class names.
-An observer watches an entity instead, through its io taps (every message
-in and out) and outbound hooks (which may rewrite or drop what it sends,
-but not send on another party's channel). The honest handler code cannot
-tell whether it is being watched. Attackers reach a session only through
-these taps and hooks, or by queueing traffic with Session.inject, all
-installed before the user begins; no entity reads an attacker setting.
+What an onlooker learns is read off the transcript after the run. An
+attacker that acts reaches a session only through an entity's io taps
+(each message delivered to it, as it arrives) and outbound hooks (which
+may rewrite or drop what it sends, but not send on another party's
+channel), or by queueing traffic with Session.inject, all installed
+before the user begins. The honest handler code cannot tell whether it
+is being watched, and no entity reads an attacker setting.
 
 Both records hold references, not bytes: a delivery keeps the message
 and a shallow copy of the receiver's state, and serializes neither.
@@ -346,8 +347,8 @@ class Entity:
         self.state: dict = {}
         self._snapshots: list[tuple[int, bytes]] = []
         self._pending: list[tuple[int, dict]] = []  # recorded, not yet encoded
-        # installed by observers: hook(message) -> message or None (dropped),
-        # tap(direction, message) with direction "in" or "out"
+        # installed by attackers: hook(message) -> message or None (dropped)
+        # on each send, tap(message) on each delivery to this entity
         self.outbound_hooks: list[Callable] = []
         self.io_taps: list[Callable] = []
 
@@ -364,8 +365,6 @@ class Entity:
         channel = message.CHANNEL
         if channel.sender is not self.kind:
             raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")
-        for tap in self.io_taps:
-            tap("out", message)
         self.session.inject(message)
 
     def handle(self, message: Message) -> None:
@@ -482,7 +481,7 @@ def deliver(session: Session, message: Message) -> None:
     session.step += 1
     session.transcript.append(TranscriptEvent(session.step, message))
     for tap in receiver.io_taps:
-        tap("in", message)
+        tap(message)
     receiver.handle(message)
     receiver.take_snapshot(session.step)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import qr, rng as rngmod
 from .adversary import (
-    FOLLOWUP_BUDGET,
     MATRIX_KINDS,
     MATRIX_LOCI,
     AdversaryConfig,
@@ -80,7 +79,6 @@ class Scenario:
     config: SessionConfig
     trials: int = 1
     adversary: AdversaryConfig | None = None
-    followup_budget: int = FOLLOWUP_BUDGET
     expectations: dict[str, int] = field(default_factory=dict)
 
 
@@ -88,7 +86,6 @@ class Scenario:
 class MatrixRequest:
     trials: int = 100
     seed: int = 2026
-    followup_budget: int = FOLLOWUP_BUDGET
 
 
 @dataclass
@@ -179,9 +176,8 @@ _SCENARIO_KEYS = {
         {"honest": False, "wrong": True}, "credentials must be honest or wrong, got {!r}"
     ),
     "max_attempts": _at_least(1),
-    "followup_budget": _at_least(1),
 }
-_MATRIX_KEYS = ("trials", "seed", "followup_budget")
+_MATRIX_KEYS = ("trials", "seed")
 # keys only some flows read: (key, those flows, what the refusal says);
 # only the keyboard and OTP challenges are signed
 _FLOW_ONLY_KEYS = (
@@ -206,7 +202,7 @@ def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scena
         locus = {"locus": values.pop("locus")} if "locus" in values else {}
         values["adversary"] = AdversaryConfig(values["adversary"], **locus)
     else:
-        for key in ("locus", "expect_breaches", "followup_budget"):
+        for key in ("locus", "expect_breaches"):
             if key in lines:
                 raise ConfigError(lines[key], f"{key} needs an adversary")
     contexts = CAPTURE_CONTEXTS[protocol]
@@ -329,8 +325,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         config = replace(base, seed=rngmod.child_seed(base.seed, scenario.name, str(trial)))
         if scenario.adversary is not None:
             (handle,), result = run_attacked_session(config, [scenario.adversary], store)
-            attack = evaluate(handle, scenario.followup_budget)
-            if attack.can_authenticate_later:
+            if evaluate(handle).can_authenticate_later:
                 breaches += 1
         else:
             result = run_flow(config, store)
@@ -436,9 +431,7 @@ def run_scenarios(path: str) -> Report:
     for scenario in parsed.scenarios:
         report.scenarios.append(run_scenario(scenario))
     if parsed.matrix is not None:
-        report.matrix = run_matrix(
-            parsed.matrix.seed, parsed.matrix.trials, parsed.matrix.followup_budget
-        )
+        report.matrix = run_matrix(parsed.matrix.seed, parsed.matrix.trials)
     return report
 
 

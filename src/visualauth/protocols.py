@@ -568,10 +568,9 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
 
 
 def _abort(session: Session, reason: str, retryable: bool) -> None:
-    if session.outcome is not None:
-        return  # the first verdict stands, and so does its reason
-    session.abort_reason = reason
-    session.abort_retryable = retryable
+    if session.outcome is None:  # else the first verdict and its reason stand
+        session.abort_reason = reason
+        session.abort_retryable = retryable
     session.finish(Outcome.ABORTED)
 
 
@@ -809,7 +808,8 @@ class Smartphone(Party):
 
     def _refuse_scan(self, reason: str, retryable: bool) -> None:
         # a refused frame is no scan; when a verdict already stands the abort
-        # is void, and only this phase keeps the P3 phone from taking credentials
+        # is only a late verdict, and only this phase keeps the P3 phone from
+        # taking credentials
         self.phase = "start"
         _abort(self.session, reason, retryable)
 
@@ -1241,8 +1241,10 @@ class SessionResult:
 def run_flow(config: SessionConfig, store: CredentialStore | None = None, adversaries=()) -> SessionResult:
     """Run one session of config.protocol to its verdict.
 
-    Each adversary is a callable that gets the built session before the
-    user begins, to install its taps and hooks.
+    Each adversary is an install: a callable that gets the built session
+    before the user begins, to add taps and hooks, plant state or queue
+    traffic. Watching needs no install: adversary.AttackerHandle reads the
+    finished session's transcript.
     """
     store = store or CredentialStore.provision(config.seed)
     session = build_session(config, store)

@@ -33,6 +33,7 @@ from visualauth.protocols import (
     Protocol,
     SessionConfig,
     SessionFlags,
+    SubmitCiphertext,
     SubmitPositions,
     run_flow,
 )
@@ -206,6 +207,35 @@ def test_each_adversary_records_its_surface(cell):
         SessionConfig(protocol=protocol, seed=2), [AdversaryConfig(kind, locus)]
     )
     assert {obs.data[0] for obs in handle.observations} == SURFACE_LABELS[cell]
+
+
+class TestViews:
+    @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=lambda p: p.value)
+    def test_each_observation_names_its_delivery(self, protocol):
+        # the step of a sighting is the step of the delivery it reduces
+        configs = [AdversaryConfig(kind, locus) for kind in (K, M, V) for locus in (T, S)]
+        handles, result = run_attacked_session(SessionConfig(protocol=protocol, seed=2), configs)
+        transcript = result.session.transcript
+        assert any(handle.observations for handle in handles)
+        for handle in handles:
+            for obs in handle.observations:
+                event = transcript[obs.step - 1]
+                assert event.step == obs.step
+                assert handle.config.locus in (event.sender, event.receiver)
+                assert adversary._observe(event.message) == obs.data
+
+    def test_injected_traffic_is_attributed_by_channel(self):
+        # the terminal never sends the planted ciphertext, but it travels on
+        # net_up, the terminal's channel, so terminal malware sees it go out
+        planted = SubmitCiphertext(blob=b"planted")
+        result = run_flow(
+            SessionConfig(protocol=Protocol.P3, seed=2), adversaries=[lambda session: session.inject(planted)]
+        )
+        assert result.session.transcript[0].message == planted
+        malware = adversary.AttackerHandle(AdversaryConfig(M, T), result.session)
+        assert malware.observations[0] == adversary.Observation(1, ("ciphertext", b"planted"))
+        keylogger = adversary.AttackerHandle(AdversaryConfig(K, T), result.session)
+        assert all(obs.step != 1 for obs in keylogger.observations)
 
 
 class TestKeyloggerCells:
@@ -426,8 +456,8 @@ def _takings(handle):
 
 
 class TestSharedSession:
-    """run_matrix lets all eight adversaries watch one session per trial;
-    a handle on the shared session must see and gain what it would alone."""
+    """run_matrix lets all eight adversaries read one session per trial;
+    a view of the shared session must see and gain what it would alone."""
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=lambda p: p.value)
@@ -441,17 +471,17 @@ class TestSharedSession:
         alone_takings = [_takings(run_attacked_session(config, [c])[0][0]) for c in MATRIX_CONFIGS]
         assert shared_takings == alone_takings
 
-    def test_an_active_handle_is_not_invisible(self):
-        # positive control: a hook that rewrites the transaction changes what
-        # the passive handles on the same session see
+    def test_views_see_what_a_rewriting_install_changes(self):
+        # positive control: malware that rewrites the transaction changes
+        # what the views of the same session see
         config = SessionConfig(protocol=Protocol.TXVERIFY, seed=0)
-        passive, _ = run_attacked_session(config, MATRIX_CONFIGS)
-        watched = [adversary.AttackerHandle(c) for c in MATRIX_CONFIGS]
-        hijacker = adversary.AttackerHandle(adversary._TERMINAL_MALWARE, alter_tx=EVIL_TX)
-        run_flow(config, adversaries=[*watched, hijacker])
+        honest, _ = run_attacked_session(config, MATRIX_CONFIGS)
+        altered = run_flow(config, adversaries=[adversary._altering(EntityKind.TERMINAL)])
+        assert EVIL_TX in [e.message.tx for e in altered.session.transcript if e.tag == "submit_tx"]
+        watched = [adversary.AttackerHandle(c, altered.session) for c in MATRIX_CONFIGS]
         changed = {
             (a.config.kind, a.config.locus)
-            for a, b in zip(passive, watched)
+            for a, b in zip(honest, watched)
             if a.observations != b.observations
         }
         assert (AdversaryKind.SHOULDER_SURFER, EntityKind.TERMINAL) in changed
@@ -566,16 +596,25 @@ class TestAttackCatalogue:
         assert all(off.expect_breach and not on.expect_breach for on, off in pairs)
 
     def test_a_late_refusal_is_recorded(self):
-        # the user refuses the forged transaction on the phone after the
-        # server executed it: the outcome stands, the refusal is kept
+        # after the server executed the forged transaction it refuses the
+        # honest submission (step 4), the user refuses the forged transaction
+        # on the phone (10), and the server refuses the honest confirmation
+        # (12): the outcome stands, every refusal is kept
         for seed in (0, 1, 5):
             result = run_attack(ATTACKS["forged_confirm"], seed)
             assert result.outcome is Outcome.CONFIRMED
-            assert [verdict for _, verdict in result.late_verdicts] == [Outcome.USER_FLAGGED_MISMATCH]
+            assert result.late_verdicts == (
+                (4, Outcome.ABORTED),
+                (10, Outcome.USER_FLAGGED_MISMATCH),
+                (12, Outcome.ABORTED),
+            )
         # stale_receipt's user flags twice; the repeat matches the verdict
         for seed in (0, 1, 5):
             result = run_attack(ATTACKS["stale_receipt"], seed)
             assert (result.outcome, result.late_verdicts) == (Outcome.USER_FLAGGED_MISMATCH, ())
+        for name in ATTACKS.keys() - {"forged_confirm"}:
+            for seed in (0, 1, 2):
+                assert run_attack(ATTACKS[name], seed).late_verdicts == (), name
         for protocol in Protocol:
             for seed in (0, 1, 2):
                 assert run_flow(SessionConfig(protocol=protocol, seed=seed)).session.late_verdicts == []

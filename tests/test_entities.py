@@ -530,8 +530,8 @@ class TestTaps:
         store = CredentialStore.provision(911)
         session = build_session(SessionConfig(protocol=Protocol.P1, seed=911), store)
 
-        def tap(direction, msg):
-            if direction == "in" and msg.CHANNEL.kind is ChannelKind.CLICK:
+        def tap(msg):
+            if msg.CHANNEL.kind is ChannelKind.CLICK:
                 seen.append((msg.CHANNEL.name, msg.tag))
 
         for entity in session.entities.values():
@@ -549,12 +549,13 @@ class TestTaps:
         # everything the user says is swallowed; nothing is ever delivered
         assert session.transcript == []
 
-    def test_io_tap_sees_both_directions(self):
-        directions = set()
+    def test_io_tap_fires_once_per_delivery_to_its_entity(self):
+        # what the terminal sends reaches no tap of its own
+        seen = []
         store = CredentialStore.provision(913)
         session = build_session(SessionConfig(protocol=Protocol.P1, seed=913), store)
-        terminal = session.entities[EntityKind.TERMINAL]
-        terminal.io_taps.append(lambda d, msg: directions.add(d))
+        session.entities[EntityKind.TERMINAL].io_taps.append(seen.append)
         session.entities[EntityKind.USER].begin()
         session.run()
-        assert directions == {"in", "out"}
+        delivered = [e.message for e in session.transcript if e.receiver is EntityKind.TERMINAL]
+        assert seen == delivered

@@ -118,11 +118,9 @@ class TestParsing:
             ("[scenario]\nprotocol = txverify\ncredentials = wrong\n", 3, "needs a login protocol"),
             ("[scenario]\ncredentials = wrong\nprotocol = secureview\n", 2, "needs a login protocol"),
             ("[scenario]\nprotocol = hijackguard\ncredentials = wrong\n", 3, "needs a login protocol"),
-            ("[scenario]\nprotocol = p1\nadversary = brute_force\nfollowup_budget = -5\n", 4, "followup_budget must be >= 1"),
-            ("[matrix]\nfollowup_budget = -1\n", 2, "followup_budget must be >= 1"),
             ("[scenario]\nprotocol = p1\ncorrupt_codewords = budget+1\ncorrupt_context = otp\n", 4, "P1 makes no 'otp' capture"),
             ("[scenario]\nprotocol = hijackguard\ncorrupt_codewords = budget+1\n", 3, "HIJACKGUARD captures no frames"),
-            ("[scenario]\nprotocol = p2\nfollowup_budget = 3\n", 3, "followup_budget needs an adversary"),
+            ("[scenario]\nprotocol = p2\nfollowup_budget = 3\n", 3, "unknown key 'followup_budget'"),
             ("[scenario]\nprotocol = hijackguard\nec_level = h\n", 3, "ec_level does nothing: HIJACKGUARD captures no frames"),
             ("[scenario]\nprotocol = txverify\nmax_attempts = 3\n", 3, "max_attempts needs a login protocol"),
             ("[scenario]\nmax_attempts = 2\nprotocol = secureview\n", 2, "max_attempts needs a login protocol"),
@@ -180,7 +178,7 @@ class TestParsing:
             "[scenario]\nname = every-key\nprotocol = p1\ntrials = 3\nseed = 77\n"
             "adversary = malware\nlocus = smartphone\nsign_server_payloads = off\n"
             "ec_level = h\ncorrupt_codewords = 2\ncorrupt_context = keyboard\n"
-            "credentials = wrong\nmax_attempts = 2\nfollowup_budget = 5\n"
+            "credentials = wrong\nmax_attempts = 2\n"
             "expect_denied = 3\nexpect_breaches = 0\n"
             "[scenario]\nname = side-copy\nprotocol = hijackguard\ndrop_side_copy = yes\n"
             "hijack_guard = no\n"
@@ -202,7 +200,6 @@ class TestParsing:
             ),
             trials=3,
             adversary=AdversaryConfig(AdversaryKind.MALWARE, EntityKind.SMARTPHONE),
-            followup_budget=5,
             expectations={"denied": 3, "breaches": 0},
         )
         side_copy = Scenario(

@@ -141,8 +141,9 @@ class TestHonestLogins:
         from visualauth.protocols import build_session
 
         session = build_session(_cfg(Protocol.P1, 107), store)
-        session.entities[EntityKind.TERMINAL].io_taps.append(
-            lambda direction, msg: shown.append(msg) if msg.tag == "show_keyboard" else None
+        # the terminal draws the keyboard for the user
+        session.entities[EntityKind.USER].io_taps.append(
+            lambda msg: shown.append(msg) if msg.tag == "show_keyboard" else None
         )
         session.entities[EntityKind.USER].begin()
         session.run()
@@ -209,10 +210,9 @@ class TestWrongCredentials:
             _cfg(Protocol.P1, 115, submit_passwords=("wrongpw0", "data"), max_attempts=2),
             store,
         )
-        session.entities[EntityKind.SMARTPHONE].io_taps.append(
-            lambda direction, msg: layouts.append(msg.layout)
-            if msg.tag == "show_layout"
-            else None
+        # the phone shows the layout to the user
+        session.entities[EntityKind.USER].io_taps.append(
+            lambda msg: layouts.append(msg.layout) if msg.tag == "show_layout" else None
         )
         session.entities[EntityKind.USER].begin()
         assert session.run() is Outcome.AUTHENTICATED
@@ -422,13 +422,14 @@ class TestFrameHandling:
 
     def test_refused_scan_under_a_standing_verdict_takes_no_credentials(self):
         # junk is denied before the phone's first scan, so the abort for
-        # the relabelled frame cannot register; the phone still counts as
-        # unscanned and refuses the credentials instead of raising
+        # the relabelled frame cannot change the verdict; the phone still
+        # counts as unscanned and refuses the credentials instead of raising.
+        # Both refusals are recorded as late verdicts
         def install(session):
-            def tap(direction, msg):
-                if direction == "in" and msg.tag == "nonce_challenge":
+            def tap(msg):
+                if msg.tag == "nonce_challenge":
                     session.inject(SubmitCiphertext(blob=b"garbage"))
-                elif direction == "in" and msg.tag == "show_frame":
+                elif msg.tag == "show_frame":
                     session.inject(TypeCredentials(user_id="alice", password="data"))
 
             for entity in session.entities.values():
@@ -438,6 +439,8 @@ class TestFrameHandling:
         assert result.outcome is Outcome.DENIED
         assert "type_credentials" in [e.tag for e in result.session.transcript]
         assert "login" not in result.session.entities[EntityKind.SMARTPHONE].state
+        assert result.session.late_verdicts == [(5, Outcome.ABORTED), (7, Outcome.ABORTED)]
+        assert result.session.abort_reason is None
 
     @pytest.mark.parametrize("size", [15, 17, 200])
     def test_malformed_nonce_aborts_fatal(self, size):
@@ -641,6 +644,31 @@ class TestHijackGuard:
         assert result.session.executed_tx is None
 
 
+# each flow's honest message order, delivery by delivery: the rows say
+# which tags a party takes, this says in which order the honest run sends them
+HONEST_SEQUENCES = {
+    Protocol.P1: (
+        "type_id", "login_request", "kbd_challenge", "show_frame", "show_keyboard", "show_layout",
+        "click_positions", "echo_clicks", "submit_positions", "auth_result", "show_result",
+    ),
+    Protocol.P2: (
+        "type_id", "login_request", "otp_challenge", "show_frame", "show_keyboard", "show_otp",
+        "type_otp", "echo_otp", "submit_otp", "auth_result", "show_result",
+    ),
+    Protocol.P3: (
+        "connect", "connect_request", "nonce_challenge", "show_frame", "show_login_box",
+        "type_credentials", "echo_masked_credentials", "upload_frame", "submit_ciphertext",
+        "auth_result", "show_result",
+    ),
+    Protocol.TXVERIFY: (
+        "request_tx", "submit_tx", "tx_confirmation", "show_tx_frame", "show_tx_page",
+        "show_verified_tx", "confirm_tx", "forward_confirm", "tx_result", "show_result",
+    ),
+    Protocol.SECUREVIEW: ("connect", "connect_request", "secure_doc", "show_doc", "show_fields"),
+    Protocol.HIJACKGUARD: ("request_tx", "confirm_on_phone", "submit_tx", "side_copy", "tx_result", "show_result"),
+}
+
+
 class TestDispatch:
     def test_every_message_has_a_handler_at_its_receiver(self):
         # a message travels only on its declared channel; whoever sits at
@@ -666,6 +694,12 @@ class TestDispatch:
             assert result.session.abort_reason is None, seed
             delivered = {(event.receiver, event.tag) for event in result.session.transcript}
             assert delivered == named, (seed, delivered ^ named)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_honest_run_follows_its_declared_sequence(self, protocol):
+        for seed in range(3):
+            transcript = run_flow(_cfg(protocol, seed)).session.transcript
+            assert tuple(event.tag for event in transcript) == HONEST_SEQUENCES[protocol], seed
 
     def test_run_flow_routes_by_protocol(self):
         assert run_flow(_cfg(Protocol.P2, 170)).outcome is Outcome.AUTHENTICATED
@@ -695,12 +729,11 @@ def _run_with_injected(config, message, at=0):
     session = build_session(config, store)
     deliveries = 0
 
-    def count(direction, _msg):
+    def count(_msg):
         nonlocal deliveries
-        if direction == "in":
-            deliveries += 1
-            if deliveries == at:
-                session.inject(message)
+        deliveries += 1
+        if deliveries == at:
+            session.inject(message)
 
     for entity in session.entities.values():
         entity.io_taps.append(count)
