@@ -564,7 +564,7 @@ class AttackResult:
     attack: Attack
     outcome: Outcome
     breached: bool
-    late_verdicts: tuple[tuple[int, Outcome], ...]  # (step, verdict) after the outcome settled
+    late_verdicts: tuple[tuple[int, Outcome, str | None], ...]  # Session.late_verdicts
 
 
 def run_attack(attack: Attack, seed: int, store: CredentialStore | None = None) -> AttackResult:
@@ -610,7 +610,8 @@ def run_matrix(seed: int, trials: int = 100) -> list[MatrixCell]:
     for protocol in AUTH_PROTOCOLS:
         breaches = dict.fromkeys(MATRIX_ADVERSARIES, 0)
         for trial in range(trials):
-            session_config = SessionConfig(protocol=protocol, seed=rngmod.child_seed(seed, protocol.value, str(trial)))
+            trial_seed = rngmod.child_seed(seed, protocol.value, str(trial))
+            session_config = SessionConfig(protocol=protocol, seed=trial_seed)
             handles, _ = run_attacked_session(session_config, MATRIX_ADVERSARIES, store)
             for handle in handles:
                 if evaluate(handle).can_authenticate_later:

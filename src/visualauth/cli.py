@@ -17,6 +17,18 @@ from . import harness
 from .adversary import run_matrix
 
 
+def _key_type(key: str):
+    """The config file's parser for key, as an argparse type."""
+
+    def convert(raw: str):
+        try:
+            return harness._SCENARIO_KEYS[key](raw, key)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="visualauth",
@@ -31,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--transcripts", metavar="DIR", help="write trial-0 transcripts here")
 
     matrix_p = sub.add_parser("matrix", help="run the full protocol x adversary matrix")
-    matrix_p.add_argument("--trials", type=int, default=100)
-    matrix_p.add_argument("--seed", type=int, default=2026)
+    matrix_p.add_argument("--trials", type=_key_type("trials"), default=harness.MatrixRequest.trials)
+    matrix_p.add_argument("--seed", type=_key_type("seed"), default=harness.MatrixRequest.seed)
     matrix_p.add_argument("--machine", action="store_true")
 
     checks_p = sub.add_parser("checks", help="recompute the entropy/capacity arithmetic")
@@ -67,12 +79,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.ok else 1
 
     if args.command == "matrix":
-        if args.trials < 1:
-            print("config error: --trials must be >= 1", file=sys.stderr)
-            return 2
-        if not 0 <= args.seed < 1 << 64:
-            print("config error: --seed must fit in 64 bits", file=sys.stderr)
-            return 2
         report = harness.Report(matrix=run_matrix(args.seed, args.trials))
         _emit(report, args.machine)
         return 0 if report.ok else 1

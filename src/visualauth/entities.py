@@ -393,10 +393,8 @@ class Session:
     """One protocol run: entities, queue, transcript, verdict.
 
     config and store are set by the protocol layer when it assembles the
-    session; the handlers fill in the abort reason, the executed
-    transaction and the viewed fields as the run goes. The first verdict
-    stands; each later one that differs from it goes to late_verdicts as
-    (step, verdict), so a refusal that comes too late still shows.
+    session; the handlers fill in the executed transaction and the viewed
+    fields as the run goes, and reach every verdict through finish.
     """
 
     def __init__(self, seed: int):
@@ -407,7 +405,7 @@ class Session:
         self.step = 0
         self._order: deque[Message] = deque()
         self.outcome = None
-        self.late_verdicts: list[tuple[int, object]] = []
+        self.late_verdicts: list[tuple[int, object, str | None]] = []
         self.closed = False
         self.frame_log: list[tuple[int, str, VisualFrame]] = []
         self.secret_probes: list[SecretProbe] = []
@@ -437,11 +435,16 @@ class Session:
         sending entity, this is also how an attacker inserts traffic."""
         self._order.append(message)
 
-    def finish(self, outcome) -> None:
+    def finish(self, outcome, reason: str | None = None, retryable: bool = False) -> None:
+        """Reach a verdict; reason and retryable describe an abort. The first
+        verdict stands; each later one that differs goes to late_verdicts as
+        (step, verdict, reason), so a refusal that comes too late still shows."""
         if self.outcome is None:
             self.outcome = outcome
+            self.abort_reason = reason
+            self.abort_retryable = retryable
         elif outcome != self.outcome:
-            self.late_verdicts.append((self.step, outcome))
+            self.late_verdicts.append((self.step, outcome, reason))
 
     def run(self, max_deliveries: int = MAX_DELIVERIES):
         """Drain the queue; one idle round lets timeouts fire fail-closed."""

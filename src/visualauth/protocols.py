@@ -103,10 +103,10 @@ class CredentialStore:
         self.users[credential.user_id] = credential
 
     @classmethod
-    def provision(cls, seed: int, server_name: str = "acme-bank", users=(("alice", "data"),)):
+    def provision(cls, seed: int, users=(("alice", "data"),)):
         store = cls(
             server_pair=crypto.generate_keypair(Role.SERVER, rngmod.fork(seed, "server-key")),
-            server_name=server_name,
+            server_name="acme-bank",
         )
         for user_id, password in users:
             store.add_user(
@@ -545,6 +545,13 @@ def _unpack_credentials(blob: bytes) -> tuple[bytes, str, str, str]:
     return nonce, out[0], out[1], out[2]
 
 
+def _parse_otp(plain: bytes) -> str:
+    otp = plain.decode("ascii")
+    if not otp or not all(ch in crypto.ALPHABET_INDEX for ch in otp):
+        raise ValueError("not a one-time password over the alphabet")
+    return otp
+
+
 def _frame(session: Session, payload: bytes, context: str) -> VisualFrame:
     """Auto-select the smallest fitting version at the session's ec level."""
     spec = qr.choose_spec(payload, session.config.frame_ec)
@@ -567,13 +574,6 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
     return qr.qr_decode(frame)
 
 
-def _abort(session: Session, reason: str, retryable: bool) -> None:
-    if session.outcome is None:  # else the first verdict and its reason stand
-        session.abort_reason = reason
-        session.abort_retryable = retryable
-    session.finish(Outcome.ABORTED)
-
-
 # -------- the four participants --------
 
 
@@ -592,7 +592,7 @@ class Party(Entity):
         if row is None:
             known = any(message.tag in rows for rows in flow.values())
             reason = f"{message.tag}_{'out_of_order' if known else 'out_of_protocol'}"
-            return lambda msg: _abort(self.session, reason, retryable=False)
+            return lambda msg: self.session.finish(Outcome.ABORTED, reason)
         handler, next_phase = row
 
         def step(msg: Message) -> None:
@@ -634,14 +634,12 @@ class UserModel(Party):
         protocol = self.session.config.protocol
         if protocol in (Protocol.P1, Protocol.P2):
             self.emit(TypeId(user_id=self.state["user_id"]))
-        elif protocol is Protocol.P3:
+        elif protocol in (Protocol.P3, Protocol.SECUREVIEW):
             self.emit(Connect())
         elif protocol in (Protocol.TXVERIFY, Protocol.HIJACKGUARD):
             self.emit(RequestTx(tx=self.state["intended_tx"]))
             if protocol is Protocol.HIJACKGUARD:
                 self.emit(ConfirmOnPhone(tx=self.state["intended_tx"]))
-        elif protocol is Protocol.SECUREVIEW:
-            self.emit(Connect())
 
     def on_show_keyboard(self, msg: ShowKeyboard) -> None:
         self.state["keyboard_shown"] = True
@@ -746,7 +744,7 @@ class Terminal(Party):
         try:
             blob = _capture(self.session, msg.frame, "credential_upload")
         except qr.UncorrectableFrameError:
-            _abort(self.session, "upload_frame_undecodable", retryable=True)
+            self.session.finish(Outcome.ABORTED, "upload_frame_undecodable", retryable=True)
             return
         self.state["credential_blob"] = blob
         self.emit(SubmitCiphertext(blob=blob))
@@ -778,7 +776,8 @@ class Terminal(Party):
 
 class Smartphone(Party):
     """The trusted personal device: the only place the user's private key
-    lives and the only party that renders decrypted content to the user."""
+    lives and the only party that renders decrypted content to the user;
+    _open_challenge opens both sealed challenges."""
 
     kind = EntityKind.SMARTPHONE
 
@@ -786,7 +785,7 @@ class Smartphone(Party):
         super().__init__(session)
         self.state.update(keypair=keypair, server_public=server_public, server_name=server_name)
 
-    def on_show_frame(self, msg: ShowFrame, context: str) -> None:
+    def on_show_frame(self, msg: ShowFrame, context: str, read) -> None:
         # the flow's row, never the terminal's label, says what the frame holds
         if msg.context != context:
             self._refuse_scan("show_frame_out_of_protocol", retryable=False)
@@ -796,61 +795,46 @@ class Smartphone(Party):
         except qr.UncorrectableFrameError:
             self._refuse_scan("frame_undecodable", retryable=True)
             return
-        if context == "keyboard":
-            self._handle_keyboard_payload(payload)
-        elif context == "otp":
-            self._handle_otp_payload(payload)
-        elif len(payload) != crypto.NONCE_LEN:
-            self._refuse_scan("nonce_malformed", retryable=False)
-        else:
-            self.state["nonce"] = payload
-            self.emit(ShowLoginBox())
+        read(self, payload)
 
     def _refuse_scan(self, reason: str, retryable: bool) -> None:
         # a refused frame is no scan; when a verdict already stands the abort
         # is only a late verdict, and only this phase keeps the P3 phone from
         # taking credentials
         self.phase = "start"
-        _abort(self.session, reason, retryable)
+        self.session.finish(Outcome.ABORTED, reason, retryable)
 
-    def _verify_and_open(self, payload: bytes) -> bytes | None:
+    def _read_nonce(self, payload: bytes) -> None:
+        if len(payload) != crypto.NONCE_LEN:
+            self._refuse_scan("nonce_malformed", retryable=False)
+            return
+        self.state["nonce"] = payload
+        self.emit(ShowLoginBox())
+
+    def _open_challenge(self, payload: bytes, parse, key: str, show) -> None:
+        """Verify, decrypt and parse a sealed challenge, keep it as state[key]
+        and show it to the user; a failed check aborts fatal."""
         try:
             ct, sig = _unpack_signed(payload)
         except (struct.error, crypto.IntegrityError, ValueError):
-            _abort(self.session, "challenge_malformed", retryable=False)
-            return None
+            self.session.finish(Outcome.ABORTED, "challenge_malformed")
+            return
         if self.session.config.flags.sign_server_payloads:
             if sig is None or not crypto.verify(self.state["server_public"], ct.to_bytes(), sig):
-                _abort(self.session, "challenge_signature_invalid", retryable=False)
-                return None
+                self.session.finish(Outcome.ABORTED, "challenge_signature_invalid")
+                return
         try:
-            return crypto.decrypt(self.state["keypair"], ct)
+            plain = crypto.decrypt(self.state["keypair"], ct)
         except crypto.IntegrityError:
-            _abort(self.session, "challenge_ciphertext_rejected", retryable=False)
-            return None
-
-    def _handle_keyboard_payload(self, payload: bytes) -> None:
-        plain = self._verify_and_open(payload)
-        if plain is None:
+            self.session.finish(Outcome.ABORTED, "challenge_ciphertext_rejected")
             return
         try:
-            layout = KeyboardPermutation.from_serialized(plain)
-        except ValueError:  # not ASCII, or not a layout of the alphabet
-            _abort(self.session, "challenge_malformed", retryable=False)
+            value = parse(plain)
+        except ValueError:  # not ASCII, or no layout or OTP over the alphabet
+            self.session.finish(Outcome.ABORTED, "challenge_malformed")
             return
-        self.state["layout"] = layout
-        self.emit(ShowLayout(layout=layout))
-
-    def _handle_otp_payload(self, payload: bytes) -> None:
-        plain = self._verify_and_open(payload)
-        if plain is None:
-            return
-        otp = plain.decode("ascii", errors="replace")  # U+FFFD is not in the alphabet
-        if not otp or not all(ch in crypto.ALPHABET_INDEX for ch in otp):
-            _abort(self.session, "challenge_malformed", retryable=False)
-            return
-        self.state["otp"] = otp
-        self.emit(ShowOtp(otp=otp))
+        self.state[key] = value
+        self.emit(show(value))
 
     def on_type_credentials(self, msg: TypeCredentials) -> None:
         # the login box masks the password; only glyph count is rendered
@@ -902,7 +886,8 @@ class Smartphone(Party):
 class Server(Party):
     """The verifier: issues challenges, alone resolves click positions,
     enforces one-time and freshness semantics, and executes transactions
-    only past the enabled guards."""
+    only past the enabled guards. _sealed_frame seals both challenges;
+    _login_verdict reaches each login verdict, _settle_tx each transaction's."""
 
     kind = EntityKind.SERVER
 
@@ -921,6 +906,17 @@ class Server(Party):
 
     # -- challenge issuance --
 
+    def _sealed_frame(self, plain: bytes, context: str) -> VisualFrame:
+        """plain encrypted to the user's key, signed unless signing is off, framed."""
+        _, public_key = self.state["registry"][self.state["user_id"]]
+        ct = crypto.encrypt(public_key, plain, self.session.rng)
+        sig = (
+            crypto.sign(self.state["keypair"], ct.to_bytes())
+            if self.session.config.flags.sign_server_payloads
+            else None
+        )
+        return _frame(self.session, _pack_signed(ct, sig), context)
+
     def _issue_keyboard(self) -> None:
         layout = crypto.generate_permutation(self.session.rng)
         self.state["layout"] = layout
@@ -929,14 +925,7 @@ class Server(Party):
             layout.serialize(),
             allowed={EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER},
         )
-        _, public_key = self.state["registry"][self.state["user_id"]]
-        ct = crypto.encrypt(public_key, layout.serialize(), self.session.rng)
-        sig = (
-            crypto.sign(self.state["keypair"], ct.to_bytes())
-            if self.session.config.flags.sign_server_payloads
-            else None
-        )
-        frame = _frame(self.session, _pack_signed(ct, sig), "keyboard_challenge")
+        frame = self._sealed_frame(layout.serialize(), "keyboard_challenge")
         self.emit(KeyboardChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
     def _issue_otp(self) -> None:
@@ -947,15 +936,7 @@ class Server(Party):
         )
         self.state["token"] = token
         self.session.register_secret(SecretKind.OTP, token.value.encode(), allowed=set(EntityKind))
-        _, public_key = self.state["registry"][self.state["user_id"]]
-        ct = crypto.encrypt(public_key, token.value.encode("ascii"), self.session.rng)
-        sig = (
-            crypto.sign(self.state["keypair"], ct.to_bytes())
-            if self.session.config.flags.sign_server_payloads
-            else None
-        )
-        frame = _frame(self.session, _pack_signed(ct, sig), "otp_challenge")
-        self.emit(OtpChallenge(frame=frame))
+        self.emit(OtpChallenge(frame=self._sealed_frame(token.value.encode("ascii"), "otp_challenge")))
 
     def _issue_nonce(self) -> None:
         nonce = crypto.fresh_nonce(self.session.rng, self.store.issued_nonces)
@@ -966,46 +947,37 @@ class Server(Party):
 
     def _login(self, msg: LoginRequest, issue) -> None:
         if msg.user_id not in self.state["registry"]:
-            self._deny()
+            self._login_verdict(False)
             return
         self.state["user_id"] = msg.user_id
         issue()
 
     # -- verdicts --
 
-    def _deny(self) -> None:
+    def _login_verdict(self, ok: bool, reissue=None) -> None:
+        """AUTHENTICATED or DENIED, told to the terminal; a failed attempt
+        with attempts left reissues the challenge instead."""
+        if not ok and reissue is not None:
+            self.state["attempts"] += 1
+            if self.state["attempts"] < self.session.config.max_attempts:
+                reissue()
+                return
         self.phase = "done"
-        self.session.finish(Outcome.DENIED)
-        self.emit(AuthResult(ok=False))
-
-    def _authenticate(self) -> None:
-        self.phase = "done"
-        self.session.finish(Outcome.AUTHENTICATED)
-        self.emit(AuthResult(ok=True))
-
-    def _retry_or_deny(self, reissue) -> None:
-        self.state["attempts"] += 1
-        if self.state["attempts"] < self.session.config.max_attempts:
-            reissue()
-        else:
-            self._deny()
+        self.session.finish(Outcome.AUTHENTICATED if ok else Outcome.DENIED)
+        self.emit(AuthResult(ok=ok))
 
     def on_submit_positions(self, msg: SubmitPositions) -> None:
         # the one place click positions turn back into symbols
         candidate = self.state["layout"].resolve(msg.positions)
         password, _ = self.state["registry"][self.state["user_id"]]
-        if candidate == password:
-            self._authenticate()
-        else:
-            self._retry_or_deny(self._issue_keyboard)
+        self._login_verdict(candidate == password, self._issue_keyboard)
 
     def on_submit_otp(self, msg: SubmitOtp) -> None:
         token: OtpToken = self.state["token"]
-        if not token.consumed and msg.otp == token.value:
+        ok = not token.consumed and msg.otp == token.value
+        if ok:
             self.state["token"] = token.consume()
-            self._authenticate()
-        else:
-            self._retry_or_deny(self._issue_otp)
+        self._login_verdict(ok, self._issue_otp)
 
     def on_submit_ciphertext(self, msg: SubmitCiphertext) -> None:
         nonce: Nonce = self.state["nonce"]
@@ -1015,15 +987,13 @@ class Server(Party):
             )
             nonce_value, user_id, password, server_name = _unpack_credentials(plain)
         except (crypto.IntegrityError, struct.error, UnicodeDecodeError):
-            self._retry_or_deny(self._issue_nonce)
+            self._login_verdict(False, self._issue_nonce)
             return
         fresh = not self.state["nonce_consumed"] and nonce_value == nonce.value
         self.state["nonce_consumed"] = True
         entry = self.state["registry"].get(user_id)
-        if fresh and server_name == self.state["name"] and entry is not None and password == entry[0]:
-            self._authenticate()
-        else:
-            self._retry_or_deny(self._issue_nonce)
+        ok = fresh and server_name == self.state["name"] and entry is not None and password == entry[0]
+        self._login_verdict(ok, self._issue_nonce)
 
     # -- transactions --
 
@@ -1039,12 +1009,7 @@ class Server(Party):
         self.emit(TxConfirmation(display_tx=msg.tx, frame=frame))
 
     def on_forward_confirm(self, msg: ForwardConfirm) -> None:
-        if msg.ok:
-            self._execute_tx(self.state["received_tx"])
-            self.session.finish(Outcome.CONFIRMED)
-        else:
-            self.session.finish(Outcome.USER_FLAGGED_MISMATCH)
-        self.emit(TxResult(accepted=msg.ok))
+        self._settle_tx(msg.ok, Outcome.CONFIRMED if msg.ok else Outcome.USER_FLAGGED_MISMATCH)
 
     def on_guarded_tx(self, msg: SubmitTx) -> None:
         # HIJACKGUARD: execute only once the side copy matches
@@ -1052,9 +1017,7 @@ class Server(Party):
         if self.session.config.flags.hijack_guard:
             self._check_guard()
         else:
-            self._execute_tx(msg.tx)
-            self.session.finish(Outcome.ACCEPTED)
-            self.emit(TxResult(accepted=True))
+            self._settle_tx(True, Outcome.ACCEPTED)
 
     def on_side_copy(self, msg: SideCopy) -> None:
         self.state["side_tx"] = msg.tx
@@ -1069,12 +1032,8 @@ class Server(Party):
             return  # wait for the other half; on_idle fails closed
         _, public_key = self.state["registry"][self.session.config.user_id]
         sig_ok = crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"])
-        if sig_ok and side_tx == received:
-            self._execute_tx(received)
-            self.session.finish(Outcome.ACCEPTED)
-        else:
-            self.session.finish(Outcome.REJECTED)
-        self.emit(TxResult(accepted=self.session.outcome is Outcome.ACCEPTED))
+        ok = sig_ok and side_tx == received
+        self._settle_tx(ok, Outcome.ACCEPTED if ok else Outcome.REJECTED)
 
     def on_idle(self) -> None:
         # a transaction with no matching side-channel copy dies here
@@ -1083,12 +1042,13 @@ class Server(Party):
             and self.session.outcome is None
             and self.session.config.flags.hijack_guard
         ):
-            self.session.finish(Outcome.REJECTED)
-            self.emit(TxResult(accepted=False))
+            self._settle_tx(False, Outcome.REJECTED)
 
-    def _execute_tx(self, tx: Transaction) -> None:
-        self.state["executed_tx"] = tx
-        self.session.executed_tx = tx
+    def _settle_tx(self, execute: bool, outcome: Outcome) -> None:
+        if execute:
+            self.state["executed_tx"] = self.session.executed_tx = self.state["received_tx"]
+        self.session.finish(outcome)
+        self.emit(TxResult(accepted=execute))
 
     # -- secure viewing --
 
@@ -1114,15 +1074,22 @@ def _any_order(party: type, *messages: type, **bound) -> dict:
     return {"start": rows}
 
 
+_OPEN_LAYOUT = partial(
+    Smartphone._open_challenge, parse=KeyboardPermutation.from_serialized, key="layout", show=ShowLayout
+)
+_OPEN_OTP = partial(Smartphone._open_challenge, parse=_parse_otp, key="otp", show=ShowOtp)
+_SCAN_NONCE = partial(Smartphone.on_show_frame, context="nonce", read=Smartphone._read_nonce)
+
 # Every party's legal message order: FLOWS[protocol][party][phase][tag] =
 # (handler, next phase). A client stands in one phase wherever order does not
-# matter; the P3 phone takes credentials only after a scan. A login retry
-# reissues the challenge in "challenged"; a login verdict moves the server to "done".
+# matter; a phone's scan row binds the frame's context and its payload's reader,
+# and the P3 phone takes credentials only after a scan. A login retry reissues
+# the challenge in "challenged"; a login verdict moves the server to "done".
 FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
     Protocol.P1: {
         EntityKind.USER: _any_order(UserModel, ShowKeyboard, ShowLayout, EchoClicks, ShowResult),
         EntityKind.TERMINAL: _any_order(Terminal, TypeId, KeyboardChallenge, ClickPositions, AuthResult),
-        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="keyboard"),
+        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="keyboard", read=_OPEN_LAYOUT),
         EntityKind.SERVER: {
             "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_keyboard), "challenged")},
             "challenged": {SubmitPositions.TAG: (Server.on_submit_positions, "challenged")},
@@ -1131,7 +1098,7 @@ FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
     Protocol.P2: {
         EntityKind.USER: _any_order(UserModel, ShowKeyboard, ShowOtp, EchoOtp, ShowResult),
         EntityKind.TERMINAL: _any_order(Terminal, TypeId, OtpChallenge, TypeOtp, AuthResult),
-        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="otp"),
+        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="otp", read=_OPEN_OTP),
         EntityKind.SERVER: {
             "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_otp), "challenged")},
             "challenged": {SubmitOtp.TAG: (Server.on_submit_otp, "challenged")},
@@ -1141,9 +1108,9 @@ FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
         EntityKind.USER: _any_order(UserModel, ShowLoginBox, EchoMaskedCredentials, ShowResult),
         EntityKind.TERMINAL: _any_order(Terminal, Connect, NonceChallenge, UploadFrame, AuthResult),
         EntityKind.SMARTPHONE: {
-            "start": {ShowFrame.TAG: (partial(Smartphone.on_show_frame, context="nonce"), "scanned")},
+            "start": {ShowFrame.TAG: (_SCAN_NONCE, "scanned")},
             "scanned": {
-                ShowFrame.TAG: (partial(Smartphone.on_show_frame, context="nonce"), "scanned"),
+                ShowFrame.TAG: (_SCAN_NONCE, "scanned"),
                 TypeCredentials.TAG: (Smartphone.on_type_credentials, "scanned"),
             },
         },
@@ -1253,7 +1220,7 @@ def run_flow(config: SessionConfig, store: CredentialStore | None = None, advers
     session.entities[EntityKind.USER].begin()
     session.run()
     if session.outcome is None:
-        _abort(session, "stalled", retryable=False)
+        session.finish(Outcome.ABORTED, "stalled")
     return SessionResult(outcome=session.outcome, session=session)
 
 

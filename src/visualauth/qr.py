@@ -269,18 +269,15 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
         raise ValueError(f"frames carry bytes; {spec.mode.value} mode is not encoded")
     cap = capacity(spec)
     if len(payload) > cap:
-        required = None
-        for v in range(spec.version + 1, MAX_VERSION + 1):
-            if len(payload) <= capacity(FrameSpec(v, spec.ec_level, spec.mode)):
-                required = v
-                break
-        if required is None:
+        try:
+            required = choose_spec(payload, spec.ec_level).version
+        except CapacityError:
             raise CapacityError(
                 f"{len(payload)} symbols exceed every version up to "
                 f"{MAX_VERSION} at {spec.ec_level.value}/{spec.mode.value} "
                 f"(format ceiling {GLOBAL_MAX[spec.mode]})",
                 required_version=None,
-            )
+            ) from None
         raise CapacityError(
             f"{len(payload)} symbols exceed version {spec.version} "
             f"{spec.ec_level.value}/{spec.mode.value} capacity {cap}; "

@@ -604,9 +604,9 @@ class TestAttackCatalogue:
             result = run_attack(ATTACKS["forged_confirm"], seed)
             assert result.outcome is Outcome.CONFIRMED
             assert result.late_verdicts == (
-                (4, Outcome.ABORTED),
-                (10, Outcome.USER_FLAGGED_MISMATCH),
-                (12, Outcome.ABORTED),
+                (4, Outcome.ABORTED, "submit_tx_out_of_order"),
+                (10, Outcome.USER_FLAGGED_MISMATCH, None),
+                (12, Outcome.ABORTED, "forward_confirm_out_of_order"),
             )
         # stale_receipt's user flags twice; the repeat matches the verdict
         for seed in (0, 1, 5):

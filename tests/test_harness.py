@@ -457,7 +457,7 @@ class TestCli:
 
     def test_matrix_exit_codes(self, capsys):
         assert main(["matrix", "--trials", "0"]) == 2
-        capsys.readouterr()
+        assert "trials must be >= 1" in capsys.readouterr().err
         assert main(["matrix", "--trials", "1", "--seed", "-5"]) == 2
         assert "--seed" in capsys.readouterr().err
         assert main(["matrix", "--trials", "1", "--seed", "7", "--machine"]) == 0

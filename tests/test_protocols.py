@@ -329,6 +329,7 @@ def _rewriting_frames(**changes):
 
 # the one frame context each login flow's phone scans, as its FLOWS row says
 SCANNED = {Protocol.P1: "keyboard", Protocol.P2: "otp", Protocol.P3: "nonce"}
+SEALED = (Protocol.P1, Protocol.P2)  # the flows whose challenge is sealed to the phone and signed
 
 
 def _frame_of(size):
@@ -366,22 +367,22 @@ class TestFrameHandling:
                 smaller = qr.FrameSpec(spec.version - 1, spec.ec_level, spec.mode)
                 assert len(frame.payload) > qr.capacity(smaller)
 
-    def test_mangled_signature_aborts_fatal(self):
+    @pytest.mark.parametrize("protocol", SEALED, ids=str)
+    def test_mangled_signature_aborts_fatal(self, protocol):
         # a compromised network rewrites the challenge; the phone must
         # refuse before decrypting rather than retry forever
         store = CredentialStore.provision(135)
-        from visualauth.protocols import KeyboardChallenge, build_session, _pack_signed, _unpack_signed
+        from visualauth.protocols import build_session, _unpack_signed
 
-        session = build_session(_cfg(Protocol.P1, 135), store)
+        session = build_session(_cfg(protocol, 135), store)
 
         def mangle(msg):
-            if msg.tag != "kbd_challenge":
+            if msg.tag not in ("kbd_challenge", "otp_challenge"):
                 return msg
             ct, sig = _unpack_signed(msg.frame.payload)
             bad_sig = dataclasses.replace(sig, sig=bytes(b ^ 1 for b in sig.sig))
             payload = _pack_signed(ct, bad_sig)
-            frame = qr.qr_encode(payload, qr.choose_spec(payload))
-            return KeyboardChallenge(frame=frame, grid_rows=6, grid_cols=6)
+            return dataclasses.replace(msg, frame=qr.qr_encode(payload, qr.choose_spec(payload)))
 
         session.entities[EntityKind.SERVER].outbound_hooks.append(mangle)
         session.entities[EntityKind.USER].begin()
@@ -389,9 +390,10 @@ class TestFrameHandling:
         assert session.abort_reason == "challenge_signature_invalid"
         assert not session.abort_retryable
 
-    def test_wrong_phone_key_aborts_fatal(self):
+    @pytest.mark.parametrize("protocol", SEALED, ids=str)
+    def test_wrong_phone_key_aborts_fatal(self, protocol):
         stranger = crypto.generate_keypair(Role.USER, seed=136)
-        result = run_flow(_cfg(Protocol.P1, 136), adversaries=[phone_holding(keypair=stranger)])
+        result = run_flow(_cfg(protocol, 136), adversaries=[phone_holding(keypair=stranger)])
         assert result.outcome is Outcome.ABORTED
         assert result.session.abort_reason == "challenge_ciphertext_rejected"
         assert not result.session.abort_retryable
@@ -424,7 +426,7 @@ class TestFrameHandling:
         # junk is denied before the phone's first scan, so the abort for
         # the relabelled frame cannot change the verdict; the phone still
         # counts as unscanned and refuses the credentials instead of raising.
-        # Both refusals are recorded as late verdicts
+        # Both refusals are recorded as late verdicts, each with its reason
         def install(session):
             def tap(msg):
                 if msg.tag == "nonce_challenge":
@@ -439,7 +441,10 @@ class TestFrameHandling:
         assert result.outcome is Outcome.DENIED
         assert "type_credentials" in [e.tag for e in result.session.transcript]
         assert "login" not in result.session.entities[EntityKind.SMARTPHONE].state
-        assert result.session.late_verdicts == [(5, Outcome.ABORTED), (7, Outcome.ABORTED)]
+        assert result.session.late_verdicts == [
+            (5, Outcome.ABORTED, "show_frame_out_of_protocol"),
+            (7, Outcome.ABORTED, "type_credentials_out_of_order"),
+        ]
         assert result.session.abort_reason is None
 
     @pytest.mark.parametrize("size", [15, 17, 200])
