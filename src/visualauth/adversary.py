@@ -204,7 +204,7 @@ def _observe(msg: Message) -> tuple | None:
 class AttackerHandle:
     """What one adversary takes from one finished session: a read-only view.
 
-    observations are the transcript events on a channel its kind's surface
+    observations are the delivered messages on a channel its kind's surface
     shows at its locus, reduced by _observe, in transcript order. Traffic
     is attributed by channel: a message injected on net_up reads as the
     terminal's "out". Malware also reads its locus's final state, so a
@@ -219,9 +219,9 @@ class AttackerHandle:
     def __post_init__(self):
         visible = _VISIBLE[self.config.kind, self.config.locus]
         self.observations = [
-            Observation(event.step, data)
-            for event in (self.session.transcript if visible else ())
-            if event.message.CHANNEL.name in visible and (data := _observe(event.message)) is not None
+            Observation(step, data)
+            for step, message in enumerate(self.session.transcript if visible else (), 1)
+            if message.CHANNEL.name in visible and (data := _observe(message)) is not None
         ]
         if self.config.kind is AdversaryKind.MALWARE:
             pair = self.session.entities[self.config.locus].state.get("keypair")
@@ -467,7 +467,7 @@ def _forged_layout(config: SessionConfig, store: CredentialStore):
     frame = qr.qr_encode(payload, qr.choose_spec(payload, config.frame_ec))
 
     def breached(result: SessionResult) -> bool:
-        clicks = [e.message.positions for e in result.session.transcript if e.tag == "click_positions"]
+        clicks = [m.positions for m in result.session.transcript if m.tag == "click_positions"]
         return bool(clicks) and layout.resolve(clicks[0]) == store.users[config.user_id].password
 
     return [_rewriting(EntityKind.TERMINAL, show_frame={"frame": frame})], breached
@@ -500,7 +500,7 @@ def _stale_receipt(config: SessionConfig, store: CredentialStore):
     earlier clean session's receipt, barcode and page alike. Only the session
     nonce inside the signed receipt tells the phone it is stale."""
     clean = run_flow(replace(config, seed=rngmod.child_seed(config.seed, "clean")), store)
-    receipt = next(e.message for e in clean.session.transcript if e.tag == "tx_confirmation")
+    receipt = next(m for m in clean.session.transcript if m.tag == "tx_confirmation")
     stale = _rewriting(
         EntityKind.TERMINAL,
         submit_tx={"tx": EVIL_TX},

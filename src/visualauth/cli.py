@@ -71,6 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         except FileNotFoundError:
             print(f"config error: no such file {args.config!r}", file=sys.stderr)
             return 2
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"config error: cannot read {args.config!r}: {exc}", file=sys.stderr)
+            return 2
         except harness.ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -4,8 +4,8 @@ A session wires one user, one terminal, one smartphone, and one server
 together over typed one-way channels and drives them with a
 single-threaded FIFO event loop; the receiver's handler_for picks the one
 handler each delivery runs. Everything observable about a run is captured
-twice: a transcript of every delivery (step, channel, tag, payload digest)
-and a per-entity history of serialized state snapshots.
+twice: a transcript of every delivered message, in delivery order, and a
+per-entity history of serialized state snapshots.
 
 The snapshot history exists for one reason: secrecy claims about where
 plaintext secrets may live are checked by scanning it, not by trusting
@@ -21,10 +21,10 @@ is being watched, and no entity reads an attacker setting.
 
 Both records hold references, not bytes: a delivery keeps the message
 and a shallow copy of the receiver's state, and serializes neither.
-canonical_bytes runs when a snapshot or a digest is first read, and the
-result is cached. That gives the bytes of record time only because
-nothing recorded can change: messages are frozen dataclasses, and
-take_snapshot refuses a state value whose type is not immutable.
+canonical_bytes runs when the snapshots are first read (and is cached)
+or a transcript is exported. That gives the bytes of record time only
+because nothing recorded can change: messages are frozen dataclasses,
+and take_snapshot refuses a state value whose type is not immutable.
 canonical_bytes dispatches through a table of one encoder per exact
 type, filled the first time a type is seen; a subclass gets the encoder
 of the first base it matches, in the order canonical_bytes documents.
@@ -125,13 +125,11 @@ def canonical_bytes(obj) -> bytes:
     """Stable type-tagged serialization used for digests and snapshots.
 
     The encoder comes from _ENCODERS, keyed by exact type. A new type is
-    resolved once against _RESOLUTION, in this order: None, bool, int,
-    float, str, bytes or bytearray, Enum, tuple or list, set or frozenset,
-    dict or mappingproxy, and last a dataclass instance. So a str- or
-    int-mixin enum member encodes as that builtin, through str() or
-    .encode() on the member itself, a plain enum as its value, and a
-    mappingproxy as the dict it shows. Anything else, a class object
-    included, raises TypeError.
+    resolved once against _RESOLUTION, in this order: None, Enum, bool,
+    int, float, str, bytes or bytearray, tuple or list, set or frozenset,
+    dict or mappingproxy, and last a dataclass instance. So every enum
+    member, mixin or not, encodes as its value, and a mappingproxy as the
+    dict it shows. Anything else, a class object included, raises TypeError.
     """
     encode = _ENCODERS.get(type(obj))
     if encode is None:
@@ -181,12 +179,12 @@ _ENCODERS: dict[type, Callable[[object], bytes]] = {}
 # the isinstance chain a type meets on first sight; dataclasses come last
 _RESOLUTION = (
     (type(None), lambda obj: b"N"),
+    (enum.Enum, lambda obj: canonical_bytes(obj.value)),
     (bool, lambda obj: b"?\x01" if obj else b"?\x00"),
     (int, _encode_int),
     (float, _encode_float),
     (str, _encode_str),
     ((bytes, bytearray), _encode_bytes),
-    (enum.Enum, lambda obj: canonical_bytes(obj.value)),
     ((tuple, list), _encode_sequence),
     ((set, frozenset), _encode_set),
     ((dict, MappingProxyType), _encode_dict),
@@ -241,45 +239,6 @@ class Message:
 
     def digest(self) -> str:
         return hashlib.sha256(self.wire()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class TranscriptEvent:
-    """One delivery: its step and the message, held by reference.
-
-    Channel, parties and tag come from the message's class; the digest is
-    computed on first read and cached, which is sound because messages
-    are frozen.
-    """
-
-    step: int
-    message: Message
-
-    @property
-    def channel_kind(self) -> ChannelKind:
-        return self.message.CHANNEL.kind
-
-    @property
-    def sender(self) -> EntityKind:
-        return self.message.CHANNEL.sender
-
-    @property
-    def receiver(self) -> EntityKind:
-        return self.message.CHANNEL.receiver
-
-    @property
-    def tag(self) -> str:
-        return self.message.TAG
-
-    @functools.cached_property
-    def digest(self) -> str:
-        return self.message.digest()
-
-    def line(self) -> str:
-        return (
-            f"{self.step}|{self.channel_kind.value}|{self.sender.value}"
-            f"|{self.receiver.value}|{self.tag}|{self.digest}"
-        )
 
 
 class SecretKind(enum.Enum):
@@ -392,6 +351,7 @@ class Entity:
 class Session:
     """One protocol run: entities, queue, transcript, verdict.
 
+    transcript lists the delivered messages in order; step is its length.
     config and store are set by the protocol layer when it assembles the
     session; the handlers fill in the executed transaction and the viewed
     fields as the run goes, and reach every verdict through finish.
@@ -401,8 +361,7 @@ class Session:
         self.seed = seed
         self.rng = rngmod.fork(seed, "session")
         self.entities: dict[EntityKind, Entity] = {}
-        self.transcript: list[TranscriptEvent] = []
-        self.step = 0
+        self.transcript: list[Message] = []
         self._order: deque[Message] = deque()
         self.outcome = None
         self.late_verdicts: list[tuple[int, object, str | None]] = []
@@ -416,6 +375,11 @@ class Session:
         self.executed_tx = None
         self.view_values: dict[str, str] = {}
         self.view_failures: tuple[str, ...] = ()
+
+    @property
+    def step(self) -> int:
+        """Deliveries so far; during delivery k it reads k."""
+        return len(self.transcript)
 
     def add_entity(self, entity: Entity) -> None:
         if entity.kind in self.entities:
@@ -446,18 +410,14 @@ class Session:
         elif outcome != self.outcome:
             self.late_verdicts.append((self.step, outcome, reason))
 
-    def run(self, max_deliveries: int = MAX_DELIVERIES):
+    def run(self):
         """Drain the queue; one idle round lets timeouts fire fail-closed."""
-        deliveries = 0
         idled = False
         while True:
             while self._order:
-                if deliveries >= max_deliveries:
-                    raise LivenessError(
-                        f"exceeded {max_deliveries} deliveries without settling"
-                    )
+                if self.step >= MAX_DELIVERIES:
+                    raise LivenessError(f"exceeded {MAX_DELIVERIES} deliveries without settling")
                 deliver(self, self._order.popleft())
-                deliveries += 1
             if self.outcome is not None or idled:
                 break
             idled = True
@@ -481,8 +441,7 @@ def deliver(session: Session, message: Message) -> None:
     receiver = session.entities.get(channel.receiver)
     if receiver is None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")
-    session.step += 1
-    session.transcript.append(TranscriptEvent(session.step, message))
+    session.transcript.append(message)
     for tap in receiver.io_taps:
         tap(message)
     receiver.handle(message)
@@ -490,8 +449,12 @@ def deliver(session: Session, message: Message) -> None:
 
 
 def export_transcript(session: Session) -> str:
-    """step|channel|from|to|tag|digest lines, one per delivery."""
-    return "".join(event.line() + "\n" for event in session.transcript)
+    """step|channel|from|to|tag|digest lines, one per delivery, from step 1."""
+    return "".join(
+        f"{step}|{m.CHANNEL.kind.value}|{m.CHANNEL.sender.value}|{m.CHANNEL.receiver.value}"
+        f"|{m.TAG}|{m.digest()}\n"
+        for step, m in enumerate(session.transcript, 1)
+    )
 
 
 def scan_states_for_secrets(session: Session) -> list[SecretSighting]:

@@ -301,7 +301,6 @@ class ScenarioReport:
     trials: int
     counts: dict[str, int]
     breaches: int | None  # None when no adversary configured
-    frame_specs: tuple[tuple[str, int, str], ...]  # (context, version, ec)
     failures: list[str]
     first_session: object = None  # kept for transcript/frame export
 
@@ -318,7 +317,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     store = CredentialStore.provision(rngmod.child_seed(base.seed, "store", scenario.name))
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     breaches = 0 if scenario.adversary else None
-    frame_specs: list[tuple[str, int, str]] = []
     first_session = None
 
     for trial in range(scenario.trials):
@@ -332,8 +330,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         counts[_count_key(result)] += 1
         if trial == 0:
             first_session = result.session
-            for _, context, frame in result.session.frame_log:
-                frame_specs.append((context, frame.spec.version, frame.spec.ec_level.value))
 
     failures = []
     for key, expected in scenario.expectations.items():
@@ -352,7 +348,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         trials=scenario.trials,
         counts=counts,
         breaches=breaches,
-        frame_specs=tuple(frame_specs),
         failures=failures,
         first_session=first_session,
     )
@@ -486,9 +481,10 @@ def render_text(report: Report) -> str:
                 f"computed={check.computed:.4f} {bound}"
             )
         lines.append("")
-    frame_specs = sorted(
-        {(ctx, v, ec) for sr in report.scenarios for (ctx, v, ec) in sr.frame_specs}
-    )
+    frame_specs = sorted({
+        (ctx, frame.spec.version, frame.spec.ec_level.value)
+        for sr in report.scenarios if sr.first_session for _, ctx, frame in sr.first_session.frame_log
+    })
     if frame_specs:
         lines.append("frame usage (scan seconds are a fitted estimate, never asserted)")
         lines.append("-" * 72)

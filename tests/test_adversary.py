@@ -219,10 +219,10 @@ class TestViews:
         assert any(handle.observations for handle in handles)
         for handle in handles:
             for obs in handle.observations:
-                event = transcript[obs.step - 1]
-                assert event.step == obs.step
-                assert handle.config.locus in (event.sender, event.receiver)
-                assert adversary._observe(event.message) == obs.data
+                assert 1 <= obs.step <= len(transcript)
+                message = transcript[obs.step - 1]
+                assert handle.config.locus in (message.CHANNEL.sender, message.CHANNEL.receiver)
+                assert adversary._observe(message) == obs.data
 
     def test_injected_traffic_is_attributed_by_channel(self):
         # the terminal never sends the planted ciphertext, but it travels on
@@ -231,7 +231,7 @@ class TestViews:
         result = run_flow(
             SessionConfig(protocol=Protocol.P3, seed=2), adversaries=[lambda session: session.inject(planted)]
         )
-        assert result.session.transcript[0].message == planted
+        assert result.session.transcript[0] == planted
         malware = adversary.AttackerHandle(AdversaryConfig(M, T), result.session)
         assert malware.observations[0] == adversary.Observation(1, ("ciphertext", b"planted"))
         keylogger = adversary.AttackerHandle(AdversaryConfig(K, T), result.session)
@@ -477,7 +477,7 @@ class TestSharedSession:
         config = SessionConfig(protocol=Protocol.TXVERIFY, seed=0)
         honest, _ = run_attacked_session(config, MATRIX_CONFIGS)
         altered = run_flow(config, adversaries=[adversary._altering(EntityKind.TERMINAL)])
-        assert EVIL_TX in [e.message.tx for e in altered.session.transcript if e.tag == "submit_tx"]
+        assert EVIL_TX in [m.tx for m in altered.session.transcript if m.tag == "submit_tx"]
         watched = [adversary.AttackerHandle(c, altered.session) for c in MATRIX_CONFIGS]
         changed = {
             (a.config.kind, a.config.locus)
@@ -532,7 +532,7 @@ class TestReplaysAreJudged:
         assert result.outcome is Outcome.AUTHENTICATED
         # type_id, login_request, kbd_challenge, submit_positions, auth_result
         assert result.session.step == 5
-        assert all(event.receiver is not EntityKind.SMARTPHONE for event in result.session.transcript)
+        assert all(m.CHANNEL.receiver is not EntityKind.SMARTPHONE for m in result.session.transcript)
 
     def test_matrix_replays_are_denied_not_aborted(self, monkeypatch):
         # an abort would mean the replay arrived out of order, and the

@@ -267,7 +267,7 @@ class TestScenarioRuns:
     def test_frame_specs_recorded_from_first_trial(self):
         parsed = parse_config("[scenario]\nname = f\nprotocol = p1\ntrials = 2\nseed = 53\n")
         report = run_scenario(parsed.scenarios[0])
-        contexts = [ctx for ctx, _, _ in report.frame_specs]
+        contexts = [ctx for _, ctx, _ in report.first_session.frame_log]
         assert contexts == ["keyboard_challenge"]
 
 
@@ -406,6 +406,15 @@ class TestCli:
     def test_run_missing_file(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unreadable", ["directory", "undecodable"])
+    def test_run_unreadable_config(self, tmp_path, capsys, unreadable):
+        path = tmp_path
+        if unreadable == "undecodable":
+            path = tmp_path / "binary.cfg"
+            path.write_bytes(b"[scenario]\nname = \xff\n")
+        assert main(["run", str(path)]) == 2
+        assert f"config error: cannot read {str(path)!r}: " in capsys.readouterr().err
 
     def test_run_unparseable_config(self, tmp_path, capsys):
         path = tmp_path / "broken.cfg"

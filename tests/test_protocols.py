@@ -697,14 +697,14 @@ class TestDispatch:
         for seed in range(3):
             result = run_flow(_cfg(protocol, seed))
             assert result.session.abort_reason is None, seed
-            delivered = {(event.receiver, event.tag) for event in result.session.transcript}
+            delivered = {(m.CHANNEL.receiver, m.tag) for m in result.session.transcript}
             assert delivered == named, (seed, delivered ^ named)
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_honest_run_follows_its_declared_sequence(self, protocol):
         for seed in range(3):
             transcript = run_flow(_cfg(protocol, seed)).session.transcript
-            assert tuple(event.tag for event in transcript) == HONEST_SEQUENCES[protocol], seed
+            assert tuple(m.tag for m in transcript) == HONEST_SEQUENCES[protocol], seed
 
     def test_run_flow_routes_by_protocol(self):
         assert run_flow(_cfg(Protocol.P2, 170)).outcome is Outcome.AUTHENTICATED
@@ -771,9 +771,9 @@ def _client_bound(seed):
     tag that the honest runs of the six flows at seed deliver to a client."""
     samples = {}
     for protocol in Protocol:
-        for event in run_flow(_cfg(protocol, seed)).session.transcript:
-            if event.receiver is not EntityKind.SERVER:
-                samples.setdefault(event.tag, event.message)
+        for m in run_flow(_cfg(protocol, seed)).session.transcript:
+            if m.CHANNEL.receiver is not EntityKind.SERVER:
+                samples.setdefault(m.tag, m)
     return tuple(samples.values())
 
 
@@ -825,7 +825,7 @@ class TestServerFailsClosed:
         assert session.outcome is Outcome.ACCEPTED
         assert session.executed_tx == EVIL
         assert session.entities[EntityKind.SERVER].state["executed_tx"] == EVIL
-        results = [e for e in session.transcript if e.tag == "tx_result"]
+        results = [m for m in session.transcript if m.tag == "tx_result"]
         assert len(results) == 1
 
     @pytest.mark.parametrize("protocol", list(Protocol))
