@@ -23,8 +23,11 @@ therefore an output of the state machines, not a transcription.
 In the matrix, one honest session per (protocol, trial) is read by all
 eight adversaries (``run_attacked_session`` returns one view per config),
 and ``evaluate`` scores each view into its own cell. A view only reads, so
-no adversary changes what another sees. Follow-ups and alteration runs
-stay per view, seeded by the view's kind and locus.
+no adversary changes what another sees. The views share their follow-ups
+by loot: an attempt is keyed by (strategy, user_id, loot) and seeded by
+its strategy, so views that captured the same submission, credentials or
+key mount it once and read one verdict. The brute-force guesses and the
+alteration runs stay per view.
 
 Every active attack is an honest session plus installs handed to
 ``run_flow``: taps and hooks on a locus (``replaying``, ``_rewriting``) or
@@ -195,6 +198,8 @@ def _observe(msg: Message) -> tuple | None:
         return ("frame_payload", msg.context, msg.frame.payload)
     if tag == "show_tx_frame":
         return ("frame_payload", "tx_confirmation", msg.frame.payload)
+    if tag in ("submit_tx", "side_copy", "show_tx_page"):
+        return ("tx", msg.tx)
     if tag in ("connect", "request_tx", "confirm_tx", "confirm_on_phone"):
         return ("click", tag)
     return None
@@ -213,6 +218,9 @@ class AttackerHandle:
 
     config: AdversaryConfig
     session: Session
+    # (strategy, user_id, loot) -> authenticated?, shared by the views of one
+    # run_attacked_session; a handle built alone gets its own
+    attempts: dict[tuple, bool] = field(default_factory=dict, repr=False, compare=False)
     observations: list[Observation] = field(init=False)
     stolen_keypair: crypto.KeyPair | None = field(init=False, default=None)
 
@@ -290,54 +298,63 @@ def phone_holding(**state):
 # -------- followup attacks: the adversary actually tries --------
 
 
-def _attempt(config: SessionConfig, store: CredentialStore, install) -> bool:
-    return run_flow(config, store, adversaries=[install]).outcome is Outcome.AUTHENTICATED
+def _learned_credentials(seed: int, password: str):
+    # learned credentials suffice: encrypt them on any phone at all
+    own_phone = crypto.generate_keypair(crypto.Role.USER, rngmod.fork(seed, "attacker-phone"))
+    return {"submit_passwords": (password,)}, phone_holding(keypair=own_phone)
+
+
+# strategy -> (seed, loot) -> (SessionConfig fields, install)
+_STRATEGIES = {
+    "learned-creds": _learned_credentials,
+    # the exfiltrated private key opens any future challenge
+    "stolen-key": lambda seed, keypair: ({}, phone_holding(keypair=keypair)),
+    "replay": lambda seed, submission: ({}, replaying(submission)),
+}
+
+# what each login's replay resubmits: the observation label and its message
+_REPLAYS = {
+    Protocol.P1: ("positions", SubmitPositions),
+    Protocol.P2: ("otp", SubmitOtp),
+    Protocol.P3: ("ciphertext", SubmitCiphertext),
+}
+
+
+def _attempt(handle: AttackerHandle, strategy: str, user_id: str, loot) -> bool:
+    """Did logging in as user_id with loot succeed? The first view of the
+    observed session to ask mounts the attempt; the others read its verdict."""
+    key = (strategy, user_id, loot)
+    if key not in handle.attempts:
+        session = handle.session
+        seed = rngmod.child_seed(session.seed, "followup", strategy)
+        fields, install = _STRATEGIES[strategy](seed, loot)
+        config = SessionConfig(protocol=session.config.protocol, seed=seed, user_id=user_id, **fields)
+        result = run_flow(config, session.store, adversaries=[install])
+        handle.attempts[key] = result.outcome is Outcome.AUTHENTICATED
+    return handle.attempts[key]
 
 
 def _later_authentication(handle: AttackerHandle) -> bool:
-    """Mount every strategy the observations support against a new session."""
+    """Try every strategy the observations support against a new session."""
     session = handle.session
     protocol = session.config.protocol
     if protocol not in AUTH_PROTOCOLS:
         return False
-    store: CredentialStore = session.store
-    seed = rngmod.child_seed(session.seed, "followup", handle.config.kind.value, handle.config.locus.value)
-
     user_id = session.config.user_id
     login = handle.observed("login")
-    if login is not None and protocol is Protocol.P3:
-        # learned credentials suffice: encrypt them on any phone at all
-        learned_id, password = login
-        own_phone = crypto.generate_keypair(crypto.Role.USER, rngmod.fork(seed, "attacker-phone"))
-        config = SessionConfig(
-            protocol=protocol,
-            seed=rngmod.child_seed(seed, "learned-creds"),
-            user_id=learned_id,
-            submit_passwords=(password,),
-        )
-        if _attempt(config, store, phone_holding(keypair=own_phone)):
-            return True
-
-    if handle.stolen_keypair is not None and protocol is Protocol.P2:
-        # the exfiltrated private key opens any future challenge
-        config = SessionConfig(protocol=protocol, seed=rngmod.child_seed(seed, "stolen-key"), user_id=user_id)
-        if _attempt(config, store, phone_holding(keypair=handle.stolen_keypair)):
-            return True
-
-    replays = {
-        Protocol.P1: ("positions", SubmitPositions),
-        Protocol.P2: ("otp", SubmitOtp),
-        Protocol.P3: ("ciphertext", SubmitCiphertext),
-    }
-    label, submission = replays[protocol]
+    if login is not None and protocol is Protocol.P3 and _attempt(handle, "learned-creds", *login):
+        return True
+    pair = handle.stolen_keypair
+    if pair is not None and protocol is Protocol.P2 and _attempt(handle, "stolen-key", user_id, pair):
+        return True
+    label, submission = _REPLAYS[protocol]
     captured = handle.observed(label)
-    if captured is not None:
-        config = SessionConfig(protocol=protocol, seed=rngmod.child_seed(seed, "replay"), user_id=user_id)
-        if _attempt(config, store, replaying(submission(captured[0]))):
-            return True
-
+    if captured is not None and _attempt(handle, "replay", user_id, submission(captured[0])):
+        return True
     if handle.config.kind is AdversaryKind.BRUTE_FORCE:
-        return brute_force_guessing(store, user_id, FOLLOWUP_BUDGET, seed) > 0
+        kind, locus = handle.config.kind.value, handle.config.locus.value
+        seed = rngmod.child_seed(session.seed, "followup", kind, locus)
+        return brute_force_guessing(session.store, user_id, FOLLOWUP_BUDGET, seed) > 0
     return False
 
 
@@ -372,10 +389,12 @@ def run_attacked_session(
     store: CredentialStore | None = None,
 ) -> tuple[list[AttackerHandle], SessionResult]:
     """One honest run, read by one adversary per config; returns the
-    views, in the order of configs, and the result."""
+    views, in the order of configs, sharing one attempts map, and the
+    result."""
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
     result = run_flow(session_config, store)
-    return [AttackerHandle(config, result.session) for config in configs], result
+    attempts: dict[tuple, bool] = {}
+    return [AttackerHandle(config, result.session, attempts) for config in configs], result
 
 
 # -------- the keylogger posterior, in closed form --------
@@ -602,8 +621,9 @@ def run_matrix(seed: int, trials: int = 100) -> list[MatrixCell]:
 
     A cell resists when no trial's adversary could authenticate later.
     Each (protocol, trial) is one honest session read by all eight
-    adversaries; each view is evaluated into its own cell, with its own
-    follow-ups and alteration run.
+    adversaries; each view is evaluated into its own cell. Views holding
+    the same loot share one follow-up and its verdict; the brute-force
+    guesses and the alteration runs stay per view.
     """
     store = CredentialStore.provision(rngmod.child_seed(seed, "matrix-store"))
     cells = []

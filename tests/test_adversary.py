@@ -8,7 +8,7 @@ import operator
 
 import pytest
 
-from visualauth import adversary
+from visualauth import adversary, rng as rngmod
 from visualauth.adversary import (
     ATTACKS,
     BROKEN_CELLS,
@@ -28,6 +28,7 @@ from visualauth.adversary import (
 from visualauth.entities import EntityKind
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
+    DEFAULT_TX,
     CredentialStore,
     Outcome,
     Protocol,
@@ -223,6 +224,25 @@ class TestViews:
                 message = transcript[obs.step - 1]
                 assert handle.config.locus in (message.CHANNEL.sender, message.CHANNEL.receiver)
                 assert adversary._observe(message) == obs.data
+
+    def test_terminal_malware_sees_the_transaction_it_sends(self):
+        # HIJACKGUARD's terminal submits the user's transaction to the server
+        honest = run_flow(SessionConfig(protocol=Protocol.HIJACKGUARD, seed=2))
+        malware = adversary.AttackerHandle(AdversaryConfig(M, T), honest.session)
+        assert malware.observed("tx") == (DEFAULT_TX,)
+        # positive control: what the rewriting install sends is what it sees
+        altered = run_flow(
+            SessionConfig(protocol=Protocol.HIJACKGUARD, seed=2),
+            adversaries=[adversary._altering(EntityKind.TERMINAL)],
+        )
+        assert adversary.AttackerHandle(AdversaryConfig(M, T), altered.session).observed("tx") == (EVIL_TX,)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=lambda p: p.value)
+    def test_logins_carry_no_transaction(self, protocol, seed):
+        # the tx rule leaves every matrix view as it was
+        handles, _ = run_attacked_session(SessionConfig(protocol=protocol, seed=seed), MATRIX_CONFIGS)
+        assert all(obs.data[0] != "tx" for handle in handles for obs in handle.observations)
 
     def test_injected_traffic_is_attributed_by_channel(self):
         # the terminal never sends the planted ciphertext, but it travels on
@@ -516,6 +536,76 @@ class TestSharedSession:
         store, server_pair, server_name, users, nonces = seen[0]
         assert (store.server_pair, store.server_name, store.users) == (server_pair, server_name, users)
         assert store.issued_nonces > nonces
+
+
+# distinct follow-up sessions the eight views of one login session mount:
+# P1 replays its positions; P2 replays its OTP and uses the phone's key; P3
+# replays its ciphertext and logs in with the credentials the phone leaks
+FOLLOWUPS_PER_SESSION = {Protocol.P1: 1, Protocol.P2: 2, Protocol.P3: 2}
+
+
+def _count_followups(monkeypatch) -> dict[str, int]:
+    """Count the sessions adversary starts from now on, by entry point."""
+    counts = {"run_flow": 0, "run_hijack_guard": 0}
+    for name in counts:
+        run = getattr(adversary, name)
+
+        def counting(*args, _name=name, _run=run, **kwargs):
+            counts[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, name, counting)
+    return counts
+
+
+class TestSharedAttempts:
+    """An attempt is a value of (strategy, user_id, loot): the views of one
+    session that hold the same loot mount it once and read one verdict."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=lambda p: p.value)
+    def test_one_followup_per_distinct_loot(self, protocol, seed, monkeypatch):
+        handles, _ = run_attacked_session(SessionConfig(protocol=protocol, seed=seed), MATRIX_CONFIGS)
+        counts = _count_followups(monkeypatch)
+        for handle in handles:
+            evaluate(handle)
+        # the alteration run stays one per malware view
+        assert counts == {"run_flow": FOLLOWUPS_PER_SESSION[protocol], "run_hijack_guard": 2}
+        for handle in handles:
+            evaluate(handle)
+        assert counts["run_flow"] == FOLLOWUPS_PER_SESSION[protocol]
+
+    def test_different_loot_mounts_its_own_attempt(self, monkeypatch):
+        # positive control: two views of one session replay different
+        # positions, one of them spelling the password on the replay's layout
+        store = CredentialStore.provision(281)
+        config = SessionConfig(protocol=Protocol.P1, seed=281)
+        (keylogger, surfer), _ = run_attacked_session(config, [AdversaryConfig(K, T), AdversaryConfig(V, T)], store)
+        assert keylogger.observed("positions") == surfer.observed("positions")
+        followup = SessionConfig(protocol=Protocol.P1, seed=rngmod.child_seed(281, "followup", "replay"))
+        probe = run_flow(followup, store, adversaries=[replaying(SubmitPositions(positions=(0, 0, 0, 0)))])
+        layout = probe.session.entities[EntityKind.SERVER].state["layout"]
+        spelled = tuple(layout.position_of(ch) for ch in store.users["alice"].password)
+        surfer.observations = [
+            dataclasses.replace(obs, data=("positions", spelled)) if obs.data[0] == "positions" else obs
+            for obs in surfer.observations
+        ]
+        counts = _count_followups(monkeypatch)
+        assert (evaluate(keylogger).can_authenticate_later, evaluate(surfer).can_authenticate_later) == (False, True)
+        assert counts["run_flow"] == 2
+        assert sorted(keylogger.attempts.values()) == [False, True]
+
+    def test_separate_sessions_share_no_attempt(self, monkeypatch):
+        config = SessionConfig(protocol=Protocol.P2, seed=0)
+        first, _ = run_attacked_session(config, MATRIX_CONFIGS)
+        second, _ = run_attacked_session(config, MATRIX_CONFIGS)
+        alone = adversary.AttackerHandle(MATRIX_CONFIGS[0], first[0].session)
+        assert first[0].attempts is not second[0].attempts
+        assert alone.attempts == {} and alone.attempts is not first[0].attempts
+        counts = _count_followups(monkeypatch)
+        for handle in first + second:
+            evaluate(handle)
+        assert counts["run_flow"] == 2 * FOLLOWUPS_PER_SESSION[Protocol.P2]
 
 
 class TestReplaysAreJudged:

@@ -252,7 +252,9 @@ class TestEncoderOracle:
             patch.setattr(entities, "canonical_bytes", reference_canonical_bytes)
             patch.setattr(entities.Message, "body_bytes", _reference_body_bytes)
             reference, reference_records = self._every_session(monkeypatch)
-        assert len(outputs) > 18 * 2
+        # 18 flow sessions; the matrix's 3 observed sessions, 5 follow-ups
+        # (one per distinct loot) and 6 alteration runs (one per malware view)
+        assert len(outputs) == 18 + 3 + 5 + 6
         assert outputs == reference
         assert records == reference_records
 
