@@ -15,7 +15,9 @@ Design constraints this module enforces:
   mode; a flipped bit anywhere in a sealed payload must surface as
   IntegrityError at decryption, never as silently wrong plaintext.
 * Signatures are detached and verification never raises on forgeries, it
-  returns False.
+  returns False. A signature's wire form leads with a role byte that parsing
+  validates (0 user, 1 server, anything else is refused) but that the
+  signature does not cover, so each verify site checks the signer itself.
 
 The content cipher is AES-192-GCM (a counter-mode cipher plus a mandatory
 tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
@@ -219,6 +221,8 @@ class Signature:
     def from_bytes(cls, blob: bytes) -> "Signature":
         if len(blob) != 65:
             raise ValueError("signature blob must be 65 bytes")
+        if blob[0] > 1:
+            raise ValueError("signature role byte must be 0 (user) or 1 (server)")
         return cls(sig=blob[1:], signer=Role.USER if blob[0] == 0 else Role.SERVER)
 
 

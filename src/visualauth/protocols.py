@@ -166,7 +166,9 @@ class SignedConfirmation:
         return canonical_tx_bytes(self.tx, self.nonce)
 
     def verify(self, server_public_key: bytes) -> bool:
-        return crypto.verify(server_public_key, self.canonical(), self.signature)
+        return self.signature.signer is Role.SERVER and crypto.verify(
+            server_public_key, self.canonical(), self.signature
+        )
 
     def to_payload(self) -> bytes:
         canonical = self.canonical()
@@ -820,7 +822,11 @@ class Smartphone(Party):
             self.session.finish(Outcome.ABORTED, "challenge_malformed")
             return
         if self.session.config.flags.sign_server_payloads:
-            if sig is None or not crypto.verify(self.state["server_public"], ct.to_bytes(), sig):
+            if (
+                sig is None
+                or sig.signer is not Role.SERVER
+                or not crypto.verify(self.state["server_public"], ct.to_bytes(), sig)
+            ):
                 self.session.finish(Outcome.ABORTED, "challenge_signature_invalid")
                 return
         try:
@@ -886,8 +892,10 @@ class Smartphone(Party):
 class Server(Party):
     """The verifier: issues challenges, alone resolves click positions,
     enforces one-time and freshness semantics, and executes transactions
-    only past the enabled guards. _sealed_frame seals both challenges;
-    _login_verdict reaches each login verdict, _settle_tx each transaction's."""
+    only past the enabled guards; the hijack guard settles a mismatched side
+    copy before it checks the copy's signature. _sealed_frame seals both
+    challenges; _login_verdict reaches each login verdict, _settle_tx each
+    transaction's."""
 
     kind = EntityKind.SERVER
 
@@ -1030,9 +1038,15 @@ class Server(Party):
         side_tx = self.state.get("side_tx")
         if received is None or side_tx is None:
             return  # wait for the other half; on_idle fails closed
+        # the cheap facts first: a mismatch or a non-user signer is REJECTED
+        # before the signature is verified, which only an agreeing copy needs
         _, public_key = self.state["registry"][self.session.config.user_id]
-        sig_ok = crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"])
-        ok = sig_ok and side_tx == received
+        side_sig = self.state["side_sig"]
+        ok = (
+            side_tx == received
+            and side_sig.signer is Role.USER
+            and crypto.verify(public_key, canonical_tx_bytes(side_tx), side_sig)
+        )
         self._settle_tx(ok, Outcome.ACCEPTED if ok else Outcome.REJECTED)
 
     def on_idle(self) -> None:

@@ -8,7 +8,7 @@ import operator
 
 import pytest
 
-from visualauth import adversary, rng as rngmod
+from visualauth import adversary, crypto, rng as rngmod
 from visualauth.adversary import (
     ATTACKS,
     BROKEN_CELLS,
@@ -606,6 +606,27 @@ class TestSharedAttempts:
         for handle in first + second:
             evaluate(handle)
         assert counts["run_flow"] == 2 * FOLLOWUPS_PER_SESSION[Protocol.P2]
+
+
+class TestVerifyBudget:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_alteration_runs_verify_nothing(self, seed, monkeypatch):
+        # the alteration runs submit EVIL_TX against the user's side copy, so
+        # the guard rejects each before verifying; the three verifies left
+        # are the P1 and P2 challenges and the P2 stolen-key follow-up's
+        counts = _count_followups(monkeypatch)
+        verify = crypto.verify
+        verifies = []
+
+        def counting(*args):
+            verifies.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(crypto, "verify", counting)
+        run_matrix(seed, 1)
+        assert len(verifies) == 3
+        # two alteration runs per observed session, one per malware locus
+        assert counts["run_hijack_guard"] == 2 * len(AUTH_PROTOCOLS)
 
 
 class TestReplaysAreJudged:

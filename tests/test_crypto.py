@@ -201,6 +201,13 @@ class TestSignatures:
         sig = crypto.sign(server_pair, b"wire")
         assert Signature.from_bytes(sig.to_bytes()) == sig
 
+    @pytest.mark.parametrize("role", [0x02, 0x80, 0xFF])
+    def test_unknown_role_byte_refused(self, server_pair, role):
+        # the role byte is not signed, so parsing must not guess a role
+        wire = crypto.sign(server_pair, b"wire").to_bytes()
+        with pytest.raises(ValueError, match="role byte"):
+            Signature.from_bytes(bytes([role]) + wire[1:])
+
 
 class TestKeyboardPermutation:
     def test_is_bijection(self):

@@ -8,7 +8,7 @@ import functools
 import pytest
 
 from visualauth import crypto, entities, qr
-from visualauth.adversary import phone_holding, replaying
+from visualauth.adversary import _altering, phone_holding, replaying
 from visualauth.crypto import Role
 from visualauth.entities import (
     EntityKind,
@@ -332,6 +332,24 @@ SCANNED = {Protocol.P1: "keyboard", Protocol.P2: "otp", Protocol.P3: "nonce"}
 SEALED = (Protocol.P1, Protocol.P2)  # the flows whose challenge is sealed to the phone and signed
 
 
+def _relabelling_signature(locus, tags, role):
+    """Malware at locus that rewrites the role byte of the signature that
+    ends the frame of each message tagged in tags."""
+
+    def relabel(msg):
+        if msg.tag not in tags:
+            return msg
+        payload = bytearray(msg.frame.payload)
+        payload[-65] = role
+        payload = bytes(payload)
+        return dataclasses.replace(msg, frame=qr.qr_encode(payload, qr.choose_spec(payload)))
+
+    def install(session):
+        session.entities[locus].outbound_hooks.append(relabel)
+
+    return install
+
+
 def _frame_of(size):
     payload = bytes(range(size))
     return qr.qr_encode(payload, qr.choose_spec(payload))
@@ -389,6 +407,20 @@ class TestFrameHandling:
         assert session.run() is Outcome.ABORTED
         assert session.abort_reason == "challenge_signature_invalid"
         assert not session.abort_retryable
+
+    @pytest.mark.parametrize(
+        "role, reason",
+        [(0x00, "challenge_signature_invalid"), (0x02, "challenge_malformed"), (0xFF, "challenge_malformed")],
+    )
+    @pytest.mark.parametrize("protocol", SEALED, ids=str)
+    def test_relabelled_challenge_signature_aborts_fatal(self, protocol, role, reason):
+        # the role byte is outside the signature: a USER label on the
+        # server's signature fails its check, an unknown label is unreadable
+        relabel = _relabelling_signature(EntityKind.SERVER, ("kbd_challenge", "otp_challenge"), role)
+        result = run_flow(_cfg(protocol, 135), adversaries=[relabel])
+        assert result.outcome is Outcome.ABORTED
+        assert result.session.abort_reason == reason
+        assert not result.session.abort_retryable
 
     @pytest.mark.parametrize("protocol", SEALED, ids=str)
     def test_wrong_phone_key_aborts_fatal(self, protocol):
@@ -536,6 +568,15 @@ class TestTransactionVerification:
         assert session.run() is Outcome.USER_FLAGGED_MISMATCH
         assert session.executed_tx is None
 
+    @pytest.mark.parametrize("role", [0x00, 0x02])
+    def test_relabelled_confirmation_is_flagged(self, role):
+        # a confirmation signed by the server but labelled otherwise is no
+        # server confirmation: the phone shows it invalid and the user balks
+        relabel = _relabelling_signature(EntityKind.SERVER, ("tx_confirmation",), role)
+        result = run_flow(_cfg(Protocol.TXVERIFY, 3), adversaries=[relabel])
+        assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
+        assert result.session.executed_tx is None
+
     def test_confirmation_names_the_session_nonce(self):
         result = run_flow(_cfg(Protocol.TXVERIFY, 143))
         phone = result.session.entities[EntityKind.SMARTPHONE]
@@ -603,11 +644,50 @@ def test_capture_contexts_name_real_captures(context, captured):
     assert bool(listed) is captured
 
 
+def _counting_verifies(monkeypatch) -> list[bool]:
+    """Record the result of every signature verify from now on."""
+    results = []
+    verify = crypto.verify
+
+    def counting(*args):
+        results.append(verify(*args))
+        return results[-1]
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    return results
+
+
 class TestHijackGuard:
-    def test_honest_transfer_accepted(self):
+    def test_honest_transfer_accepted(self, monkeypatch):
+        verifies = _counting_verifies(monkeypatch)
         result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160))
         assert result.outcome is Outcome.ACCEPTED
         assert result.session.executed_tx == DEFAULT_TX
+        assert verifies == [True]
+
+    @pytest.mark.parametrize("locus", [EntityKind.TERMINAL, EntityKind.SMARTPHONE], ids=str)
+    def test_alteration_rejected_before_any_verify(self, locus, monkeypatch):
+        # the transactions differ, so the verdict is settled without the
+        # signature check that only an agreeing side copy needs
+        verifies = _counting_verifies(monkeypatch)
+        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160), adversaries=[_altering(locus)])
+        assert result.outcome is Outcome.REJECTED
+        assert result.session.executed_tx is None
+        assert verifies == []
+
+    def test_side_copy_labelled_server_rejected(self):
+        # the user's own valid signature, relabelled as the server's
+        def relabel(msg):
+            if msg.tag != "side_copy":
+                return msg
+            return dataclasses.replace(msg, signature=dataclasses.replace(msg.signature, signer=Role.SERVER))
+
+        def install(session):
+            session.entities[EntityKind.SMARTPHONE].outbound_hooks.append(relabel)
+
+        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160), adversaries=[install])
+        assert result.outcome is Outcome.REJECTED
+        assert result.session.executed_tx is None
 
     def test_altered_submission_rejected(self):
         store = CredentialStore.provision(161)
@@ -638,15 +718,18 @@ class TestHijackGuard:
         assert result.outcome is Outcome.ACCEPTED
         assert result.session.executed_tx == DEFAULT_TX
 
-    def test_forged_side_copy_rejected(self):
-        # a side copy signed by the wrong key must not unlock execution
+    def test_forged_side_copy_rejected(self, monkeypatch):
+        # a side copy signed by the wrong key must not unlock execution; the
+        # transactions agree, so the signature is checked, once, and fails
         store = CredentialStore.provision(164)
         stranger = crypto.generate_keypair(Role.USER, seed=164)
+        verifies = _counting_verifies(monkeypatch)
         result = run_hijack_guard(
             _cfg(Protocol.HIJACKGUARD, 164), store=store, adversaries=[phone_holding(keypair=stranger)]
         )
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
+        assert verifies == [False]
 
 
 # each flow's honest message order, delivery by delivery: the rows say
