@@ -28,6 +28,16 @@ and take_snapshot refuses a state value whose type is not immutable.
 canonical_bytes dispatches through a table of one encoder per exact
 type, filled the first time a type is seen; a subclass gets the encoder
 of the first base it matches, in the order canonical_bytes documents.
+
+A frozen dataclass instance is encoded once: its first encoding is kept
+in its own __dict__, as crypto.KeyPair keeps its loaded keys. So a frame
+that rides in two messages, a transaction carried through a whole
+session and a FrameSpec of qr's spec table are each encoded once. A
+value rebuilt with dataclasses.replace is a new instance and encodes its
+own fields. Immutability is the one contract both the lazy records and
+this memo rely on: _check_immutable looks only at the top-level type of
+a state value, so a frozen dataclass that held a list and had it changed
+would encode stale bytes. No program value holds a mutable inside today.
 """
 
 from __future__ import annotations
@@ -179,7 +189,7 @@ _ENCODERS: dict[type, Callable[[object], bytes]] = {}
 # the isinstance chain a type meets on first sight; dataclasses come last
 _RESOLUTION = (
     (type(None), lambda obj: b"N"),
-    (enum.Enum, lambda obj: canonical_bytes(obj.value)),
+    (enum.Enum, lambda obj: canonical_bytes(obj._value_)),
     (bool, lambda obj: b"?\x01" if obj else b"?\x00"),
     (int, _encode_int),
     (float, _encode_float),
@@ -201,12 +211,27 @@ def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
         name = cls.__name__.encode()
         header = b"D" + _u32(len(name)) + name
         body = _fields_encoder(cls)
+        if cls.__dataclass_params__.frozen and not hasattr(cls, "__slots__"):
 
-        def encode(obj) -> bytes:
-            return header + body(obj)
+            def encode(obj) -> bytes:
+                # kept in the instance __dict__, as functools.cached_property
+                # keeps a value; _MEMO is no field, so it is never encoded
+                held = obj.__dict__
+                enc = held.get(_MEMO)
+                if enc is None:
+                    enc = held[_MEMO] = header + body(obj)
+                return enc
+
+        else:
+
+            def encode(obj) -> bytes:
+                return header + body(obj)
 
     _ENCODERS[cls] = encode
     return encode
+
+
+_MEMO = "_canonical_bytes"  # where a frozen dataclass instance keeps its encoding
 
 
 @functools.cache
@@ -448,11 +473,16 @@ def deliver(session: Session, message: Message) -> None:
     receiver.take_snapshot(session.step)
 
 
+# "|channel|from|to|" of a transcript line, by channel name
+_LINE_PREFIX = {
+    name: f"|{c.kind.value}|{c.sender.value}|{c.receiver.value}|" for name, c in CHANNELS.items()
+}
+
+
 def export_transcript(session: Session) -> str:
     """step|channel|from|to|tag|digest lines, one per delivery, from step 1."""
     return "".join(
-        f"{step}|{m.CHANNEL.kind.value}|{m.CHANNEL.sender.value}|{m.CHANNEL.receiver.value}"
-        f"|{m.TAG}|{m.digest()}\n"
+        f"{step}{_LINE_PREFIX[m.CHANNEL.name]}{m.TAG}|{m.digest()}\n"
         for step, m in enumerate(session.transcript, 1)
     )
 

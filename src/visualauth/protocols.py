@@ -146,39 +146,56 @@ def canonical_tx_bytes(tx: Transaction, nonce: bytes | None = None) -> bytes:
 
 
 def parse_tx_canonical(blob: bytes) -> tuple[Transaction, bytes | None]:
+    """The inverse of canonical_tx_bytes. ValueError for any other text: a
+    duplicate, unknown, missing or reordered key, or a number written any
+    way but the canonical one, never parses."""
     fields_ = dict(line.split("=", 1) for line in blob.decode("utf-8").split("\n"))
-    tx = Transaction(
-        receiver_account=fields_["receiver_account"],
-        amount=int(fields_["amount"]),
-        receiver_name=fields_["receiver_name"],
-    )
+    try:
+        tx = Transaction(
+            receiver_account=fields_["receiver_account"],
+            amount=int(fields_["amount"]),
+            receiver_name=fields_["receiver_name"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"transaction lacks {exc}") from None
     nonce = bytes.fromhex(fields_["nonce"]) if "nonce" in fields_ else None
+    if canonical_tx_bytes(tx, nonce) != blob:
+        raise ValueError("transaction text is not canonical")
     return tx, nonce
 
 
 @dataclass(frozen=True)
 class SignedConfirmation:
+    """A server-signed transaction. signed is the text the signature covers:
+    the bytes that arrived, for one read by from_payload."""
+
     tx: Transaction
     nonce: bytes | None
     signature: Signature
+    signed: bytes | None = None  # None: canonical_tx_bytes(tx, nonce)
 
-    def canonical(self) -> bytes:
-        return canonical_tx_bytes(self.tx, self.nonce)
+    def __post_init__(self):
+        if self.signed is None:
+            object.__setattr__(self, "signed", canonical_tx_bytes(self.tx, self.nonce))
 
     def verify(self, server_public_key: bytes) -> bool:
-        return self.signature.signer is Role.SERVER and crypto.verify(
-            server_public_key, self.canonical(), self.signature
+        """A server signature over the signed bytes, which must be the
+        canonical text of the transaction and nonce shown."""
+        return (
+            self.signature.signer is Role.SERVER
+            and self.signed == canonical_tx_bytes(self.tx, self.nonce)
+            and crypto.verify(server_public_key, self.signed, self.signature)
         )
 
     def to_payload(self) -> bytes:
-        canonical = self.canonical()
-        return struct.pack(">I", len(canonical)) + canonical + self.signature.to_bytes()
+        return struct.pack(">I", len(self.signed)) + self.signed + self.signature.to_bytes()
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "SignedConfirmation":
         (n,) = struct.unpack(">I", payload[:4])
-        tx, nonce = parse_tx_canonical(payload[4 : 4 + n])
-        return cls(tx=tx, nonce=nonce, signature=Signature.from_bytes(payload[4 + n :]))
+        signed = payload[4 : 4 + n]
+        tx, nonce = parse_tx_canonical(signed)
+        return cls(tx, nonce, Signature.from_bytes(payload[4 + n :]), signed)
 
 
 # -------- session configuration --------
@@ -538,12 +555,18 @@ def _pack_credentials(nonce: bytes, user_id: str, password: str, server_name: st
 
 
 def _unpack_credentials(blob: bytes) -> tuple[bytes, str, str, str]:
+    """The inverse of _pack_credentials: ValueError for a blob shorter than
+    a nonce or one whose last field does not end exactly at its end."""
+    if len(blob) < crypto.NONCE_LEN:
+        raise ValueError("credential blob is shorter than a nonce")
     nonce, pos = blob[: crypto.NONCE_LEN], crypto.NONCE_LEN
     out = []
     for _ in range(3):
         (n,) = struct.unpack(">H", blob[pos : pos + 2])
         out.append(blob[pos + 2 : pos + 2 + n].decode("utf-8"))
         pos += 2 + n
+    if pos != len(blob):
+        raise ValueError("credential fields do not end where the blob does")
     return nonce, out[0], out[1], out[2]
 
 
@@ -859,7 +882,7 @@ class Smartphone(Party):
         try:
             payload = _capture(self.session, msg.frame, "tx_confirmation")
             conf = SignedConfirmation.from_payload(payload)
-        except (qr.UncorrectableFrameError, struct.error, ValueError, KeyError):
+        except (qr.UncorrectableFrameError, struct.error, ValueError):
             self.emit(ShowVerifiedTx(tx=None, sig_valid=False, fresh=False))
             return
         valid = conf.verify(self.state["server_public"])
@@ -994,7 +1017,7 @@ class Server(Party):
                 self.state["keypair"], crypto.Ciphertext.from_bytes(msg.blob)
             )
             nonce_value, user_id, password, server_name = _unpack_credentials(plain)
-        except (crypto.IntegrityError, struct.error, UnicodeDecodeError):
+        except (crypto.IntegrityError, struct.error, ValueError):
             self._login_verdict(False, self._issue_nonce)
             return
         fresh = not self.state["nonce_consumed"] and nonce_value == nonce.value
@@ -1011,7 +1034,7 @@ class Server(Party):
         nonce = self.state["session_nonce"] if self.session.config.flags.tx_nonce_freshness else None
         canonical = canonical_tx_bytes(msg.tx, nonce)
         conf = SignedConfirmation(
-            tx=msg.tx, nonce=nonce, signature=crypto.sign(self.state["keypair"], canonical)
+            msg.tx, nonce, crypto.sign(self.state["keypair"], canonical), canonical
         )
         frame = _frame(self.session, conf.to_payload(), "tx_confirmation")
         self.emit(TxConfirmation(display_tx=msg.tx, frame=frame))

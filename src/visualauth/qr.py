@@ -25,6 +25,20 @@ that name because the benchmark finds it by name: it counts the cache's
 misses and clears it before each set-up, so building the tables is timed
 as set-up and never inside a measured run.
 
+rs_parity keeps its last four results. A captured frame is decoded just
+after it is encoded, so the parity recheck of a clean or healed frame
+finds the parity its encode computed for the same data bytes. The check
+is as strict as before: the recheck still compares that parity with the
+parity codewords the frame carries, so damage to the data misses the
+memo and damage to the parity fails the comparison. Four entries cover
+the frames a session encodes before it captures them (two at most); a
+longer memo would let a rerun of identical sessions find the parity an
+earlier run computed, and hide the cost of computing it.
+
+choose_spec scans a table built at import: the ten byte-mode specs of
+each ec level with their capacities, smallest version first. Every frame
+therefore shares one FrameSpec instance per (version, ec level).
+
 Capacity constants for versions 1..10 are the published standard values
 for all three modes; the numeric and alphanumeric columns back the format
 ceilings and the keyboard-layout fit, and the test suite re-derives every
@@ -143,6 +157,17 @@ def capacity(spec: FrameSpec) -> int:
     return _CAPACITY[spec.version][spec.ec_level.value][_MODE_COLUMN[spec.mode]]
 
 
+# (capacity, spec) of every byte-mode version per ec level, smallest first:
+# the table choose_spec scans, built once at import
+_BYTE_SPECS = {
+    ec: tuple(
+        (capacity(spec), spec)
+        for spec in (FrameSpec(v, ec, Mode.BYTE) for v in range(MIN_VERSION, MAX_VERSION + 1))
+    )
+    for ec in EcLevel
+}
+
+
 def data_codeword_count(spec: FrameSpec) -> int:
     return _TOTAL_CODEWORDS[spec.version - 1] - _EC_CODEWORDS[spec.version][spec.ec_level.value]
 
@@ -202,8 +227,10 @@ def _generator_poly(degree: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=4)
 def rs_parity(data: bytes, degree: int) -> bytes:
-    """Reed-Solomon parity of data, degree codewords long."""
+    """Reed-Solomon parity of data, degree codewords long; the last four
+    results are kept for the recheck of a capture (see the module notes)."""
     rows = _generator_poly(degree)
     shift = 8 * (degree - 1)
     mask = (1 << 8 * degree) - 1
@@ -291,12 +318,12 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
 
 def choose_spec(payload: bytes, ec_level: EcLevel = EcLevel.M) -> FrameSpec:
     """Smallest byte-mode version whose capacity fits the payload at ec_level."""
-    for v in range(MIN_VERSION, MAX_VERSION + 1):
-        spec = FrameSpec(v, ec_level, Mode.BYTE)
-        if len(payload) <= capacity(spec):
+    size = len(payload)
+    for cap, spec in _BYTE_SPECS[ec_level]:
+        if size <= cap:
             return spec
     raise CapacityError(
-        f"{len(payload)} symbols fit no version up to {MAX_VERSION} at {ec_level.value}/byte",
+        f"{size} symbols fit no version up to {MAX_VERSION} at {ec_level.value}/byte",
         required_version=None,
     )
 

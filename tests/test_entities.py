@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ from visualauth.entities import (
 )
 from visualauth.harness import Report, machine_records, run_scenarios
 from visualauth.protocols import (
+    DEFAULT_TX,
     ConfirmOnPhone,
     CredentialStore,
     LoginRequest,
@@ -257,6 +259,91 @@ class TestEncoderOracle:
         assert len(outputs) == 18 + 3 + 5 + 6
         assert outputs == reference
         assert records == reference_records
+
+
+def _reference_digest(message) -> str:
+    body = _reference_body_bytes(message)
+    wire = bytes([entities._TAG_BYTES[message.tag]]) + struct.pack(">I", len(body)) + body
+    return hashlib.sha256(wire).hexdigest()[:16]
+
+
+class TestEncodedOnce:
+    """A frozen dataclass instance keeps its first encoding; every digest
+    and snapshot must still equal what the reference encoder computes."""
+
+    def test_digests_and_snapshots_match_the_reference(self, monkeypatch):
+        recorded: dict[Entity, list[tuple[int, bytes]]] = {}
+        take_snapshot = Entity.take_snapshot
+
+        def recording_take_snapshot(self, step):
+            recorded.setdefault(self, []).append((step, reference_canonical_bytes(self.state)))
+            take_snapshot(self, step)
+
+        sessions = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Entity, "take_snapshot", recording_take_snapshot)
+            for protocol in Protocol:
+                for seed in (0, 1, 2):
+                    sessions.append(run_flow(SessionConfig(protocol=protocol, seed=seed)).session)
+        for session in sessions:
+            reference = [_reference_digest(m) for m in session.transcript]
+            assert [m.digest() for m in session.transcript] == reference
+            assert [m.digest() for m in session.transcript] == reference  # kept encodings
+        assert len(recorded) == 6 * 3 * 4
+        for entity, snapshots in recorded.items():
+            assert entity.snapshots == snapshots, entity.kind
+
+    def test_a_replaced_value_encodes_its_own_fields(self):
+        session = run_flow(SessionConfig(protocol=Protocol.P1, seed=0)).session
+        frame = session.frame_log[0][2]
+        first = canonical_bytes(frame)
+        assert first == reference_canonical_bytes(frame)
+        rebuilt = dataclasses.replace(frame, codewords=bytes(len(frame.codewords)))
+        assert canonical_bytes(rebuilt) == reference_canonical_bytes(rebuilt) != first
+        assert canonical_bytes(frame) == first
+        moved = dataclasses.replace(DEFAULT_TX, amount=DEFAULT_TX.amount + 1)
+        assert canonical_bytes(DEFAULT_TX) != canonical_bytes(moved)
+        assert canonical_bytes(moved) == reference_canonical_bytes(moved)
+
+    @staticmethod
+    def _encodings_of(monkeypatch, kind: type, values) -> list:
+        """Route the encoder of kind through a counter of the values given."""
+        seen = []
+        encode = entities._ENCODERS[kind]
+
+        def counting(obj):
+            if any(obj is value for value in values):
+                seen.append(obj)
+            return encode(obj)
+
+        monkeypatch.setitem(entities._ENCODERS, kind, counting)
+        return seen
+
+    @pytest.mark.parametrize(
+        "protocol", [Protocol.P1, Protocol.P2, Protocol.TXVERIFY], ids=str
+    )
+    def test_a_frame_is_encoded_once(self, monkeypatch, protocol):
+        # the challenge frame rides in the server's message and in the
+        # terminal's show_frame, and the snapshots see it too
+        session = run_flow(SessionConfig(protocol=protocol, seed=0)).session
+        (frame,) = [f for _, _, f in session.frame_log]
+        carriers = [m for m in session.transcript if frame in vars(m).values()]
+        assert len(carriers) == 2
+        seen = self._encodings_of(monkeypatch, bytes, [frame.codewords])
+        export_transcript(session)
+        for entity in session.entities.values():
+            entity.snapshots  # reading encodes every recorded state
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("protocol", [Protocol.TXVERIFY, Protocol.HIJACKGUARD], ids=str)
+    def test_a_transaction_is_encoded_once(self, monkeypatch, protocol):
+        monkeypatch.delitem(vars(DEFAULT_TX), entities._MEMO, raising=False)
+        seen = self._encodings_of(monkeypatch, str, [DEFAULT_TX.receiver_account])
+        session = run_flow(SessionConfig(protocol=protocol, seed=0)).session
+        export_transcript(session)
+        carriers = [m for m in session.transcript if DEFAULT_TX in vars(m).values()]
+        assert len(carriers) >= 3
+        assert len(seen) == 1
 
 
 GOLDEN_SCENARIOS = Path(__file__).resolve().parent / "golden" / "scenarios.cfg"

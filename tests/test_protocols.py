@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import struct
 
 import pytest
 
-from visualauth import crypto, entities, qr
+from visualauth import crypto, entities, protocols, qr
 from visualauth.adversary import _altering, phone_holding, replaying
 from visualauth.crypto import Role
 from visualauth.entities import (
@@ -43,7 +44,9 @@ from visualauth.protocols import (
     SubmitTx,
     Transaction,
     TypeCredentials,
+    _pack_credentials,
     _pack_signed,
+    _unpack_credentials,
     build_session,
     canonical_tx_bytes,
     parse_tx_canonical,
@@ -99,6 +102,94 @@ class TestTransactionRecords:
         assert again.verify(pair.public_key)
         other = crypto.generate_keypair(Role.SERVER, seed=42)
         assert not again.verify(other.public_key)
+
+    # each rewrite of a canonical transaction text that must not parse
+    NOT_CANONICAL = {
+        "reordered": lambda lines: lines[::-1],
+        "leading_zeros": lambda lines: [lines[0], b"amount=0025000", *lines[2:]],
+        "underscore": lambda lines: [lines[0], b"amount=25_000", *lines[2:]],
+        "plus_sign": lambda lines: [lines[0], b"amount=+25000", *lines[2:]],
+        "space": lambda lines: [lines[0], b"amount= 25000", *lines[2:]],
+        "duplicate": lambda lines: [lines[0], b"amount=1", *lines[1:]],
+        "unknown": lambda lines: [*lines, b"memo=hi"],
+        "missing": lambda lines: [lines[0], *lines[2:]],
+        "upper_hex": lambda lines: [*lines[:3], lines[3].upper().replace(b"NONCE", b"nonce")],
+        "no_equals": lambda lines: [*lines, b"memo"],
+    }
+
+    @pytest.mark.parametrize("rewrite", NOT_CANONICAL, ids=str)
+    def test_non_canonical_text_is_refused(self, rewrite):
+        blob = canonical_tx_bytes(DEFAULT_TX, b"\xab" * 16)
+        mangled = b"\n".join(self.NOT_CANONICAL[rewrite](blob.split(b"\n")))
+        assert mangled != blob
+        with pytest.raises(ValueError):
+            parse_tx_canonical(mangled)
+
+    def test_confirmation_verifies_the_bytes_it_holds(self):
+        # signed is the text the signature covers; it must also be the
+        # canonical text of the transaction shown, or the check fails
+        pair = crypto.generate_keypair(Role.SERVER, seed=43)
+        nonce = b"\x22" * 16
+        canonical = canonical_tx_bytes(DEFAULT_TX, nonce)
+        loose = canonical.replace(b"amount=25000", b"amount=025000")
+        honest = SignedConfirmation(DEFAULT_TX, nonce, crypto.sign(pair, canonical), canonical)
+        assert honest.verify(pair.public_key)
+        signed_loose = SignedConfirmation(DEFAULT_TX, nonce, crypto.sign(pair, loose), loose)
+        assert not signed_loose.verify(pair.public_key)
+        relabelled = SignedConfirmation(DEFAULT_TX, nonce, crypto.sign(pair, canonical), loose)
+        assert not relabelled.verify(pair.public_key)
+
+    def test_confirmation_keeps_the_received_text(self):
+        pair = crypto.generate_keypair(Role.SERVER, seed=44)
+        conf = SignedConfirmation(DEFAULT_TX, None, crypto.sign(pair, canonical_tx_bytes(DEFAULT_TX)))
+        payload = conf.to_payload()
+        assert SignedConfirmation.from_payload(payload).signed == payload[4:-65]
+
+
+class TestCredentialBlob:
+    NONCE = bytes(range(16))
+
+    def test_round_trip(self):
+        blob = _pack_credentials(self.NONCE, "alice", "data", "bank")
+        assert _unpack_credentials(blob) == (self.NONCE, "alice", "data", "bank")
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            _pack_credentials(NONCE, "alice", "data", "bank") + b"\x00",
+            _pack_credentials(NONCE, "alice", "data", "bank") + b"JUNKJUNK",
+            _pack_credentials(NONCE, "alice", "data", "bank")[:-1],
+            _pack_credentials(NONCE[:15], "alice", "data", "bank"),
+            NONCE[:15],
+            b"",
+        ],
+        ids=["trailing_byte", "junk", "truncated", "nonce_15_packed", "nonce_15_alone", "empty"],
+    )
+    def test_malformed_blob_is_refused(self, blob):
+        with pytest.raises((ValueError, struct.error)):
+            _unpack_credentials(blob)
+
+    @pytest.mark.parametrize(
+        "pack",
+        [
+            lambda pack, nonce, *rest: pack(nonce, *rest) + b"\x00",
+            lambda pack, nonce, *rest: pack(nonce, *rest) + b"JUNKJUNK",
+            lambda pack, nonce, *rest: pack(nonce[:15], *rest),
+        ],
+        ids=["trailing_byte", "junk", "nonce_15"],
+    )
+    def test_malformed_upload_is_denied(self, monkeypatch, pack):
+        # the phone seals a blob its server cannot read back exactly: a
+        # login verdict, never an exception
+        monkeypatch.setattr(
+            protocols, "_pack_credentials", functools.partial(pack, _pack_credentials)
+        )
+        result = run_flow(_cfg(Protocol.P3, 160))
+        assert result.outcome is Outcome.DENIED
+        assert result.session.abort_reason is None
+
+    def test_honest_upload_is_authenticated(self):
+        assert run_flow(_cfg(Protocol.P3, 160)).outcome is Outcome.AUTHENTICATED
 
 
 class TestHonestLogins:
@@ -355,6 +446,36 @@ def _frame_of(size):
     return qr.qr_encode(payload, qr.choose_spec(payload))
 
 
+class TestParityReuse:
+    """rs_parity keeps its last few results: the recheck of each capture
+    reuses the parity its frame's encode computed, and no encode finds one
+    an earlier session computed, not even when the same 18 sessions run a
+    second time, as the benchmark's repeated passes do."""
+
+    @pytest.mark.parametrize("damage", [0, "budget", "budget+1"], ids=str)
+    def test_one_miss_per_frame_one_hit_per_recheck(self, monkeypatch, damage):
+        rechecks = []
+        decode = qr.qr_decode
+
+        def counting_decode(frame):
+            if len(frame.corrupted_codewords) <= qr.correction_budget(frame.spec):
+                rechecks.append(frame)  # past the budget check, at the recheck
+            return decode(frame)
+
+        monkeypatch.setattr(qr, "qr_decode", counting_decode)
+        qr.rs_parity.cache_clear()
+        for run in (1, 2):
+            for protocol in Protocol:
+                for seed in (0, 1, 2):
+                    before, checked = qr.rs_parity.cache_info(), len(rechecks)
+                    session = run_flow(_cfg(protocol, seed, corrupt_codewords=damage)).session
+                    after = qr.rs_parity.cache_info()
+                    label = f"run {run}: {protocol.value} seed {seed}"
+                    assert after.misses - before.misses == len(session.frame_log), label
+                    assert after.hits - before.hits == len(rechecks) - checked, label
+        assert rechecks or damage == "budget+1"
+
+
 class TestFrameHandling:
     @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=_login_id)
     def test_damage_at_the_budget_still_authenticates(self, protocol):
@@ -574,6 +695,41 @@ class TestTransactionVerification:
         # server confirmation: the phone shows it invalid and the user balks
         relabel = _relabelling_signature(EntityKind.SERVER, ("tx_confirmation",), role)
         result = run_flow(_cfg(Protocol.TXVERIFY, 3), adversaries=[relabel])
+        assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
+        assert result.session.executed_tx is None
+
+    # the terminal rewrites the signed text of the confirmation frame;
+    # the signature still covers the original bytes. The first four keep
+    # the transaction's value and were CONFIRMED while the phone verified a
+    # re-serialization; a changed digit is the positive control.
+    REWRITES = {
+        "reversed": lambda lines: lines[::-1],
+        "leading_zeros": lambda lines: [lines[0], b"amount=0025000", *lines[2:]],
+        "underscore": lambda lines: [lines[0], b"amount=25_000", *lines[2:]],
+        "duplicate_and_memo": lambda lines: [lines[0], b"amount=1", *lines[1:], b"memo=hi"],
+        "changed_digit": lambda lines: [lines[0], b"amount=25001", *lines[2:]],
+    }
+
+    @staticmethod
+    def _rewriting_confirmation(rewrite):
+        def hook(msg):
+            if msg.tag != "show_tx_frame":
+                return msg
+            payload = msg.frame.payload
+            (n,) = struct.unpack(">I", payload[:4])
+            text = b"\n".join(rewrite(payload[4 : 4 + n].split(b"\n")))
+            payload = struct.pack(">I", len(text)) + text + payload[4 + n :]
+            return dataclasses.replace(msg, frame=qr.qr_encode(payload, qr.choose_spec(payload)))
+
+        def install(session):
+            session.entities[EntityKind.TERMINAL].outbound_hooks.append(hook)
+
+        return install
+
+    @pytest.mark.parametrize("rewrite", REWRITES, ids=str)
+    def test_rewritten_signed_text_is_flagged(self, rewrite):
+        hook = self._rewriting_confirmation(self.REWRITES[rewrite])
+        result = run_flow(_cfg(Protocol.TXVERIFY, 3), adversaries=[hook])
         assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
         assert result.session.executed_tx is None
 

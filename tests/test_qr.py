@@ -237,6 +237,35 @@ class TestCapacityErrors:
             choose_spec(b"x" * 300, EcLevel.L)
 
 
+def scanned_spec(size: int, ec: EcLevel) -> FrameSpec | None:
+    """The smallest byte-mode spec that holds size bytes, by a scan of the
+    capacity table, or None past the last version."""
+    for version in range(1, 11):
+        spec = FrameSpec(version, ec, Mode.BYTE)
+        if size <= capacity(spec):
+            return spec
+    return None
+
+
+class TestSpecTable:
+    @pytest.mark.parametrize("ec", list(EcLevel), ids=str)
+    def test_choose_spec_matches_a_scan(self, ec):
+        smallest = FrameSpec(1, ec, Mode.BYTE)
+        for size in range(GLOBAL_MAX[Mode.BYTE] + 2):
+            payload = bytes(size)
+            expected = scanned_spec(size, ec)
+            if expected is None:
+                with pytest.raises(CapacityError) as err:
+                    choose_spec(payload, ec)
+                assert err.value.required_version is None, size
+            else:
+                assert choose_spec(payload, ec) == expected, size
+            if size > capacity(smallest):
+                with pytest.raises(CapacityError) as err:
+                    qr_encode(payload, smallest)
+                assert err.value.required_version == (expected and expected.version), size
+
+
 class TestReedSolomon:
     def test_codewords_divisible_by_generator(self):
         # independent arithmetic: the emitted data+parity polynomial must
@@ -336,6 +365,23 @@ class TestCorruption:
         shadow = dataclasses.replace(frame, codewords=bytes(raw))
         with pytest.raises(UncorrectableFrameError):
             qr_decode(shadow)
+
+    @pytest.mark.parametrize("region", ["data", "parity"])
+    def test_damage_right_after_encoding_is_refused(self, region):
+        # the clean parity of the frame is still kept by rs_parity: a flip
+        # in the data misses it, and one in the parity meets it and must
+        # still fail the comparison with the received parity codewords
+        spec = FrameSpec(4, EcLevel.M, Mode.BYTE)
+        frame = qr_encode(b"fresh frame", spec)
+        index = 3 if region == "data" else len(frame.codewords) - 1
+        raw = bytearray(frame.codewords)
+        raw[index] ^= 0x40
+        before = qr.rs_parity.cache_info()
+        with pytest.raises(UncorrectableFrameError):
+            qr_decode(dataclasses.replace(frame, codewords=bytes(raw)))
+        after = qr.rs_parity.cache_info()
+        assert after.hits - before.hits == (region == "parity")
+        assert qr_decode(frame) == b"fresh frame"
 
 
 class TestExports:

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAX_LINE = 110
+
+# The functools caches in src/ allowed to grow without a bound, each with
+# the finite domain it is keyed on. Any other cache carries a numeric
+# maxsize, so a memo keyed on session inputs cannot grow the process for
+# as long as it runs.
+UNBOUNDED_CACHES = {
+    "_generator_poly": "keyed by parity degree: at most the 40 specs' parity counts",
+    "_fields_encoder": "keyed by dataclass: one entry per class ever encoded",
+}
 
 
 def test_no_source_line_is_longer_than_the_bound():
@@ -18,3 +28,92 @@ def test_no_source_line_is_longer_than_the_bound():
         if len(line) > MAX_LINE
     ]
     assert too_long == []
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _bound(node) -> str:
+    """'unbounded', 'implicit' or 'bounded' for a cache or lru_cache
+    reference: a bare decorator or a call."""
+    call = node if isinstance(node, ast.Call) else None
+    if _name(call.func if call else node) == "cache":
+        return "unbounded"
+    if call is None:
+        return "implicit"  # a bare @lru_cache: the library's default size
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    if not sizes or not isinstance(sizes[0], ast.Constant):
+        return "implicit"  # lru_cache(), or lru_cache(function)
+    if sizes[0].value is None:
+        return "unbounded"
+    return "bounded" if isinstance(sizes[0].value, int) else "implicit"
+
+
+def cache_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each functools cache in source that is neither numerically bounded
+    nor an allow-listed unbounded cache, as 'file:line name: problem'."""
+    tree = ast.parse(source)
+    decorated = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                decorated[id(deco)] = node.name
+    findings = []
+    for node in ast.walk(tree):
+        target = node.func if isinstance(node, ast.Call) else node
+        if _name(target) not in ("cache", "lru_cache"):
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in decorated:
+            continue  # an import or the callee of a call, met on its own
+        owner = decorated.get(id(node), "<call>")
+        bound = _bound(node)
+        if bound == "unbounded" and owner not in UNBOUNDED_CACHES:
+            findings.append(f"{filename}:{node.lineno} {owner}: unbounded cache not allow-listed")
+        elif bound == "implicit":
+            findings.append(f"{filename}:{node.lineno} {owner}: no numeric maxsize")
+    return findings
+
+
+def test_every_cache_is_bounded_or_keyed_on_a_finite_domain():
+    findings, owners = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        findings += cache_findings(source, str(path.relative_to(SRC)))
+        owners |= {
+            node.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+        }
+    assert findings == []
+    # a stale entry would let a new cache of that name through unexamined
+    assert set(UNBOUNDED_CACHES) <= owners
+
+
+def test_the_cache_check_can_fail():
+    flagged = {
+        "@functools.cache\ndef f(x): ...": "unbounded",
+        "@cache\ndef f(x): ...": "unbounded",
+        "@lru_cache(maxsize=None)\ndef f(x): ...": "unbounded",
+        "@functools.lru_cache(None)\ndef f(x): ...": "unbounded",
+        "@lru_cache\ndef f(x): ...": "numeric",
+        "@lru_cache()\ndef f(x): ...": "numeric",
+        "g = functools.lru_cache(maxsize=None)(len)": "unbounded",
+        "g = functools.cache(len)": "unbounded",
+    }
+    for source, problem in flagged.items():
+        (finding,) = cache_findings(source)
+        assert problem in finding, source
+    passed = [
+        "@lru_cache(maxsize=4)\ndef f(x): ...",
+        "@functools.lru_cache(16)\ndef f(x): ...",
+        "@functools.cache\ndef _generator_poly(degree): ...",
+        "from functools import cache, lru_cache",
+        "@functools.cached_property\ndef f(self): ...",
+    ]
+    for source in passed:
+        assert cache_findings(source) == [], source
