@@ -13,6 +13,12 @@ session's transcript, with the step of each sighting:
 * brute_force: nothing; no foothold at all, a budget-capped password
   guesser.
 
+A view sees each message on its surface whole, as a Dolev-Yao attacker
+knows all on the channels it sees: ``observe`` gives every field, a frame
+as its payload and a layout serialized. A message class declares only the
+label it is filed under, at its registration, by default its tag. No rule
+here names a message, so the views fail closed: none misses a new class.
+
 Nothing here is scored by argument. ``evaluate`` decides whether an
 adversary "can authenticate later" by actually mounting the followup: it
 replays captured positions, one-time passwords, or ciphertexts through a
@@ -166,43 +172,21 @@ class AttackOutcome:
 # -------- what a message looks like to an onlooker --------
 
 
-def _observe(msg: Message) -> tuple | None:
-    """Reduce a message to what an observer of that surface learns.
+def observe(message: Message) -> tuple:
+    """What an onlooker of message's channel sees: the label its class was
+    registered with, then every field in declaration order. A frame shows
+    its payload and a layout its serialization, inside tuples too."""
+    return (message.LABEL, *[_shown(getattr(message, name)) for name in message.FIELDS])
 
-    Input events yield their raw content (a keylogger reads keystrokes, a
-    login box read by malware reads fields); displays yield what is drawn,
-    which for a masked password entry is only the glyph count.
-    """
-    tag = msg.tag
-    if tag == "type_id":
-        return ("typed_id", msg.user_id)
-    if tag == "click_positions":
-        return ("positions", tuple(msg.positions))
-    if tag == "echo_clicks":
-        return ("positions", tuple(msg.positions))
-    if tag == "type_otp" or tag == "echo_otp" or tag == "show_otp":
-        return ("otp", msg.otp)
-    if tag == "type_credentials":
-        return ("login", msg.user_id, msg.password)
-    if tag == "echo_masked_credentials":
-        return ("masked_login", msg.user_id, msg.masked)
-    if tag == "show_layout":
-        return ("layout", msg.layout.serialize())
-    if tag == "show_keyboard":
-        return ("keyboard", msg.layout_kind)
-    if tag == "upload_frame":
-        return ("ciphertext", msg.frame.payload)
-    if tag == "submit_ciphertext":
-        return ("ciphertext", msg.blob)
-    if tag == "show_frame":
-        return ("frame_payload", msg.context, msg.frame.payload)
-    if tag == "show_tx_frame":
-        return ("frame_payload", "tx_confirmation", msg.frame.payload)
-    if tag in ("submit_tx", "side_copy", "show_tx_page"):
-        return ("tx", msg.tx)
-    if tag in ("connect", "request_tx", "confirm_tx", "confirm_on_phone"):
-        return ("click", tag)
-    return None
+
+def _shown(value):
+    if isinstance(value, qr.VisualFrame):
+        return value.payload
+    if isinstance(value, crypto.KeyboardPermutation):
+        return value.serialize()
+    if isinstance(value, tuple):
+        return tuple(map(_shown, value))
+    return value
 
 
 @dataclass
@@ -210,10 +194,10 @@ class AttackerHandle:
     """What one adversary takes from one finished session: a read-only view.
 
     observations are the delivered messages on a channel its kind's surface
-    shows at its locus, reduced by _observe, in transcript order. Traffic
-    is attributed by channel: a message injected on net_up reads as the
-    terminal's "out". Malware also reads its locus's final state, so a
-    phone compromise yields the key pair.
+    shows at its locus, each whole (observe fails closed), in transcript
+    order. Traffic is attributed by channel: a message injected on net_up
+    reads as the terminal's "out". Malware also reads its locus's final
+    state, so a phone compromise yields the key pair.
     """
 
     config: AdversaryConfig
@@ -227,9 +211,9 @@ class AttackerHandle:
     def __post_init__(self):
         visible = _VISIBLE[self.config.kind, self.config.locus]
         self.observations = [
-            Observation(step, data)
+            Observation(step, observe(message))
             for step, message in enumerate(self.session.transcript if visible else (), 1)
-            if message.CHANNEL.name in visible and (data := _observe(message)) is not None
+            if message.CHANNEL.name in visible
         ]
         if self.config.kind is AdversaryKind.MALWARE:
             pair = self.session.entities[self.config.locus].state.get("keypair")

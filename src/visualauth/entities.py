@@ -23,8 +23,8 @@ Both records hold references, not bytes: a delivery keeps the message
 and a shallow copy of the receiver's state, and serializes neither.
 canonical_bytes runs when the snapshots are first read (and is cached)
 or a transcript is exported. That gives the bytes of record time only
-because nothing recorded can change: messages are frozen dataclasses,
-and take_snapshot refuses a state value whose type is not immutable.
+because nothing recorded can change: register_message takes only frozen
+dataclasses, and take_snapshot refuses state whose type is not immutable.
 canonical_bytes dispatches through a table of one encoder per exact
 type, filled the first time a type is seen; a subclass gets the encoder
 of the first base it matches, in the order canonical_bytes documents.
@@ -111,14 +111,19 @@ CHANNELS = MappingProxyType({name: Channel(name, *spec) for name, spec in TOPOLO
 _TAG_BYTES: dict[str, int] = {}
 
 
-def register_message(channel_name: str):
+def register_message(channel_name: str, label: str = ""):
     """Bind a message class to its one legal channel and assign a wire tag.
 
-    This is the only place a message's channel is stated: Entity.emit,
-    Session.inject and deliver route by it.
+    The only place a message's channel is stated (Entity.emit, Session.inject
+    and deliver route by it) and its onlooker label (adversary.observe), by
+    default the tag. Only a frozen dataclass is taken: the records and the
+    encoding memo hold messages by reference.
     """
 
     def deco(cls):
+        params = cls.__dict__.get("__dataclass_params__")
+        if params is None or not params.frozen:
+            raise TypeError(f"{cls.__name__} is not a frozen dataclass")
         tag = cls.TAG
         if tag in _TAG_BYTES:
             raise ValueError(f"duplicate message tag {tag}")
@@ -126,6 +131,8 @@ def register_message(channel_name: str):
             raise ValueError(f"unknown channel {channel_name}")
         _TAG_BYTES[tag] = len(_TAG_BYTES) + 1
         cls.CHANNEL = CHANNELS[channel_name]
+        cls.LABEL = label or tag
+        cls.FIELDS = tuple(f.name for f in dataclasses.fields(cls))
         return cls
 
     return deco
@@ -248,7 +255,9 @@ def _fields_encoder(cls: type) -> Callable[[object], bytes]:
 @dataclass(frozen=True)
 class Message:
     TAG: ClassVar[str] = ""
-    CHANNEL: ClassVar[Channel]  # set by register_message
+    CHANNEL: ClassVar[Channel]  # set by register_message, as are LABEL and FIELDS
+    LABEL: ClassVar[str]
+    FIELDS: ClassVar[tuple[str, ...]]  # the field names, in declaration order
 
     @property
     def tag(self) -> str:

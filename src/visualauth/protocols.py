@@ -250,7 +250,7 @@ class SessionConfig:
 # -------- message vocabulary --------
 
 
-@register_message("click_terminal")
+@register_message("click_terminal", "typed_id")
 @dataclass(frozen=True)
 class TypeId(Message):
     TAG = "type_id"
@@ -288,7 +288,7 @@ class NonceChallenge(Message):
     frame: VisualFrame
 
 
-@register_message("terminal_display_phone")
+@register_message("terminal_display_phone", "frame_payload")
 @dataclass(frozen=True)
 class ShowFrame(Message):
     TAG = "show_frame"
@@ -296,7 +296,7 @@ class ShowFrame(Message):
     context: str
 
 
-@register_message("terminal_display_user")
+@register_message("terminal_display_user", "keyboard")
 @dataclass(frozen=True)
 class ShowKeyboard(Message):
     TAG = "show_keyboard"
@@ -305,63 +305,63 @@ class ShowKeyboard(Message):
     cols: int
 
 
-@register_message("phone_display_user")
+@register_message("phone_display_user", "layout")
 @dataclass(frozen=True)
 class ShowLayout(Message):
     TAG = "show_layout"
     layout: KeyboardPermutation
 
 
-@register_message("click_terminal")
+@register_message("click_terminal", "positions")
 @dataclass(frozen=True)
 class ClickPositions(Message):
     TAG = "click_positions"
     positions: tuple[int, ...]
 
 
-@register_message("terminal_display_user")
+@register_message("terminal_display_user", "positions")
 @dataclass(frozen=True)
 class EchoClicks(Message):
     TAG = "echo_clicks"
     positions: tuple[int, ...]
 
 
-@register_message("net_up")
+@register_message("net_up", "positions")
 @dataclass(frozen=True)
 class SubmitPositions(Message):
     TAG = "submit_positions"
     positions: tuple[int, ...]
 
 
-@register_message("phone_display_user")
+@register_message("phone_display_user", "otp")
 @dataclass(frozen=True)
 class ShowOtp(Message):
     TAG = "show_otp"
     otp: str
 
 
-@register_message("click_terminal")
+@register_message("click_terminal", "otp")
 @dataclass(frozen=True)
 class TypeOtp(Message):
     TAG = "type_otp"
     otp: str
 
 
-@register_message("terminal_display_user")
+@register_message("terminal_display_user", "otp")
 @dataclass(frozen=True)
 class EchoOtp(Message):
     TAG = "echo_otp"
     otp: str
 
 
-@register_message("net_up")
+@register_message("net_up", "otp")
 @dataclass(frozen=True)
 class SubmitOtp(Message):
     TAG = "submit_otp"
     otp: str
 
 
-@register_message("click_terminal")
+@register_message("click_terminal", "click")
 @dataclass(frozen=True)
 class Connect(Message):
     TAG = "connect"
@@ -379,7 +379,7 @@ class ShowLoginBox(Message):
     TAG = "show_login_box"
 
 
-@register_message("click_phone")
+@register_message("click_phone", "login")
 @dataclass(frozen=True)
 class TypeCredentials(Message):
     TAG = "type_credentials"
@@ -387,7 +387,7 @@ class TypeCredentials(Message):
     password: str
 
 
-@register_message("phone_display_user")
+@register_message("phone_display_user", "masked_login")
 @dataclass(frozen=True)
 class EchoMaskedCredentials(Message):
     TAG = "echo_masked_credentials"
@@ -395,14 +395,14 @@ class EchoMaskedCredentials(Message):
     masked: str  # the login box masks the password glyphs
 
 
-@register_message("phone_display_terminal")
+@register_message("phone_display_terminal", "ciphertext")
 @dataclass(frozen=True)
 class UploadFrame(Message):
     TAG = "upload_frame"
     frame: VisualFrame
 
 
-@register_message("net_up")
+@register_message("net_up", "ciphertext")
 @dataclass(frozen=True)
 class SubmitCiphertext(Message):
     TAG = "submit_ciphertext"
@@ -423,14 +423,14 @@ class ShowResult(Message):
     ok: bool
 
 
-@register_message("click_terminal")
+@register_message("click_terminal", "click")
 @dataclass(frozen=True)
 class RequestTx(Message):
     TAG = "request_tx"
     tx: Transaction
 
 
-@register_message("net_up")
+@register_message("net_up", "tx")
 @dataclass(frozen=True)
 class SubmitTx(Message):
     TAG = "submit_tx"
@@ -445,14 +445,14 @@ class TxConfirmation(Message):
     frame: VisualFrame
 
 
-@register_message("terminal_display_phone")
+@register_message("terminal_display_phone", "frame_payload")
 @dataclass(frozen=True)
 class ShowTxFrame(Message):
     TAG = "show_tx_frame"
     frame: VisualFrame
 
 
-@register_message("terminal_display_user")
+@register_message("terminal_display_user", "tx")
 @dataclass(frozen=True)
 class ShowTxPage(Message):
     TAG = "show_tx_page"
@@ -468,7 +468,7 @@ class ShowVerifiedTx(Message):
     fresh: bool
 
 
-@register_message("click_terminal")
+@register_message("click_terminal", "click")
 @dataclass(frozen=True)
 class ConfirmTx(Message):
     TAG = "confirm_tx"
@@ -482,14 +482,14 @@ class ForwardConfirm(Message):
     ok: bool
 
 
-@register_message("click_phone")
+@register_message("click_phone", "click")
 @dataclass(frozen=True)
 class ConfirmOnPhone(Message):
     TAG = "confirm_on_phone"
     tx: Transaction
 
 
-@register_message("cellular")
+@register_message("cellular", "tx")
 @dataclass(frozen=True)
 class SideCopy(Message):
     TAG = "side_copy"

@@ -12,8 +12,9 @@ Decoding success is a step function of the damage: a frame with c
 corrupted codewords decodes iff c <= correction_budget(spec), where the
 budget is floor(parity_count / 2). Within budget the recorded damage is
 healed and the bitstream is parsed for real; beyond it decoding raises.
-A parity recheck after healing means a decode can never silently return
-wrong bytes, even for damage inflicted behind the model's back.
+A parity recheck after healing, and a repack of the parsed payload that
+must give the same data codewords, terminator and pad included, mean a
+decode never silently returns wrong bytes or takes a second stream.
 
 Parity is the remainder of the data times x^degree divided by the
 generator g(x) over GF(256) mod 0x11D. The remainder is one Python int of
@@ -355,7 +356,8 @@ def qr_decode(frame: VisualFrame) -> bytes:
 
     Succeeds iff the corrupted-codeword count is within the frame's budget;
     the healed stream must also pass a full parity recheck, so a decode
-    never hands back bytes that differ from the encoded payload.
+    never hands back bytes that differ from the encoded payload, and it
+    must be exactly the stream qr_encode writes for that payload.
     """
     budget = correction_budget(frame.spec)
     if len(frame.corrupted_codewords) > budget:
@@ -370,7 +372,10 @@ def qr_decode(frame: VisualFrame) -> bytes:
     data, parity = bytes(healed[:-n_parity]), bytes(healed[-n_parity:])
     if rs_parity(data, n_parity) != parity:
         raise UncorrectableFrameError("parity recheck failed: unrecorded damage")
-    return _unpack(data, frame.spec.version)
+    payload = _unpack(data, frame.spec.version)
+    if _pack(payload, frame.spec) != data:
+        raise UncorrectableFrameError("terminator or pad codewords differ from the encoding")
+    return payload
 
 
 def estimated_scan_seconds(spec: FrameSpec, a: float, b: float) -> float:

@@ -25,10 +25,11 @@ from visualauth.adversary import (
     run_attacked_session,
     run_matrix,
 )
-from visualauth.entities import EntityKind
+from visualauth.entities import EntityKind, Message
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
     DEFAULT_TX,
+    DEFAULT_VIEW_FIELDS,
     CredentialStore,
     Outcome,
     Protocol,
@@ -38,6 +39,7 @@ from visualauth.protocols import (
     SubmitPositions,
     run_flow,
 )
+from visualauth.qr import VisualFrame
 
 
 # -------- the posterior oracle, computed before anything is trusted --------
@@ -176,26 +178,36 @@ K, M, V, B = (
 )
 
 # the observation labels each adversary records at seed 2: what the
-# surface of its locus shows, cell by cell
+# surface of its locus shows, cell by cell; a message class that declares
+# no label shows under its tag (login_request, auth_result, show_result, ...)
 SURFACE_LABELS = {
     (Protocol.P1, K, T): {"typed_id", "positions"},
     (Protocol.P1, K, S): set(),
-    (Protocol.P1, M, T): {"frame_payload", "keyboard", "positions", "typed_id"},
+    (Protocol.P1, M, T): {
+        "auth_result", "frame_payload", "kbd_challenge", "keyboard", "login_request", "positions",
+        "show_result", "typed_id",
+    },
     (Protocol.P1, M, S): {"frame_payload", "layout"},
-    (Protocol.P1, V, T): {"frame_payload", "keyboard", "positions"},
+    (Protocol.P1, V, T): {"frame_payload", "keyboard", "positions", "show_result"},
     (Protocol.P1, V, S): {"layout"},
     (Protocol.P2, K, T): {"otp", "typed_id"},
     (Protocol.P2, K, S): set(),
-    (Protocol.P2, M, T): {"frame_payload", "keyboard", "otp", "typed_id"},
+    (Protocol.P2, M, T): {
+        "auth_result", "frame_payload", "keyboard", "login_request", "otp", "otp_challenge",
+        "show_result", "typed_id",
+    },
     (Protocol.P2, M, S): {"frame_payload", "otp"},
-    (Protocol.P2, V, T): {"frame_payload", "keyboard", "otp"},
+    (Protocol.P2, V, T): {"frame_payload", "keyboard", "otp", "show_result"},
     (Protocol.P2, V, S): {"otp"},
     (Protocol.P3, K, T): {"click"},
     (Protocol.P3, K, S): {"login"},
-    (Protocol.P3, M, T): {"ciphertext", "click", "frame_payload"},
-    (Protocol.P3, M, S): {"ciphertext", "frame_payload", "login", "masked_login"},
-    (Protocol.P3, V, T): {"frame_payload"},
-    (Protocol.P3, V, S): {"ciphertext", "masked_login"},
+    (Protocol.P3, M, T): {
+        "auth_result", "ciphertext", "click", "connect_request", "frame_payload", "nonce_challenge",
+        "show_result",
+    },
+    (Protocol.P3, M, S): {"ciphertext", "frame_payload", "login", "masked_login", "show_login_box"},
+    (Protocol.P3, V, T): {"frame_payload", "show_result"},
+    (Protocol.P3, V, S): {"ciphertext", "masked_login", "show_login_box"},
 } | {(protocol, B, locus): set() for protocol in AUTH_PROTOCOLS for locus in (T, S)}
 
 
@@ -223,7 +235,7 @@ class TestViews:
                 assert 1 <= obs.step <= len(transcript)
                 message = transcript[obs.step - 1]
                 assert handle.config.locus in (message.CHANNEL.sender, message.CHANNEL.receiver)
-                assert adversary._observe(message) == obs.data
+                assert adversary.observe(message) == obs.data
 
     def test_terminal_malware_sees_the_transaction_it_sends(self):
         # HIJACKGUARD's terminal submits the user's transaction to the server
@@ -256,6 +268,90 @@ class TestViews:
         assert malware.observations[0] == adversary.Observation(1, ("ciphertext", b"planted"))
         keylogger = adversary.AttackerHandle(AdversaryConfig(K, T), result.session)
         assert all(obs.step != 1 for obs in keylogger.observations)
+
+
+def _leaves(value):
+    """The leaves an onlooker must see of a field value, spelled out apart
+    from observe: a frame's payload, a layout's serialization, and every
+    other value as it is, through tuples."""
+    if isinstance(value, VisualFrame):
+        yield value.payload
+    elif isinstance(value, crypto.KeyboardPermutation):
+        yield value.serialize()
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _one_of_each_tag() -> dict[str, Message]:
+    found = {}
+    for protocol in Protocol:
+        for message in run_flow(SessionConfig(protocol=protocol, seed=0)).session.transcript:
+            found.setdefault(message.TAG, message)
+    return found
+
+
+class TestRegistry:
+    """No message class falls through: whatever travels, an onlooker of its
+    channel sees whole, under the label its class was registered with."""
+
+    def test_the_honest_flows_send_every_message_class(self):
+        assert _one_of_each_tag().keys() == {cls.TAG for cls in Message.__subclasses__()}
+
+    def test_each_observation_holds_every_field(self):
+        for tag, message in _one_of_each_tag().items():
+            data = adversary.observe(message)
+            assert data[0] == message.LABEL, tag
+            shown = list(_leaves(data[1:]))
+            for f in dataclasses.fields(message):
+                for leaf in _leaves(getattr(message, f.name)):
+                    assert leaf in shown, (tag, f.name)
+
+    @pytest.mark.parametrize("protocol", Protocol, ids=lambda p: p.value)
+    def test_every_delivery_reaches_some_view(self, protocol):
+        # every channel has the terminal or the phone at one end, so the
+        # malware there, at least, records each delivery
+        handles, result = run_attacked_session(SessionConfig(protocol=protocol, seed=0), MATRIX_CONFIGS)
+        seen = {obs.step for handle in handles for obs in handle.observations}
+        assert seen == set(range(1, len(result.session.transcript) + 1))
+
+
+def _holds(leaf, value: str) -> bool:
+    if isinstance(leaf, str):
+        return value in leaf
+    return isinstance(leaf, bytes) and value.encode() in leaf
+
+
+class TestSecureViewEyesOnly:
+    """SECUREVIEW's document is "decryptable to your eyes only": its values
+    reach the phone's screen, and the terminal carries only ciphertext."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_only_the_phone_screen_shows_the_fields(self, seed):
+        handles, result = run_attacked_session(
+            SessionConfig(protocol=Protocol.SECUREVIEW, seed=seed), MATRIX_CONFIGS
+        )
+        assert result.outcome is Outcome.VIEWED
+        values = [value for _, value in DEFAULT_VIEW_FIELDS]
+        holding = {
+            (handle.config.kind, handle.config.locus): {
+                value
+                for obs in handle.observations
+                for leaf in _leaves(obs.data[1:])
+                for value in values
+                if _holds(leaf, value)
+            }
+            for handle in handles
+        }
+        # positive control: both onlookers of the phone's screen read both values
+        assert holding.pop((V, S)) == holding.pop((M, S)) == set(values)
+        assert all(not held for held in holding.values())
+        # the terminal's views did see the document, as ciphertext frames
+        malware = next(h for h in handles if h.config == AdversaryConfig(M, T))
+        labels = {obs.data[0] for obs in malware.observations}
+        assert {"secure_doc", "show_doc"} <= labels
 
 
 class TestKeyloggerCells:

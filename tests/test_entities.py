@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+from typing import ClassVar
 
 import pytest
 
@@ -21,6 +23,7 @@ from visualauth.entities import (
     Entity,
     EntityKind,
     LivenessError,
+    Message,
     ProtocolViolation,
     SecretKind,
     Session,
@@ -28,6 +31,7 @@ from visualauth.entities import (
     deliver,
     export_transcript,
     scan_states_for_secrets,
+    register_message,
     secrecy_violations,
 )
 from visualauth.harness import Report, machine_records, run_scenarios
@@ -410,6 +414,38 @@ class TestLazyRecords:
         with pytest.raises(TypeError, match="terminal state 'held' holds a mutable"):
             box.take_snapshot(step=2)
         assert box.snapshots == [(1, canonical_bytes({"fine": b"ok"}))]
+
+
+class TestRegistration:
+    """register_message takes only frozen dataclasses: the transcript, the
+    snapshots and the encoding memo all hold messages by reference."""
+
+    def test_a_mutable_dataclass_is_refused(self):
+        @dataclass
+        class Loose:
+            TAG: ClassVar[str] = "loose"
+            note: str
+
+        with pytest.raises(TypeError, match="Loose is not a frozen dataclass"):
+            register_message("net_up")(Loose)
+        assert "loose" not in entities._TAG_BYTES
+
+    def test_an_undecorated_message_subclass_is_refused(self):
+        # it inherits Message's frozen parameters, yet its instances take
+        # new attributes: only a class's own @dataclass(frozen=True) counts
+        bare = type("Bare", (Message,), {"TAG": "bare"})
+        instance = bare()
+        instance.note = "changed"
+        with pytest.raises(TypeError, match="Bare is not a frozen dataclass"):
+            register_message("net_up")(bare)
+        assert "bare" not in entities._TAG_BYTES
+        del bare, instance
+        gc.collect()  # Message.__subclasses__() lists only registered classes again
+        assert all(cls.TAG != "bare" for cls in Message.__subclasses__())
+
+    def test_a_label_defaults_to_the_tag(self):
+        assert LoginRequest.LABEL == LoginRequest.TAG == "login_request"
+        assert TypeId.LABEL == "typed_id"
 
 
 class TestTopology:

@@ -476,6 +476,18 @@ class TestParityReuse:
         assert rechecks or damage == "budget+1"
 
 
+class TestHonestFramesDecode:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_every_honest_frame_round_trips(self, seed):
+        # qr_decode accepts only the stream qr_encode writes: every frame of
+        # the six flows is such a stream, so each decodes to its payload
+        for protocol in Protocol:
+            frames = [frame for _, _, frame in run_flow(_cfg(protocol, seed)).session.frame_log]
+            assert frames or protocol is Protocol.HIJACKGUARD, protocol
+            for frame in frames:
+                assert qr.qr_decode(frame) == frame.payload, protocol
+
+
 class TestFrameHandling:
     @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=_login_id)
     def test_damage_at_the_budget_still_authenticates(self, protocol):

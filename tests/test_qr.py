@@ -212,6 +212,28 @@ class TestParsingRefusals:
             qr_decode(framed(data, spec))
 
 
+    @pytest.mark.parametrize("rewrite", ["none", "pad_swapped", "pad_inverted", "terminator"])
+    def test_only_the_encoded_stream_decodes(self, rewrite):
+        # a 16-byte nonce at version 2 M: 18 codewords of indicator, count,
+        # payload and the four terminator bits, then ten pad codewords; each
+        # rewrite keeps the payload parse and gets its parity recomputed
+        spec = FrameSpec(2, EcLevel.M, Mode.BYTE)
+        data = bytearray(pack_slow(b"nonce-0123456789", spec))
+        if rewrite == "pad_swapped":
+            data[-2], data[-1] = data[-1], data[-2]
+        elif rewrite == "pad_inverted":
+            data[-2] ^= 0xFF
+            data[-1] ^= 0xFF
+        elif rewrite == "terminator":
+            data[17] ^= 0x01  # bit 143, the last terminator bit
+        frame = framed(bytes(data), spec)
+        if rewrite == "none":  # the control: the encoding itself decodes
+            assert qr_decode(frame) == b"nonce-0123456789"
+        else:
+            with pytest.raises(UncorrectableFrameError, match="terminator or pad"):
+                qr_decode(frame)
+
+
 class TestCapacityErrors:
     def test_names_the_version_that_fits(self):
         # 18 bytes over v1-L's 17; v2-L holds 32
