@@ -30,10 +30,14 @@ In the matrix, one honest session per (protocol, trial) is read by all
 eight adversaries (``run_attacked_session`` returns one view per config),
 and ``evaluate`` scores each view into its own cell. A view only reads, so
 no adversary changes what another sees. The views share their follow-ups
-by loot: an attempt is keyed by (strategy, user_id, loot) and seeded by
-its strategy, so views that captured the same submission, credentials or
-key mount it once and read one verdict. The brute-force guesses and the
-alteration runs stay per view.
+by loot: an attempt is keyed by (strategy, user_id, loot, session seed)
+and seeded by its strategy and that seed, so views that captured the same
+submission, credentials or key mount it once and read one verdict. The
+brute-force guesses stay per view. The alteration probe's verdict does not
+depend on the observed session, only on the malware's locus and the
+session's flags, so it is keyed by ("alter-tx", locus, flags) alone, and
+``run_matrix`` shares one attempts map across its trials: a matrix mounts
+one probe per (locus, flags), not one per malware view.
 
 Every active attack is an honest session plus installs handed to
 ``run_flow``: taps and hooks on a locus (``replaying``, ``_rewriting``) or
@@ -202,8 +206,10 @@ class AttackerHandle:
 
     config: AdversaryConfig
     session: Session
-    # (strategy, user_id, loot) -> authenticated?, shared by the views of one
-    # run_attacked_session; a handle built alone gets its own
+    # (strategy, user_id, loot, session seed) -> authenticated?, and
+    # ("alter-tx", locus, flags) -> altered?, shared by the views of one
+    # run_attacked_session (of a whole matrix in run_matrix); a handle built
+    # alone gets its own
     attempts: dict[tuple, bool] = field(default_factory=dict, repr=False, compare=False)
     observations: list[Observation] = field(init=False)
     stolen_keypair: crypto.KeyPair | None = field(init=False, default=None)
@@ -306,10 +312,12 @@ _REPLAYS = {
 
 def _attempt(handle: AttackerHandle, strategy: str, user_id: str, loot) -> bool:
     """Did logging in as user_id with loot succeed? The first view of the
-    observed session to ask mounts the attempt; the others read its verdict."""
-    key = (strategy, user_id, loot)
+    observed session to ask mounts the attempt; the others read its verdict.
+    The key names the session's seed, which seeds the attempt, so a map
+    shared across sessions still mounts one attempt per observed session."""
+    session = handle.session
+    key = (strategy, user_id, loot, session.seed)
     if key not in handle.attempts:
-        session = handle.session
         seed = rngmod.child_seed(session.seed, "followup", strategy)
         fields, install = _STRATEGIES[strategy](seed, loot)
         config = SessionConfig(protocol=session.config.protocol, seed=seed, user_id=user_id, **fields)
@@ -343,15 +351,22 @@ def _later_authentication(handle: AttackerHandle) -> bool:
 
 
 def _transaction_alteration(handle: AttackerHandle) -> bool:
-    """Can the compromise push an altered transaction past the live guard?"""
+    """Can the compromise push an altered transaction past the live guard?
+
+    The probe is a HIJACKGUARD session of its own, so its verdict depends
+    only on the locus and the flags: the first malware view to ask mounts
+    it, seeded by its own session, and every view sharing the attempts
+    map reads that verdict."""
     if handle.config.kind is not AdversaryKind.MALWARE:
         return False
-    session = handle.session
-    store: CredentialStore = session.store
-    seed = rngmod.child_seed(session.seed, "alter-tx", handle.config.locus.value)
-    config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.config.flags)
-    result = run_hijack_guard(config, store, adversaries=[_altering(handle.config.locus)])
-    return result.session.executed_tx == EVIL_TX
+    session, locus = handle.session, handle.config.locus
+    key = ("alter-tx", locus, session.config.flags)
+    if key not in handle.attempts:
+        seed = rngmod.child_seed(session.seed, "alter-tx", locus.value)
+        config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.config.flags)
+        result = run_hijack_guard(config, session.store, adversaries=[_altering(locus)])
+        handle.attempts[key] = result.session.executed_tx == EVIL_TX
+    return handle.attempts[key]
 
 
 def evaluate(handle: AttackerHandle) -> AttackOutcome:
@@ -371,13 +386,19 @@ def run_attacked_session(
     session_config: SessionConfig,
     configs: Sequence[AdversaryConfig],
     store: CredentialStore | None = None,
+    attempts: dict[tuple, bool] | None = None,
 ) -> tuple[list[AttackerHandle], SessionResult]:
     """One honest run, read by one adversary per config; returns the
     views, in the order of configs, sharing one attempts map, and the
-    result."""
+    result.
+
+    The map is fresh unless attempts is given. run_matrix passes one map
+    to all its sessions, on one store, so that the alteration probe runs
+    once per (locus, flags); every other caller scores a session alone.
+    """
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
     result = run_flow(session_config, store)
-    attempts: dict[tuple, bool] = {}
+    attempts = {} if attempts is None else attempts
     return [AttackerHandle(config, result.session, attempts) for config in configs], result
 
 
@@ -605,18 +626,22 @@ def run_matrix(seed: int, trials: int = 100) -> list[MatrixCell]:
 
     A cell resists when no trial's adversary could authenticate later.
     Each (protocol, trial) is one honest session read by all eight
-    adversaries; each view is evaluated into its own cell. Views holding
-    the same loot share one follow-up and its verdict; the brute-force
-    guesses and the alteration runs stay per view.
+    adversaries; each view is evaluated into its own cell. Views of one
+    session holding the same loot share one follow-up and its verdict; the
+    brute-force guesses stay per view. All sessions share one attempts map,
+    so the alteration probe, whose verdict the cells do not read, runs once
+    per (locus, flags) for the whole matrix; follow-ups are keyed by their
+    session's seed and so are never shared across trials.
     """
     store = CredentialStore.provision(rngmod.child_seed(seed, "matrix-store"))
+    attempts: dict[tuple, bool] = {}
     cells = []
     for protocol in AUTH_PROTOCOLS:
         breaches = dict.fromkeys(MATRIX_ADVERSARIES, 0)
         for trial in range(trials):
             trial_seed = rngmod.child_seed(seed, protocol.value, str(trial))
             session_config = SessionConfig(protocol=protocol, seed=trial_seed)
-            handles, _ = run_attacked_session(session_config, MATRIX_ADVERSARIES, store)
+            handles, _ = run_attacked_session(session_config, MATRIX_ADVERSARIES, store, attempts)
             for handle in handles:
                 if evaluate(handle).can_authenticate_later:
                     breaches[handle.config] += 1

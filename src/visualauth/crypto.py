@@ -272,7 +272,12 @@ class KeyboardPermutation:
         return self.mapping.index(sym)
 
     def resolve(self, positions) -> str:
-        """Map a click-position sequence back to the symbols typed."""
+        """Map a click-position sequence back to the symbols typed; raises
+        ValueError unless every position is an int on the grid."""
+        if not isinstance(positions, (tuple, list)) or not all(
+            type(p) is int and 0 <= p < len(self.mapping) for p in positions
+        ):
+            raise ValueError("click position outside the grid")
         return "".join(self.mapping[p] for p in positions)
 
     def serialize(self) -> bytes:

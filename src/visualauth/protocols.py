@@ -906,7 +906,7 @@ class Smartphone(Party):
                 blob = _capture(self.session, frame, f"secure_field:{label}")
                 plain = crypto.decrypt(self.state["keypair"], crypto.Ciphertext.from_bytes(blob))
                 values.append((label, plain.decode("utf-8")))
-            except (qr.UncorrectableFrameError, crypto.IntegrityError):
+            except (qr.UncorrectableFrameError, crypto.IntegrityError, UnicodeDecodeError):
                 failures.append(label)
         self.state["doc_values"] = tuple(values)
         self.emit(ShowFields(values=tuple(values), failures=tuple(failures)))
@@ -998,10 +998,14 @@ class Server(Party):
         self.emit(AuthResult(ok=ok))
 
     def on_submit_positions(self, msg: SubmitPositions) -> None:
-        # the one place click positions turn back into symbols
-        candidate = self.state["layout"].resolve(msg.positions)
+        # the one place click positions turn back into symbols; a position
+        # off the grid is a wrong entry
         password, _ = self.state["registry"][self.state["user_id"]]
-        self._login_verdict(candidate == password, self._issue_keyboard)
+        try:
+            ok = self.state["layout"].resolve(msg.positions) == password
+        except ValueError:
+            ok = False
+        self._login_verdict(ok, self._issue_keyboard)
 
     def on_submit_otp(self, msg: SubmitOtp) -> None:
         token: OtpToken = self.state["token"]

@@ -24,6 +24,7 @@ SCENARIOS = HERE / "scenarios.cfg"
 FLOW_SEEDS = (0, 1)
 ATTACK_SEEDS = (0, 1)
 MATRIX_SEED = 2026
+MATRIX_TRIALS = (1, 100)  # 100 is what `visualauth matrix --trials 100 --seed 2026 --machine` runs
 
 
 def sha256(data: str | bytes) -> str:
@@ -74,8 +75,12 @@ def flow_digests() -> dict[str, str]:
 
 
 def matrix_digests() -> dict[str, str]:
-    report = Report(matrix=run_matrix(MATRIX_SEED, trials=1))
-    return {f"matrix/seed{MATRIX_SEED}/trials1/machine_records": sha256(machine_records(report))}
+    return {
+        f"matrix/seed{MATRIX_SEED}/trials{trials}/machine_records": sha256(
+            machine_records(Report(matrix=run_matrix(MATRIX_SEED, trials)))
+        )
+        for trials in MATRIX_TRIALS
+    }
 
 
 def scenario_digests() -> dict[str, str]:

@@ -620,12 +620,12 @@ class TestSharedSession:
         seen = []
         run = adversary.run_attacked_session
 
-        def recording(session_config, configs, store=None):
+        def recording(session_config, configs, store=None, attempts=None):
             if not seen:
                 seen.append(
                     (store, store.server_pair, store.server_name, dict(store.users), set(store.issued_nonces))
                 )
-            return run(session_config, configs, store)
+            return run(session_config, configs, store, attempts)
 
         monkeypatch.setattr(adversary, "run_attacked_session", recording)
         run_matrix(2026, trials=2)
@@ -655,8 +655,9 @@ def _count_followups(monkeypatch) -> dict[str, int]:
 
 
 class TestSharedAttempts:
-    """An attempt is a value of (strategy, user_id, loot): the views of one
-    session that hold the same loot mount it once and read one verdict."""
+    """An attempt is a value of (strategy, user_id, loot, session seed): the
+    views of one session that hold the same loot mount it once and read one
+    verdict. The alteration probe is a value of (locus, flags) alone."""
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=lambda p: p.value)
@@ -665,11 +666,11 @@ class TestSharedAttempts:
         counts = _count_followups(monkeypatch)
         for handle in handles:
             evaluate(handle)
-        # the alteration run stays one per malware view
+        # one alteration probe per malware locus, read again on the second pass
         assert counts == {"run_flow": FOLLOWUPS_PER_SESSION[protocol], "run_hijack_guard": 2}
         for handle in handles:
             evaluate(handle)
-        assert counts["run_flow"] == FOLLOWUPS_PER_SESSION[protocol]
+        assert counts == {"run_flow": FOLLOWUPS_PER_SESSION[protocol], "run_hijack_guard": 2}
 
     def test_different_loot_mounts_its_own_attempt(self, monkeypatch):
         # positive control: two views of one session replay different
@@ -703,13 +704,51 @@ class TestSharedAttempts:
             evaluate(handle)
         assert counts["run_flow"] == 2 * FOLLOWUPS_PER_SESSION[Protocol.P2]
 
+    def test_matrix_shares_no_followup_across_trials(self, monkeypatch):
+        # the trials of one matrix share an attempts map, and P3's learned
+        # credentials and P2's stolen key are the same loot in every trial;
+        # each trial still mounts its own follow-ups
+        counts = _count_followups(monkeypatch)
+        run_matrix(2026, trials=2)
+        observed = 2 * len(AUTH_PROTOCOLS)
+        assert counts["run_flow"] - observed == 2 * sum(FOLLOWUPS_PER_SESSION.values()) == 10
+        assert counts["run_hijack_guard"] == 2
+
+    def test_one_probe_per_locus_and_flags(self, monkeypatch):
+        # three sessions share one map: the probes are keyed by (locus, flags),
+        # so the two unguarded sessions read one pair of probes between them
+        store = CredentialStore.provision(5)
+        unguarded = SessionFlags(hijack_guard=False)
+        attempts = {}
+        sessions = [
+            run_attacked_session(SessionConfig(protocol=Protocol.P1, seed=seed, flags=flags), MATRIX_CONFIGS,
+                                 store, attempts)[0]
+            for seed, flags in ((0, SessionFlags()), (1, unguarded), (2, unguarded))
+        ]
+        assert all(handle.attempts is attempts for handles in sessions for handle in handles)
+        counts = _count_followups(monkeypatch)
+        altered = [
+            [evaluate(h).can_alter_transaction for h in handles if h.config.kind is AdversaryKind.MALWARE]
+            for handles in sessions
+        ]
+        assert counts["run_hijack_guard"] == 2 * 2
+        # positive control: with the guard off, the terminal malware views of
+        # both unguarded sessions read the breach, the second without a probe
+        # of its own; phone malware rewrites only the side copy, which an
+        # unguarded server never reads
+        assert altered == [[False, False], [True, False], [True, False]]
+        assert {k for k in attempts if k[0] == "alter-tx"} == {
+            ("alter-tx", locus, flags) for locus in adversary.MATRIX_LOCI for flags in (SessionFlags(), unguarded)
+        }
+
 
 class TestVerifyBudget:
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_alteration_runs_verify_nothing(self, seed, monkeypatch):
         # the alteration runs submit EVIL_TX against the user's side copy, so
         # the guard rejects each before verifying; the three verifies left
-        # are the P1 and P2 challenges and the P2 stolen-key follow-up's
+        # per trial are the P1 and P2 challenges and the P2 stolen-key
+        # follow-up's
         counts = _count_followups(monkeypatch)
         verify = crypto.verify
         verifies = []
@@ -719,10 +758,13 @@ class TestVerifyBudget:
             return verify(*args)
 
         monkeypatch.setattr(crypto, "verify", counting)
-        run_matrix(seed, 1)
-        assert len(verifies) == 3
-        # two alteration runs per observed session, one per malware locus
-        assert counts["run_hijack_guard"] == 2 * len(AUTH_PROTOCOLS)
+        for trials in (1, 2):
+            verifies.clear()
+            counts["run_hijack_guard"] = 0
+            run_matrix(seed, trials)
+            assert len(verifies) == 3 * trials
+            # two alteration runs per matrix, one per malware locus
+            assert counts["run_hijack_guard"] == 2
 
 
 class TestReplaysAreJudged:
@@ -740,6 +782,25 @@ class TestReplaysAreJudged:
         # type_id, login_request, kbd_challenge, submit_positions, auth_result
         assert result.session.step == 5
         assert all(m.CHANNEL.receiver is not EntityKind.SMARTPHONE for m in result.session.transcript)
+
+    # the password's positions on seed 281's layout, the positive control,
+    # and replays of positions the grid does not hold
+    SUBMISSIONS = {
+        "spelled": (16, 0, 20, 0),
+        "past_the_grid": (99, 0, 0, 0),
+        "not_an_int": ("a", 0, 0, 0),
+        "shifted_negative": (-20, -36, -16, -36),
+        "bool_for_zero": (16, False, 20, False),
+        "not_a_sequence": 5,
+    }
+
+    @pytest.mark.parametrize("name", SUBMISSIONS)
+    def test_positions_off_the_grid_are_denied(self, name):
+        install = replaying(SubmitPositions(positions=self.SUBMISSIONS[name]))
+        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=281), CredentialStore.provision(281),
+                          adversaries=[install])
+        assert result.outcome is (Outcome.AUTHENTICATED if name == "spelled" else Outcome.DENIED)
+        assert result.session.step == 5
 
     def test_matrix_replays_are_denied_not_aborted(self, monkeypatch):
         # an abort would mean the replay arrived out of order, and the

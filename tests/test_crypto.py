@@ -228,6 +228,12 @@ class TestKeyboardPermutation:
         positions = [perm.position_of(ch) for ch in "data99"]
         assert perm.resolve(positions) == "data99"
 
+    @pytest.mark.parametrize("positions", [(36,), (-1,), (1.0,), ("a",), (True,), 5, None], ids=repr)
+    def test_resolve_refuses_positions_off_the_grid(self, positions):
+        perm = crypto.generate_permutation(fork(7, "p"))
+        with pytest.raises(ValueError):
+            perm.resolve(positions)
+
     def test_case_folds(self):
         perm = KeyboardPermutation(tuple(ALPHABET))
         assert perm.position_of("A") == perm.position_of("a")

@@ -259,8 +259,8 @@ class TestEncoderOracle:
             patch.setattr(entities.Message, "body_bytes", _reference_body_bytes)
             reference, reference_records = self._every_session(monkeypatch)
         # 18 flow sessions; the matrix's 3 observed sessions, 5 follow-ups
-        # (one per distinct loot) and 6 alteration runs (one per malware view)
-        assert len(outputs) == 18 + 3 + 5 + 6
+        # (one per distinct loot) and 2 alteration runs (one per malware locus)
+        assert len(outputs) == 18 + 3 + 5 + 2
         assert outputs == reference
         assert records == reference_records
 
@@ -384,7 +384,10 @@ class TestLazyRecords:
                     run_flow(SessionConfig(protocol=protocol, seed=seed))
             run_matrix(2026, trials=2)
             run_scenarios(str(GOLDEN_SCENARIOS))
-        assert len(eager_digests) > 30 + 24 * 2
+        # 30 flow sessions; the matrix's 6 observed sessions, 10 follow-ups and
+        # 2 alteration runs; the scenarios' 22 sessions, plus 2 follow-ups
+        # and 2 alteration runs for the two malware-phone-p2 trials
+        assert len(eager_digests) == 30 + (6 + 10 + 2) + (22 + 2 + 2)
         assert sum(map(len, eager_snapshots.values())) == sum(map(len, eager_digests.values()))
         for entity, recorded in eager_snapshots.items():
             assert entity.snapshots == recorded, entity.kind

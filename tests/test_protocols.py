@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from visualauth import crypto, entities, protocols, qr
-from visualauth.adversary import _altering, phone_holding, replaying
+from visualauth.adversary import _altering, _rewriting, phone_holding, replaying
 from visualauth.crypto import Role
 from visualauth.entities import (
     EntityKind,
@@ -781,6 +781,19 @@ class TestSecureView:
         assert result.session.view_failures == ("balance",)
         assert "statement" in result.session.view_values
         assert "balance" not in result.session.view_values
+
+    def test_sealed_field_that_is_not_utf8_fails_that_field(self):
+        # anyone can seal to the user's public key: a terminal that swaps in
+        # fields whose plaintext is not UTF-8 fails them, not the phone
+        store = CredentialStore.provision(5)
+        user_public = store.users["alice"].keypair.public_key
+        sealed = crypto.encrypt(user_public, b"\xff\xfe", 5).to_bytes()
+        frame = qr.qr_encode(sealed, qr.choose_spec(sealed, _cfg(Protocol.SECUREVIEW, 3).frame_ec))
+        swap = _rewriting(EntityKind.TERMINAL, show_doc={"frames": (frame, frame)})
+        result = run_flow(_cfg(Protocol.SECUREVIEW, 3), store, adversaries=[swap])
+        assert result.outcome is Outcome.VIEWED
+        assert result.session.view_failures == ("balance", "statement")
+        assert result.session.view_values == {}
 
 
 SUCCESS = {
