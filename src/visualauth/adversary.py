@@ -28,16 +28,20 @@ therefore an output of the state machines, not a transcription.
 
 In the matrix, one honest session per (protocol, trial) is read by all
 eight adversaries (``run_attacked_session`` returns one view per config),
-and ``evaluate`` scores each view into its own cell. A view only reads, so
-no adversary changes what another sees. The views share their follow-ups
-by loot: an attempt is keyed by (strategy, user_id, loot, session seed)
-and seeded by its strategy and that seed, so views that captured the same
-submission, credentials or key mount it once and read one verdict. The
-brute-force guesses stay per view. The alteration probe's verdict does not
-depend on the observed session, only on the malware's locus and the
-session's flags, so it is keyed by ("alter-tx", locus, flags) alone, and
-``run_matrix`` shares one attempts map across its trials: a matrix mounts
-one probe per (locus, flags), not one per malware view.
+and ``evaluate`` scores each view into its own cell. The session is read
+once: each delivery on a channel some view shows is observed once, as
+(channel name, Observation), and every view keeps the channels its surface
+shows, so the views of one session hold the same Observation objects. A
+view only reads, so no adversary changes what another sees. The views
+share their follow-ups by loot: an attempt is keyed by (strategy,
+user_id, loot, session seed) and seeded by its strategy and that seed, so
+views that captured the same submission, credentials or key mount it once
+and read one verdict. The brute-force guesses stay per view. The
+alteration probe's verdict does not depend on the observed session, only
+on the malware's locus and the session's flags, so it is keyed by
+("alter-tx", locus, flags) alone, and ``run_matrix`` shares one attempts
+map across its trials: a matrix mounts one probe per (locus, flags), not
+one per malware view.
 
 Every active attack is an honest session plus installs handed to
 ``run_flow``: taps and hooks on a locus (``replaying``, ``_rewriting``) or
@@ -58,7 +62,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 from . import crypto, qr, rng as rngmod
 from .entities import CHANNELS, ChannelKind, EntityKind, Message, Session
@@ -88,6 +92,8 @@ EVIL_TX = Transaction(receiver_account="ACCT-6660", amount=999900, receiver_name
 
 
 class AdversaryKind(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     KEYLOGGER = "keylogger"
     MALWARE = "malware"
     SHOULDER_SURFER = "shoulder_surfer"
@@ -183,6 +189,16 @@ def observe(message: Message) -> tuple:
     return (message.LABEL, *[_shown(getattr(message, name)) for name in message.FIELDS])
 
 
+def _sightings(transcript: Sequence[Message], shown: frozenset[str]) -> list[tuple[str, Observation]]:
+    """(channel name, Observation) for each delivery on a channel in shown,
+    in transcript order: one reading that every view of the session filters."""
+    return [
+        (message.CHANNEL.name, Observation(step, observe(message)))
+        for step, message in enumerate(transcript, 1)
+        if message.CHANNEL.name in shown
+    ]
+
+
 def _shown(value):
     if isinstance(value, qr.VisualFrame):
         return value.payload
@@ -202,6 +218,10 @@ class AttackerHandle:
     order. Traffic is attributed by channel: a message injected on net_up
     reads as the terminal's "out". Malware also reads its locus's final
     state, so a phone compromise yields the key pair.
+
+    sightings, when given, is the session's reading by run_attacked_session,
+    which the views of one session share; a handle built alone reads the
+    transcript itself.
     """
 
     config: AdversaryConfig
@@ -211,16 +231,15 @@ class AttackerHandle:
     # run_attacked_session (of a whole matrix in run_matrix); a handle built
     # alone gets its own
     attempts: dict[tuple, bool] = field(default_factory=dict, repr=False, compare=False)
+    sightings: InitVar[Sequence[tuple[str, Observation]] | None] = None
     observations: list[Observation] = field(init=False)
     stolen_keypair: crypto.KeyPair | None = field(init=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, sightings):
         visible = _VISIBLE[self.config.kind, self.config.locus]
-        self.observations = [
-            Observation(step, observe(message))
-            for step, message in enumerate(self.session.transcript if visible else (), 1)
-            if message.CHANNEL.name in visible
-        ]
+        if sightings is None:
+            sightings = _sightings(self.session.transcript, visible)
+        self.observations = [obs for name, obs in sightings if name in visible]
         if self.config.kind is AdversaryKind.MALWARE:
             pair = self.session.entities[self.config.locus].state.get("keypair")
             if isinstance(pair, crypto.KeyPair):
@@ -276,8 +295,7 @@ def _altering(locus: EntityKind):
 
 def phone_holding(**state):
     """A phone that holds state of the attacker's choosing before the user
-    begins: a stolen key, the attacker's own key, or a phished
-    server_name."""
+    begins: a stolen key, no key at all, or a phished server_name."""
 
     def install(session: Session) -> None:
         session.entities[EntityKind.SMARTPHONE].state.update(state)
@@ -288,18 +306,19 @@ def phone_holding(**state):
 # -------- followup attacks: the adversary actually tries --------
 
 
-def _learned_credentials(seed: int, password: str):
-    # learned credentials suffice: encrypt them on any phone at all
-    own_phone = crypto.generate_keypair(crypto.Role.USER, rngmod.fork(seed, "attacker-phone"))
-    return {"submit_passwords": (password,)}, phone_holding(keypair=own_phone)
+def _learned_credentials(password: str):
+    """Learned credentials suffice: any phone seals them, even one that holds
+    no key pair. Only P3 mounts this, and its phone reads only the server's
+    public key and name and the scanned nonce."""
+    return {"submit_passwords": (password,)}, phone_holding(keypair=None)
 
 
-# strategy -> (seed, loot) -> (SessionConfig fields, install)
+# strategy -> loot -> (SessionConfig fields, install)
 _STRATEGIES = {
     "learned-creds": _learned_credentials,
     # the exfiltrated private key opens any future challenge
-    "stolen-key": lambda seed, keypair: ({}, phone_holding(keypair=keypair)),
-    "replay": lambda seed, submission: ({}, replaying(submission)),
+    "stolen-key": lambda keypair: ({}, phone_holding(keypair=keypair)),
+    "replay": lambda submission: ({}, replaying(submission)),
 }
 
 # what each login's replay resubmits: the observation label and its message
@@ -319,7 +338,7 @@ def _attempt(handle: AttackerHandle, strategy: str, user_id: str, loot) -> bool:
     key = (strategy, user_id, loot, session.seed)
     if key not in handle.attempts:
         seed = rngmod.child_seed(session.seed, "followup", strategy)
-        fields, install = _STRATEGIES[strategy](seed, loot)
+        fields, install = _STRATEGIES[strategy](loot)
         config = SessionConfig(protocol=session.config.protocol, seed=seed, user_id=user_id, **fields)
         result = run_flow(config, session.store, adversaries=[install])
         handle.attempts[key] = result.outcome is Outcome.AUTHENTICATED
@@ -389,8 +408,8 @@ def run_attacked_session(
     attempts: dict[tuple, bool] | None = None,
 ) -> tuple[list[AttackerHandle], SessionResult]:
     """One honest run, read by one adversary per config; returns the
-    views, in the order of configs, sharing one attempts map, and the
-    result.
+    views, in the order of configs, sharing one attempts map and one
+    reading of the transcript, and the result.
 
     The map is fresh unless attempts is given. run_matrix passes one map
     to all its sessions, on one store, so that the alteration probe runs
@@ -399,7 +418,9 @@ def run_attacked_session(
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
     result = run_flow(session_config, store)
     attempts = {} if attempts is None else attempts
-    return [AttackerHandle(config, result.session, attempts) for config in configs], result
+    shown = frozenset().union(*(_VISIBLE[config.kind, config.locus] for config in configs))
+    sightings = _sightings(result.session.transcript, shown)
+    return [AttackerHandle(config, result.session, attempts, sightings) for config in configs], result
 
 
 # -------- the keylogger posterior, in closed form --------
@@ -429,17 +450,14 @@ def brute_force_guessing(
     """Random password guesses against the stored credential; returns hits.
 
     Models the offline attacker with no foothold: each guess is a fresh
-    uniform draw over the full password space.
+    uniform draw over the full password space. All budget guesses are drawn
+    in one call and read as consecutive slices; choices draws one random()
+    per symbol either way, so these are the guesses one call per guess made.
     """
     password = store.users[user_id].password
-    rng = rngmod.fork(seed, "bruteforce")
     length = len(password)
-    hits = 0
-    for _ in range(budget):
-        guess = "".join(rng.choices(crypto.ALPHABET, k=length))
-        if guess == password:
-            hits += 1
-    return hits
+    symbols = "".join(rngmod.fork(seed, "bruteforce").choices(crypto.ALPHABET, k=budget * length))
+    return sum(symbols[i * length:(i + 1) * length] == password for i in range(budget))
 
 
 # -------- the attack catalogue: named attacks beyond the matrix --------

@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -57,8 +57,6 @@ SYMMETRIC_KEY_LEN = 24  # AES-192
 
 _GCM_NONCE_LEN = 12
 _GCM_TAG_LEN = 16
-_RAW = serialization.Encoding.Raw
-_RAW_PUB = serialization.PublicFormat.Raw
 
 
 class CryptoError(Exception):
@@ -70,6 +68,8 @@ class IntegrityError(CryptoError):
 
 
 class Role(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     USER = "user"
     SERVER = "server"
 
@@ -124,8 +124,8 @@ def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
     seal_priv = X25519PrivateKey.from_private_bytes(seal_raw)
     sign_priv = Ed25519PrivateKey.from_private_bytes(sign_raw)
     pub = (
-        seal_priv.public_key().public_bytes(_RAW, _RAW_PUB)
-        + sign_priv.public_key().public_bytes(_RAW, _RAW_PUB)
+        seal_priv.public_key().public_bytes_raw()
+        + sign_priv.public_key().public_bytes_raw()
     )
     pair = KeyPair(role=role, public_key=pub, private_key=seal_raw + sign_raw)
     # fill the cached properties with the keys already loaded
@@ -183,7 +183,7 @@ def encrypt(public_key: bytes, message: bytes, rng: random.Random | int) -> Ciph
     rng = as_rng(rng)
     recipient = X25519PublicKey.from_public_bytes(public_key[:32])
     eph_priv = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-    eph_pub = eph_priv.public_key().public_bytes(_RAW, _RAW_PUB)
+    eph_pub = eph_priv.public_key().public_bytes_raw()
     key = _hybrid_key(eph_priv.exchange(recipient), eph_pub, public_key[:32])
     nonce = rng.randbytes(_GCM_NONCE_LEN)
     sealed = AESGCM(key).encrypt(nonce, message, _HYBRID_SCHEME + public_key[:32])

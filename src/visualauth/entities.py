@@ -67,6 +67,8 @@ class LivenessError(Exception):
 
 
 class EntityKind(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     USER = "user"
     TERMINAL = "terminal"
     SMARTPHONE = "smartphone"
@@ -74,6 +76,8 @@ class EntityKind(enum.Enum):
 
 
 class ChannelKind(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     NETWORK = "network"
     VISUAL = "visual"
     CLICK = "click"
@@ -276,6 +280,8 @@ class Message:
 
 
 class SecretKind(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     PASSWORD = "password"
     PERMUTATION = "permutation"
     OTP = "otp"

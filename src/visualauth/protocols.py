@@ -56,6 +56,8 @@ MASK_GLYPH = "*"
 
 
 class Protocol(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     P1 = "P1"  # randomized blank keyboard
     P2 = "P2"  # encrypted one-time password
     P3 = "P3"  # nonce challenge, credentials sealed on the phone
@@ -68,6 +70,8 @@ AUTH_PROTOCOLS = (Protocol.P1, Protocol.P2, Protocol.P3)
 
 
 class Outcome(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     AUTHENTICATED = "authenticated"
     DENIED = "denied"
     ABORTED = "aborted"
@@ -1033,7 +1037,11 @@ class Server(Party):
     # -- transactions --
 
     def on_submit_tx(self, msg: SubmitTx) -> None:
-        # TXVERIFY: sign the transaction for the phone to show the user
+        # TXVERIFY: sign the transaction for the phone to show the user; a
+        # submission that holds no transaction is signed by no one
+        if not isinstance(msg.tx, Transaction):
+            self.session.finish(Outcome.ABORTED, "submit_tx_malformed")
+            return
         self.state["received_tx"] = msg.tx
         nonce = self.state["session_nonce"] if self.session.config.flags.tx_nonce_freshness else None
         canonical = canonical_tx_bytes(msg.tx, nonce)
@@ -1065,12 +1073,15 @@ class Server(Party):
         side_tx = self.state.get("side_tx")
         if received is None or side_tx is None:
             return  # wait for the other half; on_idle fails closed
-        # the cheap facts first: a mismatch or a non-user signer is REJECTED
-        # before the signature is verified, which only an agreeing copy needs
+        # the cheap facts first: a mismatch, a field of the wrong type or a
+        # non-user signer is REJECTED before the signature is verified, which
+        # only an agreeing copy needs
         _, public_key = self.state["registry"][self.session.config.user_id]
         side_sig = self.state["side_sig"]
         ok = (
             side_tx == received
+            and isinstance(side_tx, Transaction)
+            and isinstance(side_sig, Signature)
             and side_sig.signer is Role.USER
             and crypto.verify(public_key, canonical_tx_bytes(side_tx), side_sig)
         )

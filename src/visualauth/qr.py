@@ -78,6 +78,8 @@ class UncorrectableFrameError(ChannelError):
 
 
 class EcLevel(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     L = "L"
     M = "M"
     Q = "Q"
@@ -85,6 +87,8 @@ class EcLevel(enum.Enum):
 
 
 class Mode(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     NUMERIC = "numeric"
     ALPHANUMERIC = "alphanumeric"
     BYTE = "byte"

@@ -35,6 +35,7 @@ from visualauth.protocols import (
     Protocol,
     SessionConfig,
     SessionFlags,
+    SessionResult,
     SubmitCiphertext,
     SubmitPositions,
     run_flow,
@@ -516,6 +517,22 @@ class TestBruteForceCells:
         store = CredentialStore.provision(236, users=(("tiny", "a"),))
         assert brute_force_guessing(store, "tiny", budget=500, seed=236) > 0
 
+    @pytest.mark.parametrize("budget", (0, 1, 16, 500, 10_000))
+    def test_one_draw_matches_a_draw_per_guess(self, budget):
+        # the oracle draws each guess on its own, as the guesser once did;
+        # the tiny user, who gets hit, is the positive control
+        users = tuple((f"u{n}", "q7x2ma"[:n]) for n in range(1, 7))
+        store = CredentialStore.provision(237, users=(("tiny", "a"), *users))
+        for user_id, credential in store.users.items():
+            rng = rngmod.fork(237, "bruteforce")
+            password = credential.password
+            oracle = sum(
+                "".join(rng.choices(crypto.ALPHABET, k=len(password))) == password for _ in range(budget)
+            )
+            assert brute_force_guessing(store, user_id, budget, seed=237) == oracle, user_id
+        if budget >= 500:
+            assert brute_force_guessing(store, "tiny", budget, seed=237) > 0
+
 
 class TestMatrix:
     def test_small_matrix_reproduces_the_pattern(self):
@@ -632,6 +649,85 @@ class TestSharedSession:
         store, server_pair, server_name, users, nonces = seen[0]
         assert (store.server_pair, store.server_name, store.users) == (server_pair, server_name, users)
         assert store.issued_nonces > nonces
+
+
+def _recording_sessions(monkeypatch) -> list[tuple[list, SessionResult]]:
+    """The (views, result) of each run_attacked_session call from now on."""
+    sessions = []
+    run = adversary.run_attacked_session
+
+    def recording(*args, **kwargs):
+        handles, result = run(*args, **kwargs)
+        sessions.append((handles, result))
+        return handles, result
+
+    monkeypatch.setattr(adversary, "run_attacked_session", recording)
+    return sessions
+
+
+class TestOneReading:
+    """run_attacked_session observes each delivery once and hands that
+    reading to every view; a view keeps the channels its surface shows."""
+
+    def test_matrix_observes_each_delivery_once(self, monkeypatch):
+        observed = []
+        observe = adversary.observe
+        monkeypatch.setattr(adversary, "observe", lambda message: observed.append(message) or observe(message))
+        sessions = _recording_sessions(monkeypatch)
+        run_matrix(2026, trials=1)
+        deliveries = [m for _, result in sessions for m in result.session.transcript]
+        assert len(sessions) == len(AUTH_PROTOCOLS)
+        assert len(observed) == len(deliveries) == 33
+        assert all(a is b for a, b in zip(observed, deliveries))
+        for handles, _ in sessions:
+            by_step, shared = {}, 0
+            for handle in handles:
+                for obs in handle.observations:
+                    shared += obs.step in by_step
+                    assert by_step.setdefault(obs.step, obs) is obs
+            # positive control: views do overlap, so the identity check bites
+            assert shared > 0
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_matrix_views_see_what_a_view_alone_sees(self, seed, monkeypatch):
+        sessions = _recording_sessions(monkeypatch)
+        run_matrix(seed, trials=1)
+        for handles, result in sessions:
+            assert [handle.config for handle in handles] == MATRIX_CONFIGS
+            for handle in handles:
+                alone = adversary.AttackerHandle(handle.config, result.session)
+                assert (alone.observations, alone.stolen_keypair) == (
+                    handle.observations,
+                    handle.stolen_keypair,
+                ), handle.config
+
+    def test_a_lone_view_reads_only_its_channels(self, monkeypatch):
+        # a keylogger alone observes the clicks into its locus, not every delivery
+        observed = []
+        observe = adversary.observe
+        monkeypatch.setattr(adversary, "observe", lambda message: observed.append(message) or observe(message))
+        (handle,), result = run_attacked_session(SessionConfig(protocol=Protocol.P1, seed=2), [AdversaryConfig(K, T)])
+        assert len(observed) == len(handle.observations) == 2
+        assert len(result.session.transcript) > 2
+
+
+class TestAttackerKeys:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_matrix_generates_only_the_store_keys(self, seed, monkeypatch):
+        # the server's pair and alice's; learned credentials need no key of their own
+        calls = []
+        generate = crypto.generate_keypair
+        monkeypatch.setattr(crypto, "generate_keypair", lambda *args: calls.append(args) or generate(*args))
+        run_matrix(seed, trials=2)
+        assert [role for role, _ in calls] == [crypto.Role.SERVER, crypto.Role.USER]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_learned_credentials_log_in_on_a_keyless_phone(self, seed):
+        store = CredentialStore.provision(seed)
+        fields, install = adversary._learned_credentials(store.users["alice"].password)
+        result = run_flow(SessionConfig(protocol=Protocol.P3, seed=seed, **fields), store, adversaries=[install])
+        assert result.outcome is Outcome.AUTHENTICATED
+        assert result.session.entities[EntityKind.SMARTPHONE].state["keypair"] is None
 
 
 # distinct follow-up sessions the eight views of one login session mount:

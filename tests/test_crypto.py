@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import collections
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,26 @@ def pair():
 @pytest.fixture
 def server_pair():
     return crypto.generate_keypair(Role.SERVER, seed=1002)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _imports_serialization(before: str = "") -> bool:
+    """Does a fresh interpreter that runs before, then imports visualauth,
+    hold the cryptography serialization package (and its ssh module)?"""
+    code = f"{before}\nimport sys, visualauth\nprint('cryptography.hazmat.primitives.serialization' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_the_serializer_out():
+    # raw public bytes come from public_bytes_raw, so import needs no serializer
+    assert not _imports_serialization()
+    # positive control: the check sees the package when it is loaded
+    assert _imports_serialization("import cryptography.hazmat.primitives.serialization")
 
 
 class TestKeyPairs:

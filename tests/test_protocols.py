@@ -1125,6 +1125,34 @@ class TestServerFailsClosed:
                 if session.outcome is not Outcome.ABORTED:
                     assert session.abort_reason is None, where
 
+    # (flow, rewriting locus, changes, outcome, abort reason); the honest
+    # runs are the positive controls, and each mutant raised AttributeError
+    # before the server checked field types
+    WRONG_TYPED = {
+        "txverify_honest": (Protocol.TXVERIFY, None, {}, Outcome.CONFIRMED, None),
+        "tx_none": (Protocol.TXVERIFY, EntityKind.TERMINAL, {"submit_tx": {"tx": None}}, Outcome.ABORTED,
+                    "submit_tx_malformed"),
+        "tx_text": (Protocol.TXVERIFY, EntityKind.TERMINAL, {"submit_tx": {"tx": "x"}}, Outcome.ABORTED,
+                    "submit_tx_malformed"),
+        "hijackguard_honest": (Protocol.HIJACKGUARD, None, {}, Outcome.ACCEPTED, None),
+        "signature_none": (Protocol.HIJACKGUARD, EntityKind.SMARTPHONE, {"side_copy": {"signature": None}},
+                           Outcome.REJECTED, None),
+        "signature_bytes": (Protocol.HIJACKGUARD, EntityKind.SMARTPHONE, {"side_copy": {"signature": b"junk"}},
+                            Outcome.REJECTED, None),
+    }
+
+    @pytest.mark.parametrize("name", WRONG_TYPED)
+    def test_wrong_typed_submission_is_refused(self, name):
+        protocol, locus, changes, outcome, reason = self.WRONG_TYPED[name]
+        installs = [_rewriting(locus, **changes)] if locus else []
+        session = run_flow(_cfg(protocol, 3), CredentialStore.provision(3), adversaries=installs).session
+        assert (session.outcome, session.abort_reason) == (outcome, reason)
+        executed = DEFAULT_TX if outcome in (Outcome.CONFIRMED, Outcome.ACCEPTED) else None
+        assert session.executed_tx == executed
+        # a malformed submission is signed by no one: no confirmation goes out
+        signed = any(m.tag == "tx_confirmation" for m in session.transcript)
+        assert signed == (outcome is Outcome.CONFIRMED)
+
     def test_credentials_before_the_nonce_scan_abort(self):
         # the user answers an early login box, but the P3 phone takes
         # credentials only after it has scanned a nonce

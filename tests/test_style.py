@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import ast
+import enum
+import importlib
+import pkgutil
 from pathlib import Path
+
+import visualauth
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAX_LINE = 110
@@ -117,3 +122,36 @@ def test_the_cache_check_can_fail():
     ]
     for source in passed:
         assert cache_findings(source) == [], source
+
+
+def _enums() -> list[type[enum.Enum]]:
+    """Every enum.Enum subclass defined in a visualauth module."""
+    found = {}
+    for info in pkgutil.iter_modules(visualauth.__path__, "visualauth."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if isinstance(value, type) and issubclass(value, enum.Enum) and value.__module__ == info.name:
+                found[value.__qualname__] = value
+    return list(found.values())
+
+
+def hashes_by_identity(cls: type[enum.Enum]) -> bool:
+    """Members are singletons, so they hash by identity, in C, rather than
+    through the Python-level Enum.__hash__ over their names."""
+    return cls.__hash__ is object.__hash__ and all(hash(m) == object.__hash__(m) for m in cls)
+
+
+def test_every_enum_hashes_by_identity():
+    enums = _enums()
+    assert len(enums) == 9
+    for cls in enums:
+        assert hashes_by_identity(cls), cls.__qualname__
+        # value lookup and membership still work
+        assert all(cls(member.value) is member and member in set(cls) for member in cls)
+    assert visualauth.Protocol("P1") is visualauth.Protocol.P1
+
+
+def test_the_enum_hash_check_can_fail():
+    class Scratch(enum.Enum):
+        A = "a"
+
+    assert not hashes_by_identity(Scratch)
