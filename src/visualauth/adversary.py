@@ -282,7 +282,7 @@ def _rewriting(locus: EntityKind, **changes):
 
     def install(session: Session) -> None:
         session.entities[locus].outbound_hooks.append(
-            lambda msg: replace(msg, **changes[msg.tag]) if msg.tag in changes else msg
+            lambda msg: replace(msg, **changes[msg.TAG]) if msg.TAG in changes else msg
         )
 
     return install
@@ -509,7 +509,7 @@ def _forged_layout(config: SessionConfig, store: CredentialStore):
     frame = qr.qr_encode(payload, qr.choose_spec(payload, config.frame_ec))
 
     def breached(result: SessionResult) -> bool:
-        clicks = [m.positions for m in result.session.transcript if m.tag == "click_positions"]
+        clicks = [m.positions for m in result.session.transcript if m.TAG == "click_positions"]
         return bool(clicks) and layout.resolve(clicks[0]) == store.users[config.user_id].password
 
     return [_rewriting(EntityKind.TERMINAL, show_frame={"frame": frame})], breached
@@ -542,7 +542,7 @@ def _stale_receipt(config: SessionConfig, store: CredentialStore):
     earlier clean session's receipt, barcode and page alike. Only the session
     nonce inside the signed receipt tells the phone it is stale."""
     clean = run_flow(replace(config, seed=rngmod.child_seed(config.seed, "clean")), store)
-    receipt = next(m for m in clean.session.transcript if m.tag == "tx_confirmation")
+    receipt = next(m for m in clean.session.transcript if m.TAG == "tx_confirmation")
     stale = _rewriting(
         EntityKind.TERMINAL,
         submit_tx={"tx": EVIL_TX},
@@ -557,7 +557,7 @@ def _forged_confirm(config: SessionConfig, store: CredentialStore):
 
     def install(session: Session) -> None:
         def forge(msg: Message) -> None:
-            if msg.tag == "request_tx":
+            if msg.TAG == "request_tx":
                 session.inject(SubmitTx(tx=EVIL_TX))
                 session.inject(ForwardConfirm(ok=True))
 

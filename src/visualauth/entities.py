@@ -2,9 +2,9 @@
 
 A session wires one user, one terminal, one smartphone, and one server
 together over typed one-way channels and drives them with a
-single-threaded FIFO event loop; the receiver's handler_for picks the one
-handler each delivery runs. Everything observable about a run is captured
-twice: a transcript of every delivered message, in delivery order, and a
+single-threaded FIFO event loop; each delivery runs one handler of its
+receiver. Everything observable about a run is captured twice: a
+transcript of every delivered message, in delivery order, and a
 per-entity history of serialized state snapshots.
 
 The snapshot history exists for one reason: secrecy claims about where
@@ -23,8 +23,8 @@ Both records hold references, not bytes: a delivery keeps the message
 and a shallow copy of the receiver's state, and serializes neither.
 canonical_bytes runs when the snapshots are first read (and is cached)
 or a transcript is exported. That gives the bytes of record time only
-because nothing recorded can change: register_message takes only frozen
-dataclasses, and take_snapshot refuses state whose type is not immutable.
+because nothing recorded can change: register_message makes each message
+class a frozen dataclass, and take_snapshot refuses mutable state values.
 canonical_bytes dispatches through a table of one encoder per exact
 type, filled the first time a type is seen; a subclass gets the encoder
 of the first base it matches, in the order canonical_bytes documents.
@@ -112,31 +112,39 @@ CHANNELS = MappingProxyType({name: Channel(name, *spec) for name, spec in TOPOLO
 
 # -------- message vocabulary --------
 
-_TAG_BYTES: dict[str, int] = {}
+MESSAGES: dict[str, type[Message]] = {}  # tag -> class, in registration order
 
 
 def register_message(channel_name: str, label: str = ""):
-    """Bind a message class to its one legal channel and assign a wire tag.
+    """Declare a Message subclass as a frozen record on its one legal channel.
 
-    The only place a message's channel is stated (Entity.emit, Session.inject
-    and deliver route by it) and its onlooker label (adversary.observe), by
-    default the tag. Only a frozen dataclass is taken: the records and the
-    encoding memo hold messages by reference.
+    The only place a message's contract is stated: the decorator makes the
+    class a frozen dataclass (the records and the encoding memo hold
+    messages by reference) and sets everything the fabric reads off it:
+    CHANNEL (Entity.emit, Session.inject and deliver route by it), LABEL
+    (adversary.observe; by default the tag), FIELDS, TAG_BYTE (its wire tag,
+    one more than the classes registered before it) and LINE_PREFIX (its
+    transcript line up to the digest). A class that is no Message subclass,
+    or already carries its own @dataclass, is refused and takes no tag.
     """
 
     def deco(cls):
-        params = cls.__dict__.get("__dataclass_params__")
-        if params is None or not params.frozen:
-            raise TypeError(f"{cls.__name__} is not a frozen dataclass")
+        if not (isinstance(cls, type) and issubclass(cls, Message)):
+            raise TypeError(f"{cls!r} is not a Message subclass")
+        if "__dataclass_params__" in cls.__dict__:
+            raise TypeError(f"{cls.__name__} already carries @dataclass; register_message makes it")
         tag = cls.TAG
-        if tag in _TAG_BYTES:
+        if tag in MESSAGES:
             raise ValueError(f"duplicate message tag {tag}")
         if channel_name not in CHANNELS:
             raise ValueError(f"unknown channel {channel_name}")
-        _TAG_BYTES[tag] = len(_TAG_BYTES) + 1
-        cls.CHANNEL = CHANNELS[channel_name]
+        cls = dataclass(frozen=True)(cls)
+        cls.CHANNEL = channel = CHANNELS[channel_name]
         cls.LABEL = label or tag
         cls.FIELDS = tuple(f.name for f in dataclasses.fields(cls))
+        cls.TAG_BYTE = bytes([len(MESSAGES) + 1])
+        cls.LINE_PREFIX = f"|{channel.kind.value}|{channel.sender.value}|{channel.receiver.value}|{tag}|"
+        MESSAGES[tag] = cls
         return cls
 
     return deco
@@ -258,25 +266,23 @@ def _fields_encoder(cls: type) -> Callable[[object], bytes]:
 
 @dataclass(frozen=True)
 class Message:
+    """A typed message. A subclass states its TAG and its fields and is
+    declared by register_message, which sets the other class attributes."""
+
     TAG: ClassVar[str] = ""
-    CHANNEL: ClassVar[Channel]  # set by register_message, as are LABEL and FIELDS
+    CHANNEL: ClassVar[Channel]
     LABEL: ClassVar[str]
     FIELDS: ClassVar[tuple[str, ...]]  # the field names, in declaration order
-
-    @property
-    def tag(self) -> str:
-        return type(self).TAG
+    TAG_BYTE: ClassVar[bytes]
+    LINE_PREFIX: ClassVar[str]  # "|channel|from|to|tag|"
 
     def body_bytes(self) -> bytes:
         return _fields_encoder(type(self))(self)
 
-    def wire(self) -> bytes:
-        # tag byte, big-endian length, body
-        body = self.body_bytes()
-        return bytes([_TAG_BYTES[self.tag]]) + _u32(len(body)) + body
-
     def digest(self) -> str:
-        return hashlib.sha256(self.wire()).hexdigest()[:16]
+        # over the wire form: tag byte, big-endian length, body
+        body = self.body_bytes()
+        return hashlib.sha256(self.TAG_BYTE + _u32(len(body)) + body).hexdigest()[:16]
 
 
 class SecretKind(enum.Enum):
@@ -333,10 +339,10 @@ def _check_immutable(kind: EntityKind, state: dict) -> None:
 class Entity:
     """Base participant: a tag-dispatched state machine with a state dict.
 
-    Each delivery runs exactly one handler, the one the subclass's
-    handler_for(message) returns, then snapshots the state. The snapshot
-    is a shallow copy, encoded only when snapshots is read, so a handler
-    replaces a state value rather than changing it in place.
+    Each delivery runs handle, which calls the subclass's receive(message)
+    once, then snapshots the state. The snapshot is a shallow copy, encoded
+    only when snapshots is read, so a handler replaces a state value rather
+    than changing it in place.
     """
 
     kind: ClassVar[EntityKind]
@@ -367,7 +373,7 @@ class Entity:
         self.session.inject(message)
 
     def handle(self, message: Message) -> None:
-        self.handler_for(message)(message)
+        self.receive(message)  # defined by the subclass
 
     def on_idle(self) -> None:
         """Called once when the queue drains without an outcome."""
@@ -392,13 +398,15 @@ class Session:
     """One protocol run: entities, queue, transcript, verdict.
 
     transcript lists the delivered messages in order; step is its length.
-    config and store are set by the protocol layer when it assembles the
-    session; the handlers fill in the executed transaction and the viewed
-    fields as the run goes, and reach every verdict through finish.
+    config and store are what the protocol layer builds the session from;
+    the handlers fill in the executed transaction and the viewed fields as
+    the run goes, and reach every verdict through finish.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, config=None, store=None):
         self.seed = seed
+        self.config = config
+        self.store = store
         self.rng = rngmod.fork(seed, "session")
         self.entities: dict[EntityKind, Entity] = {}
         self.transcript: list[Message] = []
@@ -408,8 +416,6 @@ class Session:
         self.closed = False
         self.frame_log: list[tuple[int, str, VisualFrame]] = []
         self.secret_probes: list[SecretProbe] = []
-        self.config = None
-        self.store = None
         self.abort_reason: str | None = None
         self.abort_retryable = False
         self.executed_tx = None
@@ -488,16 +494,10 @@ def deliver(session: Session, message: Message) -> None:
     receiver.take_snapshot(session.step)
 
 
-# "|channel|from|to|" of a transcript line, by channel name
-_LINE_PREFIX = {
-    name: f"|{c.kind.value}|{c.sender.value}|{c.receiver.value}|" for name, c in CHANNELS.items()
-}
-
-
 def export_transcript(session: Session) -> str:
     """step|channel|from|to|tag|digest lines, one per delivery, from step 1."""
     return "".join(
-        f"{step}{_LINE_PREFIX[m.CHANNEL.name]}{m.TAG}|{m.digest()}\n"
+        f"{step}{m.LINE_PREFIX}{m.digest()}\n"
         for step, m in enumerate(session.transcript, 1)
     )
 

@@ -255,14 +255,12 @@ class SessionConfig:
 
 
 @register_message("click_terminal", "typed_id")
-@dataclass(frozen=True)
 class TypeId(Message):
     TAG = "type_id"
     user_id: str
 
 
 @register_message("net_up")
-@dataclass(frozen=True)
 class LoginRequest(Message):
     TAG = "login_request"
     user_id: str
@@ -270,7 +268,6 @@ class LoginRequest(Message):
 
 
 @register_message("net_down")
-@dataclass(frozen=True)
 class KeyboardChallenge(Message):
     TAG = "kbd_challenge"
     frame: VisualFrame
@@ -279,21 +276,18 @@ class KeyboardChallenge(Message):
 
 
 @register_message("net_down")
-@dataclass(frozen=True)
 class OtpChallenge(Message):
     TAG = "otp_challenge"
     frame: VisualFrame
 
 
 @register_message("net_down")
-@dataclass(frozen=True)
 class NonceChallenge(Message):
     TAG = "nonce_challenge"
     frame: VisualFrame
 
 
 @register_message("terminal_display_phone", "frame_payload")
-@dataclass(frozen=True)
 class ShowFrame(Message):
     TAG = "show_frame"
     frame: VisualFrame
@@ -301,7 +295,6 @@ class ShowFrame(Message):
 
 
 @register_message("terminal_display_user", "keyboard")
-@dataclass(frozen=True)
 class ShowKeyboard(Message):
     TAG = "show_keyboard"
     layout_kind: str  # "blank" or "full"
@@ -310,81 +303,69 @@ class ShowKeyboard(Message):
 
 
 @register_message("phone_display_user", "layout")
-@dataclass(frozen=True)
 class ShowLayout(Message):
     TAG = "show_layout"
     layout: KeyboardPermutation
 
 
 @register_message("click_terminal", "positions")
-@dataclass(frozen=True)
 class ClickPositions(Message):
     TAG = "click_positions"
     positions: tuple[int, ...]
 
 
 @register_message("terminal_display_user", "positions")
-@dataclass(frozen=True)
 class EchoClicks(Message):
     TAG = "echo_clicks"
     positions: tuple[int, ...]
 
 
 @register_message("net_up", "positions")
-@dataclass(frozen=True)
 class SubmitPositions(Message):
     TAG = "submit_positions"
     positions: tuple[int, ...]
 
 
 @register_message("phone_display_user", "otp")
-@dataclass(frozen=True)
 class ShowOtp(Message):
     TAG = "show_otp"
     otp: str
 
 
 @register_message("click_terminal", "otp")
-@dataclass(frozen=True)
 class TypeOtp(Message):
     TAG = "type_otp"
     otp: str
 
 
 @register_message("terminal_display_user", "otp")
-@dataclass(frozen=True)
 class EchoOtp(Message):
     TAG = "echo_otp"
     otp: str
 
 
 @register_message("net_up", "otp")
-@dataclass(frozen=True)
 class SubmitOtp(Message):
     TAG = "submit_otp"
     otp: str
 
 
 @register_message("click_terminal", "click")
-@dataclass(frozen=True)
 class Connect(Message):
     TAG = "connect"
 
 
 @register_message("net_up")
-@dataclass(frozen=True)
 class ConnectRequest(Message):
     TAG = "connect_request"
 
 
 @register_message("phone_display_user")
-@dataclass(frozen=True)
 class ShowLoginBox(Message):
     TAG = "show_login_box"
 
 
 @register_message("click_phone", "login")
-@dataclass(frozen=True)
 class TypeCredentials(Message):
     TAG = "type_credentials"
     user_id: str
@@ -392,7 +373,6 @@ class TypeCredentials(Message):
 
 
 @register_message("phone_display_user", "masked_login")
-@dataclass(frozen=True)
 class EchoMaskedCredentials(Message):
     TAG = "echo_masked_credentials"
     user_id: str
@@ -400,49 +380,42 @@ class EchoMaskedCredentials(Message):
 
 
 @register_message("phone_display_terminal", "ciphertext")
-@dataclass(frozen=True)
 class UploadFrame(Message):
     TAG = "upload_frame"
     frame: VisualFrame
 
 
 @register_message("net_up", "ciphertext")
-@dataclass(frozen=True)
 class SubmitCiphertext(Message):
     TAG = "submit_ciphertext"
     blob: bytes  # ciphertext wire bytes; all the terminal ever holds
 
 
 @register_message("net_down")
-@dataclass(frozen=True)
 class AuthResult(Message):
     TAG = "auth_result"
     ok: bool
 
 
 @register_message("terminal_display_user")
-@dataclass(frozen=True)
 class ShowResult(Message):
     TAG = "show_result"
     ok: bool
 
 
 @register_message("click_terminal", "click")
-@dataclass(frozen=True)
 class RequestTx(Message):
     TAG = "request_tx"
     tx: Transaction
 
 
 @register_message("net_up", "tx")
-@dataclass(frozen=True)
 class SubmitTx(Message):
     TAG = "submit_tx"
     tx: Transaction
 
 
 @register_message("net_down")
-@dataclass(frozen=True)
 class TxConfirmation(Message):
     TAG = "tx_confirmation"
     display_tx: Transaction
@@ -450,21 +423,18 @@ class TxConfirmation(Message):
 
 
 @register_message("terminal_display_phone", "frame_payload")
-@dataclass(frozen=True)
 class ShowTxFrame(Message):
     TAG = "show_tx_frame"
     frame: VisualFrame
 
 
 @register_message("terminal_display_user", "tx")
-@dataclass(frozen=True)
 class ShowTxPage(Message):
     TAG = "show_tx_page"
     tx: Transaction
 
 
 @register_message("phone_display_user")
-@dataclass(frozen=True)
 class ShowVerifiedTx(Message):
     TAG = "show_verified_tx"
     tx: Transaction | None
@@ -473,28 +443,24 @@ class ShowVerifiedTx(Message):
 
 
 @register_message("click_terminal", "click")
-@dataclass(frozen=True)
 class ConfirmTx(Message):
     TAG = "confirm_tx"
     ok: bool
 
 
 @register_message("net_up")
-@dataclass(frozen=True)
 class ForwardConfirm(Message):
     TAG = "forward_confirm"
     ok: bool
 
 
 @register_message("click_phone", "click")
-@dataclass(frozen=True)
 class ConfirmOnPhone(Message):
     TAG = "confirm_on_phone"
     tx: Transaction
 
 
 @register_message("cellular", "tx")
-@dataclass(frozen=True)
 class SideCopy(Message):
     TAG = "side_copy"
     tx: Transaction
@@ -502,14 +468,12 @@ class SideCopy(Message):
 
 
 @register_message("net_down")
-@dataclass(frozen=True)
 class TxResult(Message):
     TAG = "tx_result"
     accepted: bool
 
 
 @register_message("net_down")
-@dataclass(frozen=True)
 class SecureDocMessage(Message):
     TAG = "secure_doc"
     labels: tuple[str, ...]
@@ -517,7 +481,6 @@ class SecureDocMessage(Message):
 
 
 @register_message("terminal_display_phone")
-@dataclass(frozen=True)
 class ShowDoc(Message):
     TAG = "show_doc"
     labels: tuple[str, ...]
@@ -525,7 +488,6 @@ class ShowDoc(Message):
 
 
 @register_message("phone_display_user")
-@dataclass(frozen=True)
 class ShowFields(Message):
     TAG = "show_fields"
     values: tuple[tuple[str, str], ...]
@@ -544,7 +506,10 @@ def _pack_signed(ct: crypto.Ciphertext, sig: Signature | None) -> bytes:
 
 
 def _unpack_signed(payload: bytes) -> tuple[crypto.Ciphertext, Signature | None]:
+    """The inverse of _pack_signed: ValueError for a length past the end."""
     (n,) = struct.unpack(">I", payload[:4])
+    if 4 + n > len(payload):
+        raise ValueError("sealed payload is shorter than its length prefix")
     ct = crypto.Ciphertext.from_bytes(payload[4 : 4 + n])
     rest = payload[4 + n :]
     return ct, (Signature.from_bytes(rest) if rest else None)
@@ -593,8 +558,8 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
     """A camera capture: apply the scenario's corruption, then decode."""
     cfg = session.config
     count = cfg.corrupt_codewords
-    if cfg.corrupt_context is not None and cfg.corrupt_context != context:
-        count = 0
+    if cfg.corrupt_context not in (None, context) or not isinstance(frame, VisualFrame):
+        count = 0  # nothing to damage here; qr_decode refuses what is not a frame
     elif count in ("budget", "budget+1"):
         count = qr.correction_budget(frame.spec) + (count == "budget+1")
     if count:
@@ -614,21 +579,17 @@ class Party(Entity):
 
     phase = "start"
 
-    def handler_for(self, message: Message):
+    def receive(self, message: Message) -> None:
+        tag = message.TAG
         flow = FLOWS[self.session.config.protocol][self.kind]
         phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase
-        row = flow.get(phase, {}).get(message.tag)
+        row = flow.get(phase, {}).get(tag)
         if row is None:
-            known = any(message.tag in rows for rows in flow.values())
-            reason = f"{message.tag}_{'out_of_order' if known else 'out_of_protocol'}"
-            return lambda msg: self.session.finish(Outcome.ABORTED, reason)
-        handler, next_phase = row
-
-        def step(msg: Message) -> None:
-            self.phase = next_phase
-            handler(self, msg)
-
-        return step
+            known = any(tag in rows for rows in flow.values())
+            self.session.finish(Outcome.ABORTED, f"{tag}_{'out_of_order' if known else 'out_of_protocol'}")
+            return
+        handler, self.phase = row
+        handler(self, message)
 
 
 class UserModel(Party):
@@ -702,7 +663,7 @@ class UserModel(Party):
         self.state["echo_positions"] = msg.positions
 
     def on_echo_otp(self, msg: EchoOtp) -> None:
-        self.state["echo_otp_len"] = len(msg.otp)
+        self.state["echo_otp_len"] = len(msg.otp) if isinstance(msg.otp, str) else None
 
     def on_echo_masked_credentials(self, msg: EchoMaskedCredentials) -> None:
         self.state["masked_echo"] = msg.masked
@@ -810,9 +771,12 @@ class Smartphone(Party):
 
     kind = EntityKind.SMARTPHONE
 
-    def __init__(self, session, keypair: KeyPair, server_public: bytes, server_name: str):
+    def __init__(self, session, keypair: KeyPair):
         super().__init__(session)
-        self.state.update(keypair=keypair, server_public=server_public, server_name=server_name)
+        store = session.store
+        self.state.update(
+            keypair=keypair, server_public=store.server_pair.public_key, server_name=store.server_name
+        )
 
     def on_show_frame(self, msg: ShowFrame, context: str, read) -> None:
         # the flow's row, never the terminal's label, says what the frame holds
@@ -905,7 +869,11 @@ class Smartphone(Party):
 
     def on_show_doc(self, msg: ShowDoc) -> None:
         values, failures = [], []
-        for label, frame in zip(msg.labels, msg.frames):
+        try:
+            fields = tuple(zip(msg.labels, msg.frames, strict=True))
+        except (TypeError, ValueError):  # a malformed document: every field fails
+            fields, failures = (), list(msg.labels) if isinstance(msg.labels, tuple) else ["document"]
+        for label, frame in fields:
             try:
                 blob = _capture(self.session, frame, f"secure_field:{label}")
                 plain = crypto.decrypt(self.state["keypair"], crypto.Ciphertext.from_bytes(blob))
@@ -926,9 +894,9 @@ class Server(Party):
 
     kind = EntityKind.SERVER
 
-    def __init__(self, session, store: CredentialStore):
+    def __init__(self, session):
         super().__init__(session)
-        self.store = store
+        store = session.store
         self.state.update(
             name=store.server_name,
             keypair=store.server_pair,
@@ -974,7 +942,7 @@ class Server(Party):
         self.emit(OtpChallenge(frame=self._sealed_frame(token.value.encode("ascii"), "otp_challenge")))
 
     def _issue_nonce(self) -> None:
-        nonce = crypto.fresh_nonce(self.session.rng, self.store.issued_nonces)
+        nonce = crypto.fresh_nonce(self.session.rng, self.session.store.issued_nonces)
         self.state["nonce"] = nonce
         self.state["nonce_consumed"] = False
         frame = _frame(self.session, nonce.value, "nonce_challenge")
@@ -1055,12 +1023,15 @@ class Server(Party):
         self._settle_tx(msg.ok, Outcome.CONFIRMED if msg.ok else Outcome.USER_FLAGGED_MISMATCH)
 
     def on_guarded_tx(self, msg: SubmitTx) -> None:
-        # HIJACKGUARD: execute only once the side copy matches
+        # HIJACKGUARD: execute only once the side copy matches; with the guard
+        # off, at once, but only a transaction
         self.state["received_tx"] = msg.tx
         if self.session.config.flags.hijack_guard:
             self._check_guard()
-        else:
+        elif isinstance(msg.tx, Transaction):
             self._settle_tx(True, Outcome.ACCEPTED)
+        else:
+            self.session.finish(Outcome.ABORTED, "submit_tx_malformed")
 
     def on_side_copy(self, msg: SideCopy) -> None:
         self.state["side_tx"] = msg.tx
@@ -1209,19 +1180,12 @@ def build_session(config: SessionConfig, store: CredentialStore) -> Session:
     credential = store.users.get(config.user_id)
     if credential is None:
         raise ValueError(f"no provisioned user {config.user_id!r}")
-    session = Session(config.seed)
-    session.config = config
-    session.store = store
+    session = Session(config.seed, config, store)
 
     user = UserModel(session, config, credential.password)
     terminal = Terminal(session)
-    phone = Smartphone(
-        session,
-        keypair=credential.keypair,
-        server_public=store.server_pair.public_key,
-        server_name=store.server_name,
-    )
-    server = Server(session, store)
+    phone = Smartphone(session, credential.keypair)
+    server = Server(session)
     for entity in (user, terminal, phone, server):
         session.add_entity(entity)
 

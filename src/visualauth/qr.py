@@ -361,8 +361,11 @@ def qr_decode(frame: VisualFrame) -> bytes:
     Succeeds iff the corrupted-codeword count is within the frame's budget;
     the healed stream must also pass a full parity recheck, so a decode
     never hands back bytes that differ from the encoded payload, and it
-    must be exactly the stream qr_encode writes for that payload.
+    must be exactly the stream qr_encode writes for that payload. What is
+    not a VisualFrame is refused too: no payload can be read off it.
     """
+    if not isinstance(frame, VisualFrame):
+        raise UncorrectableFrameError(f"a {type(frame).__name__} is not a frame")
     budget = correction_budget(frame.spec)
     if len(frame.corrupted_codewords) > budget:
         raise UncorrectableFrameError(

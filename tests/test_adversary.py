@@ -610,7 +610,7 @@ class TestSharedSession:
         config = SessionConfig(protocol=Protocol.TXVERIFY, seed=0)
         honest, _ = run_attacked_session(config, MATRIX_CONFIGS)
         altered = run_flow(config, adversaries=[adversary._altering(EntityKind.TERMINAL)])
-        assert EVIL_TX in [m.tx for m in altered.session.transcript if m.tag == "submit_tx"]
+        assert EVIL_TX in [m.tx for m in altered.session.transcript if m.TAG == "submit_tx"]
         watched = [adversary.AttackerHandle(c, altered.session) for c in MATRIX_CONFIGS]
         changed = {
             (a.config.kind, a.config.locus)

@@ -267,7 +267,8 @@ class TestEncoderOracle:
 
 def _reference_digest(message) -> str:
     body = _reference_body_bytes(message)
-    wire = bytes([entities._TAG_BYTES[message.tag]]) + struct.pack(">I", len(body)) + body
+    tag_byte = list(entities.MESSAGES).index(message.TAG) + 1
+    wire = bytes([tag_byte]) + struct.pack(">I", len(body)) + body
     return hashlib.sha256(wire).hexdigest()[:16]
 
 
@@ -420,31 +421,65 @@ class TestLazyRecords:
 
 
 class TestRegistration:
-    """register_message takes only frozen dataclasses: the transcript, the
-    snapshots and the encoding memo all hold messages by reference."""
+    """register_message makes each message class a frozen dataclass itself:
+    the transcript, the snapshots and the encoding memo all hold messages by
+    reference. A class it refuses takes no tag."""
+
+    @pytest.fixture(autouse=True)
+    def _no_class_left_behind(self):
+        yield
+        gc.collect()  # the classes a test made are garbage once it returns
+        assert set(Message.__subclasses__()) == set(entities.MESSAGES.values())
+
+    def test_an_undecorated_message_subclass_is_registered_frozen(self, monkeypatch):
+        monkeypatch.setattr(entities, "MESSAGES", dict(entities.MESSAGES))
+        bare = register_message("net_up", "note")(
+            type("Bare", (Message,), {"__annotations__": {"note": "str"}, "TAG": "bare"})
+        )
+        assert entities.MESSAGES["bare"] is bare
+        assert bare.__dict__["__dataclass_params__"].frozen
+        assert bare.TAG_BYTE == bytes([len(entities.MESSAGES)])
+        assert bare.LINE_PREFIX == "|network|terminal|server|bare|"
+        assert (bare.FIELDS, bare.LABEL) == (("note",), "note")
+        instance = bare(note="kept")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instance.note = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instance.extra = "added"
+        monkeypatch.undo()
+        assert "bare" not in entities.MESSAGES
+
+    def test_a_message_that_is_already_a_dataclass_is_refused(self):
+        @dataclass(frozen=True)
+        class Twice(Message):
+            TAG: ClassVar[str] = "twice"
+            note: str
+
+        with pytest.raises(TypeError, match="Twice already carries @dataclass"):
+            register_message("net_up")(Twice)
+        assert "twice" not in entities.MESSAGES
+        assert not hasattr(Twice, "TAG_BYTE")
 
     def test_a_mutable_dataclass_is_refused(self):
+        # no Message subclass can be a mutable dataclass, so this one is a stray
         @dataclass
         class Loose:
             TAG: ClassVar[str] = "loose"
             note: str
 
-        with pytest.raises(TypeError, match="Loose is not a frozen dataclass"):
+        with pytest.raises(TypeError, match="Loose.* is not a Message subclass"):
             register_message("net_up")(Loose)
-        assert "loose" not in entities._TAG_BYTES
+        assert "loose" not in entities.MESSAGES
+        assert not hasattr(Loose, "TAG_BYTE")
 
-    def test_an_undecorated_message_subclass_is_refused(self):
-        # it inherits Message's frozen parameters, yet its instances take
-        # new attributes: only a class's own @dataclass(frozen=True) counts
-        bare = type("Bare", (Message,), {"TAG": "bare"})
-        instance = bare()
-        instance.note = "changed"
-        with pytest.raises(TypeError, match="Bare is not a frozen dataclass"):
-            register_message("net_up")(bare)
-        assert "bare" not in entities._TAG_BYTES
-        del bare, instance
-        gc.collect()  # Message.__subclasses__() lists only registered classes again
-        assert all(cls.TAG != "bare" for cls in Message.__subclasses__())
+    @pytest.mark.parametrize(
+        "channel, tag, error", [("net_up", "type_id", "duplicate"), ("nowhere", "lost", "unknown")]
+    )
+    def test_a_duplicate_tag_or_unknown_channel_is_refused(self, channel, tag, error):
+        before = dict(entities.MESSAGES)
+        with pytest.raises(ValueError, match=error):
+            register_message(channel)(type("Again", (Message,), {"TAG": tag}))
+        assert entities.MESSAGES == before
 
     def test_a_label_defaults_to_the_tag(self):
         assert LoginRequest.LABEL == LoginRequest.TAG == "login_request"
@@ -663,7 +698,7 @@ class TestTaps:
 
         def tap(msg):
             if msg.CHANNEL.kind is ChannelKind.CLICK:
-                seen.append((msg.CHANNEL.name, msg.tag))
+                seen.append((msg.CHANNEL.name, msg.TAG))
 
         for entity in session.entities.values():
             entity.io_taps.append(tap)

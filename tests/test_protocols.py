@@ -234,7 +234,7 @@ class TestHonestLogins:
         session = build_session(_cfg(Protocol.P1, 107), store)
         # the terminal draws the keyboard for the user
         session.entities[EntityKind.USER].io_taps.append(
-            lambda msg: shown.append(msg) if msg.tag == "show_keyboard" else None
+            lambda msg: shown.append(msg) if msg.TAG == "show_keyboard" else None
         )
         session.entities[EntityKind.USER].begin()
         session.run()
@@ -303,7 +303,7 @@ class TestWrongCredentials:
         )
         # the phone shows the layout to the user
         session.entities[EntityKind.USER].io_taps.append(
-            lambda msg: layouts.append(msg.layout) if msg.tag == "show_layout" else None
+            lambda msg: layouts.append(msg.layout) if msg.TAG == "show_layout" else None
         )
         session.entities[EntityKind.USER].begin()
         assert session.run() is Outcome.AUTHENTICATED
@@ -412,7 +412,7 @@ def _rewriting_frames(**changes):
 
     def install(session):
         session.entities[EntityKind.TERMINAL].outbound_hooks.append(
-            lambda msg: dataclasses.replace(msg, **changes) if msg.tag == "show_frame" else msg
+            lambda msg: dataclasses.replace(msg, **changes) if msg.TAG == "show_frame" else msg
         )
 
     return install
@@ -428,7 +428,7 @@ def _relabelling_signature(locus, tags, role):
     ends the frame of each message tagged in tags."""
 
     def relabel(msg):
-        if msg.tag not in tags:
+        if msg.TAG not in tags:
             return msg
         payload = bytearray(msg.frame.payload)
         payload[-65] = role
@@ -528,7 +528,7 @@ class TestFrameHandling:
         session = build_session(_cfg(protocol, 135), store)
 
         def mangle(msg):
-            if msg.tag not in ("kbd_challenge", "otp_challenge"):
+            if msg.TAG not in ("kbd_challenge", "otp_challenge"):
                 return msg
             ct, sig = _unpack_signed(msg.frame.payload)
             bad_sig = dataclasses.replace(sig, sig=bytes(b ^ 1 for b in sig.sig))
@@ -594,9 +594,9 @@ class TestFrameHandling:
         # Both refusals are recorded as late verdicts, each with its reason
         def install(session):
             def tap(msg):
-                if msg.tag == "nonce_challenge":
+                if msg.TAG == "nonce_challenge":
                     session.inject(SubmitCiphertext(blob=b"garbage"))
-                elif msg.tag == "show_frame":
+                elif msg.TAG == "show_frame":
                     session.inject(TypeCredentials(user_id="alice", password="data"))
 
             for entity in session.entities.values():
@@ -604,7 +604,7 @@ class TestFrameHandling:
 
         result = run_flow(_cfg(Protocol.P3, 140), adversaries=[_rewriting_frames(context="bogus"), install])
         assert result.outcome is Outcome.DENIED
-        assert "type_credentials" in [e.tag for e in result.session.transcript]
+        assert "type_credentials" in [e.TAG for e in result.session.transcript]
         assert "login" not in result.session.entities[EntityKind.SMARTPHONE].state
         assert result.session.late_verdicts == [
             (5, Outcome.ABORTED, "show_frame_out_of_protocol"),
@@ -674,7 +674,7 @@ class TestTransactionVerification:
         session = build_session(_cfg(Protocol.TXVERIFY, 141), store)
 
         def rewrite(msg):
-            if msg.tag == "submit_tx":
+            if msg.TAG == "submit_tx":
                 return SubmitTx(tx=EVIL)
             return msg
 
@@ -692,7 +692,7 @@ class TestTransactionVerification:
         session = build_session(_cfg(Protocol.TXVERIFY, 142), store)
 
         def lie(msg):
-            if msg.tag == "show_tx_page":
+            if msg.TAG == "show_tx_page":
                 return ShowTxPage(tx=EVIL)
             return msg
 
@@ -725,7 +725,7 @@ class TestTransactionVerification:
     @staticmethod
     def _rewriting_confirmation(rewrite):
         def hook(msg):
-            if msg.tag != "show_tx_frame":
+            if msg.TAG != "show_tx_frame":
                 return msg
             payload = msg.frame.payload
             (n,) = struct.unpack(">I", payload[:4])
@@ -859,7 +859,7 @@ class TestHijackGuard:
     def test_side_copy_labelled_server_rejected(self):
         # the user's own valid signature, relabelled as the server's
         def relabel(msg):
-            if msg.tag != "side_copy":
+            if msg.TAG != "side_copy":
                 return msg
             return dataclasses.replace(msg, signature=dataclasses.replace(msg.signature, signer=Role.SERVER))
 
@@ -877,7 +877,7 @@ class TestHijackGuard:
         session = build_session(_cfg(Protocol.HIJACKGUARD, 161), store)
 
         def rewrite(msg):
-            if msg.tag == "submit_tx":
+            if msg.TAG == "submit_tx":
                 return SubmitTx(tx=EVIL)
             return msg
 
@@ -943,7 +943,7 @@ class TestDispatch:
         # a message travels only on its declared channel; whoever sits at
         # the far end of that channel takes it in some flow's rows
         registered = Message.__subclasses__()
-        assert {cls.TAG for cls in registered} == set(entities._TAG_BYTES)
+        assert {cls.TAG for cls in registered} == set(entities.MESSAGES)
         for cls in registered:
             receiver = cls.CHANNEL.receiver
             assert any(
@@ -961,14 +961,14 @@ class TestDispatch:
         for seed in range(3):
             result = run_flow(_cfg(protocol, seed))
             assert result.session.abort_reason is None, seed
-            delivered = {(m.CHANNEL.receiver, m.tag) for m in result.session.transcript}
+            delivered = {(m.CHANNEL.receiver, m.TAG) for m in result.session.transcript}
             assert delivered == named, (seed, delivered ^ named)
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_honest_run_follows_its_declared_sequence(self, protocol):
         for seed in range(3):
             transcript = run_flow(_cfg(protocol, seed)).session.transcript
-            assert tuple(m.tag for m in transcript) == HONEST_SEQUENCES[protocol], seed
+            assert tuple(m.TAG for m in transcript) == HONEST_SEQUENCES[protocol], seed
 
     def test_run_flow_routes_by_protocol(self):
         assert run_flow(_cfg(Protocol.P2, 170)).outcome is Outcome.AUTHENTICATED
@@ -1037,7 +1037,7 @@ def _client_bound(seed):
     for protocol in Protocol:
         for m in run_flow(_cfg(protocol, seed)).session.transcript:
             if m.CHANNEL.receiver is not EntityKind.SERVER:
-                samples.setdefault(m.tag, m)
+                samples.setdefault(m.TAG, m)
     return tuple(samples.values())
 
 
@@ -1073,12 +1073,12 @@ class TestServerFailsClosed:
             # the attacker's transaction lands before the forwarded confirm
             (Protocol.TXVERIFY, SubmitTx(tx=EVIL), 7),
         ],
-        ids=lambda v: getattr(v, "tag", str(v)),
+        ids=lambda v: getattr(v, "TAG", str(v)),
     )
     def test_repeated_flow_message_aborts(self, protocol, message, at):
         session = _run_with_injected(_cfg(protocol, 183), message, at=at)
         assert session.outcome is Outcome.ABORTED
-        assert session.abort_reason == f"{message.tag}_out_of_order"
+        assert session.abort_reason == f"{message.TAG}_out_of_order"
         assert session.executed_tx is None
 
     def test_guard_off_executes_one_transaction(self):
@@ -1089,7 +1089,7 @@ class TestServerFailsClosed:
         assert session.outcome is Outcome.ACCEPTED
         assert session.executed_tx == EVIL
         assert session.entities[EntityKind.SERVER].state["executed_tx"] == EVIL
-        results = [m for m in session.transcript if m.tag == "tx_result"]
+        results = [m for m in session.transcript if m.TAG == "tx_result"]
         assert len(results) == 1
 
     @pytest.mark.parametrize("protocol", list(Protocol))
@@ -1100,7 +1100,7 @@ class TestServerFailsClosed:
         for message in SERVER_BOUND:
             for at in range(deliveries + 1):
                 session = _run_with_injected(config, message, at=at)
-                where = (message.tag, at)
+                where = (message.TAG, at)
                 assert session.outcome is not None, where
                 assert secrecy_violations(session) == [], where
                 assert session.executed_tx in (None, DEFAULT_TX), where
@@ -1118,7 +1118,7 @@ class TestServerFailsClosed:
         for message in _client_bound(185):
             for at in range(deliveries + 1):
                 session = _run_with_injected(config, message, at=at)
-                where = (message.tag, at)
+                where = (message.TAG, at)
                 assert session.outcome is not None, where
                 assert secrecy_violations(session) == [], where
                 assert session.executed_tx in (None, DEFAULT_TX), where
@@ -1139,19 +1139,59 @@ class TestServerFailsClosed:
                            Outcome.REJECTED, None),
         "signature_bytes": (Protocol.HIJACKGUARD, EntityKind.SMARTPHONE, {"side_copy": {"signature": b"junk"}},
                             Outcome.REJECTED, None),
+        # with the guard off the server executes at once, so the type check
+        # is all that stands; this mutant used to execute "x"
+        "guard_off_tx_text": (Protocol.HIJACKGUARD, EntityKind.TERMINAL, {"submit_tx": {"tx": "x"}},
+                              Outcome.ABORTED, "submit_tx_malformed"),
     }
+    WRONG_TYPED_FLAGS = {"guard_off_tx_text": SessionFlags(hijack_guard=False)}
 
     @pytest.mark.parametrize("name", WRONG_TYPED)
     def test_wrong_typed_submission_is_refused(self, name):
         protocol, locus, changes, outcome, reason = self.WRONG_TYPED[name]
         installs = [_rewriting(locus, **changes)] if locus else []
-        session = run_flow(_cfg(protocol, 3), CredentialStore.provision(3), adversaries=installs).session
+        config = _cfg(protocol, 3, flags=self.WRONG_TYPED_FLAGS.get(name, SessionFlags()))
+        session = run_flow(config, CredentialStore.provision(3), adversaries=installs).session
         assert (session.outcome, session.abort_reason) == (outcome, reason)
         executed = DEFAULT_TX if outcome in (Outcome.CONFIRMED, Outcome.ACCEPTED) else None
         assert session.executed_tx == executed
         # a malformed submission is signed by no one: no confirmation goes out
-        signed = any(m.tag == "tx_confirmation" for m in session.transcript)
+        signed = any(m.TAG == "tx_confirmation" for m in session.transcript)
         assert signed == (outcome is Outcome.CONFIRMED)
+
+    # (flow, what the terminal rewrites, outcome, abort reason, failed view
+    # fields); the empty rewrites are the honest controls, and each mutant
+    # raised AttributeError or TypeError at the phone or the user before
+    # they refused a wrong-typed frame or field. Each runs clean and with
+    # every capture damaged up to its budget, which heals: damage is never
+    # applied to what is not a frame
+    CLIENT_WRONG_TYPED = {
+        "p1_honest": (Protocol.P1, {}, Outcome.AUTHENTICATED, None, ()),
+        "p1_frame_none": (Protocol.P1, {"show_frame": {"frame": None}}, Outcome.ABORTED,
+                          "frame_undecodable", ()),
+        "p2_honest": (Protocol.P2, {}, Outcome.AUTHENTICATED, None, ()),
+        "p2_echo_otp_none": (Protocol.P2, {"echo_otp": {"otp": None}}, Outcome.AUTHENTICATED, None, ()),
+        "txverify_honest": (Protocol.TXVERIFY, {}, Outcome.CONFIRMED, None, ()),
+        "txverify_frame_none": (Protocol.TXVERIFY, {"show_tx_frame": {"frame": None}},
+                                Outcome.USER_FLAGGED_MISMATCH, None, ()),
+        "secureview_honest": (Protocol.SECUREVIEW, {}, Outcome.VIEWED, None, ()),
+        "secureview_frames_none": (Protocol.SECUREVIEW, {"show_doc": {"frames": None}}, Outcome.VIEWED,
+                                   None, ("balance", "statement")),
+    }
+
+    @pytest.mark.parametrize("name", CLIENT_WRONG_TYPED)
+    def test_wrong_typed_field_at_a_client_ends_in_a_verdict(self, name):
+        protocol, changes, outcome, reason, failures = self.CLIENT_WRONG_TYPED[name]
+        installs = [_rewriting(EntityKind.TERMINAL, **changes)]
+        for damage in (0, "budget"):
+            config = _cfg(protocol, 3, corrupt_codewords=damage)
+            session = run_flow(config, CredentialStore.provision(3), adversaries=installs).session
+            assert (session.outcome, session.abort_reason) == (outcome, reason), damage
+            assert session.view_failures == failures, damage
+            assert session.late_verdicts == [], damage
+            assert session.executed_tx == (DEFAULT_TX if outcome is Outcome.CONFIRMED else None)
+            if failures:
+                assert session.view_values == {}
 
     def test_credentials_before_the_nonce_scan_abort(self):
         # the user answers an early login box, but the P3 phone takes
@@ -1172,14 +1212,14 @@ class TestServerFailsClosed:
         registered = {
             cls.TAG for cls in Message.__subclasses__() if cls.CHANNEL.receiver is EntityKind.SERVER
         }
-        assert registered <= {message.tag for message in SERVER_BOUND}
+        assert registered <= {message.TAG for message in SERVER_BOUND}
 
     def test_client_bound_covers_the_registry(self):
         registered = {
             cls.TAG for cls in Message.__subclasses__() if cls.CHANNEL.receiver is not EntityKind.SERVER
         }
         assert len(registered) == 30
-        assert registered == {message.tag for message in _client_bound(185)}
+        assert registered == {message.TAG for message in _client_bound(185)}
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_every_tag_a_phase_lacks_aborts(self, protocol):
@@ -1191,12 +1231,12 @@ class TestServerFailsClosed:
             bound = [m for m in (*SERVER_BOUND, *_client_bound(185)) if m.CHANNEL.receiver is party]
             for phase in (*flow, "done"):
                 for message in bound:
-                    if message.tag in flow.get(phase, {}):
+                    if message.TAG in flow.get(phase, {}):
                         continue
                     session = build_session(_cfg(protocol, 187), store)
                     session.entities[party].phase = phase
                     deliver(session, message)
-                    where = (party, phase, message.tag)
+                    where = (party, phase, message.TAG)
                     assert session.outcome is Outcome.ABORTED, where
-                    kind = "out_of_order" if message.tag in known else "out_of_protocol"
-                    assert session.abort_reason == f"{message.tag}_{kind}", where
+                    kind = "out_of_order" if message.TAG in known else "out_of_protocol"
+                    assert session.abort_reason == f"{message.TAG}_{kind}", where

@@ -9,6 +9,7 @@ import pkgutil
 from pathlib import Path
 
 import visualauth
+from visualauth.entities import MESSAGES, Message
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAX_LINE = 110
@@ -155,3 +156,47 @@ def test_the_enum_hash_check_can_fail():
         A = "a"
 
     assert not hashes_by_identity(Scratch)
+
+
+def message_contract_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each class in source declared both by @register_message(...) and by
+    @dataclass(...): register_message alone makes a message a frozen record."""
+    findings = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            names = {_name(deco.func if isinstance(deco, ast.Call) else deco) for deco in node.decorator_list}
+            if {"register_message", "dataclass"} <= names:
+                findings.append(f"{filename}:{node.lineno} {node.name}: @dataclass beside @register_message")
+    return findings
+
+
+def test_each_message_is_declared_once():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        findings += message_contract_findings(path.read_text(encoding="utf-8"), str(path.relative_to(SRC)))
+    assert findings == []
+    # the runtime half: register_message made each class a frozen dataclass
+    # of its own and gave it the next tag byte, in registration order
+    registered = list(MESSAGES.values())
+    assert set(Message.__subclasses__()) == set(registered)
+    assert len(registered) == 38
+    for index, cls in enumerate(registered, 1):
+        assert cls.__dict__["__dataclass_params__"].frozen, cls.__name__
+        assert cls.TAG_BYTE == bytes([index]), cls.__name__
+    assert len({cls.TAG_BYTE for cls in registered}) == len(registered)
+
+
+def test_the_message_contract_check_can_fail():
+    flagged = [
+        '@register_message("net_up")\n@dataclass(frozen=True)\nclass M(Message): ...',
+        '@dataclasses.dataclass\n@entities.register_message("net_up", "x")\nclass M(Message): ...',
+    ]
+    for source in flagged:
+        (finding,) = message_contract_findings(source)
+        assert "M: @dataclass beside @register_message" in finding, source
+    passed = [
+        '@register_message("net_up")\nclass M(Message): ...',
+        "@dataclass(frozen=True)\nclass Record: ...",
+    ]
+    for source in passed:
+        assert message_contract_findings(source) == [], source
