@@ -10,14 +10,16 @@ per-entity history of serialized state snapshots.
 The snapshot history exists for one reason: secrecy claims about where
 plaintext secrets may live are checked by scanning it, not by trusting
 the protocol code. Channels are fixed module-level declarations and
-carry nothing; a message travels only on the channel its class names.
-What an onlooker learns is read off the transcript after the run. An
-attacker that acts reaches a session only through an entity's io taps
-(each message delivered to it, as it arrives) and outbound hooks (which
-may rewrite or drop what it sends, but not send on another party's
-channel), or by queueing traffic with Session.inject, all installed
-before the user begins. The honest handler code cannot tell whether it
-is being watched, and no entity reads an attacker setting.
+carry nothing; a message travels only on the channel its class names,
+and a party runs a handler for it only if each field has the type its
+class declares (register_message; Party.receive in protocols). What an
+onlooker learns is read off the transcript after the run. An attacker
+that acts reaches a session only through an entity's io taps (each
+message delivered to it, as it arrives) and outbound hooks (which may
+rewrite or drop what it sends, but not send on another party's channel),
+or by queueing traffic with Session.inject, all installed before the
+user begins. The honest handler code cannot tell whether it is being
+watched, and no entity reads an attacker setting.
 
 Both records hold references, not bytes: a delivery keeps the message
 and a shallow copy of the receiver's state, and serializes neither.
@@ -46,11 +48,13 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import re
 import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, ClassVar
+from types import MappingProxyType, UnionType
+from typing import Any, Callable, ClassVar, Union, get_args, get_origin
 
 from . import rng as rngmod
 from .qr import VisualFrame
@@ -118,14 +122,15 @@ MESSAGES: dict[str, type[Message]] = {}  # tag -> class, in registration order
 def register_message(channel_name: str, label: str = ""):
     """Declare a Message subclass as a frozen record on its one legal channel.
 
-    The only place a message's contract is stated: the decorator makes the
-    class a frozen dataclass (the records and the encoding memo hold
-    messages by reference) and sets everything the fabric reads off it:
-    CHANNEL (Entity.emit, Session.inject and deliver route by it), LABEL
-    (adversary.observe; by default the tag), FIELDS, TAG_BYTE (its wire tag,
-    one more than the classes registered before it) and LINE_PREFIX (its
-    transcript line up to the digest). A class that is no Message subclass,
-    or already carries its own @dataclass, is refused and takes no tag.
+    The class statement is the whole contract: the decorator makes the class
+    a frozen dataclass (the records and the encoding memo hold messages by
+    reference) and sets what the fabric reads off it: TAG (TypeId is
+    type_id), CHANNEL (emit, inject and deliver route by it), LABEL
+    (adversary.observe; by default the tag), FIELDS, CHECKS (each field's
+    type check, from its annotation), TAG_BYTE (its wire tag, in
+    registration order) and LINE_PREFIX. A class that is no Message
+    subclass, carries its own @dataclass or TAG, or declares a field type
+    _field_check cannot check is refused and takes no tag.
     """
 
     def deco(cls):
@@ -133,21 +138,53 @@ def register_message(channel_name: str, label: str = ""):
             raise TypeError(f"{cls!r} is not a Message subclass")
         if "__dataclass_params__" in cls.__dict__:
             raise TypeError(f"{cls.__name__} already carries @dataclass; register_message makes it")
-        tag = cls.TAG
+        if "TAG" in cls.__dict__:
+            raise TypeError(f"{cls.__name__} states its own TAG; register_message takes it from the name")
+        tag = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
         if tag in MESSAGES:
             raise ValueError(f"duplicate message tag {tag}")
         if channel_name not in CHANNELS:
             raise ValueError(f"unknown channel {channel_name}")
         cls = dataclass(frozen=True)(cls)
+        checks = []
+        for f in dataclasses.fields(cls):
+            try:
+                hint = eval(f.type, vars(sys.modules[cls.__module__])) if isinstance(f.type, str) else f.type
+                checks.append((f.name, _field_check(hint)))
+            except (NameError, TypeError) as exc:  # an undefined name, or no shape _field_check knows
+                raise TypeError(f"{cls.__name__}.{f.name}: {exc}") from None
+        cls.CHECKS = tuple(checks)
+        cls.FIELDS = tuple(name for name, _ in cls.CHECKS)
+        cls.TAG = tag
         cls.CHANNEL = channel = CHANNELS[channel_name]
         cls.LABEL = label or tag
-        cls.FIELDS = tuple(f.name for f in dataclasses.fields(cls))
         cls.TAG_BYTE = bytes([len(MESSAGES) + 1])
         cls.LINE_PREFIX = f"|{channel.kind.value}|{channel.sender.value}|{channel.receiver.value}|{tag}|"
         MESSAGES[tag] = cls
         return cls
 
     return deco
+
+
+def _field_check(hint) -> Callable[[object], bool]:
+    """Whether a value has type hint, for four shapes: a class (bool and int
+    exactly, so False is no click position), X | None, tuple[X, ...] and
+    tuple[X, Y]. TypeError for any other hint."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is None and isinstance(hint, type) and hint is not Any:  # Any is a class from 3.11
+        if hint in (bool, int):
+            return lambda v: type(v) is hint
+        return lambda v: isinstance(v, hint)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        (inner,) = [_field_check(arg) for arg in args if arg is not type(None)]
+        return lambda v: v is None or inner(v)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = _field_check(args[0])
+        return lambda v: isinstance(v, tuple) and all(map(item, v))
+    if origin is tuple and len(args) == 2:
+        first, second = map(_field_check, args)
+        return lambda v: isinstance(v, tuple) and len(v) == 2 and first(v[0]) and second(v[1])
+    raise TypeError(f"cannot check {hint!r}; use a class, X | None, tuple[X, ...] or tuple[X, Y]")
 
 
 def canonical_bytes(obj) -> bytes:
@@ -266,15 +303,19 @@ def _fields_encoder(cls: type) -> Callable[[object], bytes]:
 
 @dataclass(frozen=True)
 class Message:
-    """A typed message. A subclass states its TAG and its fields and is
-    declared by register_message, which sets the other class attributes."""
+    """A typed message. A subclass states only its fields and is declared by
+    register_message, which sets these class attributes."""
 
-    TAG: ClassVar[str] = ""
+    TAG: ClassVar[str]  # the class name in snake case
     CHANNEL: ClassVar[Channel]
     LABEL: ClassVar[str]
     FIELDS: ClassVar[tuple[str, ...]]  # the field names, in declaration order
+    CHECKS: ClassVar[tuple[tuple[str, Callable[[object], bool]], ...]]  # (field, its type check)
     TAG_BYTE: ClassVar[bytes]
     LINE_PREFIX: ClassVar[str]  # "|channel|from|to|tag|"
+
+    def well_formed(self) -> bool:  # every field holds a value of its declared type
+        return all(fits(getattr(self, name)) for name, fits in self.CHECKS)
 
     def body_bytes(self) -> bytes:
         return _fields_encoder(type(self))(self)

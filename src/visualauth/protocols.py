@@ -256,20 +256,17 @@ class SessionConfig:
 
 @register_message("click_terminal", "typed_id")
 class TypeId(Message):
-    TAG = "type_id"
     user_id: str
 
 
 @register_message("net_up")
 class LoginRequest(Message):
-    TAG = "login_request"
     user_id: str
     protocol: str
 
 
 @register_message("net_down")
-class KeyboardChallenge(Message):
-    TAG = "kbd_challenge"
+class KbdChallenge(Message):
     frame: VisualFrame
     grid_rows: int
     grid_cols: int
@@ -277,26 +274,22 @@ class KeyboardChallenge(Message):
 
 @register_message("net_down")
 class OtpChallenge(Message):
-    TAG = "otp_challenge"
     frame: VisualFrame
 
 
 @register_message("net_down")
 class NonceChallenge(Message):
-    TAG = "nonce_challenge"
     frame: VisualFrame
 
 
 @register_message("terminal_display_phone", "frame_payload")
 class ShowFrame(Message):
-    TAG = "show_frame"
     frame: VisualFrame
     context: str
 
 
 @register_message("terminal_display_user", "keyboard")
 class ShowKeyboard(Message):
-    TAG = "show_keyboard"
     layout_kind: str  # "blank" or "full"
     rows: int
     cols: int
@@ -304,139 +297,119 @@ class ShowKeyboard(Message):
 
 @register_message("phone_display_user", "layout")
 class ShowLayout(Message):
-    TAG = "show_layout"
     layout: KeyboardPermutation
 
 
 @register_message("click_terminal", "positions")
 class ClickPositions(Message):
-    TAG = "click_positions"
     positions: tuple[int, ...]
 
 
 @register_message("terminal_display_user", "positions")
 class EchoClicks(Message):
-    TAG = "echo_clicks"
     positions: tuple[int, ...]
 
 
 @register_message("net_up", "positions")
 class SubmitPositions(Message):
-    TAG = "submit_positions"
     positions: tuple[int, ...]
 
 
 @register_message("phone_display_user", "otp")
 class ShowOtp(Message):
-    TAG = "show_otp"
     otp: str
 
 
 @register_message("click_terminal", "otp")
 class TypeOtp(Message):
-    TAG = "type_otp"
     otp: str
 
 
 @register_message("terminal_display_user", "otp")
 class EchoOtp(Message):
-    TAG = "echo_otp"
     otp: str
 
 
 @register_message("net_up", "otp")
 class SubmitOtp(Message):
-    TAG = "submit_otp"
     otp: str
 
 
 @register_message("click_terminal", "click")
 class Connect(Message):
-    TAG = "connect"
+    pass
 
 
 @register_message("net_up")
 class ConnectRequest(Message):
-    TAG = "connect_request"
+    pass
 
 
 @register_message("phone_display_user")
 class ShowLoginBox(Message):
-    TAG = "show_login_box"
+    pass
 
 
 @register_message("click_phone", "login")
 class TypeCredentials(Message):
-    TAG = "type_credentials"
     user_id: str
     password: str
 
 
 @register_message("phone_display_user", "masked_login")
 class EchoMaskedCredentials(Message):
-    TAG = "echo_masked_credentials"
     user_id: str
     masked: str  # the login box masks the password glyphs
 
 
 @register_message("phone_display_terminal", "ciphertext")
 class UploadFrame(Message):
-    TAG = "upload_frame"
     frame: VisualFrame
 
 
 @register_message("net_up", "ciphertext")
 class SubmitCiphertext(Message):
-    TAG = "submit_ciphertext"
     blob: bytes  # ciphertext wire bytes; all the terminal ever holds
 
 
 @register_message("net_down")
 class AuthResult(Message):
-    TAG = "auth_result"
     ok: bool
 
 
 @register_message("terminal_display_user")
 class ShowResult(Message):
-    TAG = "show_result"
     ok: bool
 
 
 @register_message("click_terminal", "click")
 class RequestTx(Message):
-    TAG = "request_tx"
     tx: Transaction
 
 
 @register_message("net_up", "tx")
 class SubmitTx(Message):
-    TAG = "submit_tx"
     tx: Transaction
 
 
 @register_message("net_down")
 class TxConfirmation(Message):
-    TAG = "tx_confirmation"
     display_tx: Transaction
     frame: VisualFrame
 
 
 @register_message("terminal_display_phone", "frame_payload")
 class ShowTxFrame(Message):
-    TAG = "show_tx_frame"
     frame: VisualFrame
 
 
 @register_message("terminal_display_user", "tx")
 class ShowTxPage(Message):
-    TAG = "show_tx_page"
     tx: Transaction
 
 
 @register_message("phone_display_user")
 class ShowVerifiedTx(Message):
-    TAG = "show_verified_tx"
     tx: Transaction | None
     sig_valid: bool
     fresh: bool
@@ -444,52 +417,44 @@ class ShowVerifiedTx(Message):
 
 @register_message("click_terminal", "click")
 class ConfirmTx(Message):
-    TAG = "confirm_tx"
     ok: bool
 
 
 @register_message("net_up")
 class ForwardConfirm(Message):
-    TAG = "forward_confirm"
     ok: bool
 
 
 @register_message("click_phone", "click")
 class ConfirmOnPhone(Message):
-    TAG = "confirm_on_phone"
     tx: Transaction
 
 
 @register_message("cellular", "tx")
 class SideCopy(Message):
-    TAG = "side_copy"
     tx: Transaction
     signature: Signature
 
 
 @register_message("net_down")
 class TxResult(Message):
-    TAG = "tx_result"
     accepted: bool
 
 
 @register_message("net_down")
-class SecureDocMessage(Message):
-    TAG = "secure_doc"
+class SecureDoc(Message):
     labels: tuple[str, ...]
     frames: tuple[VisualFrame, ...]
 
 
 @register_message("terminal_display_phone")
 class ShowDoc(Message):
-    TAG = "show_doc"
     labels: tuple[str, ...]
     frames: tuple[VisualFrame, ...]
 
 
 @register_message("phone_display_user")
 class ShowFields(Message):
-    TAG = "show_fields"
     values: tuple[tuple[str, str], ...]
     failures: tuple[str, ...]
 
@@ -558,8 +523,8 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
     """A camera capture: apply the scenario's corruption, then decode."""
     cfg = session.config
     count = cfg.corrupt_codewords
-    if cfg.corrupt_context not in (None, context) or not isinstance(frame, VisualFrame):
-        count = 0  # nothing to damage here; qr_decode refuses what is not a frame
+    if cfg.corrupt_context not in (None, context):
+        count = 0  # the scenario damages another capture
     elif count in ("budget", "budget+1"):
         count = qr.correction_budget(frame.spec) + (count == "budget+1")
     if count:
@@ -573,8 +538,9 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
 
 class Party(Entity):
     """One of the four parties. It takes a message only where its FLOWS rows
-    allow, from the phase it stands in; a tag foreign to its rows in the flow
-    aborts <tag>_out_of_protocol, one in the wrong phase <tag>_out_of_order,
+    allow, from the phase it stands in, and only if it is well_formed; a tag
+    foreign to its rows in the flow aborts <tag>_out_of_protocol, one in the
+    wrong phase <tag>_out_of_order, a field of the wrong type <tag>_malformed,
     and once the session has aborted no party takes input."""
 
     phase = "start"
@@ -587,9 +553,11 @@ class Party(Entity):
         if row is None:
             known = any(tag in rows for rows in flow.values())
             self.session.finish(Outcome.ABORTED, f"{tag}_{'out_of_order' if known else 'out_of_protocol'}")
-            return
-        handler, self.phase = row
-        handler(self, message)
+        elif not message.well_formed():
+            self.session.finish(Outcome.ABORTED, f"{tag}_malformed")
+        else:
+            handler, self.phase = row
+            handler(self, message)
 
 
 class UserModel(Party):
@@ -663,7 +631,7 @@ class UserModel(Party):
         self.state["echo_positions"] = msg.positions
 
     def on_echo_otp(self, msg: EchoOtp) -> None:
-        self.state["echo_otp_len"] = len(msg.otp) if isinstance(msg.otp, str) else None
+        self.state["echo_otp_len"] = len(msg.otp)
 
     def on_echo_masked_credentials(self, msg: EchoMaskedCredentials) -> None:
         self.state["masked_echo"] = msg.masked
@@ -678,7 +646,6 @@ class UserModel(Party):
         ok = (
             msg.sig_valid
             and msg.fresh
-            and msg.tx is not None
             and msg.tx == self.state["page_tx"]
             and msg.tx == self.state["intended_tx"]
         )
@@ -706,7 +673,7 @@ class Terminal(Party):
     def on_connect(self, msg: Connect) -> None:
         self.emit(ConnectRequest())
 
-    def on_kbd_challenge(self, msg: KeyboardChallenge) -> None:
+    def on_kbd_challenge(self, msg: KbdChallenge) -> None:
         self.state["challenge_payload"] = msg.frame.payload
         self.emit(ShowFrame(frame=msg.frame, context="keyboard"))
         self.emit(ShowKeyboard(layout_kind="blank", rows=msg.grid_rows, cols=msg.grid_cols))
@@ -759,7 +726,7 @@ class Terminal(Party):
         self.state["tx_ok"] = msg.accepted
         self.emit(ShowResult(ok=msg.accepted))
 
-    def on_secure_doc(self, msg: SecureDocMessage) -> None:
+    def on_secure_doc(self, msg: SecureDoc) -> None:
         self.state["doc_payloads"] = tuple(f.payload for f in msg.frames)
         self.emit(ShowDoc(labels=msg.labels, frames=msg.frames))
 
@@ -871,8 +838,8 @@ class Smartphone(Party):
         values, failures = [], []
         try:
             fields = tuple(zip(msg.labels, msg.frames, strict=True))
-        except (TypeError, ValueError):  # a malformed document: every field fails
-            fields, failures = (), list(msg.labels) if isinstance(msg.labels, tuple) else ["document"]
+        except ValueError:  # labels and frames of unequal lengths: every field fails
+            fields, failures = (), list(msg.labels)
         for label, frame in fields:
             try:
                 blob = _capture(self.session, frame, f"secure_field:{label}")
@@ -929,7 +896,7 @@ class Server(Party):
             allowed={EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER},
         )
         frame = self._sealed_frame(layout.serialize(), "keyboard_challenge")
-        self.emit(KeyboardChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
+        self.emit(KbdChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
     def _issue_otp(self) -> None:
         token = crypto.generate_otp(
@@ -1005,11 +972,7 @@ class Server(Party):
     # -- transactions --
 
     def on_submit_tx(self, msg: SubmitTx) -> None:
-        # TXVERIFY: sign the transaction for the phone to show the user; a
-        # submission that holds no transaction is signed by no one
-        if not isinstance(msg.tx, Transaction):
-            self.session.finish(Outcome.ABORTED, "submit_tx_malformed")
-            return
+        # TXVERIFY: sign the transaction for the phone to show the user
         self.state["received_tx"] = msg.tx
         nonce = self.state["session_nonce"] if self.session.config.flags.tx_nonce_freshness else None
         canonical = canonical_tx_bytes(msg.tx, nonce)
@@ -1024,14 +987,12 @@ class Server(Party):
 
     def on_guarded_tx(self, msg: SubmitTx) -> None:
         # HIJACKGUARD: execute only once the side copy matches; with the guard
-        # off, at once, but only a transaction
+        # off, at once
         self.state["received_tx"] = msg.tx
         if self.session.config.flags.hijack_guard:
             self._check_guard()
-        elif isinstance(msg.tx, Transaction):
-            self._settle_tx(True, Outcome.ACCEPTED)
         else:
-            self.session.finish(Outcome.ABORTED, "submit_tx_malformed")
+            self._settle_tx(True, Outcome.ACCEPTED)
 
     def on_side_copy(self, msg: SideCopy) -> None:
         self.state["side_tx"] = msg.tx
@@ -1044,15 +1005,12 @@ class Server(Party):
         side_tx = self.state.get("side_tx")
         if received is None or side_tx is None:
             return  # wait for the other half; on_idle fails closed
-        # the cheap facts first: a mismatch, a field of the wrong type or a
-        # non-user signer is REJECTED before the signature is verified, which
-        # only an agreeing copy needs
+        # the cheap facts first: a mismatch or a non-user signer is REJECTED
+        # before the signature is verified, which only an agreeing copy needs
         _, public_key = self.state["registry"][self.session.config.user_id]
         side_sig = self.state["side_sig"]
         ok = (
             side_tx == received
-            and isinstance(side_tx, Transaction)
-            and isinstance(side_sig, Signature)
             and side_sig.signer is Role.USER
             and crypto.verify(public_key, canonical_tx_bytes(side_tx), side_sig)
         )
@@ -1088,7 +1046,7 @@ class Server(Party):
             labels.append(label)
             frames.append(_frame(self.session, ct.to_bytes(), f"secure_field:{label}"))
         self.state["document_labels"] = tuple(labels)
-        self.emit(SecureDocMessage(labels=tuple(labels), frames=tuple(frames)))
+        self.emit(SecureDoc(labels=tuple(labels), frames=tuple(frames)))
 
 
 def _any_order(party: type, *messages: type, **bound) -> dict:
@@ -1111,7 +1069,7 @@ _SCAN_NONCE = partial(Smartphone.on_show_frame, context="nonce", read=Smartphone
 FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
     Protocol.P1: {
         EntityKind.USER: _any_order(UserModel, ShowKeyboard, ShowLayout, EchoClicks, ShowResult),
-        EntityKind.TERMINAL: _any_order(Terminal, TypeId, KeyboardChallenge, ClickPositions, AuthResult),
+        EntityKind.TERMINAL: _any_order(Terminal, TypeId, KbdChallenge, ClickPositions, AuthResult),
         EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="keyboard", read=_OPEN_LAYOUT),
         EntityKind.SERVER: {
             "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_keyboard), "challenged")},
@@ -1153,7 +1111,7 @@ FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
     },
     Protocol.SECUREVIEW: {
         EntityKind.USER: _any_order(UserModel, ShowFields),
-        EntityKind.TERMINAL: _any_order(Terminal, Connect, SecureDocMessage),
+        EntityKind.TERMINAL: _any_order(Terminal, Connect, SecureDoc),
         EntityKind.SMARTPHONE: _any_order(Smartphone, ShowDoc),
         EntityKind.SERVER: {"start": {ConnectRequest.TAG: (lambda s, m: s._issue_document(), "done")}},
     },

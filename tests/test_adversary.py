@@ -880,23 +880,27 @@ class TestReplaysAreJudged:
         assert all(m.CHANNEL.receiver is not EntityKind.SMARTPHONE for m in result.session.transcript)
 
     # the password's positions on seed 281's layout, the positive control,
-    # and replays of positions the grid does not hold
+    # and replays of positions the grid does not hold, with (outcome, abort
+    # reason, steps): the server denies positions off the grid, and a
+    # submission that is no tuple of ints is refused as malformed before it
+    # reaches the server's handler
     SUBMISSIONS = {
-        "spelled": (16, 0, 20, 0),
-        "past_the_grid": (99, 0, 0, 0),
-        "not_an_int": ("a", 0, 0, 0),
-        "shifted_negative": (-20, -36, -16, -36),
-        "bool_for_zero": (16, False, 20, False),
-        "not_a_sequence": 5,
+        "spelled": ((16, 0, 20, 0), Outcome.AUTHENTICATED, None, 5),
+        "past_the_grid": ((99, 0, 0, 0), Outcome.DENIED, None, 5),
+        "not_an_int": (("a", 0, 0, 0), Outcome.ABORTED, "submit_positions_malformed", 4),
+        "shifted_negative": ((-20, -36, -16, -36), Outcome.DENIED, None, 5),
+        "bool_for_zero": ((16, False, 20, False), Outcome.ABORTED, "submit_positions_malformed", 4),
+        "not_a_sequence": (5, Outcome.ABORTED, "submit_positions_malformed", 4),
     }
 
     @pytest.mark.parametrize("name", SUBMISSIONS)
     def test_positions_off_the_grid_are_denied(self, name):
-        install = replaying(SubmitPositions(positions=self.SUBMISSIONS[name]))
+        positions, outcome, reason, steps = self.SUBMISSIONS[name]
+        install = replaying(SubmitPositions(positions=positions))
         result = run_flow(SessionConfig(protocol=Protocol.P1, seed=281), CredentialStore.provision(281),
                           adversaries=[install])
-        assert result.outcome is (Outcome.AUTHENTICATED if name == "spelled" else Outcome.DENIED)
-        assert result.session.step == 5
+        assert (result.outcome, result.session.abort_reason) == (outcome, reason)
+        assert result.session.step == steps
 
     def test_matrix_replays_are_denied_not_aborted(self, monkeypatch):
         # an abort would mean the replay arrived out of order, and the

@@ -7,6 +7,7 @@ import enum
 import gc
 import hashlib
 import struct
+import typing  # read by an annotation TestRegistration evaluates in this module
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -43,6 +44,7 @@ from visualauth.protocols import (
     Outcome,
     Protocol,
     SessionConfig,
+    Transaction,  # read by an annotation TestRegistration evaluates in this module
     TypeId,
     build_session,
     run_flow,
@@ -423,7 +425,8 @@ class TestLazyRecords:
 class TestRegistration:
     """register_message makes each message class a frozen dataclass itself:
     the transcript, the snapshots and the encoding memo all hold messages by
-    reference. A class it refuses takes no tag."""
+    reference. It takes the tag from the class name and a type check from
+    each field's annotation. A class it refuses takes no tag."""
 
     @pytest.fixture(autouse=True)
     def _no_class_left_behind(self):
@@ -433,15 +436,15 @@ class TestRegistration:
 
     def test_an_undecorated_message_subclass_is_registered_frozen(self, monkeypatch):
         monkeypatch.setattr(entities, "MESSAGES", dict(entities.MESSAGES))
-        bare = register_message("net_up", "note")(
-            type("Bare", (Message,), {"__annotations__": {"note": "str"}, "TAG": "bare"})
-        )
+        bare = type("Bare", (Message,), {"__annotations__": {"note": "str"}})
+        bare = register_message("net_up", "note")(bare)
         assert entities.MESSAGES["bare"] is bare
         assert bare.__dict__["__dataclass_params__"].frozen
         assert bare.TAG_BYTE == bytes([len(entities.MESSAGES)])
         assert bare.LINE_PREFIX == "|network|terminal|server|bare|"
-        assert (bare.FIELDS, bare.LABEL) == (("note",), "note")
+        assert (bare.TAG, bare.FIELDS, bare.LABEL) == ("bare", ("note",), "note")
         instance = bare(note="kept")
+        assert instance.well_formed() and not bare(note=7).well_formed()
         with pytest.raises(dataclasses.FrozenInstanceError):
             instance.note = "changed"
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -476,10 +479,62 @@ class TestRegistration:
         "channel, tag, error", [("net_up", "type_id", "duplicate"), ("nowhere", "lost", "unknown")]
     )
     def test_a_duplicate_tag_or_unknown_channel_is_refused(self, channel, tag, error):
+        # the tag comes from the class name: TypeId takes type_id
+        name = "".join(word.title() for word in tag.split("_"))
         before = dict(entities.MESSAGES)
         with pytest.raises(ValueError, match=error):
-            register_message(channel)(type("Again", (Message,), {"TAG": tag}))
+            register_message(channel)(type(name, (Message,), {}))
         assert entities.MESSAGES == before
+
+    def test_a_class_that_states_its_own_tag_is_refused(self):
+        before = dict(entities.MESSAGES)
+        stated = type("Stated", (Message,), {"TAG": "stated"})
+        with pytest.raises(TypeError, match="Stated states its own TAG"):
+            register_message("net_up")(stated)
+        assert entities.MESSAGES == before
+        assert not hasattr(stated, "TAG_BYTE")
+
+    @pytest.mark.parametrize(
+        "annotation",
+        ["list[int]", "dict[str, int]", "typing.Any", "Any", "Undeclared", "tuple[int, str, bytes]", "int | str"],
+    )
+    def test_an_annotation_it_cannot_check_is_refused(self, annotation):
+        # the annotation is evaluated in this module, which imports typing
+        # but neither Any nor Undeclared
+        before = dict(entities.MESSAGES)
+        loose = type("Loose", (Message,), {"__annotations__": {"fine": "int", "note": annotation}})
+        with pytest.raises(TypeError, match="Loose.note"):
+            register_message("net_up")(loose)
+        assert entities.MESSAGES == before
+        assert not hasattr(loose, "TAG_BYTE")
+
+    def test_checks_follow_the_four_shapes(self, monkeypatch):
+        monkeypatch.setattr(entities, "MESSAGES", dict(entities.MESSAGES))
+        annotations = {
+            "flag": "bool",
+            "count": "int",
+            "tx": "Transaction | None",
+            "positions": "tuple[int, ...]",
+            "pair": "tuple[str, bytes]",
+            "pairs": "tuple[tuple[str, str], ...]",
+        }
+        shaped = register_message("net_up")(type("Shaped", (Message,), {"__annotations__": annotations}))
+        good = dict(flag=False, count=0, tx=None, positions=(), pair=("a", b"b"), pairs=(("a", "b"),))
+        assert shaped(**good).well_formed()
+        assert shaped(**{**good, "tx": EVIL_TX, "positions": (1, 2)}).well_formed()
+        bad = {
+            "flag": [0, 1, "x", None],  # bool exactly
+            "count": [False, True, 1.0, "1", None],  # int exactly: a bool is no count
+            "tx": ["x", 7, DEFAULT_TX.__dict__],
+            "positions": [[1, 2], (1, False), (1, "2"), 5, None],  # a tuple, of ints exactly
+            "pair": [("a",), ("a", b"b", b"c"), ["a", b"b"], (b"a", "b")],
+            "pairs": [(("a", "b", "c"),), (("a", 1),), [("a", "b")], ("a", "b")],
+        }
+        for name, values in bad.items():
+            for value in values:
+                assert not shaped(**{**good, name: value}).well_formed(), (name, value)
+        monkeypatch.undo()
+        assert "shaped" not in entities.MESSAGES
 
     def test_a_label_defaults_to_the_tag(self):
         assert LoginRequest.LABEL == LoginRequest.TAG == "login_request"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
+import types
+import typing
 
 import pytest
 
@@ -370,6 +372,16 @@ class TestOtpSemantics:
         server = result.session.entities[EntityKind.SERVER]
         assert not server.state["token"].consumed
 
+    def test_a_spent_token_is_refused_by_the_server_itself(self):
+        # FLOWS takes one submission per challenge, so no session delivers a
+        # second; the server's record of a spent token is a second lock,
+        # checked here by calling its handler directly
+        session = run_flow(_cfg(Protocol.P2, 122)).session
+        server = session.entities[EntityKind.SERVER]
+        server.on_submit_otp(SubmitOtp(otp=server.state["token"].value))
+        assert session.outcome is Outcome.AUTHENTICATED
+        assert session.late_verdicts[-1][1:] == (Outcome.DENIED, None)
+
 
 class TestCiphertextReplayAndTamper:
     def _steal_blob(self, seed, store):
@@ -384,6 +396,16 @@ class TestCiphertextReplayAndTamper:
             _cfg(Protocol.P3, 126), store=store, adversaries=[replaying(SubmitCiphertext(blob=blob))]
         )
         assert replay.outcome is Outcome.DENIED
+
+    def test_a_spent_nonce_is_refused_by_the_server_itself(self):
+        # as with a spent token: FLOWS never delivers a second submission
+        # under one nonce, so the server's own record is checked directly
+        session = run_flow(_cfg(Protocol.P3, 125)).session
+        server = session.entities[EntityKind.SERVER]
+        blob = session.entities[EntityKind.TERMINAL].state["credential_blob"]
+        server.on_submit_ciphertext(SubmitCiphertext(blob=blob))
+        assert session.outcome is Outcome.AUTHENTICATED
+        assert session.late_verdicts[-1][1:] == (Outcome.DENIED, None)
 
     def test_every_sampled_bit_flip_is_denied(self):
         store = CredentialStore.provision(127)
@@ -1127,7 +1149,8 @@ class TestServerFailsClosed:
 
     # (flow, rewriting locus, changes, outcome, abort reason); the honest
     # runs are the positive controls, and each mutant raised AttributeError
-    # before the server checked field types
+    # before field types were checked. Party.receive refuses each before
+    # any handler runs
     WRONG_TYPED = {
         "txverify_honest": (Protocol.TXVERIFY, None, {}, Outcome.CONFIRMED, None),
         "tx_none": (Protocol.TXVERIFY, EntityKind.TERMINAL, {"submit_tx": {"tx": None}}, Outcome.ABORTED,
@@ -1136,9 +1159,9 @@ class TestServerFailsClosed:
                     "submit_tx_malformed"),
         "hijackguard_honest": (Protocol.HIJACKGUARD, None, {}, Outcome.ACCEPTED, None),
         "signature_none": (Protocol.HIJACKGUARD, EntityKind.SMARTPHONE, {"side_copy": {"signature": None}},
-                           Outcome.REJECTED, None),
+                           Outcome.ABORTED, "side_copy_malformed"),
         "signature_bytes": (Protocol.HIJACKGUARD, EntityKind.SMARTPHONE, {"side_copy": {"signature": b"junk"}},
-                            Outcome.REJECTED, None),
+                            Outcome.ABORTED, "side_copy_malformed"),
         # with the guard off the server executes at once, so the type check
         # is all that stands; this mutant used to execute "x"
         "guard_off_tx_text": (Protocol.HIJACKGUARD, EntityKind.TERMINAL, {"submit_tx": {"tx": "x"}},
@@ -1162,21 +1185,25 @@ class TestServerFailsClosed:
     # (flow, what the terminal rewrites, outcome, abort reason, failed view
     # fields); the empty rewrites are the honest controls, and each mutant
     # raised AttributeError or TypeError at the phone or the user before
-    # they refused a wrong-typed frame or field. Each runs clean and with
-    # every capture damaged up to its budget, which heals: damage is never
-    # applied to what is not a frame
+    # wrong-typed fields were refused. Each runs clean and with every
+    # capture damaged up to its budget, which heals: a malformed message is
+    # refused before any capture
     CLIENT_WRONG_TYPED = {
         "p1_honest": (Protocol.P1, {}, Outcome.AUTHENTICATED, None, ()),
         "p1_frame_none": (Protocol.P1, {"show_frame": {"frame": None}}, Outcome.ABORTED,
-                          "frame_undecodable", ()),
+                          "show_frame_malformed", ()),
         "p2_honest": (Protocol.P2, {}, Outcome.AUTHENTICATED, None, ()),
-        "p2_echo_otp_none": (Protocol.P2, {"echo_otp": {"otp": None}}, Outcome.AUTHENTICATED, None, ()),
+        "p2_echo_otp_none": (Protocol.P2, {"echo_otp": {"otp": None}}, Outcome.ABORTED,
+                             "echo_otp_malformed", ()),
         "txverify_honest": (Protocol.TXVERIFY, {}, Outcome.CONFIRMED, None, ()),
         "txverify_frame_none": (Protocol.TXVERIFY, {"show_tx_frame": {"frame": None}},
-                                Outcome.USER_FLAGGED_MISMATCH, None, ()),
+                                Outcome.ABORTED, "show_tx_frame_malformed", ()),
         "secureview_honest": (Protocol.SECUREVIEW, {}, Outcome.VIEWED, None, ()),
-        "secureview_frames_none": (Protocol.SECUREVIEW, {"show_doc": {"frames": None}}, Outcome.VIEWED,
-                                   None, ("balance", "statement")),
+        "secureview_frames_none": (Protocol.SECUREVIEW, {"show_doc": {"frames": None}}, Outcome.ABORTED,
+                                   "show_doc_malformed", ()),
+        # well typed, but fewer frames than labels: the phone fails every field
+        "secureview_frames_short": (Protocol.SECUREVIEW, {"show_doc": {"frames": ()}}, Outcome.VIEWED,
+                                    None, ("balance", "statement")),
     }
 
     @pytest.mark.parametrize("name", CLIENT_WRONG_TYPED)
@@ -1240,3 +1267,79 @@ class TestServerFailsClosed:
                     assert session.outcome is Outcome.ABORTED, where
                     kind = "out_of_order" if message.TAG in known else "out_of_protocol"
                     assert session.abort_reason == f"{message.TAG}_{kind}", where
+
+
+# the probe values of the field sweep: one list, which no field declares,
+# and one value each for the optional, str and int fields
+SWEEP_VALUES = ([], None, "x", 7)
+
+# Before field types were checked at delivery, 29 of the sweep's 180
+# sessions raised, across these 16 fields, instead of ending in a verdict
+RAISED_BEFORE_FIELD_CHECKS = {
+    "login_request.user_id", "show_layout.layout", "echo_clicks.positions", "show_result.ok",
+    "show_otp.otp", "echo_masked_credentials.masked", "submit_ciphertext.blob", "show_tx_page.tx",
+    "show_verified_tx.sig_valid", "show_verified_tx.fresh", "forward_confirm.ok", "show_fields.values",
+    "show_fields.failures", "submit_tx.tx", "side_copy.tx", "side_copy.signature",
+}
+
+
+def _declares(cls, name, value) -> bool:
+    """Whether the annotation of cls.name admits value, read through typing
+    rather than through the checks register_message made: the probe values
+    match a plain class exactly, or one member of X | None."""
+    hint = typing.get_type_hints(cls)[name]
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    return type(value) is hint or (union and type(value) in typing.get_args(hint))
+
+
+def _field_sweep():
+    """(protocol, class, field, value, session) for every field of every
+    message a terminal or phone sends in each flow's honest run at seed 3,
+    rewritten by that locus to each probe value; a session that raised
+    stands as its exception."""
+    for protocol in Protocol:
+        sent = {}
+        for m in run_flow(_cfg(protocol, 3), CredentialStore.provision(3)).session.transcript:
+            if m.CHANNEL.sender in (EntityKind.TERMINAL, EntityKind.SMARTPHONE):
+                sent.setdefault(m.TAG, type(m))
+        for tag, cls in sent.items():
+            for name in cls.FIELDS:
+                for value in SWEEP_VALUES:
+                    install = _rewriting(cls.CHANNEL.sender, **{tag: {name: value}})
+                    try:
+                        session = run_flow(_cfg(protocol, 3), CredentialStore.provision(3), [install]).session
+                    except Exception as exc:  # the sweep reports what raised
+                        session = exc
+                    yield protocol, cls, name, value, session
+
+
+class TestFieldTypeSweep:
+    """Party.receive is the one refusal point for a field of the wrong type."""
+
+    def test_every_rewritten_field_ends_in_a_verdict(self):
+        cases = 0
+        for protocol, cls, name, value, session in _field_sweep():
+            cases += 1
+            where = (protocol.value, cls.TAG, name, value)
+            assert not isinstance(session, Exception), (where, session)
+            assert session.outcome is not None, where
+            assert session.executed_tx in (None, DEFAULT_TX), where
+            late = [(verdict, reason) for _, verdict, reason in session.late_verdicts]
+            malformed = (Outcome.ABORTED, f"{cls.TAG}_malformed")
+            if _declares(cls, name, value):
+                assert malformed not in [(session.outcome, session.abort_reason), *late], where
+            elif cls.TAG == "show_result":
+                # the server's verdict stood before the terminal told the user
+                assert session.outcome is not Outcome.ABORTED and malformed in late, where
+            else:
+                assert (session.outcome, session.abort_reason) == malformed, where
+        assert cases == 180
+
+    def test_without_the_checks_the_sweep_raises(self, monkeypatch):
+        # positive control: with every class's checks accepting anything,
+        # the handlers meet the wrong types themselves, and raise
+        for cls in entities.MESSAGES.values():
+            monkeypatch.setattr(cls, "CHECKS", ())
+        sweep = _field_sweep()
+        raised = {f"{cls.TAG}.{name}" for _, cls, name, _, session in sweep if isinstance(session, Exception)}
+        assert raised >= RAISED_BEFORE_FIELD_CHECKS

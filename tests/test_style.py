@@ -200,3 +200,36 @@ def test_the_message_contract_check_can_fail():
     ]
     for source in passed:
         assert message_contract_findings(source) == [], source
+
+
+def field_type_test_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each isinstance or type call on a message's field (msg.x or
+    message.x): Party.receive checks every field against its declared type
+    before any handler runs, so a handler that tests one again is a second
+    refusal point."""
+    findings = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) in ("isinstance", "type") and node.args:
+            arg = node.args[0]
+            if isinstance(arg, ast.Attribute) and _name(arg.value) in ("msg", "message"):
+                findings.append(f"{filename}:{node.lineno} tests the type of {_name(arg.value)}.{arg.attr}")
+    return findings
+
+
+def test_no_handler_tests_a_field_type():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        findings += field_type_test_findings(path.read_text(encoding="utf-8"), str(path.relative_to(SRC)))
+    assert findings == []
+
+
+def test_the_field_type_check_can_fail():
+    flagged = [
+        "if not isinstance(msg.tx, Transaction): pass",
+        "n = len(message.otp) if type(message.otp) is str else None",
+    ]
+    for source in flagged:
+        assert len(field_type_test_findings(source)) == 1, source
+    passed = ["isinstance(frame, VisualFrame)", "isinstance(self.state['tx'], Transaction)", "type(msg)"]
+    for source in passed:
+        assert field_type_test_findings(source) == [], source
