@@ -55,7 +55,7 @@ for line in transcript.strip().splitlines():
 
 print("\n== what each party ended up holding ==")
 terminal = result.session.entities[EntityKind.TERMINAL]
-print(f"  terminal saw clicks {terminal.state['positions']} and never a symbol")
+print(f"  terminal saw clicks {terminal.state['click_positions'].positions} and never a symbol")
 print("  phone decrypted a layout but was never told the password")
 violations = secrecy_violations(result.session)
 print(f"  secret scanner violations: {violations or 'none'}")

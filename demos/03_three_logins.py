@@ -62,7 +62,7 @@ print(f"  wrong then right with max_attempts=2: {retry.outcome.value}")
 
 print("\n== the sealed upload, up close ==")
 result = run_flow(SessionConfig(protocol=Protocol.P3, seed=rng.child_seed(31337, "close")), store)
-blob = result.session.entities[EntityKind.TERMINAL].state["credential_blob"]
+blob = result.session.entities[EntityKind.TERMINAL].state["upload_frame"].frame.payload
 print(f"  the terminal relayed {len(blob)} opaque bytes")
 print(f"  password in the blob: {b'data' in blob}")
 print("  full transcript:")

@@ -1,20 +1,24 @@
 """The three visualized login protocols and the transaction extensions.
 
-Flow shapes (honest runs):
+SPEC states each of the six flows once, as an Alice-and-Bob table of its
+messages in honest delivery order. FLOWS, the phases in which each party
+takes each message, is read off it, and the terminal's rows are relays:
+the terminal keeps what it was handed and passes it on. What the flows keep
+from whom:
 
-* keyboard_permutation: the server encrypts a fresh random keyboard layout
-  to the user's public key and frames it; the terminal renders the frame
-  beside a blank 6x6 grid; the smartphone decrypts and shows the layout;
-  the user clicks positions; the server alone resolves positions back to
-  symbols. The terminal never learns which symbol any click meant.
-* encrypted_otp: the server frames an encrypted one-time password; the
-  smartphone decrypts and displays it; the user types it on the terminal;
-  the token is consumed on first successful use.
-* nonce_upload: the server frames a plaintext nonce; the user types id and
-  password on the smartphone, which seals (nonce, id, password, server
-  name) to the server's public key and displays the ciphertext as a frame
-  the terminal camera captures and relays. The terminal holds ciphertext
-  only, and a stale or mismatched nonce is refused.
+* keyboard_permutation (P1): the server seals a fresh random keyboard
+  layout to the user's public key; only the smartphone decrypts and shows
+  it; the user clicks positions on a blank 6x6 grid, and the server alone
+  resolves them back to symbols. The terminal never learns which symbol
+  any click meant.
+* encrypted_otp (P2): only the smartphone opens the sealed one-time
+  password; the user types it on the terminal, and the token is consumed
+  on first successful use.
+* nonce_upload (P3): the user types id and password on the smartphone,
+  which seals (nonce, id, password, server name) to the server's public
+  key and shows the ciphertext as a frame the terminal camera captures and
+  relays. The terminal holds ciphertext only, and a stale or mismatched
+  nonce is refused.
 
 Extensions run inside an established session: signed transaction
 confirmations verified on the smartphone, encrypted document fields
@@ -29,6 +33,7 @@ import enum
 import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import takewhile
 from types import MappingProxyType
 
 from . import crypto, qr, rng as rngmod
@@ -216,7 +221,9 @@ DEFAULT_TX = Transaction(receiver_account="ACCT-7291", amount=25000, receiver_na
 DEFAULT_VIEW_FIELDS = (("balance", "10452.17"), ("statement", "paid 93.40 to coastal water"))
 
 # the camera captures each flow makes, by the context _capture is called
-# with; a SessionConfig.corrupt_context names one of its flow's
+# with; a SessionConfig.corrupt_context names one of its flow's. Written by
+# hand, not read off SPEC: the SECUREVIEW phone captures one frame per label
+# the document carries, so no row names those contexts
 CAPTURE_CONTEXTS = {
     Protocol.P1: ("keyboard",),
     Protocol.P2: ("otp",),
@@ -537,11 +544,11 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
 
 
 class Party(Entity):
-    """One of the four parties. It takes a message only where its FLOWS rows
-    allow, from the phase it stands in, and only if it is well_formed; a tag
-    foreign to its rows in the flow aborts <tag>_out_of_protocol, one in the
-    wrong phase <tag>_out_of_order, a field of the wrong type <tag>_malformed,
-    and once the session has aborted no party takes input."""
+    """One of the four parties. It takes a message only where its rows in
+    SPEC allow, from the phase it stands in, and only if it is well_formed.
+    A tag foreign to its rows in the flow aborts <tag>_out_of_protocol, one
+    in the wrong phase <tag>_out_of_order, a field of the wrong type
+    <tag>_malformed, and once the session has aborted no party takes input."""
 
     phase = "start"
 
@@ -589,15 +596,12 @@ class UserModel(Party):
         return pw
 
     def begin(self) -> None:
-        protocol = self.session.config.protocol
-        if protocol in (Protocol.P1, Protocol.P2):
-            self.emit(TypeId(user_id=self.state["user_id"]))
-        elif protocol in (Protocol.P3, Protocol.SECUREVIEW):
-            self.emit(Connect())
-        elif protocol in (Protocol.TXVERIFY, Protocol.HIJACKGUARD):
-            self.emit(RequestTx(tx=self.state["intended_tx"]))
-            if protocol is Protocol.HIJACKGUARD:
-                self.emit(ConfirmOnPhone(tx=self.state["intended_tx"]))
+        # the flow opens with its leading rows, the ones the user sends; each
+        # carries the user's id or the transaction the user means to make
+        intent = {"user_id": self.state["user_id"], "tx": self.state["intended_tx"]}
+        rows = SPEC[self.session.config.protocol]
+        for cls, *_ in takewhile(lambda row: row[0].CHANNEL.sender is self.kind, rows):
+            self.emit(cls(**{name: intent[name] for name in cls.FIELDS}))
 
     def on_show_keyboard(self, msg: ShowKeyboard) -> None:
         self.state["keyboard_shown"] = True
@@ -662,73 +666,22 @@ class UserModel(Party):
 
 class Terminal(Party):
     """The untrusted browser/kiosk: routes, renders, never holds a secret
-    beyond the one-time password it relays in the OTP flow."""
+    beyond the one-time password it relays in the OTP flow. It keeps what
+    it was handed, each message it takes as state[tag], and has no handler
+    of its own but upload: every other row it takes is a relay in SPEC."""
 
     kind = EntityKind.TERMINAL
 
-    def on_type_id(self, msg: TypeId) -> None:
-        self.state["user_id"] = msg.user_id
-        self.emit(LoginRequest(user_id=msg.user_id, protocol=self.session.config.protocol.value))
-
-    def on_connect(self, msg: Connect) -> None:
-        self.emit(ConnectRequest())
-
-    def on_kbd_challenge(self, msg: KbdChallenge) -> None:
-        self.state["challenge_payload"] = msg.frame.payload
-        self.emit(ShowFrame(frame=msg.frame, context="keyboard"))
-        self.emit(ShowKeyboard(layout_kind="blank", rows=msg.grid_rows, cols=msg.grid_cols))
-
-    def on_otp_challenge(self, msg: OtpChallenge) -> None:
-        self.state["challenge_payload"] = msg.frame.payload
-        self.emit(ShowFrame(frame=msg.frame, context="otp"))
-        self.emit(ShowKeyboard(layout_kind="full", rows=4, cols=10))
-
-    def on_nonce_challenge(self, msg: NonceChallenge) -> None:
-        self.state["nonce_frame_payload"] = msg.frame.payload
-        self.emit(ShowFrame(frame=msg.frame, context="nonce"))
-
-    def on_click_positions(self, msg: ClickPositions) -> None:
-        self.state["positions"] = msg.positions
-        self.emit(EchoClicks(positions=msg.positions))
-        self.emit(SubmitPositions(positions=msg.positions))
-
-    def on_type_otp(self, msg: TypeOtp) -> None:
-        self.state["typed_otp"] = msg.otp
-        self.emit(EchoOtp(otp=msg.otp))
-        self.emit(SubmitOtp(otp=msg.otp))
-
-    def on_upload_frame(self, msg: UploadFrame) -> None:
+    def upload(self, msg: UploadFrame) -> None:
+        # the camera captures the phone's sealed credentials and sends the
+        # bytes up; a frame past repair aborts, retryable
+        self.state[msg.TAG] = msg
         try:
             blob = _capture(self.session, msg.frame, "credential_upload")
         except qr.UncorrectableFrameError:
             self.session.finish(Outcome.ABORTED, "upload_frame_undecodable", retryable=True)
             return
-        self.state["credential_blob"] = blob
         self.emit(SubmitCiphertext(blob=blob))
-
-    def on_auth_result(self, msg: AuthResult) -> None:
-        self.state["auth_ok"] = msg.ok
-        self.emit(ShowResult(ok=msg.ok))
-
-    def on_request_tx(self, msg: RequestTx) -> None:
-        self.state["form_tx"] = msg.tx
-        self.emit(SubmitTx(tx=msg.tx))
-
-    def on_tx_confirmation(self, msg: TxConfirmation) -> None:
-        self.state["page_tx"] = msg.display_tx
-        self.emit(ShowTxFrame(frame=msg.frame))
-        self.emit(ShowTxPage(tx=msg.display_tx))
-
-    def on_confirm_tx(self, msg: ConfirmTx) -> None:
-        self.emit(ForwardConfirm(ok=msg.ok))
-
-    def on_tx_result(self, msg: TxResult) -> None:
-        self.state["tx_ok"] = msg.accepted
-        self.emit(ShowResult(ok=msg.accepted))
-
-    def on_secure_doc(self, msg: SecureDoc) -> None:
-        self.state["doc_payloads"] = tuple(f.payload for f in msg.frames)
-        self.emit(ShowDoc(labels=msg.labels, frames=msg.frames))
 
 
 class Smartphone(Party):
@@ -1049,85 +1002,131 @@ class Server(Party):
         self.emit(SecureDoc(labels=tuple(labels), frames=tuple(frames)))
 
 
-def _any_order(party: type, *messages: type, **bound) -> dict:
-    """One phase: party takes each message, in any order, by on_<tag>(msg, **bound)."""
-    rows = {cls.TAG: (partial(getattr(party, "on_" + cls.TAG), **bound), "start") for cls in messages}
-    return {"start": rows}
+# -------- the flows, one table each --------
 
 
-_OPEN_LAYOUT = partial(
-    Smartphone._open_challenge, parse=KeyboardPermutation.from_serialized, key="layout", show=ShowLayout
-)
-_OPEN_OTP = partial(Smartphone._open_challenge, parse=_parse_otp, key="otp", show=ShowOtp)
-_SCAN_NONCE = partial(Smartphone.on_show_frame, context="nonce", read=Smartphone._read_nonce)
+def relay(*sends):
+    """The handler of a terminal row that passes its message on: the
+    terminal keeps the message as state[tag], then emits each send built
+    from it. A message class takes its fields from the message, by name;
+    any other send is a function of the message."""
 
-# Every party's legal message order: FLOWS[protocol][party][phase][tag] =
-# (handler, next phase). A client stands in one phase wherever order does not
-# matter; a phone's scan row binds the frame's context and its payload's reader,
-# and the P3 phone takes credentials only after a scan. A login retry reissues
-# the challenge in "challenged"; a login verdict moves the server to "done".
+    def handler(terminal: Terminal, msg: Message) -> None:
+        terminal.state[msg.TAG] = msg
+        for send in sends:
+            if isinstance(send, type):
+                terminal.emit(send(**{name: getattr(msg, name) for name in send.FIELDS}))
+            else:
+                terminal.emit(send(msg))
+
+    return handler
+
+
+def scan(context: str, read, *args):
+    """The handler of a phone row that captures the frame it is shown as
+    context, then reads the payload by read(phone, payload, *args)."""
+    return partial(Smartphone.on_show_frame, context=context, read=lambda phone, p: read(phone, p, *args))
+
+
+def _show_frame(context: str):
+    return lambda m: ShowFrame(frame=m.frame, context=context)
+
+
+# Each flow, stated once: its messages in honest delivery order, as in an
+# Alice-and-Bob table. A row is (message class, handler at its receiver[,
+# phase move]); the class's channel names sender and receiver. A phase move
+# maps each phase the receiver takes the message in to the phase it moves
+# to. A row without one is taken in "start" and stays there, so a party with
+# no moving row takes its messages in any order. The P3 phone takes
+# credentials only after a scan; a login retry reissues the challenge in
+# "challenged", and a login verdict moves the server to "done".
+SPEC: dict[Protocol, tuple[tuple, ...]] = {
+    Protocol.P1: (
+        (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P1.value))),
+        (LoginRequest, lambda s, m: s._login(m, s._issue_keyboard), {"start": "challenged"}),
+        (KbdChallenge,
+         relay(_show_frame("keyboard"), lambda m: ShowKeyboard("blank", m.grid_rows, m.grid_cols))),
+        (ShowFrame, scan("keyboard", Smartphone._open_challenge,
+                         KeyboardPermutation.from_serialized, "layout", ShowLayout)),
+        (ShowKeyboard, UserModel.on_show_keyboard),
+        (ShowLayout, UserModel.on_show_layout),
+        (ClickPositions, relay(EchoClicks, SubmitPositions)),
+        (EchoClicks, UserModel.on_echo_clicks),
+        (SubmitPositions, Server.on_submit_positions, {"challenged": "challenged"}),
+        (AuthResult, relay(ShowResult)),
+        (ShowResult, UserModel.on_show_result),
+    ),
+    Protocol.P2: (
+        (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P2.value))),
+        (LoginRequest, lambda s, m: s._login(m, s._issue_otp), {"start": "challenged"}),
+        (OtpChallenge, relay(_show_frame("otp"), lambda m: ShowKeyboard("full", 4, 10))),
+        (ShowFrame, scan("otp", Smartphone._open_challenge, _parse_otp, "otp", ShowOtp)),
+        (ShowKeyboard, UserModel.on_show_keyboard),
+        (ShowOtp, UserModel.on_show_otp),
+        (TypeOtp, relay(EchoOtp, SubmitOtp)),
+        (EchoOtp, UserModel.on_echo_otp),
+        (SubmitOtp, Server.on_submit_otp, {"challenged": "challenged"}),
+        (AuthResult, relay(ShowResult)),
+        (ShowResult, UserModel.on_show_result),
+    ),
+    Protocol.P3: (
+        (Connect, relay(ConnectRequest)),
+        (ConnectRequest, lambda s, m: s._issue_nonce(), {"start": "challenged"}),
+        (NonceChallenge, relay(_show_frame("nonce"))),
+        (ShowFrame, scan("nonce", Smartphone._read_nonce), {"start": "scanned", "scanned": "scanned"}),
+        (ShowLoginBox, UserModel.on_show_login_box),
+        (TypeCredentials, Smartphone.on_type_credentials, {"scanned": "scanned"}),
+        (EchoMaskedCredentials, UserModel.on_echo_masked_credentials),
+        (UploadFrame, Terminal.upload),
+        (SubmitCiphertext, Server.on_submit_ciphertext, {"challenged": "challenged"}),
+        (AuthResult, relay(ShowResult)),
+        (ShowResult, UserModel.on_show_result),
+    ),
+    Protocol.TXVERIFY: (
+        (RequestTx, relay(SubmitTx)),
+        (SubmitTx, Server.on_submit_tx, {"start": "challenged"}),
+        (TxConfirmation, relay(ShowTxFrame, lambda m: ShowTxPage(tx=m.display_tx))),
+        (ShowTxFrame, Smartphone.on_show_tx_frame),
+        (ShowTxPage, UserModel.on_show_tx_page),
+        (ShowVerifiedTx, UserModel.on_show_verified_tx),
+        (ConfirmTx, relay(ForwardConfirm)),
+        (ForwardConfirm, Server.on_forward_confirm, {"challenged": "done"}),
+        (TxResult, relay(lambda m: ShowResult(ok=m.accepted))),
+        (ShowResult, UserModel.on_show_result),
+    ),
+    Protocol.SECUREVIEW: (
+        (Connect, relay(ConnectRequest)),
+        (ConnectRequest, lambda s, m: s._issue_document(), {"start": "done"}),
+        (SecureDoc, relay(ShowDoc)),
+        (ShowDoc, Smartphone.on_show_doc),
+        (ShowFields, UserModel.on_show_fields),
+    ),
+    Protocol.HIJACKGUARD: (
+        (RequestTx, relay(SubmitTx)),
+        (ConfirmOnPhone, Smartphone.on_confirm_on_phone),
+        (SubmitTx, Server.on_guarded_tx, {"start": "tx_held", "side_held": "done"}),
+        (SideCopy, Server.on_side_copy, {"start": "side_held", "tx_held": "done"}),
+        (TxResult, relay(lambda m: ShowResult(ok=m.accepted))),
+        (ShowResult, UserModel.on_show_result),
+    ),
+}
+
+
+def _flows(rows: tuple) -> dict:
+    """One flow's parties, read off its rows: party -> phase -> tag ->
+    (handler, next phase). A row goes to its class's receiver, under each
+    phase its move names."""
+    parties = {kind: {} for kind in EntityKind}
+    for cls, handler, *move in rows:
+        for phase, after in (move[0] if move else {"start": "start"}).items():
+            parties[cls.CHANNEL.receiver].setdefault(phase, {})[cls.TAG] = (handler, after)
+    return parties
+
+
+# every party's legal message order, which Party.receive reads:
+# FLOWS[protocol][party][phase][tag] = (handler, next phase)
 FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
-    Protocol.P1: {
-        EntityKind.USER: _any_order(UserModel, ShowKeyboard, ShowLayout, EchoClicks, ShowResult),
-        EntityKind.TERMINAL: _any_order(Terminal, TypeId, KbdChallenge, ClickPositions, AuthResult),
-        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="keyboard", read=_OPEN_LAYOUT),
-        EntityKind.SERVER: {
-            "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_keyboard), "challenged")},
-            "challenged": {SubmitPositions.TAG: (Server.on_submit_positions, "challenged")},
-        },
-    },
-    Protocol.P2: {
-        EntityKind.USER: _any_order(UserModel, ShowKeyboard, ShowOtp, EchoOtp, ShowResult),
-        EntityKind.TERMINAL: _any_order(Terminal, TypeId, OtpChallenge, TypeOtp, AuthResult),
-        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowFrame, context="otp", read=_OPEN_OTP),
-        EntityKind.SERVER: {
-            "start": {LoginRequest.TAG: (lambda s, m: s._login(m, s._issue_otp), "challenged")},
-            "challenged": {SubmitOtp.TAG: (Server.on_submit_otp, "challenged")},
-        },
-    },
-    Protocol.P3: {
-        EntityKind.USER: _any_order(UserModel, ShowLoginBox, EchoMaskedCredentials, ShowResult),
-        EntityKind.TERMINAL: _any_order(Terminal, Connect, NonceChallenge, UploadFrame, AuthResult),
-        EntityKind.SMARTPHONE: {
-            "start": {ShowFrame.TAG: (_SCAN_NONCE, "scanned")},
-            "scanned": {
-                ShowFrame.TAG: (_SCAN_NONCE, "scanned"),
-                TypeCredentials.TAG: (Smartphone.on_type_credentials, "scanned"),
-            },
-        },
-        EntityKind.SERVER: {
-            "start": {ConnectRequest.TAG: (lambda s, m: s._issue_nonce(), "challenged")},
-            "challenged": {SubmitCiphertext.TAG: (Server.on_submit_ciphertext, "challenged")},
-        },
-    },
-    Protocol.TXVERIFY: {
-        EntityKind.USER: _any_order(UserModel, ShowTxPage, ShowVerifiedTx, ShowResult),
-        EntityKind.TERMINAL: _any_order(Terminal, RequestTx, TxConfirmation, ConfirmTx, TxResult),
-        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowTxFrame),
-        EntityKind.SERVER: {
-            "start": {SubmitTx.TAG: (Server.on_submit_tx, "challenged")},
-            "challenged": {ForwardConfirm.TAG: (Server.on_forward_confirm, "done")},
-        },
-    },
-    Protocol.SECUREVIEW: {
-        EntityKind.USER: _any_order(UserModel, ShowFields),
-        EntityKind.TERMINAL: _any_order(Terminal, Connect, SecureDoc),
-        EntityKind.SMARTPHONE: _any_order(Smartphone, ShowDoc),
-        EntityKind.SERVER: {"start": {ConnectRequest.TAG: (lambda s, m: s._issue_document(), "done")}},
-    },
-    Protocol.HIJACKGUARD: {
-        EntityKind.USER: _any_order(UserModel, ShowResult),
-        EntityKind.TERMINAL: _any_order(Terminal, RequestTx, TxResult),
-        EntityKind.SMARTPHONE: _any_order(Smartphone, ConfirmOnPhone),
-        EntityKind.SERVER: {
-            "start": {
-                SubmitTx.TAG: (Server.on_guarded_tx, "tx_held"),
-                SideCopy.TAG: (Server.on_side_copy, "side_held"),
-            },
-            "tx_held": {SideCopy.TAG: (Server.on_side_copy, "done")},
-            "side_held": {SubmitTx.TAG: (Server.on_guarded_tx, "done")},
-        },
-    },
+    protocol: _flows(rows) for protocol, rows in SPEC.items()
 }
 
 

@@ -196,6 +196,55 @@ MUTANTS = (
         "a secret sighted at a party outside its allowed set is a violation",
     ),
     Mutant(
+        "layout_not_a_bijection",
+        "src/visualauth/crypto.py",
+        "        if sorted(self.mapping) != sorted(ALPHABET):\n",
+        "        if False:\n",
+        "a keyboard layout holds each symbol of the alphabet exactly once",
+    ),
+    Mutant(
+        "otp_alphabet_unchecked",
+        "src/visualauth/protocols.py",
+        "    if not otp or not all(ch in crypto.ALPHABET_INDEX for ch in otp):\n",
+        "    if not otp:\n",
+        "the phone shows a one-time password only over the alphabet",
+    ),
+    Mutant(
+        "confirmation_signed_text_unchecked",
+        "src/visualauth/protocols.py",
+        "            and self.signed == canonical_tx_bytes(self.tx, self.nonce)\n",
+        "",
+        "a confirmation verifies only if the signed text is the canonical text of what it shows",
+    ),
+    Mutant(
+        "p3_password_unchecked",
+        "src/visualauth/protocols.py",
+        "entry is not None and password == entry[0]",
+        "entry is not None",
+        "the server logs in a sealed credential only with the provisioned password",
+    ),
+    Mutant(
+        "missing_side_copy_left_open",
+        "src/visualauth/protocols.py",
+        "            self._settle_tx(False, Outcome.REJECTED)\n",
+        "            pass\n",
+        "with hijack_guard on, a transaction whose side copy never comes is rejected",
+    ),
+    Mutant(
+        "p3_credentials_before_scan",
+        "src/visualauth/protocols.py",
+        '(TypeCredentials, Smartphone.on_type_credentials, {"scanned": "scanned"})',
+        '(TypeCredentials, Smartphone.on_type_credentials, {"start": "scanned", "scanned": "scanned"})',
+        "the P3 phone takes credentials only after it has scanned a nonce",
+    ),
+    Mutant(
+        "relay_drops_second_send",
+        "src/visualauth/protocols.py",
+        "(ClickPositions, relay(EchoClicks, SubmitPositions))",
+        "(ClickPositions, relay(EchoClicks))",
+        "a relay row passes on everything its flow says: P1 clicks reach the server",
+    ),
+    Mutant(
         "aborted_session_takes_input",
         "src/visualauth/protocols.py",
         'phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase',

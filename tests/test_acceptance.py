@@ -202,7 +202,7 @@ def test_criterion_7_replay_and_freshness():
         honest_seed = rngmod.child_seed(BASE_SEED, "replay3", "honest", str(i))
         honest = run_flow(SessionConfig(protocol=Protocol.P3, seed=honest_seed), store3)
         assert honest.outcome is Outcome.AUTHENTICATED
-        blob = honest.session.entities[EntityKind.TERMINAL].state["credential_blob"]
+        blob = honest.session.entities[EntityKind.TERMINAL].state["upload_frame"].frame.payload
         replay_seed = rngmod.child_seed(BASE_SEED, "replay3", "replay", str(i))
         replay = run_flow(
             SessionConfig(protocol=Protocol.P3, seed=replay_seed),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import struct
 import types
 import typing
@@ -16,8 +17,11 @@ from visualauth.crypto import Role
 from visualauth.entities import (
     EntityKind,
     Message,
+    SecretKind,
+    SecretSighting,
     deliver,
     export_transcript,
+    scan_states_for_secrets,
     secrecy_violations,
 )
 from visualauth.protocols import (
@@ -40,12 +44,15 @@ from visualauth.protocols import (
     ShowTxPage,
     SideCopy,
     SignedConfirmation,
+    SPEC,
     SubmitCiphertext,
     SubmitOtp,
     SubmitPositions,
     SubmitTx,
+    Terminal,
     Transaction,
     TypeCredentials,
+    TypeOtp,
     _pack_credentials,
     _pack_signed,
     _unpack_credentials,
@@ -252,7 +259,7 @@ class TestHonestLogins:
     def test_p3_terminal_holds_ciphertext_only(self):
         result = run_flow(_cfg(Protocol.P3, 109))
         terminal = result.session.entities[EntityKind.TERMINAL]
-        blob = terminal.state["credential_blob"]
+        blob = terminal.state["upload_frame"].frame.payload
         password = result.session.store.users["alice"].password.encode()
         assert password not in blob
         # the blob opens only for the server
@@ -337,7 +344,7 @@ class TestPositionSemantics:
         assert result.outcome is Outcome.AUTHENTICATED
         layout = result.session.entities[EntityKind.SERVER].state["layout"]
         terminal = result.session.entities[EntityKind.TERMINAL]
-        assert terminal.state["positions"] == (layout.position_of("a"),) * 4
+        assert terminal.state["click_positions"].positions == (layout.position_of("a"),) * 4
 
     def test_identity_layout_spells_mixed_password(self):
         store = CredentialStore.provision(120, users=(("bob", "b0b"),))
@@ -346,8 +353,8 @@ class TestPositionSemantics:
         terminal = result.session.entities[EntityKind.TERMINAL]
         b, zero = layout.position_of("b"), layout.position_of("0")
         assert b != zero
-        assert terminal.state["positions"] == (b, zero, b)
-        assert layout.resolve(terminal.state["positions"]) == "b0b"
+        assert terminal.state["click_positions"].positions == (b, zero, b)
+        assert layout.resolve(terminal.state["click_positions"].positions) == "b0b"
         assert result.outcome is Outcome.AUTHENTICATED
 
     def test_positions_resolve_only_at_the_server(self):
@@ -358,7 +365,7 @@ class TestPositionSemantics:
         server = result.session.entities[EntityKind.SERVER]
         layout = server.state["layout"]
         terminal = result.session.entities[EntityKind.TERMINAL]
-        assert layout.serialize() not in terminal.state["challenge_payload"]
+        assert layout.serialize() not in terminal.state["kbd_challenge"].frame.payload
 
 
 class TestOtpSemantics:
@@ -387,7 +394,7 @@ class TestCiphertextReplayAndTamper:
     def _steal_blob(self, seed, store):
         honest = run_flow(_cfg(Protocol.P3, seed), store=store)
         assert honest.outcome is Outcome.AUTHENTICATED
-        return honest.session.entities[EntityKind.TERMINAL].state["credential_blob"]
+        return honest.session.entities[EntityKind.TERMINAL].state["upload_frame"].frame.payload
 
     def test_replaying_the_exact_ciphertext_is_denied(self):
         store = CredentialStore.provision(125)
@@ -402,7 +409,7 @@ class TestCiphertextReplayAndTamper:
         # under one nonce, so the server's own record is checked directly
         session = run_flow(_cfg(Protocol.P3, 125)).session
         server = session.entities[EntityKind.SERVER]
-        blob = session.entities[EntityKind.TERMINAL].state["credential_blob"]
+        blob = session.entities[EntityKind.TERMINAL].state["upload_frame"].frame.payload
         server.on_submit_ciphertext(SubmitCiphertext(blob=blob))
         assert session.outcome is Outcome.AUTHENTICATED
         assert session.late_verdicts[-1][1:] == (Outcome.DENIED, None)
@@ -440,7 +447,7 @@ def _rewriting_frames(**changes):
     return install
 
 
-# the one frame context each login flow's phone scans, as its FLOWS row says
+# the one frame context each login flow's phone scans, as its SPEC row says
 SCANNED = {Protocol.P1: "keyboard", Protocol.P2: "otp", Protocol.P3: "nonce"}
 SEALED = (Protocol.P1, Protocol.P2)  # the flows whose challenge is sealed to the phone and signed
 
@@ -935,8 +942,9 @@ class TestHijackGuard:
         assert verifies == [False]
 
 
-# each flow's honest message order, delivery by delivery: the rows say
-# which tags a party takes, this says in which order the honest run sends them
+# each flow's honest message order, delivery by delivery, written by hand
+# apart from SPEC: SPEC's row order must equal it, and each honest run must
+# follow it
 HONEST_SEQUENCES = {
     Protocol.P1: (
         "type_id", "login_request", "kbd_challenge", "show_frame", "show_keyboard", "show_layout",
@@ -957,6 +965,70 @@ HONEST_SEQUENCES = {
     ),
     Protocol.SECUREVIEW: ("connect", "connect_request", "secure_doc", "show_doc", "show_fields"),
     Protocol.HIJACKGUARD: ("request_tx", "confirm_on_phone", "submit_tx", "side_copy", "tx_result", "show_result"),
+}
+
+
+# FLOWS as written by hand before SPEC stated each flow once: every
+# "<flow> <party> <phase> <tag> -> <next phase>" it held. The table read off
+# SPEC must hold exactly these
+PINNED_FLOWS = {
+    "P1 user start show_keyboard -> start",
+    "P1 user start show_layout -> start",
+    "P1 user start echo_clicks -> start",
+    "P1 user start show_result -> start",
+    "P1 terminal start type_id -> start",
+    "P1 terminal start kbd_challenge -> start",
+    "P1 terminal start click_positions -> start",
+    "P1 terminal start auth_result -> start",
+    "P1 smartphone start show_frame -> start",
+    "P1 server start login_request -> challenged",
+    "P1 server challenged submit_positions -> challenged",
+    "P2 user start show_keyboard -> start",
+    "P2 user start show_otp -> start",
+    "P2 user start echo_otp -> start",
+    "P2 user start show_result -> start",
+    "P2 terminal start type_id -> start",
+    "P2 terminal start otp_challenge -> start",
+    "P2 terminal start type_otp -> start",
+    "P2 terminal start auth_result -> start",
+    "P2 smartphone start show_frame -> start",
+    "P2 server start login_request -> challenged",
+    "P2 server challenged submit_otp -> challenged",
+    "P3 user start show_login_box -> start",
+    "P3 user start echo_masked_credentials -> start",
+    "P3 user start show_result -> start",
+    "P3 terminal start connect -> start",
+    "P3 terminal start nonce_challenge -> start",
+    "P3 terminal start upload_frame -> start",
+    "P3 terminal start auth_result -> start",
+    "P3 smartphone start show_frame -> scanned",
+    "P3 smartphone scanned show_frame -> scanned",
+    "P3 smartphone scanned type_credentials -> scanned",
+    "P3 server start connect_request -> challenged",
+    "P3 server challenged submit_ciphertext -> challenged",
+    "TXVERIFY user start show_tx_page -> start",
+    "TXVERIFY user start show_verified_tx -> start",
+    "TXVERIFY user start show_result -> start",
+    "TXVERIFY terminal start request_tx -> start",
+    "TXVERIFY terminal start tx_confirmation -> start",
+    "TXVERIFY terminal start confirm_tx -> start",
+    "TXVERIFY terminal start tx_result -> start",
+    "TXVERIFY smartphone start show_tx_frame -> start",
+    "TXVERIFY server start submit_tx -> challenged",
+    "TXVERIFY server challenged forward_confirm -> done",
+    "SECUREVIEW user start show_fields -> start",
+    "SECUREVIEW terminal start connect -> start",
+    "SECUREVIEW terminal start secure_doc -> start",
+    "SECUREVIEW smartphone start show_doc -> start",
+    "SECUREVIEW server start connect_request -> done",
+    "HIJACKGUARD user start show_result -> start",
+    "HIJACKGUARD terminal start request_tx -> start",
+    "HIJACKGUARD terminal start tx_result -> start",
+    "HIJACKGUARD smartphone start confirm_on_phone -> start",
+    "HIJACKGUARD server start submit_tx -> tx_held",
+    "HIJACKGUARD server start side_copy -> side_held",
+    "HIJACKGUARD server tx_held side_copy -> done",
+    "HIJACKGUARD server side_held submit_tx -> done",
 }
 
 
@@ -991,6 +1063,21 @@ class TestDispatch:
         for seed in range(3):
             transcript = run_flow(_cfg(protocol, seed)).session.transcript
             assert tuple(m.TAG for m in transcript) == HONEST_SEQUENCES[protocol], seed
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_spec_lists_the_honest_sequence(self, protocol):
+        # SPEC states each flow in honest delivery order, one row per message
+        assert tuple(row[0].TAG for row in SPEC[protocol]) == HONEST_SEQUENCES[protocol]
+
+    def test_flows_read_off_spec_equal_the_hand_table(self):
+        derived = {
+            f"{protocol.value} {party.value} {phase} {tag} -> {after}"
+            for protocol, flow in FLOWS.items()
+            for party, phases in flow.items()
+            for phase, rows in phases.items()
+            for tag, (_, after) in rows.items()
+        }
+        assert derived == PINNED_FLOWS
 
     def test_run_flow_routes_by_protocol(self):
         assert run_flow(_cfg(Protocol.P2, 170)).outcome is Outcome.AUTHENTICATED
@@ -1035,6 +1122,37 @@ def _run_with_injected(config, message, at=0):
     return session
 
 
+class TestTerminalKeepsWhatItWasHanded:
+    """The terminal has no handler per tag: each row it takes keeps the
+    message as state[tag] and relays it."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_the_terminal_holds_the_last_message_of_each_tag(self, protocol):
+        session = run_flow(_cfg(protocol, 3)).session
+        handed = {m.TAG: m for m in session.transcript if m.CHANNEL.receiver is EntityKind.TERMINAL}
+        state = session.entities[EntityKind.TERMINAL].state
+        assert state.keys() == handed.keys()
+        assert all(state[tag] is message for tag, message in handed.items())
+
+    def test_the_terminal_defines_no_handler_per_tag(self):
+        assert [name for name in vars(Terminal) if name.startswith("on_")] == []
+
+    def test_a_refused_message_is_not_kept(self):
+        # P1 has no typed password: the terminal refuses it before any row runs
+        session = _run_with_injected(_cfg(Protocol.P1, 189), TypeOtp(otp="guess123"))
+        assert (session.outcome, session.abort_reason) == (Outcome.ABORTED, "type_otp_out_of_protocol")
+        assert "type_otp" not in session.entities[EntityKind.TERMINAL].state
+
+    def test_a_kept_message_is_scanned(self):
+        # the positive control: a P2 terminal takes a typed one-time password,
+        # so one that is the user's password stays in its state, where the
+        # scan sights it; _run_with_injected provisions alice with "data"
+        session = _run_with_injected(_cfg(Protocol.P2, 189), TypeOtp(otp="data"))
+        assert session.entities[EntityKind.TERMINAL].state["type_otp"].otp == "data"
+        sighting = SecretSighting(EntityKind.TERMINAL, SecretKind.PASSWORD, step=1, violation=True)
+        assert sighting in scan_states_for_secrets(session)
+
+
 # one of each message the server takes in some flow
 SERVER_BOUND = (
     LoginRequest(user_id="alice", protocol="P1"),
@@ -1061,6 +1179,37 @@ def _client_bound(seed):
             if m.CHANNEL.receiver is not EntityKind.SERVER:
                 samples.setdefault(m.TAG, m)
     return tuple(samples.values())
+
+
+def _verdict(message, at, session) -> tuple:
+    """How one injected session ended, in the terms the sweep digests pin."""
+    late = tuple((step, verdict.value, reason) for step, verdict, reason in session.late_verdicts)
+    return (message.TAG, at, session.outcome.value, session.abort_reason, session.abort_retryable, late)
+
+
+def _verdicts_digest(verdicts) -> str:
+    return hashlib.sha256(repr(verdicts).encode("utf-8")).hexdigest()[:16]
+
+
+# each sweep's verdicts per flow, hashed in sweep order: a refactor of the
+# flow tables that moves any session's outcome, abort reason, retryability
+# or late verdicts moves its flow's digest
+SERVER_SWEEP_DIGESTS = {
+    Protocol.P1: "d72102f478a0923f",  # 96 sessions
+    Protocol.P2: "657f2f27f729fb6c",  # 96 sessions
+    Protocol.P3: "42fb00da7418a4ae",  # 96 sessions
+    Protocol.TXVERIFY: "e1a217c4edb2ffd9",  # 88 sessions
+    Protocol.SECUREVIEW: "5521241bb0588a08",  # 48 sessions
+    Protocol.HIJACKGUARD: "43a73c2d297c416f",  # 56 sessions
+}
+CLIENT_SWEEP_DIGESTS = {
+    Protocol.P1: "9fa28453d3cd9db7",  # 360 sessions
+    Protocol.P2: "057eb1b118579591",  # 360 sessions
+    Protocol.P3: "9d70a182dbb04e34",  # 360 sessions
+    Protocol.TXVERIFY: "92659f5631ec2b31",  # 330 sessions
+    Protocol.SECUREVIEW: "aef1cba97345d02c",  # 180 sessions
+    Protocol.HIJACKGUARD: "9325a29b70caaacb",  # 210 sessions
+}
 
 
 class TestServerFailsClosed:
@@ -1119,6 +1268,7 @@ class TestServerFailsClosed:
         # every server-bound message at every delivery point of the honest run
         config = _cfg(protocol, 185)
         deliveries = run_flow(config).session.step
+        verdicts = []
         for message in SERVER_BOUND:
             for at in range(deliveries + 1):
                 session = _run_with_injected(config, message, at=at)
@@ -1128,6 +1278,8 @@ class TestServerFailsClosed:
                 assert session.executed_tx in (None, DEFAULT_TX), where
                 if session.outcome is not Outcome.ABORTED:
                     assert session.abort_reason is None, where
+                verdicts.append(_verdict(message, at, session))
+        assert _verdicts_digest(verdicts) == SERVER_SWEEP_DIGESTS[protocol]
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_client_injection_sweep(self, protocol):
@@ -1137,6 +1289,7 @@ class TestServerFailsClosed:
         # injected type_credentials put it on the phone directly
         config = _cfg(protocol, 185)
         deliveries = run_flow(config).session.step
+        verdicts = []
         for message in _client_bound(185):
             for at in range(deliveries + 1):
                 session = _run_with_injected(config, message, at=at)
@@ -1146,6 +1299,8 @@ class TestServerFailsClosed:
                 assert session.executed_tx in (None, DEFAULT_TX), where
                 if session.outcome is not Outcome.ABORTED:
                     assert session.abort_reason is None, where
+                verdicts.append(_verdict(message, at, session))
+        assert _verdicts_digest(verdicts) == CLIENT_SWEEP_DIGESTS[protocol]
 
     # (flow, rewriting locus, changes, outcome, abort reason); the honest
     # runs are the positive controls, and each mutant raised AttributeError
