@@ -546,7 +546,7 @@ def _stale_receipt(config: SessionConfig, store: CredentialStore):
     stale = _rewriting(
         EntityKind.TERMINAL,
         submit_tx={"tx": EVIL_TX},
-        show_tx_frame={"frame": receipt.frame},
+        show_frame={"frame": receipt.frame},
         show_tx_page={"tx": receipt.display_tx},
     )
     return [stale], _executed_evil

@@ -292,7 +292,6 @@ class NonceChallenge(Message):
 @register_message("terminal_display_phone", "frame_payload")
 class ShowFrame(Message):
     frame: VisualFrame
-    context: str
 
 
 @register_message("terminal_display_user", "keyboard")
@@ -402,11 +401,6 @@ class SubmitTx(Message):
 @register_message("net_down")
 class TxConfirmation(Message):
     display_tx: Transaction
-    frame: VisualFrame
-
-
-@register_message("terminal_display_phone", "frame_payload")
-class ShowTxFrame(Message):
     frame: VisualFrame
 
 
@@ -699,10 +693,7 @@ class Smartphone(Party):
         )
 
     def on_show_frame(self, msg: ShowFrame, context: str, read) -> None:
-        # the flow's row, never the terminal's label, says what the frame holds
-        if msg.context != context:
-            self._refuse_scan("show_frame_out_of_protocol", retryable=False)
-            return
+        # the flow's row names the capture and says what the frame holds
         try:
             payload = _capture(self.session, msg.frame, context)
         except qr.UncorrectableFrameError:
@@ -766,7 +757,7 @@ class Smartphone(Party):
         frame = _frame(self.session, blob, "credential_upload")
         self.emit(UploadFrame(frame=frame))
 
-    def on_show_tx_frame(self, msg: ShowTxFrame) -> None:
+    def on_show_tx_frame(self, msg: ShowFrame) -> None:
         try:
             payload = _capture(self.session, msg.frame, "tx_confirmation")
             conf = SignedConfirmation.from_payload(payload)
@@ -848,7 +839,7 @@ class Server(Party):
             layout.serialize(),
             allowed={EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER},
         )
-        frame = self._sealed_frame(layout.serialize(), "keyboard_challenge")
+        frame = self._sealed_frame(layout.serialize(), "keyboard")
         self.emit(KbdChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
     def _issue_otp(self) -> None:
@@ -859,13 +850,13 @@ class Server(Party):
         )
         self.state["token"] = token
         self.session.register_secret(SecretKind.OTP, token.value.encode(), allowed=set(EntityKind))
-        self.emit(OtpChallenge(frame=self._sealed_frame(token.value.encode("ascii"), "otp_challenge")))
+        self.emit(OtpChallenge(frame=self._sealed_frame(token.value.encode("ascii"), "otp")))
 
     def _issue_nonce(self) -> None:
         nonce = crypto.fresh_nonce(self.session.rng, self.session.store.issued_nonces)
         self.state["nonce"] = nonce
         self.state["nonce_consumed"] = False
-        frame = _frame(self.session, nonce.value, "nonce_challenge")
+        frame = _frame(self.session, nonce.value, "nonce")
         self.emit(NonceChallenge(frame=frame))
 
     def _login(self, msg: LoginRequest, issue) -> None:
@@ -1028,10 +1019,6 @@ def scan(context: str, read, *args):
     return partial(Smartphone.on_show_frame, context=context, read=lambda phone, p: read(phone, p, *args))
 
 
-def _show_frame(context: str):
-    return lambda m: ShowFrame(frame=m.frame, context=context)
-
-
 # Each flow, stated once: its messages in honest delivery order, as in an
 # Alice-and-Bob table. A row is (message class, handler at its receiver[,
 # phase move]); the class's channel names sender and receiver. A phase move
@@ -1045,7 +1032,7 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
         (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P1.value))),
         (LoginRequest, lambda s, m: s._login(m, s._issue_keyboard), {"start": "challenged"}),
         (KbdChallenge,
-         relay(_show_frame("keyboard"), lambda m: ShowKeyboard("blank", m.grid_rows, m.grid_cols))),
+         relay(ShowFrame, lambda m: ShowKeyboard("blank", m.grid_rows, m.grid_cols))),
         (ShowFrame, scan("keyboard", Smartphone._open_challenge,
                          KeyboardPermutation.from_serialized, "layout", ShowLayout)),
         (ShowKeyboard, UserModel.on_show_keyboard),
@@ -1059,7 +1046,7 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
     Protocol.P2: (
         (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P2.value))),
         (LoginRequest, lambda s, m: s._login(m, s._issue_otp), {"start": "challenged"}),
-        (OtpChallenge, relay(_show_frame("otp"), lambda m: ShowKeyboard("full", 4, 10))),
+        (OtpChallenge, relay(ShowFrame, lambda m: ShowKeyboard("full", 4, 10))),
         (ShowFrame, scan("otp", Smartphone._open_challenge, _parse_otp, "otp", ShowOtp)),
         (ShowKeyboard, UserModel.on_show_keyboard),
         (ShowOtp, UserModel.on_show_otp),
@@ -1072,7 +1059,7 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
     Protocol.P3: (
         (Connect, relay(ConnectRequest)),
         (ConnectRequest, lambda s, m: s._issue_nonce(), {"start": "challenged"}),
-        (NonceChallenge, relay(_show_frame("nonce"))),
+        (NonceChallenge, relay(ShowFrame)),
         (ShowFrame, scan("nonce", Smartphone._read_nonce), {"start": "scanned", "scanned": "scanned"}),
         (ShowLoginBox, UserModel.on_show_login_box),
         (TypeCredentials, Smartphone.on_type_credentials, {"scanned": "scanned"}),
@@ -1085,8 +1072,8 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
     Protocol.TXVERIFY: (
         (RequestTx, relay(SubmitTx)),
         (SubmitTx, Server.on_submit_tx, {"start": "challenged"}),
-        (TxConfirmation, relay(ShowTxFrame, lambda m: ShowTxPage(tx=m.display_tx))),
-        (ShowTxFrame, Smartphone.on_show_tx_frame),
+        (TxConfirmation, relay(ShowFrame, lambda m: ShowTxPage(tx=m.display_tx))),
+        (ShowFrame, Smartphone.on_show_tx_frame),
         (ShowTxPage, UserModel.on_show_tx_page),
         (ShowVerifiedTx, UserModel.on_show_verified_tx),
         (ConfirmTx, relay(ForwardConfirm)),

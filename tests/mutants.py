@@ -154,13 +154,6 @@ MUTANTS = (
         "a credential blob with bytes past its last field is refused (decoder law)",
     ),
     Mutant(
-        "phone_ignores_frame_context",
-        "src/visualauth/protocols.py",
-        "        if msg.context != context:\n",
-        "        if False:\n",
-        "the phone reads a frame only in the context its flow row binds",
-    ),
-    Mutant(
         "hijack_guard_skipped",
         "src/visualauth/protocols.py",
         "        if self.session.config.flags.hijack_guard:\n            self._check_guard()\n        else:\n",

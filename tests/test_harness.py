@@ -268,7 +268,7 @@ class TestScenarioRuns:
         parsed = parse_config("[scenario]\nname = f\nprotocol = p1\ntrials = 2\nseed = 53\n")
         report = run_scenario(parsed.scenarios[0])
         contexts = [ctx for _, ctx, _ in report.first_session.frame_log]
-        assert contexts == ["keyboard_challenge"]
+        assert contexts == ["keyboard"]
 
 
 class TestNumericChecks:
