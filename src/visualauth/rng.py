@@ -4,6 +4,11 @@ Every random draw in a simulation flows from one scenario seed through
 named child streams, so two runs with the same seed produce byte-identical
 transcripts. Child seeds are hash-derived; reordering unrelated draws in
 one subsystem cannot disturb another.
+
+child_seed hashes the seed and then each label of the path as its type
+name, the length of its text and the text, so two different paths never
+hash the same bytes: the label "a/b" is not the path ("a", "b"), the
+label 5 is not the label "5", and ("a", "") is not ("a/",).
 """
 
 from __future__ import annotations
@@ -15,10 +20,9 @@ import random
 def child_seed(seed: int, *path: object) -> int:
     """Derive a child seed from a parent seed and a label path."""
     h = hashlib.sha256()
-    h.update(str(seed).encode())
-    for part in path:
-        h.update(b"/")
-        h.update(str(part).encode())
+    for part in (seed, *path):
+        text = str(part).encode()
+        h.update(f"{type(part).__name__}:{len(text)}:".encode() + text)
     return int.from_bytes(h.digest()[:8], "big")
 
 

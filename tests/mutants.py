@@ -238,6 +238,20 @@ MUTANTS = (
         "a relay row passes on everything its flow says: P1 clicks reach the server",
     ),
     Mutant(
+        "child_seed_untyped",
+        "src/visualauth/rng.py",
+        'f"{type(part).__name__}:{len(text)}:"',
+        'f"{len(text)}:"',
+        "a label's type enters its child seed: the label 5 is not the label '5'",
+    ),
+    Mutant(
+        "child_seed_unlengthed",
+        "src/visualauth/rng.py",
+        'f"{type(part).__name__}:{len(text)}:"',
+        'f"{type(part).__name__}:"',
+        "a label's length enters its child seed: no label can spell the next one",
+    ),
+    Mutant(
         "aborted_session_takes_input",
         "src/visualauth/protocols.py",
         'phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase',

@@ -879,25 +879,39 @@ class TestReplaysAreJudged:
         assert result.session.step == 5
         assert all(m.CHANNEL.receiver is not EntityKind.SMARTPHONE for m in result.session.transcript)
 
-    # the password's positions on seed 281's layout, the positive control,
-    # and replays of positions the grid does not hold, with (outcome, abort
-    # reason, steps): the server denies positions off the grid, and a
-    # submission that is no tuple of ints is refused as malformed before it
-    # reaches the server's handler
+    # the password's positions, the positive control, and replays of
+    # positions the grid does not hold, with (outcome, abort reason, steps):
+    # the server denies positions off the grid, and a submission that is no
+    # tuple of ints is refused as malformed before it reaches the server's
+    # handler. SPELLED holds 0 and 1, so that False and True stand for two
+    # of the password's positions, and every position shifted by the grid's
+    # size is the same position counted from the end
+    SPELLED = (16, 0, 20, 1)
     SUBMISSIONS = {
-        "spelled": ((16, 0, 20, 0), Outcome.AUTHENTICATED, None, 5),
+        "spelled": (SPELLED, Outcome.AUTHENTICATED, None, 5),
         "past_the_grid": ((99, 0, 0, 0), Outcome.DENIED, None, 5),
         "not_an_int": (("a", 0, 0, 0), Outcome.ABORTED, "submit_positions_malformed", 4),
-        "shifted_negative": ((-20, -36, -16, -36), Outcome.DENIED, None, 5),
-        "bool_for_zero": ((16, False, 20, False), Outcome.ABORTED, "submit_positions_malformed", 4),
+        "shifted_negative": (tuple(p - 36 for p in SPELLED), Outcome.DENIED, None, 5),
+        "bool_for_int": ((16, False, 20, True), Outcome.ABORTED, "submit_positions_malformed", 4),
         "not_a_sequence": (5, Outcome.ABORTED, "submit_positions_malformed", 4),
     }
+
+    @staticmethod
+    def _store_spelling(positions):
+        """A store whose alice has the password positions spell on the
+        layout of seed 281's P1 session, read off a probe of that session:
+        the layout is drawn from the session's seed, not from the store."""
+        config = SessionConfig(protocol=Protocol.P1, seed=281)
+        probe = run_flow(config, CredentialStore.provision(281),
+                         adversaries=[replaying(SubmitPositions(positions=(0, 0, 0, 0)))])
+        password = probe.session.entities[EntityKind.SERVER].state["layout"].resolve(positions)
+        return CredentialStore.provision(281, users=(("alice", password),))
 
     @pytest.mark.parametrize("name", SUBMISSIONS)
     def test_positions_off_the_grid_are_denied(self, name):
         positions, outcome, reason, steps = self.SUBMISSIONS[name]
         install = replaying(SubmitPositions(positions=positions))
-        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=281), CredentialStore.provision(281),
+        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=281), self._store_spelling(self.SPELLED),
                           adversaries=[install])
         assert (result.outcome, result.session.abort_reason) == (outcome, reason)
         assert result.session.step == steps
