@@ -54,7 +54,8 @@ Attacks outside the matrix are rows of one catalogue, ``ATTACKS``, run by
 than compromising a locus, so it is not an adversary kind), the documented
 caveats (the dual-view shoulder surfer, a replayed one-time password), and
 an on/off pair for each defence flag (signing, transaction freshness, the
-hijack guard), the off row being that defence's positive control.
+hijack guard against an altered and against a suppressed side copy), the
+off row being that defence's positive control.
 """
 
 from __future__ import annotations
@@ -571,6 +572,18 @@ def _hijack(config: SessionConfig, store: CredentialStore):
     return [_altering(EntityKind.TERMINAL)], _executed_evil
 
 
+def _suppressed_side_copy(config: SessionConfig, store: CredentialStore):
+    """Phone malware drops the side copy, so a transaction the server
+    executes is one no verified side copy backs."""
+
+    def install(session: Session) -> None:
+        session.entities[EntityKind.SMARTPHONE].outbound_hooks.append(
+            lambda msg: None if msg.TAG == "side_copy" else msg
+        )
+
+    return [install], lambda result: result.session.executed_tx is not None
+
+
 @dataclass(frozen=True)
 class Attack:
     name: str
@@ -597,6 +610,9 @@ ATTACKS: dict[str, Attack] = {
         Attack("forged_confirm", Protocol.TXVERIFY, SessionFlags(), _forged_confirm, True),
         Attack("hijack", Protocol.HIJACKGUARD, SessionFlags(), _hijack, False),
         Attack("hijack/no_guard", Protocol.HIJACKGUARD, SessionFlags(hijack_guard=False), _hijack, True),
+        Attack("suppressed_side_copy", Protocol.HIJACKGUARD, SessionFlags(), _suppressed_side_copy, False),
+        Attack("suppressed_side_copy/no_guard", Protocol.HIJACKGUARD, SessionFlags(hijack_guard=False),
+               _suppressed_side_copy, True),
     )
 }
 

@@ -165,7 +165,6 @@ _SCENARIO_KEYS = {
     "sign_server_payloads": _boolean,
     "hijack_guard": _boolean,
     "tx_nonce_freshness": _boolean,
-    "drop_side_copy": _boolean,
     "ec_level": _choice({level.value.lower(): level for level in qr.EcLevel}, "unknown ec level {!r}"),
     "corrupt_codewords": _codewords,
     "corrupt_context": _choice(
@@ -184,7 +183,6 @@ _FLOW_ONLY_KEYS = (
     ("sign_server_payloads", (Protocol.P1, Protocol.P2), "protocol = p1 or p2"),
     ("tx_nonce_freshness", (Protocol.TXVERIFY,), "protocol = txverify"),
     ("hijack_guard", (Protocol.HIJACKGUARD,), "protocol = hijackguard"),
-    ("drop_side_copy", (Protocol.HIJACKGUARD,), "protocol = hijackguard"),
     ("max_attempts", AUTH_PROTOCOLS, "a login protocol"),
 )
 _FLAG_FIELDS = tuple(f.name for f in fields(SessionFlags))

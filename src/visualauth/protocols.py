@@ -255,7 +255,6 @@ class SessionConfig:
     corrupt_codewords: int | str = 0  # int, "budget", or "budget+1"
     mistype_otp: bool = False  # user fat-fingers one symbol of the shown OTP
     corrupt_context: str | None = None  # None corrupts every capture
-    drop_side_copy: bool = False
 
 
 # -------- message vocabulary --------
@@ -773,8 +772,6 @@ class Smartphone(Party):
         self.emit(ShowVerifiedTx(tx=conf.tx, sig_valid=valid, fresh=fresh))
 
     def on_confirm_on_phone(self, msg: ConfirmOnPhone) -> None:
-        if self.session.config.drop_side_copy:
-            return  # side channel suppressed in this scenario
         sig = crypto.sign(self.state["keypair"], canonical_tx_bytes(msg.tx))
         self.emit(SideCopy(tx=msg.tx, signature=sig))
 

@@ -950,6 +950,8 @@ ATTACK_VERDICTS = {
     "forged_confirm": Outcome.CONFIRMED,
     "hijack": Outcome.REJECTED,
     "hijack/no_guard": Outcome.ACCEPTED,
+    "suppressed_side_copy": Outcome.REJECTED,
+    "suppressed_side_copy/no_guard": Outcome.ACCEPTED,
 }
 
 

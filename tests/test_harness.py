@@ -125,7 +125,7 @@ class TestParsing:
             ("[scenario]\nprotocol = txverify\nmax_attempts = 3\n", 3, "max_attempts needs a login protocol"),
             ("[scenario]\nmax_attempts = 2\nprotocol = secureview\n", 2, "max_attempts needs a login protocol"),
             ("[scenario]\nprotocol = hijackguard\nmax_attempts = 3\n", 3, "max_attempts needs a login protocol"),
-            ("[scenario]\ndrop_side_copy = on\nprotocol = p2\n", 2, "drop_side_copy needs protocol = hijackguard"),
+            ("[scenario]\ndrop_side_copy = on\nprotocol = hijackguard\n", 2, "unknown key 'drop_side_copy'"),
             ("[scenario]\nprotocol = p3\nsign_server_payloads = off\n", 3, "sign_server_payloads needs protocol = p1 or p2"),
             ("[scenario]\nsign_server_payloads = on\nprotocol = txverify\n", 2, "sign_server_payloads needs protocol = p1 or p2"),
             ("[scenario]\nprotocol = p1\ntx_nonce_freshness = off\n", 3, "tx_nonce_freshness needs protocol = txverify"),
@@ -180,8 +180,7 @@ class TestParsing:
             "ec_level = h\ncorrupt_codewords = 2\ncorrupt_context = keyboard\n"
             "credentials = wrong\nmax_attempts = 2\n"
             "expect_denied = 3\nexpect_breaches = 0\n"
-            "[scenario]\nname = side-copy\nprotocol = hijackguard\ndrop_side_copy = yes\n"
-            "hijack_guard = no\n"
+            "[scenario]\nname = side-copy\nprotocol = hijackguard\nhijack_guard = no\n"
             "[scenario]\nname = stale\nprotocol = txverify\ntx_nonce_freshness = false\n"
         )
         keys = {line.split(" = ")[0] for line in text.splitlines() if " = " in line}
@@ -204,9 +203,7 @@ class TestParsing:
         )
         side_copy = Scenario(
             name="side-copy",
-            config=SessionConfig(
-                protocol=Protocol.HIJACKGUARD, drop_side_copy=True, flags=SessionFlags(hijack_guard=False)
-            ),
+            config=SessionConfig(protocol=Protocol.HIJACKGUARD, flags=SessionFlags(hijack_guard=False)),
         )
         stale = Scenario(
             name="stale",

@@ -903,19 +903,6 @@ class TestHijackGuard:
         assert session.run() is Outcome.REJECTED
         assert session.executed_tx is None
 
-    def test_missing_side_copy_fails_closed(self):
-        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 162, drop_side_copy=True))
-        assert result.outcome is Outcome.REJECTED
-        assert result.session.executed_tx is None
-
-    def test_guard_off_executes_without_the_side_copy(self):
-        flags = SessionFlags(hijack_guard=False)
-        result = run_hijack_guard(
-            _cfg(Protocol.HIJACKGUARD, 163, flags=flags, drop_side_copy=True)
-        )
-        assert result.outcome is Outcome.ACCEPTED
-        assert result.session.executed_tx == DEFAULT_TX
-
     def test_forged_side_copy_rejected(self, monkeypatch):
         # a side copy signed by the wrong key must not unlock execution; the
         # transactions agree, so the signature is checked, once, and fails
