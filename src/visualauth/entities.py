@@ -478,9 +478,6 @@ class Session:
             raise ValueError("secret probe too short to scan for")
         self.secret_probes.append(SecretProbe(kind, bytes(data), frozenset(allowed)))
 
-    def note_frame(self, context: str, frame: VisualFrame) -> None:
-        self.frame_log.append((self.step, context, frame))
-
     def inject(self, message: Message) -> None:
         """Queue a message on the channel its class declares; with no
         sending entity, this is also how an attacker inserts traffic."""

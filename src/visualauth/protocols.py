@@ -515,7 +515,7 @@ def _frame(session: Session, payload: bytes, context: str) -> VisualFrame:
     """Auto-select the smallest fitting version at the session's ec level."""
     spec = qr.choose_spec(payload, session.config.frame_ec)
     frame = qr.qr_encode(payload, spec)
-    session.note_frame(context, frame)
+    session.frame_log.append((session.step, context, frame))
     return frame
 
 
@@ -691,7 +691,7 @@ class Smartphone(Party):
             keypair=keypair, server_public=store.server_pair.public_key, server_name=store.server_name
         )
 
-    def on_show_frame(self, msg: ShowFrame, context: str, read) -> None:
+    def capture(self, msg: ShowFrame, context: str, read) -> None:
         # the flow's row names the capture and says what the frame holds
         try:
             payload = _capture(self.session, msg.frame, context)
@@ -1013,7 +1013,7 @@ def relay(*sends):
 def scan(context: str, read, *args):
     """The handler of a phone row that captures the frame it is shown as
     context, then reads the payload by read(phone, payload, *args)."""
-    return partial(Smartphone.on_show_frame, context=context, read=lambda phone, p: read(phone, p, *args))
+    return partial(Smartphone.capture, context=context, read=lambda phone, p: read(phone, p, *args))
 
 
 # Each flow, stated once: its messages in honest delivery order, as in an

@@ -3,12 +3,9 @@
 Every random draw in a simulation flows from one scenario seed through
 named child streams, so two runs with the same seed produce byte-identical
 transcripts. Child seeds are hash-derived; reordering unrelated draws in
-one subsystem cannot disturb another.
-
-child_seed hashes the seed and then each label of the path as its type
-name, the length of its text and the text, so two different paths never
-hash the same bytes: the label "a/b" is not the path ("a", "b"), the
-label 5 is not the label "5", and ("a", "") is not ("a/",).
+one subsystem cannot disturb another. child_seed hashes the seed and each
+label as type name, length and text, so no two paths hash alike: "a/b" is
+not ("a", "b"), 5 is not "5", and ("a", "") is not ("a/",).
 """
 
 from __future__ import annotations
