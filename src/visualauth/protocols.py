@@ -1028,8 +1028,7 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
     Protocol.P1: (
         (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P1.value))),
         (LoginRequest, lambda s, m: s._login(m, s._issue_keyboard), {"start": "challenged"}),
-        (KbdChallenge,
-         relay(ShowFrame, lambda m: ShowKeyboard("blank", m.grid_rows, m.grid_cols))),
+        (KbdChallenge, relay(ShowFrame, lambda m: ShowKeyboard("blank", m.grid_rows, m.grid_cols))),
         (ShowFrame, scan("keyboard", Smartphone._open_challenge,
                          KeyboardPermutation.from_serialized, "layout", ShowLayout)),
         (ShowKeyboard, UserModel.on_show_keyboard),
