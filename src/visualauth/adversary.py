@@ -506,7 +506,7 @@ def _forged_layout(config: SessionConfig, store: CredentialStore):
     layout = crypto.generate_permutation(rngmod.fork(config.seed, "attacker-layout"))
     user_public = store.users[config.user_id].keypair.public_key
     sealed = crypto.encrypt(user_public, layout.serialize(), rngmod.fork(config.seed, "attacker-seal"))
-    payload = _pack_signed(sealed, None)
+    payload = _pack_signed(sealed.to_bytes(), None)
     frame = qr.qr_encode(payload, qr.choose_spec(payload, config.frame_ec))
 
     def breached(result: SessionResult) -> bool:

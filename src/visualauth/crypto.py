@@ -17,7 +17,8 @@ Design constraints this module enforces:
 * Signatures are detached and verification never raises on forgeries, it
   returns False. A signature's wire form leads with a role byte that parsing
   validates (0 user, 1 server, anything else is refused) but that the
-  signature does not cover, so each verify site checks the signer itself.
+  signature does not cover, so verify takes the signer it accepts and
+  refuses a signature that names any other.
 
 The content cipher is AES-192-GCM (a counter-mode cipher plus a mandatory
 tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
@@ -209,13 +210,17 @@ def decrypt(pair: KeyPair, ciphertext: Ciphertext) -> bytes:
 # -------- signatures --------
 
 
+# a signature's role byte is its signer's index here
+_SIGNERS = (Role.USER, Role.SERVER)
+
+
 @dataclass(frozen=True)
 class Signature:
     sig: bytes
     signer: Role
 
     def to_bytes(self) -> bytes:
-        return (b"\x00" if self.signer is Role.USER else b"\x01") + self.sig
+        return bytes([_SIGNERS.index(self.signer)]) + self.sig
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Signature":
@@ -223,7 +228,7 @@ class Signature:
             raise ValueError("signature blob must be 65 bytes")
         if blob[0] > 1:
             raise ValueError("signature role byte must be 0 (user) or 1 (server)")
-        return cls(sig=blob[1:], signer=Role.USER if blob[0] == 0 else Role.SERVER)
+        return cls(sig=blob[1:], signer=_SIGNERS[blob[0]])
 
 
 def sign(pair: KeyPair, message: bytes) -> Signature:
@@ -231,13 +236,14 @@ def sign(pair: KeyPair, message: bytes) -> Signature:
     return Signature(sig=pair._sign_private.sign(message), signer=pair.role)
 
 
-def verify(public_key: bytes, message: bytes, signature: Signature) -> bool:
-    """True iff signature is valid for message under public_key.
+def verify(public_key: bytes, message: bytes, signature: Signature, signer: Role) -> bool:
+    """True iff signature names signer and is valid for message under
+    public_key.
 
     Any mutation of message or signature flips the result to False; this
     never raises for a mere forgery.
     """
-    if len(signature.sig) != 64:
+    if signature.signer is not signer or len(signature.sig) != 64:
         return False
     try:
         Ed25519PublicKey.from_public_bytes(public_key[32:]).verify(

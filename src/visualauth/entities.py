@@ -544,23 +544,40 @@ def scan_states_for_secrets(session: Session) -> list[SecretSighting]:
     """Hunt every registered secret through every snapshot ever taken.
 
     Reports the first step each (entity, secret) pair was seen at;
-    violation marks a sighting outside the secret's allowed set.
+    violation marks a sighting outside the secret's allowed set. An
+    occurrence wholly inside an occurrence of a longer registered secret
+    that the entity may hold is that secret's, not a sighting: a P2
+    one-time password that holds the password (5/36**4, about 3e-6 per P2
+    session) shows no password. The false positive that remains is the
+    password's bytes inside a sealed challenge, which is no registered
+    secret: about 2e-7 per session.
     """
     sightings = []
     for probe in session.secret_probes:
         for kind, entity in session.entities.items():
+            covers = [
+                other.data
+                for other in session.secret_probes
+                if kind in other.allowed
+                and len(other.data) > len(probe.data)
+                and probe.data in other.data
+            ]
             for step, snap in entity.snapshots:
-                if probe.data in snap:
-                    sightings.append(
-                        SecretSighting(
-                            entity=kind,
-                            kind=probe.kind,
-                            step=step,
-                            violation=kind not in probe.allowed,
-                        )
-                    )
+                if probe.data in snap and not _covered(probe.data, snap, covers):
+                    violation = kind not in probe.allowed
+                    sightings.append(SecretSighting(kind, probe.kind, step, violation))
                     break
     return sightings
+
+
+def _covered(data: bytes, snap: bytes, covers: list[bytes]) -> bool:
+    """Whether every occurrence of data in snap lies inside one of covers."""
+    spans = [(at, at + len(cover)) for cover in covers for at in _starts(cover, snap)]
+    return all(any(lo <= at and at + len(data) <= hi for lo, hi in spans) for at in _starts(data, snap))
+
+
+def _starts(data: bytes, snap: bytes) -> list[int]:  # overlapping occurrences too
+    return [match.start() for match in re.finditer(b"(?=%s)" % re.escape(data), snap)]
 
 
 def secrecy_violations(session: Session) -> list[SecretSighting]:

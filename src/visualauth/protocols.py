@@ -25,6 +25,11 @@ confirmations verified on the smartphone, encrypted document fields
 readable only through the smartphone, and a cellular side-channel copy
 that a transaction must match before the server executes it (absence of
 the copy fails closed).
+
+Every signed payload the server sends, a sealed challenge or a
+transaction confirmation, is framed by _pack_signed, and every signature
+check names the signer it accepts to crypto.verify: the server for the
+phone's challenges and confirmations, the user for the side copy.
 """
 
 from __future__ import annotations
@@ -104,7 +109,6 @@ class CredentialStore:
     server_pair: KeyPair
     server_name: str
     users: dict[str, Credential] = field(default_factory=dict)
-    issued_nonces: set[bytes] = field(default_factory=set)
 
     def add_user(self, credential: Credential) -> None:
         if credential.user_id in self.users:
@@ -171,40 +175,6 @@ def parse_tx_canonical(blob: bytes) -> tuple[Transaction, bytes | None]:
     if canonical_tx_bytes(tx, nonce) != blob:
         raise ValueError("transaction text is not canonical")
     return tx, nonce
-
-
-@dataclass(frozen=True)
-class SignedConfirmation:
-    """A server-signed transaction. signed is the text the signature covers:
-    the bytes that arrived, for one read by from_payload."""
-
-    tx: Transaction
-    nonce: bytes | None
-    signature: Signature
-    signed: bytes | None = None  # None: canonical_tx_bytes(tx, nonce)
-
-    def __post_init__(self):
-        if self.signed is None:
-            object.__setattr__(self, "signed", canonical_tx_bytes(self.tx, self.nonce))
-
-    def verify(self, server_public_key: bytes) -> bool:
-        """A server signature over the signed bytes, which must be the
-        canonical text of the transaction and nonce shown."""
-        return (
-            self.signature.signer is Role.SERVER
-            and self.signed == canonical_tx_bytes(self.tx, self.nonce)
-            and crypto.verify(server_public_key, self.signed, self.signature)
-        )
-
-    def to_payload(self) -> bytes:
-        return struct.pack(">I", len(self.signed)) + self.signed + self.signature.to_bytes()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "SignedConfirmation":
-        (n,) = struct.unpack(">I", payload[:4])
-        signed = payload[4 : 4 + n]
-        tx, nonce = parse_tx_canonical(signed)
-        return cls(tx, nonce, Signature.from_bytes(payload[4 + n :]), signed)
 
 
 # -------- session configuration --------
@@ -462,22 +432,19 @@ class ShowFields(Message):
 # -------- framing helpers --------
 
 
-def _pack_signed(ct: crypto.Ciphertext, sig: Signature | None) -> bytes:
-    wire = ct.to_bytes()
-    out = struct.pack(">I", len(wire)) + wire
-    if sig is not None:
-        out += sig.to_bytes()
-    return out
+def _pack_signed(body: bytes, sig: Signature | None) -> bytes:
+    """The one framing of a signed payload, a sealed challenge or a
+    transaction confirmation: u32 length, body, then the signature if any."""
+    return struct.pack(">I", len(body)) + body + (sig.to_bytes() if sig is not None else b"")
 
 
-def _unpack_signed(payload: bytes) -> tuple[crypto.Ciphertext, Signature | None]:
+def _unpack_signed(payload: bytes) -> tuple[bytes, Signature | None]:
     """The inverse of _pack_signed: ValueError for a length past the end."""
     (n,) = struct.unpack(">I", payload[:4])
     if 4 + n > len(payload):
-        raise ValueError("sealed payload is shorter than its length prefix")
-    ct = crypto.Ciphertext.from_bytes(payload[4 : 4 + n])
+        raise ValueError("signed payload is shorter than its length prefix")
     rest = payload[4 + n :]
-    return ct, (Signature.from_bytes(rest) if rest else None)
+    return payload[4 : 4 + n], (Signature.from_bytes(rest) if rest else None)
 
 
 def _pack_credentials(nonce: bytes, user_id: str, password: str, server_name: str) -> bytes:
@@ -718,16 +685,13 @@ class Smartphone(Party):
         """Verify, decrypt and parse a sealed challenge, keep it as state[key]
         and show it to the user; a failed check aborts fatal."""
         try:
-            ct, sig = _unpack_signed(payload)
+            wire, sig = _unpack_signed(payload)
+            ct = crypto.Ciphertext.from_bytes(wire)
         except (struct.error, crypto.IntegrityError, ValueError):
             self.session.finish(Outcome.ABORTED, "challenge_malformed")
             return
         if self.session.config.flags.sign_server_payloads:
-            if (
-                sig is None
-                or sig.signer is not Role.SERVER
-                or not crypto.verify(self.state["server_public"], ct.to_bytes(), sig)
-            ):
+            if sig is None or not crypto.verify(self.state["server_public"], wire, sig, Role.SERVER):
                 self.session.finish(Outcome.ABORTED, "challenge_signature_invalid")
                 return
         try:
@@ -757,19 +721,24 @@ class Smartphone(Party):
         self.emit(UploadFrame(frame=frame))
 
     def on_show_tx_frame(self, msg: ShowFrame) -> None:
+        # a signed canonical transaction text; the signature is checked over
+        # the bytes that arrived, which parse_tx_canonical pins to one text
         try:
             payload = _capture(self.session, msg.frame, "tx_confirmation")
-            conf = SignedConfirmation.from_payload(payload)
+            signed, sig = _unpack_signed(payload)
+            tx, nonce = parse_tx_canonical(signed)
         except (qr.UncorrectableFrameError, struct.error, ValueError):
+            sig = None
+        if sig is None:  # undecodable, unsigned or no canonical transaction
             self.emit(ShowVerifiedTx(tx=None, sig_valid=False, fresh=False))
             return
-        valid = conf.verify(self.state["server_public"])
+        valid = crypto.verify(self.state["server_public"], signed, sig, Role.SERVER)
         if self.session.config.flags.tx_nonce_freshness:
-            fresh = conf.nonce is not None and conf.nonce == self.state.get("session_nonce")
+            fresh = nonce is not None and nonce == self.state.get("session_nonce")
         else:
             fresh = True
-        self.state["verified_tx"] = conf.tx
-        self.emit(ShowVerifiedTx(tx=conf.tx, sig_valid=valid, fresh=fresh))
+        self.state["verified_tx"] = tx
+        self.emit(ShowVerifiedTx(tx=tx, sig_valid=valid, fresh=fresh))
 
     def on_confirm_on_phone(self, msg: ConfirmOnPhone) -> None:
         sig = crypto.sign(self.state["keypair"], canonical_tx_bytes(msg.tx))
@@ -814,19 +783,17 @@ class Server(Party):
             attempts=0,
             executed_tx=None,
         )
+        self.issued_nonces: set[bytes] = set()  # this session's; fresh_nonce never repeats one
 
     # -- challenge issuance --
 
     def _sealed_frame(self, plain: bytes, context: str) -> VisualFrame:
         """plain encrypted to the user's key, signed unless signing is off, framed."""
         _, public_key = self.state["registry"][self.state["user_id"]]
-        ct = crypto.encrypt(public_key, plain, self.session.rng)
-        sig = (
-            crypto.sign(self.state["keypair"], ct.to_bytes())
-            if self.session.config.flags.sign_server_payloads
-            else None
-        )
-        return _frame(self.session, _pack_signed(ct, sig), context)
+        wire = crypto.encrypt(public_key, plain, self.session.rng).to_bytes()
+        signing = self.session.config.flags.sign_server_payloads
+        sig = crypto.sign(self.state["keypair"], wire) if signing else None
+        return _frame(self.session, _pack_signed(wire, sig), context)
 
     def _issue_keyboard(self) -> None:
         layout = crypto.generate_permutation(self.session.rng)
@@ -850,7 +817,7 @@ class Server(Party):
         self.emit(OtpChallenge(frame=self._sealed_frame(token.value.encode("ascii"), "otp")))
 
     def _issue_nonce(self) -> None:
-        nonce = crypto.fresh_nonce(self.session.rng, self.session.store.issued_nonces)
+        nonce = crypto.fresh_nonce(self.session.rng, self.issued_nonces)
         self.state["nonce"] = nonce
         self.state["nonce_consumed"] = False
         frame = _frame(self.session, nonce.value, "nonce")
@@ -917,10 +884,8 @@ class Server(Party):
         self.state["received_tx"] = msg.tx
         nonce = self.state["session_nonce"] if self.session.config.flags.tx_nonce_freshness else None
         canonical = canonical_tx_bytes(msg.tx, nonce)
-        conf = SignedConfirmation(
-            msg.tx, nonce, crypto.sign(self.state["keypair"], canonical), canonical
-        )
-        frame = _frame(self.session, conf.to_payload(), "tx_confirmation")
+        payload = _pack_signed(canonical, crypto.sign(self.state["keypair"], canonical))
+        frame = _frame(self.session, payload, "tx_confirmation")
         self.emit(TxConfirmation(display_tx=msg.tx, frame=frame))
 
     def on_forward_confirm(self, msg: ForwardConfirm) -> None:
@@ -946,14 +911,12 @@ class Server(Party):
         side_tx = self.state.get("side_tx")
         if received is None or side_tx is None:
             return  # wait for the other half; on_idle fails closed
-        # the cheap facts first: a mismatch or a non-user signer is REJECTED
-        # before the signature is verified, which only an agreeing copy needs
+        # the cheap fact first: a mismatch is REJECTED before the signature
+        # is verified, which only an agreeing copy needs
         _, public_key = self.state["registry"][self.session.config.user_id]
-        side_sig = self.state["side_sig"]
         ok = (
             side_tx == received
-            and side_sig.signer is Role.USER
-            and crypto.verify(public_key, canonical_tx_bytes(side_tx), side_sig)
+            and crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"], Role.USER)
         )
         self._settle_tx(ok, Outcome.ACCEPTED if ok else Outcome.REJECTED)
 
@@ -1149,7 +1112,7 @@ def build_session(config: SessionConfig, store: CredentialStore) -> Session:
     if config.protocol in (Protocol.TXVERIFY, Protocol.HIJACKGUARD):
         # extensions presuppose an authenticated session; both ends already
         # share its nonce
-        nonce = crypto.fresh_nonce(session.rng, store.issued_nonces)
+        nonce = crypto.fresh_nonce(session.rng, server.issued_nonces)
         server.state["session_nonce"] = nonce.value
         phone.state["session_nonce"] = nonce.value
     return session

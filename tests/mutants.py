@@ -63,11 +63,11 @@ MUTANTS = (
         "the hijack guard executes only a transaction its side copy matches",
     ),
     Mutant(
-        "guard_ignores_signer_role",
+        "guard_skips_verify",
         "src/visualauth/protocols.py",
-        "            and side_sig.signer is Role.USER\n",
+        '            and crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"], Role.USER)\n',
         "",
-        "the hijack guard takes a side copy signed by the user's key only",
+        "the hijack guard takes a side copy only under the user's signature",
     ),
     Mutant(
         "p3_nonce_reusable",
@@ -100,37 +100,30 @@ MUTANTS = (
     Mutant(
         "phone_skips_challenge_verify",
         "src/visualauth/protocols.py",
-        '                or not crypto.verify(self.state["server_public"], ct.to_bytes(), sig)\n',
+        ' or not crypto.verify(self.state["server_public"], wire, sig, Role.SERVER)',
         "",
         "with sign_server_payloads on, the phone opens only a server-signed challenge",
     ),
     Mutant(
-        "phone_skips_challenge_signer",
-        "src/visualauth/protocols.py",
-        "                or sig.signer is not Role.SERVER\n",
-        "",
-        "the phone takes a challenge signature only from a server-role key",
+        "verify_ignores_signer",
+        "src/visualauth/crypto.py",
+        "    if signature.signer is not signer or len(signature.sig) != 64:\n",
+        "    if len(signature.sig) != 64:\n",
+        "a signature verifies only as the signer it names: no relabelled role byte is taken",
     ),
     Mutant(
         "phone_skips_tx_freshness",
         "src/visualauth/protocols.py",
-        'fresh = conf.nonce is not None and conf.nonce == self.state.get("session_nonce")',
+        'fresh = nonce is not None and nonce == self.state.get("session_nonce")',
         "fresh = True",
         "with tx_nonce_freshness on, the phone flags a receipt from another session",
     ),
     Mutant(
         "phone_skips_tx_signature",
         "src/visualauth/protocols.py",
-        'valid = conf.verify(self.state["server_public"])',
+        'valid = crypto.verify(self.state["server_public"], signed, sig, Role.SERVER)',
         "valid = True",
         "the phone shows a transaction as signed only if the server signed it",
-    ),
-    Mutant(
-        "confirmation_signer_unchecked",
-        "src/visualauth/protocols.py",
-        "            self.signature.signer is Role.SERVER\n            and",
-        "            True\n            and",
-        "a transaction confirmation verifies only under a server-role signature",
     ),
     Mutant(
         "resolve_takes_negative_positions",
@@ -182,10 +175,17 @@ MUTANTS = (
         "two transaction texts never parse to one transaction (decoder law)",
     ),
     Mutant(
+        "scanner_cover_ignores_may_hold",
+        "src/visualauth/entities.py",
+        "                if kind in other.allowed\n                and len(",
+        "                if len(",
+        "a secret inside a longer one hides only where that one may be held",
+    ),
+    Mutant(
         "scanner_ignores_allowed_set",
         "src/visualauth/entities.py",
-        "violation=kind not in probe.allowed,",
-        "violation=False,",
+        "violation = kind not in probe.allowed",
+        "violation = False",
         "a secret sighted at a party outside its allowed set is a violation",
     ),
     Mutant(
@@ -201,13 +201,6 @@ MUTANTS = (
         "    if not otp or not all(ch in crypto.ALPHABET_INDEX for ch in otp):\n",
         "    if not otp:\n",
         "the phone shows a one-time password only over the alphabet",
-    ),
-    Mutant(
-        "confirmation_signed_text_unchecked",
-        "src/visualauth/protocols.py",
-        "            and self.signed == canonical_tx_bytes(self.tx, self.nonce)\n",
-        "",
-        "a confirmation verifies only if the signed text is the canonical text of what it shows",
     ),
     Mutant(
         "p3_password_unchecked",

@@ -76,7 +76,7 @@ def _use(pair: KeyPair) -> Ciphertext:
     """Make pair load both private keys: it opens a payload and signs."""
     ct = crypto.encrypt(pair.public_key, b"for this pair only", rng=1101)
     assert crypto.decrypt(pair, ct) == b"for this pair only"
-    assert crypto.verify(pair.public_key, b"statement", crypto.sign(pair, b"statement"))
+    assert crypto.verify(pair.public_key, b"statement", crypto.sign(pair, b"statement"), pair.role)
     return ct
 
 
@@ -103,7 +103,7 @@ class TestLoadedKeys:
             with pytest.raises(IntegrityError):
                 crypto.decrypt(stranger, ct)
             forged = crypto.sign(stranger, b"statement")
-            assert not crypto.verify(pair.public_key, b"statement", forged)
+            assert not crypto.verify(pair.public_key, b"statement", forged, pair.role)
 
     def test_pair_built_from_raw_bytes_opens_its_own_mail(self, pair):
         stolen = KeyPair(Role.USER, bytes(pair.public_key), bytes(pair.private_key))
@@ -189,7 +189,17 @@ class TestSealing:
 class TestSignatures:
     def test_sign_verify(self, server_pair):
         sig = crypto.sign(server_pair, b"statement")
-        assert crypto.verify(server_pair.public_key, b"statement", sig)
+        assert crypto.verify(server_pair.public_key, b"statement", sig, Role.SERVER)
+
+    def test_verify_takes_only_the_named_signer(self, server_pair):
+        # the role byte is not signed: a valid signature relabelled as the
+        # user's, or checked as the user's, is refused
+        sig = crypto.sign(server_pair, b"statement")
+        relabelled = Signature(sig.sig, Role.USER)
+        assert not crypto.verify(server_pair.public_key, b"statement", sig, Role.USER)
+        assert not crypto.verify(server_pair.public_key, b"statement", relabelled, Role.SERVER)
+        assert not crypto.verify(server_pair.public_key, b"statement", relabelled, Role.USER.value)
+        assert crypto.verify(server_pair.public_key, b"statement", relabelled, Role.USER)
 
     def test_signature_is_64_bytes(self, server_pair):
         assert len(crypto.sign(server_pair, b"m").sig) == 64
@@ -205,21 +215,21 @@ class TestSignatures:
             if target == 0:
                 mutated = bytearray(message)
                 mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
-                assert not crypto.verify(server_pair.public_key, bytes(mutated), sig)
+                assert not crypto.verify(server_pair.public_key, bytes(mutated), sig, Role.SERVER)
             elif target == 1:
                 raw = bytearray(sig.sig)
                 raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
                 assert not crypto.verify(
-                    server_pair.public_key, message, Signature(bytes(raw), sig.signer)
+                    server_pair.public_key, message, Signature(bytes(raw), sig.signer), Role.SERVER
                 )
             else:
                 key = bytearray(server_pair.public_key)
                 key[32 + rng.randrange(32)] ^= 1 << rng.randrange(8)
-                assert not crypto.verify(bytes(key), message, sig)
+                assert not crypto.verify(bytes(key), message, sig, Role.SERVER)
 
     def test_wrong_length_signature_invalid(self, server_pair):
         sig = crypto.sign(server_pair, b"m")
-        assert not crypto.verify(server_pair.public_key, b"m", Signature(sig.sig[:-1], sig.signer))
+        assert not crypto.verify(server_pair.public_key, b"m", Signature(sig.sig[:-1], sig.signer), Role.SERVER)
 
     def test_signature_wire_round_trip(self, server_pair):
         sig = crypto.sign(server_pair, b"wire")

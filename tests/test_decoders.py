@@ -22,7 +22,6 @@ from visualauth import crypto, qr
 from visualauth.crypto import Ciphertext, KeyboardPermutation, Role, Signature
 from visualauth.protocols import (
     DEFAULT_TX,
-    SignedConfirmation,
     Transaction,
     _pack_credentials,
     _pack_signed,
@@ -50,35 +49,41 @@ def _signatures() -> list[Signature]:
     return [crypto.sign(pair, text) for pair in (USER, SERVER) for text in (b"", b"data")]
 
 
-def _confirmations() -> list[SignedConfirmation]:
-    return [
-        SignedConfirmation(tx, nonce, crypto.sign(SERVER, canonical_tx_bytes(tx, nonce)))
-        for tx in TXS
-        for nonce in (NONCE, None)
+def _signed_payloads() -> list[bytes]:
+    """Both kinds the server signs: sealed challenges, unsigned too (signing
+    off), and transaction confirmations."""
+    challenges = [
+        _pack_signed(ct.to_bytes(), sig) for ct in _ciphertexts() for sig in (None, *_signatures())
     ]
+    confirmations = [
+        _pack_signed(text, crypto.sign(SERVER, text))
+        for text in (canonical_tx_bytes(tx, nonce) for tx in TXS for nonce in (NONCE, None))
+    ]
+    return challenges + confirmations
 
 
 def _frames() -> list[qr.VisualFrame]:
-    payloads = (b"", NONCE, _pack_signed(_ciphertexts()[1], _signatures()[2]))
+    payloads = (b"", NONCE, _pack_signed(_ciphertexts()[1].to_bytes(), _signatures()[2]))
     return [qr.qr_encode(p, qr.choose_spec(p, ec)) for p in payloads for ec in (qr.EcLevel.L, qr.EcLevel.M)]
 
 
 # name -> (decode, encode, the errors every caller of decode catches, honest encodings)
 DECODERS = {
-    # callers: _unpack_signed, the server's ciphertext login, the phone's secure view
+    # callers: the phone's challenge opening, the server's ciphertext login,
+    # the phone's secure view
     "Ciphertext.from_bytes": (
         Ciphertext.from_bytes, Ciphertext.to_bytes, (crypto.IntegrityError,),
         [ct.to_bytes() for ct in _ciphertexts()],
     ),
-    # callers: _unpack_signed and SignedConfirmation.from_payload, on the phone
+    # caller: _unpack_signed, for the phone's challenges and confirmations
     "Signature.from_bytes": (
         Signature.from_bytes, Signature.to_bytes, (ValueError,),
         [sig.to_bytes() for sig in _signatures()],
     ),
-    # caller: Smartphone._open_challenge
+    # callers: Smartphone._open_challenge and Smartphone.on_show_tx_frame
     "_unpack_signed": (
-        _unpack_signed, lambda value: _pack_signed(*value), (struct.error, crypto.IntegrityError, ValueError),
-        [_pack_signed(ct, sig) for ct in _ciphertexts() for sig in (None, *_signatures())],
+        _unpack_signed, lambda value: _pack_signed(*value), (struct.error, ValueError),
+        _signed_payloads(),
     ),
     # caller: Server.on_submit_ciphertext
     "_unpack_credentials": (
@@ -91,15 +96,10 @@ DECODERS = {
         _parse_otp, lambda otp: otp.encode("ascii"), (ValueError,),
         [crypto.generate_otp(seed).value.encode("ascii") for seed in range(3)],
     ),
-    # caller: SignedConfirmation.from_payload
+    # caller: Smartphone.on_show_tx_frame
     "parse_tx_canonical": (
         parse_tx_canonical, lambda value: canonical_tx_bytes(*value), (ValueError,),
         [canonical_tx_bytes(tx, nonce) for tx in TXS for nonce in (NONCE, None)],
-    ),
-    # caller: Smartphone.on_show_tx_frame
-    "SignedConfirmation.from_payload": (
-        SignedConfirmation.from_payload, SignedConfirmation.to_payload, (struct.error, ValueError),
-        [conf.to_payload() for conf in _confirmations()],
     ),
     # caller: Smartphone._open_challenge, for the keyboard challenge
     "KeyboardPermutation.from_serialized": (

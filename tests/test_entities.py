@@ -739,6 +739,42 @@ class TestSecretScanner:
         assert [s.step for s in sightings] == [1]
         assert sightings[0].violation
 
+    @staticmethod
+    def _terminal_holding(held: bytes, cover_allowed) -> list[tuple[EntityKind, SecretKind, bool]]:
+        """The sightings at a terminal holding held, where the password
+        hunter2 is allowed at the server only and the longer secret
+        xxhunter2yy wherever cover_allowed says."""
+        session = Session(seed=8)
+        box = _StateBox(session)
+        session.add_entity(box)
+        box.state["held"] = held
+        box.take_snapshot(step=1)
+        session.register_secret(SecretKind.PASSWORD, b"hunter2", {EntityKind.SERVER})
+        session.register_secret(SecretKind.OTP, b"xxhunter2yy", cover_allowed)
+        return [(s.entity, s.kind, s.violation) for s in scan_states_for_secrets(session)]
+
+    def test_a_secret_inside_one_the_entity_may_hold_is_no_sighting(self):
+        sightings = self._terminal_holding(b"--xxhunter2yy--", {EntityKind.TERMINAL})
+        assert sightings == [(EntityKind.TERMINAL, SecretKind.OTP, False)]
+
+    def test_a_secret_inside_one_the_entity_may_not_hold_is_sighted(self):
+        sightings = self._terminal_holding(b"--xxhunter2yy--", {EntityKind.SERVER})
+        assert sightings == [
+            (EntityKind.TERMINAL, SecretKind.PASSWORD, True),
+            (EntityKind.TERMINAL, SecretKind.OTP, True),
+        ]
+
+    @pytest.mark.parametrize(
+        "held",
+        [b"xxhunter2yy hunter2", b"hunter2 xxhunter2yy", b"xxhunter2y", b"xhunter2yy"],
+        ids=["beside_after", "beside_before", "cut_short_after", "cut_short_before"],
+    )
+    def test_an_occurrence_outside_the_longer_secret_is_sighted(self, held):
+        # the password held apart from the longer secret, or inside a text
+        # that is not all of it, is a sighting
+        sightings = self._terminal_holding(held, {EntityKind.TERMINAL})
+        assert (EntityKind.TERMINAL, SecretKind.PASSWORD, True) in sightings
+
     def test_short_probe_rejected(self):
         session = Session(seed=7)
         with pytest.raises(ValueError):

@@ -42,8 +42,8 @@ from visualauth.protocols import (
     SessionFlags,
     ShowLoginBox,
     ShowTxPage,
+    ShowVerifiedTx,
     SideCopy,
-    SignedConfirmation,
     SPEC,
     SubmitCiphertext,
     SubmitOtp,
@@ -56,6 +56,7 @@ from visualauth.protocols import (
     _pack_credentials,
     _pack_signed,
     _unpack_credentials,
+    _unpack_signed,
     build_session,
     canonical_tx_bytes,
     parse_tx_canonical,
@@ -100,18 +101,6 @@ class TestTransactionRecords:
         with pytest.raises(ValueError):
             Transaction(receiver_account="A", amount=1, receiver_name="two\nlines")
 
-    def test_signed_confirmation_round_trip(self):
-        pair = crypto.generate_keypair(Role.SERVER, seed=41)
-        canonical = canonical_tx_bytes(DEFAULT_TX, b"\x11" * 16)
-        conf = SignedConfirmation(
-            tx=DEFAULT_TX, nonce=b"\x11" * 16, signature=crypto.sign(pair, canonical)
-        )
-        again = SignedConfirmation.from_payload(conf.to_payload())
-        assert again == conf
-        assert again.verify(pair.public_key)
-        other = crypto.generate_keypair(Role.SERVER, seed=42)
-        assert not again.verify(other.public_key)
-
     # each rewrite of a canonical transaction text that must not parse
     NOT_CANONICAL = {
         "reordered": lambda lines: lines[::-1],
@@ -134,25 +123,6 @@ class TestTransactionRecords:
         with pytest.raises(ValueError):
             parse_tx_canonical(mangled)
 
-    def test_confirmation_verifies_the_bytes_it_holds(self):
-        # signed is the text the signature covers; it must also be the
-        # canonical text of the transaction shown, or the check fails
-        pair = crypto.generate_keypair(Role.SERVER, seed=43)
-        nonce = b"\x22" * 16
-        canonical = canonical_tx_bytes(DEFAULT_TX, nonce)
-        loose = canonical.replace(b"amount=25000", b"amount=025000")
-        honest = SignedConfirmation(DEFAULT_TX, nonce, crypto.sign(pair, canonical), canonical)
-        assert honest.verify(pair.public_key)
-        signed_loose = SignedConfirmation(DEFAULT_TX, nonce, crypto.sign(pair, loose), loose)
-        assert not signed_loose.verify(pair.public_key)
-        relabelled = SignedConfirmation(DEFAULT_TX, nonce, crypto.sign(pair, canonical), loose)
-        assert not relabelled.verify(pair.public_key)
-
-    def test_confirmation_keeps_the_received_text(self):
-        pair = crypto.generate_keypair(Role.SERVER, seed=44)
-        conf = SignedConfirmation(DEFAULT_TX, None, crypto.sign(pair, canonical_tx_bytes(DEFAULT_TX)))
-        payload = conf.to_payload()
-        assert SignedConfirmation.from_payload(payload).signed == payload[4:-65]
 
 
 class TestCredentialBlob:
@@ -565,9 +535,9 @@ class TestFrameHandling:
         def mangle(msg):
             if msg.TAG not in ("kbd_challenge", "otp_challenge"):
                 return msg
-            ct, sig = _unpack_signed(msg.frame.payload)
+            wire, sig = _unpack_signed(msg.frame.payload)
             bad_sig = dataclasses.replace(sig, sig=bytes(b ^ 1 for b in sig.sig))
-            payload = _pack_signed(ct, bad_sig)
+            payload = _pack_signed(wire, bad_sig)
             return dataclasses.replace(msg, frame=qr.qr_encode(payload, qr.choose_spec(payload)))
 
         session.entities[EntityKind.SERVER].outbound_hooks.append(mangle)
@@ -649,7 +619,7 @@ class TestFrameHandling:
         store = CredentialStore.provision(5)
         config = _cfg(protocol, 5, flags=SessionFlags(sign_server_payloads=False))
         public_key = store.users[config.user_id].keypair.public_key
-        payload = _pack_signed(crypto.encrypt(public_key, plain, rng=5), None)
+        payload = _pack_signed(crypto.encrypt(public_key, plain, rng=5).to_bytes(), None)
         frame = qr.qr_encode(payload, qr.choose_spec(payload))
         return run_flow(config, store=store, adversaries=[_rewriting_frames(frame=frame)])
 
@@ -674,6 +644,10 @@ class TestFrameHandling:
         # the control: an OTP over the alphabet is shown, typed and denied
         result = self._sealed_to_the_user(Protocol.P2, b"abcd1234")
         assert result.outcome is Outcome.DENIED
+
+
+def _leading_zero(text: bytes) -> bytes:
+    return text.replace(b"amount=25000", b"amount=025000")
 
 
 class TestTransactionVerification:
@@ -761,6 +735,59 @@ class TestTransactionVerification:
         result = run_flow(_cfg(Protocol.TXVERIFY, 3), adversaries=[hook])
         assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
         assert result.session.executed_tx is None
+
+    @staticmethod
+    def _shown(payload_of) -> tuple[ShowVerifiedTx, list, bytes]:
+        """What the phone shows the user and the verify calls it makes when
+        the terminal shows it payload_of(server pair, the honest signed text)
+        as its seed-3 confirmation frame, and that honest text."""
+        store = CredentialStore.provision(3)
+        honest = run_flow(_cfg(Protocol.TXVERIFY, 3), store)
+        (confirmation,) = [m for m in honest.session.transcript if m.TAG == "tx_confirmation"]
+        text, _ = _unpack_signed(confirmation.frame.payload)
+        payload = payload_of(store.server_pair, text)
+        frame = qr.qr_encode(payload, qr.choose_spec(payload))
+        calls, verify = [], crypto.verify
+
+        def recording(*args):
+            calls.append(args)
+            return verify(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crypto, "verify", recording)
+            result = run_flow(_cfg(Protocol.TXVERIFY, 3), store, adversaries=[_rewriting_frames(frame=frame)])
+        (shown,) = [m for m in result.session.transcript if m.TAG == "show_verified_tx"]
+        return shown, calls, text
+
+    def test_phone_verifies_the_bytes_that_arrived_as_the_servers(self):
+        # the control: the server's own payload, shown back, verifies over
+        # the text that arrived and only under the server's role
+        shown, calls, text = self._shown(lambda server, text: _pack_signed(text, crypto.sign(server, text)))
+        assert shown == ShowVerifiedTx(tx=DEFAULT_TX, sig_valid=True, fresh=True)
+        ((public_key, message, _, signer),) = calls
+        assert public_key == CredentialStore.provision(3).server_pair.public_key
+        assert (message, signer) == (text, Role.SERVER)
+
+    def test_another_servers_signature_is_shown_invalid(self):
+        other = crypto.generate_keypair(Role.SERVER, seed=42)
+        shown, _, _ = self._shown(lambda server, text: _pack_signed(text, crypto.sign(other, text)))
+        assert shown == ShowVerifiedTx(tx=DEFAULT_TX, sig_valid=False, fresh=True)
+
+    # a payload the phone refuses to read: it shows no transaction. A
+    # leading zero keeps the amount's value but is no canonical text
+    REFUSED = {
+        "unsigned": lambda server, text: _pack_signed(text, None),
+        "signed_non_canonical": lambda server, text: _pack_signed(
+            _leading_zero(text), crypto.sign(server, _leading_zero(text))
+        ),
+        "signature_over_other_text": lambda server, text: _pack_signed(_leading_zero(text), crypto.sign(server, text)),
+    }
+
+    @pytest.mark.parametrize("payload_of", REFUSED, ids=str)
+    def test_refused_confirmation_shows_no_transaction(self, payload_of):
+        shown, calls, _ = self._shown(self.REFUSED[payload_of])
+        assert shown == ShowVerifiedTx(tx=None, sig_valid=False, fresh=False)
+        assert calls == []
 
     def test_confirmation_names_the_session_nonce(self):
         result = run_flow(_cfg(Protocol.TXVERIFY, 143))
@@ -1071,6 +1098,43 @@ class TestDispatch:
         a, b = (run_flow(_cfg(protocol, 174), CredentialStore.provision(174)) for _ in range(2))
         for kind, entity in a.session.entities.items():
             assert entity.snapshots == b.session.entities[kind].snapshots, kind
+
+    @pytest.mark.parametrize("protocol", [Protocol.TXVERIFY, Protocol.P3], ids=str)
+    def test_a_session_on_a_shared_store_runs_as_on_a_fresh_one(self, protocol):
+        # each session draws its nonces against its own set, so no earlier
+        # session on the store moves its transcript
+        store = CredentialStore.provision(7)
+        config = _cfg(protocol, 11)
+        first, second = (export_transcript(run_flow(config, store).session) for _ in range(2))
+        assert first == second == export_transcript(run_flow(config, CredentialStore.provision(7)).session)
+
+
+class TestPasswordInsideAnOtp:
+    """P2 seeds whose one-time password holds the password data: the OTP is
+    the phone's and the terminal's to hold, so the password inside it is no
+    sighting there."""
+
+    OTPS = {48471: "duidatab", 638897: "hudata84"}
+
+    @pytest.mark.parametrize("seed", OTPS)
+    def test_the_password_inside_the_otp_is_no_violation(self, seed):
+        for store in (None, CredentialStore.provision(0)):
+            result = run_flow(_cfg(Protocol.P2, seed), store)
+            assert result.session.entities[EntityKind.SERVER].state["token"].value == self.OTPS[seed]
+            assert result.outcome is Outcome.AUTHENTICATED
+            assert secrecy_violations(result.session) == []
+
+    @pytest.mark.parametrize("seed", OTPS)
+    def test_the_password_planted_beside_it_is_a_violation(self, seed):
+        # positive control: the same session with the password also held
+        # apart from the OTP at the terminal
+        def plant(session):
+            session.entities[EntityKind.TERMINAL].state["note"] = "data"
+
+        result = run_flow(_cfg(Protocol.P2, seed), adversaries=[plant])
+        assert [(s.entity, s.kind) for s in secrecy_violations(result.session)] == [
+            (EntityKind.TERMINAL, SecretKind.PASSWORD)
+        ]
 
 
 def _run_with_injected(config, message, at=0):

@@ -233,3 +233,47 @@ def test_the_field_type_check_can_fail():
     passed = ["isinstance(frame, VisualFrame)", "isinstance(self.state['tx'], Transaction)", "type(msg)"]
     for source in passed:
         assert field_type_test_findings(source) == [], source
+
+
+def signer_comparison_findings(source: str, filename: str = "<src>", allowed: str | None = None) -> list[str]:
+    """Each comparison that reads a .signer outside the function named
+    allowed: crypto.verify takes the signer it accepts and is the one place
+    a signature's unsigned role byte is judged."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == allowed
+        for node in ast.walk(function)
+    }
+    return [
+        f"{filename}:{node.lineno} compares a signer outside crypto.verify"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and id(node) not in exempt
+        and any(isinstance(part, ast.Attribute) and part.attr == "signer" for part in ast.walk(node))
+    ]
+
+
+def test_only_crypto_verify_compares_a_signer():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        allowed = "verify" if path.name == "crypto.py" else None
+        findings += signer_comparison_findings(path.read_text(encoding="utf-8"), str(path.relative_to(SRC)), allowed)
+    assert findings == []
+
+
+def test_the_signer_comparison_check_can_fail():
+    flagged = [
+        "ok = sig.signer is Role.SERVER and verify(k, m, sig)",
+        "if self.signature.signer != Role.USER: pass",
+        "def to_bytes(self): return b'\\x00' if self.signer is Role.USER else b'\\x01'",
+        "ok = Role.USER == side_sig.signer",
+    ]
+    for source in flagged:
+        assert len(signer_comparison_findings(source, allowed="verify")) == 1, source
+    inside = "def verify(key, message, signature, signer):\n    return signature.signer is signer"
+    assert len(signer_comparison_findings(inside)) == 1  # verify is exempt only where it is allowed
+    passed = [inside, "Signature(sig=raw, signer=pair.role)", "crypto.verify(key, message, sig, Role.SERVER)"]
+    for source in passed:
+        assert signer_comparison_findings(source, allowed="verify") == [], source
