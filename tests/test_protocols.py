@@ -124,7 +124,6 @@ class TestTransactionRecords:
             parse_tx_canonical(mangled)
 
 
-
 class TestCredentialBlob:
     NONCE = bytes(range(16))
 
