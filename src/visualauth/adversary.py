@@ -47,7 +47,9 @@ Every active attack is an honest session plus installs handed to
 ``run_flow``: taps and hooks on a locus (``replaying``, ``_rewriting``) or
 state planted on the phone (``phone_holding``). No entity reads an
 attacker setting, and no install can move a message off the channel its
-class declares.
+class declares. A tap that queues traffic (``replaying``,
+``_forged_confirm``) reaches its session through a weak reference, as a
+party does, since the session holds the tap through the party.
 
 Attacks outside the matrix are rows of one catalogue, ``ATTACKS``, run by
 ``run_attack``: phishing (a fake server impersonates the far end rather
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import InitVar, dataclass, field, replace
 
@@ -263,13 +266,14 @@ def replaying(submission: Message):
 
     def install(session: Session) -> None:
         terminal = session.entities[EntityKind.TERMINAL]
+        live = weakref.ref(session)  # the session holds submit, through its terminal
         sent = False
 
         def submit(msg: Message) -> None:
             nonlocal sent
             if msg.CHANNEL.name == "net_down" and not sent:
                 sent = True
-                session.inject(submission)
+                live().inject(submission)
 
         terminal.outbound_hooks.append(lambda msg: msg if msg.CHANNEL.receiver is EntityKind.SERVER else None)
         terminal.io_taps.append(submit)
@@ -557,10 +561,12 @@ def _forged_confirm(config: SessionConfig, store: CredentialStore):
     """Terminal malware submits its own transaction and confirms it itself."""
 
     def install(session: Session) -> None:
+        live = weakref.ref(session)  # the session holds forge, through its terminal
+
         def forge(msg: Message) -> None:
             if msg.TAG == "request_tx":
-                session.inject(SubmitTx(tx=EVIL_TX))
-                session.inject(ForwardConfirm(ok=True))
+                live().inject(SubmitTx(tx=EVIL_TX))
+                live().inject(ForwardConfirm(ok=True))
 
         session.entities[EntityKind.TERMINAL].io_taps.append(forge)
 

@@ -21,6 +21,12 @@ or by queueing traffic with Session.inject, all installed before the
 user begins. The honest handler code cannot tell whether it is being
 watched, and no entity reads an attacker setting.
 
+The session owns its parties; a party holds its session weakly (see
+Entity.session), and so does an install whose tap or hook keeps the
+session. So no session is a reference cycle: a finished one, its
+transcript and its snapshots are freed by reference counting as soon as
+its last caller drops it, not left for the cyclic collector.
+
 Both records hold references, not bytes: a delivery keeps the message
 and a shallow copy of the receiver's state, and serializes neither.
 canonical_bytes runs when the snapshots are first read (and is cached)
@@ -51,6 +57,7 @@ import hashlib
 import re
 import struct
 import sys
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType, UnionType
@@ -384,12 +391,16 @@ class Entity:
     once, then snapshots the state. The snapshot is a shallow copy, encoded
     only when snapshots is read, so a handler replaces a state value rather
     than changing it in place.
+
+    The session owns its parties, and a party holds its session only
+    weakly: a tap or hook installed on a party that needs the session keeps
+    a weakref.ref too, or the session becomes a reference cycle.
     """
 
     kind: ClassVar[EntityKind]
 
     def __init__(self, session: "Session"):
-        self.session = session
+        self._session = weakref.ref(session)
         self.state: dict = {}
         self._snapshots: list[tuple[int, bytes]] = []
         self._pending: list[tuple[int, dict]] = []  # recorded, not yet encoded
@@ -397,6 +408,14 @@ class Entity:
         # on each send, tap(message) on each delivery to this entity
         self.outbound_hooks: list[Callable] = []
         self.io_taps: list[Callable] = []
+
+    @property
+    def session(self) -> "Session":
+        """The session this party belongs to; ReferenceError once it is gone."""
+        session = self._session()
+        if session is None:
+            raise ReferenceError(f"the {self.kind.value}'s session is gone")
+        return session
 
     def emit(self, message: Message) -> None:
         """Send message on the channel its class was registered for.

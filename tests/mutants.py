@@ -10,10 +10,12 @@ pyproject.toml come along because tier-1 runs the demos and reads its
 pytest settings from pyproject.toml. It prints "killed" with the first
 failing test, or "SURVIVED". Before any mutant it runs the same copy
 unmutated, which must pass, so that a copy that cannot pass kills no
-mutant by accident. The exit status is 1 if any mutant survived: a
-survivor is a check that no test can see fail, so it needs a test that
-kills it, never a weaker mutant. Tier-1 runs no mutant; test_mutants.py
-checks that each anchor occurs exactly once in its file.
+mutant by accident. The mutants then run concurrently, one tier-1
+process per usable core, and their verdicts print in table order. The
+exit status is 1 if any mutant survived: a survivor is a check that no
+test can see fail, so it needs a test that kills it, never a weaker
+mutant. Tier-1 runs no mutant; test_mutants.py checks that each anchor
+occurs exactly once in its file.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -293,6 +296,12 @@ def run(mutant: Mutant | None) -> tuple[bool, str]:
     return out.returncode != 0, first_failure(out.stdout + out.stderr)
 
 
+def timed_run(mutant: Mutant) -> tuple[bool, str, float]:
+    """run(mutant) and the seconds it took."""
+    start = time.perf_counter()
+    return *run(mutant), time.perf_counter() - start
+
+
 def main(argv: list[str]) -> int:
     by_name = {mutant.name: mutant for mutant in MUTANTS}
     unknown = [name for name in argv if name not in by_name]
@@ -304,13 +313,14 @@ def main(argv: list[str]) -> int:
         print(f"the unmutated copy fails tier-1 at {where}; no mutant can be judged", file=sys.stderr)
         return 2
     survivors = []
-    for mutant in [by_name[name] for name in argv] or MUTANTS:
-        start = time.perf_counter()
-        killed, where = run(mutant)
-        verdict = f"killed by {where}" if killed else "SURVIVED"
-        print(f"{mutant.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
-        if not killed:
-            survivors.append(mutant.name)
+    chosen = [by_name[name] for name in argv] or MUTANTS
+    # each thread waits on its own tier-1 process, so the cores run the copies
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        for mutant, (killed, where, seconds) in zip(chosen, pool.map(timed_run, chosen)):
+            verdict = f"killed by {where}" if killed else "SURVIVED"
+            print(f"{mutant.name}: {verdict} ({seconds:.1f} s)", flush=True)
+            if not killed:
+                survivors.append(mutant.name)
     print(f"{len(survivors)} of {len(argv) or len(MUTANTS)} mutants survived", *survivors)
     return 1 if survivors else 0
 

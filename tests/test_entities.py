@@ -16,7 +16,7 @@ from typing import ClassVar
 import pytest
 
 from visualauth import entities
-from visualauth.adversary import EVIL_TX, run_matrix
+from visualauth.adversary import ATTACKS, EVIL_TX, run_attack, run_matrix
 from visualauth.entities import (
     MAX_DELIVERIES,
     TOPOLOGY,
@@ -404,7 +404,8 @@ class TestLazyRecords:
 
     @pytest.mark.parametrize("value", FROZEN, ids=repr)
     def test_immutable_values_are_recorded(self, value):
-        box = _StateBox(Session(seed=8))
+        session = Session(seed=8)
+        box = _StateBox(session)
         box.state["held"] = value
         box.take_snapshot(step=1)
         assert box.snapshots == [(1, canonical_bytes({"held": value}))]
@@ -413,7 +414,8 @@ class TestLazyRecords:
         "value", [[1], {"k": 1}, {1}, bytearray(b"ab"), Box(1)], ids=repr
     )
     def test_mutable_values_are_refused(self, value):
-        box = _StateBox(Session(seed=9))
+        session = Session(seed=9)
+        box = _StateBox(session)
         box.state["fine"] = b"ok"
         box.take_snapshot(step=1)
         box.state["held"] = value
@@ -816,3 +818,52 @@ class TestTaps:
         session.run()
         delivered = [m for m in session.transcript if m.CHANNEL.receiver is EntityKind.TERMINAL]
         assert seen == delivered
+
+
+def _cyclic_garbage(run) -> int:
+    """How many objects only the cyclic collector frees after run(), which
+    runs with gc off."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+# each a whole run whose results are dropped: the six flows, every catalogue
+# row, a matrix pass and the golden scenario file
+FINISHED_RUNS = {
+    **{protocol.name: lambda p=protocol: run_flow(SessionConfig(protocol=p, seed=921)) for protocol in Protocol},
+    **{name: lambda a=attack: run_attack(a, 922) for name, attack in ATTACKS.items()},
+    "matrix": lambda: run_matrix(923, 1),
+    "scenarios": lambda: run_scenarios(str(GOLDEN_SCENARIOS)),
+}
+
+
+class TestOwnership:
+    """The session owns its parties; a party, and an install that keeps the
+    session, hold it weakly. So no session is a reference cycle, and a
+    finished one is freed as soon as its last caller drops it."""
+
+    @pytest.mark.parametrize("name", FINISHED_RUNS)
+    def test_finished_runs_leave_no_cyclic_garbage(self, name):
+        assert _cyclic_garbage(FINISHED_RUNS[name]) == 0
+
+    def test_a_tap_that_holds_its_session_leaves_garbage(self):
+        # positive control: an install that closes over its session strongly
+        # makes the session a cycle, and the check above sees it
+        def install(session):
+            session.entities[EntityKind.TERMINAL].io_taps.append(lambda msg: session)
+
+        config = SessionConfig(protocol=Protocol.P1, seed=924)
+        assert _cyclic_garbage(lambda: run_flow(config, adversaries=[install])) > 0
+
+    def test_a_party_whose_session_is_gone_raises(self):
+        result = run_flow(SessionConfig(protocol=Protocol.P2, seed=925))
+        phone = result.session.entities[EntityKind.SMARTPHONE]
+        assert phone.session is result.session
+        del result  # the last reference: reference counting frees the session
+        with pytest.raises(ReferenceError, match="smartphone's session is gone"):
+            phone.session

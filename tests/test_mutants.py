@@ -4,6 +4,8 @@ in its file, so that no refactor silently turns a mutant into a no-op."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import mutants
@@ -35,3 +37,22 @@ def test_an_anchor_that_moved_is_refused(tmp_path):
 def test_the_runner_reports_the_first_failing_test():
     output = "F\nFAILED tests/test_a.py::test_b - assert 1 == 2\nFAILED tests/test_a.py::test_c\n"
     assert mutants.first_failure(output) == "tests/test_a.py::test_b"
+
+
+def test_verdicts_print_in_table_order(monkeypatch, capsys):
+    # the first mutant finishes last, yet its verdict prints first; the
+    # unmutated copy runs before any mutant
+    started = []
+
+    def fake_run(mutant):
+        started.append(mutant)
+        if mutant is MUTANTS[0]:
+            time.sleep(0.2)
+        return mutant is not None, "tests/test_a.py::test_b"
+
+    monkeypatch.setattr(mutants, "run", fake_run)
+    assert mutants.main([m.name for m in MUTANTS[:4]]) == 0
+    assert started[0] is None
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == [m.name for m in MUTANTS[:4]]
+    assert lines[4] == "0 of 4 mutants survived"
