@@ -8,8 +8,6 @@ session's transcript, with the step of each sighting:
 * keylogger: ("in", CLICK), the input events arriving at its locus.
 * shoulder_surfer: ("out", VISUAL), the displays its locus renders.
 * malware: every message in and out; it also reads the locus's state.
-  The malware that rewrites what its locus sends is an install,
-  ``_rewriting``, outside the matrix.
 * brute_force: nothing; no foothold at all, a budget-capped password
   guesser.
 
@@ -27,29 +25,19 @@ exfiltrated, and reports what the server said. The resistance matrix is
 therefore an output of the state machines, not a transcription.
 
 In the matrix, one honest session per (protocol, trial) is read by all
-eight adversaries (``run_attacked_session`` returns one view per config),
-and ``evaluate`` scores each view into its own cell. The session is read
-once: each delivery on a channel some view shows is observed once, as
-(channel name, Observation), and every view keeps the channels its surface
-shows, so the views of one session hold the same Observation objects. A
-view only reads, so no adversary changes what another sees. The views
-share their follow-ups by loot: an attempt is keyed by (strategy,
-user_id, loot, session seed) and seeded by its strategy and that seed, so
-views that captured the same submission, credentials or key mount it once
-and read one verdict. The brute-force guesses stay per view. The
-alteration probe's verdict does not depend on the observed session, only
-on the malware's locus and the session's flags, so it is keyed by
-("alter-tx", locus, flags) alone, and ``run_matrix`` shares one attempts
-map across its trials: a matrix mounts one probe per (locus, flags), not
-one per malware view.
+eight adversaries: ``run_attacked_session`` observes each delivery once
+and returns one view per config, and ``evaluate`` scores each view into
+its own cell. A view only reads, so no adversary changes what another
+sees. Views that captured the same loot share one follow-up
+(``_attempt``), a matrix mounts one alteration probe per (locus, flags)
+(``_transaction_alteration``), and the brute-force guesses stay per view.
 
-Every active attack is an honest session plus installs handed to
-``run_flow``: taps and hooks on a locus (``replaying``, ``_rewriting``) or
-state planted on the phone (``phone_holding``). No entity reads an
-attacker setting, and no install can move a message off the channel its
-class declares. A tap that queues traffic (``replaying``,
-``_forged_confirm``) reaches its session through a weak reference, as a
-party does, since the session holds the tap through the party.
+Every active attack is an honest session plus a tuple of actions handed
+to ``run_flow`` (``entities.ACTIONS``): a terminal that drops what it
+shows and injects a captured submission (``replay``), Rewrites of what a
+locus sends (``_altering``), or state Planted on the phone. Each is a
+frozen value that holds no session, so an attack prints, compares and
+runs again as it is, and none can move a message off its class's channel.
 
 Attacks outside the matrix are rows of one catalogue, ``ATTACKS``, run by
 ``run_attack``: phishing (a fake server impersonates the far end rather
@@ -64,12 +52,13 @@ from __future__ import annotations
 
 import enum
 import math
-import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import InitVar, dataclass, field, replace
 
 from . import crypto, qr, rng as rngmod
-from .entities import CHANNELS, ChannelKind, EntityKind, Message, Session
+from .entities import (
+    CHANNELS, MESSAGES, ChannelKind, Drop, EntityKind, Inject, Message, Plant, Rewrite, Session,
+)
 from .protocols import (
     AUTH_PROTOCOLS,
     CredentialStore,
@@ -230,10 +219,8 @@ class AttackerHandle:
 
     config: AdversaryConfig
     session: Session
-    # (strategy, user_id, loot, session seed) -> authenticated?, and
-    # ("alter-tx", locus, flags) -> altered?, shared by the views of one
-    # run_attacked_session (of a whole matrix in run_matrix); a handle built
-    # alone gets its own
+    # the follow-up verdicts of _attempt and _transaction_alteration, shared
+    # as run_attacked_session says; a handle built alone gets its own
     attempts: dict[tuple, bool] = field(default_factory=dict, repr=False, compare=False)
     sightings: InitVar[Sequence[tuple[str, Observation]] | None] = None
     observations: list[Observation] = field(init=False)
@@ -256,74 +243,39 @@ class AttackerHandle:
         return None
 
 
-# -------- installs that turn an honest session into an attempt --------
+# -------- actions that turn an honest session into an attempt --------
+
+_TERMINAL_SHOWS = tuple(  # what the terminal sends to anyone but the server
+    Drop(EntityKind.TERMINAL, tag)
+    for tag, cls in MESSAGES.items()
+    if cls.CHANNEL.sender is EntityKind.TERMINAL and cls.CHANNEL.receiver is not EntityKind.SERVER
+)
 
 
-def replaying(submission: Message):
-    """A terminal that forwards only what it sends the server, so the
-    victim's phone and user take no part, and sends submission up once,
-    when the server's first message reaches it."""
-
-    def install(session: Session) -> None:
-        terminal = session.entities[EntityKind.TERMINAL]
-        live = weakref.ref(session)  # the session holds submit, through its terminal
-        sent = False
-
-        def submit(msg: Message) -> None:
-            nonlocal sent
-            if msg.CHANNEL.name == "net_down" and not sent:
-                sent = True
-                live().inject(submission)
-
-        terminal.outbound_hooks.append(lambda msg: msg if msg.CHANNEL.receiver is EntityKind.SERVER else None)
-        terminal.io_taps.append(submit)
-
-    return install
+def replay(submission: Message) -> tuple:
+    """A terminal that shows the victim's phone and user nothing, and sends
+    submission up as the server's challenge reaches it: delivery 3 of every login."""
+    return (*_TERMINAL_SHOWS, Inject(submission, 3))
 
 
-def _rewriting(locus: EntityKind, **changes):
-    """Malware at locus that rewrites what the locus sends: changes maps a
-    tag to new values for that message's fields."""
-
-    def install(session: Session) -> None:
-        session.entities[locus].outbound_hooks.append(
-            lambda msg: replace(msg, **changes[msg.TAG]) if msg.TAG in changes else msg
-        )
-
-    return install
-
-
-def _altering(locus: EntityKind):
-    """Malware at locus that puts EVIL_TX in every transaction the locus sends."""
-    return _rewriting(locus, submit_tx={"tx": EVIL_TX}, side_copy={"tx": EVIL_TX})
-
-
-def phone_holding(**state):
-    """A phone that holds state of the attacker's choosing before the user
-    begins: a stolen key, no key at all, or a phished server_name."""
-
-    def install(session: Session) -> None:
-        session.entities[EntityKind.SMARTPHONE].state.update(state)
-
-    return install
+def _altering(locus: EntityKind) -> tuple:
+    """Malware at locus that puts EVIL_TX in the transaction the locus sends."""
+    return (Rewrite(locus, "submit_tx" if locus is EntityKind.TERMINAL else "side_copy", {"tx": EVIL_TX}),)
 
 
 # -------- followup attacks: the adversary actually tries --------
 
 
-def _learned_credentials(password: str):
-    """Learned credentials suffice: any phone seals them, even one that holds
-    no key pair. Only P3 mounts this, and its phone reads only the server's
-    public key and name and the scanned nonce."""
-    return {"submit_passwords": (password,)}, phone_holding(keypair=None)
-
-
-# strategy -> loot -> (SessionConfig fields, install)
+# strategy -> loot -> (SessionConfig fields, actions)
 _STRATEGIES = {
-    "learned-creds": _learned_credentials,
+    # learned credentials suffice: any phone seals them, even a keyless one.
+    # Only P3 mounts this; its phone reads only the server's key and name and the nonce
+    "learned-creds": lambda password: (
+        {"submit_passwords": (password,)}, (Plant(EntityKind.SMARTPHONE, {"keypair": None}),)
+    ),
     # the exfiltrated private key opens any future challenge
-    "stolen-key": lambda keypair: ({}, phone_holding(keypair=keypair)),
-    "replay": lambda submission: ({}, replaying(submission)),
+    "stolen-key": lambda keypair: ({}, (Plant(EntityKind.SMARTPHONE, {"keypair": keypair}),)),
+    "replay": lambda submission: ({}, replay(submission)),
 }
 
 # what each login's replay resubmits: the observation label and its message
@@ -343,9 +295,9 @@ def _attempt(handle: AttackerHandle, strategy: str, user_id: str, loot) -> bool:
     key = (strategy, user_id, loot, session.seed)
     if key not in handle.attempts:
         seed = rngmod.child_seed(session.seed, "followup", strategy)
-        fields, install = _STRATEGIES[strategy](loot)
+        fields, actions = _STRATEGIES[strategy](loot)
         config = SessionConfig(protocol=session.config.protocol, seed=seed, user_id=user_id, **fields)
-        result = run_flow(config, session.store, adversaries=[install])
+        result = run_flow(config, session.store, actions)
         handle.attempts[key] = result.outcome is Outcome.AUTHENTICATED
     return handle.attempts[key]
 
@@ -388,7 +340,7 @@ def _transaction_alteration(handle: AttackerHandle) -> bool:
     if key not in handle.attempts:
         seed = rngmod.child_seed(session.seed, "alter-tx", locus.value)
         config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.config.flags)
-        result = run_hijack_guard(config, session.store, adversaries=[_altering(locus)])
+        result = run_hijack_guard(config, session.store, _altering(locus))
         handle.attempts[key] = result.session.executed_tx == EVIL_TX
     return handle.attempts[key]
 
@@ -449,9 +401,7 @@ def posterior_count(observed_positions: tuple[int, ...] | list[int], k: int, n: 
 # -------- offline guessing --------
 
 
-def brute_force_guessing(
-    store: CredentialStore, user_id: str, budget: int, seed: int
-) -> int:
+def brute_force_guessing(store: CredentialStore, user_id: str, budget: int, seed: int) -> int:
     """Random password guesses against the stored credential; returns hits.
 
     Models the offline attacker with no foothold: each guess is a fresh
@@ -469,7 +419,8 @@ def brute_force_guessing(
 #
 # A row is one session of its protocol under its flags. Its setup(config,
 # store) runs any earlier session the attack needs on the same store and
-# returns the installs plus a breach test over the finished SessionResult.
+# returns the attack's actions plus a breach test over the finished
+# SessionResult.
 # A defence flag's pair of rows shares protocol and setup and differs only
 # in that flag; the off row is the defence's positive control.
 
@@ -500,7 +451,7 @@ def _dual_locus_surfer(config: SessionConfig, store: CredentialStore):
             == store.users[config.user_id].password
         )
 
-    return [], breached
+    return (), breached
 
 
 def _forged_layout(config: SessionConfig, store: CredentialStore):
@@ -517,7 +468,7 @@ def _forged_layout(config: SessionConfig, store: CredentialStore):
         clicks = [m.positions for m in result.session.transcript if m.TAG == "click_positions"]
         return bool(clicks) and layout.resolve(clicks[0]) == store.users[config.user_id].password
 
-    return [_rewriting(EntityKind.TERMINAL, show_frame={"frame": frame})], breached
+    return (Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": frame}),), breached
 
 
 def _otp_replay(config: SessionConfig, store: CredentialStore):
@@ -525,7 +476,7 @@ def _otp_replay(config: SessionConfig, store: CredentialStore):
     earlier = replace(config, seed=rngmod.child_seed(config.seed, "capture"))
     (handle,), _ = run_attacked_session(earlier, [_TERMINAL_MALWARE], store)
     (otp,) = handle.observed("otp")
-    return [replaying(SubmitOtp(otp=otp))], _authenticated
+    return replay(SubmitOtp(otp=otp)), _authenticated
 
 
 def _phish_relay(config: SessionConfig, store: CredentialStore):
@@ -534,12 +485,12 @@ def _phish_relay(config: SessionConfig, store: CredentialStore):
     nonce = crypto.fresh_nonce(rngmod.fork(config.seed, "phisher-nonce"))
     plain = _pack_credentials(nonce.value, credential.user_id, credential.password, store.server_name)
     sealed = crypto.encrypt(store.server_pair.public_key, plain, rngmod.fork(config.seed, "phone-seal"))
-    return [replaying(SubmitCiphertext(blob=sealed.to_bytes()))], _authenticated
+    return replay(SubmitCiphertext(blob=sealed.to_bytes())), _authenticated
 
 
 def _phish_wrong_name(config: SessionConfig, store: CredentialStore):
     """A phone holding a phisher's server name seals it into the credentials."""
-    return [phone_holding(server_name="totally-real-bank")], _authenticated
+    return (Plant(EntityKind.SMARTPHONE, {"server_name": "totally-real-bank"}),), _authenticated
 
 
 def _stale_receipt(config: SessionConfig, store: CredentialStore):
@@ -548,46 +499,28 @@ def _stale_receipt(config: SessionConfig, store: CredentialStore):
     nonce inside the signed receipt tells the phone it is stale."""
     clean = run_flow(replace(config, seed=rngmod.child_seed(config.seed, "clean")), store)
     receipt = next(m for m in clean.session.transcript if m.TAG == "tx_confirmation")
-    stale = _rewriting(
-        EntityKind.TERMINAL,
-        submit_tx={"tx": EVIL_TX},
-        show_frame={"frame": receipt.frame},
-        show_tx_page={"tx": receipt.display_tx},
-    )
-    return [stale], _executed_evil
+    return (
+        Rewrite(EntityKind.TERMINAL, "submit_tx", {"tx": EVIL_TX}),
+        Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": receipt.frame}),
+        Rewrite(EntityKind.TERMINAL, "show_tx_page", {"tx": receipt.display_tx}),
+    ), _executed_evil
 
 
 def _forged_confirm(config: SessionConfig, store: CredentialStore):
     """Terminal malware submits its own transaction and confirms it itself."""
-
-    def install(session: Session) -> None:
-        live = weakref.ref(session)  # the session holds forge, through its terminal
-
-        def forge(msg: Message) -> None:
-            if msg.TAG == "request_tx":
-                live().inject(SubmitTx(tx=EVIL_TX))
-                live().inject(ForwardConfirm(ok=True))
-
-        session.entities[EntityKind.TERMINAL].io_taps.append(forge)
-
-    return [install], _executed_evil
+    at = (EntityKind.TERMINAL, "request_tx")
+    return (Inject(SubmitTx(tx=EVIL_TX), at), Inject(ForwardConfirm(ok=True), at)), _executed_evil
 
 
 def _hijack(config: SessionConfig, store: CredentialStore):
     """Terminal malware rewrites the live transaction; the phone's signed side copy shows it."""
-    return [_altering(EntityKind.TERMINAL)], _executed_evil
+    return _altering(EntityKind.TERMINAL), _executed_evil
 
 
 def _suppressed_side_copy(config: SessionConfig, store: CredentialStore):
     """Phone malware drops the side copy, so a transaction the server
     executes is one no verified side copy backs."""
-
-    def install(session: Session) -> None:
-        session.entities[EntityKind.SMARTPHONE].outbound_hooks.append(
-            lambda msg: None if msg.TAG == "side_copy" else msg
-        )
-
-    return [install], lambda result: result.session.executed_tx is not None
+    return (Drop(EntityKind.SMARTPHONE, "side_copy"),), lambda result: result.session.executed_tx is not None
 
 
 @dataclass(frozen=True)
@@ -595,7 +528,7 @@ class Attack:
     name: str
     protocol: Protocol
     flags: SessionFlags
-    setup: Callable[[SessionConfig, CredentialStore], tuple[list, Callable[[SessionResult], bool]]]
+    setup: Callable[[SessionConfig, CredentialStore], tuple[tuple, Callable[[SessionResult], bool]]]
     expect_breach: bool
 
 
@@ -635,8 +568,8 @@ def run_attack(attack: Attack, seed: int, store: CredentialStore | None = None) 
     """Run the row as one session of its protocol and judge it by its breach test."""
     store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
     config = SessionConfig(protocol=attack.protocol, seed=seed, flags=attack.flags)
-    installs, breached = attack.setup(config, store)
-    result = run_flow(config, store, adversaries=installs)
+    actions, breached = attack.setup(config, store)
+    result = run_flow(config, store, actions)
     return AttackResult(attack, result.outcome, breached(result), tuple(result.session.late_verdicts))
 
 

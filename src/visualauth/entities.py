@@ -14,18 +14,17 @@ carry nothing; a message travels only on the channel its class names,
 and a party runs a handler for it only if each field has the type its
 class declares (register_message; Party.receive in protocols). What an
 onlooker learns is read off the transcript after the run. An attacker
-that acts reaches a session only through an entity's io taps (each
-message delivered to it, as it arrives) and outbound hooks (which may
-rewrite or drop what it sends, but not send on another party's channel),
-or by queueing traffic with Session.inject, all installed before the
-user begins. The honest handler code cannot tell whether it is being
-watched, and no entity reads an attacker setting.
+that acts is data: the session's actions, a tuple of four frozen values
+(Drop, Rewrite, Inject, Plant), empty in an honest run. Entity.emit
+applies the Drops and Rewrites of a party's sends, deliver queues each
+Inject as it falls due, and Session.begin applies the Plants first. The
+honest handler code cannot tell whether it is being watched, and no
+entity reads an attacker setting.
 
-The session owns its parties; a party holds its session weakly (see
-Entity.session), and so does an install whose tap or hook keeps the
-session. So no session is a reference cycle: a finished one, its
-transcript and its snapshots are freed by reference counting as soon as
-its last caller drops it, not left for the cyclic collector.
+The session owns its parties, a party holds its session weakly (see
+Entity.session), and no action holds a session. So a finished session,
+with its transcript and snapshots, is no reference cycle: reference
+counting frees it as soon as its last caller drops it.
 
 Both records hold references, not bytes: a delivery keeps the message
 and a shallow copy of the receiver's state, and serializes neither.
@@ -33,19 +32,14 @@ canonical_bytes runs when the snapshots are first read (and is cached)
 or a transcript is exported. That gives the bytes of record time only
 because nothing recorded can change: register_message makes each message
 class a frozen dataclass, and take_snapshot refuses mutable state values.
-canonical_bytes dispatches through a table of one encoder per exact
-type, filled the first time a type is seen; a subclass gets the encoder
-of the first base it matches, in the order canonical_bytes documents.
 
-A frozen dataclass instance is encoded once: its first encoding is kept
-in its own __dict__, as crypto.KeyPair keeps its loaded keys. So a frame
-that rides in two messages, a transaction carried through a whole
-session and a FrameSpec of qr's spec table are each encoded once. A
-value rebuilt with dataclasses.replace is a new instance and encodes its
-own fields. Immutability is the one contract both the lazy records and
-this memo rely on: _check_immutable looks only at the top-level type of
-a state value, so a frozen dataclass that held a list and had it changed
-would encode stale bytes. No program value holds a mutable inside today.
+A frozen dataclass instance keeps its first encoding in its own __dict__,
+as crypto.KeyPair keeps its loaded keys, so a frame that rides in two
+messages is encoded once; a value rebuilt with dataclasses.replace
+encodes its own fields. The lazy records and this memo both rely on
+immutability, and _check_immutable looks only at a state value's
+top-level type: a frozen dataclass holding a list that changed would
+encode stale bytes. No program value holds a mutable inside today.
 """
 
 from __future__ import annotations
@@ -61,7 +55,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType, UnionType
-from typing import Any, Callable, ClassVar, Union, get_args, get_origin
+from typing import Any, Callable, ClassVar, Mapping, Union, get_args, get_origin
 
 from . import rng as rngmod
 from .qr import VisualFrame
@@ -333,6 +327,73 @@ class Message:
         return hashlib.sha256(self.TAG_BYTE + _u32(len(body)) + body).hexdigest()[:16]
 
 
+# -------- what an active attacker does, as data --------
+
+
+def _end(party: EntityKind, tag: str, end: str) -> None:
+    """ValueError unless party is tag's end; an action that never fires reads as resistance."""
+    cls = MESSAGES.get(tag)
+    if cls is None or getattr(cls.CHANNEL, end) is not party:
+        raise ValueError(f"the {party.value} is no {end} of {tag!r}")
+
+
+@dataclass(frozen=True)
+class Drop:
+    """What party sends tagged tag is lost in transit."""
+
+    party: EntityKind
+    tag: str
+
+    def __post_init__(self):
+        _end(self.party, self.tag, "sender")
+
+
+@dataclass(frozen=True)
+class Rewrite:
+    """What party sends tagged tag goes out rewritten: fields maps field
+    names to new values, or is a pure function, holding no session, from
+    the message to the one sent instead."""
+
+    party: EntityKind
+    tag: str
+    fields: Mapping[str, object] | Callable[[Message], Message]
+
+    def __post_init__(self):
+        _end(self.party, self.tag, "sender")
+        if not callable(self.fields):
+            object.__setattr__(self, "fields", MappingProxyType(dict(self.fields)))
+
+
+@dataclass(frozen=True)
+class Inject:
+    """message is queued on its class's channel as delivery at starts,
+    before the receiver's handler runs (0: before the user begins), or,
+    for at=(party, tag), as party first takes tag."""
+
+    message: Message
+    at: int | tuple[EntityKind, str]
+
+    def __post_init__(self):
+        if not isinstance(self.at, int):
+            _end(*self.at, "receiver")
+        elif self.at < 0:
+            raise ValueError(f"no delivery {self.at}")
+
+
+@dataclass(frozen=True)
+class Plant:
+    """party holds state, over its own, before the user begins."""
+
+    party: EntityKind
+    state: Mapping[str, object]
+
+    def __post_init__(self):
+        object.__setattr__(self, "state", MappingProxyType(dict(self.state)))
+
+
+ACTIONS = (Drop, Rewrite, Inject, Plant)
+
+
 class SecretKind(enum.Enum):
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
@@ -390,11 +451,8 @@ class Entity:
     Each delivery runs handle, which calls the subclass's receive(message)
     once, then snapshots the state. The snapshot is a shallow copy, encoded
     only when snapshots is read, so a handler replaces a state value rather
-    than changing it in place.
-
-    The session owns its parties, and a party holds its session only
-    weakly: a tap or hook installed on a party that needs the session keeps
-    a weakref.ref too, or the session becomes a reference cycle.
+    than changing it in place. The session owns its parties, and a party
+    holds its session only weakly, so the session is no reference cycle.
     """
 
     kind: ClassVar[EntityKind]
@@ -404,10 +462,6 @@ class Entity:
         self.state: dict = {}
         self._snapshots: list[tuple[int, bytes]] = []
         self._pending: list[tuple[int, dict]] = []  # recorded, not yet encoded
-        # installed by attackers: hook(message) -> message or None (dropped)
-        # on each send, tap(message) on each delivery to this entity
-        self.outbound_hooks: list[Callable] = []
-        self.io_taps: list[Callable] = []
 
     @property
     def session(self) -> "Session":
@@ -418,19 +472,21 @@ class Entity:
         return session
 
     def emit(self, message: Message) -> None:
-        """Send message on the channel its class was registered for.
-
-        The sender is checked after the outbound hooks, so a hook cannot
-        turn a message into one that travels on another party's channel.
-        """
-        for hook in self.outbound_hooks:
-            message = hook(message)
-            if message is None:
-                return  # dropped in transit by the compromise
+        """Send message on the channel its class was registered for, after
+        the session's Drops and Rewrites of this party's sends, in order. The
+        sender is checked after them, so a Rewrite cannot move a message onto
+        another party's channel."""
+        session = self.session
+        for action in session.actions:  # () in an honest session
+            if type(action) in (Drop, Rewrite) and action.party is self.kind and action.tag == message.TAG:
+                if type(action) is Drop:
+                    return  # lost in transit
+                fields = action.fields
+                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)
         channel = message.CHANNEL
         if channel.sender is not self.kind:
             raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")
-        self.session.inject(message)
+        session.inject(message)
 
     def handle(self, message: Message) -> None:
         self.receive(message)  # defined by the subclass
@@ -458,15 +514,19 @@ class Session:
     """One protocol run: entities, queue, transcript, verdict.
 
     transcript lists the delivered messages in order; step is its length.
-    config and store are what the protocol layer builds the session from;
-    the handlers fill in the executed transaction and the viewed fields as
-    the run goes, and reach every verdict through finish.
+    config and store are what the protocol layer builds the session from,
+    actions what an active attacker does to it (ACTIONS); the handlers fill
+    in the executed transaction and the viewed fields as the run goes, and
+    reach every verdict through finish.
     """
 
-    def __init__(self, seed: int, config=None, store=None):
+    def __init__(self, seed: int, config=None, store=None, actions=()):
         self.seed = seed
         self.config = config
         self.store = store
+        self.actions = tuple(actions)
+        if not all(type(action) in ACTIONS for action in self.actions):
+            raise TypeError(f"an action is one of {', '.join(cls.__name__ for cls in ACTIONS)}")
         self.rng = rngmod.fork(seed, "session")
         self.entities: dict[EntityKind, Entity] = {}
         self.transcript: list[Message] = []
@@ -498,9 +558,18 @@ class Session:
         self.secret_probes.append(SecretProbe(kind, bytes(data), frozenset(allowed)))
 
     def inject(self, message: Message) -> None:
-        """Queue a message on the channel its class declares; with no
-        sending entity, this is also how an attacker inserts traffic."""
+        """Queue a message on the channel its class declares: a party's
+        emit, or an Inject action that falls due."""
         self._order.append(message)
+
+    def begin(self) -> None:
+        """Apply each Plant and queue each Inject at 0, then let the user begin."""
+        for action in self.actions:
+            if type(action) is Plant:
+                self.entities[action.party].state.update(action.state)
+            elif type(action) is Inject and action.at == 0:
+                self.inject(action.message)
+        self.entities[EntityKind.USER].begin()
 
     def finish(self, outcome, reason: str | None = None, retryable: bool = False) -> None:
         """Reach a verdict; reason and retryable describe an abort. The first
@@ -532,8 +601,8 @@ class Session:
 
 
 def deliver(session: Session, message: Message) -> None:
-    """Deliver one message on its channel: advance the receiving machine
-    exactly one handler.
+    """Deliver one message on its channel: queue each Inject that falls due,
+    then advance the receiving machine exactly one handler.
 
     Raises ProtocolViolation for a message delivered to a closed session
     or to a party the session lacks.
@@ -545,8 +614,13 @@ def deliver(session: Session, message: Message) -> None:
     if receiver is None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")
     session.transcript.append(message)
-    for tap in receiver.io_taps:
-        tap(message)
+    for action in session.actions:  # () in an honest session
+        if type(action) is Inject and (
+            action.at == session.step
+            or action.at == (channel.receiver, message.TAG)
+            and [m.TAG for m in session.transcript].count(message.TAG) == 1
+        ):
+            session.inject(action.message)
     receiver.handle(message)
     receiver.take_snapshot(session.step)
 

@@ -211,8 +211,7 @@ class SessionConfig:
     submit_passwords is what the user-model will type, one entry per
     attempt; None means the genuine password once. Every field describes
     an honest session; an attacker reaches a session only through the
-    installs run_flow takes (see adversary.replaying and
-    adversary.phone_holding).
+    actions run_flow takes (entities.ACTIONS).
     """
 
     protocol: Protocol
@@ -1079,11 +1078,11 @@ FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
 # -------- session assembly and run_flow --------
 
 
-def build_session(config: SessionConfig, store: CredentialStore) -> Session:
+def build_session(config: SessionConfig, store: CredentialStore, actions=()) -> Session:
     credential = store.users.get(config.user_id)
     if credential is None:
         raise ValueError(f"no provisioned user {config.user_id!r}")
-    session = Session(config.seed, config, store)
+    session = Session(config.seed, config, store, actions)
 
     user = UserModel(session, config, credential.password)
     terminal = Terminal(session)
@@ -1124,26 +1123,20 @@ class SessionResult:
     session: Session
 
 
-def run_flow(config: SessionConfig, store: CredentialStore | None = None, adversaries=()) -> SessionResult:
-    """Run one session of config.protocol to its verdict.
-
-    Each adversary is an install: a callable that gets the built session
-    before the user begins, to add taps and hooks, plant state or queue
-    traffic. Watching needs no install: adversary.AttackerHandle reads the
-    finished session's transcript.
-    """
+def run_flow(config: SessionConfig, store: CredentialStore | None = None, actions=()) -> SessionResult:
+    """Run one session of config.protocol to its verdict. actions are what an
+    active attacker does to it (entities.ACTIONS); watching needs none, as
+    adversary's views read the finished session's transcript."""
     store = store or CredentialStore.provision(config.seed)
-    session = build_session(config, store)
-    for install in adversaries:
-        install(session)
-    session.entities[EntityKind.USER].begin()
+    session = build_session(config, store, actions)
+    session.begin()
     session.run()
     if session.outcome is None:
         session.finish(Outcome.ABORTED, "stalled")
     return SessionResult(outcome=session.outcome, session=session)
 
 
-def run_hijack_guard(config: SessionConfig, store=None, adversaries=()) -> SessionResult:
+def run_hijack_guard(config: SessionConfig, store=None, actions=()) -> SessionResult:
     """run_flow as HIJACKGUARD, under its own name so traces can count the
     alteration sessions apart from the other sessions an adversary starts."""
-    return run_flow(replace(config, protocol=Protocol.HIJACKGUARD), store, adversaries)
+    return run_flow(replace(config, protocol=Protocol.HIJACKGUARD), store, actions)

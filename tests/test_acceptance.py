@@ -16,7 +16,7 @@ from visualauth import qr, rng as rngmod
 from visualauth.adversary import (
     ATTACKS,
     posterior_count,
-    replaying,
+    replay,
     run_attack,
     run_matrix,
 )
@@ -204,13 +204,13 @@ def test_criterion_7_replay_and_freshness():
         assert honest.outcome is Outcome.AUTHENTICATED
         blob = honest.session.entities[EntityKind.TERMINAL].state["upload_frame"].frame.payload
         replay_seed = rngmod.child_seed(BASE_SEED, "replay3", "replay", str(i))
-        replay = run_flow(
+        replayed = run_flow(
             SessionConfig(protocol=Protocol.P3, seed=replay_seed),
             store3,
-            adversaries=[replaying(SubmitCiphertext(blob=blob))],
+            actions=replay(SubmitCiphertext(blob=blob)),
         )
-        replayed_p3 += replay.outcome is Outcome.AUTHENTICATED
-        aborted += replay.outcome is Outcome.ABORTED
+        replayed_p3 += replayed.outcome is Outcome.AUTHENTICATED
+        aborted += replayed.outcome is Outcome.ABORTED
 
     store2 = CredentialStore.provision(rngmod.child_seed(BASE_SEED, "replay2-store"))
     reused_p2 = 0
@@ -220,13 +220,13 @@ def test_criterion_7_replay_and_freshness():
         assert honest.outcome is Outcome.AUTHENTICATED
         spent = honest.session.entities[EntityKind.SERVER].state["token"].value
         replay_seed = rngmod.child_seed(BASE_SEED, "replay2", "replay", str(i))
-        replay = run_flow(
+        replayed = run_flow(
             SessionConfig(protocol=Protocol.P2, seed=replay_seed),
             store2,
-            adversaries=[replaying(SubmitOtp(otp=spent))],
+            actions=replay(SubmitOtp(otp=spent)),
         )
-        reused_p2 += replay.outcome is Outcome.AUTHENTICATED
-        aborted += replay.outcome is Outcome.ABORTED
+        reused_p2 += replayed.outcome is Outcome.AUTHENTICATED
+        aborted += replayed.outcome is Outcome.ABORTED
 
     # positive control: without nonce freshness the stale receipt convinces
     control = run_attack(

@@ -20,12 +20,12 @@ from visualauth.adversary import (
     evaluate,
     expected_resistance,
     posterior_count,
-    replaying,
+    replay,
     run_attack,
     run_attacked_session,
     run_matrix,
 )
-from visualauth.entities import EntityKind, Message
+from visualauth.entities import ACTIONS, EntityKind, Inject, Message
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
     DEFAULT_TX,
@@ -243,10 +243,10 @@ class TestViews:
         honest = run_flow(SessionConfig(protocol=Protocol.HIJACKGUARD, seed=2))
         malware = adversary.AttackerHandle(AdversaryConfig(M, T), honest.session)
         assert malware.observed("tx") == (DEFAULT_TX,)
-        # positive control: what the rewriting install sends is what it sees
+        # positive control: what the rewriting malware sends is what it sees
         altered = run_flow(
             SessionConfig(protocol=Protocol.HIJACKGUARD, seed=2),
-            adversaries=[adversary._altering(EntityKind.TERMINAL)],
+            actions=adversary._altering(EntityKind.TERMINAL),
         )
         assert adversary.AttackerHandle(AdversaryConfig(M, T), altered.session).observed("tx") == (EVIL_TX,)
 
@@ -261,9 +261,7 @@ class TestViews:
         # the terminal never sends the planted ciphertext, but it travels on
         # net_up, the terminal's channel, so terminal malware sees it go out
         planted = SubmitCiphertext(blob=b"planted")
-        result = run_flow(
-            SessionConfig(protocol=Protocol.P3, seed=2), adversaries=[lambda session: session.inject(planted)]
-        )
+        result = run_flow(SessionConfig(protocol=Protocol.P3, seed=2), actions=(Inject(planted, 0),))
         assert result.session.transcript[0] == planted
         malware = adversary.AttackerHandle(AdversaryConfig(M, T), result.session)
         assert malware.observations[0] == adversary.Observation(1, ("ciphertext", b"planted"))
@@ -604,12 +602,12 @@ class TestSharedSession:
         alone_takings = [_takings(run_attacked_session(config, [c])[0][0]) for c in MATRIX_CONFIGS]
         assert shared_takings == alone_takings
 
-    def test_views_see_what_a_rewriting_install_changes(self):
+    def test_views_see_what_a_rewriting_malware_changes(self):
         # positive control: malware that rewrites the transaction changes
         # what the views of the same session see
         config = SessionConfig(protocol=Protocol.TXVERIFY, seed=0)
         honest, _ = run_attacked_session(config, MATRIX_CONFIGS)
-        altered = run_flow(config, adversaries=[adversary._altering(EntityKind.TERMINAL)])
+        altered = run_flow(config, actions=adversary._altering(EntityKind.TERMINAL))
         assert EVIL_TX in [m.tx for m in altered.session.transcript if m.TAG == "submit_tx"]
         watched = [adversary.AttackerHandle(c, altered.session) for c in MATRIX_CONFIGS]
         changed = {
@@ -724,8 +722,8 @@ class TestAttackerKeys:
     @pytest.mark.parametrize("seed", range(6))
     def test_learned_credentials_log_in_on_a_keyless_phone(self, seed):
         store = CredentialStore.provision(seed)
-        fields, install = adversary._learned_credentials(store.users["alice"].password)
-        result = run_flow(SessionConfig(protocol=Protocol.P3, seed=seed, **fields), store, adversaries=[install])
+        fields, actions = adversary._STRATEGIES["learned-creds"](store.users["alice"].password)
+        result = run_flow(SessionConfig(protocol=Protocol.P3, seed=seed, **fields), store, actions)
         assert result.outcome is Outcome.AUTHENTICATED
         assert result.session.entities[EntityKind.SMARTPHONE].state["keypair"] is None
 
@@ -776,7 +774,7 @@ class TestSharedAttempts:
         (keylogger, surfer), _ = run_attacked_session(config, [AdversaryConfig(K, T), AdversaryConfig(V, T)], store)
         assert keylogger.observed("positions") == surfer.observed("positions")
         followup = SessionConfig(protocol=Protocol.P1, seed=rngmod.child_seed(281, "followup", "replay"))
-        probe = run_flow(followup, store, adversaries=[replaying(SubmitPositions(positions=(0, 0, 0, 0)))])
+        probe = run_flow(followup, store, actions=replay(SubmitPositions(positions=(0, 0, 0, 0))))
         layout = probe.session.entities[EntityKind.SERVER].state["layout"]
         spelled = tuple(layout.position_of(ch) for ch in store.users["alice"].password)
         surfer.observations = [
@@ -869,11 +867,11 @@ class TestReplaysAreJudged:
         # positions that spell the password on this seed's layout log in
         store = CredentialStore.provision(281)
         config = SessionConfig(protocol=Protocol.P1, seed=281)
-        probe = run_flow(config, store, adversaries=[replaying(SubmitPositions(positions=(0, 0, 0, 0)))])
+        probe = run_flow(config, store, actions=replay(SubmitPositions(positions=(0, 0, 0, 0))))
         assert probe.outcome is Outcome.DENIED
         layout = probe.session.entities[EntityKind.SERVER].state["layout"]
         spelled = tuple(layout.position_of(ch) for ch in store.users["alice"].password)
-        result = run_flow(config, store, adversaries=[replaying(SubmitPositions(positions=spelled))])
+        result = run_flow(config, store, actions=replay(SubmitPositions(positions=spelled)))
         assert result.outcome is Outcome.AUTHENTICATED
         # type_id, login_request, kbd_challenge, submit_positions, auth_result
         assert result.session.step == 5
@@ -903,34 +901,30 @@ class TestReplaysAreJudged:
         the layout is drawn from the session's seed, not from the store."""
         config = SessionConfig(protocol=Protocol.P1, seed=281)
         probe = run_flow(config, CredentialStore.provision(281),
-                         adversaries=[replaying(SubmitPositions(positions=(0, 0, 0, 0)))])
+                         actions=replay(SubmitPositions(positions=(0, 0, 0, 0))))
         password = probe.session.entities[EntityKind.SERVER].state["layout"].resolve(positions)
         return CredentialStore.provision(281, users=(("alice", password),))
 
     @pytest.mark.parametrize("name", SUBMISSIONS)
     def test_positions_off_the_grid_are_denied(self, name):
         positions, outcome, reason, steps = self.SUBMISSIONS[name]
-        install = replaying(SubmitPositions(positions=positions))
-        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=281), self._store_spelling(self.SPELLED),
-                          adversaries=[install])
+        actions = replay(SubmitPositions(positions=positions))
+        result = run_flow(SessionConfig(protocol=Protocol.P1, seed=281), self._store_spelling(self.SPELLED), actions)
         assert (result.outcome, result.session.abort_reason) == (outcome, reason)
         assert result.session.step == steps
 
     def test_matrix_replays_are_denied_not_aborted(self, monkeypatch):
         # an abort would mean the replay arrived out of order, and the
         # cell's "resist" would prove nothing
-        sessions = []
+        sessions, run = [], adversary.run_flow
 
-        def recording(submission):
-            install = replaying(submission)
+        def recording(config, store=None, actions=()):
+            result = run(config, store, actions)
+            if any(type(action) is Inject for action in actions):  # a replay
+                sessions.append(result.session)
+            return result
 
-            def record(session):
-                sessions.append(session)
-                install(session)
-
-            return record
-
-        monkeypatch.setattr(adversary, "replaying", recording)
+        monkeypatch.setattr(adversary, "run_flow", recording)
         run_matrix(2026, trials=1)
         assert {session.config.protocol for session in sessions} == set(AUTH_PROTOCOLS)
         assert {session.outcome for session in sessions} == {Outcome.DENIED}
@@ -964,6 +958,18 @@ class TestAttackCatalogue:
 
     def test_every_row_is_pinned(self):
         assert ATTACK_VERDICTS.keys() == ATTACKS.keys()
+
+    @pytest.mark.parametrize("name", ATTACKS)
+    def test_every_setup_returns_frozen_comparable_actions(self, name):
+        # an attack is data: a tuple of actions, the same for the same row,
+        # seed and store, which prints without reaching into any session
+        attack = ATTACKS[name]
+        config = SessionConfig(protocol=attack.protocol, seed=0, flags=attack.flags)
+        store = CredentialStore.provision(rngmod.child_seed(0, "store"))
+        (actions, _), (again, _) = attack.setup(config, store), attack.setup(config, store)
+        assert type(actions) is tuple and all(type(action) in ACTIONS for action in actions)
+        assert actions == again and repr(actions) == repr(again)
+        assert (actions == ()) == (name == "dual_locus_surfer")
 
     @pytest.mark.parametrize("flag", [f.name for f in dataclasses.fields(SessionFlags)])
     def test_every_defence_has_a_positive_control(self, flag):

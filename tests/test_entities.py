@@ -18,14 +18,19 @@ import pytest
 from visualauth import entities
 from visualauth.adversary import ATTACKS, EVIL_TX, run_attack, run_matrix
 from visualauth.entities import (
+    ACTIONS,
     MAX_DELIVERIES,
     TOPOLOGY,
     ChannelKind,
+    Drop,
     Entity,
     EntityKind,
+    Inject,
     LivenessError,
     Message,
+    Plant,
     ProtocolViolation,
+    Rewrite,
     SecretKind,
     Session,
     canonical_bytes,
@@ -40,6 +45,7 @@ from visualauth.protocols import (
     DEFAULT_TX,
     ConfirmOnPhone,
     CredentialStore,
+    EchoClicks,
     LoginRequest,
     Outcome,
     Protocol,
@@ -579,18 +585,6 @@ class TestChannelDiscipline:
         with pytest.raises(ProtocolViolation):
             user.emit(LoginRequest(user_id="alice", protocol="P1"))
 
-    def test_hook_cannot_send_on_another_partys_channel(self):
-        # a tap on the phone's screen travels on click_phone, the user's
-        # channel; a terminal hook that produces one is refused, so the
-        # terminal cannot confirm a transaction in the user's name
-        session = _built_session(protocol=Protocol.HIJACKGUARD)
-        terminal = session.entities[EntityKind.TERMINAL]
-        terminal.outbound_hooks.append(lambda msg: ConfirmOnPhone(tx=EVIL_TX))
-        session.entities[EntityKind.USER].begin()
-        with pytest.raises(ProtocolViolation, match="terminal cannot send on click_phone"):
-            session.run()
-        assert session.executed_tx is None
-
     def test_delivery_to_closed_session_rejected(self):
         session = _built_session(seed=902)
         session.entities[EntityKind.USER].begin()
@@ -783,41 +777,104 @@ class TestSecretScanner:
             session.register_secret(SecretKind.OTP, b"ab", {EntityKind.SERVER})
 
 
-class TestTaps:
-    def test_channel_tap_sees_traffic_without_altering_it(self):
-        seen = []
-        store = CredentialStore.provision(911)
-        session = build_session(SessionConfig(protocol=Protocol.P1, seed=911), store)
+def _tags(config, *actions) -> list[str]:
+    return [m.TAG for m in run_flow(config, CredentialStore.provision(config.seed), actions).session.transcript]
 
-        def tap(msg):
-            if msg.CHANNEL.kind is ChannelKind.CLICK:
-                seen.append((msg.CHANNEL.name, msg.TAG))
 
-        for entity in session.entities.values():
-            entity.io_taps.append(tap)
-        session.entities[EntityKind.USER].begin()
-        assert session.run() is Outcome.AUTHENTICATED
-        assert ("click_terminal", "type_id") in seen
-        assert ("click_terminal", "click_positions") in seen
+# an honest P1 run's deliveries; at delivery 4 (show_frame) show_keyboard
+# waits in the queue, and the phone's handler then sends show_layout
+P1_TAGS = [
+    "type_id", "login_request", "kbd_challenge", "show_frame", "show_keyboard", "show_layout",
+    "click_positions", "echo_clicks", "submit_positions", "auth_result", "show_result",
+]
+# a message the P1 user takes at any point, harmlessly
+ECHO = EchoClicks(positions=(9, 9, 9, 9))
 
-    def test_outbound_hook_can_drop_messages(self):
-        session = _built_session(seed=912)
-        user = session.entities[EntityKind.USER]
-        user.outbound_hooks.append(lambda msg: None)
-        user.begin()
-        # everything the user says is swallowed; nothing is ever delivered
-        assert session.transcript == []
 
-    def test_io_tap_fires_once_per_delivery_to_its_entity(self):
-        # what the terminal sends reaches no tap of its own
-        seen = []
-        store = CredentialStore.provision(913)
-        session = build_session(SessionConfig(protocol=Protocol.P1, seed=913), store)
-        session.entities[EntityKind.TERMINAL].io_taps.append(seen.append)
-        session.entities[EntityKind.USER].begin()
-        session.run()
-        delivered = [m for m in session.transcript if m.CHANNEL.receiver is EntityKind.TERMINAL]
-        assert seen == delivered
+class TestActions:
+    """An attacker acts through the session's actions, each a frozen value."""
+
+    CONFIG = SessionConfig(protocol=Protocol.P1, seed=913)
+
+    def test_an_honest_run_has_no_actions(self):
+        assert _tags(self.CONFIG) == P1_TAGS
+        assert run_flow(self.CONFIG).session.actions == ()
+
+    def test_drop_drops_only_its_partys_tag(self):
+        # the terminal's echo is lost; every other message of the run arrives
+        assert _tags(self.CONFIG, Drop(EntityKind.TERMINAL, "echo_clicks")) == P1_TAGS[:7] + P1_TAGS[8:]
+
+    def test_rewrite_replaces_the_fields_of_its_tag_alone(self):
+        result = run_flow(self.CONFIG, actions=(Rewrite(EntityKind.TERMINAL, "echo_clicks", {"positions": (1,)}),))
+        transcript = result.session.transcript
+        assert [m.TAG for m in transcript] == P1_TAGS
+        echo, clicks = (next(m for m in transcript if m.TAG == tag) for tag in ("echo_clicks", "click_positions"))
+        assert echo.positions == (1,) != clicks.positions
+        assert result.outcome is Outcome.AUTHENTICATED
+
+    def test_a_rewrite_cannot_send_on_another_partys_channel(self):
+        # a tap on the phone's screen travels on click_phone, the user's
+        # channel; a terminal Rewrite that produces one is refused, so the
+        # terminal cannot confirm a transaction in the user's name
+        config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=901)
+        forge = Rewrite(EntityKind.TERMINAL, "submit_tx", lambda msg: ConfirmOnPhone(tx=EVIL_TX))
+        session = build_session(config, CredentialStore.provision(901), (forge,))
+        session.begin()
+        with pytest.raises(ProtocolViolation, match="terminal cannot send on click_phone"):
+            session.run()
+        assert session.executed_tx is None
+
+    def test_inject_at_0_goes_before_the_user_begins(self):
+        assert _tags(self.CONFIG, Inject(ECHO, 0)) == ["echo_clicks", *P1_TAGS]
+
+    @pytest.mark.parametrize("at", [4, (EntityKind.SMARTPHONE, "show_frame")], ids=["index", "party_tag"])
+    def test_inject_lands_behind_the_queue_and_ahead_of_the_handler(self, at):
+        # queued as delivery 4 starts: after the show_keyboard that waits,
+        # before the show_layout that the phone's handler sends
+        assert _tags(self.CONFIG, Inject(ECHO, at)) == [*P1_TAGS[:5], "echo_clicks", *P1_TAGS[5:]]
+
+    def test_inject_at_a_party_and_tag_fires_the_first_time_only(self):
+        config = SessionConfig(protocol=Protocol.P1, seed=115, submit_passwords=("wrongpw0", "data"), max_attempts=2)
+        honest = _tags(config)
+        assert honest.count("show_frame") == 2
+        tags = _tags(config, Inject(ECHO, (EntityKind.SMARTPHONE, "show_frame")))
+        assert tags.count("echo_clicks") == honest.count("echo_clicks") + 1
+
+    def test_plant_is_applied_before_the_user_begins(self):
+        # the user's first message already carries the planted id
+        result = run_flow(self.CONFIG, actions=(Plant(EntityKind.USER, {"user_id": "mallory"}),))
+        assert result.session.transcript[0] == TypeId(user_id="mallory")
+        assert result.session.entities[EntityKind.USER].state["user_id"] == "mallory"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Drop(EntityKind.USER, "echo_clicks"),  # the terminal sends it
+            lambda: Rewrite(EntityKind.TERMINAL, "no_such_tag", {}),
+            lambda: Inject(ECHO, (EntityKind.TERMINAL, "echo_clicks")),  # the user takes it
+            lambda: Inject(ECHO, -1),
+        ],
+        ids=["drop_by_a_receiver", "unknown_tag", "inject_at_a_sender", "negative_delivery"],
+    )
+    def test_an_action_that_can_never_fire_is_refused(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_only_an_action_is_taken(self):
+        with pytest.raises(TypeError, match="an action is one of Drop, Rewrite, Inject, Plant"):
+            run_flow(self.CONFIG, actions=(lambda session: None,))
+
+    def test_actions_are_frozen_comparable_values(self):
+        fields = {"positions": (1,)}
+        rewrite = Rewrite(EntityKind.TERMINAL, "echo_clicks", fields)
+        fields["positions"] = (2,)  # the action keeps what it was given
+        assert rewrite == Rewrite(EntityKind.TERMINAL, "echo_clicks", {"positions": (1,)})
+        assert Plant(EntityKind.USER, {"a": 1}) == Plant(EntityKind.USER, {"a": 1})
+        assert all(cls.__dataclass_params__.frozen for cls in ACTIONS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rewrite.tag = "show_result"
+        with pytest.raises(TypeError):
+            rewrite.fields["positions"] = (3,)
 
 
 def _cyclic_garbage(run) -> int:
@@ -843,22 +900,24 @@ FINISHED_RUNS = {
 
 
 class TestOwnership:
-    """The session owns its parties; a party, and an install that keeps the
-    session, hold it weakly. So no session is a reference cycle, and a
-    finished one is freed as soon as its last caller drops it."""
+    """The session owns its parties and a party holds it weakly; no action
+    holds a session. So no session is a reference cycle, and a finished
+    one is freed as soon as its last caller drops it."""
 
     @pytest.mark.parametrize("name", FINISHED_RUNS)
     def test_finished_runs_leave_no_cyclic_garbage(self, name):
         assert _cyclic_garbage(FINISHED_RUNS[name]) == 0
 
-    def test_a_tap_that_holds_its_session_leaves_garbage(self):
-        # positive control: an install that closes over its session strongly
+    def test_a_party_that_holds_its_session_leaves_garbage(self):
+        # positive control: a party given a strong reference to its session
         # makes the session a cycle, and the check above sees it
-        def install(session):
-            session.entities[EntityKind.TERMINAL].io_taps.append(lambda msg: session)
+        def run():
+            session = _built_session(seed=924)
+            session.entities[EntityKind.TERMINAL].held = session
+            session.begin()
+            session.run()
 
-        config = SessionConfig(protocol=Protocol.P1, seed=924)
-        assert _cyclic_garbage(lambda: run_flow(config, adversaries=[install])) > 0
+        assert _cyclic_garbage(run) > 0
 
     def test_a_party_whose_session_is_gone_raises(self):
         result = run_flow(SessionConfig(protocol=Protocol.P2, seed=925))

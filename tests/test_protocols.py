@@ -12,11 +12,14 @@ import typing
 import pytest
 
 from visualauth import crypto, entities, protocols, qr
-from visualauth.adversary import _altering, _rewriting, phone_holding, replaying
+from visualauth.adversary import _altering, replay
 from visualauth.crypto import Role
 from visualauth.entities import (
     EntityKind,
+    Inject,
     Message,
+    Plant,
+    Rewrite,
     SecretKind,
     SecretSighting,
     deliver,
@@ -41,7 +44,6 @@ from visualauth.protocols import (
     SessionConfig,
     SessionFlags,
     ShowLoginBox,
-    ShowTxPage,
     ShowVerifiedTx,
     SideCopy,
     SPEC,
@@ -205,17 +207,9 @@ class TestHonestLogins:
 
     def test_grid_is_six_by_six(self):
         assert (GRID_ROWS, GRID_COLS) == (6, 6)
-        shown = []
-        store = CredentialStore.provision(107)
-        from visualauth.protocols import build_session
-
-        session = build_session(_cfg(Protocol.P1, 107), store)
         # the terminal draws the keyboard for the user
-        session.entities[EntityKind.USER].io_taps.append(
-            lambda msg: shown.append(msg) if msg.TAG == "show_keyboard" else None
-        )
-        session.entities[EntityKind.USER].begin()
-        session.run()
+        transcript = run_flow(_cfg(Protocol.P1, 107)).session.transcript
+        shown = [m for m in transcript if m.TAG == "show_keyboard"]
         assert shown[0].layout_kind == "blank"
         assert (shown[0].rows, shown[0].cols) == (6, 6)
 
@@ -271,20 +265,10 @@ class TestWrongCredentials:
 
     def test_p1_fresh_layout_per_attempt(self):
         # the reissued challenge must not reuse the first permutation
-        layouts = []
-        store = CredentialStore.provision(115)
-        from visualauth.protocols import build_session
-
-        session = build_session(
-            _cfg(Protocol.P1, 115, submit_passwords=("wrongpw0", "data"), max_attempts=2),
-            store,
-        )
+        result = run_flow(_cfg(Protocol.P1, 115, submit_passwords=("wrongpw0", "data"), max_attempts=2))
+        assert result.outcome is Outcome.AUTHENTICATED
         # the phone shows the layout to the user
-        session.entities[EntityKind.USER].io_taps.append(
-            lambda msg: layouts.append(msg.layout) if msg.TAG == "show_layout" else None
-        )
-        session.entities[EntityKind.USER].begin()
-        assert session.run() is Outcome.AUTHENTICATED
+        layouts = [m.layout for m in result.session.transcript if m.TAG == "show_layout"]
         assert len(layouts) == 2
         assert layouts[0] != layouts[1]
 
@@ -368,10 +352,8 @@ class TestCiphertextReplayAndTamper:
     def test_replaying_the_exact_ciphertext_is_denied(self):
         store = CredentialStore.provision(125)
         blob = self._steal_blob(125, store)
-        replay = run_flow(
-            _cfg(Protocol.P3, 126), store=store, adversaries=[replaying(SubmitCiphertext(blob=blob))]
-        )
-        assert replay.outcome is Outcome.DENIED
+        replayed = run_flow(_cfg(Protocol.P3, 126), store=store, actions=replay(SubmitCiphertext(blob=blob)))
+        assert replayed.outcome is Outcome.DENIED
 
     def test_a_spent_nonce_is_refused_by_the_server_itself(self):
         # as with a spent token: FLOWS never delivers a second submission
@@ -392,7 +374,7 @@ class TestCiphertextReplayAndTamper:
             result = run_flow(
                 _cfg(Protocol.P3, 128),
                 store=store,
-                adversaries=[replaying(SubmitCiphertext(blob=bytes(mangled)))],
+                actions=replay(SubmitCiphertext(blob=bytes(mangled))),
             )
             assert result.outcome is Outcome.DENIED, f"byte {i}"
 
@@ -400,20 +382,14 @@ class TestCiphertextReplayAndTamper:
         # a phone that believes a different server name seals a credential
         # the real server refuses
         result = run_flow(
-            _cfg(Protocol.P3, 129), adversaries=[phone_holding(server_name="totally-real-bank")]
+            _cfg(Protocol.P3, 129), actions=(Plant(EntityKind.SMARTPHONE, {"server_name": "totally-real-bank"}),)
         )
         assert result.outcome is Outcome.DENIED
 
 
-def _rewriting_frames(**changes):
+def _rewriting_frames(**changes) -> tuple:
     """A terminal that rewrites the fields of every frame it shows the phone."""
-
-    def install(session):
-        session.entities[EntityKind.TERMINAL].outbound_hooks.append(
-            lambda msg: dataclasses.replace(msg, **changes) if msg.TAG == "show_frame" else msg
-        )
-
-    return install
+    return (Rewrite(EntityKind.TERMINAL, "show_frame", changes),)
 
 
 SEALED = (Protocol.P1, Protocol.P2)  # the flows whose challenge is sealed to the phone and signed
@@ -424,17 +400,12 @@ def _relabelling_signature(locus, tags, role):
     ends the frame of each message tagged in tags."""
 
     def relabel(msg):
-        if msg.TAG not in tags:
-            return msg
         payload = bytearray(msg.frame.payload)
         payload[-65] = role
         payload = bytes(payload)
         return dataclasses.replace(msg, frame=qr.qr_encode(payload, qr.choose_spec(payload)))
 
-    def install(session):
-        session.entities[locus].outbound_hooks.append(relabel)
-
-    return install
+    return tuple(Rewrite(locus, tag, relabel) for tag in tags)
 
 
 def _frame_of(size):
@@ -526,24 +497,17 @@ class TestFrameHandling:
     def test_mangled_signature_aborts_fatal(self, protocol):
         # a compromised network rewrites the challenge; the phone must
         # refuse before decrypting rather than retry forever
-        store = CredentialStore.provision(135)
-        from visualauth.protocols import build_session, _unpack_signed
-
-        session = build_session(_cfg(protocol, 135), store)
-
         def mangle(msg):
-            if msg.TAG not in ("kbd_challenge", "otp_challenge"):
-                return msg
             wire, sig = _unpack_signed(msg.frame.payload)
             bad_sig = dataclasses.replace(sig, sig=bytes(b ^ 1 for b in sig.sig))
             payload = _pack_signed(wire, bad_sig)
             return dataclasses.replace(msg, frame=qr.qr_encode(payload, qr.choose_spec(payload)))
 
-        session.entities[EntityKind.SERVER].outbound_hooks.append(mangle)
-        session.entities[EntityKind.USER].begin()
-        assert session.run() is Outcome.ABORTED
-        assert session.abort_reason == "challenge_signature_invalid"
-        assert not session.abort_retryable
+        actions = tuple(Rewrite(EntityKind.SERVER, tag, mangle) for tag in ("kbd_challenge", "otp_challenge"))
+        result = run_flow(_cfg(protocol, 135), actions=actions)
+        assert result.outcome is Outcome.ABORTED
+        assert result.session.abort_reason == "challenge_signature_invalid"
+        assert not result.session.abort_retryable
 
     @pytest.mark.parametrize(
         "role, reason",
@@ -554,7 +518,7 @@ class TestFrameHandling:
         # the role byte is outside the signature: a USER label on the
         # server's signature fails its check, an unknown label is unreadable
         relabel = _relabelling_signature(EntityKind.SERVER, ("kbd_challenge", "otp_challenge"), role)
-        result = run_flow(_cfg(protocol, 135), adversaries=[relabel])
+        result = run_flow(_cfg(protocol, 135), actions=relabel)
         assert result.outcome is Outcome.ABORTED
         assert result.session.abort_reason == reason
         assert not result.session.abort_retryable
@@ -562,7 +526,7 @@ class TestFrameHandling:
     @pytest.mark.parametrize("protocol", SEALED, ids=str)
     def test_wrong_phone_key_aborts_fatal(self, protocol):
         stranger = crypto.generate_keypair(Role.USER, seed=136)
-        result = run_flow(_cfg(protocol, 136), adversaries=[phone_holding(keypair=stranger)])
+        result = run_flow(_cfg(protocol, 136), actions=(Plant(EntityKind.SMARTPHONE, {"keypair": stranger}),))
         assert result.outcome is Outcome.ABORTED
         assert result.session.abort_reason == "challenge_ciphertext_rejected"
         assert not result.session.abort_retryable
@@ -577,18 +541,12 @@ class TestFrameHandling:
         # the malformed nonce cannot change the verdict; the phone still
         # counts as unscanned and refuses the credentials instead of raising.
         # Both refusals are recorded as late verdicts, each with its reason
-        def install(session):
-            def tap(msg):
-                if msg.TAG == "nonce_challenge":
-                    session.inject(SubmitCiphertext(blob=b"garbage"))
-                elif msg.TAG == "show_frame":
-                    session.inject(TypeCredentials(user_id="alice", password="data"))
-
-            for entity in session.entities.values():
-                entity.io_taps.append(tap)
-
-        short = _rewriting_frames(frame=_frame_of(crypto.NONCE_LEN - 1))
-        result = run_flow(_cfg(Protocol.P3, 140), adversaries=[short, install])
+        actions = (
+            *_rewriting_frames(frame=_frame_of(crypto.NONCE_LEN - 1)),
+            Inject(SubmitCiphertext(blob=b"garbage"), (EntityKind.TERMINAL, "nonce_challenge")),
+            Inject(TypeCredentials(user_id="alice", password="data"), (EntityKind.SMARTPHONE, "show_frame")),
+        )
+        result = run_flow(_cfg(Protocol.P3, 140), actions=actions)
         assert result.outcome is Outcome.DENIED
         assert "type_credentials" in [e.TAG for e in result.session.transcript]
         assert "login" not in result.session.entities[EntityKind.SMARTPHONE].state
@@ -600,7 +558,7 @@ class TestFrameHandling:
 
     @pytest.mark.parametrize("size", [15, 17, 200])
     def test_malformed_nonce_aborts_fatal(self, size):
-        result = run_flow(_cfg(Protocol.P3, 139), adversaries=[_rewriting_frames(frame=_frame_of(size))])
+        result = run_flow(_cfg(Protocol.P3, 139), actions=_rewriting_frames(frame=_frame_of(size)))
         assert result.outcome is Outcome.ABORTED
         assert result.session.abort_reason == "nonce_malformed"
         assert not result.session.abort_retryable
@@ -608,7 +566,7 @@ class TestFrameHandling:
     def test_well_formed_foreign_nonce_reaches_the_server(self):
         # the control: a nonce of the right length is sealed and sent up,
         # and the server denies it as not its own
-        result = run_flow(_cfg(Protocol.P3, 139), adversaries=[_rewriting_frames(frame=_frame_of(crypto.NONCE_LEN))])
+        result = run_flow(_cfg(Protocol.P3, 139), actions=_rewriting_frames(frame=_frame_of(crypto.NONCE_LEN)))
         assert result.outcome is Outcome.DENIED
 
     @staticmethod
@@ -620,7 +578,7 @@ class TestFrameHandling:
         public_key = store.users[config.user_id].keypair.public_key
         payload = _pack_signed(crypto.encrypt(public_key, plain, rng=5).to_bytes(), None)
         frame = qr.qr_encode(payload, qr.choose_spec(payload))
-        return run_flow(config, store=store, adversaries=[_rewriting_frames(frame=frame)])
+        return run_flow(config, store=store, actions=_rewriting_frames(frame=frame))
 
     @pytest.mark.parametrize(
         "protocol, plain",
@@ -658,45 +616,25 @@ class TestTransactionVerification:
     def test_submit_alteration_is_flagged(self):
         # malware rewrites the transaction on the wire; the page and the
         # phone then show the altered record and the user balks
-        store = CredentialStore.provision(141)
-        from visualauth.protocols import build_session
-
-        session = build_session(_cfg(Protocol.TXVERIFY, 141), store)
-
-        def rewrite(msg):
-            if msg.TAG == "submit_tx":
-                return SubmitTx(tx=EVIL)
-            return msg
-
-        session.entities[EntityKind.TERMINAL].outbound_hooks.append(rewrite)
-        session.entities[EntityKind.USER].begin()
-        assert session.run() is Outcome.USER_FLAGGED_MISMATCH
-        assert session.executed_tx is None
+        rewrite = Rewrite(EntityKind.TERMINAL, "submit_tx", {"tx": EVIL})
+        result = run_flow(_cfg(Protocol.TXVERIFY, 141), actions=(rewrite,))
+        assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
+        assert result.session.executed_tx is None
 
     def test_display_only_alteration_is_flagged(self):
         # the terminal lies about the page while the real record goes up;
         # the phone-verified copy disagrees with the page
-        store = CredentialStore.provision(142)
-        from visualauth.protocols import build_session
-
-        session = build_session(_cfg(Protocol.TXVERIFY, 142), store)
-
-        def lie(msg):
-            if msg.TAG == "show_tx_page":
-                return ShowTxPage(tx=EVIL)
-            return msg
-
-        session.entities[EntityKind.TERMINAL].outbound_hooks.append(lie)
-        session.entities[EntityKind.USER].begin()
-        assert session.run() is Outcome.USER_FLAGGED_MISMATCH
-        assert session.executed_tx is None
+        lie = Rewrite(EntityKind.TERMINAL, "show_tx_page", {"tx": EVIL})
+        result = run_flow(_cfg(Protocol.TXVERIFY, 142), actions=(lie,))
+        assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
+        assert result.session.executed_tx is None
 
     @pytest.mark.parametrize("role", [0x00, 0x02])
     def test_relabelled_confirmation_is_flagged(self, role):
         # a confirmation signed by the server but labelled otherwise is no
         # server confirmation: the phone shows it invalid and the user balks
         relabel = _relabelling_signature(EntityKind.SERVER, ("tx_confirmation",), role)
-        result = run_flow(_cfg(Protocol.TXVERIFY, 3), adversaries=[relabel])
+        result = run_flow(_cfg(Protocol.TXVERIFY, 3), actions=relabel)
         assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
         assert result.session.executed_tx is None
 
@@ -713,25 +651,20 @@ class TestTransactionVerification:
     }
 
     @staticmethod
-    def _rewriting_confirmation(rewrite):
-        def hook(msg):
-            if msg.TAG != "show_frame":
-                return msg
+    def _rewriting_confirmation(rewrite) -> Rewrite:
+        def frame(msg):
             payload = msg.frame.payload
             (n,) = struct.unpack(">I", payload[:4])
             text = b"\n".join(rewrite(payload[4 : 4 + n].split(b"\n")))
             payload = struct.pack(">I", len(text)) + text + payload[4 + n :]
             return dataclasses.replace(msg, frame=qr.qr_encode(payload, qr.choose_spec(payload)))
 
-        def install(session):
-            session.entities[EntityKind.TERMINAL].outbound_hooks.append(hook)
-
-        return install
+        return Rewrite(EntityKind.TERMINAL, "show_frame", frame)
 
     @pytest.mark.parametrize("rewrite", REWRITES, ids=str)
     def test_rewritten_signed_text_is_flagged(self, rewrite):
-        hook = self._rewriting_confirmation(self.REWRITES[rewrite])
-        result = run_flow(_cfg(Protocol.TXVERIFY, 3), adversaries=[hook])
+        action = self._rewriting_confirmation(self.REWRITES[rewrite])
+        result = run_flow(_cfg(Protocol.TXVERIFY, 3), actions=(action,))
         assert result.outcome is Outcome.USER_FLAGGED_MISMATCH
         assert result.session.executed_tx is None
 
@@ -754,7 +687,7 @@ class TestTransactionVerification:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(crypto, "verify", recording)
-            result = run_flow(_cfg(Protocol.TXVERIFY, 3), store, adversaries=[_rewriting_frames(frame=frame)])
+            result = run_flow(_cfg(Protocol.TXVERIFY, 3), store, actions=_rewriting_frames(frame=frame))
         (shown,) = [m for m in result.session.transcript if m.TAG == "show_verified_tx"]
         return shown, calls, text
 
@@ -832,8 +765,8 @@ class TestSecureView:
         user_public = store.users["alice"].keypair.public_key
         sealed = crypto.encrypt(user_public, b"\xff\xfe", 5).to_bytes()
         frame = qr.qr_encode(sealed, qr.choose_spec(sealed, _cfg(Protocol.SECUREVIEW, 3).frame_ec))
-        swap = _rewriting(EntityKind.TERMINAL, show_doc={"frames": (frame, frame)})
-        result = run_flow(_cfg(Protocol.SECUREVIEW, 3), store, adversaries=[swap])
+        swap = Rewrite(EntityKind.TERMINAL, "show_doc", {"frames": (frame, frame)})
+        result = run_flow(_cfg(Protocol.SECUREVIEW, 3), store, actions=(swap,))
         assert result.outcome is Outcome.VIEWED
         assert result.session.view_failures == ("balance", "statement")
         assert result.session.view_values == {}
@@ -894,7 +827,7 @@ class TestHijackGuard:
         # the transactions differ, so the verdict is settled without the
         # signature check that only an agreeing side copy needs
         verifies = _counting_verifies(monkeypatch)
-        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160), adversaries=[_altering(locus)])
+        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160), actions=_altering(locus))
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
         assert verifies == []
@@ -902,32 +835,18 @@ class TestHijackGuard:
     def test_side_copy_labelled_server_rejected(self):
         # the user's own valid signature, relabelled as the server's
         def relabel(msg):
-            if msg.TAG != "side_copy":
-                return msg
             return dataclasses.replace(msg, signature=dataclasses.replace(msg.signature, signer=Role.SERVER))
 
-        def install(session):
-            session.entities[EntityKind.SMARTPHONE].outbound_hooks.append(relabel)
-
-        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160), adversaries=[install])
+        relabelled = Rewrite(EntityKind.SMARTPHONE, "side_copy", relabel)
+        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160), actions=(relabelled,))
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
 
     def test_altered_submission_rejected(self):
-        store = CredentialStore.provision(161)
-        from visualauth.protocols import build_session
-
-        session = build_session(_cfg(Protocol.HIJACKGUARD, 161), store)
-
-        def rewrite(msg):
-            if msg.TAG == "submit_tx":
-                return SubmitTx(tx=EVIL)
-            return msg
-
-        session.entities[EntityKind.TERMINAL].outbound_hooks.append(rewrite)
-        session.entities[EntityKind.USER].begin()
-        assert session.run() is Outcome.REJECTED
-        assert session.executed_tx is None
+        rewrite = Rewrite(EntityKind.TERMINAL, "submit_tx", {"tx": EVIL})
+        result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 161), actions=(rewrite,))
+        assert result.outcome is Outcome.REJECTED
+        assert result.session.executed_tx is None
 
     def test_forged_side_copy_rejected(self, monkeypatch):
         # a side copy signed by the wrong key must not unlock execution; the
@@ -936,7 +855,7 @@ class TestHijackGuard:
         stranger = crypto.generate_keypair(Role.USER, seed=164)
         verifies = _counting_verifies(monkeypatch)
         result = run_hijack_guard(
-            _cfg(Protocol.HIJACKGUARD, 164), store=store, adversaries=[phone_holding(keypair=stranger)]
+            _cfg(Protocol.HIJACKGUARD, 164), store=store, actions=(Plant(EntityKind.SMARTPHONE, {"keypair": stranger}),)
         )
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
@@ -1127,37 +1046,24 @@ class TestPasswordInsideAnOtp:
     def test_the_password_planted_beside_it_is_a_violation(self, seed):
         # positive control: the same session with the password also held
         # apart from the OTP at the terminal
-        def plant(session):
-            session.entities[EntityKind.TERMINAL].state["note"] = "data"
-
-        result = run_flow(_cfg(Protocol.P2, seed), adversaries=[plant])
+        result = run_flow(_cfg(Protocol.P2, seed), actions=(Plant(EntityKind.TERMINAL, {"note": "data"}),))
         assert [(s.entity, s.kind) for s in secrecy_violations(result.session)] == [
             (EntityKind.TERMINAL, SecretKind.PASSWORD)
         ]
 
 
+def _rewrites(locus, changes: dict) -> tuple:
+    """Malware at locus that rewrites what it sends: changes maps each tag
+    to new values for that message's fields."""
+    return tuple(Rewrite(locus, tag, fields) for tag, fields in changes.items())
+
+
 def _run_with_injected(config, message, at=0):
-    """Queue message on the channel its class declares, as an attacker on
-    that channel could, then run the session. at=0 injects before the user
-    begins; at=k as the k-th delivery starts. The store also provisions a
-    second user, bob."""
+    """Run the session with message injected at delivery at, on the channel
+    its class declares, as an attacker on that channel could (0: before the
+    user begins). The store also provisions a second user, bob."""
     store = CredentialStore.provision(config.seed, users=(("alice", "data"), ("bob", "b0b5")))
-    session = build_session(config, store)
-    deliveries = 0
-
-    def count(_msg):
-        nonlocal deliveries
-        deliveries += 1
-        if deliveries == at:
-            session.inject(message)
-
-    for entity in session.entities.values():
-        entity.io_taps.append(count)
-    if at == 0:
-        session.inject(message)
-    session.entities[EntityKind.USER].begin()
-    session.run()
-    return session
+    return run_flow(config, store, actions=(Inject(message, at),)).session
 
 
 class TestTerminalKeepsWhatItWasHanded:
@@ -1365,9 +1271,8 @@ class TestServerFailsClosed:
     @pytest.mark.parametrize("name", WRONG_TYPED)
     def test_wrong_typed_submission_is_refused(self, name):
         protocol, locus, changes, outcome, reason = self.WRONG_TYPED[name]
-        installs = [_rewriting(locus, **changes)] if locus else []
         config = _cfg(protocol, 3, flags=self.WRONG_TYPED_FLAGS.get(name, SessionFlags()))
-        session = run_flow(config, CredentialStore.provision(3), adversaries=installs).session
+        session = run_flow(config, CredentialStore.provision(3), _rewrites(locus, changes)).session
         assert (session.outcome, session.abort_reason) == (outcome, reason)
         executed = DEFAULT_TX if outcome in (Outcome.CONFIRMED, Outcome.ACCEPTED) else None
         assert session.executed_tx == executed
@@ -1402,10 +1307,9 @@ class TestServerFailsClosed:
     @pytest.mark.parametrize("name", CLIENT_WRONG_TYPED)
     def test_wrong_typed_field_at_a_client_ends_in_a_verdict(self, name):
         protocol, changes, outcome, reason, failures = self.CLIENT_WRONG_TYPED[name]
-        installs = [_rewriting(EntityKind.TERMINAL, **changes)]
         for damage in (0, "budget"):
             config = _cfg(protocol, 3, corrupt_codewords=damage)
-            session = run_flow(config, CredentialStore.provision(3), adversaries=installs).session
+            session = run_flow(config, CredentialStore.provision(3), _rewrites(EntityKind.TERMINAL, changes)).session
             assert (session.outcome, session.abort_reason) == (outcome, reason), damage
             assert session.view_failures == failures, damage
             assert session.late_verdicts == [], damage
@@ -1498,9 +1402,9 @@ def _field_sweep():
         for tag, cls in sent.items():
             for name in cls.FIELDS:
                 for value in SWEEP_VALUES:
-                    install = _rewriting(cls.CHANNEL.sender, **{tag: {name: value}})
+                    rewrite = Rewrite(cls.CHANNEL.sender, tag, {name: value})
                     try:
-                        session = run_flow(_cfg(protocol, 3), CredentialStore.provision(3), [install]).session
+                        session = run_flow(_cfg(protocol, 3), CredentialStore.provision(3), (rewrite,)).session
                     except Exception as exc:  # the sweep reports what raised
                         session = exc
                     yield protocol, cls, name, value, session

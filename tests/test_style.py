@@ -277,3 +277,30 @@ def test_the_signer_comparison_check_can_fail():
     passed = [inside, "Signature(sig=raw, signer=pair.role)", "crypto.verify(key, message, sig, Role.SERVER)"]
     for source in passed:
         assert signer_comparison_findings(source, allowed="verify") == [], source
+
+
+
+def reach_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each import of weakref and each .inject( call in source. A party's
+    weak hold on its session and the session's queue are the session
+    fabric's alone, so no attack holds a session or queues traffic by hand."""
+    return [
+        f"{filename}:{node.lineno} {'calls .inject(' if isinstance(node, ast.Call) else 'imports weakref'}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(alias.name == "weakref" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "weakref"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "inject"
+    ]
+
+
+def test_only_the_session_fabric_holds_a_session_weakly_or_queues_traffic():
+    findings = {path.name: reach_findings(path.read_text(encoding="utf-8"), path.name) for path in SRC.rglob("*.py")}
+    assert len(findings.pop("entities.py")) >= 2  # its weakref import, and emit's and deliver's queueing
+    assert [finding for found in findings.values() for finding in found] == []
+
+
+def test_the_reach_check_can_fail():
+    for source in ("import weakref", "import os, weakref", "from weakref import ref", "live().inject(m)"):
+        assert len(reach_findings(source)) == 1, source
+    for source in ("Inject(message, 3)", "inject = 1", "import weakrefs", "session.actions"):
+        assert reach_findings(source) == [], source
