@@ -2,9 +2,10 @@
 
 SPEC states each of the six flows once, as an Alice-and-Bob table of its
 messages in honest delivery order. FLOWS, the phases in which each party
-takes each message, is read off it, and the terminal's rows are relays:
-the terminal keeps what it was handed and passes it on. What the flows keep
-from whom:
+takes each message, is read off it. Every party keeps each message it takes
+as state[tag] (Party.receive), so what a party knows is written down in one
+place; the terminal's rows are relays that pass what it was handed on. What
+the flows keep from whom:
 
 * keyboard_permutation (P1): the server seals a fresh random keyboard
   layout to the user's public key; only the smartphone decrypts and shows
@@ -505,9 +506,12 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
 class Party(Entity):
     """One of the four parties. It takes a message only where its rows in
     SPEC allow, from the phase it stands in, and only if it is well_formed.
-    A tag foreign to its rows in the flow aborts <tag>_out_of_protocol, one
-    in the wrong phase <tag>_out_of_order, a field of the wrong type
-    <tag>_malformed, and once the session has aborted no party takes input."""
+    A message it takes it keeps as state[tag], the last of each tag, before
+    the row's handler runs: the one place a party writes down what it was
+    handed. A tag foreign to its rows in the flow aborts
+    <tag>_out_of_protocol, one in the wrong phase <tag>_out_of_order, a field
+    of the wrong type <tag>_malformed, and a refused message is never kept.
+    Once the session has aborted no party takes input."""
 
     phase = "start"
 
@@ -522,6 +526,7 @@ class Party(Entity):
         elif not message.well_formed():
             self.session.finish(Outcome.ABORTED, f"{tag}_malformed")
         else:
+            self.state[tag] = message
             handler, self.phase = row
             handler(self, message)
 
@@ -529,8 +534,10 @@ class Party(Entity):
 class UserModel(Party):
     """The human: remembers credentials and intent, reads screens, clicks.
 
-    Confirms a transaction only when the smartphone-verified copy agrees
-    with both the page on the terminal and what it meant to send.
+    What it is shown it keeps as any party does, so a screen it only looks
+    at has no handler of its own (relay()). Confirms a transaction only when
+    the smartphone-verified copy agrees with both the page on the terminal
+    and what it meant to send.
     """
 
     kind = EntityKind.USER
@@ -542,11 +549,9 @@ class UserModel(Party):
             user_id=config.user_id,
             passwords=tuple(passwords),
             attempt=0,
-            keyboard_shown=False,
             pending_otp=None,
             typed_otps=0,
             intended_tx=DEFAULT_TX,
-            page_tx=None,
         )
 
     def _next_password(self) -> str:
@@ -563,7 +568,6 @@ class UserModel(Party):
             self.emit(cls(**{name: intent[name] for name in cls.FIELDS}))
 
     def on_show_keyboard(self, msg: ShowKeyboard) -> None:
-        self.state["keyboard_shown"] = True
         if self.state["pending_otp"] is not None:
             self._type_pending_otp()
 
@@ -574,8 +578,10 @@ class UserModel(Party):
         self.emit(ClickPositions(positions=positions))
 
     def on_show_otp(self, msg: ShowOtp) -> None:
+        # kept apart from the kept show_otp: a retry's keyboard must not
+        # retype an OTP already typed
         self.state["pending_otp"] = msg.otp
-        if self.state["keyboard_shown"]:
+        if ShowKeyboard.TAG in self.state:
             self._type_pending_otp()
 
     def _type_pending_otp(self) -> None:
@@ -590,26 +596,13 @@ class UserModel(Party):
     def on_show_login_box(self, msg: ShowLoginBox) -> None:
         self.emit(TypeCredentials(user_id=self.state["user_id"], password=self._next_password()))
 
-    def on_echo_clicks(self, msg: EchoClicks) -> None:
-        self.state["echo_positions"] = msg.positions
-
-    def on_echo_otp(self, msg: EchoOtp) -> None:
-        self.state["echo_otp_len"] = len(msg.otp)
-
-    def on_echo_masked_credentials(self, msg: EchoMaskedCredentials) -> None:
-        self.state["masked_echo"] = msg.masked
-
-    def on_show_result(self, msg: ShowResult) -> None:
-        self.state["saw_result"] = msg.ok
-
-    def on_show_tx_page(self, msg: ShowTxPage) -> None:
-        self.state["page_tx"] = msg.tx
-
     def on_show_verified_tx(self, msg: ShowVerifiedTx) -> None:
+        page = self.state.get(ShowTxPage.TAG)  # no page shown is a mismatch
         ok = (
             msg.sig_valid
             and msg.fresh
-            and msg.tx == self.state["page_tx"]
+            and page is not None
+            and msg.tx == page.tx
             and msg.tx == self.state["intended_tx"]
         )
         if not ok:
@@ -617,7 +610,6 @@ class UserModel(Party):
         self.emit(ConfirmTx(ok=ok))
 
     def on_show_fields(self, msg: ShowFields) -> None:
-        self.state["viewed_fields"] = msg.values
         self.session.view_values = dict(msg.values)
         self.session.view_failures = tuple(msg.failures)
         self.session.finish(Outcome.VIEWED)
@@ -626,15 +618,14 @@ class UserModel(Party):
 class Terminal(Party):
     """The untrusted browser/kiosk: routes, renders, never holds a secret
     beyond the one-time password it relays in the OTP flow. It keeps what
-    it was handed, each message it takes as state[tag], and has no handler
-    of its own but upload: every other row it takes is a relay in SPEC."""
+    it was handed as every party does, and has no handler of its own but
+    upload: every other row it takes is a relay in SPEC."""
 
     kind = EntityKind.TERMINAL
 
     def upload(self, msg: UploadFrame) -> None:
         # the camera captures the phone's sealed credentials and sends the
         # bytes up; a frame past repair aborts, retryable
-        self.state[msg.TAG] = msg
         try:
             blob = _capture(self.session, msg.frame, "credential_upload")
         except qr.UncorrectableFrameError:
@@ -708,7 +699,6 @@ class Smartphone(Party):
 
     def on_type_credentials(self, msg: TypeCredentials) -> None:
         # the login box masks the password; only glyph count is rendered
-        self.state["login"] = (msg.user_id, msg.password)
         self.emit(EchoMaskedCredentials(user_id=msg.user_id, masked=MASK_GLYPH * len(msg.password)))
         plain = _pack_credentials(self.state["nonce"], msg.user_id, msg.password, self.state["server_name"])
         ct = crypto.encrypt(self.state["server_public"], plain, self.session.rng)
@@ -880,7 +870,6 @@ class Server(Party):
 
     def on_submit_tx(self, msg: SubmitTx) -> None:
         # TXVERIFY: sign the transaction for the phone to show the user
-        self.state["received_tx"] = msg.tx
         nonce = self.state["session_nonce"] if self.session.config.flags.tx_nonce_freshness else None
         canonical = canonical_tx_bytes(msg.tx, nonce)
         payload = _pack_signed(canonical, crypto.sign(self.state["keypair"], canonical))
@@ -893,29 +882,26 @@ class Server(Party):
     def on_guarded_tx(self, msg: SubmitTx) -> None:
         # HIJACKGUARD: execute only once the side copy matches; with the guard
         # off, at once
-        self.state["received_tx"] = msg.tx
         if self.session.config.flags.hijack_guard:
             self._check_guard()
         else:
             self._settle_tx(True, Outcome.ACCEPTED)
 
     def on_side_copy(self, msg: SideCopy) -> None:
-        self.state["side_tx"] = msg.tx
-        self.state["side_sig"] = msg.signature
         if self.session.config.flags.hijack_guard:
             self._check_guard()
 
     def _check_guard(self) -> None:
-        received = self.state.get("received_tx")
-        side_tx = self.state.get("side_tx")
-        if received is None or side_tx is None:
+        received = self.state.get(SubmitTx.TAG)
+        side = self.state.get(SideCopy.TAG)
+        if received is None or side is None:
             return  # wait for the other half; on_idle fails closed
         # the cheap fact first: a mismatch is REJECTED before the signature
         # is verified, which only an agreeing copy needs
         _, public_key = self.state["registry"][self.session.config.user_id]
         ok = (
-            side_tx == received
-            and crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"], Role.USER)
+            side.tx == received.tx
+            and crypto.verify(public_key, canonical_tx_bytes(side.tx), side.signature, Role.USER)
         )
         self._settle_tx(ok, Outcome.ACCEPTED if ok else Outcome.REJECTED)
 
@@ -930,7 +916,7 @@ class Server(Party):
 
     def _settle_tx(self, execute: bool, outcome: Outcome) -> None:
         if execute:
-            self.state["executed_tx"] = self.session.executed_tx = self.state["received_tx"]
+            self.state["executed_tx"] = self.session.executed_tx = self.state[SubmitTx.TAG].tx
         self.session.finish(outcome)
         self.emit(TxResult(accepted=execute))
 
@@ -948,7 +934,6 @@ class Server(Party):
             ct = crypto.encrypt(public_key, value.encode("utf-8"), self.session.rng)
             labels.append(label)
             frames.append(_frame(self.session, ct.to_bytes(), f"secure_field:{label}"))
-        self.state["document_labels"] = tuple(labels)
         self.emit(SecureDoc(labels=tuple(labels), frames=tuple(frames)))
 
 
@@ -956,18 +941,18 @@ class Server(Party):
 
 
 def relay(*sends):
-    """The handler of a terminal row that passes its message on: the
-    terminal keeps the message as state[tag], then emits each send built
-    from it. A message class takes its fields from the message, by name;
-    any other send is a function of the message."""
+    """The handler of a row that passes its message on: it emits each send
+    built from the message, which Party.receive has kept. A message class
+    takes its fields from the message, by name; any other send is a
+    function of the message. relay() sends nothing: a screen its receiver
+    only looks at."""
 
-    def handler(terminal: Terminal, msg: Message) -> None:
-        terminal.state[msg.TAG] = msg
+    def handler(party: Party, msg: Message) -> None:
         for send in sends:
             if isinstance(send, type):
-                terminal.emit(send(**{name: getattr(msg, name) for name in send.FIELDS}))
+                party.emit(send(**{name: getattr(msg, name) for name in send.FIELDS}))
             else:
-                terminal.emit(send(msg))
+                party.emit(send(msg))
 
     return handler
 
@@ -996,10 +981,10 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
         (ShowKeyboard, UserModel.on_show_keyboard),
         (ShowLayout, UserModel.on_show_layout),
         (ClickPositions, relay(EchoClicks, SubmitPositions)),
-        (EchoClicks, UserModel.on_echo_clicks),
+        (EchoClicks, relay()),
         (SubmitPositions, Server.on_submit_positions, {"challenged": "challenged"}),
         (AuthResult, relay(ShowResult)),
-        (ShowResult, UserModel.on_show_result),
+        (ShowResult, relay()),
     ),
     Protocol.P2: (
         (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P2.value))),
@@ -1009,10 +994,10 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
         (ShowKeyboard, UserModel.on_show_keyboard),
         (ShowOtp, UserModel.on_show_otp),
         (TypeOtp, relay(EchoOtp, SubmitOtp)),
-        (EchoOtp, UserModel.on_echo_otp),
+        (EchoOtp, relay()),
         (SubmitOtp, Server.on_submit_otp, {"challenged": "challenged"}),
         (AuthResult, relay(ShowResult)),
-        (ShowResult, UserModel.on_show_result),
+        (ShowResult, relay()),
     ),
     Protocol.P3: (
         (Connect, relay(ConnectRequest)),
@@ -1021,23 +1006,23 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
         (ShowFrame, scan("nonce", Smartphone._read_nonce), {"start": "scanned", "scanned": "scanned"}),
         (ShowLoginBox, UserModel.on_show_login_box),
         (TypeCredentials, Smartphone.on_type_credentials, {"scanned": "scanned"}),
-        (EchoMaskedCredentials, UserModel.on_echo_masked_credentials),
+        (EchoMaskedCredentials, relay()),
         (UploadFrame, Terminal.upload),
         (SubmitCiphertext, Server.on_submit_ciphertext, {"challenged": "challenged"}),
         (AuthResult, relay(ShowResult)),
-        (ShowResult, UserModel.on_show_result),
+        (ShowResult, relay()),
     ),
     Protocol.TXVERIFY: (
         (RequestTx, relay(SubmitTx)),
         (SubmitTx, Server.on_submit_tx, {"start": "challenged"}),
         (TxConfirmation, relay(ShowFrame, lambda m: ShowTxPage(tx=m.display_tx))),
         (ShowFrame, Smartphone.on_show_tx_frame),
-        (ShowTxPage, UserModel.on_show_tx_page),
+        (ShowTxPage, relay()),
         (ShowVerifiedTx, UserModel.on_show_verified_tx),
         (ConfirmTx, relay(ForwardConfirm)),
         (ForwardConfirm, Server.on_forward_confirm, {"challenged": "done"}),
         (TxResult, relay(lambda m: ShowResult(ok=m.accepted))),
-        (ShowResult, UserModel.on_show_result),
+        (ShowResult, relay()),
     ),
     Protocol.SECUREVIEW: (
         (Connect, relay(ConnectRequest)),
@@ -1052,7 +1037,7 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
         (SubmitTx, Server.on_guarded_tx, {"start": "tx_held", "side_held": "done"}),
         (SideCopy, Server.on_side_copy, {"start": "side_held", "tx_held": "done"}),
         (TxResult, relay(lambda m: ShowResult(ok=m.accepted))),
-        (ShowResult, UserModel.on_show_result),
+        (ShowResult, relay()),
     ),
 }
 

@@ -60,12 +60,12 @@ MUTANTS = (
            "a field of the wrong type is refused at delivery, before any handler",
            "tests/test_adversary.py::TestReplaysAreJudged::test_positions_off_the_grid_are_denied[not_an_int]"),
     Mutant("guard_ignores_mismatch", "src/visualauth/protocols.py",
-           "            side_tx == received\n",
+           "            side.tx == received.tx\n",
            "            True\n",
            "the hijack guard executes only a transaction its side copy matches",
            "tests/test_adversary.py::TestSharedAttempts::test_one_probe_per_locus_and_flags"),
     Mutant("guard_skips_verify", "src/visualauth/protocols.py",
-           '            and crypto.verify(public_key, canonical_tx_bytes(side_tx), self.state["side_sig"], Role.USER)\n',
+           "            and crypto.verify(public_key, canonical_tx_bytes(side.tx), side.signature, Role.USER)\n",
            "",
            "the hijack guard takes a side copy only under the user's signature",
            "tests/test_protocols.py::TestHijackGuard::test_honest_transfer_accepted"),
@@ -198,7 +198,12 @@ MUTANTS = (
            'phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase',
            "phase = self.phase",
            "once a session has aborted, no party takes input",
-           "tests/test_protocols.py::TestTerminalKeepsWhatItWasHanded::test_a_kept_message_is_scanned"),
+           "tests/test_protocols.py::TestEachPartyKeepsWhatItTakes::test_a_kept_message_is_scanned"),
+    Mutant("receive_keeps_nothing", "src/visualauth/protocols.py",
+           "            self.state[tag] = message\n",
+           "",
+           "a party keeps each message it takes, so the scan sees what each party was handed",
+           "tests/test_protocols.py::TestEachPartyKeepsWhatItTakes::test_each_party_holds_the_last_message_of_each_tag[Protocol.P1]"),
     Mutant("rewrite_moves_channel", "src/visualauth/entities.py",
            "                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n",
            "                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n"

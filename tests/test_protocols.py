@@ -203,7 +203,7 @@ class TestHonestLogins:
     def test_p1_user_sees_result(self):
         result = run_flow(_cfg(Protocol.P1, 106))
         user = result.session.entities[EntityKind.USER]
-        assert user.state["saw_result"] is True
+        assert user.state["show_result"].ok is True
 
     def test_grid_is_six_by_six(self):
         assert (GRID_ROWS, GRID_COLS) == (6, 6)
@@ -217,7 +217,7 @@ class TestHonestLogins:
         result = run_flow(_cfg(Protocol.P3, 108))
         user = result.session.entities[EntityKind.USER]
         password = result.session.store.users["alice"].password
-        assert user.state["masked_echo"] == "*" * len(password)
+        assert user.state["echo_masked_credentials"].masked == "*" * len(password)
 
     def test_p3_terminal_holds_ciphertext_only(self):
         result = run_flow(_cfg(Protocol.P3, 109))
@@ -549,7 +549,7 @@ class TestFrameHandling:
         result = run_flow(_cfg(Protocol.P3, 140), actions=actions)
         assert result.outcome is Outcome.DENIED
         assert "type_credentials" in [e.TAG for e in result.session.transcript]
-        assert "login" not in result.session.entities[EntityKind.SMARTPHONE].state
+        assert "type_credentials" not in result.session.entities[EntityKind.SMARTPHONE].state
         assert result.session.late_verdicts == [
             (5, Outcome.ABORTED, "nonce_malformed"),
             (7, Outcome.ABORTED, "type_credentials_out_of_order"),
@@ -1066,26 +1066,60 @@ def _run_with_injected(config, message, at=0):
     return run_flow(config, store, actions=(Inject(message, at),)).session
 
 
-class TestTerminalKeepsWhatItWasHanded:
-    """The terminal has no handler per tag: each row it takes keeps the
-    message as state[tag] and relays it."""
+# a run of each flow in which some party takes a tag twice: a login retry
+RETRIES = {
+    Protocol.P1: {"submit_passwords": ("wrongpw0", "data"), "max_attempts": 2},
+    Protocol.P2: {"mistype_otp": True, "max_attempts": 2},
+    Protocol.P3: {"submit_passwords": ("wrongpw0", "data"), "max_attempts": 2},
+}
+
+
+class TestEachPartyKeepsWhatItTakes:
+    """Party.receive is the one keep: each party holds every message it
+    takes as state[tag], the last of each tag, and none that it refuses."""
 
     @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_the_terminal_holds_the_last_message_of_each_tag(self, protocol):
-        session = run_flow(_cfg(protocol, 3)).session
-        handed = {m.TAG: m for m in session.transcript if m.CHANNEL.receiver is EntityKind.TERMINAL}
-        state = session.entities[EntityKind.TERMINAL].state
-        assert state.keys() == handed.keys()
-        assert all(state[tag] is message for tag, message in handed.items())
+    def test_each_party_holds_the_last_message_of_each_tag(self, protocol):
+        for extra in ({}, RETRIES.get(protocol, {})):
+            session = run_flow(_cfg(protocol, 3, **extra)).session
+            assert (session.abort_reason, session.late_verdicts) == (None, []), extra  # nothing refused
+            tags = [m.TAG for m in session.transcript]
+            assert len(set(tags)) < len(tags) or not extra  # a retry takes some tag twice
+            for party, entity in session.entities.items():
+                handed = {m.TAG: m for m in session.transcript if m.CHANNEL.receiver is party}
+                kept = {key: value for key, value in entity.state.items() if key in entities.MESSAGES}
+                assert kept.keys() == handed.keys(), (extra, party)
+                assert all(kept[tag] is message for tag, message in handed.items()), (extra, party)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_no_party_keeps_a_message_it_refuses(self, protocol):
+        # each tag bound to a party that its flow never takes, and each tag
+        # it takes with every field of the wrong type, is refused unkept
+        store = CredentialStore.provision(189)
+        refusers = set()
+        for party, flow in FLOWS[protocol].items():
+            taken = {tag for rows in flow.values() for tag in rows}
+            for message in (*SERVER_BOUND, *_client_bound(185)):
+                if message.CHANNEL.receiver is not party or (message.TAG in taken and not message.FIELDS):
+                    continue
+                if message.TAG in taken:
+                    message = dataclasses.replace(message, **{name: [] for name in message.FIELDS})
+                session = build_session(_cfg(protocol, 189), store)
+                deliver(session, message)
+                assert session.outcome is Outcome.ABORTED, (party, message.TAG)
+                assert message.TAG not in session.entities[party].state, (party, message.TAG)
+                refusers.add(party)
+        assert refusers == set(EntityKind)
 
     def test_the_terminal_defines_no_handler_per_tag(self):
         assert [name for name in vars(Terminal) if name.startswith("on_")] == []
 
-    def test_a_refused_message_is_not_kept(self):
-        # P1 has no typed password: the terminal refuses it before any row runs
-        session = _run_with_injected(_cfg(Protocol.P1, 189), TypeOtp(otp="guess123"))
-        assert (session.outcome, session.abort_reason) == (Outcome.ABORTED, "type_otp_out_of_protocol")
-        assert "type_otp" not in session.entities[EntityKind.TERMINAL].state
+    def test_the_honest_p2_scan_sights_the_otp_at_the_user(self):
+        # the phone shows the user the one-time password, and the user keeps
+        # what it is shown, so the scan finds it there
+        for seed in range(3):
+            sightings = scan_states_for_secrets(run_flow(_cfg(Protocol.P2, seed)).session)
+            assert (EntityKind.USER, SecretKind.OTP) in {(s.entity, s.kind) for s in sightings}, seed
 
     def test_a_kept_message_is_scanned(self):
         # the positive control: a P2 terminal takes a typed one-time password,
@@ -1323,7 +1357,7 @@ class TestServerFailsClosed:
         session = _run_with_injected(_cfg(Protocol.P3, 188), ShowLoginBox())
         assert session.outcome is Outcome.ABORTED
         assert session.abort_reason == "type_credentials_out_of_order"
-        assert "login" not in session.entities[EntityKind.SMARTPHONE].state
+        assert "type_credentials" not in session.entities[EntityKind.SMARTPHONE].state
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_confirm_before_any_transaction_aborts(self, protocol):
@@ -1432,11 +1466,19 @@ class TestFieldTypeSweep:
                 assert (session.outcome, session.abort_reason) == malformed, where
         assert cases == 168
 
-    def test_without_the_checks_the_sweep_raises(self, monkeypatch):
-        # positive control: with every class's checks accepting anything,
-        # the handlers meet the wrong types themselves, and raise
-        for cls in entities.MESSAGES.values():
+    def test_without_the_checks_a_wrong_type_raises_or_is_kept(self, monkeypatch):
+        # positive control: with every class's checks accepting anything, a
+        # wrong type reaches its receiver, whose handler raises on it or
+        # which keeps a message that fails the check it was spared
+        checks = {cls: dict(cls.CHECKS) for cls in entities.MESSAGES.values()}
+        for cls in checks:
             monkeypatch.setattr(cls, "CHECKS", ())
-        sweep = _field_sweep()
-        raised = {f"{cls.TAG}.{name}" for _, cls, name, _, session in sweep if isinstance(session, Exception)}
-        assert raised >= RAISED_BEFORE_FIELD_CHECKS
+        reached = set()
+        for _, cls, name, _, session in _field_sweep():
+            if isinstance(session, Exception):
+                reached.add(f"{cls.TAG}.{name}")
+                continue
+            kept = session.entities[cls.CHANNEL.receiver].state.get(cls.TAG)
+            if kept is not None and not checks[cls][name](getattr(kept, name)):
+                reached.add(f"{cls.TAG}.{name}")
+        assert reached >= RAISED_BEFORE_FIELD_CHECKS

@@ -304,3 +304,56 @@ def test_the_reach_check_can_fail():
         assert len(reach_findings(source)) == 1, source
     for source in ("Inject(message, 3)", "inject = 1", "import weakrefs", "session.actions"):
         assert reach_findings(source) == [], source
+
+
+def kept_message_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each store into a .state[...] outside Party.receive that keeps a
+    message: under a key x.TAG or tag, or a value named msg or message.
+    Party.receive keeps every message a party takes, so what a party holds
+    is written down in one place."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for party in ast.walk(tree)
+        if isinstance(party, ast.ClassDef) and party.name == "Party"
+        for function in party.body
+        if isinstance(function, ast.FunctionDef) and function.name == "receive"
+        for node in ast.walk(function)
+    }
+    findings = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign) or id(node) in exempt:
+            continue
+        for target in node.targets:
+            if not (isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "state"):
+                continue
+            if _name(target.slice) in ("TAG", "tag") or _name(node.value) in ("msg", "message"):
+                findings.append(f"{filename}:{node.lineno} keeps a message outside Party.receive")
+    return findings
+
+
+def test_only_party_receive_keeps_a_message():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        findings += kept_message_findings(path.read_text(encoding="utf-8"), str(path.relative_to(SRC)))
+    assert findings == []
+
+
+def test_the_kept_message_check_can_fail():
+    flagged = [
+        "terminal.state[msg.TAG] = msg",
+        "self.state[SubmitTx.TAG] = other",
+        "self.state['login'] = message",
+        "class Terminal:\n    def receive(self, message):\n        self.state[tag] = message",
+    ]
+    for source in flagged:
+        assert len(kept_message_findings(source)) == 1, source
+    passed = [
+        "class Party:\n    def receive(self, message):\n        tag = message.TAG\n        self.state[tag] = message",
+        "self.state['pending_otp'] = msg.otp",
+        "received = self.state.get(SubmitTx.TAG)",
+        "self.state[key] = value",
+    ]
+    for source in passed:
+        assert kept_message_findings(source) == [], source
