@@ -35,7 +35,7 @@ def spy(protocol, kind, locus, seed):
     verdict = "resisted" if outcome.resisted() else "BREACHED"
     print(f"  {protocol.value} vs {kind.value} at {locus.value}: {verdict}")
     print(f"    observed: {seen or 'nothing'}")
-    if outcome.learned_password:
+    if handle.observed("login") is not None:
         print("    learned the password outright")
     return outcome
 

@@ -163,8 +163,6 @@ class Observation:
 
 @dataclass(frozen=True)
 class AttackOutcome:
-    learned_password: bool
-    learned_reusable_secret: bool
     can_authenticate_later: bool
     can_alter_transaction: bool
 
@@ -347,13 +345,8 @@ def _transaction_alteration(handle: AttackerHandle) -> bool:
 
 def evaluate(handle: AttackerHandle) -> AttackOutcome:
     """Score a completed, observed session by attacking its aftermath."""
-    login = handle.observed("login")
-    learned_password = login is not None
-    later = _later_authentication(handle)
     return AttackOutcome(
-        learned_password=learned_password,
-        learned_reusable_secret=learned_password or handle.stolen_keypair is not None,
-        can_authenticate_later=later,
+        can_authenticate_later=_later_authentication(handle),
         can_alter_transaction=_transaction_alteration(handle),
     )
 

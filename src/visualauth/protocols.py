@@ -31,6 +31,9 @@ Every signed payload the server sends, a sealed challenge or a
 transaction confirmation, is framed by _pack_signed, and every signature
 check names the signer it accepts to crypto.verify: the server for the
 phone's challenges and confirmations, the user for the side copy.
+
+SECRET_HOLDERS states once who may hold each secret the scan hunts for, and
+every secret a session registers takes its holders from it.
 """
 
 from __future__ import annotations
@@ -225,6 +228,30 @@ class SessionConfig:
     corrupt_codewords: int | str = 0  # int, "budget", or "budget+1"
     mistype_otp: bool = False  # user fat-fingers one symbol of the shown OTP
     corrupt_context: str | None = None  # None corrupts every capture
+
+
+# -------- who may hold each secret --------
+
+# The model's reading of "decryptable to your eyes only": the parties that
+# may hold each secret. The secret scan flags a sighting at any other party.
+SECRET_HOLDERS: dict[SecretKind, frozenset[EntityKind]] = {
+    SecretKind.PASSWORD: frozenset({EntityKind.USER, EntityKind.SERVER}),
+    SecretKind.PERMUTATION: frozenset({EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER}),
+    SecretKind.VIEW_FIELD: frozenset({EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER}),
+    SecretKind.OTP: frozenset(EntityKind),  # typed on the terminal, and spent at once
+    SecretKind.CREDENTIAL_CIPHERTEXT: frozenset(EntityKind),  # sealed to the server
+    SecretKind.USER_PRIVATE_KEY: frozenset({EntityKind.SMARTPHONE}),
+    SecretKind.SERVER_PRIVATE_KEY: frozenset({EntityKind.SERVER}),
+}
+# the one widening by protocol: in P3 the user types the password on the phone
+WIDENED_HOLDERS = {(Protocol.P3, SecretKind.PASSWORD): frozenset({EntityKind.SMARTPHONE})}
+
+
+def register_secret(session: Session, kind: SecretKind, data: bytes) -> None:
+    """Have the secret scan hunt data as a secret of kind, which only the
+    holders the tables above name for the session's protocol may hold."""
+    widened = WIDENED_HOLDERS.get((session.config.protocol, kind), frozenset())
+    session.register_secret(kind, data, SECRET_HOLDERS[kind] | widened)
 
 
 # -------- message vocabulary --------
@@ -703,9 +730,7 @@ class Smartphone(Party):
         plain = _pack_credentials(self.state["nonce"], msg.user_id, msg.password, self.state["server_name"])
         ct = crypto.encrypt(self.state["server_public"], plain, self.session.rng)
         blob = ct.to_bytes()
-        self.session.register_secret(
-            SecretKind.CREDENTIAL_CIPHERTEXT, blob, allowed=set(EntityKind)
-        )
+        register_secret(self.session, SecretKind.CREDENTIAL_CIPHERTEXT, blob)
         frame = _frame(self.session, blob, "credential_upload")
         self.emit(UploadFrame(frame=frame))
 
@@ -787,11 +812,7 @@ class Server(Party):
     def _issue_keyboard(self) -> None:
         layout = crypto.generate_permutation(self.session.rng)
         self.state["layout"] = layout
-        self.session.register_secret(
-            SecretKind.PERMUTATION,
-            layout.serialize(),
-            allowed={EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER},
-        )
+        register_secret(self.session, SecretKind.PERMUTATION, layout.serialize())
         frame = self._sealed_frame(layout.serialize(), "keyboard")
         self.emit(KbdChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
@@ -802,7 +823,7 @@ class Server(Party):
             outstanding=[t for t in (self.state.get("token"),) if t],
         )
         self.state["token"] = token
-        self.session.register_secret(SecretKind.OTP, token.value.encode(), allowed=set(EntityKind))
+        register_secret(self.session, SecretKind.OTP, token.value.encode())
         self.emit(OtpChallenge(frame=self._sealed_frame(token.value.encode("ascii"), "otp")))
 
     def _issue_nonce(self) -> None:
@@ -926,11 +947,7 @@ class Server(Party):
         _, public_key = self.state["registry"][self.session.config.user_id]
         labels, frames = [], []
         for label, value in DEFAULT_VIEW_FIELDS:
-            self.session.register_secret(
-                SecretKind.VIEW_FIELD,
-                value.encode("utf-8"),
-                allowed={EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER},
-            )
+            register_secret(self.session, SecretKind.VIEW_FIELD, value.encode("utf-8"))
             ct = crypto.encrypt(public_key, value.encode("utf-8"), self.session.rng)
             labels.append(label)
             frames.append(_frame(self.session, ct.to_bytes(), f"secure_field:{label}"))
@@ -1076,22 +1093,9 @@ def build_session(config: SessionConfig, store: CredentialStore, actions=()) -> 
     for entity in (user, terminal, phone, server):
         session.add_entity(entity)
 
-    session.register_secret(
-        SecretKind.PASSWORD,
-        credential.password.encode("utf-8"),
-        allowed={EntityKind.USER, EntityKind.SERVER}
-        | ({EntityKind.SMARTPHONE} if config.protocol is Protocol.P3 else set()),
-    )
-    session.register_secret(
-        SecretKind.USER_PRIVATE_KEY,
-        credential.keypair.private_key,
-        allowed={EntityKind.SMARTPHONE},
-    )
-    session.register_secret(
-        SecretKind.SERVER_PRIVATE_KEY,
-        store.server_pair.private_key,
-        allowed={EntityKind.SERVER},
-    )
+    register_secret(session, SecretKind.PASSWORD, credential.password.encode("utf-8"))
+    register_secret(session, SecretKind.USER_PRIVATE_KEY, credential.keypair.private_key)
+    register_secret(session, SecretKind.SERVER_PRIVATE_KEY, store.server_pair.private_key)
 
     if config.protocol in (Protocol.TXVERIFY, Protocol.HIJACKGUARD):
         # extensions presuppose an authenticated session; both ends already

@@ -154,6 +154,12 @@ MUTANTS = (
            "violation = False",
            "a secret sighted at a party outside its allowed set is a violation",
            "tests/test_entities.py::TestSecretScanner::test_sighting_outside_allowed_set_is_a_violation"),
+    Mutant("holders_row_widened", "src/visualauth/protocols.py",
+           "    SecretKind.USER_PRIVATE_KEY: frozenset({EntityKind.SMARTPHONE}),\n",
+           "    SecretKind.USER_PRIVATE_KEY: frozenset({EntityKind.SMARTPHONE, EntityKind.TERMINAL}),\n",
+           "the user's private key may be held by the phone alone: a terminal that holds it is flagged",
+           "tests/test_entities.py::TestSecretHolders::test_a_secret_planted_at_a_non_holder_is_flagged"
+           "[user_private_key-terminal-bytes]"),
     Mutant("layout_not_a_bijection", "src/visualauth/crypto.py",
            "        if sorted(self.mapping) != sorted(ALPHABET):\n",
            "        if False:\n",

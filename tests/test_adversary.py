@@ -15,6 +15,7 @@ from visualauth.adversary import (
     EVIL_TX,
     AdversaryConfig,
     AdversaryKind,
+    AttackerHandle,
     MatrixCell,
     brute_force_guessing,
     evaluate,
@@ -25,7 +26,7 @@ from visualauth.adversary import (
     run_attacked_session,
     run_matrix,
 )
-from visualauth.entities import ACTIONS, EntityKind, Inject, Message
+from visualauth.entities import ACTIONS, EntityKind, Inject, Message, Rewrite
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
     DEFAULT_TX,
@@ -161,6 +162,11 @@ class TestExpectedPattern:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdversaryConfig(AdversaryKind.KEYLOGGER, EntityKind.SERVER)
+
+
+def _learned_reusable_secret(handle) -> bool:
+    """Whether the view took the password whole or the phone's key pair."""
+    return handle.observed("login") is not None or handle.stolen_keypair is not None
 
 
 def _attack(protocol, kind, locus, seed):
@@ -365,7 +371,7 @@ class TestKeyloggerCells:
         password = handle.session.store.users["alice"].password
         for obs in handle.observations:
             assert password not in map(str, obs.data)
-        assert not outcome.learned_password
+        assert handle.observed("login") is None
         assert not outcome.can_authenticate_later
 
     def test_p1_position_replay_fails_against_a_fresh_layout(self):
@@ -387,7 +393,7 @@ class TestKeyloggerCells:
             Protocol.P2, AdversaryKind.KEYLOGGER, EntityKind.TERMINAL, 204
         )
         assert handle.observed("otp") is not None
-        assert not outcome.learned_reusable_secret
+        assert not _learned_reusable_secret(handle)
         assert not outcome.can_authenticate_later
 
     def test_p3_terminal_sees_only_a_connect_click(self):
@@ -406,8 +412,7 @@ class TestKeyloggerCells:
             Protocol.P3, AdversaryKind.KEYLOGGER, EntityKind.SMARTPHONE, 206
         )
         assert handle.observed("login") == ("alice", "data")
-        assert outcome.learned_password
-        assert outcome.learned_reusable_secret
+        assert _learned_reusable_secret(handle)
         assert outcome.can_authenticate_later
 
 
@@ -444,7 +449,7 @@ class TestShoulderSurferCells:
         user_id, masked = handle.observed("masked_login")
         assert user_id == "alice"
         assert masked == "****"
-        assert not outcome.learned_password
+        assert not _learned_reusable_secret(handle)
         assert not outcome.can_authenticate_later
 
 
@@ -463,7 +468,6 @@ class TestMalwareCells:
             Protocol.P2, AdversaryKind.MALWARE, EntityKind.SMARTPHONE, 222
         )
         assert handle.stolen_keypair is not None
-        assert outcome.learned_reusable_secret
         assert outcome.can_authenticate_later
 
     def test_p2_terminal_malware_only_gets_the_spent_token(self):
@@ -555,7 +559,7 @@ class TestMatrix:
                 for locus in (EntityKind.TERMINAL, EntityKind.SMARTPHONE):
                     handle, _, outcome = _attack(protocol, kind, locus, 241)
                     if outcome.can_authenticate_later:
-                        assert outcome.learned_reusable_secret
+                        assert _learned_reusable_secret(handle)
 
     def test_cell_properties(self):
         cell = MatrixCell(
@@ -1008,6 +1012,30 @@ class TestAttackCatalogue:
         for protocol in Protocol:
             for seed in (0, 1, 2):
                 assert run_flow(SessionConfig(protocol=protocol, seed=seed)).session.late_verdicts == []
+
+
+class TestCrossSessionLayoutReplay:
+    def test_a_replayed_keyboard_frame_gives_up_the_password(self):
+        """Today's verdict, pinned: nothing binds a P1 keyboard challenge to
+        its session. A phone shoulder surfer reads session A's layout. In
+        session B on the same store, terminal malware shows the phone A's
+        keyboard frame instead of B's, so the user clicks by A's layout, and
+        the malware resolves those clicks with it to the password. B ends
+        DENIED: the server sees one failed login. The matrix scores each
+        adversary alone, in one session, so it cannot see this. ROADMAP item
+        17, which binds each signed challenge to its session, flips it."""
+        surfer = AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.SMARTPHONE)
+        malware = AdversaryConfig(AdversaryKind.MALWARE, EntityKind.TERMINAL)
+        for seed in range(1000, 1020):
+            store = CredentialStore.provision(seed)
+            a = run_flow(SessionConfig(Protocol.P1, seed=rngmod.child_seed(seed, "a")), store).session
+            (layout,) = AttackerHandle(surfer, a).observed("layout")
+            (frame,) = [m.frame for m in a.transcript if m.TAG == "show_frame"]
+            shown = Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": frame})
+            b = run_flow(SessionConfig(Protocol.P1, seed=rngmod.child_seed(seed, "b")), store, (shown,))
+            (clicks,) = AttackerHandle(malware, b.session).observed("positions")
+            assert crypto.KeyboardPermutation.from_serialized(layout).resolve(clicks) == store.users["alice"].password
+            assert b.outcome is Outcome.DENIED
 
 
 class TestTransactionAlteration:

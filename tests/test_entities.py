@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import pytest
 
-from visualauth import entities
+from visualauth import crypto, entities
 from visualauth.adversary import ATTACKS, EVIL_TX, run_attack, run_matrix
 from visualauth.entities import (
     ACTIONS,
@@ -43,6 +43,7 @@ from visualauth.entities import (
 from visualauth.harness import Report, machine_records, run_scenarios
 from visualauth.protocols import (
     DEFAULT_TX,
+    SECRET_HOLDERS,
     ConfirmOnPhone,
     CredentialStore,
     EchoClicks,
@@ -53,6 +54,7 @@ from visualauth.protocols import (
     Transaction,  # read by an annotation TestRegistration evaluates in this module
     TypeId,
     build_session,
+    register_secret,
     run_flow,
 )
 
@@ -775,6 +777,91 @@ class TestSecretScanner:
         session = Session(seed=7)
         with pytest.raises(ValueError):
             session.register_secret(SecretKind.OTP, b"ab", {EntityKind.SERVER})
+
+
+# Who may hold each secret, stated here apart from protocols.SECRET_HOLDERS,
+# so that a row widened or narrowed there fails the controls below
+HOLDERS = {
+    SecretKind.PASSWORD: {EntityKind.USER, EntityKind.SERVER},
+    SecretKind.PERMUTATION: {EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER},
+    SecretKind.VIEW_FIELD: {EntityKind.SERVER, EntityKind.SMARTPHONE, EntityKind.USER},
+    SecretKind.OTP: set(EntityKind),
+    SecretKind.CREDENTIAL_CIPHERTEXT: set(EntityKind),
+    SecretKind.USER_PRIVATE_KEY: {EntityKind.SMARTPHONE},
+    SecretKind.SERVER_PRIVATE_KEY: {EntityKind.SERVER},
+}
+NON_HOLDER_PAIRS = [(kind, party) for kind in HOLDERS for party in EntityKind if party not in HOLDERS[kind]]
+HOLDER_PAIRS = [(kind, party) for kind in HOLDERS for party in EntityKind if party in HOLDERS[kind]]
+
+
+class TestSecretHolders:
+    """Positive controls for the scan, driven by the holders table: a probe
+    registered with its row's holders and planted at a party is a
+    violation exactly where that party may not hold it."""
+
+    @staticmethod
+    def _planted(party, value, probe, protocol=Protocol.P1) -> set[tuple[EntityKind, SecretKind, bool]]:
+        """(entity, kind, violation) of each sighting in an honest session of
+        protocol where party holds value and probe(session) registered one
+        more secret. Without the plant, an honest session shows no violation."""
+        config = SessionConfig(protocol=protocol, seed=31)
+        session = build_session(config, CredentialStore.provision(31), (Plant(party, {"planted": value}),))
+        probe(session)
+        session.begin()
+        session.run()
+        return {(s.entity, s.kind, s.violation) for s in scan_states_for_secrets(session)}
+
+    def _violations(self, kind, party, value) -> set[tuple[EntityKind, SecretKind]]:
+        data = b"planted-" + kind.value.encode()
+        sightings = self._planted(
+            party, value(data), lambda session: session.register_secret(kind, data, SECRET_HOLDERS[kind])
+        )
+        assert (party, kind, party not in HOLDERS[kind]) in sightings  # the plant was sighted
+        return {(entity, secret) for entity, secret, violation in sightings if violation}
+
+    def test_the_table_has_one_row_per_kind(self):
+        assert set(SECRET_HOLDERS) == set(SecretKind) == set(HOLDERS)
+        assert len(NON_HOLDER_PAIRS) == 10 and len(HOLDER_PAIRS) == 18
+
+    @pytest.mark.parametrize("value", [bytes, bytes.decode], ids=["bytes", "str"])
+    @pytest.mark.parametrize("kind, party", NON_HOLDER_PAIRS, ids=lambda member: member.value)
+    def test_a_secret_planted_at_a_non_holder_is_flagged(self, kind, party, value):
+        assert self._violations(kind, party, value) == {(party, kind)}
+
+    @pytest.mark.parametrize("value", [bytes, bytes.decode], ids=["bytes", "str"])
+    @pytest.mark.parametrize("kind, party", HOLDER_PAIRS, ids=lambda member: member.value)
+    def test_a_secret_planted_at_a_holder_is_clean(self, kind, party, value):
+        assert self._violations(kind, party, value) == set()
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_only_in_p3_may_the_phone_hold_the_password(self, protocol):
+        # protocols.register_secret widens the password's row in P3 alone
+        data = b"planted-password"
+        sightings = self._planted(
+            EntityKind.SMARTPHONE, data,
+            lambda session: register_secret(session, SecretKind.PASSWORD, data),
+            protocol,
+        )
+        flagged = protocol is not Protocol.P3
+        assert (EntityKind.SMARTPHONE, SecretKind.PASSWORD, flagged) in sightings
+
+    def test_gap_a_layout_held_as_an_object_is_not_sighted(self):
+        """Today's verdict, pinned: the scan looks for the layout's bytes in
+        canonical_bytes(state), which puts a length prefix on each symbol of
+        a KeyboardPermutation. So a layout planted at the terminal as bytes
+        or as str is flagged, but planted as the object it is never sighted.
+        ROADMAP item 1's scan of normalized leaves flips the last check."""
+        layout = crypto.generate_permutation(5)
+        data = layout.serialize()
+
+        def sighted_at_the_terminal(value) -> bool:
+            sightings = self._planted(
+                EntityKind.TERMINAL, value, lambda session: register_secret(session, SecretKind.PERMUTATION, data)
+            )
+            return any(sighting[:2] == (EntityKind.TERMINAL, SecretKind.PERMUTATION) for sighting in sightings)
+
+        assert sighted_at_the_terminal(data) and sighted_at_the_terminal(data.decode())
+        assert not sighted_at_the_terminal(layout)
 
 
 def _tags(config, *actions) -> list[str]:

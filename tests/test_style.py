@@ -357,3 +357,49 @@ def test_the_kept_message_check_can_fail():
     ]
     for source in passed:
         assert kept_message_findings(source) == [], source
+
+
+def holder_set_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each register_secret call in source that spells its own holders: a
+    set display or comprehension, a set() or frozenset() call, or EntityKind
+    among its arguments. protocols.SECRET_HOLDERS states who may hold each
+    secret once, and register_secret reads it."""
+    findings = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _name(node.func) == "register_secret":
+            for part in (part for arg in [*node.args, *node.keywords] for part in ast.walk(arg)):
+                if (
+                    isinstance(part, (ast.Set, ast.SetComp))
+                    or isinstance(part, ast.Call) and _name(part.func) in ("set", "frozenset")
+                    or _name(part) == "EntityKind"
+                ):
+                    findings.append(f"{filename}:{node.lineno} register_secret spells its own holders")
+                    break
+    return findings
+
+
+def test_no_secret_registration_spells_its_holders():
+    findings = []
+    for path in sorted(SRC.rglob("*.py")):
+        findings += holder_set_findings(path.read_text(encoding="utf-8"), str(path.relative_to(SRC)))
+    assert findings == []
+
+
+def test_the_holder_set_check_can_fail():
+    flagged = [
+        "self.session.register_secret(SecretKind.OTP, data, allowed=set(EntityKind))",
+        "session.register_secret(kind, data, allowed={EntityKind.SERVER, EntityKind.USER})",
+        "session.register_secret(kind, data, {EntityKind.USER} | ({EntityKind.SMARTPHONE} if p3 else set()))",
+        "session.register_secret(kind, data, frozenset(parties))",
+        "session.register_secret(kind, data, [entities.EntityKind.SERVER])",
+        "session.register_secret(kind, data, {party for party in parties})",
+    ]
+    for source in flagged:
+        assert len(holder_set_findings(source)) == 1, source
+    passed = [
+        "session.register_secret(kind, data, SECRET_HOLDERS[kind] | widened)",
+        "register_secret(self.session, SecretKind.OTP, token.value.encode())",
+        "holders = {EntityKind.USER, EntityKind.SERVER}",
+    ]
+    for source in passed:
+        assert holder_set_findings(source) == [], source
