@@ -208,7 +208,12 @@ _u32 = struct.Struct(">I").pack
 
 
 def _encode_int(obj) -> bytes:
-    enc = str(obj).encode()
+    try:
+        enc = str(obj).encode()
+    except ValueError:  # past CPython's int-to-str digit limit: Decimal spells it alike
+        import decimal  # only such an int needs it, so import does not pay for it
+
+        enc = str(decimal.Decimal(obj)).encode()
     return b"i" + _u32(len(enc)) + enc
 
 

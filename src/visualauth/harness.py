@@ -192,7 +192,8 @@ _SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario))
 def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scenario:
     """Route parsed values to the Scenario, SessionFlags or SessionConfig
     field of the same name; ec_level, credentials, adversary and locus map
-    by hand. A key the scenario's flow or adversary would ignore is refused."""
+    by hand. A key the scenario's flow or adversary would ignore is refused,
+    and so is an expectation above the scenario's trials."""
     if "protocol" not in values:
         raise ConfigError(end_line, f"scenario {values['name']!r} never named a protocol")
     protocol = values["protocol"]
@@ -224,7 +225,12 @@ def _build_scenario(values: dict, lines: dict[str, int], end_line: int) -> Scena
             values["submit_passwords"] = (WRONG_PASSWORD,)
     flags = SessionFlags(**{key: values.pop(key) for key in _FLAG_FIELDS if key in values})
     outer = {key: values.pop(key) for key in _SCENARIO_FIELDS if key in values}
-    return Scenario(config=SessionConfig(flags=flags, **values), **outer)
+    scenario = Scenario(config=SessionConfig(flags=flags, **values), **outer)
+    for name, count in scenario.expectations.items():  # a count no run can reach
+        if count > scenario.trials:
+            key = f"expect_{name}"
+            raise ConfigError(lines[key], f"{key} = {count} exceeds trials = {scenario.trials}")
+    return scenario
 
 
 def parse_config(text: str) -> ParsedConfig:
@@ -271,7 +277,7 @@ def parse_config(text: str) -> ParsedConfig:
         expectation = section == "scenario" and key.startswith("expect_")
         if expectation and key[len("expect_") :] not in _EXPECTATIONS:
             raise ConfigError(line_no, f"unknown expectation {key!r}")
-        parse = _integer if expectation else _SCENARIO_KEYS.get(key)
+        parse = _at_least(0) if expectation else _SCENARIO_KEYS.get(key)
         if parse is None:
             raise ConfigError(line_no, f"unknown key {key!r}")
         try:

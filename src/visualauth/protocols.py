@@ -136,6 +136,9 @@ class CredentialStore:
         return store
 
 
+MAX_AMOUNT = 10**15  # minor units; keeps canonical_tx_bytes' amount a short decimal
+
+
 @dataclass(frozen=True)
 class Transaction:
     receiver_account: str
@@ -143,8 +146,8 @@ class Transaction:
     receiver_name: str
 
     def __post_init__(self):
-        if self.amount <= 0:
-            raise ValueError("amount must be positive")
+        if not 0 < self.amount <= MAX_AMOUNT:
+            raise ValueError(f"amount must be positive and at most {MAX_AMOUNT}")
         for text in (self.receiver_account, self.receiver_name):
             if "\n" in text or "=" in text:
                 raise ValueError("transaction fields may not contain '\\n' or '='")
@@ -505,9 +508,17 @@ def _parse_otp(plain: bytes) -> str:
     return otp
 
 
+class FrameOverCapacity(Exception):
+    """A payload fits no frame at the session's ec level; its one argument
+    is the frame's context. Party.receive ends the session on it."""
+
+
 def _frame(session: Session, payload: bytes, context: str) -> VisualFrame:
     """Auto-select the smallest fitting version at the session's ec level."""
-    spec = qr.choose_spec(payload, session.config.frame_ec)
+    try:
+        spec = qr.choose_spec(payload, session.config.frame_ec)
+    except qr.CapacityError:
+        raise FrameOverCapacity(context) from None
     frame = qr.qr_encode(payload, spec)
     session.frame_log.append((session.step, context, frame))
     return frame
@@ -538,7 +549,9 @@ class Party(Entity):
     handed. A tag foreign to its rows in the flow aborts
     <tag>_out_of_protocol, one in the wrong phase <tag>_out_of_order, a field
     of the wrong type <tag>_malformed, and a refused message is never kept.
-    Once the session has aborted no party takes input."""
+    A handler whose payload fits no frame aborts <context>_frame_over_capacity,
+    fatal, at that frame, and sends nothing after it. Once the session has
+    aborted no party takes input."""
 
     phase = "start"
 
@@ -555,7 +568,10 @@ class Party(Entity):
         else:
             self.state[tag] = message
             handler, self.phase = row
-            handler(self, message)
+            try:
+                handler(self, message)
+            except FrameOverCapacity as exc:  # fatal, and the handler sends nothing more
+                self.session.finish(Outcome.ABORTED, f"{exc.args[0]}_frame_over_capacity")
 
 
 class UserModel(Party):
@@ -577,7 +593,6 @@ class UserModel(Party):
             passwords=tuple(passwords),
             attempt=0,
             pending_otp=None,
-            typed_otps=0,
             intended_tx=DEFAULT_TX,
         )
 
@@ -613,7 +628,6 @@ class UserModel(Party):
 
     def _type_pending_otp(self) -> None:
         otp, self.state["pending_otp"] = self.state["pending_otp"], None
-        self.state["typed_otps"] += 1
         if self.session.config.mistype_otp:
             # one symbol off: the next alphabet symbol in the first slot
             shifted = crypto.ALPHABET[(crypto.ALPHABET.index(otp[0]) + 1) % len(crypto.ALPHABET)]
@@ -751,7 +765,6 @@ class Smartphone(Party):
             fresh = nonce is not None and nonce == self.state.get("session_nonce")
         else:
             fresh = True
-        self.state["verified_tx"] = tx
         self.emit(ShowVerifiedTx(tx=tx, sig_valid=valid, fresh=fresh))
 
     def on_confirm_on_phone(self, msg: ConfirmOnPhone) -> None:
@@ -795,7 +808,6 @@ class Server(Party):
                 {uid: (c.password, c.keypair.public_key) for uid, c in store.users.items()}
             ),
             attempts=0,
-            executed_tx=None,
         )
         self.issued_nonces: set[bytes] = set()  # this session's; fresh_nonce never repeats one
 
@@ -937,7 +949,7 @@ class Server(Party):
 
     def _settle_tx(self, execute: bool, outcome: Outcome) -> None:
         if execute:
-            self.state["executed_tx"] = self.session.executed_tx = self.state[SubmitTx.TAG].tx
+            self.session.executed_tx = self.state[SubmitTx.TAG].tx
         self.session.finish(outcome)
         self.emit(TxResult(accepted=execute))
 

@@ -216,6 +216,14 @@ MUTANTS = (
            "                return session.inject(message)\n",
            "emit checks the sender after a Rewrite: no rewrite moves a message onto another party's channel",
            "tests/test_entities.py::TestActions::test_a_rewrite_cannot_send_on_another_partys_channel"),
+    Mutant("frame_over_capacity_uncaught", "src/visualauth/protocols.py",
+           "            try:\n"
+           "                handler(self, message)\n"
+           "            except FrameOverCapacity as exc:  # fatal, and the handler sends nothing more\n"
+           '                self.session.finish(Outcome.ABORTED, f"{exc.args[0]}_frame_over_capacity")\n',
+           "            handler(self, message)\n",
+           "a payload that fits no frame ends its session ABORTED, fatal, and never raises out of it",
+           "tests/test_protocols.py::TestOversizedInputs::test_an_oversized_field_ends_in_a_verdict[TXVERIFY-submit_tx.tx]"),
 )
 
 

@@ -120,6 +120,17 @@ class TestCanonicalBytes:
         assert canonical_bytes("hi")[:1] == b"s"
         assert canonical_bytes(b"hi")[:1] == b"b"
 
+    def test_an_int_past_the_digit_limit_is_spelled_out(self):
+        # CPython refuses str() of an int of more than 4,300 digits; the
+        # encoding spells every int in decimal, so one within the limit
+        # keeps the bytes it always had
+        for value in (0, -7, 10**4299, -(10**4299)):
+            assert canonical_bytes(value) == reference_canonical_bytes(value)
+        for sign, exponent in ((1, 5000), (-1, 4300)):
+            digits = ("-" if sign < 0 else "") + "1" + "0" * exponent
+            enc = digits.encode()
+            assert canonical_bytes(sign * 10**exponent) == b"i" + struct.pack(">I", len(enc)) + enc
+
     def test_type_tags_disambiguate(self):
         # int 1, str "1", bytes b"1", True, float 1.0: all distinct encodings
         values = [1, "1", b"1", True, 1.0]

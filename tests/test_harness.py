@@ -134,6 +134,12 @@ class TestParsing:
             ("[scenario]\nhijack_guard = on\nprotocol = txverify\n", 2, "hijack_guard needs protocol = hijackguard"),
             ("[scenario]\nprotocol = p1\nexpect_rainbows = 1\n", 3, "unknown expectation 'expect_rainbows'"),
             ("[scenario]\nprotocol = p1\ntrials = 2\nexpect_authenticatd = 2\n", 4, "unknown expectation"),
+            ("[scenario]\nprotocol = p1\ntrials = 2\nexpect_denied = -1\n", 4, "expect_denied must be >= 0"),
+            ("[scenario]\nprotocol = p1\nexpect_authenticated = 7\ntrials = 2\n", 3,
+             "expect_authenticated = 7 exceeds trials = 2"),
+            ("[scenario]\nprotocol = p1\nexpect_aborted = 2\n", 3, "expect_aborted = 2 exceeds trials = 1"),
+            ("[scenario]\nprotocol = p1\nadversary = keylogger\nexpect_breaches = 3\ntrials = 2\n", 4,
+             "expect_breaches = 3 exceeds trials = 2"),
             ("[scenario]\nprotocol = p1\njust words\n", 3, "key = value"),
             ("[matrix]\ncolor = red\n", 2, "in [matrix]"),
             ("# nothing here\n", 0, "no [scenario]"),
@@ -399,6 +405,28 @@ class TestCli:
         path.write_text(FAILING_CONFIG)
         assert main(["run", str(path)]) == 1
         assert "RESULT: FAIL" in capsys.readouterr().out
+
+    def test_run_an_impossible_expectation_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "impossible.cfg"
+        path.write_text("[scenario]\nprotocol = p1\ntrials = 2\nexpect_denied = -1\nexpect_authenticated = 7\n")
+        assert main(["run", str(path)]) == 2
+        assert "config error: line 4: expect_denied must be >= 0" in capsys.readouterr().err
+
+    def test_run_an_ec_level_no_frame_holds_ends_in_verdicts(self, tmp_path, capsys):
+        # at q the P1 and TXVERIFY challenges fit no frame up to version 10,
+        # and at h the P2 one too
+        flows = [("p1", "q"), ("txverify", "q"), ("p1", "h"), ("p2", "h"), ("txverify", "h")]
+        path = tmp_path / "ec.cfg"
+        path.write_text("".join(
+            f"[scenario]\nprotocol = {flow}\nec_level = {ec}\nseed = 3\nexpect_aborted_fatal = 1\n" for flow, ec in flows
+        ))
+        assert main(["run", str(path)]) == 0
+        assert "RESULT: pass" in capsys.readouterr().out
+        reasons = [run_scenario(s).first_session.abort_reason for s in parse_config(path.read_text()).scenarios]
+        assert reasons == [
+            "keyboard_frame_over_capacity", "tx_confirmation_frame_over_capacity",
+            "keyboard_frame_over_capacity", "otp_frame_over_capacity", "tx_confirmation_frame_over_capacity",
+        ]
 
     def test_run_missing_file(self, capsys):
         assert main(["run", "/nonexistent/path.cfg"]) == 2

@@ -281,8 +281,8 @@ class TestWrongCredentials:
     def test_p2_mistypes_exhaust_attempts(self):
         result = run_flow(_cfg(Protocol.P2, 117, mistype_otp=True, max_attempts=2))
         assert result.outcome is Outcome.DENIED
-        user = result.session.entities[EntityKind.USER]
-        assert user.state["typed_otps"] == 2
+        # the user typed an OTP once per attempt
+        assert [m.TAG for m in result.session.transcript].count("type_otp") == 2
 
     def test_single_attempt_is_the_default(self):
         result = run_flow(_cfg(Protocol.P1, 118, submit_passwords=("wrongpw0", "data")))
@@ -726,7 +726,8 @@ class TestTransactionVerification:
         phone = result.session.entities[EntityKind.SMARTPHONE]
         server = result.session.entities[EntityKind.SERVER]
         assert phone.state["session_nonce"] == server.state["session_nonce"]
-        assert phone.state["verified_tx"] == DEFAULT_TX
+        user = result.session.entities[EntityKind.USER]
+        assert user.state["show_verified_tx"] == ShowVerifiedTx(tx=DEFAULT_TX, sig_valid=True, fresh=True)
 
 
 class TestSecureView:
@@ -1237,7 +1238,7 @@ class TestServerFailsClosed:
         session = _run_with_injected(_cfg(Protocol.HIJACKGUARD, 184, flags=flags), SubmitTx(tx=EVIL))
         assert session.outcome is Outcome.ACCEPTED
         assert session.executed_tx == EVIL
-        assert session.entities[EntityKind.SERVER].state["executed_tx"] == EVIL
+        assert session.entities[EntityKind.SERVER].state["submit_tx"].tx == EVIL
         results = [m for m in session.transcript if m.TAG == "tx_result"]
         assert len(results) == 1
 
@@ -1482,3 +1483,115 @@ class TestFieldTypeSweep:
             if kept is not None and not checks[cls][name](getattr(kept, name)):
                 reached.add(f"{cls.TAG}.{name}")
         assert reached >= RAISED_BEFORE_FIELD_CHECKS
+
+
+# the oversize sweep's value for each field type it rewrites: a 3,000-char
+# str or bytes, a 5,000-digit int (past CPython's int-to-str digit limit),
+# a 3,000-element tuple and a transaction with a 400-character name
+OVERSIZED_LEN = 3000
+OVERSIZED_TX = Transaction(receiver_account="ACCT-7291", amount=25000, receiver_name="x" * 400)
+OVERSIZED = {str: "x" * OVERSIZED_LEN, bytes: b"x" * OVERSIZED_LEN, int: 10**4999, Transaction: OVERSIZED_TX}
+
+
+def _oversized(hint, honest):
+    """An oversized value of type hint, built from the honest value; None for
+    a type the sweep leaves alone (bool, a frame, a layout, a signature). A
+    tuple repeats the honest items, or "x" where there are none."""
+    if typing.get_origin(hint) is tuple:
+        return ((honest or ("x",)) * OVERSIZED_LEN)[:OVERSIZED_LEN]
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return OVERSIZED.get(hint)
+
+
+def _oversize_sweep():
+    """(protocol, class, field, value) for every field of every class in
+    each flow's SPEC rows that has an oversized value of its type; value is
+    built from the field in the flow's honest run at seed 3."""
+    for protocol in Protocol:
+        honest = {}
+        for m in run_flow(_cfg(protocol, 3), CredentialStore.provision(3)).session.transcript:
+            honest.setdefault(m.TAG, m)
+        for cls, *_ in SPEC[protocol]:
+            hints = typing.get_type_hints(cls)
+            for name in cls.FIELDS:
+                value = _oversized(hints[name], getattr(honest[cls.TAG], name))
+                if value is not None:
+                    yield protocol, cls, name, value
+
+
+OVERSIZE_CASES = list(_oversize_sweep())
+
+
+class TestOversizedInputs:
+    """A value too large for a frame, or for CPython's int-to-str limit,
+    ends its session in a verdict and breaks no record."""
+
+    def test_the_sweep_covers_each_oversizable_field(self):
+        # 11 in P1, 10 in P2, 5 in P3, 5 in TXVERIFY, 6 in SECUREVIEW and 4 in HIJACKGUARD
+        assert len(OVERSIZE_CASES) == 41
+        assert {protocol for protocol, *_ in OVERSIZE_CASES} == set(Protocol)
+
+    @pytest.mark.parametrize(
+        "protocol, cls, name, value", OVERSIZE_CASES,
+        ids=[f"{protocol.value}-{cls.TAG}.{name}" for protocol, cls, name, _ in OVERSIZE_CASES],
+    )
+    def test_an_oversized_field_ends_in_a_verdict(self, protocol, cls, name, value):
+        rewrite = Rewrite(cls.CHANNEL.sender, cls.TAG, {name: value})
+        result = run_flow(_cfg(protocol, 3), CredentialStore.provision(3), (rewrite,))
+        session = result.session
+        # the rewrite fired and was taken as well formed, so its value reached a handler
+        assert value in [getattr(m, name) for m in session.transcript if m.TAG == cls.TAG]
+        assert (Outcome.ABORTED, f"{cls.TAG}_malformed") != (session.outcome, session.abort_reason)
+        assert result.outcome is not None
+        assert session.executed_tx in (None, DEFAULT_TX)
+        export_transcript(session)
+        scan_states_for_secrets(session)
+
+    # each payload fits no frame at seed 3 on store 3
+    NO_FRAME_FITS = {
+        "txverify_long_receiver_name": (
+            _cfg(Protocol.TXVERIFY, 3),
+            (Rewrite(EntityKind.TERMINAL, "submit_tx",
+                     lambda m: SubmitTx(tx=dataclasses.replace(m.tx, receiver_name="x" * 300))),),
+            "tx_confirmation",
+        ),
+        "p3_long_server_name": (
+            _cfg(Protocol.P3, 3), (Plant(EntityKind.SMARTPHONE, {"server_name": "x" * 300}),), "credential_upload",
+        ),
+        "p1_ec_q": (_cfg(Protocol.P1, 3, frame_ec=qr.EcLevel.Q), (), "keyboard"),
+        "txverify_ec_q": (_cfg(Protocol.TXVERIFY, 3, frame_ec=qr.EcLevel.Q), (), "tx_confirmation"),
+        "p1_ec_h": (_cfg(Protocol.P1, 3, frame_ec=qr.EcLevel.H), (), "keyboard"),
+        "p2_ec_h": (_cfg(Protocol.P2, 3, frame_ec=qr.EcLevel.H), (), "otp"),
+        "txverify_ec_h": (_cfg(Protocol.TXVERIFY, 3, frame_ec=qr.EcLevel.H), (), "tx_confirmation"),
+    }
+
+    @pytest.mark.parametrize("case", NO_FRAME_FITS)
+    def test_a_payload_no_frame_holds_aborts_fatal(self, monkeypatch, case):
+        config, actions, context = self.NO_FRAME_FITS[case]
+        emitted = []  # the verdict standing at each send
+        queue = entities.Session.inject
+        monkeypatch.setattr(entities.Session, "inject", lambda s, m: emitted.append(s.outcome) or queue(s, m))
+        session = run_flow(config, CredentialStore.provision(3), actions).session
+        assert (session.outcome, session.abort_reason) == (Outcome.ABORTED, f"{context}_frame_over_capacity")
+        assert not session.abort_retryable
+        assert Outcome.ABORTED not in emitted  # nothing is sent after the abort
+        assert all(ctx != context for _, ctx, _ in session.frame_log)
+
+    def test_a_huge_click_position_breaks_no_record(self):
+        rewrite = Rewrite(EntityKind.TERMINAL, "echo_clicks", {"positions": (10**5000,)})
+        result = run_flow(_cfg(Protocol.P1, 3), CredentialStore.provision(3), (rewrite,))
+        assert result.outcome is Outcome.AUTHENTICATED
+        export_transcript(result.session)
+        assert secrecy_violations(result.session) == []
+
+    def test_a_transaction_amount_is_bounded(self):
+        top = Transaction(receiver_account="A", amount=protocols.MAX_AMOUNT, receiver_name="b")
+        assert parse_tx_canonical(canonical_tx_bytes(top)) == (top, None)
+        for amount in (protocols.MAX_AMOUNT + 1, 10**5000):
+            with pytest.raises(ValueError, match="at most"):
+                Transaction(receiver_account="A", amount=amount, receiver_name="b")
+        # an amount past the bound in a signed text does not parse
+        text = canonical_tx_bytes(top).replace(b"amount=", b"amount=9", 1)
+        with pytest.raises(ValueError):
+            parse_tx_canonical(text)

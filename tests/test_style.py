@@ -403,3 +403,107 @@ def test_the_holder_set_check_can_fail():
     ]
     for source in passed:
         assert holder_set_findings(source) == [], source
+
+
+# The state keys a party holds although no src/ code reads them, each with
+# the reason: a key kept only so that the secret scan sees it held.
+HELD_FOR_SCAN = {
+    "doc_values": "the fields the phone decrypted, which the scan hunts as view_field secrets",
+}
+
+
+def _state_key(node) -> str | None:
+    """The string key of a subscript x.state['k'] or state['k'], else None."""
+    if (
+        isinstance(node, ast.Subscript)
+        and _name(node.value) == "state"
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    ):
+        return node.slice.value
+    return None
+
+
+def state_key_uses(source: str) -> tuple[dict[str, int], set[str]]:
+    """(stored, read) string keys of a .state in source: stored maps each key
+    to its first store's line. A store is a subscript assignment, an
+    augmented assignment or a state.update(key=...) keyword; a read is a
+    subscript load, a state.get('key') or a 'key' in (or not in) state.
+    An augmented assignment reads its key only to write it back, so it is
+    no read."""
+    stored, read = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AugAssign)
+            else []
+        )
+        for target in targets:
+            for part in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if _state_key(part) is not None:
+                    stored[_state_key(part)] = min(stored.get(_state_key(part), node.lineno), node.lineno)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _state_key(node):
+            read.add(_state_key(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if _name(node.func.value) != "state":
+                continue
+            if node.func.attr == "update":
+                for keyword in node.keywords:
+                    if keyword.arg is not None:
+                        stored[keyword.arg] = min(stored.get(keyword.arg, node.lineno), node.lineno)
+            elif node.func.attr == "get" and node.args and isinstance(node.args[0], ast.Constant):
+                read.add(node.args[0].value)
+        elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant):
+            if any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+                if any(_name(part) == "state" for part in node.comparators):
+                    read.add(node.left.value)
+    return stored, read
+
+
+def write_only_key_findings(sources: dict[str, str], held: dict[str, str] = HELD_FOR_SCAN) -> list[str]:
+    """Each string key stored into a .state in sources (filename -> text)
+    that no source reads, except a key held for the secret scan."""
+    stored, read = {}, set()
+    for filename, source in sources.items():
+        keys, seen = state_key_uses(source)
+        read |= seen
+        for key, line in keys.items():
+            stored.setdefault(key, f"{filename}:{line}")
+    return [
+        f"{where} stores state[{key!r}], which nothing reads"
+        for key, where in stored.items()
+        if key not in read and key not in held
+    ]
+
+
+def test_no_party_state_key_is_write_only():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
+    assert write_only_key_findings(sources) == []
+    # a stale entry would let a new write-only key of that name through unexamined
+    stored = set().union(*(state_key_uses(source)[0] for source in sources.values()))
+    assert set(HELD_FOR_SCAN) <= stored
+
+
+def test_the_write_only_key_check_can_fail():
+    flagged = [
+        "self.state['typed_otps'] += 1",
+        "self.state['verified_tx'] = tx",
+        "self.state.update(user_id=uid, executed_tx=None)\nx = self.state['user_id']",
+        "self.state['a'], self.state['b'] = 1, 2\nx = self.state['a']",
+        "self.state['n'] = 0\nself.state['n'] += 1",
+    ]
+    for source in flagged:
+        assert len(write_only_key_findings({"<src>": source})) == 1, source
+    passed = [
+        "self.state['attempt'] += 1\npw = passwords[self.state['attempt']]",
+        "self.state['token'] = token\nt = self.state.get('token')",
+        "self.state.update(keypair=pair)\nif 'keypair' in phone.state: pass",
+        "self.state['nonce'] = n\nif 'nonce' not in self.state: pass",
+        "self.state[key] = value",
+        "self.state['doc_values'] = values",
+    ]
+    for source in passed:
+        assert write_only_key_findings({"<src>": source}) == [], source
+    # a store in one file is read in another
+    assert write_only_key_findings({"a.py": "s.state['k'] = 1", "b.py": "x = s.state['k']"}) == []
+    assert len(write_only_key_findings({"a.py": "self.state['doc_values'] = v"}, held={})) == 1
