@@ -19,6 +19,18 @@ Design constraints this module enforces:
   validates (0 user, 1 server, anything else is refused) but that the
   signature does not cover, so verify takes the signer it accepts and
   refuses a signature that names any other.
+* verify answers from a record of the last four signatures sign made, and
+  runs the curve check for every other triple. sign records the public
+  half derived from its own signing key, never the pair's stored half, so
+  the record holds only (public half, message, signature) triples that
+  verify: Ed25519 is deterministic, and a signature made under a key
+  verifies under that key's public half (RFC 8032, 5.1.6-5.1.7). No input
+  gets another answer than the curve check would give: a message matches
+  by equality, as any bytes-like message verifies, and a public half that
+  is not bytes goes to the curve check, which refuses it. sign always runs,
+  so a rerun of identical sessions hides no signing cost; four entries
+  cover what a flow checks a few deliveries after it signs, the rule of
+  qr.rs_parity's memo.
 
 The content cipher is AES-192-GCM (a counter-mode cipher plus a mandatory
 tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
@@ -26,6 +38,7 @@ tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import random
@@ -231,9 +244,18 @@ class Signature:
         return cls(sig=blob[1:], signer=_SIGNERS[blob[0]])
 
 
+# (public half, message, signature) of the last signatures sign made; see
+# the module notes
+_SIGNED = collections.deque(maxlen=4)
+
+
 def sign(pair: KeyPair, message: bytes) -> Signature:
     """Detached signature over message with the signing half of pair."""
-    return Signature(sig=pair._sign_private.sign(message), signer=pair.role)
+    key = pair._sign_private
+    sig = key.sign(message)
+    # a copy of the message, so that a bytearray changed later matches nothing
+    _SIGNED.append((key.public_key().public_bytes_raw(), bytes(message), sig))
+    return Signature(sig=sig, signer=pair.role)
 
 
 def verify(public_key: bytes, message: bytes, signature: Signature, signer: Role) -> bool:
@@ -245,8 +267,13 @@ def verify(public_key: bytes, message: bytes, signature: Signature, signer: Role
     """
     if signature.signer is not signer or len(signature.sig) != 64:
         return False
+    key = public_key[32:]
+    # the curve check takes a key only as bytes, and a message as any
+    # bytes-like; equality, not hashing, matches the message the same way
+    if type(key) is bytes and (key, message, signature.sig) in _SIGNED:
+        return True
     try:
-        Ed25519PublicKey.from_public_bytes(public_key[32:]).verify(
+        Ed25519PublicKey.from_public_bytes(key).verify(
             signature.sig, message
         )
         return True

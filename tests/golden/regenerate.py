@@ -1,10 +1,13 @@
 """Rewrite tests/golden/digests.json from the current code; print what moved.
 
-    python tests/golden/regenerate.py
+    python tests/golden/regenerate.py [--check]
 
 Run it from anywhere; it imports the program from ``src/`` of this
 checkout and runs every demo once. Only a change that means to alter an
 output should commit the rewritten file, and say which keys moved and why.
+With --check it computes every digest, writes nothing, and exits 1 if any
+key moved, was added or was removed; it needs no pytest, so any
+interpreter with cryptography can check the goldens.
 """
 
 from __future__ import annotations
@@ -33,20 +36,23 @@ def demo_digests() -> dict[str, str]:
     return digests
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: regenerate.py [--check]", file=sys.stderr)
+        return 2
     old = goldens.load() if goldens.DIGESTS.exists() else {}
     new = goldens.compute() | demo_digests()
-    for key in sorted(old.keys() | new.keys()):
-        if key not in new:
-            print(f"removed  {key}")
-        elif key not in old:
-            print(f"added    {key}")
-        elif old[key] != new[key]:
-            print(f"moved    {key}")
+    changed = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    for key in changed:
+        label = "removed" if key not in new else "added" if key not in old else "moved"
+        print(f"{label:<9}{key}")
+    if argv:
+        print(f"{len(changed)} of {len(new)} digests differ from {goldens.DIGESTS.relative_to(ROOT)}")
+        return 1 if changed else 0
     goldens.DIGESTS.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(new)} digests written to {goldens.DIGESTS.relative_to(ROOT)}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

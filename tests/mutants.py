@@ -11,7 +11,9 @@ from pyproject.toml. It then runs the mutant's known killer, a test named
 in its row, alone; only if that test passes does it run all of tier-1
 with -x. A mutant survives only if tier-1 passes, so a stale killer costs
 time, never a verdict. It prints "killed" with the killer or tier-1's
-first failing test, or "SURVIVED". Before any mutant it runs tier-1 on
+first failing test, or "SURVIVED"; a kill in tier-1 also says whether the
+killer passed or did not run at all (pytest's exit code, as for a file
+that fails to collect). Before any mutant it runs tier-1 on
 the copy unmutated, which must pass, so that a copy that cannot pass
 kills no mutant by accident. The mutants then run concurrently, one
 process per usable core, and their verdicts print in table order. The
@@ -99,6 +101,26 @@ MUTANTS = (
            "    if len(signature.sig) != 64:\n",
            "a signature verifies only as the signer it names: no relabelled role byte is taken",
            "tests/test_crypto.py::TestSignatures::test_verify_takes_only_the_named_signer"),
+    Mutant("record_under_stored_half", "src/visualauth/crypto.py",
+           "_SIGNED.append((key.public_key().public_bytes_raw(), bytes(message), sig))",
+           "_SIGNED.append((pair.public_key[32:], bytes(message), sig))",
+           "verify answers from its record only under the half the signing key derives, not the half a pair stores",
+           "tests/test_crypto.py::TestSignatureRecord::test_a_pair_holding_another_pairs_public_half"),
+    Mutant("record_ignores_signature", "src/visualauth/crypto.py",
+           "(key, message, signature.sig) in _SIGNED:\n",
+           "(key, message) in [entry[:2] for entry in _SIGNED]:\n",
+           "verify answers from its record only for the very signature sign made",
+           "tests/test_crypto.py::TestSignatureRecord::test_every_bit_flip_of_a_recorded_triple_is_refused"),
+    Mutant("record_keeps_callers_message", "src/visualauth/crypto.py",
+           "bytes(message), sig))",
+           "message, sig))",
+           "a message changed after it was signed is never answered from the record",
+           "tests/test_crypto.py::TestSignatureRecord::test_a_message_changed_after_signing_is_refused"),
+    Mutant("record_takes_any_key_type", "src/visualauth/crypto.py",
+           "    if type(key) is bytes and (key, message",
+           "    if (key, message",
+           "a public key the curve check refuses for its type is refused from the record too",
+           "tests/test_crypto.py::TestSignatureRecord::test_a_key_the_curve_check_refuses_is_refused_warm"),
     Mutant("phone_skips_tx_freshness", "src/visualauth/protocols.py",
            'fresh = nonce is not None and nonce == self.state.get("session_nonce")',
            "fresh = True",
@@ -284,7 +306,8 @@ def run(mutant: Mutant | None) -> tuple[bool, str]:
             code, output = pytest(work, (*PYTEST, mutant.killer))
             if code in (FAILED, TIMED_OUT):
                 return True, mutant.killer if code == FAILED else f"{mutant.killer}, which {output}"
-            stale = f" in tier-1; its killer {mutant.killer} passed"
+            ran = "passed" if code == 0 else f"did not run (pytest exit {code})"
+            stale = f" in tier-1; its killer {mutant.killer} {ran}"
         code, output = pytest(work, TIER1)
     if code == TIMED_OUT:
         return True, f"tier-1, which {output}"

@@ -25,6 +25,7 @@ from visualauth.crypto import (
     Signature,
 )
 from visualauth.entities import canonical_bytes
+from visualauth.protocols import Outcome, Protocol, SessionConfig, run_flow
 from visualauth.rng import fork
 
 
@@ -241,6 +242,93 @@ class TestSignatures:
         wire = crypto.sign(server_pair, b"wire").to_bytes()
         with pytest.raises(ValueError, match="role byte"):
             Signature.from_bytes(bytes([role]) + wire[1:])
+
+
+@pytest.fixture
+def curve_checks(monkeypatch):
+    """The public halves verify hands to the curve check, one per check."""
+    checked = []
+    real = crypto.Ed25519PublicKey
+
+    class Counted:
+        @staticmethod
+        def from_public_bytes(raw):
+            checked.append(raw)
+            return real.from_public_bytes(raw)
+
+    monkeypatch.setattr(crypto, "Ed25519PublicKey", Counted)
+    return checked
+
+
+def _bit_flips(blob: bytes):
+    for i in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[i // 8] ^= 1 << i % 8
+        yield bytes(flipped)
+
+
+class TestSignatureRecord:
+    """verify answers a triple sign just made from its record, and gives
+    every other triple the curve check: the answers never change."""
+
+    def test_every_bit_flip_of_a_recorded_triple_is_refused(self, server_pair, curve_checks):
+        message = b"statement under the record"
+        sig = crypto.sign(server_pair, message)
+        assert crypto.verify(server_pair.public_key, message, sig, Role.SERVER)
+        assert curve_checks == []  # warm: the record answered
+        for flipped in _bit_flips(sig.sig):
+            assert not crypto.verify(server_pair.public_key, message, Signature(flipped, sig.signer), Role.SERVER)
+        for flipped in _bit_flips(message):
+            assert not crypto.verify(server_pair.public_key, flipped, sig, Role.SERVER)
+        assert len(curve_checks) == 8 * (64 + len(message))
+
+    def test_a_pair_holding_another_pairs_public_half(self, pair, server_pair):
+        # the record keeps the half derived from the signing key, so a pair
+        # whose stored half is not its own is never answered from it
+        mismatched = KeyPair(Role.SERVER, public_key=pair.public_key, private_key=server_pair.private_key)
+        sig = crypto.sign(mismatched, b"statement")
+        assert not crypto.verify(mismatched.public_key, b"statement", sig, Role.SERVER)
+        assert crypto.verify(server_pair.public_key, b"statement", sig, Role.SERVER)
+
+    def test_a_message_changed_after_signing_is_refused(self, server_pair):
+        message = bytearray(b"statement")
+        sig = crypto.sign(server_pair, message)
+        message[0] ^= 1
+        assert not crypto.verify(server_pair.public_key, message, sig, Role.SERVER)
+        assert crypto.verify(server_pair.public_key, b"statement", sig, Role.SERVER)
+
+    def test_a_key_the_curve_check_refuses_is_refused_warm(self, server_pair):
+        # the curve check takes the public half only as bytes, and a warm
+        # record gives no other answer; a bytes-like message is taken by both
+        sig = crypto.sign(server_pair, b"statement")
+        for key in (bytearray(server_pair.public_key), memoryview(server_pair.public_key)):
+            with pytest.raises(TypeError):
+                crypto.verify(key, b"statement", sig, Role.SERVER)
+        for message in (bytearray(b"statement"), memoryview(b"statement")):
+            assert crypto.verify(server_pair.public_key, message, sig, Role.SERVER)
+
+    def test_an_evicted_signature_verifies_through_the_curve(self, server_pair, curve_checks):
+        first = crypto.sign(server_pair, b"first")
+        for i in range(5):
+            crypto.sign(server_pair, b"later %d" % i)
+        assert crypto.verify(server_pair.public_key, b"first", first, Role.SERVER)
+        assert curve_checks == [server_pair.public_key[32:]]
+
+    @pytest.mark.parametrize(
+        "protocol", [Protocol.P1, Protocol.P2, Protocol.TXVERIFY, Protocol.HIJACKGUARD], ids=lambda p: p.value
+    )
+    def test_an_honest_session_runs_no_curve_check(self, monkeypatch, curve_checks, protocol):
+        triples = []
+        verify = crypto.verify
+        monkeypatch.setattr(crypto, "verify", lambda *args: triples.append(args) or verify(*args))
+        result = run_flow(SessionConfig(protocol=protocol, seed=3))
+        assert result.outcome in (Outcome.AUTHENTICATED, Outcome.CONFIRMED, Outcome.ACCEPTED)
+        assert triples and curve_checks == []
+        # positive control: each triple, tampered, runs the curve check and fails it
+        for public_key, message, sig, signer in triples:
+            flipped = bytes([sig.sig[0] ^ 1]) + sig.sig[1:]
+            assert not verify(public_key, message, Signature(flipped, sig.signer), signer)
+        assert len(curve_checks) == len(triples)
 
 
 class TestKeyboardPermutation:

@@ -30,3 +30,24 @@ def test_outputs_match_goldens(prefix):
 
 def test_every_golden_belongs_to_a_section():
     assert all(key.startswith((*SECTIONS, "demo/")) for key in GOLDEN)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["unchanged", "moved"])
+def test_check_writes_nothing_and_fails_on_a_moved_key(monkeypatch, capsys, moved):
+    # the regenerator's --check mode, on stand-in digests: the committed
+    # ones, and the same with one key moved (the positive control)
+    monkeypatch.syspath_prepend(str(goldens.HERE))
+    import regenerate
+
+    computed = dict(GOLDEN)
+    key = sorted(computed)[0]
+    if moved:
+        computed[key] = "0" * 64
+    monkeypatch.setattr(regenerate.goldens, "compute", lambda: computed)
+    monkeypatch.setattr(regenerate, "demo_digests", dict)
+    before = goldens.DIGESTS.read_bytes()
+    assert regenerate.main(["--check"]) == (1 if moved else 0)
+    assert goldens.DIGESTS.read_bytes() == before
+    out = capsys.readouterr().out
+    assert (f"moved    {key}" in out) is moved
+    assert f"{int(moved)} of {len(GOLDEN)} digests differ" in out

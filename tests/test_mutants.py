@@ -48,10 +48,12 @@ def test_each_killer_names_a_collected_test():
     [
         ((1,), True, "k"),  # the killer fails: tier-1 never runs
         ((0, 1), True, "f in tier-1; its killer k passed"),
-        ((4, 1), True, "f in tier-1; its killer k passed"),  # a killer pytest cannot find proves nothing
+        # a killer pytest cannot find, or whose file fails to collect, proves nothing
+        ((4, 1), True, "f in tier-1; its killer k did not run (pytest exit 4)"),
+        ((2, 1), True, "f in tier-1; its killer k did not run (pytest exit 2)"),
         ((0, 0), False, None),  # a mutant survives only if tier-1 passes
     ],
-    ids=["killer_fails", "killer_passes", "killer_not_found", "tier1_passes"],
+    ids=["killer_fails", "killer_passes", "killer_not_found", "killer_not_collected", "tier1_passes"],
 )
 def test_the_runner_tries_the_killer_first(monkeypatch, exits, killed, where):
     codes = iter(exits)

@@ -1493,7 +1493,7 @@ OVERSIZED_TX = Transaction(receiver_account="ACCT-7291", amount=25000, receiver_
 OVERSIZED = {str: "x" * OVERSIZED_LEN, bytes: b"x" * OVERSIZED_LEN, int: 10**4999, Transaction: OVERSIZED_TX}
 
 
-def _oversized(hint, honest):
+def _oversized(hint, honest=()):
     """An oversized value of type hint, built from the honest value; None for
     a type the sweep leaves alone (bool, a frame, a layout, a signature). A
     tuple repeats the honest items, or "x" where there are none."""
@@ -1504,23 +1504,25 @@ def _oversized(hint, honest):
     return OVERSIZED.get(hint)
 
 
-def _oversize_sweep():
-    """(protocol, class, field, value) for every field of every class in
-    each flow's SPEC rows that has an oversized value of its type; value is
-    built from the field in the flow's honest run at seed 3."""
-    for protocol in Protocol:
-        honest = {}
-        for m in run_flow(_cfg(protocol, 3), CredentialStore.provision(3)).session.transcript:
-            honest.setdefault(m.TAG, m)
-        for cls, *_ in SPEC[protocol]:
-            hints = typing.get_type_hints(cls)
-            for name in cls.FIELDS:
-                value = _oversized(hints[name], getattr(honest[cls.TAG], name))
-                if value is not None:
-                    yield protocol, cls, name, value
+# (protocol, class, field) for every field of every class in each flow's
+# SPEC rows whose type has an oversized value; read off the type hints, so
+# that collecting the file runs no session
+OVERSIZE_CASES = [
+    (protocol, cls, name)
+    for protocol in Protocol
+    for cls, *_ in SPEC[protocol]
+    for name in cls.FIELDS
+    if _oversized(typing.get_type_hints(cls)[name]) is not None
+]
 
 
-OVERSIZE_CASES = list(_oversize_sweep())
+@functools.cache
+def _honest_messages(protocol):
+    """The first message of each tag in protocol's honest run at seed 3."""
+    honest = {}
+    for m in run_flow(_cfg(protocol, 3), CredentialStore.provision(3)).session.transcript:
+        honest.setdefault(m.TAG, m)
+    return honest
 
 
 class TestOversizedInputs:
@@ -1533,10 +1535,12 @@ class TestOversizedInputs:
         assert {protocol for protocol, *_ in OVERSIZE_CASES} == set(Protocol)
 
     @pytest.mark.parametrize(
-        "protocol, cls, name, value", OVERSIZE_CASES,
-        ids=[f"{protocol.value}-{cls.TAG}.{name}" for protocol, cls, name, _ in OVERSIZE_CASES],
+        "protocol, cls, name", OVERSIZE_CASES,
+        ids=[f"{protocol.value}-{cls.TAG}.{name}" for protocol, cls, name in OVERSIZE_CASES],
     )
-    def test_an_oversized_field_ends_in_a_verdict(self, protocol, cls, name, value):
+    def test_an_oversized_field_ends_in_a_verdict(self, protocol, cls, name):
+        honest = getattr(_honest_messages(protocol)[cls.TAG], name)
+        value = _oversized(typing.get_type_hints(cls)[name], honest)
         rewrite = Rewrite(cls.CHANNEL.sender, cls.TAG, {name: value})
         result = run_flow(_cfg(protocol, 3), CredentialStore.provision(3), (rewrite,))
         session = result.session
