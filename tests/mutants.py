@@ -245,7 +245,7 @@ MUTANTS = (
            '                self.session.finish(Outcome.ABORTED, f"{exc.args[0]}_frame_over_capacity")\n',
            "            handler(self, message)\n",
            "a payload that fits no frame ends its session ABORTED, fatal, and never raises out of it",
-           "tests/test_protocols.py::TestOversizedInputs::test_an_oversized_field_ends_in_a_verdict[TXVERIFY-submit_tx.tx]"),
+           "tests/test_sweeps.py::test_an_oversized_field_ends_in_a_verdict[TXVERIFY-submit_tx.tx]"),
 )
 
 
@@ -266,8 +266,11 @@ def first_failure(output: str) -> str:
 
 
 def pytest(work: Path, args) -> tuple[int, str]:
-    """(exit code, output) of python with args, in work, on work's src/."""
-    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    """(exit code, output) of python with args, in work, on work's src/
+    first and then the caller's PYTHONPATH, where an interpreter may find
+    pytest itself."""
+    path = os.pathsep.join(filter(None, (str(work / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     try:
         out = subprocess.run(
             [sys.executable, *args], cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S

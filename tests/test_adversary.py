@@ -8,6 +8,7 @@ import operator
 
 import pytest
 
+import sweeps
 from visualauth import adversary, crypto, rng as rngmod
 from visualauth.adversary import (
     ATTACKS,
@@ -290,23 +291,15 @@ def _leaves(value):
         yield value
 
 
-def _one_of_each_tag() -> dict[str, Message]:
-    found = {}
-    for protocol in Protocol:
-        for message in run_flow(SessionConfig(protocol=protocol, seed=0)).session.transcript:
-            found.setdefault(message.TAG, message)
-    return found
-
-
 class TestRegistry:
     """No message class falls through: whatever travels, an onlooker of its
     channel sees whole, under the label its class was registered with."""
 
     def test_the_honest_flows_send_every_message_class(self):
-        assert _one_of_each_tag().keys() == {cls.TAG for cls in Message.__subclasses__()}
+        assert sweeps.samples(0).keys() == {cls.TAG for cls in Message.__subclasses__()}
 
     def test_each_observation_holds_every_field(self):
-        for tag, message in _one_of_each_tag().items():
+        for tag, message in sweeps.samples(0).items():
             data = adversary.observe(message)
             assert data[0] == message.LABEL, tag
             shown = list(_leaves(data[1:]))

@@ -12,6 +12,7 @@ the sample.
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 from dataclasses import replace
@@ -35,18 +36,24 @@ from visualauth.protocols import (
 FUZZ_SEED = 2026
 MUTANTS = 600  # per decoder
 
-USER = crypto.generate_keypair(Role.USER, 1)
-SERVER = crypto.generate_keypair(Role.SERVER, 2)
 NONCE = bytes(range(crypto.NONCE_LEN))
 TXS = (DEFAULT_TX, Transaction("ACCT-0666", 7, "müller & söhne"))
 
 
+@functools.cache
+def _pairs() -> tuple[crypto.KeyPair, crypto.KeyPair]:
+    """The user's and the server's key pairs, made when a test first needs
+    them, so that collecting this file runs no crypto."""
+    return crypto.generate_keypair(Role.USER, 1), crypto.generate_keypair(Role.SERVER, 2)
+
+
 def _ciphertexts() -> list[Ciphertext]:
-    return [crypto.encrypt(USER.public_key, plain, seed) for seed, plain in enumerate((b"", b"data", b"x" * 40))]
+    user, _ = _pairs()
+    return [crypto.encrypt(user.public_key, plain, seed) for seed, plain in enumerate((b"", b"data", b"x" * 40))]
 
 
 def _signatures() -> list[Signature]:
-    return [crypto.sign(pair, text) for pair in (USER, SERVER) for text in (b"", b"data")]
+    return [crypto.sign(pair, text) for pair in _pairs() for text in (b"", b"data")]
 
 
 def _signed_payloads() -> list[bytes]:
@@ -56,7 +63,7 @@ def _signed_payloads() -> list[bytes]:
         _pack_signed(ct.to_bytes(), sig) for ct in _ciphertexts() for sig in (None, *_signatures())
     ]
     confirmations = [
-        _pack_signed(text, crypto.sign(SERVER, text))
+        _pack_signed(text, crypto.sign(_pairs()[1], text))
         for text in (canonical_tx_bytes(tx, nonce) for tx in TXS for nonce in (NONCE, None))
     ]
     return challenges + confirmations
@@ -67,44 +74,45 @@ def _frames() -> list[qr.VisualFrame]:
     return [qr.qr_encode(p, qr.choose_spec(p, ec)) for p in payloads for ec in (qr.EcLevel.L, qr.EcLevel.M)]
 
 
-# name -> (decode, encode, the errors every caller of decode catches, honest encodings)
+# name -> (decode, encode, the errors every caller of decode catches, a
+# function of the honest encodings, called when a test runs)
 DECODERS = {
     # callers: the phone's challenge opening, the server's ciphertext login,
     # the phone's secure view
     "Ciphertext.from_bytes": (
         Ciphertext.from_bytes, Ciphertext.to_bytes, (crypto.IntegrityError,),
-        [ct.to_bytes() for ct in _ciphertexts()],
+        lambda: [ct.to_bytes() for ct in _ciphertexts()],
     ),
     # caller: _unpack_signed, for the phone's challenges and confirmations
     "Signature.from_bytes": (
         Signature.from_bytes, Signature.to_bytes, (ValueError,),
-        [sig.to_bytes() for sig in _signatures()],
+        lambda: [sig.to_bytes() for sig in _signatures()],
     ),
     # callers: Smartphone._open_challenge and Smartphone.on_show_tx_frame
     "_unpack_signed": (
         _unpack_signed, lambda value: _pack_signed(*value), (struct.error, ValueError),
-        _signed_payloads(),
+        _signed_payloads,
     ),
     # caller: Server.on_submit_ciphertext
     "_unpack_credentials": (
         _unpack_credentials, lambda value: _pack_credentials(*value),
         (crypto.IntegrityError, struct.error, ValueError),
-        [_pack_credentials(NONCE, uid, pw, "acme-bank") for uid, pw in (("alice", "data"), ("", "pässwörd"))],
+        lambda: [_pack_credentials(NONCE, uid, pw, "acme-bank") for uid, pw in (("alice", "data"), ("", "pässwörd"))],
     ),
     # caller: Smartphone._open_challenge, for the OTP challenge
     "_parse_otp": (
         _parse_otp, lambda otp: otp.encode("ascii"), (ValueError,),
-        [crypto.generate_otp(seed).value.encode("ascii") for seed in range(3)],
+        lambda: [crypto.generate_otp(seed).value.encode("ascii") for seed in range(3)],
     ),
     # caller: Smartphone.on_show_tx_frame
     "parse_tx_canonical": (
         parse_tx_canonical, lambda value: canonical_tx_bytes(*value), (ValueError,),
-        [canonical_tx_bytes(tx, nonce) for tx in TXS for nonce in (NONCE, None)],
+        lambda: [canonical_tx_bytes(tx, nonce) for tx in TXS for nonce in (NONCE, None)],
     ),
     # caller: Smartphone._open_challenge, for the keyboard challenge
     "KeyboardPermutation.from_serialized": (
         KeyboardPermutation.from_serialized, KeyboardPermutation.serialize, (ValueError,),
-        [crypto.generate_permutation(seed).serialize() for seed in range(3)],
+        lambda: [crypto.generate_permutation(seed).serialize() for seed in range(3)],
     ),
 }
 
@@ -151,12 +159,12 @@ class TestDecoderLaw:
     @pytest.mark.parametrize("name", DECODERS)
     def test_honest_encodings_round_trip(self, name):
         decode, encode, _, honest = DECODERS[name]
-        assert all(encode(decode(blob)) == blob for blob in honest)
+        assert all(encode(decode(blob)) == blob for blob in honest())
 
     @pytest.mark.parametrize("name", DECODERS)
     def test_every_mutant_is_refused_or_canonical(self, name):
         decode, encode, caught, honest = DECODERS[name]
-        breaks, refused = law_breaks(decode, encode, caught, honest, name)
+        breaks, refused = law_breaks(decode, encode, caught, honest(), name)
         assert breaks == []
         assert refused > MUTANTS // 4  # the mutants reach the refusals
 
@@ -194,6 +202,6 @@ class TestDecoderLaw:
         # and the length checks accepts bytes it does not write back
         decode, encode, caught, honest = DECODERS["Ciphertext.from_bytes"]
         breaks, _ = law_breaks(
-            lambda blob: Ciphertext(blob[5:-16], blob[-16:]), encode, caught, honest, "lax"
+            lambda blob: Ciphertext(blob[5:-16], blob[-16:]), encode, caught, honest(), "lax"
         )
         assert len(breaks) > MUTANTS // 4

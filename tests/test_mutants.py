@@ -36,6 +36,48 @@ def test_an_anchor_that_moved_is_refused(tmp_path):
             mutated_text(Mutant("m", "m.py", anchor, "x = 2", "none", "none"), root=tmp_path)
 
 
+def test_the_runner_puts_the_copy_first_and_keeps_the_callers_path(monkeypatch, tmp_path):
+    # an interpreter that finds pytest through PYTHONPATH finds it in the
+    # copy too, and the copy's src/ shadows whatever the caller's path holds
+    for where in ("src", "caller"):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "marker.py").write_text(f"WHERE = {where!r}\n", encoding="utf-8")
+    (tmp_path / "caller" / "only_there.py").write_text("", encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "caller"))
+    assert mutants.pytest(tmp_path, ("-c", "import marker, only_there; print(marker.WHERE)")) == (0, "src\n")
+
+
+# imports each file named on the command line with the four calls replaced
+# by one that raises, and prints each file whose import raised
+AT_IMPORT = """
+import importlib, pathlib, sys
+from visualauth import crypto, entities
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("called at import")
+
+entities.Session.__init__ = crypto.generate_keypair = crypto.sign = crypto.encrypt = refuse
+for path in map(pathlib.Path, sys.argv[1:]):
+    sys.path.insert(0, str(path.parent))
+    try:
+        importlib.import_module(path.stem)
+    except Exception as exc:
+        print(f"{path.name}: {exc!r}")
+"""
+
+
+def test_collecting_a_test_file_runs_no_crypto_and_no_session(tmp_path):
+    # a test file that builds a session, a key, a signature or a seal when
+    # it is imported fails to collect whole when that call is broken, so a
+    # mutant there reads as a collection error, not as its killer's verdict.
+    # The positive control makes a key at import
+    control = tmp_path / "test_keys_at_import.py"
+    control.write_text("from visualauth import crypto\nKEY = crypto.generate_keypair(crypto.Role.USER, 1)\n", encoding="utf-8")
+    files = [str(path) for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    code, output = mutants.pytest(ROOT, ("-c", AT_IMPORT, *files, str(control)))
+    assert (code, output) == (0, f"{control.name}: RuntimeError('called at import')\n")
+
+
 def test_each_killer_names_a_collected_test():
     # a killer that names no test is reported: the positive control rides
     # in the same collection
