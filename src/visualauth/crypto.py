@@ -19,18 +19,31 @@ Design constraints this module enforces:
   validates (0 user, 1 server, anything else is refused) but that the
   signature does not cover, so verify takes the signer it accepts and
   refuses a signature that names any other.
-* verify answers from a record of the last four signatures sign made, and
-  runs the curve check for every other triple. sign records the public
-  half derived from its own signing key, never the pair's stored half, so
-  the record holds only (public half, message, signature) triples that
-  verify: Ed25519 is deterministic, and a signature made under a key
-  verifies under that key's public half (RFC 8032, 5.1.6-5.1.7). No input
-  gets another answer than the curve check would give: a message matches
-  by equality, as any bytes-like message verifies, and a public half that
-  is not bytes goes to the curve check, which refuses it. sign always runs,
-  so a rerun of identical sessions hides no signing cost; four entries
-  cover what a flow checks a few deliveries after it signs, the rule of
-  qr.rs_parity's memo.
+* Two records answer from work this module already did, exactly as the
+  curve would. Each keeps its last four entries, which cover what a flow
+  checks or opens a few deliveries after it signs or seals, the rule of
+  qr.rs_parity's memo. sign and encrypt always run, so a rerun of
+  identical sessions hides no signing or sealing cost, and every input
+  the record does not hold gets the curve operation.
+  - Signatures. verify answers a (public half, message, signature) triple
+    that sign made. sign records the public half derived from its own
+    signing key, never the pair's stored half, so the record holds only
+    triples that verify: Ed25519 is deterministic, and a signature made
+    under a key verifies under that key's public half (RFC 8032,
+    5.1.6-5.1.7). A message matches by equality, as any bytes-like message
+    verifies, and a public half that is not bytes goes to the curve check,
+    which refuses it.
+  - Seals. decrypt takes the X25519 shared secret for (sealing half,
+    ephemeral half) that encrypt computed. encrypt records the half it
+    handed the exchange, a bytes slice it made itself, and decrypt looks
+    entries up under the half derived from the pair's own private key,
+    never the pair's stored half. X25519 commutes (RFC 7748, 6.1):
+    X25519(e, a*G) = X25519(a, e*G), so an entry found under a*G and e*G
+    holds the very secret the exchange would compute. An ephemeral half
+    that is not bytes goes to the exchange, which refuses it. The key
+    derivation, the authenticated data and the tag check run on every
+    payload, so a tampered, truncated or wrong-key payload still raises
+    IntegrityError.
 
 The content cipher is AES-192-GCM (a counter-mode cipher plus a mandatory
 tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
@@ -126,6 +139,13 @@ class KeyPair:
     def _sign_private(self) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(self.private_key[32:])
 
+    # the sealing half the private key derives, which the seal record is
+    # looked up under; it differs from seal_public in a pair that stores
+    # another pair's public half
+    @functools.cached_property
+    def _own_seal_public(self) -> bytes:
+        return self._seal_private.public_key().public_bytes_raw()
+
 
 def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
     """Deterministically derive a keypair from a seed or PRNG stream.
@@ -142,8 +162,8 @@ def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
         + sign_priv.public_key().public_bytes_raw()
     )
     pair = KeyPair(role=role, public_key=pub, private_key=seal_raw + sign_raw)
-    # fill the cached properties with the keys already loaded
-    vars(pair).update(_seal_private=seal_priv, _sign_private=sign_priv)
+    # fill the cached properties with the keys already loaded and derived
+    vars(pair).update(_seal_private=seal_priv, _sign_private=sign_priv, _own_seal_public=pub[:32])
     return pair
 
 
@@ -186,6 +206,20 @@ def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     ).derive(shared)
 
 
+# (recipient's sealing half, ephemeral half, shared secret) of the last seals
+# encrypt made; see the module notes
+_SEALED = collections.deque(maxlen=4)
+
+
+def _recorded_secret(half: bytes, eph_pub) -> bytes | None:
+    """The shared secret encrypt recorded for (half, eph_pub), or None."""
+    if type(eph_pub) is bytes:
+        for entry_half, entry_eph, shared in _SEALED:
+            if entry_eph == eph_pub and entry_half == half:
+                return shared
+    return None
+
+
 def encrypt(public_key: bytes, message: bytes, rng: random.Random | int) -> Ciphertext:
     """Seal message to the holder of public_key's sealing half.
 
@@ -195,12 +229,15 @@ def encrypt(public_key: bytes, message: bytes, rng: random.Random | int) -> Ciph
     ciphertext or relabeling its scheme breaks the tag.
     """
     rng = as_rng(rng)
-    recipient = X25519PublicKey.from_public_bytes(public_key[:32])
+    half = public_key[:32]  # plain bytes, even of a bytes subclass; the exchange refuses other types
+    recipient = X25519PublicKey.from_public_bytes(half)
     eph_priv = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph_priv.public_key().public_bytes_raw()
-    key = _hybrid_key(eph_priv.exchange(recipient), eph_pub, public_key[:32])
+    shared = eph_priv.exchange(recipient)
+    _SEALED.append((half, eph_pub, shared))
+    key = _hybrid_key(shared, eph_pub, half)
     nonce = rng.randbytes(_GCM_NONCE_LEN)
-    sealed = AESGCM(key).encrypt(nonce, message, _HYBRID_SCHEME + public_key[:32])
+    sealed = AESGCM(key).encrypt(nonce, message, _HYBRID_SCHEME + half)
     return Ciphertext(body=eph_pub + nonce + sealed[:-_GCM_TAG_LEN], tag=sealed[-_GCM_TAG_LEN:])
 
 
@@ -213,7 +250,9 @@ def decrypt(pair: KeyPair, ciphertext: Ciphertext) -> bytes:
     nonce = ciphertext.body[32 : 32 + _GCM_NONCE_LEN]
     ct = ciphertext.body[32 + _GCM_NONCE_LEN :] + ciphertext.tag
     try:
-        shared = pair._seal_private.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        shared = _recorded_secret(pair._own_seal_public, eph_pub) or pair._seal_private.exchange(
+            X25519PublicKey.from_public_bytes(eph_pub)
+        )
         key = _hybrid_key(shared, eph_pub, pair.seal_public)
         return AESGCM(key).decrypt(nonce, ct, _HYBRID_SCHEME + pair.seal_public)
     except (InvalidTag, ValueError) as exc:

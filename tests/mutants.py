@@ -121,6 +121,26 @@ MUTANTS = (
            "    if (key, message",
            "a public key the curve check refuses for its type is refused from the record too",
            "tests/test_crypto.py::TestSignatureRecord::test_a_key_the_curve_check_refuses_is_refused_warm"),
+    Mutant("seal_record_under_stored_half", "src/visualauth/crypto.py",
+           "_recorded_secret(pair._own_seal_public, eph_pub)",
+           "_recorded_secret(pair.seal_public, eph_pub)",
+           "decrypt answers from its record only under the half the private key derives, not the half a pair stores",
+           "tests/test_crypto.py::TestSealRecord::test_a_pair_holding_another_pairs_public_half"),
+    Mutant("seal_record_ignores_ephemeral", "src/visualauth/crypto.py",
+           "            if entry_eph == eph_pub and entry_half == half:\n",
+           "            if entry_half == half:\n",
+           "decrypt answers from its record only for the very ephemeral half encrypt drew",
+           "tests/test_crypto.py::TestSealRecord::test_every_bit_flip_of_a_recorded_seal_is_refused"),
+    Mutant("seal_record_keeps_callers_key", "src/visualauth/crypto.py",
+           "_SEALED.append((half, eph_pub, shared))",
+           "_SEALED.append((public_key, eph_pub, shared))",
+           "the seal record keeps the half encrypt sliced as plain bytes, never the caller's key object",
+           "tests/test_crypto.py::TestSealRecord::test_the_record_keeps_only_a_half_it_sliced"),
+    Mutant("seal_record_unbounded", "src/visualauth/crypto.py",
+           "_SEALED = collections.deque(maxlen=4)",
+           "_SEALED = collections.deque()",
+           "the seal record holds four entries: an evicted seal opens through the exchange",
+           "tests/test_crypto.py::TestSealRecord::test_an_evicted_seal_opens_through_one_exchange"),
     Mutant("phone_skips_tx_freshness", "src/visualauth/protocols.py",
            'fresh = nonce is not None and nonce == self.state.get("session_nonce")',
            "fresh = True",

@@ -244,20 +244,34 @@ class TestSignatures:
             Signature.from_bytes(bytes([role]) + wire[1:])
 
 
-@pytest.fixture
-def curve_checks(monkeypatch):
-    """The public halves verify hands to the curve check, one per check."""
-    checked = []
-    real = crypto.Ed25519PublicKey
+def _handed(monkeypatch, name: str) -> list:
+    """The raw public halves crypto's name.from_public_bytes is handed, one
+    per curve operation that needs a public key."""
+    handed = []
+    real = getattr(crypto, name)
 
     class Counted:
         @staticmethod
         def from_public_bytes(raw):
-            checked.append(raw)
+            handed.append(raw)
             return real.from_public_bytes(raw)
 
-    monkeypatch.setattr(crypto, "Ed25519PublicKey", Counted)
-    return checked
+    monkeypatch.setattr(crypto, name, Counted)
+    return handed
+
+
+@pytest.fixture
+def curve_checks(monkeypatch):
+    """The public halves verify hands to the curve check, one per check."""
+    return _handed(monkeypatch, "Ed25519PublicKey")
+
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    """The public halves handed to an X25519 exchange, one per exchange:
+    the recipient's in each encrypt, and the ephemeral half of each payload
+    decrypt does not find in its record."""
+    return _handed(monkeypatch, "X25519PublicKey")
 
 
 def _bit_flips(blob: bytes):
@@ -329,6 +343,111 @@ class TestSignatureRecord:
             flipped = bytes([sig.sig[0] ^ 1]) + sig.sig[1:]
             assert not verify(public_key, message, Signature(flipped, sig.signer), signer)
         assert len(curve_checks) == len(triples)
+
+
+class TestSealRecord:
+    """decrypt takes the shared secret of a payload encrypt just sealed from
+    its record, and runs the exchange for every other payload: the answers
+    never change."""
+
+    def test_every_bit_flip_of_a_recorded_seal_is_refused(self, pair, exchanges):
+        message = b"payload under the record"
+        ct = crypto.encrypt(pair.public_key, message, rng=1201)
+        assert crypto.decrypt(pair, ct) == message
+        assert exchanges == [pair.seal_public]  # encrypt's; warm: the record answered decrypt
+        eph_pub, rest = ct.body[:32], ct.body[32:]
+        for flipped in _bit_flips(eph_pub):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(pair, Ciphertext(flipped + rest, ct.tag))
+        assert len(exchanges) == 1 + 8 * 32  # one exchange per flip of the ephemeral half
+        # the GCM nonce and the ciphertext, then the tag: the record answers,
+        # and the tag check refuses
+        for flipped in _bit_flips(rest):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(pair, Ciphertext(eph_pub + flipped, ct.tag))
+        for flipped in _bit_flips(ct.tag):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(pair, Ciphertext(ct.body, flipped))
+        assert len(exchanges) == 1 + 8 * 32
+
+    def test_a_pair_holding_another_pairs_public_half(self, pair, server_pair):
+        # the record is looked up under the half derived from the private
+        # key, so a pair whose stored half is not its own is never answered
+        # from it, and opens nothing sealed to the half it stores
+        mismatched = KeyPair(Role.USER, public_key=server_pair.public_key, private_key=pair.private_key)
+        ct = crypto.encrypt(mismatched.public_key, b"payload", rng=1202)
+        with pytest.raises(IntegrityError):
+            crypto.decrypt(mismatched, ct)
+        crypto._SEALED.clear()
+        with pytest.raises(IntegrityError):
+            crypto.decrypt(mismatched, ct)
+        assert crypto.decrypt(server_pair, ct) == b"payload"
+
+    def test_a_pair_rebuilt_from_raw_bytes_is_answered(self, pair, exchanges):
+        ct = crypto.encrypt(pair.public_key, b"payload", rng=1203)
+        rebuilt = KeyPair(pair.role, pair.public_key, pair.private_key)
+        assert "_own_seal_public" not in vars(rebuilt)  # nothing loaded or derived yet
+        assert crypto.decrypt(rebuilt, ct) == b"payload"
+        assert exchanges == [pair.seal_public]
+
+    def test_an_evicted_seal_opens_through_one_exchange(self, pair, exchanges):
+        first = crypto.encrypt(pair.public_key, b"first", rng=1204)
+        for i in range(5):
+            crypto.encrypt(pair.public_key, b"later", rng=1205 + i)
+        assert crypto.decrypt(pair, first) == b"first"
+        assert len(exchanges) == 6 + 1
+
+    def test_the_record_keeps_only_a_half_it_sliced(self, pair, server_pair, exchanges):
+        # encrypt refuses a sealing key that is not bytes, as the exchange
+        # does, before it records anything
+        before = list(crypto._SEALED)
+        for key in (bytearray(pair.public_key), memoryview(pair.public_key)):
+            with pytest.raises(TypeError):
+                crypto.encrypt(key, b"payload", rng=1210)
+        assert list(crypto._SEALED) == before
+        exchanges.clear()  # both halves were handed to the curve, which refused them
+
+        # a bytes subclass is taken, but the record keeps the plain bytes
+        # encrypt sliced from it, never the caller's object, whose equality
+        # it cannot trust: this one claims to equal every half
+        class Chameleon(bytes):
+            def __eq__(self, other):
+                return True
+
+            __hash__ = bytes.__hash__
+
+        ct = crypto.encrypt(Chameleon(pair.public_key), b"payload", rng=1211)
+        with pytest.raises(IntegrityError):
+            crypto.decrypt(server_pair, ct)
+        assert len(exchanges) == 2  # encrypt's, and the stranger's own
+        assert crypto.decrypt(pair, ct) == b"payload"
+        assert len(exchanges) == 2
+
+    def test_a_body_the_exchange_refuses_is_refused_warm(self, pair):
+        # the exchange takes the ephemeral half only as bytes, and a warm
+        # record gives no other answer
+        ct = crypto.encrypt(pair.public_key, b"payload", rng=1212)
+        for body in (bytearray(ct.body), memoryview(ct.body)):
+            with pytest.raises(TypeError):
+                crypto.decrypt(pair, Ciphertext(body, ct.tag))
+
+    @pytest.mark.parametrize(
+        "protocol", [Protocol.P1, Protocol.P2, Protocol.P3, Protocol.SECUREVIEW], ids=lambda p: p.value
+    )
+    def test_an_honest_session_runs_no_decrypt_exchange(self, monkeypatch, exchanges, protocol):
+        sealed, opened = [], []
+        encrypt, decrypt = crypto.encrypt, crypto.decrypt
+        monkeypatch.setattr(crypto, "encrypt", lambda *args: sealed.append(args) or encrypt(*args))
+        monkeypatch.setattr(crypto, "decrypt", lambda *args: opened.append(args) or decrypt(*args))
+        result = run_flow(SessionConfig(protocol=protocol, seed=3))
+        assert result.outcome in (Outcome.AUTHENTICATED, Outcome.VIEWED)
+        assert opened and len(exchanges) == len(sealed)
+        # positive control: each payload, its ephemeral half flipped, runs
+        # the exchange and is refused
+        for pair, ct in opened:
+            with pytest.raises(IntegrityError):
+                decrypt(pair, Ciphertext(bytes([ct.body[0] ^ 1]) + ct.body[1:], ct.tag))
+        assert len(exchanges) == len(sealed) + len(opened)
 
 
 class TestKeyboardPermutation:

@@ -1153,16 +1153,12 @@ class TestServerFailsClosed:
     # (flow, rewriting locus, changes, outcome, abort reason); the honest
     # runs are the positive controls, and each mutant raised AttributeError
     # before field types were checked. Party.receive refuses each before
-    # any handler runs
+    # any handler runs. The field-type sweep (tests/test_sweeps.py) runs
+    # each field set to None, a str, an int and a list; these are the
+    # values and flags it does not
     WRONG_TYPED = {
         "txverify_honest": (Protocol.TXVERIFY, None, {}, Outcome.CONFIRMED, None),
-        "tx_none": (Protocol.TXVERIFY, EntityKind.TERMINAL, {"submit_tx": {"tx": None}}, Outcome.ABORTED,
-                    "submit_tx_malformed"),
-        "tx_text": (Protocol.TXVERIFY, EntityKind.TERMINAL, {"submit_tx": {"tx": "x"}}, Outcome.ABORTED,
-                    "submit_tx_malformed"),
         "hijackguard_honest": (Protocol.HIJACKGUARD, None, {}, Outcome.ACCEPTED, None),
-        "signature_none": (Protocol.HIJACKGUARD, EntityKind.SMARTPHONE, {"side_copy": {"signature": None}},
-                           Outcome.ABORTED, "side_copy_malformed"),
         "signature_bytes": (Protocol.HIJACKGUARD, EntityKind.SMARTPHONE, {"side_copy": {"signature": b"junk"}},
                             Outcome.ABORTED, "side_copy_malformed"),
         # with the guard off the server executes at once, so the type check
@@ -1185,24 +1181,15 @@ class TestServerFailsClosed:
         assert signed == (outcome is Outcome.CONFIRMED)
 
     # (flow, what the terminal rewrites, outcome, abort reason, failed view
-    # fields); the empty rewrites are the honest controls, and each mutant
-    # raised AttributeError or TypeError at the phone or the user before
-    # wrong-typed fields were refused. Each runs clean and with every
-    # capture damaged up to its budget, which heals: a malformed message is
-    # refused before any capture
+    # fields); the empty rewrites are the honest controls. Each runs clean
+    # and with every capture damaged up to its budget, which heals. A field
+    # of the wrong type is the field-type sweep's, which runs each damaged
+    # too (tests/test_sweeps.py)
     CLIENT_WRONG_TYPED = {
         "p1_honest": (Protocol.P1, {}, Outcome.AUTHENTICATED, None, ()),
-        "p1_frame_none": (Protocol.P1, {"show_frame": {"frame": None}}, Outcome.ABORTED,
-                          "show_frame_malformed", ()),
         "p2_honest": (Protocol.P2, {}, Outcome.AUTHENTICATED, None, ()),
-        "p2_echo_otp_none": (Protocol.P2, {"echo_otp": {"otp": None}}, Outcome.ABORTED,
-                             "echo_otp_malformed", ()),
         "txverify_honest": (Protocol.TXVERIFY, {}, Outcome.CONFIRMED, None, ()),
-        "txverify_frame_none": (Protocol.TXVERIFY, {"show_frame": {"frame": None}},
-                                Outcome.ABORTED, "show_frame_malformed", ()),
         "secureview_honest": (Protocol.SECUREVIEW, {}, Outcome.VIEWED, None, ()),
-        "secureview_frames_none": (Protocol.SECUREVIEW, {"show_doc": {"frames": None}}, Outcome.ABORTED,
-                                   "show_doc_malformed", ()),
         # well typed, but fewer frames than labels: the phone fails every field
         "secureview_frames_short": (Protocol.SECUREVIEW, {"show_doc": {"frames": ()}}, Outcome.VIEWED,
                                     None, ("balance", "statement")),

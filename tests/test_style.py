@@ -306,59 +306,6 @@ def test_the_reach_check_can_fail():
         assert reach_findings(source) == [], source
 
 
-def kept_message_findings(source: str, filename: str = "<src>") -> list[str]:
-    """Each store into a .state[...] outside Party.receive that keeps a
-    message: under a key x.TAG or tag, or a value named msg or message.
-    Party.receive keeps every message a party takes, so what a party holds
-    is written down in one place."""
-    tree = ast.parse(source)
-    exempt = {
-        id(node)
-        for party in ast.walk(tree)
-        if isinstance(party, ast.ClassDef) and party.name == "Party"
-        for function in party.body
-        if isinstance(function, ast.FunctionDef) and function.name == "receive"
-        for node in ast.walk(function)
-    }
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or id(node) in exempt:
-            continue
-        for target in node.targets:
-            if not (isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute)
-                    and target.value.attr == "state"):
-                continue
-            if _name(target.slice) in ("TAG", "tag") or _name(node.value) in ("msg", "message"):
-                findings.append(f"{filename}:{node.lineno} keeps a message outside Party.receive")
-    return findings
-
-
-def test_only_party_receive_keeps_a_message():
-    findings = []
-    for path in sorted(SRC.rglob("*.py")):
-        findings += kept_message_findings(path.read_text(encoding="utf-8"), str(path.relative_to(SRC)))
-    assert findings == []
-
-
-def test_the_kept_message_check_can_fail():
-    flagged = [
-        "terminal.state[msg.TAG] = msg",
-        "self.state[SubmitTx.TAG] = other",
-        "self.state['login'] = message",
-        "class Terminal:\n    def receive(self, message):\n        self.state[tag] = message",
-    ]
-    for source in flagged:
-        assert len(kept_message_findings(source)) == 1, source
-    passed = [
-        "class Party:\n    def receive(self, message):\n        tag = message.TAG\n        self.state[tag] = message",
-        "self.state['pending_otp'] = msg.otp",
-        "received = self.state.get(SubmitTx.TAG)",
-        "self.state[key] = value",
-    ]
-    for source in passed:
-        assert kept_message_findings(source) == [], source
-
-
 def holder_set_findings(source: str, filename: str = "<src>") -> list[str]:
     """Each register_secret call in source that spells its own holders: a
     set display or comprehension, a set() or frozenset() call, or EntityKind
@@ -449,16 +396,18 @@ def _state_key(node) -> str | None:
     return None
 
 
-def state_key_uses(source: str) -> tuple[dict[str, int], set[str], dict[str, int]]:
-    """(stored, read, variable) string keys of a .state in source: stored
-    maps each key to its first store's line. A store is a subscript
+def state_key_uses(source: str) -> tuple[dict[str, int], set[str], dict[str, int], list[int]]:
+    """(stored, read, variable, kept) string keys of a .state in source:
+    stored maps each key to its first store's line. A store is a subscript
     assignment, an augmented assignment or a state.update(key=...) keyword;
     a read is a subscript load, a state.get('key') or a 'key' in (or not in)
     state. An augmented assignment reads its key only to write it back, so
     it is no read. variable maps the dotted name of each function that
     stores under a key that is no constant (a subscript, or a state.update
-    of a mapping or **) to that store's first line."""
-    stored, read, variable = {}, set(), {}
+    of a mapping or **) to that store's first line. kept lists the line of
+    each subscript store outside Party.receive that keeps a message: under
+    a key x.TAG or tag, or a value named msg or message."""
+    stored, read, variable, kept = {}, set(), {}, []
     for node, scope in _scoped(ast.parse(source)):
         targets = (
             node.targets if isinstance(node, ast.Assign)
@@ -467,9 +416,15 @@ def state_key_uses(source: str) -> tuple[dict[str, int], set[str], dict[str, int
         )
         for target in targets:
             for part in target.elts if isinstance(target, ast.Tuple) else [target]:
-                if _state_key(part) is not None:
+                if not (isinstance(part, ast.Subscript) and _name(part.value) == "state"):
+                    continue
+                if scope != "Party.receive" and (
+                    _name(part.slice) in ("TAG", "tag") or _name(node.value) in ("msg", "message")
+                ):
+                    kept.append(node.lineno)
+                elif _state_key(part) is not None:
                     stored[_state_key(part)] = min(stored.get(_state_key(part), node.lineno), node.lineno)
-                elif isinstance(part, ast.Subscript) and _name(part.value) == "state":
+                else:
                     variable.setdefault(scope, node.lineno)
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _state_key(node):
             read.add(_state_key(node))
@@ -488,22 +443,25 @@ def state_key_uses(source: str) -> tuple[dict[str, int], set[str], dict[str, int
             if any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
                 if any(_name(part) == "state" for part in node.comparators):
                     read.add(node.left.value)
-    return stored, read, variable
+    return stored, read, variable, kept
 
 
-def write_only_key_findings(
+def state_findings(
     sources: dict[str, str], held: dict[str, str] = HELD_FOR_SCAN, variable: dict[str, dict] = VARIABLE_KEY_STORES
 ) -> list[str]:
-    """Each string key stored into a .state in sources (filename -> text)
-    that no source reads, except a key held for the secret scan, and each
-    store under a key that is no constant in a function variable does not
-    name."""
+    """One pass over the .state stores in sources (filename -> text): each
+    store outside Party.receive that keeps a message, each store under a key
+    that is no constant in a function variable does not name, and each
+    string key stored that no source reads, except a key held for the secret
+    scan. Party.receive keeps every message a party takes, so what a party
+    holds is written down in one place."""
     stored, read, findings = {}, set(), []
     for filename, source in sources.items():
-        keys, seen, scopes = state_key_uses(source)
+        keys, seen, scopes, kept = state_key_uses(source)
         read |= seen
         for key, line in keys.items():
             stored.setdefault(key, f"{filename}:{line}")
+        findings += [f"{filename}:{line} keeps a message outside Party.receive" for line in kept]
         findings += [
             f"{filename}:{line} stores under a key that is no constant in {scope or 'the module'}, which no row names"
             for scope, line in scopes.items()
@@ -516,14 +474,38 @@ def write_only_key_findings(
     ]
 
 
-def test_no_party_state_key_is_write_only():
+def test_every_state_store_is_accounted_for():
     sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
-    assert write_only_key_findings(sources) == []
+    assert state_findings(sources) == []
     # a stale entry would let a new write-only key of that name, or a new
     # store in a function of that name, through unexamined
     uses = [state_key_uses(source) for source in sources.values()]
-    assert set(HELD_FOR_SCAN) <= set().union(*(stored for stored, _, _ in uses))
-    assert set(VARIABLE_KEY_STORES) == set().union(*(variable for _, _, variable in uses))
+    assert set(HELD_FOR_SCAN) <= set().union(*(stored for stored, *_ in uses))
+    assert set(VARIABLE_KEY_STORES) == set().union(*(variable for _, _, variable, _ in uses))
+
+
+def test_the_kept_message_check_can_fail():
+    flagged = [
+        "terminal.state[msg.TAG] = msg",
+        "self.state[SubmitTx.TAG] = other",
+        "self.state['login'] = message",
+        "class Terminal:\n    def receive(self, message):\n        self.state[tag] = message",
+        # a function the variable-key table names keeps no message either
+        "class Smartphone:\n    def _open_challenge(self, message):\n        self.state[tag] = message",
+    ]
+    for source in flagged:
+        (finding,) = state_findings({"<src>": source})
+        assert finding.endswith("keeps a message outside Party.receive"), source
+    # a read keeps pending_otp from being write-only; self.state[key] = value,
+    # a variable key in no function the table names, is the write-only
+    # control's
+    passed = [
+        "class Party:\n    def receive(self, message):\n        tag = message.TAG\n        self.state[tag] = message",
+        "self.state['pending_otp'] = msg.otp\nx = self.state['pending_otp']",
+        "received = self.state.get(SubmitTx.TAG)",
+    ]
+    for source in passed:
+        assert state_findings({"<src>": source}) == [], source
 
 
 def test_the_write_only_key_check_can_fail():
@@ -540,7 +522,7 @@ def test_the_write_only_key_check_can_fail():
         "class Smartphone:\n    def open(self, key):\n        self.state[key] = 1",
     ]
     for source in flagged:
-        assert len(write_only_key_findings({"<src>": source})) == 1, source
+        assert len(state_findings({"<src>": source})) == 1, source
     passed = [
         "self.state['attempt'] += 1\npw = passwords[self.state['attempt']]",
         "self.state['token'] = token\nt = self.state.get('token')",
@@ -549,10 +531,10 @@ def test_the_write_only_key_check_can_fail():
         "self.state['doc_values'] = values",
     ]
     for source in passed:
-        assert write_only_key_findings({"<src>": source}) == [], source
+        assert state_findings({"<src>": source}) == [], source
     # a store in one file is read in another
-    assert write_only_key_findings({"a.py": "s.state['k'] = 1", "b.py": "x = s.state['k']"}) == []
-    assert len(write_only_key_findings({"a.py": "self.state['doc_values'] = v"}, held={})) == 1
+    assert state_findings({"a.py": "s.state['k'] = 1", "b.py": "x = s.state['k']"}) == []
+    assert len(state_findings({"a.py": "self.state['doc_values'] = v"}, held={})) == 1
     # a store under a variable key passes only in a function the table names
     source = "class Smartphone:\n    def open(self, key):\n        self.state[key] = 1"
-    assert write_only_key_findings({"a.py": source}, variable={"Smartphone.open": {}}) == []
+    assert state_findings({"a.py": source}, variable={"Smartphone.open": {}}) == []

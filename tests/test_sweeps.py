@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import types
 import typing
+from dataclasses import replace
 
 import pytest
 
@@ -88,8 +89,12 @@ class TestFieldTypeSweep:
     """Party.receive is the one refusal point for a field of the wrong type."""
 
     @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_every_rewritten_field_ends_in_a_verdict(self, protocol):
+    def test_every_rewritten_field_ends_in_a_verdict(self, monkeypatch, protocol):
+        emitted = []  # the verdict standing at each send
+        queue = entities.Session.inject
+        monkeypatch.setattr(entities.Session, "inject", lambda s, m: emitted.append(s.outcome) or queue(s, m))
         for case in sweeps.field_type(protocol):
+            emitted.clear()
             session = sweeps.check(case)
             tag, name, value = case.where
             late = [(verdict, reason) for _, verdict, reason in session.late_verdicts]
@@ -100,7 +105,16 @@ class TestFieldTypeSweep:
                 # the server's verdict stood before the terminal told the user
                 assert session.outcome is not Outcome.ABORTED and malformed in late, case.where
             else:
-                assert (session.outcome, session.abort_reason) == malformed, case.where
+                # refused before any handler: nothing is sent after the
+                # abort, so no confirmation is signed, and nothing executes,
+                # comes late or fails to show
+                assert Outcome.ABORTED not in emitted, case.where
+                ended = (session.outcome, session.abort_reason, session.late_verdicts, session.view_failures)
+                assert ended == (*malformed, [], ()) and session.executed_tx is None, case.where
+                # and before any capture, so damage up to the budget heals
+                damaged = sweeps.check(case._replace(config=replace(case.config, corrupt_codewords="budget")))
+                again = (damaged.outcome, damaged.abort_reason, damaged.late_verdicts, damaged.view_failures)
+                assert again == ended and damaged.executed_tx is None, case.where
 
     def test_without_the_checks_a_wrong_type_raises_or_is_kept(self, monkeypatch):
         # positive control: with every class's checks accepting anything, a
