@@ -380,7 +380,6 @@ class OtpToken:
     """
 
     value: str
-    issued_at: int
     consumed: bool = False
 
     def consume(self) -> "OtpToken":
@@ -389,12 +388,7 @@ class OtpToken:
         return replace(self, consumed=True)
 
 
-def generate_otp(
-    rng: random.Random | int,
-    length: int = DEFAULT_OTP_LEN,
-    issued_at: int = 0,
-    outstanding=(),
-) -> OtpToken:
+def generate_otp(rng: random.Random | int, length: int = DEFAULT_OTP_LEN, outstanding=()) -> OtpToken:
     """Draw a fresh token over the alphabet.
 
     Freshness means the value differs from every unconsumed token in
@@ -407,7 +401,7 @@ def generate_otp(
     while True:
         value = "".join(rng.choice(ALPHABET) for _ in range(length))
         if value not in live:
-            return OtpToken(value=value, issued_at=issued_at)
+            return OtpToken(value=value)
 
 
 # -------- nonces --------

@@ -31,15 +31,18 @@ and a shallow copy of the receiver's state, and serializes neither.
 canonical_bytes runs when the snapshots are first read (and is cached)
 or a transcript is exported. That gives the bytes of record time only
 because nothing recorded can change: register_message makes each message
-class a frozen dataclass, and take_snapshot refuses mutable state values.
+class a frozen dataclass, and each recorded state is checked against what
+its party declares (STATE_CHECKS), where every type is immutable, before it
+is encoded. The check is off the delivery path, as the encoding is.
 
 A frozen dataclass instance keeps its first encoding in its own __dict__,
 as crypto.KeyPair keeps its loaded keys, so a frame that rides in two
 messages is encoded once; a value rebuilt with dataclasses.replace
 encodes its own fields. The lazy records and this memo both rely on
-immutability, and _check_immutable looks only at a state value's
-top-level type: a frozen dataclass holding a list that changed would
-encode stale bytes. No program value holds a mutable inside today.
+immutability. A Plant is checked in full when it is made, elements
+included; a program store once per (key, value type) pair, at the top
+level only, so a tuple holding a list that changed would encode stale
+bytes. No program value holds a mutable inside today.
 """
 
 from __future__ import annotations
@@ -119,6 +122,11 @@ CHANNELS = MappingProxyType({name: Channel(name, *spec) for name, spec in TOPOLO
 
 MESSAGES: dict[str, type[Message]] = {}  # tag -> class, in registration order
 
+# party -> key -> type check, for each state key the party may hold: the tag
+# of each message whose channel ends at it (register_message) and its own
+# keys (register_state)
+STATE_CHECKS: dict[EntityKind, dict[str, Callable[[object], bool]]] = {kind: {} for kind in EntityKind}
+
 
 def register_message(channel_name: str, label: str = ""):
     """Declare a Message subclass as a frozen record on its one legal channel.
@@ -129,9 +137,10 @@ def register_message(channel_name: str, label: str = ""):
     type_id), CHANNEL (emit, inject and deliver route by it), LABEL
     (adversary.observe; by default the tag), FIELDS, CHECKS (each field's
     type check, from its annotation), TAG_BYTE (its wire tag, in
-    registration order) and LINE_PREFIX. A class that is no Message
-    subclass, carries its own @dataclass or TAG, or declares a field type
-    _field_check cannot check is refused and takes no tag.
+    registration order) and LINE_PREFIX. Its receiver may keep it as
+    state[tag] (STATE_CHECKS), an instance that is well formed. A class that
+    is no Message subclass, carries its own @dataclass or TAG, or declares a
+    field type _field_check cannot check is refused and takes no tag.
     """
 
     def deco(cls):
@@ -162,9 +171,17 @@ def register_message(channel_name: str, label: str = ""):
         cls.TAG_BYTE = bytes([len(MESSAGES) + 1])
         cls.LINE_PREFIX = f"|{channel.kind.value}|{channel.sender.value}|{channel.receiver.value}|{tag}|"
         MESSAGES[tag] = cls
+        STATE_CHECKS[channel.receiver][tag] = lambda v: isinstance(v, cls) and v.well_formed()
         return cls
 
     return deco
+
+
+def register_state(table: Mapping[EntityKind, Mapping[str, object]]) -> None:
+    """Declare each party's own state keys, each with a type hint of a shape
+    _field_check knows (TypeError for any other)."""
+    for party, hints in table.items():
+        STATE_CHECKS[party].update((key, _field_check(hint)) for key, hint in hints.items())
 
 
 def _field_check(hint) -> Callable[[object], bool]:
@@ -387,12 +404,17 @@ class Inject:
 
 @dataclass(frozen=True)
 class Plant:
-    """party holds state, over its own, before the user begins."""
+    """party holds state, over its own, before the user begins. Each key is
+    one party declares (STATE_CHECKS), and each value fits its key's hint."""
 
     party: EntityKind
     state: Mapping[str, object]
 
     def __post_init__(self):
+        try:
+            _check_state(self.party, self.state)
+        except TypeError as exc:  # refused when made, as _end refuses the other actions
+            raise ValueError(*exc.args) from None
         object.__setattr__(self, "state", MappingProxyType(dict(self.state)))
 
 
@@ -426,32 +448,27 @@ class SecretSighting:
     violation: bool
 
 
-# the state value types a snapshot may hold by reference; a frozen
-# dataclass also passes
-_IMMUTABLE_BASES = (
-    type(None), bool, int, float, str, bytes, tuple, frozenset, MappingProxyType, enum.Enum,
-)
-_IMMUTABLE: set[type] = set()  # types that passed, filled on first sight
+# party -> the (key, value type) pairs that passed their key's check, filled on first sight
+_SEEN: dict[EntityKind, set[tuple[str, type]]] = {kind: set() for kind in EntityKind}
 
 
-def _check_immutable(kind: EntityKind, state: dict) -> None:
+def _check_state(kind: EntityKind, state: Mapping[str, object]) -> None:
+    """TypeError for a key kind does not declare, or a value its key's check
+    refuses; each (key, value type) pair is then seen."""
+    checks = STATE_CHECKS[kind]
     for key, value in state.items():
-        cls = type(value)
-        if cls in _IMMUTABLE:
-            continue
-        if not (
-            issubclass(cls, _IMMUTABLE_BASES)
-            or (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
-        ):
-            raise TypeError(
-                f"{kind.value} state {key!r} holds a mutable {cls.__name__};"
-                " a snapshot records state values by reference"
-            )
-        _IMMUTABLE.add(cls)
+        fits = checks.get(key)
+        if fits is None:
+            raise TypeError(f"the {kind.value} holds state {key!r}, which it does not declare")
+        if not fits(value):
+            name = type(value).__name__
+            raise TypeError(f"the {kind.value}'s state {key!r} holds a {name}, which its hint refuses")
+    _SEEN[kind].update(zip(state, map(type, state.values())))
 
 
 class Entity:
-    """Base participant: a tag-dispatched state machine with a state dict.
+    """Base participant: a tag-dispatched state machine with a state dict
+    of the keys its kind declares (STATE_CHECKS).
 
     Each delivery runs handle, which calls the subclass's receive(message)
     once, then snapshots the state. The snapshot is a shallow copy, encoded
@@ -500,16 +517,20 @@ class Entity:
         """Called once when the queue drains without an outcome."""
 
     def take_snapshot(self, step: int) -> None:
-        """Record the state as of step; TypeError if a value is mutable."""
-        state = dict(self.state)
-        if not _IMMUTABLE.issuperset(map(type, state.values())):
-            _check_immutable(self.kind, state)
-        self._pending.append((step, state))
+        """Record the state as of step, checked when it is encoded."""
+        self._pending.append((step, dict(self.state)))
 
     @property
     def snapshots(self) -> list[tuple[int, bytes]]:
-        """(step, canonical_bytes of the state then), one per snapshot taken."""
+        """(step, canonical_bytes of the state then), one per snapshot taken.
+        Each state is checked before it is encoded: on the first sight of a
+        (key, value type) pair, TypeError for a key the party does not
+        declare or a value its key's hint refuses."""
         if self._pending:
+            seen = _SEEN[self.kind]
+            for _, state in self._pending:
+                if not seen.issuperset(zip(state, map(type, state.values()))):
+                    _check_state(self.kind, state)
             self._snapshots.extend((step, canonical_bytes(state)) for step, state in self._pending)
             self._pending.clear()
         return self._snapshots

@@ -33,7 +33,8 @@ check names the signer it accepts to crypto.verify: the server for the
 phone's challenges and confirmations, the user for the side copy.
 
 SECRET_HOLDERS states once who may hold each secret the scan hunts for, and
-every secret a session registers takes its holders from it.
+every secret a session registers takes its holders from it. STATE states
+once what else each party may hold, its own keys and their types.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .entities import (
     SecretKind,
     Session,
     register_message,
+    register_state,
 )
 from .qr import EcLevel, VisualFrame
 
@@ -712,9 +714,10 @@ class Smartphone(Party):
         self.state["nonce"] = payload
         self.emit(ShowLoginBox())
 
-    def _open_challenge(self, payload: bytes, parse, key: str, show) -> None:
+    def _open_challenge(self, payload: bytes, parse, show, key: str | None = None) -> None:
         """Verify, decrypt and parse a sealed challenge, keep it as state[key]
-        and show it to the user; a failed check aborts fatal."""
+        if a key is given, and show it to the user; a failed check aborts
+        fatal."""
         try:
             wire, sig = _unpack_signed(payload)
             ct = crypto.Ciphertext.from_bytes(wire)
@@ -735,7 +738,8 @@ class Smartphone(Party):
         except ValueError:  # not ASCII, or no layout or OTP over the alphabet
             self.session.finish(Outcome.ABORTED, "challenge_malformed")
             return
-        self.state[key] = value
+        if key is not None:
+            self.state[key] = value
         self.emit(show(value))
 
     def on_type_credentials(self, msg: TypeCredentials) -> None:
@@ -829,11 +833,8 @@ class Server(Party):
         self.emit(KbdChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
     def _issue_otp(self) -> None:
-        token = crypto.generate_otp(
-            self.session.rng,
-            issued_at=self.session.step,
-            outstanding=[t for t in (self.state.get("token"),) if t],
-        )
+        outstanding = [t for t in (self.state.get("token"),) if t]
+        token = crypto.generate_otp(self.session.rng, outstanding=outstanding)
         self.state["token"] = token
         register_secret(self.session, SecretKind.OTP, token.value.encode())
         self.emit(OtpChallenge(frame=self._sealed_frame(token.value.encode("ascii"), "otp")))
@@ -1005,8 +1006,8 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
         (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P1.value))),
         (LoginRequest, lambda s, m: s._login(m, s._issue_keyboard), {"start": "challenged"}),
         (KbdChallenge, relay(ShowFrame, lambda m: ShowKeyboard("blank", m.grid_rows, m.grid_cols))),
-        (ShowFrame, scan("keyboard", Smartphone._open_challenge,
-                         KeyboardPermutation.from_serialized, "layout", ShowLayout)),
+        (ShowFrame, scan("keyboard", Smartphone._open_challenge, KeyboardPermutation.from_serialized,
+                         ShowLayout)),
         (ShowKeyboard, UserModel.on_show_keyboard),
         (ShowLayout, UserModel.on_show_layout),
         (ClickPositions, relay(EchoClicks, SubmitPositions)),
@@ -1019,7 +1020,7 @@ SPEC: dict[Protocol, tuple[tuple, ...]] = {
         (TypeId, relay(lambda m: LoginRequest(user_id=m.user_id, protocol=Protocol.P2.value))),
         (LoginRequest, lambda s, m: s._login(m, s._issue_otp), {"start": "challenged"}),
         (OtpChallenge, relay(ShowFrame, lambda m: ShowKeyboard("full", 4, 10))),
-        (ShowFrame, scan("otp", Smartphone._open_challenge, _parse_otp, "otp", ShowOtp)),
+        (ShowFrame, scan("otp", Smartphone._open_challenge, _parse_otp, ShowOtp, "otp")),
         (ShowKeyboard, UserModel.on_show_keyboard),
         (ShowOtp, UserModel.on_show_otp),
         (TypeOtp, relay(EchoOtp, SubmitOtp)),
@@ -1087,6 +1088,31 @@ def _flows(rows: tuple) -> dict:
 FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
     protocol: _flows(rows) for protocol, rows in SPEC.items()
 }
+
+
+# Each party's own state, stated once: its keys and their types, in the
+# shapes a message field may have. It may also keep every message whose
+# channel ends at it (Party.receive), and hold nothing else: a Plant, or a
+# recorded state once read, with any other key is refused. Every type is
+# immutable, as a snapshot holds state by reference.
+STATE: dict[EntityKind, dict[str, object]] = {
+    EntityKind.USER: {
+        "user_id": str, "passwords": tuple[str, ...], "attempt": int, "pending_otp": str | None,
+        "intended_tx": Transaction,
+    },
+    EntityKind.TERMINAL: {},
+    EntityKind.SMARTPHONE: {
+        "keypair": KeyPair | None,  # None: a phone without the user's key, as an attack plants it
+        "server_public": bytes, "server_name": str, "nonce": bytes, "session_nonce": bytes,
+        "otp": str, "doc_values": tuple[tuple[str, str], ...],  # held only for the secret scan
+    },
+    EntityKind.SERVER: {
+        "name": str, "keypair": KeyPair, "registry": MappingProxyType, "attempts": int, "user_id": str,
+        "layout": KeyboardPermutation, "token": OtpToken, "nonce": Nonce, "nonce_consumed": bool,
+        "session_nonce": bytes,
+    },
+}
+register_state(STATE)
 
 
 # -------- session assembly and run_flow --------

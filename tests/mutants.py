@@ -266,6 +266,17 @@ MUTANTS = (
            "            handler(self, message)\n",
            "a payload that fits no frame ends its session ABORTED, fatal, and never raises out of it",
            "tests/test_sweeps.py::test_an_oversized_field_ends_in_a_verdict[TXVERIFY-submit_tx.tx]"),
+    Mutant("plant_accepts_any_key", "src/visualauth/entities.py",
+           "_check_state(self.party, self.state)",
+           "_check_state(self.party, {k: v for k, v in self.state.items() if k in STATE_CHECKS[self.party]})",
+           "a Plant of a key its party does not declare is refused when made, never read as resistance",
+           "tests/test_entities.py::TestActions::test_an_action_that_can_never_fire_is_refused[plant_misspelled_key]"),
+    Mutant("snapshot_skips_key_check", "src/visualauth/entities.py",
+           "_check_state(self.kind, state)",
+           "_check_state(self.kind, {k: v for k, v in state.items() if k in STATE_CHECKS[self.kind]})",
+           "a party that stores a key it does not declare raises when its snapshot is read",
+           "tests/test_entities.py::TestDeclaredState"
+           "::test_a_handler_store_the_table_refuses_raises_when_its_snapshot_is_read[undeclared_key]"),
 )
 
 

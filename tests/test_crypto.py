@@ -524,7 +524,7 @@ class TestOtp:
         assert not token.consumed
         spent = token.consume()
         assert spent.consumed
-        assert (spent.value, spent.issued_at) == (token.value, token.issued_at)
+        assert spent.value == token.value
         assert not token.consumed  # frozen: the holder keeps the copy instead
         with pytest.raises(CryptoError):
             spent.consume()

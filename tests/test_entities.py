@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import pytest
 
-from visualauth import crypto, entities
+from visualauth import crypto, entities, qr
 from visualauth.adversary import ATTACKS, EVIL_TX, run_attack, run_matrix
 from visualauth.entities import (
     ACTIONS,
@@ -44,15 +44,20 @@ from visualauth.harness import Report, machine_records, run_scenarios
 from visualauth.protocols import (
     DEFAULT_TX,
     SECRET_HOLDERS,
+    STATE,
     ConfirmOnPhone,
     CredentialStore,
     EchoClicks,
     LoginRequest,
+    NonceChallenge,
     Outcome,
     Protocol,
+    Server,
     SessionConfig,
+    ShowOtp,
     Transaction,  # read by an annotation TestRegistration evaluates in this module
     TypeId,
+    TypeOtp,
     build_session,
     register_secret,
     run_flow,
@@ -422,7 +427,8 @@ class TestLazyRecords:
     ]
 
     @pytest.mark.parametrize("value", FROZEN, ids=repr)
-    def test_immutable_values_are_recorded(self, value):
+    def test_immutable_values_are_recorded(self, value, monkeypatch):
+        _declare(monkeypatch, type(value), "held")
         session = Session(seed=8)
         box = _StateBox(session)
         box.state["held"] = value
@@ -432,15 +438,54 @@ class TestLazyRecords:
     @pytest.mark.parametrize(
         "value", [[1], {"k": 1}, {1}, bytearray(b"ab"), Box(1)], ids=repr
     )
-    def test_mutable_values_are_refused(self, value):
+    def test_mutable_values_are_refused(self, value, monkeypatch):
+        # every hint names immutable types only, so a mutable value fails its
+        # key's on first sight, before it is encoded
+        _declare(monkeypatch, bytes, "fine", "held")
         session = Session(seed=9)
         box = _StateBox(session)
         box.state["fine"] = b"ok"
         box.take_snapshot(step=1)
-        box.state["held"] = value
-        with pytest.raises(TypeError, match="terminal state 'held' holds a mutable"):
-            box.take_snapshot(step=2)
         assert box.snapshots == [(1, canonical_bytes({"fine": b"ok"}))]
+        box.state["held"] = value
+        box.take_snapshot(step=2)
+        with pytest.raises(TypeError, match=f"terminal's state 'held' holds a {type(value).__name__}, which its hint"):
+            box.snapshots
+
+
+class TestDeclaredState:
+    """protocols.STATE's own keys, and the tag of every message whose channel
+    ends at a party, are all it may hold. A Plant is checked when it is made
+    (TestActions), a recorded state when it is first encoded."""
+
+    def test_each_party_declares_its_own_keys_and_the_tags_that_end_at_it(self):
+        assert [len(STATE[kind]) for kind in EntityKind] == [5, 0, 7, 10]
+        for kind in EntityKind:
+            tags = {tag for tag, cls in entities.MESSAGES.items() if cls.CHANNEL.receiver is kind}
+            assert set(entities.STATE_CHECKS[kind]) == set(STATE[kind]) | tags and not tags & set(STATE[kind]), kind
+
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [
+            ("issued_by", "acme", "the server holds state 'issued_by', which it does not declare"),
+            # a str is seen under other keys first: each key's type is checked apart
+            ("attempts", "three", "the server's state 'attempts' holds a str, which its hint refuses"),
+        ],
+        ids=["undeclared_key", "refused_type"],
+    )
+    def test_a_handler_store_the_table_refuses_raises_when_its_snapshot_is_read(self, monkeypatch, key, value, error):
+        # the scan reads, so checks, every (key, type) an honest run holds
+        scan_states_for_secrets(run_flow(SessionConfig(protocol=Protocol.P1, seed=0)).session)
+        issue = Server._issue_keyboard
+
+        def issue_and_store(server):
+            issue(server)
+            server.state[key] = value
+
+        monkeypatch.setattr(Server, "_issue_keyboard", issue_and_store)
+        session = run_flow(SessionConfig(protocol=Protocol.P1, seed=1)).session
+        with pytest.raises(TypeError, match=error):
+            session.entities[EntityKind.SERVER].snapshots
 
 
 class TestRegistration:
@@ -457,9 +502,12 @@ class TestRegistration:
 
     def test_an_undecorated_message_subclass_is_registered_frozen(self, monkeypatch):
         monkeypatch.setattr(entities, "MESSAGES", dict(entities.MESSAGES))
+        monkeypatch.setitem(entities.STATE_CHECKS, EntityKind.SERVER, dict(entities.STATE_CHECKS[EntityKind.SERVER]))
         bare = type("Bare", (Message,), {"__annotations__": {"note": "str"}})
         bare = register_message("net_up", "note")(bare)
         assert entities.MESSAGES["bare"] is bare
+        kept = entities.STATE_CHECKS[EntityKind.SERVER]["bare"]  # net_up ends at the server
+        assert kept(bare(note="kept")) and not kept(bare(note=7)) and not kept("kept")
         assert bare.__dict__["__dataclass_params__"].frozen
         assert bare.TAG_BYTE == bytes([len(entities.MESSAGES)])
         assert bare.LINE_PREFIX == "|network|terminal|server|bare|"
@@ -471,7 +519,7 @@ class TestRegistration:
         with pytest.raises(dataclasses.FrozenInstanceError):
             instance.extra = "added"
         monkeypatch.undo()
-        assert "bare" not in entities.MESSAGES
+        assert "bare" not in entities.MESSAGES and "bare" not in entities.STATE_CHECKS[EntityKind.SERVER]
 
     def test_a_message_that_is_already_a_dataclass_is_refused(self):
         @dataclass(frozen=True)
@@ -531,6 +579,7 @@ class TestRegistration:
 
     def test_checks_follow_the_four_shapes(self, monkeypatch):
         monkeypatch.setattr(entities, "MESSAGES", dict(entities.MESSAGES))
+        monkeypatch.setitem(entities.STATE_CHECKS, EntityKind.SERVER, dict(entities.STATE_CHECKS[EntityKind.SERVER]))
         annotations = {
             "flag": "bool",
             "count": "int",
@@ -693,7 +742,20 @@ class _StateBox(Entity):
     kind = EntityKind.TERMINAL
 
 
+def _declare(monkeypatch, hint, *keys, party=EntityKind.TERMINAL) -> None:
+    """Declare keys of party, each of type hint, for one test: a control of
+    the scan or of the records, which tests them and not the table. What the
+    check sees in the test is forgotten after it."""
+    monkeypatch.setitem(entities._SEEN, party, set(entities._SEEN[party]))
+    for key in keys:
+        monkeypatch.setitem(entities.STATE_CHECKS[party], key, entities._field_check(hint))
+
+
 class TestSecretScanner:
+    @pytest.fixture(autouse=True)
+    def _keys(self, monkeypatch):
+        _declare(monkeypatch, bytes, "leak", "held", "x", "tmp")
+
     def test_sighting_outside_allowed_set_is_a_violation(self):
         session = Session(seed=3)
         box = _StateBox(session)
@@ -804,6 +866,22 @@ HOLDERS = {
 NON_HOLDER_PAIRS = [(kind, party) for kind in HOLDERS for party in EntityKind if party not in HOLDERS[kind]]
 HOLDER_PAIRS = [(kind, party) for kind in HOLDERS for party in EntityKind if party in HOLDERS[kind]]
 
+# Where a control plants each form at each party: under a declared key, or as
+# a kept message of a tag the party never takes in P1, so that nothing in P1
+# reads or overwrites it. Only TXVERIFY reads session_nonce, and only P3 the
+# phone's server_name and the server's name. The user has no bytes key and
+# takes no bytes field, and no terminal key holds a layout object, so a form
+# with no home here goes under a key the control declares for itself.
+PLANT_HOMES = {
+    (EntityKind.USER, str): ("show_otp", lambda v: ShowOtp(otp=v)),
+    (EntityKind.TERMINAL, str): ("type_otp", lambda v: TypeOtp(otp=v)),
+    (EntityKind.TERMINAL, bytes): ("nonce_challenge", lambda v: NonceChallenge(qr.qr_encode(v, qr.choose_spec(v)))),
+    (EntityKind.SMARTPHONE, str): ("server_name", lambda v: v),
+    (EntityKind.SMARTPHONE, bytes): ("session_nonce", lambda v: v),
+    (EntityKind.SERVER, str): ("name", lambda v: v),
+    (EntityKind.SERVER, bytes): ("session_nonce", lambda v: v),
+}
+
 
 class TestSecretHolders:
     """Positive controls for the scan, driven by the holders table: a probe
@@ -811,21 +889,25 @@ class TestSecretHolders:
     violation exactly where that party may not hold it."""
 
     @staticmethod
-    def _planted(party, value, probe, protocol=Protocol.P1) -> set[tuple[EntityKind, SecretKind, bool]]:
+    def _planted(monkeypatch, party, value, probe, protocol=Protocol.P1) -> set[tuple[EntityKind, SecretKind, bool]]:
         """(entity, kind, violation) of each sighting in an honest session of
-        protocol where party holds value and probe(session) registered one
-        more secret. Without the plant, an honest session shows no violation."""
-        config = SessionConfig(protocol=protocol, seed=31)
-        session = build_session(config, CredentialStore.provision(31), (Plant(party, {"planted": value}),))
+        protocol where party holds value, at its form's home in PLANT_HOMES,
+        and probe(session) registered one more secret. Without the plant, an
+        honest session shows no violation."""
+        key, wrap = PLANT_HOMES.get((party, type(value)), ("planted", None))
+        if wrap is None:
+            _declare(monkeypatch, type(value), key, party=party)
+        planted = Plant(party, {key: wrap(value) if wrap else value})
+        session = build_session(SessionConfig(protocol=protocol, seed=31), CredentialStore.provision(31), (planted,))
         probe(session)
         session.begin()
         session.run()
         return {(s.entity, s.kind, s.violation) for s in scan_states_for_secrets(session)}
 
-    def _violations(self, kind, party, value) -> set[tuple[EntityKind, SecretKind]]:
+    def _violations(self, monkeypatch, kind, party, value) -> set[tuple[EntityKind, SecretKind]]:
         data = b"planted-" + kind.value.encode()
         sightings = self._planted(
-            party, value(data), lambda session: session.register_secret(kind, data, SECRET_HOLDERS[kind])
+            monkeypatch, party, value(data), lambda session: session.register_secret(kind, data, SECRET_HOLDERS[kind])
         )
         assert (party, kind, party not in HOLDERS[kind]) in sightings  # the plant was sighted
         return {(entity, secret) for entity, secret, violation in sightings if violation}
@@ -836,27 +918,28 @@ class TestSecretHolders:
 
     @pytest.mark.parametrize("value", [bytes, bytes.decode], ids=["bytes", "str"])
     @pytest.mark.parametrize("kind, party", NON_HOLDER_PAIRS, ids=lambda member: member.value)
-    def test_a_secret_planted_at_a_non_holder_is_flagged(self, kind, party, value):
-        assert self._violations(kind, party, value) == {(party, kind)}
+    def test_a_secret_planted_at_a_non_holder_is_flagged(self, kind, party, value, monkeypatch):
+        assert self._violations(monkeypatch, kind, party, value) == {(party, kind)}
 
     @pytest.mark.parametrize("value", [bytes, bytes.decode], ids=["bytes", "str"])
     @pytest.mark.parametrize("kind, party", HOLDER_PAIRS, ids=lambda member: member.value)
-    def test_a_secret_planted_at_a_holder_is_clean(self, kind, party, value):
-        assert self._violations(kind, party, value) == set()
+    def test_a_secret_planted_at_a_holder_is_clean(self, kind, party, value, monkeypatch):
+        assert self._violations(monkeypatch, kind, party, value) == set()
 
     @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
-    def test_only_in_p3_may_the_phone_hold_the_password(self, protocol):
-        # protocols.register_secret widens the password's row in P3 alone
+    def test_only_in_p3_may_the_phone_hold_the_password(self, protocol, monkeypatch):
+        # protocols.register_secret widens the password's row in P3 alone;
+        # the phone holds the plant, as its session_nonce, in every flow
         data = b"planted-password"
         sightings = self._planted(
-            EntityKind.SMARTPHONE, data,
+            monkeypatch, EntityKind.SMARTPHONE, data,
             lambda session: register_secret(session, SecretKind.PASSWORD, data),
             protocol,
         )
         flagged = protocol is not Protocol.P3
         assert (EntityKind.SMARTPHONE, SecretKind.PASSWORD, flagged) in sightings
 
-    def test_gap_a_layout_held_as_an_object_is_not_sighted(self):
+    def test_gap_a_layout_held_as_an_object_is_not_sighted(self, monkeypatch):
         """Today's verdict, pinned: the scan looks for the layout's bytes in
         canonical_bytes(state), which puts a length prefix on each symbol of
         a KeyboardPermutation. So a layout planted at the terminal as bytes
@@ -867,7 +950,8 @@ class TestSecretHolders:
 
         def sighted_at_the_terminal(value) -> bool:
             sightings = self._planted(
-                EntityKind.TERMINAL, value, lambda session: register_secret(session, SecretKind.PERMUTATION, data)
+                monkeypatch, EntityKind.TERMINAL, value,
+                lambda session: register_secret(session, SecretKind.PERMUTATION, data),
             )
             return any(sighting[:2] == (EntityKind.TERMINAL, SecretKind.PERMUTATION) for sighting in sightings)
 
@@ -951,8 +1035,14 @@ class TestActions:
             lambda: Rewrite(EntityKind.TERMINAL, "no_such_tag", {}),
             lambda: Inject(ECHO, (EntityKind.TERMINAL, "echo_clicks")),  # the user takes it
             lambda: Inject(ECHO, -1),
+            lambda: Plant(EntityKind.SMARTPHONE, {"server_nmae": "totally-real-bank"}),  # it holds server_name
+            lambda: Plant(EntityKind.USER, {"passwords": (["x"],)}),  # a list inside the tuple
+            lambda: Plant(EntityKind.TERMINAL, {"type_otp": TypeOtp(otp=5)}),  # no message it takes
         ],
-        ids=["drop_by_a_receiver", "unknown_tag", "inject_at_a_sender", "negative_delivery"],
+        ids=[
+            "drop_by_a_receiver", "unknown_tag", "inject_at_a_sender", "negative_delivery",
+            "plant_misspelled_key", "plant_nested_mutable", "plant_malformed_message",
+        ],
     )
     def test_an_action_that_can_never_fire_is_refused(self, make):
         with pytest.raises(ValueError):
@@ -967,7 +1057,7 @@ class TestActions:
         rewrite = Rewrite(EntityKind.TERMINAL, "echo_clicks", fields)
         fields["positions"] = (2,)  # the action keeps what it was given
         assert rewrite == Rewrite(EntityKind.TERMINAL, "echo_clicks", {"positions": (1,)})
-        assert Plant(EntityKind.USER, {"a": 1}) == Plant(EntityKind.USER, {"a": 1})
+        assert Plant(EntityKind.USER, {"attempt": 1}) == Plant(EntityKind.USER, {"attempt": 1})
         assert all(cls.__dataclass_params__.frozen for cls in ACTIONS)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rewrite.tag = "show_result"

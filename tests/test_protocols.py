@@ -1041,8 +1041,10 @@ class TestPasswordInsideAnOtp:
     @pytest.mark.parametrize("seed", OTPS)
     def test_the_password_planted_beside_it_is_a_violation(self, seed):
         # positive control: the same session with the password also held
-        # apart from the OTP at the terminal
-        result = run_flow(_cfg(Protocol.P2, seed), actions=(Plant(EntityKind.TERMINAL, {"note": "data"}),))
+        # apart from the OTP at the terminal, as a typed OTP it holds until
+        # the user types the real one
+        planted = Plant(EntityKind.TERMINAL, {"type_otp": TypeOtp("data")})
+        result = run_flow(_cfg(Protocol.P2, seed), actions=(planted,))
         assert [(s.entity, s.kind) for s in secrecy_violations(result.session)] == [
             (EntityKind.TERMINAL, SecretKind.PASSWORD)
         ]

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import enum
 import importlib
 import pkgutil
 from pathlib import Path
+from types import MappingProxyType, UnionType
+from typing import Union, get_args, get_origin
 
 import visualauth
-from visualauth.entities import MESSAGES, Message
+from visualauth.entities import MESSAGES, EntityKind, Message
+from visualauth.protocols import STATE, Transaction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAX_LINE = 110
@@ -352,136 +356,73 @@ def test_the_holder_set_check_can_fail():
         assert holder_set_findings(source) == [], source
 
 
-# The state keys a party holds although no src/ code reads them, each with
-# the reason: a key kept only so that the secret scan sees it held.
+# The declared state keys that no src/ code reads, each with the reason: the
+# phone keeps them only so that the secret scan sees them held, until the
+# scan reads what a party sent (ROADMAP item 1).
 HELD_FOR_SCAN = {
-    "doc_values": "the fields the phone decrypted, which the scan hunts as view_field secrets",
-}
-
-# Each store into a .state under a key that is no constant, by the function
-# that makes it, with the keys it stores and the reason each is kept. The
-# check cannot read such a key off the source, so a store no row names is
-# flagged, and so is a row that names no store.
-VARIABLE_KEY_STORES = {
-    "Party.receive": {"<tag>": "the one keep: each message a party takes, which the scan reads as what it was handed"},
-    "Smartphone._open_challenge": {
-        "otp": "held for the scan: the one-time password the phone opened, which it hunts as an otp secret",
-        "layout": "read by nothing (the server reads only its own 'layout') and invisible to the scan, which cannot"
-        " see a layout held as an object (ROADMAP item 1, gap a); item 20 removes it",
-    },
-    "Session.begin": {"<planted>": "a Plant action's state: the keys an attack names, which the scan reads"},
+    (EntityKind.SMARTPHONE, "otp"): "the one-time password it opened, which the scan hunts as an otp secret",
+    (EntityKind.SMARTPHONE, "doc_values"): "the fields it decrypted, which the scan hunts as view_field secrets",
 }
 
 
-def _scoped(node, scope=""):
-    """Each node under node, with the dotted name of the classes and
-    functions that hold it ("" at module level)."""
-    for child in ast.iter_child_nodes(node):
-        yield child, scope
-        inner = scope
-        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = f"{scope}.{child.name}".lstrip(".")
-        yield from _scoped(child, inner)
+def state_reads(source: str) -> set[str]:
+    """The string keys source reads off a .state: a subscript load, a
+    state.get('key'), or a 'key' in (or not in) state. An augmented
+    assignment reads its key only to write it back, so it is no read."""
+    keys = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _name(node.value) == "state":
+            keys.append(node.slice)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            keys += node.args[:1] if _name(node.func.value) == "state" else []
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            keys += [node.left] if _name(node.comparators[0]) == "state" else []
+    return {key.value for key in keys if isinstance(key, ast.Constant) and isinstance(key.value, str)}
 
 
-def _state_key(node) -> str | None:
-    """The string key of a subscript x.state['k'] or state['k'], else None."""
-    if (
-        isinstance(node, ast.Subscript)
-        and _name(node.value) == "state"
-        and isinstance(node.slice, ast.Constant)
-        and isinstance(node.slice.value, str)
-    ):
-        return node.slice.value
-    return None
+def unread_keys(table: dict, sources: dict[str, str]) -> set[tuple[EntityKind, str]]:
+    """Each (party, key) table declares that no source reads, in any file
+    and at any party."""
+    read = set().union(*map(state_reads, sources.values()))
+    return {(party, key) for party, hints in table.items() for key in hints if key not in read}
 
 
-def state_key_uses(source: str) -> tuple[dict[str, int], set[str], dict[str, int], list[int]]:
-    """(stored, read, variable, kept) string keys of a .state in source:
-    stored maps each key to its first store's line. A store is a subscript
-    assignment, an augmented assignment or a state.update(key=...) keyword;
-    a read is a subscript load, a state.get('key') or a 'key' in (or not in)
-    state. An augmented assignment reads its key only to write it back, so
-    it is no read. variable maps the dotted name of each function that
-    stores under a key that is no constant (a subscript, or a state.update
-    of a mapping or **) to that store's first line. kept lists the line of
-    each subscript store outside Party.receive that keeps a message: under
-    a key x.TAG or tag, or a value named msg or message."""
-    stored, read, variable, kept = {}, set(), {}, []
-    for node, scope in _scoped(ast.parse(source)):
-        targets = (
-            node.targets if isinstance(node, ast.Assign)
-            else [node.target] if isinstance(node, ast.AugAssign)
-            else []
-        )
-        for target in targets:
-            for part in target.elts if isinstance(target, ast.Tuple) else [target]:
-                if not (isinstance(part, ast.Subscript) and _name(part.value) == "state"):
-                    continue
-                if scope != "Party.receive" and (
-                    _name(part.slice) in ("TAG", "tag") or _name(node.value) in ("msg", "message")
-                ):
-                    kept.append(node.lineno)
-                elif _state_key(part) is not None:
-                    stored[_state_key(part)] = min(stored.get(_state_key(part), node.lineno), node.lineno)
-                else:
-                    variable.setdefault(scope, node.lineno)
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _state_key(node):
-            read.add(_state_key(node))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if _name(node.func.value) != "state":
-                continue
-            if node.func.attr == "update":
-                for keyword in node.keywords:
-                    if keyword.arg is not None:
-                        stored[keyword.arg] = min(stored.get(keyword.arg, node.lineno), node.lineno)
-                if node.args or any(keyword.arg is None for keyword in node.keywords):
-                    variable.setdefault(scope, node.lineno)
-            elif node.func.attr == "get" and node.args and isinstance(node.args[0], ast.Constant):
-                read.add(node.args[0].value)
-        elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant):
-            if any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
-                if any(_name(part) == "state" for part in node.comparators):
-                    read.add(node.left.value)
-    return stored, read, variable, kept
-
-
-def state_findings(
-    sources: dict[str, str], held: dict[str, str] = HELD_FOR_SCAN, variable: dict[str, dict] = VARIABLE_KEY_STORES
-) -> list[str]:
-    """One pass over the .state stores in sources (filename -> text): each
-    store outside Party.receive that keeps a message, each store under a key
-    that is no constant in a function variable does not name, and each
-    string key stored that no source reads, except a key held for the secret
-    scan. Party.receive keeps every message a party takes, so what a party
-    holds is written down in one place."""
-    stored, read, findings = {}, set(), []
-    for filename, source in sources.items():
-        keys, seen, scopes, kept = state_key_uses(source)
-        read |= seen
-        for key, line in keys.items():
-            stored.setdefault(key, f"{filename}:{line}")
-        findings += [f"{filename}:{line} keeps a message outside Party.receive" for line in kept]
-        findings += [
-            f"{filename}:{line} stores under a key that is no constant in {scope or 'the module'}, which no row names"
-            for scope, line in scopes.items()
-            if scope not in variable
-        ]
-    return findings + [
-        f"{where} stores state[{key!r}], which nothing reads"
-        for key, where in stored.items()
-        if key not in read and key not in held
+def kept_message_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each store into a .state outside Party.receive that keeps a message:
+    under a key x.TAG or tag, or of a value named msg or message.
+    Party.receive keeps every message a party takes, so what a party was
+    handed is written down in one place."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for party in ast.walk(tree)
+        if isinstance(party, ast.ClassDef) and party.name == "Party"
+        for function in party.body
+        if isinstance(function, ast.FunctionDef) and function.name == "receive"
+        for node in ast.walk(function)
+    }
+    return [
+        f"{filename}:{node.lineno} keeps a message outside Party.receive"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign)) and id(node) not in exempt
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for part in (target.elts if isinstance(target, ast.Tuple) else [target])
+        if isinstance(part, ast.Subscript) and _name(part.value) == "state"
+        and (_name(part.slice) in ("TAG", "tag") or _name(node.value) in ("msg", "message"))
     ]
 
 
+def _sources() -> dict[str, str]:
+    return {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
+
+
 def test_every_state_store_is_accounted_for():
-    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))}
-    assert state_findings(sources) == []
-    # a stale entry would let a new write-only key of that name, or a new
-    # store in a function of that name, through unexamined
-    uses = [state_key_uses(source) for source in sources.values()]
-    assert set(HELD_FOR_SCAN) <= set().union(*(stored for stored, *_ in uses))
-    assert set(VARIABLE_KEY_STORES) == set().union(*(variable for _, _, variable, _ in uses))
+    # what a party may hold is protocols.STATE and the tags that end at it,
+    # which Entity.snapshots enforces; the source must keep no message outside
+    # Party.receive, and read every declared key but those held for the scan
+    sources = _sources()
+    assert [finding for name, source in sources.items() for finding in kept_message_findings(source, name)] == []
+    assert unread_keys(STATE, sources) == set(HELD_FOR_SCAN)
 
 
 def test_the_kept_message_check_can_fail():
@@ -489,52 +430,52 @@ def test_the_kept_message_check_can_fail():
         "terminal.state[msg.TAG] = msg",
         "self.state[SubmitTx.TAG] = other",
         "self.state['login'] = message",
+        "self.state['n'], self.state[tag] = 1, message",
         "class Terminal:\n    def receive(self, message):\n        self.state[tag] = message",
-        # a function the variable-key table names keeps no message either
-        "class Smartphone:\n    def _open_challenge(self, message):\n        self.state[tag] = message",
+        "class Party:\n    def handle(self, message):\n        self.state[tag] = message",
     ]
     for source in flagged:
-        (finding,) = state_findings({"<src>": source})
+        (finding,) = kept_message_findings(source)
         assert finding.endswith("keeps a message outside Party.receive"), source
-    # a read keeps pending_otp from being write-only; self.state[key] = value,
-    # a variable key in no function the table names, is the write-only
-    # control's
     passed = [
         "class Party:\n    def receive(self, message):\n        tag = message.TAG\n        self.state[tag] = message",
-        "self.state['pending_otp'] = msg.otp\nx = self.state['pending_otp']",
+        "self.state['pending_otp'] = msg.otp",
         "received = self.state.get(SubmitTx.TAG)",
     ]
     for source in passed:
-        assert state_findings({"<src>": source}) == [], source
+        assert kept_message_findings(source) == [], source
 
 
 def test_the_write_only_key_check_can_fail():
-    flagged = [
-        "self.state['typed_otps'] += 1",
-        "self.state['verified_tx'] = tx",
-        "self.state.update(user_id=uid, executed_tx=None)\nx = self.state['user_id']",
-        "self.state['a'], self.state['b'] = 1, 2\nx = self.state['a']",
-        "self.state['n'] = 0\nself.state['n'] += 1",
-        "self.state[key] = value",
-        "self.state[key] += 1",
-        "self.state.update(planted)",
-        "self.state.update(**fields)",
-        "class Smartphone:\n    def open(self, key):\n        self.state[key] = 1",
-    ]
-    for source in flagged:
-        assert len(state_findings({"<src>": source})) == 1, source
-    passed = [
-        "self.state['attempt'] += 1\npw = passwords[self.state['attempt']]",
-        "self.state['token'] = token\nt = self.state.get('token')",
-        "self.state.update(keypair=pair)\nif 'keypair' in phone.state: pass",
-        "self.state['nonce'] = n\nif 'nonce' not in self.state: pass",
-        "self.state['doc_values'] = values",
-    ]
-    for source in passed:
-        assert state_findings({"<src>": source}) == [], source
-    # a store in one file is read in another
-    assert state_findings({"a.py": "s.state['k'] = 1", "b.py": "x = s.state['k']"}) == []
-    assert len(state_findings({"a.py": "self.state['doc_values'] = v"}, held={})) == 1
-    # a store under a variable key passes only in a function the table names
-    source = "class Smartphone:\n    def open(self, key):\n        self.state[key] = 1"
-    assert state_findings({"a.py": source}, variable={"Smartphone.open": {}}) == []
+    table = {EntityKind.SERVER: {"ghost": int, "bumped": int, "seen": int, "got": str, "tested": bytes}}
+    source = (
+        "s.state['ghost'] = 0\ns.state['bumped'] += 1\nx = s.state['seen']\ny = phone.state.get('got')\n"
+        "if 'tested' not in self.state: pass\nz = other.get('ghost')\nw = 'bumped' in registry"
+    )
+    unread = {(EntityKind.SERVER, "ghost"), (EntityKind.SERVER, "bumped")}
+    assert unread_keys(table, {"a.py": "", "b.py": source}) == unread
+    # a write-only key back in the real table is flagged beside the two held for the scan
+    returned = {**STATE, EntityKind.USER: {**STATE[EntityKind.USER], "typed_otps": int}}
+    assert unread_keys(returned, _sources()) == {*HELD_FOR_SCAN, (EntityKind.USER, "typed_otps")}
+
+
+def mutable_classes(hint) -> set[type]:
+    """The classes hint names, itself or its origin and its arguments', that
+    may be mutable: none of None, bool, int, float, str, bytes, tuple,
+    frozenset or MappingProxyType, an enum or a frozen dataclass. A snapshot
+    holds state by reference, and the snapshot check reads the hints."""
+    immutable = (type(None), bool, int, float, str, bytes, tuple, frozenset, MappingProxyType, enum.Enum)
+    mutable = {
+        cls for cls in {get_origin(hint) or hint} - {Union, UnionType}
+        if not (issubclass(cls, immutable) or dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+    }
+    return mutable.union(*(mutable_classes(arg) for arg in get_args(hint) if arg is not Ellipsis))
+
+
+def test_every_state_hint_names_only_immutable_types():
+    assert [(party, key) for party, hints in STATE.items() for key, hint in hints.items() if mutable_classes(hint)] == []
+    loose = dataclasses.make_dataclass("Loose", [("x", int)])
+    for hint in (list, tuple[list, ...], dict | None, tuple[str, bytearray], set, loose):
+        assert mutable_classes(hint), hint
+    for hint in (str, int | None, tuple[tuple[str, str], ...], MappingProxyType, EntityKind, Transaction):
+        assert not mutable_classes(hint), hint

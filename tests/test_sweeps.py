@@ -13,7 +13,7 @@ import pytest
 import sweeps
 from visualauth import entities
 from visualauth.entities import EntityKind, Message, Plant, Rewrite
-from visualauth.protocols import Outcome, Protocol, SessionConfig, SessionFlags, ShowResult, SubmitTx, run_flow
+from visualauth.protocols import Outcome, Protocol, SessionConfig, SessionFlags, ShowResult, SubmitTx, TypeOtp, run_flow
 
 # each injection alphabet's verdicts per flow (sweeps.digest): a refactor of
 # the flow tables that moves any session's verdict moves its flow's digest
@@ -177,7 +177,9 @@ BROKEN = {
     "executed": lambda: sweeps.check(sweeps.injected(GUARD_OFF, SubmitTx(tx=sweeps.EVIL))),
     "abort reason on": lambda: sweeps.fails_closed(_doctored(Protocol.P1, abort_reason="stalled")),
     "export or scan raised": lambda: sweeps.fails_closed(_doctored(Protocol.P1, transcript=[ShowResult(ok=object())])),
-    "secrecy violations": lambda: sweeps.check(sweeps.Case((), P2, (Plant(EntityKind.TERMINAL, {"note": "data"}),))),
+    "secrecy violations": lambda: sweeps.check(
+        sweeps.Case((), P2, (Plant(EntityKind.TERMINAL, {"type_otp": TypeOtp("data")}),))
+    ),
 }
 
 
