@@ -39,10 +39,9 @@ A frozen dataclass instance keeps its first encoding in its own __dict__,
 as crypto.KeyPair keeps its loaded keys, so a frame that rides in two
 messages is encoded once; a value rebuilt with dataclasses.replace
 encodes its own fields. The lazy records and this memo both rely on
-immutability. A Plant is checked in full when it is made, elements
-included; a program store once per (key, value type) pair, at the top
-level only, so a tuple holding a list that changed would encode stale
-bytes. No program value holds a mutable inside today.
+immutability. A Plant is checked in full when it is made, and a recorded
+state when it is first read, elements included; what a mappingproxy or a
+frozen dataclass other than a message holds inside is not checked.
 """
 
 from __future__ import annotations
@@ -184,12 +183,22 @@ def register_state(table: Mapping[EntityKind, Mapping[str, object]]) -> None:
         STATE_CHECKS[party].update((key, _field_check(hint)) for key, hint in hints.items())
 
 
+# the classes whose instances cannot change in place, beside frozen dataclasses
+_IMMUTABLE = (type(None), int, float, str, bytes, tuple, frozenset, MappingProxyType, enum.Enum)
+
+
 def _field_check(hint) -> Callable[[object], bool]:
     """Whether a value has type hint, for four shapes: a class (bool and int
     exactly, so False is no click position), X | None, tuple[X, ...] and
-    tuple[X, Y]. TypeError for any other hint."""
+    tuple[X, Y]. TypeError for any other hint, and for a class whose
+    instances may change in place, since the records hold values by
+    reference: each class is None, a number, str, bytes, tuple, frozenset,
+    mappingproxy, enum or frozen dataclass."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is None and isinstance(hint, type) and hint is not Any:  # Any is a class from 3.11
+        frozen = dataclasses.is_dataclass(hint) and hint.__dataclass_params__.frozen
+        if not (frozen or issubclass(hint, _IMMUTABLE)):
+            raise TypeError(f"{hint.__name__} may change in place")
         if hint in (bool, int):
             return lambda v: type(v) is hint
         return lambda v: isinstance(v, hint)
@@ -448,13 +457,9 @@ class SecretSighting:
     violation: bool
 
 
-# party -> the (key, value type) pairs that passed their key's check, filled on first sight
-_SEEN: dict[EntityKind, set[tuple[str, type]]] = {kind: set() for kind in EntityKind}
-
-
 def _check_state(kind: EntityKind, state: Mapping[str, object]) -> None:
     """TypeError for a key kind does not declare, or a value its key's check
-    refuses; each (key, value type) pair is then seen."""
+    refuses."""
     checks = STATE_CHECKS[kind]
     for key, value in state.items():
         fits = checks.get(key)
@@ -463,7 +468,6 @@ def _check_state(kind: EntityKind, state: Mapping[str, object]) -> None:
         if not fits(value):
             name = type(value).__name__
             raise TypeError(f"the {kind.value}'s state {key!r} holds a {name}, which its hint refuses")
-    _SEEN[kind].update(zip(state, map(type, state.values())))
 
 
 class Entity:
@@ -523,14 +527,11 @@ class Entity:
     @property
     def snapshots(self) -> list[tuple[int, bytes]]:
         """(step, canonical_bytes of the state then), one per snapshot taken.
-        Each state is checked before it is encoded: on the first sight of a
-        (key, value type) pair, TypeError for a key the party does not
-        declare or a value its key's hint refuses."""
+        Each state is checked before it is encoded: TypeError for a key the
+        party does not declare or a value its key's hint refuses."""
         if self._pending:
-            seen = _SEEN[self.kind]
             for _, state in self._pending:
-                if not seen.issuperset(zip(state, map(type, state.values()))):
-                    _check_state(self.kind, state)
+                _check_state(self.kind, state)
             self._snapshots.extend((step, canonical_bytes(state)) for step, state in self._pending)
             self._pending.clear()
         return self._snapshots

@@ -1090,11 +1090,9 @@ FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
 }
 
 
-# Each party's own state, stated once: its keys and their types, in the
-# shapes a message field may have. It may also keep every message whose
-# channel ends at it (Party.receive), and hold nothing else: a Plant, or a
-# recorded state once read, with any other key is refused. Every type is
-# immutable, as a snapshot holds state by reference.
+# Each party's own state keys and their types, stated once. A party may also
+# keep every message whose channel ends at it (Party.receive), and nothing
+# else: a Plant or a recorded state with any other key is refused.
 STATE: dict[EntityKind, dict[str, object]] = {
     EntityKind.USER: {
         "user_id": str, "passwords": tuple[str, ...], "attempt": int, "pending_otp": str | None,

@@ -38,6 +38,7 @@ from visualauth.entities import (
     export_transcript,
     scan_states_for_secrets,
     register_message,
+    register_state,
     secrecy_violations,
 )
 from visualauth.harness import Report, machine_records, run_scenarios
@@ -436,17 +437,18 @@ class TestLazyRecords:
         assert box.snapshots == [(1, canonical_bytes({"held": value}))]
 
     @pytest.mark.parametrize(
-        "value", [[1], {"k": 1}, {1}, bytearray(b"ab"), Box(1)], ids=repr
+        "value", [[1], {"k": 1}, {1}, bytearray(b"ab"), Box(1), (bytearray(b"ab"),)], ids=repr
     )
     def test_mutable_values_are_refused(self, value, monkeypatch):
-        # every hint names immutable types only, so a mutable value fails its
-        # key's on first sight, before it is encoded
-        _declare(monkeypatch, bytes, "fine", "held")
+        # every hint names immutable types only, and each state is checked in
+        # full, so a mutable value fails its key's check before it is encoded,
+        # inside a tuple too after a tuple of bytes passed
+        _declare(monkeypatch, tuple[bytes, ...], "held")
         session = Session(seed=9)
         box = _StateBox(session)
-        box.state["fine"] = b"ok"
+        box.state["held"] = (b"ok",)
         box.take_snapshot(step=1)
-        assert box.snapshots == [(1, canonical_bytes({"fine": b"ok"}))]
+        assert box.snapshots == [(1, canonical_bytes({"held": (b"ok",)}))]
         box.state["held"] = value
         box.take_snapshot(step=2)
         with pytest.raises(TypeError, match=f"terminal's state 'held' holds a {type(value).__name__}, which its hint"):
@@ -468,14 +470,11 @@ class TestDeclaredState:
         "key, value, error",
         [
             ("issued_by", "acme", "the server holds state 'issued_by', which it does not declare"),
-            # a str is seen under other keys first: each key's type is checked apart
             ("attempts", "three", "the server's state 'attempts' holds a str, which its hint refuses"),
         ],
         ids=["undeclared_key", "refused_type"],
     )
     def test_a_handler_store_the_table_refuses_raises_when_its_snapshot_is_read(self, monkeypatch, key, value, error):
-        # the scan reads, so checks, every (key, type) an honest run holds
-        scan_states_for_secrets(run_flow(SessionConfig(protocol=Protocol.P1, seed=0)).session)
         issue = Server._issue_keyboard
 
         def issue_and_store(server):
@@ -486,6 +485,15 @@ class TestDeclaredState:
         session = run_flow(SessionConfig(protocol=Protocol.P1, seed=1)).session
         with pytest.raises(TypeError, match=error):
             session.entities[EntityKind.SERVER].snapshots
+
+    def test_a_hint_that_may_change_in_place_is_refused(self, monkeypatch):
+        # register_state took every hint in STATE at import
+        monkeypatch.setitem(entities.STATE_CHECKS, EntityKind.SERVER, dict(entities.STATE_CHECKS[EntityKind.SERVER]))
+        loose = dataclasses.make_dataclass("Loose", [("x", int)])
+        for hint in (list, tuple[list, ...], dict | None, tuple[str, bytearray], set, loose):
+            with pytest.raises(TypeError, match="may change in place"):
+                register_state({EntityKind.SERVER: {"held": hint}})
+        register_state({EntityKind.SERVER: {"held": tuple[tuple[str, str], ...] | None}})
 
 
 class TestRegistration:
@@ -744,9 +752,7 @@ class _StateBox(Entity):
 
 def _declare(monkeypatch, hint, *keys, party=EntityKind.TERMINAL) -> None:
     """Declare keys of party, each of type hint, for one test: a control of
-    the scan or of the records, which tests them and not the table. What the
-    check sees in the test is forgotten after it."""
-    monkeypatch.setitem(entities._SEEN, party, set(entities._SEEN[party]))
+    the scan or of the records, which tests them and not the table."""
     for key in keys:
         monkeypatch.setitem(entities.STATE_CHECKS[party], key, entities._field_check(hint))
 

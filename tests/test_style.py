@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import enum
 import importlib
 import pkgutil
 from pathlib import Path
-from types import MappingProxyType, UnionType
-from typing import Union, get_args, get_origin
 
 import visualauth
 from visualauth.entities import MESSAGES, EntityKind, Message
-from visualauth.protocols import STATE, Transaction
+from visualauth.protocols import STATE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAX_LINE = 110
@@ -457,25 +454,3 @@ def test_the_write_only_key_check_can_fail():
     # a write-only key back in the real table is flagged beside the two held for the scan
     returned = {**STATE, EntityKind.USER: {**STATE[EntityKind.USER], "typed_otps": int}}
     assert unread_keys(returned, _sources()) == {*HELD_FOR_SCAN, (EntityKind.USER, "typed_otps")}
-
-
-def mutable_classes(hint) -> set[type]:
-    """The classes hint names, itself or its origin and its arguments', that
-    may be mutable: none of None, bool, int, float, str, bytes, tuple,
-    frozenset or MappingProxyType, an enum or a frozen dataclass. A snapshot
-    holds state by reference, and the snapshot check reads the hints."""
-    immutable = (type(None), bool, int, float, str, bytes, tuple, frozenset, MappingProxyType, enum.Enum)
-    mutable = {
-        cls for cls in {get_origin(hint) or hint} - {Union, UnionType}
-        if not (issubclass(cls, immutable) or dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
-    }
-    return mutable.union(*(mutable_classes(arg) for arg in get_args(hint) if arg is not Ellipsis))
-
-
-def test_every_state_hint_names_only_immutable_types():
-    assert [(party, key) for party, hints in STATE.items() for key, hint in hints.items() if mutable_classes(hint)] == []
-    loose = dataclasses.make_dataclass("Loose", [("x", int)])
-    for hint in (list, tuple[list, ...], dict | None, tuple[str, bytearray], set, loose):
-        assert mutable_classes(hint), hint
-    for hint in (str, int | None, tuple[tuple[str, str], ...], MappingProxyType, EntityKind, Transaction):
-        assert not mutable_classes(hint), hint
