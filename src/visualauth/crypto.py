@@ -77,6 +77,7 @@ from .rng import as_rng
 # are folded before lookup.
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 ALPHABET_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
+_SORTED_ALPHABET = sorted(ALPHABET)  # what a layout's sorted symbols must be
 
 NONCE_LEN = 16
 DEFAULT_OTP_LEN = 8
@@ -146,6 +147,12 @@ class KeyPair:
     def _own_seal_public(self) -> bytes:
         return self._seal_private.public_key().public_bytes_raw()
 
+    # the signing half the private key derives, which sign records; it
+    # differs from public_key[32:] in a pair that stores another pair's half
+    @functools.cached_property
+    def _own_sign_public(self) -> bytes:
+        return self._sign_private.public_key().public_bytes_raw()
+
 
 def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
     """Deterministically derive a keypair from a seed or PRNG stream.
@@ -163,7 +170,9 @@ def generate_keypair(role: Role, seed: random.Random | int) -> KeyPair:
     )
     pair = KeyPair(role=role, public_key=pub, private_key=seal_raw + sign_raw)
     # fill the cached properties with the keys already loaded and derived
-    vars(pair).update(_seal_private=seal_priv, _sign_private=sign_priv, _own_seal_public=pub[:32])
+    vars(pair).update(
+        _seal_private=seal_priv, _sign_private=sign_priv, _own_seal_public=pub[:32], _own_sign_public=pub[32:]
+    )
     return pair
 
 
@@ -290,10 +299,9 @@ _SIGNED = collections.deque(maxlen=4)
 
 def sign(pair: KeyPair, message: bytes) -> Signature:
     """Detached signature over message with the signing half of pair."""
-    key = pair._sign_private
-    sig = key.sign(message)
+    sig = pair._sign_private.sign(message)
     # a copy of the message, so that a bytearray changed later matches nothing
-    _SIGNED.append((key.public_key().public_bytes_raw(), bytes(message), sig))
+    _SIGNED.append((pair._own_sign_public, bytes(message), sig))
     return Signature(sig=sig, signer=pair.role)
 
 
@@ -334,7 +342,7 @@ class KeyboardPermutation:
     mapping: tuple[str, ...]
 
     def __post_init__(self):
-        if sorted(self.mapping) != sorted(ALPHABET):
+        if sorted(self.mapping) != _SORTED_ALPHABET:
             raise ValueError("mapping is not a bijection over the alphabet")
 
     def position_of(self, symbol: str) -> int:

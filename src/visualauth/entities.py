@@ -17,9 +17,11 @@ onlooker learns is read off the transcript after the run. An attacker
 that acts is data: the session's actions, a tuple of four frozen values
 (Drop, Rewrite, Inject, Plant), empty in an honest run. Entity.emit
 applies the Drops and Rewrites of a party's sends, deliver queues each
-Inject as it falls due, and Session.begin applies the Plants first. The
-honest handler code cannot tell whether it is being watched, and no
-entity reads an attacker setting.
+Inject as it falls due, and Session.begin applies the Plants first and
+snapshots each planted party at step 0, so a plant is recorded and scanned
+even where the party's first delivery overwrites it. The honest handler
+code cannot tell whether it is being watched, and no entity reads an
+attacker setting.
 
 The session owns its parties, a party holds its session weakly (see
 Entity.session), and no action holds a session. So a finished session,
@@ -35,13 +37,18 @@ class a frozen dataclass, and each recorded state is checked against what
 its party declares (STATE_CHECKS), where every type is immutable, before it
 is encoded. The check is off the delivery path, as the encoding is.
 
-A frozen dataclass instance keeps its first encoding in its own __dict__,
-as crypto.KeyPair keeps its loaded keys, so a frame that rides in two
-messages is encoded once; a value rebuilt with dataclasses.replace
-encodes its own fields. The lazy records and this memo both rely on
-immutability. A Plant is checked in full when it is made, and a recorded
-state when it is first read, elements included; what a mappingproxy or a
-frozen dataclass other than a message holds inside is not checked.
+The codec of each dataclass, a message class included, is built once: it
+reads every field in one call and encodes each value by the encoder of
+the value's own type, so a field of the wrong type encodes as what it
+holds. An enum member's encoding is kept per member, since members and
+their values are fixed. A frozen dataclass instance keeps its first
+encoding in its own __dict__, as crypto.KeyPair keeps its loaded keys, so
+a frame that rides in two messages is encoded once; a value rebuilt with
+dataclasses.replace encodes its own fields. The lazy records and this memo
+both rely on immutability. A Plant is checked in full when it is made, and
+a recorded state when it is first read, elements included; what a
+mappingproxy or a frozen dataclass other than a message holds inside is
+not checked.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import operator
 import re
 import struct
 import sys
@@ -224,10 +232,7 @@ def canonical_bytes(obj) -> bytes:
     member, mixin or not, encodes as its value, and a mappingproxy as the
     dict it shows. Anything else, a class object included, raises TypeError.
     """
-    encode = _ENCODERS.get(type(obj))
-    if encode is None:
-        encode = _resolve_encoder(type(obj))
-    return encode(obj)
+    return _ENCODERS[type(obj)](obj)
 
 
 _u32 = struct.Struct(">I").pack
@@ -258,26 +263,43 @@ def _encode_bytes(obj) -> bytes:
 
 
 def _encode_sequence(obj) -> bytes:
-    return b"l" + _u32(len(obj)) + b"".join([canonical_bytes(x) for x in obj])
+    return b"l" + _u32(len(obj)) + b"".join([_ENCODERS[type(x)](x) for x in obj])
 
 
 def _encode_set(obj) -> bytes:
-    return b"e" + _u32(len(obj)) + b"".join(sorted([canonical_bytes(x) for x in obj]))
+    return b"e" + _u32(len(obj)) + b"".join(sorted([_ENCODERS[type(x)](x) for x in obj]))
 
 
 def _encode_dict(obj) -> bytes:
     # sort (key, value) pairs, never their concatenations: one key's
     # encoding may be a prefix of another's
-    items = sorted([(canonical_bytes(k), canonical_bytes(v)) for k, v in obj.items()])
+    items = sorted([(_ENCODERS[type(k)](k), _ENCODERS[type(v)](v)) for k, v in obj.items()])
     return b"d" + _u32(len(items)) + b"".join([k + v for k, v in items])
 
 
-_ENCODERS: dict[type, Callable[[object], bytes]] = {}
+class _Encoders(dict):
+    """type -> its encoder. A type not seen before is resolved once, so
+    _ENCODERS[type(x)](x) encodes a value in one call to its encoder."""
+
+    def __missing__(self, cls: type) -> Callable[[object], bytes]:
+        return _resolve_encoder(cls)
+
+
+class _Members(dict):
+    """An enum class's encoder, as its __getitem__: each member's encoding,
+    kept per member, since members and their values are fixed."""
+
+    def __missing__(self, member: enum.Enum) -> bytes:
+        enc = self[member] = canonical_bytes(member._value_)
+        return enc
+
+
+_ENCODERS: dict[type, Callable[[object], bytes]] = _Encoders()
 
 # the isinstance chain a type meets on first sight; dataclasses come last
 _RESOLUTION = (
     (type(None), lambda obj: b"N"),
-    (enum.Enum, lambda obj: canonical_bytes(obj._value_)),
+    (enum.Enum, None),  # one _Members per enum class
     (bool, lambda obj: b"?\x01" if obj else b"?\x00"),
     (int, _encode_int),
     (float, _encode_float),
@@ -292,6 +314,8 @@ _RESOLUTION = (
 def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
     for bases, encode in _RESOLUTION:
         if issubclass(cls, bases):
+            if encode is None:
+                encode = _Members().__getitem__
             break
     else:
         if not dataclasses.is_dataclass(cls) or issubclass(cls, type):
@@ -324,13 +348,26 @@ _MEMO = "_canonical_bytes"  # where a frozen dataclass instance keeps its encodi
 
 @functools.cache
 def _fields_encoder(cls: type) -> Callable[[object], bytes]:
-    """A dataclass's field encodings, concatenated in declaration order."""
-    names = tuple(f.name for f in dataclasses.fields(cls))
+    """A dataclass's field encodings, concatenated in declaration order. The
+    fields are read in one call, and each value's encoder is looked up by
+    the value's own type, so a value of the wrong type encodes as what it is."""
+    values = field_values(tuple(f.name for f in dataclasses.fields(cls)))
 
     def body(obj) -> bytes:
-        return b"".join([canonical_bytes(getattr(obj, name)) for name in names])
+        return b"".join([_ENCODERS[type(v)](v) for v in values(obj)])
 
     return body
+
+
+def field_values(names: tuple[str, ...]) -> Callable[[object], tuple]:
+    """obj -> the tuple of its attributes names, in order: one
+    operator.attrgetter, which gives a tuple only for two names or more."""
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(*names)
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
 
 
 @dataclass(frozen=True)
@@ -347,7 +384,10 @@ class Message:
     LINE_PREFIX: ClassVar[str]  # "|channel|from|to|tag|"
 
     def well_formed(self) -> bool:  # every field holds a value of its declared type
-        return all(fits(getattr(self, name)) for name, fits in self.CHECKS)
+        for name, fits in self.CHECKS:
+            if not fits(getattr(self, name)):
+                return False
+        return True
 
     def body_bytes(self) -> bytes:
         return _fields_encoder(type(self))(self)
@@ -590,12 +630,19 @@ class Session:
         self._order.append(message)
 
     def begin(self) -> None:
-        """Apply each Plant and queue each Inject at 0, then let the user begin."""
+        """Apply each Plant and queue each Inject at 0, then let the user
+        begin. Each planted party is snapshotted at step 0, so a plant is
+        recorded, and scanned, even where the party's first delivery
+        overwrites it."""
+        planted = {}
         for action in self.actions:
             if type(action) is Plant:
-                self.entities[action.party].state.update(action.state)
+                planted[action.party] = party = self.entities[action.party]
+                party.state.update(action.state)
             elif type(action) is Inject and action.at == 0:
                 self.inject(action.message)
+        for party in planted.values():
+            party.take_snapshot(0)
         self.entities[EntityKind.USER].begin()
 
     def finish(self, outcome, reason: str | None = None, retryable: bool = False) -> None:
@@ -640,16 +687,17 @@ def deliver(session: Session, message: Message) -> None:
     receiver = session.entities.get(channel.receiver)
     if receiver is None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")
-    session.transcript.append(message)
+    transcript = session.transcript
+    transcript.append(message)
     for action in session.actions:  # () in an honest session
         if type(action) is Inject and (
-            action.at == session.step
+            action.at == len(transcript)
             or action.at == (channel.receiver, message.TAG)
-            and [m.TAG for m in session.transcript].count(message.TAG) == 1
+            and [m.TAG for m in transcript].count(message.TAG) == 1
         ):
             session.inject(action.message)
     receiver.handle(message)
-    receiver.take_snapshot(session.step)
+    receiver.take_snapshot(len(transcript))
 
 
 def export_transcript(session: Session) -> str:

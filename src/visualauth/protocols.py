@@ -61,6 +61,7 @@ from .entities import (
     Message,
     SecretKind,
     Session,
+    field_values,
     register_message,
     register_state,
 )
@@ -252,11 +253,18 @@ SECRET_HOLDERS: dict[SecretKind, frozenset[EntityKind]] = {
 WIDENED_HOLDERS = {(Protocol.P3, SecretKind.PASSWORD): frozenset({EntityKind.SMARTPHONE})}
 
 
+# (protocol, kind) -> who may hold a secret of kind in protocol, from the two tables above
+_HOLDERS = MappingProxyType({
+    (protocol, kind): SECRET_HOLDERS[kind] | WIDENED_HOLDERS.get((protocol, kind), frozenset())
+    for protocol in Protocol
+    for kind in SecretKind
+})
+
+
 def register_secret(session: Session, kind: SecretKind, data: bytes) -> None:
     """Have the secret scan hunt data as a secret of kind, which only the
     holders the tables above name for the session's protocol may hold."""
-    widened = WIDENED_HOLDERS.get((session.config.protocol, kind), frozenset())
-    session.register_secret(kind, data, SECRET_HOLDERS[kind] | widened)
+    session.register_secret(kind, data, _HOLDERS[session.config.protocol, kind])
 
 
 # -------- message vocabulary --------
@@ -558,22 +566,23 @@ class Party(Entity):
     phase = "start"
 
     def receive(self, message: Message) -> None:
+        session = self.session
         tag = message.TAG
-        flow = FLOWS[self.session.config.protocol][self.kind]
-        phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase
+        flow = FLOWS[session.config.protocol][self.kind]
+        phase = "done" if session.outcome is Outcome.ABORTED else self.phase
         row = flow.get(phase, {}).get(tag)
         if row is None:
             known = any(tag in rows for rows in flow.values())
-            self.session.finish(Outcome.ABORTED, f"{tag}_{'out_of_order' if known else 'out_of_protocol'}")
+            session.finish(Outcome.ABORTED, f"{tag}_{'out_of_order' if known else 'out_of_protocol'}")
         elif not message.well_formed():
-            self.session.finish(Outcome.ABORTED, f"{tag}_malformed")
+            session.finish(Outcome.ABORTED, f"{tag}_malformed")
         else:
             self.state[tag] = message
             handler, self.phase = row
             try:
                 handler(self, message)
             except FrameOverCapacity as exc:  # fatal, and the handler sends nothing more
-                self.session.finish(Outcome.ABORTED, f"{exc.args[0]}_frame_over_capacity")
+                session.finish(Outcome.ABORTED, f"{exc.args[0]}_frame_over_capacity")
 
 
 class UserModel(Party):
@@ -977,14 +986,19 @@ def relay(*sends):
     function of the message. relay() sends nothing: a screen its receiver
     only looks at."""
 
+    builds = tuple(_constructor(send) if isinstance(send, type) else send for send in sends)
+
     def handler(party: Party, msg: Message) -> None:
-        for send in sends:
-            if isinstance(send, type):
-                party.emit(send(**{name: getattr(msg, name) for name in send.FIELDS}))
-            else:
-                party.emit(send(msg))
+        for build in builds:
+            party.emit(build(msg))
 
     return handler
+
+
+def _constructor(cls: type[Message]):
+    """msg -> an instance of cls that takes its fields from msg, by name."""
+    values = field_values(cls.FIELDS)
+    return lambda msg: cls(*values(msg))
 
 
 def scan(context: str, read, *args):

@@ -57,8 +57,8 @@ class Mutant:
 
 MUTANTS = (
     Mutant("field_check_always_true", "src/visualauth/entities.py",
-           "return all(fits(getattr(self, name)) for name, fits in self.CHECKS)",
-           "return True",
+           "            if not fits(getattr(self, name)):\n",
+           "            if False:\n",
            "a field of the wrong type is refused at delivery, before any handler",
            "tests/test_adversary.py::TestReplaysAreJudged::test_positions_off_the_grid_are_denied[not_an_int]"),
     Mutant("guard_ignores_mismatch", "src/visualauth/protocols.py",
@@ -102,7 +102,7 @@ MUTANTS = (
            "a signature verifies only as the signer it names: no relabelled role byte is taken",
            "tests/test_crypto.py::TestSignatures::test_verify_takes_only_the_named_signer"),
     Mutant("record_under_stored_half", "src/visualauth/crypto.py",
-           "_SIGNED.append((key.public_key().public_bytes_raw(), bytes(message), sig))",
+           "_SIGNED.append((pair._own_sign_public, bytes(message), sig))",
            "_SIGNED.append((pair.public_key[32:], bytes(message), sig))",
            "verify answers from its record only under the half the signing key derives, not the half a pair stores",
            "tests/test_crypto.py::TestSignatureRecord::test_a_pair_holding_another_pairs_public_half"),
@@ -203,7 +203,7 @@ MUTANTS = (
            "tests/test_entities.py::TestSecretHolders::test_a_secret_planted_at_a_non_holder_is_flagged"
            "[user_private_key-terminal-bytes]"),
     Mutant("layout_not_a_bijection", "src/visualauth/crypto.py",
-           "        if sorted(self.mapping) != sorted(ALPHABET):\n",
+           "        if sorted(self.mapping) != _SORTED_ALPHABET:\n",
            "        if False:\n",
            "a keyboard layout holds each symbol of the alphabet exactly once",
            "tests/test_crypto.py::TestKeyboardPermutation::test_rejects_non_bijection"),
@@ -243,7 +243,7 @@ MUTANTS = (
            "a label's length enters its child seed: no label can spell the next one",
            "tests/test_rng.py::test_a_label_cannot_spell_the_next_one"),
     Mutant("aborted_session_takes_input", "src/visualauth/protocols.py",
-           'phase = "done" if self.session.outcome is Outcome.ABORTED else self.phase',
+           'phase = "done" if session.outcome is Outcome.ABORTED else self.phase',
            "phase = self.phase",
            "once a session has aborted, no party takes input",
            "tests/test_protocols.py::TestEachPartyKeepsWhatItTakes::test_a_kept_message_is_scanned"),
@@ -252,6 +252,14 @@ MUTANTS = (
            "",
            "a party keeps each message it takes, so the scan sees what each party was handed",
            "tests/test_protocols.py::TestEachPartyKeepsWhatItTakes::test_each_party_holds_the_last_message_of_each_tag[Protocol.P1]"),
+    Mutant("codec_encoder_per_position", "src/visualauth/entities.py",
+           "    def body(obj) -> bytes:\n"
+           "        return b\"\".join([_ENCODERS[type(v)](v) for v in values(obj)])\n",
+           "    chosen = {}\n\n"
+           "    def body(obj) -> bytes:\n"
+           "        return b\"\".join([chosen.setdefault(i, _ENCODERS[type(v)])(v) for i, v in enumerate(values(obj))])\n",
+           "a message's codec encodes each value by its own type, not by the first type seen at its field",
+           "tests/test_entities.py::TestEncoderOracle::test_every_rewritten_message_matches_the_reference[Protocol.P1]"),
     Mutant("rewrite_moves_channel", "src/visualauth/entities.py",
            "                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n",
            "                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n"
@@ -262,7 +270,7 @@ MUTANTS = (
            "            try:\n"
            "                handler(self, message)\n"
            "            except FrameOverCapacity as exc:  # fatal, and the handler sends nothing more\n"
-           '                self.session.finish(Outcome.ABORTED, f"{exc.args[0]}_frame_over_capacity")\n',
+           '                session.finish(Outcome.ABORTED, f"{exc.args[0]}_frame_over_capacity")\n',
            "            handler(self, message)\n",
            "a payload that fits no frame ends its session ABORTED, fatal, and never raises out of it",
            "tests/test_sweeps.py::test_an_oversized_field_ends_in_a_verdict[TXVERIFY-submit_tx.tx]"),

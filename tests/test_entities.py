@@ -15,6 +15,7 @@ from typing import ClassVar
 
 import pytest
 
+import sweeps
 from visualauth import crypto, entities, qr
 from visualauth.adversary import ATTACKS, EVIL_TX, run_attack, run_matrix
 from visualauth.entities import (
@@ -32,6 +33,7 @@ from visualauth.entities import (
     ProtocolViolation,
     Rewrite,
     SecretKind,
+    SecretSighting,
     Session,
     canonical_bytes,
     deliver,
@@ -256,6 +258,18 @@ class TestEncoderOracle:
                 canonical_bytes(value)
         assert canonical_bytes(Box(3)) == reference_canonical_bytes(Box(3))
 
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=str)
+    def test_every_rewritten_message_matches_the_reference(self, protocol):
+        # a refused message is still delivered and exported, so a field of
+        # the wrong type must encode as what it holds
+        for case in sweeps.field_type(protocol):
+            tag, name, value = case.where
+            transcript = sweeps.run(case).transcript
+            assert any(m.TAG == tag and getattr(m, name) is value for m in transcript), case.where
+            for message in transcript:
+                assert message.body_bytes() == _reference_body_bytes(message), case.where
+                assert message.digest() == _reference_digest(message), case.where
+
     @staticmethod
     def _every_session(monkeypatch):
         """Transcripts and snapshots of all six flows at seeds 0-2 and of
@@ -318,6 +332,7 @@ class TestEncodedOnce:
                 for seed in (0, 1, 2):
                     sessions.append(run_flow(SessionConfig(protocol=protocol, seed=seed)).session)
         for session in sessions:
+            assert [m.body_bytes() for m in session.transcript] == list(map(_reference_body_bytes, session.transcript))
             reference = [_reference_digest(m) for m in session.transcript]
             assert [m.digest() for m in session.transcript] == reference
             assert [m.digest() for m in session.transcript] == reference  # kept encodings
@@ -416,7 +431,10 @@ class TestLazyRecords:
         # 2 alteration runs; the scenarios' 22 sessions, plus 2 follow-ups
         # and 2 alteration runs for the two malware-phone-p2 trials
         assert len(eager_digests) == 30 + (6 + 10 + 2) + (22 + 2 + 2)
-        assert sum(map(len, eager_snapshots.values())) == sum(map(len, eager_digests.values()))
+        # one snapshot per delivery, and one at step 0 per party a Plant changed
+        planted = sum(len({a.party for a in s.actions if type(a) is Plant}) for s in eager_digests)
+        assert sum(step == 0 for recorded in eager_snapshots.values() for step, _ in recorded) == planted > 0
+        assert sum(map(len, eager_snapshots.values())) == sum(map(len, eager_digests.values())) + planted
         for entity, recorded in eager_snapshots.items():
             assert entity.snapshots == recorded, entity.kind
         for session, digests in eager_digests.items():
@@ -1033,6 +1051,20 @@ class TestActions:
         result = run_flow(self.CONFIG, actions=(Plant(EntityKind.USER, {"user_id": "mallory"}),))
         assert result.session.transcript[0] == TypeId(user_id="mallory")
         assert result.session.entities[EntityKind.USER].state["user_id"] == "mallory"
+
+    def test_a_plant_is_recorded_before_the_party_takes_its_first_message(self):
+        # the P2 terminal takes type_id at delivery 1, which replaces the
+        # planted one; the step-0 snapshot still records, and the scan
+        # sights, the password planted there (alice's at this seed)
+        planted = Plant(EntityKind.TERMINAL, {"type_id": TypeId("data")})
+        session = run_flow(SessionConfig(protocol=Protocol.P2, seed=48471), actions=(planted,)).session
+        assert session.entities[EntityKind.TERMINAL].state["type_id"] == TypeId("alice")
+        assert session.entities[EntityKind.TERMINAL].snapshots[0][0] == 0
+        sighting = SecretSighting(EntityKind.TERMINAL, SecretKind.PASSWORD, step=0, violation=True)
+        assert sighting in scan_states_for_secrets(session)
+        # an honest run plants nothing and records nothing before delivery 1
+        honest = run_flow(SessionConfig(protocol=Protocol.P2, seed=48471)).session
+        assert honest.entities[EntityKind.TERMINAL].snapshots[0][0] == 1
 
     @pytest.mark.parametrize(
         "make",

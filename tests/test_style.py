@@ -362,26 +362,54 @@ HELD_FOR_SCAN = {
 }
 
 
-def state_reads(source: str) -> set[str]:
-    """The string keys source reads off a .state: a subscript load, a
-    state.get('key'), or a 'key' in (or not in) state. An augmented
-    assignment reads its key only to write it back, so it is no read."""
-    keys = []
-    for node in ast.walk(ast.parse(source)):
+# the class of each party, whose methods read that party's own state
+PARTY_CLASSES = {
+    "UserModel": EntityKind.USER,
+    "Terminal": EntityKind.TERMINAL,
+    "Smartphone": EntityKind.SMARTPHONE,
+    "Server": EntityKind.SERVER,
+}
+
+
+def state_reads(source: str) -> set[tuple[EntityKind | None, str]]:
+    """(party, key) for each string key source reads off a .state: a
+    subscript load, a state.get('key'), or a 'key' in (or not in) state. A
+    read inside a class of PARTY_CLASSES is its party's; any other, in a
+    module helper, Party or another module, has party None and counts for
+    every party. An augmented assignment reads its key only to write it
+    back, so it is no read."""
+    tree = ast.parse(source)
+    owner = {
+        id(node): PARTY_CLASSES[cls.name]
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in PARTY_CLASSES
+        for node in ast.walk(cls)
+    }
+    reads = []
+    for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _name(node.value) == "state":
-            keys.append(node.slice)
+            reads.append((node, node.slice))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
-            keys += node.args[:1] if _name(node.func.value) == "state" else []
+            reads += [(node, key) for key in node.args[:1]] if _name(node.func.value) == "state" else []
         elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
-            keys += [node.left] if _name(node.comparators[0]) == "state" else []
-    return {key.value for key in keys if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+            reads += [(node, node.left)] if _name(node.comparators[0]) == "state" else []
+    return {
+        (owner.get(id(node)), key.value)
+        for node, key in reads
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
 
 
 def unread_keys(table: dict, sources: dict[str, str]) -> set[tuple[EntityKind, str]]:
-    """Each (party, key) table declares that no source reads, in any file
-    and at any party."""
+    """Each (party, key) table declares that no source reads at that party:
+    in one of its class's methods, or anywhere outside the party classes."""
     read = set().union(*map(state_reads, sources.values()))
-    return {(party, key) for party, hints in table.items() for key in hints if key not in read}
+    return {
+        (party, key)
+        for party, hints in table.items()
+        for key in hints
+        if (party, key) not in read and (None, key) not in read
+    }
 
 
 def kept_message_findings(source: str, filename: str = "<src>") -> list[str]:
@@ -451,6 +479,14 @@ def test_the_write_only_key_check_can_fail():
     )
     unread = {(EntityKind.SERVER, "ghost"), (EntityKind.SERVER, "bumped")}
     assert unread_keys(table, {"a.py": "", "b.py": source}) == unread
+    # a read in a party's method is that party's alone; one anywhere else is every party's
+    table = {EntityKind.SMARTPHONE: {"nonce": bytes}, EntityKind.SERVER: {"nonce": bytes}}
+    server_only = "class Server(Party):\n    def check(self):\n        return self.state['nonce']"
+    assert unread_keys(table, {"p.py": server_only}) == {(EntityKind.SMARTPHONE, "nonce")}
+    helper = "def nonce_of(party):\n    return party.state['nonce']"
+    assert unread_keys(table, {"p.py": server_only, "q.py": helper}) == set()
+    in_party = "class Party:\n    def check(self):\n        return self.state.get('nonce')"
+    assert unread_keys(table, {"p.py": in_party}) == set()
     # a write-only key back in the real table is flagged beside the two held for the scan
     returned = {**STATE, EntityKind.USER: {**STATE[EntityKind.USER], "typed_otps": int}}
     assert unread_keys(returned, _sources()) == {*HELD_FOR_SCAN, (EntityKind.USER, "typed_otps")}
