@@ -39,13 +39,22 @@ locus sends (``_altering``), or state Planted on the phone. Each is a
 frozen value that holds no session, so an attack prints, compares and
 runs again as it is, and none can move a message off its class's channel.
 
+One table judges every attack: ``GOALS`` maps each goal an attacker may
+reach to one predicate over a finished ``World``, a store with the named
+sessions run on it and what the attacker watched of them or holds. A
+matrix follow-up is judged by ``authenticate_as_victim``, the alteration
+probe by ``execute_foreign_tx``.
+
 Attacks outside the matrix are rows of one catalogue, ``ATTACKS``, run by
 ``run_attack``: phishing (a fake server impersonates the far end rather
 than compromising a locus, so it is not an adversary kind), the documented
-caveats (the dual-view shoulder surfer, a replayed one-time password), and
-an on/off pair for each defence flag (signing, transaction freshness, the
-hijack guard against an altered and against a suppressed side copy), the
-off row being that defence's positive control.
+caveats (the dual-view shoulder surfer, a replayed one-time password, a
+keyboard frame shown again in a later session), and an on/off pair for
+each defence flag (signing, transaction freshness, the hijack guard
+against an altered and against a suppressed side copy), the off row being
+that defence's positive control. A row names its goal; its setup may run
+earlier sessions on the row's world, so an attack that spans sessions is
+a row like any other.
 """
 
 from __future__ import annotations
@@ -261,6 +270,79 @@ def _altering(locus: EntityKind) -> tuple:
     return (Rewrite(locus, "submit_tx" if locus is EntityKind.TERMINAL else "side_copy", {"tx": EVIL_TX}),)
 
 
+# -------- worlds, and the goals an attack is judged by --------
+
+ATTACKED = "attacked"  # the name of the session an attack acts in, and its goal judges
+
+
+@dataclass
+class World:
+    """One store and the finished sessions run on it, each under a name,
+    with what the attacker has of them: views, the (session name,
+    AdversaryConfig) pairs it watched, and held, what it has outside them
+    (a layout of its own)."""
+
+    store: CredentialStore
+    views: tuple[tuple[str, AdversaryConfig], ...] = ()
+    held: tuple = ()
+    sessions: dict[str, Session] = field(default_factory=dict)
+
+    def run(self, name: str, config: SessionConfig, actions=()) -> Session:
+        session = self.sessions[name] = run_flow(config, self.store, actions).session
+        return session
+
+    def seen(self, label: str) -> list[tuple]:
+        """The fields of every observation under label, view by view, of the
+        watched sessions run so far."""
+        return [
+            obs.data[1:]
+            for name, config in self.views
+            if name in self.sessions
+            for obs in AttackerHandle(config, self.sessions[name]).observations
+            if obs.data[0] == label
+        ]
+
+
+# Each goal is one predicate over a finished world, and names the level of
+# Lowe's hierarchy (CSFW 1997) it breaks where one applies.
+
+
+def _authenticate_as_victim(world: World) -> bool:
+    """The server authenticated the victim in a login the victim did not
+    make there: injective agreement on the login."""
+    return world.sessions[ATTACKED].outcome is Outcome.AUTHENTICATED
+
+
+def _execute_foreign_tx(world: World) -> bool:
+    """The server executed the attacker's transaction: non-injective
+    agreement on the transaction."""
+    return world.sessions[ATTACKED].executed_tx == EVIL_TX
+
+
+def _execute_without_side_copy(world: World) -> bool:
+    """The server executed a transaction the phone sent no side copy of:
+    the phone never agreed to it."""
+    session = world.sessions[ATTACKED]
+    return session.executed_tx is not None and all(m.TAG != "side_copy" for m in session.transcript)
+
+
+def _learn_password(world: World) -> bool:
+    """Some layout the attacker saw or made resolves some clicks it saw to
+    the victim's password: secrecy, not authentication."""
+    layouts = [*world.held, *(crypto.KeyboardPermutation.from_serialized(s) for (s,) in world.seen("layout"))]
+    clicks = [positions for (positions,) in world.seen("positions")]
+    password = world.store.users[world.sessions[ATTACKED].config.user_id].password
+    return any(layout.resolve(positions) == password for layout in layouts for positions in clicks)
+
+
+GOALS: dict[str, Callable[[World], bool]] = {
+    "authenticate_as_victim": _authenticate_as_victim,
+    "execute_foreign_tx": _execute_foreign_tx,
+    "execute_without_side_copy": _execute_without_side_copy,
+    "learn_password": _learn_password,
+}
+
+
 # -------- followup attacks: the adversary actually tries --------
 
 
@@ -295,8 +377,9 @@ def _attempt(handle: AttackerHandle, strategy: str, user_id: str, loot) -> bool:
         seed = rngmod.child_seed(session.seed, "followup", strategy)
         fields, actions = _STRATEGIES[strategy](loot)
         config = SessionConfig(protocol=session.config.protocol, seed=seed, user_id=user_id, **fields)
-        result = run_flow(config, session.store, actions)
-        handle.attempts[key] = result.outcome is Outcome.AUTHENTICATED
+        world = World(session.store)
+        world.run(ATTACKED, config, actions)
+        handle.attempts[key] = GOALS["authenticate_as_victim"](world)
     return handle.attempts[key]
 
 
@@ -338,8 +421,9 @@ def _transaction_alteration(handle: AttackerHandle) -> bool:
     if key not in handle.attempts:
         seed = rngmod.child_seed(session.seed, "alter-tx", locus.value)
         config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=seed, flags=session.config.flags)
-        result = run_hijack_guard(config, session.store, _altering(locus))
-        handle.attempts[key] = result.session.executed_tx == EVIL_TX
+        world = World(session.store)
+        world.sessions[ATTACKED] = run_hijack_guard(config, session.store, _altering(locus)).session
+        handle.attempts[key] = GOALS["execute_foreign_tx"](world)
     return handle.attempts[key]
 
 
@@ -410,110 +494,109 @@ def brute_force_guessing(store: CredentialStore, user_id: str, budget: int, seed
 
 # -------- the attack catalogue: named attacks beyond the matrix --------
 #
-# A row is one session of its protocol under its flags. Its setup(config,
-# store) runs any earlier session the attack needs on the same store and
-# returns the attack's actions plus a breach test over the finished
-# SessionResult.
+# A row runs on a World. Its setup(world, config) runs any earlier session
+# the attack needs on the world, under its child-seed label, and returns
+# the actions of the row's own session and what the attacker holds outside
+# its views; run_attack then runs that session as ATTACKED and judges the
+# world by the row's goal. The row's views name what the attacker watched,
+# and a setup that needs a sighting to build its actions reads them too.
 # A defence flag's pair of rows shares protocol and setup and differs only
 # in that flag; the off row is the defence's positive control.
 
 
 _TERMINAL_MALWARE = AdversaryConfig(AdversaryKind.MALWARE, EntityKind.TERMINAL)
+_SURFER_AT = {locus: AdversaryConfig(AdversaryKind.SHOULDER_SURFER, locus) for locus in MATRIX_LOCI}
 
 
-def _authenticated(result: SessionResult) -> bool:
-    return result.outcome is Outcome.AUTHENTICATED
-
-
-def _executed_evil(result: SessionResult) -> bool:
-    return result.session.executed_tx == EVIL_TX
-
-
-def _dual_locus_surfer(config: SessionConfig, store: CredentialStore):
+def _dual_locus_surfer(world: World, config: SessionConfig):
     """Onlookers at BOTH screens apply the phone's layout to the terminal's
     click echoes; neither screen alone leaks the password."""
-
-    def breached(result: SessionResult) -> bool:
-        terminal, phone = (
-            AttackerHandle(AdversaryConfig(AdversaryKind.SHOULDER_SURFER, locus), result.session)
-            for locus in MATRIX_LOCI
-        )
-        layout, clicks = phone.observed("layout"), terminal.observed("positions")
-        return bool(layout and clicks) and (
-            crypto.KeyboardPermutation.from_serialized(layout[0]).resolve(clicks[0])
-            == store.users[config.user_id].password
-        )
-
-    return (), breached
+    return (), ()
 
 
-def _forged_layout(config: SessionConfig, store: CredentialStore):
+def _forged_layout(world: World, config: SessionConfig):
     """Terminal malware shows the phone its own layout, sealed to the user's
     public key (anyone can) but unsigned, and reads the password off the
     clicks made under it. Only the server's signature exposes the swap."""
     layout = crypto.generate_permutation(rngmod.fork(config.seed, "attacker-layout"))
-    user_public = store.users[config.user_id].keypair.public_key
+    user_public = world.store.users[config.user_id].keypair.public_key
     sealed = crypto.encrypt(user_public, layout.serialize(), rngmod.fork(config.seed, "attacker-seal"))
     payload = _pack_signed(sealed.to_bytes(), None)
     frame = qr.qr_encode(payload, qr.choose_spec(payload, config.frame_ec))
-
-    def breached(result: SessionResult) -> bool:
-        clicks = [m.positions for m in result.session.transcript if m.TAG == "click_positions"]
-        return bool(clicks) and layout.resolve(clicks[0]) == store.users[config.user_id].password
-
-    return (Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": frame}),), breached
+    return (Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": frame}),), (layout,)
 
 
-def _otp_replay(config: SessionConfig, store: CredentialStore):
+def _otp_replay(world: World, config: SessionConfig):
     """Replay the one-time password terminal malware read in an earlier login."""
-    earlier = replace(config, seed=rngmod.child_seed(config.seed, "capture"))
-    (handle,), _ = run_attacked_session(earlier, [_TERMINAL_MALWARE], store)
-    (otp,) = handle.observed("otp")
-    return replay(SubmitOtp(otp=otp)), _authenticated
+    world.run("capture", replace(config, seed=rngmod.child_seed(config.seed, "capture")))
+    (otp,) = world.seen("otp")[0]
+    return replay(SubmitOtp(otp=otp)), ()
 
 
-def _phish_relay(config: SessionConfig, store: CredentialStore):
+def _phish_relay(world: World, config: SessionConfig):
     """Relay credentials the phone sealed over a phisher's nonce to the GENUINE server."""
+    store = world.store
     credential = store.users[config.user_id]
     nonce = crypto.fresh_nonce(rngmod.fork(config.seed, "phisher-nonce"))
     plain = _pack_credentials(nonce.value, credential.user_id, credential.password, store.server_name)
     sealed = crypto.encrypt(store.server_pair.public_key, plain, rngmod.fork(config.seed, "phone-seal"))
-    return replay(SubmitCiphertext(blob=sealed.to_bytes())), _authenticated
+    return replay(SubmitCiphertext(blob=sealed.to_bytes())), ()
 
 
-def _phish_wrong_name(config: SessionConfig, store: CredentialStore):
+def _phish_wrong_name(world: World, config: SessionConfig):
     """A phone holding a phisher's server name seals it into the credentials."""
-    return (Plant(EntityKind.SMARTPHONE, {"server_name": "totally-real-bank"}),), _authenticated
+    return (Plant(EntityKind.SMARTPHONE, {"server_name": "totally-real-bank"}),), ()
 
 
-def _stale_receipt(config: SessionConfig, store: CredentialStore):
+def _stale_receipt(world: World, config: SessionConfig):
     """Terminal malware submits its own transaction and papers over it with an
     earlier clean session's receipt, barcode and page alike. Only the session
     nonce inside the signed receipt tells the phone it is stale."""
-    clean = run_flow(replace(config, seed=rngmod.child_seed(config.seed, "clean")), store)
-    receipt = next(m for m in clean.session.transcript if m.TAG == "tx_confirmation")
+    clean = world.run("clean", replace(config, seed=rngmod.child_seed(config.seed, "clean")))
+    receipt = next(m for m in clean.transcript if m.TAG == "tx_confirmation")
     return (
         Rewrite(EntityKind.TERMINAL, "submit_tx", {"tx": EVIL_TX}),
         Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": receipt.frame}),
         Rewrite(EntityKind.TERMINAL, "show_tx_page", {"tx": receipt.display_tx}),
-    ), _executed_evil
+    ), ()
 
 
-def _forged_confirm(config: SessionConfig, store: CredentialStore):
+def _forged_confirm(world: World, config: SessionConfig):
     """Terminal malware submits its own transaction and confirms it itself."""
     at = (EntityKind.TERMINAL, "request_tx")
-    return (Inject(SubmitTx(tx=EVIL_TX), at), Inject(ForwardConfirm(ok=True), at)), _executed_evil
+    return (Inject(SubmitTx(tx=EVIL_TX), at), Inject(ForwardConfirm(ok=True), at)), ()
 
 
-def _hijack(config: SessionConfig, store: CredentialStore):
+def _hijack(world: World, config: SessionConfig):
     """Terminal malware rewrites the live transaction; the phone's signed side copy shows it."""
-    return _altering(EntityKind.TERMINAL), _executed_evil
+    return _altering(EntityKind.TERMINAL), ()
 
 
-def _suppressed_side_copy(config: SessionConfig, store: CredentialStore):
+def _suppressed_side_copy(world: World, config: SessionConfig):
     """Phone malware drops the side copy, so a transaction the server
     executes is one no verified side copy backs."""
-    return (Drop(EntityKind.SMARTPHONE, "side_copy"),), lambda result: result.session.executed_tx is not None
+    return (Drop(EntityKind.SMARTPHONE, "side_copy"),), ()
+
+
+def _show_captured_keyboard(world: World, config: SessionConfig):
+    """A terminal that shows the phone, in place of what it should show, the
+    keyboard frame of an earlier P1 session on the world's store."""
+    capture = replace(config, protocol=Protocol.P1, seed=rngmod.child_seed(config.seed, "capture"))
+    (frame,) = [m.frame for m in world.run("capture", capture).transcript if m.TAG == "show_frame"]
+    return (Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": frame}),), ()
+
+
+def _cross_session_layout(world: World, config: SessionConfig):
+    """Today's verdict, pinned: nothing binds a P1 keyboard challenge to
+    its session. A phone shoulder surfer reads an earlier session's layout.
+    In the row's session on the same store, terminal malware shows the phone
+    the earlier keyboard frame instead of its own, so the user clicks by the
+    earlier layout, and the malware resolves those clicks with it to the
+    password. The session ends DENIED: the server sees one failed login. The
+    matrix scores each adversary alone, in one session, so it cannot see
+    this. ROADMAP item 17, which binds each signed challenge to its session,
+    flips it."""
+    return _show_captured_keyboard(world, config)
 
 
 @dataclass(frozen=True)
@@ -521,30 +604,44 @@ class Attack:
     name: str
     protocol: Protocol
     flags: SessionFlags
-    setup: Callable[[SessionConfig, CredentialStore], tuple[tuple, Callable[[SessionResult], bool]]]
+    setup: Callable[[World, SessionConfig], tuple[tuple, tuple]]  # -> (actions, held)
+    goal: str  # a key of GOALS
     expect_breach: bool
+    views: tuple[tuple[str, AdversaryConfig], ...] = ()  # (session name, watcher)
 
+
+_WATCHES_CLICKS = ((ATTACKED, _TERMINAL_MALWARE),)
 
 ATTACKS: dict[str, Attack] = {
     attack.name: attack
     for attack in (
-        Attack("dual_locus_surfer", Protocol.P1, SessionFlags(), _dual_locus_surfer, True),
-        Attack("forged_layout", Protocol.P1, SessionFlags(), _forged_layout, False),
+        Attack("dual_locus_surfer", Protocol.P1, SessionFlags(), _dual_locus_surfer, "learn_password", True,
+               tuple((ATTACKED, _SURFER_AT[locus]) for locus in MATRIX_LOCI)),
+        Attack("forged_layout", Protocol.P1, SessionFlags(), _forged_layout, "learn_password", False,
+               _WATCHES_CLICKS),
         Attack("forged_layout/no_signing", Protocol.P1, SessionFlags(sign_server_payloads=False),
-               _forged_layout, True),
-        Attack("otp_replay", Protocol.P2, SessionFlags(), _otp_replay, False),
-        Attack("phish_relay", Protocol.P3, SessionFlags(), _phish_relay, False),
-        Attack("phish_wrong_name", Protocol.P3, SessionFlags(), _phish_wrong_name, False),
-        Attack("stale_receipt", Protocol.TXVERIFY, SessionFlags(), _stale_receipt, False),
+               _forged_layout, "learn_password", True, _WATCHES_CLICKS),
+        Attack("otp_replay", Protocol.P2, SessionFlags(), _otp_replay, "authenticate_as_victim", False,
+               (("capture", _TERMINAL_MALWARE),)),
+        Attack("phish_relay", Protocol.P3, SessionFlags(), _phish_relay, "authenticate_as_victim", False),
+        Attack("phish_wrong_name", Protocol.P3, SessionFlags(), _phish_wrong_name, "authenticate_as_victim",
+               False),
+        Attack("stale_receipt", Protocol.TXVERIFY, SessionFlags(), _stale_receipt, "execute_foreign_tx",
+               False),
         Attack("stale_receipt/no_freshness", Protocol.TXVERIFY, SessionFlags(tx_nonce_freshness=False),
-               _stale_receipt, True),
+               _stale_receipt, "execute_foreign_tx", True),
         # the known break; binding the confirmation to the phone flips it
-        Attack("forged_confirm", Protocol.TXVERIFY, SessionFlags(), _forged_confirm, True),
-        Attack("hijack", Protocol.HIJACKGUARD, SessionFlags(), _hijack, False),
-        Attack("hijack/no_guard", Protocol.HIJACKGUARD, SessionFlags(hijack_guard=False), _hijack, True),
-        Attack("suppressed_side_copy", Protocol.HIJACKGUARD, SessionFlags(), _suppressed_side_copy, False),
+        Attack("forged_confirm", Protocol.TXVERIFY, SessionFlags(), _forged_confirm, "execute_foreign_tx",
+               True),
+        Attack("hijack", Protocol.HIJACKGUARD, SessionFlags(), _hijack, "execute_foreign_tx", False),
+        Attack("hijack/no_guard", Protocol.HIJACKGUARD, SessionFlags(hijack_guard=False), _hijack,
+               "execute_foreign_tx", True),
+        Attack("suppressed_side_copy", Protocol.HIJACKGUARD, SessionFlags(), _suppressed_side_copy,
+               "execute_without_side_copy", False),
         Attack("suppressed_side_copy/no_guard", Protocol.HIJACKGUARD, SessionFlags(hijack_guard=False),
-               _suppressed_side_copy, True),
+               _suppressed_side_copy, "execute_without_side_copy", True),
+        Attack("cross_session_layout", Protocol.P1, SessionFlags(), _cross_session_layout, "learn_password",
+               True, (("capture", _SURFER_AT[EntityKind.SMARTPHONE]), *_WATCHES_CLICKS)),
     )
 }
 
@@ -558,12 +655,13 @@ class AttackResult:
 
 
 def run_attack(attack: Attack, seed: int, store: CredentialStore | None = None) -> AttackResult:
-    """Run the row as one session of its protocol and judge it by its breach test."""
-    store = store or CredentialStore.provision(rngmod.child_seed(seed, "store"))
+    """Run the row's setup and then its own session on one world, and judge
+    the world by the row's goal."""
+    world = World(store or CredentialStore.provision(rngmod.child_seed(seed, "store")), attack.views)
     config = SessionConfig(protocol=attack.protocol, seed=seed, flags=attack.flags)
-    actions, breached = attack.setup(config, store)
-    result = run_flow(config, store, actions)
-    return AttackResult(attack, result.outcome, breached(result), tuple(result.session.late_verdicts))
+    actions, world.held = attack.setup(world, config)
+    session = world.run(ATTACKED, config, actions)
+    return AttackResult(attack, session.outcome, GOALS[attack.goal](world), tuple(session.late_verdicts))
 
 
 # -------- the full resistance matrix --------

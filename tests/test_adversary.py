@@ -16,7 +16,6 @@ from visualauth.adversary import (
     EVIL_TX,
     AdversaryConfig,
     AdversaryKind,
-    AttackerHandle,
     MatrixCell,
     brute_force_guessing,
     evaluate,
@@ -26,8 +25,9 @@ from visualauth.adversary import (
     run_attack,
     run_attacked_session,
     run_matrix,
+    World,
 )
-from visualauth.entities import ACTIONS, EntityKind, Inject, Message, Rewrite
+from visualauth.entities import ACTIONS, EntityKind, Inject, Message
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
     DEFAULT_TX,
@@ -928,7 +928,7 @@ class TestReplaysAreJudged:
 
 
 # every catalogue row's verdict: the session's outcome, and whether the
-# row's own breach test found the attack working
+# row's goal found the attack working
 ATTACK_VERDICTS = {
     "dual_locus_surfer": Outcome.AUTHENTICATED,
     "forged_layout": Outcome.ABORTED,
@@ -943,6 +943,7 @@ ATTACK_VERDICTS = {
     "hijack/no_guard": Outcome.ACCEPTED,
     "suppressed_side_copy": Outcome.REJECTED,
     "suppressed_side_copy/no_guard": Outcome.ACCEPTED,
+    "cross_session_layout": Outcome.DENIED,
 }
 
 
@@ -958,15 +959,17 @@ class TestAttackCatalogue:
 
     @pytest.mark.parametrize("name", ATTACKS)
     def test_every_setup_returns_frozen_comparable_actions(self, name):
-        # an attack is data: a tuple of actions, the same for the same row,
-        # seed and store, which prints without reaching into any session
+        # an attack is data: a tuple of actions and a tuple of what the
+        # attacker holds, the same for the same row, seed and store, which
+        # print without reaching into any session
         attack = ATTACKS[name]
         config = SessionConfig(protocol=attack.protocol, seed=0, flags=attack.flags)
         store = CredentialStore.provision(rngmod.child_seed(0, "store"))
-        (actions, _), (again, _) = attack.setup(config, store), attack.setup(config, store)
+        (actions, held), (again, held_again) = (attack.setup(World(store, attack.views), config) for _ in range(2))
         assert type(actions) is tuple and all(type(action) in ACTIONS for action in actions)
         assert actions == again and repr(actions) == repr(again)
         assert (actions == ()) == (name == "dual_locus_surfer")
+        assert type(held) is tuple and held == held_again and repr(held) == repr(held_again)
 
     @pytest.mark.parametrize("flag", [f.name for f in dataclasses.fields(SessionFlags)])
     def test_every_defence_has_a_positive_control(self, flag):
@@ -976,6 +979,7 @@ class TestAttackCatalogue:
             for on, off in itertools.permutations(ATTACKS.values(), 2)
             if on.protocol is off.protocol
             and on.setup is off.setup
+            and (on.goal, on.views) == (off.goal, off.views)
             and getattr(on.flags, flag)
             and off.flags == dataclasses.replace(on.flags, **{flag: False})
         ]
@@ -1008,27 +1012,11 @@ class TestAttackCatalogue:
 
 
 class TestCrossSessionLayoutReplay:
-    def test_a_replayed_keyboard_frame_gives_up_the_password(self):
-        """Today's verdict, pinned: nothing binds a P1 keyboard challenge to
-        its session. A phone shoulder surfer reads session A's layout. In
-        session B on the same store, terminal malware shows the phone A's
-        keyboard frame instead of B's, so the user clicks by A's layout, and
-        the malware resolves those clicks with it to the password. B ends
-        DENIED: the server sees one failed login. The matrix scores each
-        adversary alone, in one session, so it cannot see this. ROADMAP item
-        17, which binds each signed challenge to its session, flips it."""
-        surfer = AdversaryConfig(AdversaryKind.SHOULDER_SURFER, EntityKind.SMARTPHONE)
-        malware = AdversaryConfig(AdversaryKind.MALWARE, EntityKind.TERMINAL)
-        for seed in range(1000, 1020):
-            store = CredentialStore.provision(seed)
-            a = run_flow(SessionConfig(Protocol.P1, seed=rngmod.child_seed(seed, "a")), store).session
-            (layout,) = AttackerHandle(surfer, a).observed("layout")
-            (frame,) = [m.frame for m in a.transcript if m.TAG == "show_frame"]
-            shown = Rewrite(EntityKind.TERMINAL, "show_frame", {"frame": frame})
-            b = run_flow(SessionConfig(Protocol.P1, seed=rngmod.child_seed(seed, "b")), store, (shown,))
-            (clicks,) = AttackerHandle(malware, b.session).observed("positions")
-            assert crypto.KeyboardPermutation.from_serialized(layout).resolve(clicks) == store.users["alice"].password
-            assert b.outcome is Outcome.DENIED
+    @pytest.mark.parametrize("seed", range(1000, 1020))
+    def test_a_replayed_keyboard_frame_gives_up_the_password(self, seed):
+        # the cross_session_layout row, on a store of its own per seed
+        result = run_attack(ATTACKS["cross_session_layout"], seed, CredentialStore.provision(seed))
+        assert (result.outcome, result.breached) == (Outcome.DENIED, True)
 
 
 class TestTransactionAlteration:
