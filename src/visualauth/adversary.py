@@ -49,12 +49,12 @@ Attacks outside the matrix are rows of one catalogue, ``ATTACKS``, run by
 ``run_attack``: phishing (a fake server impersonates the far end rather
 than compromising a locus, so it is not an adversary kind), the documented
 caveats (the dual-view shoulder surfer, a replayed one-time password, a
-keyboard frame shown again in a later session), and an on/off pair for
-each defence flag (signing, transaction freshness, the hijack guard
-against an altered and against a suppressed side copy), the off row being
-that defence's positive control. A row names its goal; its setup may run
-earlier sessions on the row's world, so an attack that spans sessions is
-a row like any other.
+keyboard frame shown again in a later session or to a P2 phone), and an
+on/off pair for each defence flag (signing, transaction freshness, the
+hijack guard against an altered and against a suppressed side copy), the
+off row being that defence's positive control. A row names its goal; its
+setup may run earlier sessions on the row's world, so an attack that spans
+sessions is a row like any other.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 from . import crypto, qr, rng as rngmod
 from .entities import (
-    CHANNELS, MESSAGES, ChannelKind, Drop, EntityKind, Inject, Message, Plant, Rewrite, Session,
+    CHANNELS, MESSAGES, ChannelKind, Drop, EntityKind, Inject, Message, Plant, Rewrite, SecretKind, Session,
 )
 from .protocols import (
     AUTH_PROTOCOLS,
@@ -335,11 +335,20 @@ def _learn_password(world: World) -> bool:
     return any(layout.resolve(positions) == password for layout in layouts for positions in clicks)
 
 
+def _show_unissued_value(world: World) -> bool:
+    """The phone showed the user a one-time password the server did not
+    issue in the session: agreement on the data."""
+    session = world.sessions[ATTACKED]
+    issued = {probe.data for probe in session.secret_probes if probe.kind is SecretKind.OTP}
+    return any(m.TAG == "show_otp" and m.otp.encode() not in issued for m in session.transcript)
+
+
 GOALS: dict[str, Callable[[World], bool]] = {
     "authenticate_as_victim": _authenticate_as_victim,
     "execute_foreign_tx": _execute_foreign_tx,
     "execute_without_side_copy": _execute_without_side_copy,
     "learn_password": _learn_password,
+    "show_unissued_value": _show_unissued_value,
 }
 
 
@@ -599,6 +608,17 @@ def _cross_session_layout(world: World, config: SessionConfig):
     return _show_captured_keyboard(world, config)
 
 
+def _cross_kind_challenge(world: World, config: SessionConfig):
+    """Today's verdict, pinned: nothing binds a signed challenge to its kind.
+    Terminal malware shows a P2 phone the keyboard frame of a P1 session on
+    the same store; the phone opens it, reads the 36-symbol layout as a
+    one-time password and shows it to the user, who types it. The server's
+    token differs, so the session ends DENIED, but the phone showed a value
+    the server never issued as one. ROADMAP item 17 step 1, which signs each
+    challenge's kind, flips it."""
+    return _show_captured_keyboard(world, config)
+
+
 @dataclass(frozen=True)
 class Attack:
     name: str
@@ -642,6 +662,8 @@ ATTACKS: dict[str, Attack] = {
                _suppressed_side_copy, "execute_without_side_copy", True),
         Attack("cross_session_layout", Protocol.P1, SessionFlags(), _cross_session_layout, "learn_password",
                True, (("capture", _SURFER_AT[EntityKind.SMARTPHONE]), *_WATCHES_CLICKS)),
+        Attack("cross_kind_challenge", Protocol.P2, SessionFlags(), _cross_kind_challenge,
+               "show_unissued_value", True),
     )
 }
 

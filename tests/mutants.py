@@ -285,6 +285,11 @@ MUTANTS = (
            "a party that stores a key it does not declare raises when its snapshot is read",
            "tests/test_entities.py::TestDeclaredState"
            "::test_a_handler_store_the_table_refuses_raises_when_its_snapshot_is_read[undeclared_key]"),
+    Mutant("goal_never_reached", "src/visualauth/adversary.py",
+           "    return any(layout.resolve(positions) == password for layout in layouts for positions in clicks)\n",
+           "    return False\n",
+           "a row's goal can find its attack working: learn_password reads the breach the views pool",
+           "tests/test_adversary.py::TestCrossSessionLayoutReplay::test_a_replayed_keyboard_frame_gives_up_the_password[1000]"),
 )
 
 

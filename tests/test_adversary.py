@@ -11,9 +11,11 @@ import pytest
 import sweeps
 from visualauth import adversary, crypto, rng as rngmod
 from visualauth.adversary import (
+    ATTACKED,
     ATTACKS,
     BROKEN_CELLS,
     EVIL_TX,
+    GOALS,
     AdversaryConfig,
     AdversaryKind,
     MatrixCell,
@@ -27,7 +29,7 @@ from visualauth.adversary import (
     run_matrix,
     World,
 )
-from visualauth.entities import ACTIONS, EntityKind, Inject, Message
+from visualauth.entities import ACTIONS, EntityKind, Inject, Message, export_transcript
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
     DEFAULT_TX,
@@ -944,6 +946,7 @@ ATTACK_VERDICTS = {
     "suppressed_side_copy": Outcome.REJECTED,
     "suppressed_side_copy/no_guard": Outcome.ACCEPTED,
     "cross_session_layout": Outcome.DENIED,
+    "cross_kind_challenge": Outcome.DENIED,
 }
 
 
@@ -1017,6 +1020,54 @@ class TestCrossSessionLayoutReplay:
         # the cross_session_layout row, on a store of its own per seed
         result = run_attack(ATTACKS["cross_session_layout"], seed, CredentialStore.provision(seed))
         assert (result.outcome, result.breached) == (Outcome.DENIED, True)
+
+
+class TestGoals:
+    """One table judges every attack: each row names a goal, and each goal
+    but the matrix's is reached by some row that expects a breach."""
+
+    def test_every_row_names_a_goal_and_every_goal_is_reached(self):
+        assert {attack.goal for attack in ATTACKS.values()} <= GOALS.keys()
+        reached = {attack.goal for attack in ATTACKS.values() if attack.expect_breach}
+        # authenticate_as_victim's positive control is the matrix: its three
+        # BROKEN_CELLS reach it through _attempt, as the next test but one checks
+        assert GOALS.keys() - reached == {"authenticate_as_victim"}
+
+    @pytest.mark.parametrize("name", ATTACKS)
+    def test_a_row_run_twice_is_the_same_world(self, name, monkeypatch):
+        worlds, world = [], adversary.World
+        monkeypatch.setattr(adversary, "World", lambda *args: worlds.append(world(*args)) or worlds[-1])
+        assert run_attack(ATTACKS[name], 3) == run_attack(ATTACKS[name], 3)
+        first, second = worlds
+        assert first.sessions.keys() == second.sessions.keys() and ATTACKED in first.sessions
+        assert first.held == second.held
+        for key, session in first.sessions.items():
+            assert export_transcript(session) == export_transcript(second.sessions[key]), key
+
+    def test_matrix_follow_ups_reach_authenticate_as_victim_in_the_broken_cells(self, monkeypatch):
+        # every follow-up is judged by the goal, and only the broken cells'
+        # follow-ups reach it: P2's stolen key, and the P3 credentials that
+        # both phone cells learn, one attempt between them
+        judged = []
+        goal = GOALS["authenticate_as_victim"]
+        monkeypatch.setitem(GOALS, "authenticate_as_victim", lambda world: judged.append(goal(world)) or judged[-1])
+        cells = run_matrix(2026, trials=1)
+        assert {(c.protocol, c.kind, c.locus) for c in cells if c.breaches} == BROKEN_CELLS
+        assert len(judged) == sum(FOLLOWUPS_PER_SESSION.values()) and judged.count(True) == 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_an_honest_otp_is_an_issued_value(self, seed):
+        world = World(CredentialStore.provision(seed))
+        world.run(ATTACKED, SessionConfig(protocol=Protocol.P2, seed=seed))
+        assert not GOALS["show_unissued_value"](world)
+
+    def test_one_screen_gives_up_no_password(self):
+        # either surfer of the dual-view row alone learns nothing: the goal
+        # needs a layout and the clicks under it
+        row = ATTACKS["dual_locus_surfer"]
+        for view in row.views:
+            alone = dataclasses.replace(row, views=(view,))
+            assert (run_attack(row, 0).breached, run_attack(alone, 0).breached) == (True, False)
 
 
 class TestTransactionAlteration:
