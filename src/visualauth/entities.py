@@ -40,22 +40,22 @@ is encoded. The check is off the delivery path, as the encoding is.
 The codec of each dataclass, a message class included, is built once: it
 reads every field in one call and encodes each value by the encoder of
 the value's own type, so a field of the wrong type encodes as what it
-holds. An enum member's encoding is kept per member, since members and
-their values are fixed. A frozen dataclass instance keeps its first
-encoding in its own __dict__, as crypto.KeyPair keeps its loaded keys, so
-a frame that rides in two messages is encoded once; a value rebuilt with
-dataclasses.replace encodes its own fields. The lazy records and this memo
-both rely on immutability. A Plant is checked in full when it is made, and
-a recorded state when it is first read, elements included; what a
-mappingproxy or a frozen dataclass other than a message holds inside is
-not checked.
+holds. A message class gets its codec at registration, as its body_bytes
+method, which digest and the snapshots both call. An enum member's
+encoding is kept per member, since members and their values are fixed. A
+frozen dataclass instance keeps its first encoding in its own __dict__,
+as crypto.KeyPair keeps its loaded keys, so a frame that rides in two
+messages is encoded once; a value rebuilt with dataclasses.replace encodes
+its own fields. The lazy records and this memo both rely on immutability.
+A Plant is checked in full when it is made, and a recorded state when it
+is first read, elements included; what a mappingproxy or a frozen
+dataclass other than a message holds inside is not checked.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import hashlib
 import operator
 import re
@@ -144,8 +144,10 @@ def register_message(channel_name: str, label: str = ""):
     type_id), CHANNEL (emit, inject and deliver route by it), LABEL
     (adversary.observe; by default the tag), FIELDS, CHECKS (each field's
     type check, from its annotation), TAG_BYTE (its wire tag, in
-    registration order) and LINE_PREFIX. Its receiver may keep it as
-    state[tag] (STATE_CHECKS), an instance that is well formed. A class that
+    registration order), LINE_PREFIX and body_bytes (a method: its fields'
+    codec, the one snapshots use, so digest looks nothing up). Its receiver
+    may keep it as state[tag] (STATE_CHECKS), an instance that is well
+    formed. A class that
     is no Message subclass, carries its own @dataclass or TAG, or declares a
     field type _field_check cannot check is refused and takes no tag.
     """
@@ -177,6 +179,7 @@ def register_message(channel_name: str, label: str = ""):
         cls.LABEL = label or tag
         cls.TAG_BYTE = bytes([len(MESSAGES) + 1])
         cls.LINE_PREFIX = f"|{channel.kind.value}|{channel.sender.value}|{channel.receiver.value}|{tag}|"
+        cls.body_bytes = _fields_encoder(cls)
         MESSAGES[tag] = cls
         STATE_CHECKS[channel.receiver][tag] = lambda v: isinstance(v, cls) and v.well_formed()
         return cls
@@ -322,7 +325,7 @@ def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
             raise TypeError(f"cannot canonicalize {cls.__name__}")
         name = cls.__name__.encode()
         header = b"D" + _u32(len(name)) + name
-        body = _fields_encoder(cls)
+        body = vars(cls).get("body_bytes") or _fields_encoder(cls)  # a message class's, built at registration
         if cls.__dataclass_params__.frozen and not hasattr(cls, "__slots__"):
 
             def encode(obj) -> bytes:
@@ -346,11 +349,12 @@ def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
 _MEMO = "_canonical_bytes"  # where a frozen dataclass instance keeps its encoding
 
 
-@functools.cache
 def _fields_encoder(cls: type) -> Callable[[object], bytes]:
     """A dataclass's field encodings, concatenated in declaration order. The
     fields are read in one call, and each value's encoder is looked up by
-    the value's own type, so a value of the wrong type encodes as what it is."""
+    the value's own type, so a value of the wrong type encodes as what it is.
+    Built once per class: by register_message for a message class, and by
+    _resolve_encoder, which keeps it in _ENCODERS, for any other."""
     values = field_values(tuple(f.name for f in dataclasses.fields(cls)))
 
     def body(obj) -> bytes:
@@ -382,15 +386,13 @@ class Message:
     CHECKS: ClassVar[tuple[tuple[str, Callable[[object], bool]], ...]]  # (field, its type check)
     TAG_BYTE: ClassVar[bytes]
     LINE_PREFIX: ClassVar[str]  # "|channel|from|to|tag|"
+    body_bytes: ClassVar[Callable[["Message"], bytes]]  # a method: the class's field codec
 
     def well_formed(self) -> bool:  # every field holds a value of its declared type
         for name, fits in self.CHECKS:
             if not fits(getattr(self, name)):
                 return False
         return True
-
-    def body_bytes(self) -> bytes:
-        return _fields_encoder(type(self))(self)
 
     def digest(self) -> str:
         # over the wire form: tag byte, big-endian length, body
@@ -543,12 +545,13 @@ class Entity:
         sender is checked after them, so a Rewrite cannot move a message onto
         another party's channel."""
         session = self.session
-        for action in session.actions:  # () in an honest session
-            if type(action) in (Drop, Rewrite) and action.party is self.kind and action.tag == message.TAG:
-                if type(action) is Drop:
-                    return  # lost in transit
-                fields = action.fields
-                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)
+        if session.actions:  # () in an honest session, which sends message as it is
+            for action in session.actions:
+                if type(action) in (Drop, Rewrite) and (action.party, action.tag) == (self.kind, message.TAG):
+                    if type(action) is Drop:
+                        return  # lost in transit
+                    fields = action.fields
+                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)
         channel = message.CHANNEL
         if channel.sender is not self.kind:
             raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")

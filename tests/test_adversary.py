@@ -807,6 +807,36 @@ class TestSharedAttempts:
         assert counts["run_flow"] - observed == 2 * sum(FOLLOWUPS_PER_SESSION.values()) == 10
         assert counts["run_hijack_guard"] == 2
 
+    @pytest.mark.parametrize("trials", (2, 100))
+    def test_the_matrix_session_budget(self, monkeypatch, trials):
+        # per trial, one observed session per protocol and one follow-up per
+        # distinct loot; two alteration probes in all: 802 sessions at 100
+        started = dict.fromkeys(("observed", "followup", "probe"), 0)
+        evaluating = []
+        evaluate = adversary.evaluate
+
+        def tracked_evaluate(handle):
+            evaluating.append(handle)
+            try:
+                return evaluate(handle)
+            finally:
+                evaluating.pop()
+
+        def counted(name, outside, inside):
+            run = getattr(adversary, name)
+
+            def counting(*args, **kwargs):
+                started[inside if evaluating else outside] += 1
+                return run(*args, **kwargs)
+
+            monkeypatch.setattr(adversary, name, counting)
+
+        monkeypatch.setattr(adversary, "evaluate", tracked_evaluate)
+        counted("run_flow", "observed", "followup")
+        counted("run_hijack_guard", "unexpected", "probe")
+        run_matrix(2026, trials=trials)
+        assert started == {"observed": 3 * trials, "followup": 5 * trials, "probe": 2}
+
     def test_one_probe_per_locus_and_flags(self, monkeypatch):
         # three sessions share one map: the probes are keyed by (locus, flags),
         # so the two unguarded sessions read one pair of probes between them

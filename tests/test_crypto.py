@@ -376,6 +376,9 @@ class TestSealRecord:
         # from it, and opens nothing sealed to the half it stores
         mismatched = KeyPair(Role.USER, public_key=server_pair.public_key, private_key=pair.private_key)
         ct = crypto.encrypt(mismatched.public_key, b"payload", rng=1202)
+        # the key record holds the key for the half mismatched stores, under
+        # the sealer's shared secret, which mismatched cannot compute
+        assert crypto._KEYED[-1][1:3] == (ct.body[:32], mismatched.seal_public)
         with pytest.raises(IntegrityError):
             crypto.decrypt(mismatched, ct)
         crypto._SEALED.clear()
@@ -448,6 +451,59 @@ class TestSealRecord:
             with pytest.raises(IntegrityError):
                 decrypt(pair, Ciphertext(bytes([ct.body[0] ^ 1]) + ct.body[1:], ct.tag))
         assert len(exchanges) == len(sealed) + len(opened)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The (shared, ephemeral half, recipient half) of each key derivation:
+    one in each encrypt, and one in each decrypt its record does not answer."""
+    derived = []
+    derive = crypto._hybrid_key
+    monkeypatch.setattr(crypto, "_hybrid_key", lambda *args: derived.append(args) or derive(*args))
+    return derived
+
+
+class TestKeyRecord:
+    """decrypt takes the key of a payload encrypt just sealed from its
+    record, and derives the key of every other payload: the answers never
+    change, and the tag is checked on every payload."""
+
+    def test_every_bit_flip_of_a_recorded_seal_is_refused(self, pair, derivations):
+        message = b"payload under the record"
+        ct = crypto.encrypt(pair.public_key, message, rng=1221)
+        assert crypto.decrypt(pair, ct) == message
+        assert len(derivations) == 1  # encrypt's; warm: the record answered decrypt
+        eph_pub, rest = ct.body[:32], ct.body[32:]
+        # the GCM nonce and the ciphertext, then the tag: the record answers,
+        # and the tag check refuses
+        for flipped in _bit_flips(rest):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(pair, Ciphertext(eph_pub + flipped, ct.tag))
+        for flipped in _bit_flips(ct.tag):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(pair, Ciphertext(ct.body, flipped))
+        assert len(derivations) == 1
+        for flipped in _bit_flips(eph_pub):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(pair, Ciphertext(flipped + rest, ct.tag))
+        assert len(derivations) == 1 + 8 * 32  # one derivation per flip of the ephemeral half
+
+    def test_an_evicted_key_is_derived_again(self, pair, derivations):
+        first = crypto.encrypt(pair.public_key, b"first", rng=1222)
+        for i in range(5):
+            crypto.encrypt(pair.public_key, b"later", rng=1223 + i)
+        assert crypto.decrypt(pair, first) == b"first"
+        assert len(derivations) == 6 + 1
+
+    def test_a_stored_half_that_is_not_bytes_is_derived(self, pair, derivations):
+        # the derivation binds the half the pair stores; one that is not
+        # bytes is never looked up, and the payload opens as before
+        ct = crypto.encrypt(pair.public_key, b"payload", rng=1230)
+        loose = KeyPair(pair.role, bytearray(pair.public_key), pair.private_key)
+        assert crypto.decrypt(loose, ct) == b"payload"
+        assert len(derivations) == 2
+        assert crypto.decrypt(pair, ct) == b"payload"
+        assert len(derivations) == 2
 
 
 class TestKeyboardPermutation:

@@ -297,7 +297,8 @@ class TestEncoderOracle:
         outputs, records = self._every_session(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(entities, "canonical_bytes", reference_canonical_bytes)
-            patch.setattr(entities.Message, "body_bytes", _reference_body_bytes)
+            for cls in entities.MESSAGES.values():
+                patch.setattr(cls, "body_bytes", _reference_body_bytes)
             reference, reference_records = self._every_session(monkeypatch)
         # 18 flow sessions; the matrix's 3 observed sessions, 5 follow-ups
         # (one per distinct loot) and 2 alteration runs (one per malware locus)

@@ -438,6 +438,57 @@ class TestParityReuse:
         assert rechecks or damage == "budget+1"
 
 
+class TestPackAndKeyReuse:
+    """qr_decode's repack takes the pack its frame's encode recorded, and
+    decrypt the key its payload's seal recorded. Each frame is packed once
+    and each seal's key derived once, by the encode and the seal, which the
+    records never answer: so the second run of the same 18 sessions packs
+    and derives as much as the first."""
+
+    @pytest.mark.parametrize("damage", [0, "budget", "budget+1"], ids=str)
+    def test_one_miss_per_frame_and_seal_one_hit_per_recheck_and_open(self, monkeypatch, damage):
+        counts = dict.fromkeys(("pack", "pack_hit", "pack_miss", "derive", "key_hit", "key_miss"), 0)
+        seals, opens, rechecks = [], [], []
+
+        def counted(module, name, count):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                result = fn(*args)
+                counts[count(result)] += 1
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(qr, "_pack", lambda result: "pack")
+        counted(qr, "_recorded_pack", lambda result: "pack_miss" if result is None else "pack_hit")
+        counted(crypto, "_hybrid_key", lambda result: "derive")
+        counted(crypto, "_recorded_key", lambda result: "key_miss" if result is None else "key_hit")
+        decode, encrypt, decrypt = qr.qr_decode, crypto.encrypt, crypto.decrypt
+
+        def counting_decode(frame):
+            if len(frame.corrupted_codewords) <= qr.correction_budget(frame.spec):
+                rechecks.append(frame)  # past the budget check, at the recheck
+            return decode(frame)
+
+        monkeypatch.setattr(qr, "qr_decode", counting_decode)
+        monkeypatch.setattr(crypto, "encrypt", lambda *args: seals.append(args) or encrypt(*args))
+        monkeypatch.setattr(crypto, "decrypt", lambda *args: opens.append(args) or decrypt(*args))
+        for run in (1, 2):
+            for protocol in Protocol:
+                for seed in (0, 1, 2):
+                    before = dict(counts, seals=len(seals), opens=len(opens), rechecks=len(rechecks))
+                    session = run_flow(_cfg(protocol, seed, corrupt_codewords=damage)).session
+                    moved = {name: counts[name] - before[name] for name in counts}
+                    label = f"run {run}: {protocol.value} seed {seed}"
+                    assert moved["pack"] == len(session.frame_log), label
+                    assert moved["pack_hit"] == len(rechecks) - before["rechecks"], label
+                    assert moved["derive"] == len(seals) - before["seals"], label
+                    assert moved["key_hit"] == len(opens) - before["opens"], label
+                    assert moved["pack_miss"] == moved["key_miss"] == 0, label
+        assert seals and (rechecks and opens or damage == "budget+1")
+
+
 class TestHonestFramesDecode:
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_every_honest_frame_round_trips(self, seed):

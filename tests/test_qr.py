@@ -73,6 +73,26 @@ def framed(data: bytes, spec: FrameSpec) -> VisualFrame:
     return VisualFrame(spec=spec, payload=b"", codewords=data + parity)
 
 
+# A 16-byte nonce at version 2 M: 18 codewords of indicator, count, payload
+# and the four terminator bits, then ten pad codewords. Each rewrite keeps
+# the payload parse and gets its parity recomputed.
+NONCE_PAYLOAD = b"nonce-0123456789"
+NONCE_SPEC = FrameSpec(2, EcLevel.M, Mode.BYTE)
+STREAM_REWRITES = ["pad_swapped", "pad_inverted", "terminator"]
+
+
+def rewritten_stream(rewrite: str) -> VisualFrame:
+    data = bytearray(pack_slow(NONCE_PAYLOAD, NONCE_SPEC))
+    if rewrite == "pad_swapped":
+        data[-2], data[-1] = data[-1], data[-2]
+    elif rewrite == "pad_inverted":
+        data[-2] ^= 0xFF
+        data[-1] ^= 0xFF
+    elif rewrite == "terminator":
+        data[17] ^= 0x01  # bit 143, the last terminator bit
+    return framed(bytes(data), NONCE_SPEC)
+
+
 # Independent GF(256) arithmetic for cross-checking the Reed-Solomon layer.
 # Deliberately avoids log tables: Russian-peasant multiply with 0x11D
 # reduction, and a plain synthetic division instead of the LFSR form.
@@ -212,26 +232,51 @@ class TestParsingRefusals:
             qr_decode(framed(data, spec))
 
 
-    @pytest.mark.parametrize("rewrite", ["none", "pad_swapped", "pad_inverted", "terminator"])
+    @pytest.mark.parametrize("rewrite", ["none", *STREAM_REWRITES])
     def test_only_the_encoded_stream_decodes(self, rewrite):
-        # a 16-byte nonce at version 2 M: 18 codewords of indicator, count,
-        # payload and the four terminator bits, then ten pad codewords; each
-        # rewrite keeps the payload parse and gets its parity recomputed
-        spec = FrameSpec(2, EcLevel.M, Mode.BYTE)
-        data = bytearray(pack_slow(b"nonce-0123456789", spec))
-        if rewrite == "pad_swapped":
-            data[-2], data[-1] = data[-1], data[-2]
-        elif rewrite == "pad_inverted":
-            data[-2] ^= 0xFF
-            data[-1] ^= 0xFF
-        elif rewrite == "terminator":
-            data[17] ^= 0x01  # bit 143, the last terminator bit
-        frame = framed(bytes(data), spec)
+        qr._PACKED.clear()  # no pack of the payload recorded: the repack is computed
+        frame = rewritten_stream(rewrite)
         if rewrite == "none":  # the control: the encoding itself decodes
-            assert qr_decode(frame) == b"nonce-0123456789"
+            assert qr_decode(frame) == NONCE_PAYLOAD
         else:
             with pytest.raises(UncorrectableFrameError, match="terminator or pad"):
                 qr_decode(frame)
+
+
+class TestPackRecord:
+    """qr_decode's repack takes the pack qr_encode recorded for the same
+    payload and spec, and still compares it with the data codewords the
+    frame carries."""
+
+    @pytest.mark.parametrize("rewrite", STREAM_REWRITES)
+    def test_a_rewritten_stream_is_refused_right_after_its_honest_pack(self, rewrite):
+        honest = qr_encode(NONCE_PAYLOAD, NONCE_SPEC)
+        data = pack_slow(NONCE_PAYLOAD, NONCE_SPEC)
+        assert honest.codewords.startswith(data) and qr._PACKED[-1] == (NONCE_PAYLOAD, NONCE_SPEC, data)
+        with pytest.raises(UncorrectableFrameError, match="terminator or pad"):
+            qr_decode(rewritten_stream(rewrite))
+        assert qr_decode(honest) == NONCE_PAYLOAD
+
+    def test_a_payload_packed_at_two_specs_decodes_at_each(self):
+        # the same payload packs to more pad codewords at version 2 than at
+        # 1: the record answers a repack only under the spec it was packed at
+        payload = b"two specs"
+        qr._PACKED.clear()
+        frames = [qr_encode(payload, FrameSpec(version, EcLevel.M, Mode.BYTE)) for version in (1, 2)]
+        packed = [frame.codewords[: data_codeword_count(frame.spec)] for frame in frames]
+        assert [entry[2] for entry in qr._PACKED] == packed
+        for frame in frames + frames[::-1]:
+            assert qr_decode(frame) == payload
+
+    def test_only_a_bytes_payload_is_recorded(self):
+        # a bytearray could change after its frame is made; it is packed
+        # and framed as before, and the repack of its decode is computed
+        qr._PACKED.clear()
+        payload = bytearray(b"mutable")
+        frame = qr_encode(payload, FrameSpec(1, EcLevel.M, Mode.BYTE))
+        assert list(qr._PACKED) == []
+        payload[0] ^= 1
+        assert qr_decode(frame) == b"mutable"
 
 
 class TestCapacityErrors:

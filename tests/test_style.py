@@ -21,7 +21,6 @@ MAX_LINE = 110
 # as long as it runs.
 UNBOUNDED_CACHES = {
     "_generator_poly": "keyed by parity degree: at most the 40 specs' parity counts",
-    "_fields_encoder": "keyed by dataclass: one entry per class ever encoded",
 }
 
 
