@@ -147,9 +147,9 @@ def register_message(channel_name: str, label: str = ""):
     registration order), LINE_PREFIX and body_bytes (a method: its fields'
     codec, the one snapshots use, so digest looks nothing up). Its receiver
     may keep it as state[tag] (STATE_CHECKS), an instance that is well
-    formed. A class that
-    is no Message subclass, carries its own @dataclass or TAG, or declares a
-    field type _field_check cannot check is refused and takes no tag.
+    formed. A class that is no Message subclass, carries its own @dataclass
+    or TAG, or declares a field type _field_check cannot check is refused
+    and takes no tag.
     """
 
     def deco(cls):

@@ -797,20 +797,13 @@ class TestSharedAttempts:
             evaluate(handle)
         assert counts["run_flow"] == 2 * FOLLOWUPS_PER_SESSION[Protocol.P2]
 
-    def test_matrix_shares_no_followup_across_trials(self, monkeypatch):
+    @pytest.mark.parametrize("trials", (2, 100))
+    def test_matrix_shares_no_followup_across_trials(self, monkeypatch, trials):
         # the trials of one matrix share an attempts map, and P3's learned
         # credentials and P2's stolen key are the same loot in every trial;
-        # each trial still mounts its own follow-ups
-        counts = _count_followups(monkeypatch)
-        run_matrix(2026, trials=2)
-        observed = 2 * len(AUTH_PROTOCOLS)
-        assert counts["run_flow"] - observed == 2 * sum(FOLLOWUPS_PER_SESSION.values()) == 10
-        assert counts["run_hijack_guard"] == 2
-
-    @pytest.mark.parametrize("trials", (2, 100))
-    def test_the_matrix_session_budget(self, monkeypatch, trials):
-        # per trial, one observed session per protocol and one follow-up per
-        # distinct loot; two alteration probes in all: 802 sessions at 100
+        # each trial still mounts its own follow-ups. Per trial, one observed
+        # session per protocol and one follow-up per distinct loot; two
+        # alteration probes in all: 802 sessions at 100 trials
         started = dict.fromkeys(("observed", "followup", "probe"), 0)
         evaluating = []
         evaluate = adversary.evaluate
@@ -835,7 +828,9 @@ class TestSharedAttempts:
         counted("run_flow", "observed", "followup")
         counted("run_hijack_guard", "unexpected", "probe")
         run_matrix(2026, trials=trials)
-        assert started == {"observed": 3 * trials, "followup": 5 * trials, "probe": 2}
+        followups = trials * sum(FOLLOWUPS_PER_SESSION.values())
+        assert started == {"observed": trials * len(AUTH_PROTOCOLS), "followup": followups, "probe": 2}
+        assert followups == 5 * trials
 
     def test_one_probe_per_locus_and_flags(self, monkeypatch):
         # three sessions share one map: the probes are keyed by (locus, flags),

@@ -345,22 +345,35 @@ class TestSignatureRecord:
         assert len(curve_checks) == len(triples)
 
 
-class TestSealRecord:
-    """decrypt takes the shared secret of a payload encrypt just sealed from
-    its record, and runs the exchange for every other payload: the answers
-    never change."""
+@pytest.fixture
+def derivations(monkeypatch):
+    """The (shared, ephemeral half, recipient half) of each key derivation:
+    one in each encrypt, and one in each decrypt its record does not answer."""
+    derived = []
+    derive = crypto._hybrid_key
+    monkeypatch.setattr(crypto, "_hybrid_key", lambda *args: derived.append(args) or derive(*args))
+    return derived
 
-    def test_every_bit_flip_of_a_recorded_seal_is_refused(self, pair, exchanges):
+
+class TestSealRecord:
+    """decrypt takes the shared secret and the key of a payload encrypt just
+    sealed from their records, and runs the exchange and the derivation for
+    every other payload: the answers never change, and the tag is checked
+    on every payload."""
+
+    def test_every_bit_flip_of_a_recorded_seal_is_refused(self, pair, exchanges, derivations):
         message = b"payload under the record"
         ct = crypto.encrypt(pair.public_key, message, rng=1201)
         assert crypto.decrypt(pair, ct) == message
-        assert exchanges == [pair.seal_public]  # encrypt's; warm: the record answered decrypt
+        # encrypt's; warm: the records answered decrypt
+        assert exchanges == [pair.seal_public] and len(derivations) == 1
         eph_pub, rest = ct.body[:32], ct.body[32:]
         for flipped in _bit_flips(eph_pub):
             with pytest.raises(IntegrityError):
                 crypto.decrypt(pair, Ciphertext(flipped + rest, ct.tag))
-        assert len(exchanges) == 1 + 8 * 32  # one exchange per flip of the ephemeral half
-        # the GCM nonce and the ciphertext, then the tag: the record answers,
+        # one exchange and one derivation per flip of the ephemeral half
+        assert len(exchanges) == len(derivations) == 1 + 8 * 32
+        # the GCM nonce and the ciphertext, then the tag: the records answer,
         # and the tag check refuses
         for flipped in _bit_flips(rest):
             with pytest.raises(IntegrityError):
@@ -368,7 +381,7 @@ class TestSealRecord:
         for flipped in _bit_flips(ct.tag):
             with pytest.raises(IntegrityError):
                 crypto.decrypt(pair, Ciphertext(ct.body, flipped))
-        assert len(exchanges) == 1 + 8 * 32
+        assert len(exchanges) == len(derivations) == 1 + 8 * 32
 
     def test_a_pair_holding_another_pairs_public_half(self, pair, server_pair):
         # the record is looked up under the half derived from the private
@@ -393,12 +406,22 @@ class TestSealRecord:
         assert crypto.decrypt(rebuilt, ct) == b"payload"
         assert exchanges == [pair.seal_public]
 
-    def test_an_evicted_seal_opens_through_one_exchange(self, pair, exchanges):
+    def test_an_evicted_seal_opens_through_one_exchange(self, pair, exchanges, derivations):
         first = crypto.encrypt(pair.public_key, b"first", rng=1204)
         for i in range(5):
             crypto.encrypt(pair.public_key, b"later", rng=1205 + i)
         assert crypto.decrypt(pair, first) == b"first"
-        assert len(exchanges) == 6 + 1
+        assert len(exchanges) == len(derivations) == 6 + 1
+
+    def test_a_stored_half_that_is_not_bytes_is_derived(self, pair, derivations):
+        # the derivation binds the half the pair stores; one that is not
+        # bytes is never looked up, and the payload opens as before
+        ct = crypto.encrypt(pair.public_key, b"payload", rng=1230)
+        loose = KeyPair(pair.role, bytearray(pair.public_key), pair.private_key)
+        assert crypto.decrypt(loose, ct) == b"payload"
+        assert len(derivations) == 2
+        assert crypto.decrypt(pair, ct) == b"payload"
+        assert len(derivations) == 2
 
     def test_the_record_keeps_only_a_half_it_sliced(self, pair, server_pair, exchanges):
         # encrypt refuses a sealing key that is not bytes, as the exchange
@@ -451,59 +474,6 @@ class TestSealRecord:
             with pytest.raises(IntegrityError):
                 decrypt(pair, Ciphertext(bytes([ct.body[0] ^ 1]) + ct.body[1:], ct.tag))
         assert len(exchanges) == len(sealed) + len(opened)
-
-
-@pytest.fixture
-def derivations(monkeypatch):
-    """The (shared, ephemeral half, recipient half) of each key derivation:
-    one in each encrypt, and one in each decrypt its record does not answer."""
-    derived = []
-    derive = crypto._hybrid_key
-    monkeypatch.setattr(crypto, "_hybrid_key", lambda *args: derived.append(args) or derive(*args))
-    return derived
-
-
-class TestKeyRecord:
-    """decrypt takes the key of a payload encrypt just sealed from its
-    record, and derives the key of every other payload: the answers never
-    change, and the tag is checked on every payload."""
-
-    def test_every_bit_flip_of_a_recorded_seal_is_refused(self, pair, derivations):
-        message = b"payload under the record"
-        ct = crypto.encrypt(pair.public_key, message, rng=1221)
-        assert crypto.decrypt(pair, ct) == message
-        assert len(derivations) == 1  # encrypt's; warm: the record answered decrypt
-        eph_pub, rest = ct.body[:32], ct.body[32:]
-        # the GCM nonce and the ciphertext, then the tag: the record answers,
-        # and the tag check refuses
-        for flipped in _bit_flips(rest):
-            with pytest.raises(IntegrityError):
-                crypto.decrypt(pair, Ciphertext(eph_pub + flipped, ct.tag))
-        for flipped in _bit_flips(ct.tag):
-            with pytest.raises(IntegrityError):
-                crypto.decrypt(pair, Ciphertext(ct.body, flipped))
-        assert len(derivations) == 1
-        for flipped in _bit_flips(eph_pub):
-            with pytest.raises(IntegrityError):
-                crypto.decrypt(pair, Ciphertext(flipped + rest, ct.tag))
-        assert len(derivations) == 1 + 8 * 32  # one derivation per flip of the ephemeral half
-
-    def test_an_evicted_key_is_derived_again(self, pair, derivations):
-        first = crypto.encrypt(pair.public_key, b"first", rng=1222)
-        for i in range(5):
-            crypto.encrypt(pair.public_key, b"later", rng=1223 + i)
-        assert crypto.decrypt(pair, first) == b"first"
-        assert len(derivations) == 6 + 1
-
-    def test_a_stored_half_that_is_not_bytes_is_derived(self, pair, derivations):
-        # the derivation binds the half the pair stores; one that is not
-        # bytes is never looked up, and the payload opens as before
-        ct = crypto.encrypt(pair.public_key, b"payload", rng=1230)
-        loose = KeyPair(pair.role, bytearray(pair.public_key), pair.private_key)
-        assert crypto.decrypt(loose, ct) == b"payload"
-        assert len(derivations) == 2
-        assert crypto.decrypt(pair, ct) == b"payload"
-        assert len(derivations) == 2
 
 
 class TestKeyboardPermutation:

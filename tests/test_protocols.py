@@ -408,45 +408,17 @@ def _frame_of(size):
     return qr.qr_encode(payload, qr.choose_spec(payload))
 
 
-class TestParityReuse:
-    """rs_parity keeps its last few results: the recheck of each capture
-    reuses the parity its frame's encode computed, and no encode finds one
-    an earlier session computed, not even when the same 18 sessions run a
-    second time, as the benchmark's repeated passes do."""
+class TestCaptureReuse:
+    """rs_parity keeps its last few results, and qr_encode and encrypt record
+    their last few packs and keys: the recheck and the repack of each
+    capture reuse the parity and the pack its frame's encode computed, and
+    each open the key its seal derived. No encode finds a parity an earlier
+    session computed, and the encode and the seal compute their own pack
+    and key, not even when the same 18 sessions run a second time, as the
+    benchmark's repeated passes do."""
 
     @pytest.mark.parametrize("damage", [0, "budget", "budget+1"], ids=str)
     def test_one_miss_per_frame_one_hit_per_recheck(self, monkeypatch, damage):
-        rechecks = []
-        decode = qr.qr_decode
-
-        def counting_decode(frame):
-            if len(frame.corrupted_codewords) <= qr.correction_budget(frame.spec):
-                rechecks.append(frame)  # past the budget check, at the recheck
-            return decode(frame)
-
-        monkeypatch.setattr(qr, "qr_decode", counting_decode)
-        qr.rs_parity.cache_clear()
-        for run in (1, 2):
-            for protocol in Protocol:
-                for seed in (0, 1, 2):
-                    before, checked = qr.rs_parity.cache_info(), len(rechecks)
-                    session = run_flow(_cfg(protocol, seed, corrupt_codewords=damage)).session
-                    after = qr.rs_parity.cache_info()
-                    label = f"run {run}: {protocol.value} seed {seed}"
-                    assert after.misses - before.misses == len(session.frame_log), label
-                    assert after.hits - before.hits == len(rechecks) - checked, label
-        assert rechecks or damage == "budget+1"
-
-
-class TestPackAndKeyReuse:
-    """qr_decode's repack takes the pack its frame's encode recorded, and
-    decrypt the key its payload's seal recorded. Each frame is packed once
-    and each seal's key derived once, by the encode and the seal, which the
-    records never answer: so the second run of the same 18 sessions packs
-    and derives as much as the first."""
-
-    @pytest.mark.parametrize("damage", [0, "budget", "budget+1"], ids=str)
-    def test_one_miss_per_frame_and_seal_one_hit_per_recheck_and_open(self, monkeypatch, damage):
         counts = dict.fromkeys(("pack", "pack_hit", "pack_miss", "derive", "key_hit", "key_miss"), 0)
         seals, opens, rechecks = [], [], []
 
@@ -474,15 +446,19 @@ class TestPackAndKeyReuse:
         monkeypatch.setattr(qr, "qr_decode", counting_decode)
         monkeypatch.setattr(crypto, "encrypt", lambda *args: seals.append(args) or encrypt(*args))
         monkeypatch.setattr(crypto, "decrypt", lambda *args: opens.append(args) or decrypt(*args))
+        qr.rs_parity.cache_clear()
         for run in (1, 2):
             for protocol in Protocol:
                 for seed in (0, 1, 2):
                     before = dict(counts, seals=len(seals), opens=len(opens), rechecks=len(rechecks))
+                    parity = qr.rs_parity.cache_info()
                     session = run_flow(_cfg(protocol, seed, corrupt_codewords=damage)).session
                     moved = {name: counts[name] - before[name] for name in counts}
+                    checked = len(rechecks) - before["rechecks"]
                     label = f"run {run}: {protocol.value} seed {seed}"
-                    assert moved["pack"] == len(session.frame_log), label
-                    assert moved["pack_hit"] == len(rechecks) - before["rechecks"], label
+                    assert qr.rs_parity.cache_info().misses - parity.misses == len(session.frame_log), label
+                    assert qr.rs_parity.cache_info().hits - parity.hits == checked, label
+                    assert (moved["pack"], moved["pack_hit"]) == (len(session.frame_log), checked), label
                     assert moved["derive"] == len(seals) - before["seals"], label
                     assert moved["key_hit"] == len(opens) - before["opens"], label
                     assert moved["pack_miss"] == moved["key_miss"] == 0, label
