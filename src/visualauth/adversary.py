@@ -454,9 +454,10 @@ def run_attacked_session(
     views, in the order of configs, sharing one attempts map and one
     reading of the transcript, and the result.
 
-    The map is fresh unless attempts is given. run_matrix passes one map
-    to all its sessions, on one store, so that the alteration probe runs
-    once per (locus, flags); every other caller scores a session alone.
+    The map is fresh unless attempts is given. run_matrix and
+    harness.run_scenario pass one map to all their sessions, on one store,
+    so that the alteration probe runs once per (locus, flags); follow-ups
+    are keyed by their session's seed and stay per session.
     """
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
     result = run_flow(session_config, store)

@@ -19,13 +19,13 @@ Design constraints this module enforces:
   validates (0 user, 1 server, anything else is refused) but that the
   signature does not cover, so verify takes the signer it accepts and
   refuses a signature that names any other.
-* Three records answer from work this module already did, exactly as the
+* Two records answer from work this module already did, exactly as the
   curve and the key derivation would. Each keeps its last four entries,
   which cover what a flow checks or opens a few deliveries after it signs
   or seals, the rule of qr.rs_parity's memo. sign and encrypt always run,
   so a rerun of identical sessions hides no signing or sealing cost, and
-  every input a record does not hold gets the curve operation or the
-  derivation.
+  every input a record does not hold gets the curve operation, and a seal
+  the derivation too.
   - Signatures. verify answers a (public half, message, signature) triple
     that sign made. sign records the public half derived from its own
     signing key, never the pair's stored half, so the record holds only
@@ -34,27 +34,18 @@ Design constraints this module enforces:
     5.1.6-5.1.7). A message matches by equality, as any bytes-like message
     verifies, and a public half that is not bytes goes to the curve check,
     which refuses it.
-  - Seals. decrypt takes the X25519 shared secret for (sealing half,
-    ephemeral half) that encrypt computed. encrypt records the half it
-    handed the exchange, a bytes slice it made itself, and decrypt looks
-    entries up under the half derived from the pair's own private key,
-    never the pair's stored half. X25519 commutes (RFC 7748, 6.1):
-    X25519(e, a*G) = X25519(a, e*G), so an entry found under a*G and e*G
-    holds the very secret the exchange would compute. An ephemeral half
-    that is not bytes goes to the exchange, which refuses it.
-  - Keys. decrypt takes the AES key for (shared secret, ephemeral half,
-    recipient half) that encrypt derived. HKDF is deterministic: the key
-    is a function of those three byte strings alone, the hash, salt,
-    length and label being constants, so an entry that equals all three
-    holds the very key the derivation would compute. decrypt looks up the
-    shared secret it holds, whether recorded or exchanged, and the half the
-    pair stores, which the derivation binds; each must be exactly bytes,
-    as every entry encrypt records is, so no caller's object can claim a
-    false equality. A pair that opens a payload sealed to another half
-    holds another shared secret, which no entry holds beside that
-    ephemeral half. The authenticated data and the tag check run on every
-    payload, so a tampered, truncated or wrong-key payload still raises
-    IntegrityError.
+  - Seals. decrypt takes the AES key for (sealing half, ephemeral half)
+    that encrypt derived. encrypt records the half it handed the
+    exchange, a bytes slice it made itself, and decrypt looks entries up
+    under the half derived from the pair's own private key, never the
+    pair's stored half. X25519 commutes (RFC 7748, 6.1): X25519(e, a*G) =
+    X25519(a, e*G), and HKDF is deterministic, so an entry found under a*G
+    and e*G holds the very key the pair's own exchange and derivation
+    would give. A pair that stores another half fails the tag check on
+    either path, because the authenticated data carries the stored half.
+    An ephemeral half that is not bytes goes to the exchange, which
+    refuses it. The tag check runs on every payload, so a tampered,
+    truncated or wrong-key payload still raises IntegrityError.
 
 The content cipher is AES-192-GCM (a counter-mode cipher plus a mandatory
 tag). Public-key sealing wraps it in an X25519 ephemeral-static envelope.
@@ -226,30 +217,16 @@ def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_pub: bytes) -> bytes:
     ).derive(shared)
 
 
-# (recipient's sealing half, ephemeral half, shared secret) of the last seals
-# encrypt made; see the module notes
+# (recipient's sealing half, ephemeral half, key) of the last seals encrypt
+# made; see the module notes
 _SEALED = collections.deque(maxlen=4)
 
 
-def _recorded_secret(half: bytes, eph_pub) -> bytes | None:
-    """The shared secret encrypt recorded for (half, eph_pub), or None."""
+def _recorded_key(half: bytes, eph_pub) -> bytes | None:
+    """The key encrypt derived for (half, eph_pub), or None."""
     if type(eph_pub) is bytes:
-        for entry_half, entry_eph, shared in _SEALED:
+        for entry_half, entry_eph, key in _SEALED:
             if entry_eph == eph_pub and entry_half == half:
-                return shared
-    return None
-
-
-# (shared secret, ephemeral half, recipient's sealing half, key) of the last
-# keys encrypt derived; see the module notes
-_KEYED = collections.deque(maxlen=4)
-
-
-def _recorded_key(shared: bytes, eph_pub: bytes, half) -> bytes | None:
-    """The key encrypt derived for (shared, eph_pub, half), or None."""
-    if type(shared) is bytes and type(eph_pub) is bytes and type(half) is bytes:
-        for entry_shared, entry_eph, entry_half, key in _KEYED:
-            if entry_eph == eph_pub and entry_shared == shared and entry_half == half:
                 return key
     return None
 
@@ -267,10 +244,8 @@ def encrypt(public_key: bytes, message: bytes, rng: random.Random | int) -> Ciph
     recipient = X25519PublicKey.from_public_bytes(half)
     eph_priv = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph_priv.public_key().public_bytes_raw()
-    shared = eph_priv.exchange(recipient)
-    _SEALED.append((half, eph_pub, shared))
-    key = _hybrid_key(shared, eph_pub, half)
-    _KEYED.append((shared, eph_pub, half, key))
+    key = _hybrid_key(eph_priv.exchange(recipient), eph_pub, half)
+    _SEALED.append((half, eph_pub, key))
     nonce = rng.randbytes(_GCM_NONCE_LEN)
     sealed = AESGCM(key).encrypt(nonce, message, _HYBRID_SCHEME + half)
     return Ciphertext(body=eph_pub + nonce + sealed[:-_GCM_TAG_LEN], tag=sealed[-_GCM_TAG_LEN:])
@@ -285,11 +260,10 @@ def decrypt(pair: KeyPair, ciphertext: Ciphertext) -> bytes:
     nonce = ciphertext.body[32 : 32 + _GCM_NONCE_LEN]
     ct = ciphertext.body[32 + _GCM_NONCE_LEN :] + ciphertext.tag
     try:
-        shared = _recorded_secret(pair._own_seal_public, eph_pub) or pair._seal_private.exchange(
-            X25519PublicKey.from_public_bytes(eph_pub)
-        )
         half = pair.seal_public
-        key = _recorded_key(shared, eph_pub, half) or _hybrid_key(shared, eph_pub, half)
+        key = _recorded_key(pair._own_seal_public, eph_pub) or _hybrid_key(
+            pair._seal_private.exchange(X25519PublicKey.from_public_bytes(eph_pub)), eph_pub, half
+        )
         return AESGCM(key).decrypt(nonce, ct, _HYBRID_SCHEME + half)
     except (InvalidTag, ValueError) as exc:
         raise IntegrityError("ciphertext rejected") from exc

@@ -322,11 +322,12 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     counts = dict.fromkeys(_COUNT_KEYS, 0)
     breaches = 0 if scenario.adversary else None
     first_session = None
+    attempts: dict[tuple, bool] = {}  # one alteration probe per scenario, as in run_matrix
 
     for trial in range(scenario.trials):
         config = replace(base, seed=rngmod.child_seed(base.seed, scenario.name, str(trial)))
         if scenario.adversary is not None:
-            (handle,), result = run_attacked_session(config, [scenario.adversary], store)
+            (handle,), result = run_attacked_session(config, [scenario.adversary], store, attempts)
             if evaluate(handle).can_authenticate_later:
                 breaches += 1
         else:

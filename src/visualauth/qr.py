@@ -12,9 +12,10 @@ Decoding success is a step function of the damage: a frame with c
 corrupted codewords decodes iff c <= correction_budget(spec), where the
 budget is floor(parity_count / 2). Within budget the recorded damage is
 healed and the bitstream is parsed for real; beyond it decoding raises.
-A parity recheck after healing, and a repack of the parsed payload that
-must give the same data codewords, terminator and pad included, mean a
-decode never silently returns wrong bytes or takes a second stream.
+A parity recheck after healing, and a parse that refuses every bit after
+the payload but the terminator, zero fill and pad codewords the encoder
+writes, mean a decode never silently returns wrong bytes or takes a
+second stream.
 
 Parity is the remainder of the data times x^degree divided by the
 generator g(x) over GF(256) mod 0x11D. The remainder is one Python int of
@@ -26,24 +27,15 @@ that name because the benchmark finds it by name: it counts the cache's
 misses and clears it before each set-up, so building the tables is timed
 as set-up and never inside a measured run.
 
-rs_parity keeps its last four results, and qr_encode records its last
-four packs. A captured frame is decoded just after it is encoded, so the
-parity recheck of a clean or healed frame finds the parity its encode
-computed for the same data bytes, and the repack of the parsed payload
-finds the data codewords its encode packed for the same payload and spec.
-Both checks are as strict as before: the recheck still compares that
-parity with the parity codewords the frame carries, so damage to the data
-misses the memo and damage to the parity fails the comparison, and the
-repack still compares the recorded pack with the data codewords received,
-so a rewritten terminator or pad is refused. _pack is a pure function of
-its payload bytes and spec, and the pack record answers only a payload
-that is exactly bytes and a spec that is exactly a FrameSpec, both equal
-to an entry's; qr_encode records only such inputs, so no caller's object
-that could change later or claim a false equality is ever kept. Four
-entries cover the frames a session encodes before it captures them (two
-at most); a longer memo would let a rerun of identical sessions find the
-parity an earlier run computed, and hide the cost of computing it. The
-pack record never answers qr_encode, which packs every payload itself.
+rs_parity keeps its last four results. A captured frame is decoded just
+after it is encoded, so the parity recheck of a clean or healed frame
+finds the parity its encode computed for the same data bytes. The memo
+leaves the recheck whole: it compares that parity with the parity
+codewords the frame carries, so damage to the data misses the memo and
+damage to the parity fails the comparison. Four entries cover the frames
+a session encodes before it captures them (two at most); a longer memo
+would let a rerun of identical sessions find the parity an earlier run
+computed, and hide the cost of computing it.
 
 choose_spec scans a table built at import: the ten byte-mode specs of
 each ec level with their capacities, smallest version first. Every frame
@@ -58,7 +50,6 @@ entry from the codeword counts and each mode's packing arithmetic.
 from __future__ import annotations
 
 import base64
-import collections
 import enum
 import random
 from dataclasses import dataclass, replace
@@ -272,21 +263,10 @@ def _pack(payload: bytes, spec: FrameSpec) -> bytes:
     return data + (b"\xec\x11" * n_codewords)[: n_codewords - len(data)]
 
 
-# (payload, spec, data codewords) of the last packs qr_encode made; see the
-# module notes
-_PACKED = collections.deque(maxlen=4)
-
-
-def _recorded_pack(payload: bytes, spec: FrameSpec) -> bytes | None:
-    """The data codewords qr_encode packed for (payload, spec), or None."""
-    if type(payload) is bytes and type(spec) is FrameSpec:
-        for entry_payload, entry_spec, data in _PACKED:
-            if entry_payload == payload and entry_spec == spec:
-                return data
-    return None
-
-
 def _unpack(data_codewords: bytes, version: int) -> bytes:
+    """The payload of a byte-mode stream, which must end exactly as _pack
+    ends it: up to four terminator bits and the zero fill, all zeros, then
+    the pad codewords."""
     count_bits = _count_bits(version)
     free = 8 * len(data_codewords) - 4  # bits after the mode indicator
     stream = int.from_bytes(data_codewords, "big")
@@ -298,6 +278,10 @@ def _unpack(data_codewords: bytes, version: int) -> bytes:
     free -= 8 * count
     if free < 0:
         raise UncorrectableFrameError("bitstream ran dry while parsing")
+    pad = max(free - 4, 0) // 8  # codewords of pad after the terminator and zero fill
+    fill = stream >> 8 * pad & ((1 << free - 8 * pad) - 1)
+    if fill or data_codewords[len(data_codewords) - pad :] != (b"\xec\x11" * pad)[:pad]:
+        raise UncorrectableFrameError("terminator or pad codewords differ from the encoding")
     return (stream >> free & ((1 << 8 * count) - 1)).to_bytes(count, "big")
 
 
@@ -341,8 +325,6 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
             required_version=required,
         )
     data = _pack(payload, spec)
-    if type(payload) is bytes and type(spec) is FrameSpec:
-        _PACKED.append((payload, spec, data))
     parity = rs_parity(data, parity_codeword_count(spec))
     return VisualFrame(spec=spec, payload=payload, codewords=data + parity)
 
@@ -405,10 +387,7 @@ def qr_decode(frame: VisualFrame) -> bytes:
     data, parity = bytes(healed[:-n_parity]), bytes(healed[-n_parity:])
     if rs_parity(data, n_parity) != parity:
         raise UncorrectableFrameError("parity recheck failed: unrecorded damage")
-    payload = _unpack(data, frame.spec.version)
-    if (_recorded_pack(payload, frame.spec) or _pack(payload, frame.spec)) != data:
-        raise UncorrectableFrameError("terminator or pad codewords differ from the encoding")
-    return payload
+    return _unpack(data, frame.spec.version)
 
 
 def estimated_scan_seconds(spec: FrameSpec, a: float, b: float) -> float:

@@ -26,6 +26,7 @@ occurs exactly once in its file and that each killer names a test.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -92,8 +93,8 @@ MUTANTS = (
            "a signature decodes only with a user or server role byte (decoder law)",
            "tests/test_crypto.py::TestSignatures::test_unknown_role_byte_refused[2]"),
     Mutant("phone_skips_challenge_verify", "src/visualauth/protocols.py",
-           ' or not crypto.verify(self.state["server_public"], wire, sig, Role.SERVER)',
-           "",
+           'sig is None or not crypto.verify(self.state["server_public"], wire, sig, Role.SERVER)',
+           "sig is None",
            "with sign_server_payloads on, the phone opens only a server-signed challenge",
            "tests/test_adversary.py::TestVerifyBudget::test_alteration_runs_verify_nothing[0]"),
     Mutant("verify_ignores_signer", "src/visualauth/crypto.py",
@@ -122,8 +123,8 @@ MUTANTS = (
            "a public key the curve check refuses for its type is refused from the record too",
            "tests/test_crypto.py::TestSignatureRecord::test_a_key_the_curve_check_refuses_is_refused_warm"),
     Mutant("seal_record_under_stored_half", "src/visualauth/crypto.py",
-           "_recorded_secret(pair._own_seal_public, eph_pub)",
-           "_recorded_secret(pair.seal_public, eph_pub)",
+           "_recorded_key(pair._own_seal_public, eph_pub)",
+           "_recorded_key(pair.seal_public, eph_pub)",
            "decrypt answers from its record only under the half the private key derives, not the half a pair stores",
            "tests/test_crypto.py::TestSealRecord::test_a_pair_holding_another_pairs_public_half"),
     Mutant("seal_record_ignores_ephemeral", "src/visualauth/crypto.py",
@@ -132,8 +133,8 @@ MUTANTS = (
            "decrypt answers from its record only for the very ephemeral half encrypt drew",
            "tests/test_crypto.py::TestSealRecord::test_every_bit_flip_of_a_recorded_seal_is_refused"),
     Mutant("seal_record_keeps_callers_key", "src/visualauth/crypto.py",
-           "_SEALED.append((half, eph_pub, shared))",
-           "_SEALED.append((public_key, eph_pub, shared))",
+           "_SEALED.append((half, eph_pub, key))",
+           "_SEALED.append((public_key, eph_pub, key))",
            "the seal record keeps the half encrypt sliced as plain bytes, never the caller's key object",
            "tests/test_crypto.py::TestSealRecord::test_the_record_keeps_only_a_half_it_sliced"),
     Mutant("seal_record_unbounded", "src/visualauth/crypto.py",
@@ -141,21 +142,21 @@ MUTANTS = (
            "_SEALED = collections.deque()",
            "the seal record holds four entries: an evicted seal opens through the exchange",
            "tests/test_crypto.py::TestSealRecord::test_an_evicted_seal_opens_through_one_exchange"),
-    Mutant("key_record_ignores_shared_secret", "src/visualauth/crypto.py",
-           "entry_eph == eph_pub and entry_shared == shared and entry_half == half",
-           "entry_eph == eph_pub and entry_half == half",
-           "decrypt answers a key from its record only for the very shared secret encrypt derived it from",
-           "tests/test_crypto.py::TestSealRecord::test_a_pair_holding_another_pairs_public_half"),
-    Mutant("pack_record_ignores_spec", "src/visualauth/qr.py",
-           "            if entry_payload == payload and entry_spec == spec:\n",
-           "            if entry_payload == payload:\n",
-           "qr_decode's repack answers from the pack record only under the spec the payload was packed at",
-           "tests/test_qr.py::TestPackRecord::test_a_payload_packed_at_two_specs_decodes_at_each"),
     Mutant("repack_check_skipped", "src/visualauth/qr.py",
-           "    if (_recorded_pack(payload, frame.spec) or _pack(payload, frame.spec)) != data:\n",
+           "    if fill or data_codewords[len(data_codewords) - pad :] != (b\"\\xec\\x11\" * pad)[:pad]:\n",
            "    if False:\n",
            "a frame decodes only as the stream qr_encode writes: no rewritten terminator or pad is taken",
            "tests/test_qr.py::TestParsingRefusals::test_only_the_encoded_stream_decodes[pad_swapped]"),
+    Mutant("tail_skips_terminator", "src/visualauth/qr.py",
+           "    if fill or data_codewords",
+           "    if data_codewords",
+           "the terminator bits and the zero fill after a payload must all be zero",
+           "tests/test_qr.py::TestParsingRefusals::test_only_the_encoded_stream_decodes[terminator]"),
+    Mutant("tail_skips_pad", "src/visualauth/qr.py",
+           "    if fill or data_codewords[len(data_codewords) - pad :] != (b\"\\xec\\x11\" * pad)[:pad]:\n",
+           "    if fill:\n",
+           "the codewords after the terminator must be the encoder's 0xEC/0x11 pad",
+           "tests/test_qr.py::TestParsingRefusals::test_only_the_encoded_stream_decodes[pad_inverted]"),
     Mutant("phone_skips_tx_freshness", "src/visualauth/protocols.py",
            'fresh = nonce is not None and nonce == self.state.get("session_nonce")',
            "fresh = True",
@@ -310,11 +311,15 @@ MUTANTS = (
 
 def mutated_text(mutant: Mutant, root: Path = ROOT) -> str:
     """The mutant's file with its anchor replaced; ValueError unless the
-    anchor occurs exactly once."""
+    anchor occurs exactly once. An anchor that begins with whitespace
+    counts only where it starts a line, so that one left behind by code
+    moved deeper is not found as the tail of the deeper line."""
     text = (root / mutant.path).read_text(encoding="utf-8")
-    if text.count(mutant.anchor) != 1:
-        raise ValueError(f"{mutant.name}: anchor occurs {text.count(mutant.anchor)} times in {mutant.path}")
-    return text.replace(mutant.anchor, mutant.replacement)
+    pattern = ("^" if mutant.anchor[:1].isspace() else "") + re.escape(mutant.anchor)
+    found = [match.start() for match in re.finditer(pattern, text, re.MULTILINE)]
+    if len(found) != 1:
+        raise ValueError(f"{mutant.name}: anchor occurs {len(found)} times in {mutant.path}")
+    return text[: found[0]] + mutant.replacement + text[found[0] + len(mutant.anchor) :]
 
 
 def first_failure(output: str) -> str:

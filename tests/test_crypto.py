@@ -356,8 +356,8 @@ def derivations(monkeypatch):
 
 
 class TestSealRecord:
-    """decrypt takes the shared secret and the key of a payload encrypt just
-    sealed from their records, and runs the exchange and the derivation for
+    """decrypt takes the key of a payload encrypt just sealed from the seal
+    record, and runs the exchange and the derivation for
     every other payload: the answers never change, and the tag is checked
     on every payload."""
 
@@ -365,7 +365,7 @@ class TestSealRecord:
         message = b"payload under the record"
         ct = crypto.encrypt(pair.public_key, message, rng=1201)
         assert crypto.decrypt(pair, ct) == message
-        # encrypt's; warm: the records answered decrypt
+        # encrypt's; warm: the record answered decrypt
         assert exchanges == [pair.seal_public] and len(derivations) == 1
         eph_pub, rest = ct.body[:32], ct.body[32:]
         for flipped in _bit_flips(eph_pub):
@@ -373,7 +373,7 @@ class TestSealRecord:
                 crypto.decrypt(pair, Ciphertext(flipped + rest, ct.tag))
         # one exchange and one derivation per flip of the ephemeral half
         assert len(exchanges) == len(derivations) == 1 + 8 * 32
-        # the GCM nonce and the ciphertext, then the tag: the records answer,
+        # the GCM nonce and the ciphertext, then the tag: the record answers,
         # and the tag check refuses
         for flipped in _bit_flips(rest):
             with pytest.raises(IntegrityError):
@@ -383,21 +383,27 @@ class TestSealRecord:
                 crypto.decrypt(pair, Ciphertext(ct.body, flipped))
         assert len(exchanges) == len(derivations) == 1 + 8 * 32
 
-    def test_a_pair_holding_another_pairs_public_half(self, pair, server_pair):
+    def test_a_pair_holding_another_pairs_public_half(self, pair, server_pair, exchanges):
         # the record is looked up under the half derived from the private
-        # key, so a pair whose stored half is not its own is never answered
-        # from it, and opens nothing sealed to the half it stores
+        # key, so a pair whose stored half is not its own never finds the
+        # key sealed to the half it stores, and the key it finds under its
+        # own half fails the tag check, whose authenticated data carries
+        # the stored half
         mismatched = KeyPair(Role.USER, public_key=server_pair.public_key, private_key=pair.private_key)
-        ct = crypto.encrypt(mismatched.public_key, b"payload", rng=1202)
-        # the key record holds the key for the half mismatched stores, under
-        # the sealer's shared secret, which mismatched cannot compute
-        assert crypto._KEYED[-1][1:3] == (ct.body[:32], mismatched.seal_public)
-        with pytest.raises(IntegrityError):
-            crypto.decrypt(mismatched, ct)
+        to_stored = crypto.encrypt(mismatched.public_key, b"payload", rng=1202)
+        to_own = crypto.encrypt(pair.public_key, b"payload", rng=1212)
+        assert crypto._SEALED[-2][:2] == (mismatched.seal_public, to_stored.body[:32])
+        for ct in (to_stored, to_own):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(mismatched, ct)
+        # encrypt's two, then the exchange for the payload the record missed
+        assert exchanges[2:] == [to_stored.body[:32]]
         crypto._SEALED.clear()
-        with pytest.raises(IntegrityError):
-            crypto.decrypt(mismatched, ct)
-        assert crypto.decrypt(server_pair, ct) == b"payload"
+        for ct in (to_stored, to_own):
+            with pytest.raises(IntegrityError):
+                crypto.decrypt(mismatched, ct)
+        assert crypto.decrypt(server_pair, to_stored) == b"payload"
+        assert crypto.decrypt(pair, to_own) == b"payload"
 
     def test_a_pair_rebuilt_from_raw_bytes_is_answered(self, pair, exchanges):
         ct = crypto.encrypt(pair.public_key, b"payload", rng=1203)
@@ -413,15 +419,19 @@ class TestSealRecord:
         assert crypto.decrypt(pair, first) == b"first"
         assert len(exchanges) == len(derivations) == 6 + 1
 
-    def test_a_stored_half_that_is_not_bytes_is_derived(self, pair, derivations):
-        # the derivation binds the half the pair stores; one that is not
-        # bytes is never looked up, and the payload opens as before
+    def test_a_stored_half_that_is_not_bytes_is_derived(self, pair, exchanges, derivations):
+        # the record is looked up under the half the private key derives,
+        # which is bytes whatever the pair stores; the authenticated data
+        # binds the stored half by value, so the payload opens as before,
+        # from the record and through the exchange and the derivation
         ct = crypto.encrypt(pair.public_key, b"payload", rng=1230)
         loose = KeyPair(pair.role, bytearray(pair.public_key), pair.private_key)
         assert crypto.decrypt(loose, ct) == b"payload"
-        assert len(derivations) == 2
+        assert len(exchanges) == len(derivations) == 1  # encrypt's: the record answered
+        crypto._SEALED.clear()
+        assert crypto.decrypt(loose, ct) == b"payload"
+        assert len(exchanges) == len(derivations) == 2
         assert crypto.decrypt(pair, ct) == b"payload"
-        assert len(derivations) == 2
 
     def test_the_record_keeps_only_a_half_it_sliced(self, pair, server_pair, exchanges):
         # encrypt refuses a sealing key that is not bytes, as the exchange

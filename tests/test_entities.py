@@ -430,8 +430,8 @@ class TestLazyRecords:
             run_scenarios(str(GOLDEN_SCENARIOS))
         # 30 flow sessions; the matrix's 6 observed sessions, 10 follow-ups and
         # 2 alteration runs; the scenarios' 22 sessions, plus 2 follow-ups
-        # and 2 alteration runs for the two malware-phone-p2 trials
-        assert len(eager_digests) == 30 + (6 + 10 + 2) + (22 + 2 + 2)
+        # and the one alteration run of the two malware-phone-p2 trials
+        assert len(eager_digests) == 30 + (6 + 10 + 2) + (22 + 2 + 1)
         # one snapshot per delivery, and one at step 0 per party a Plant changed
         planted = sum(len({a.party for a in s.actions if type(a) is Plant}) for s in eager_digests)
         assert sum(step == 0 for recorded in eager_snapshots.values() for step, _ in recorded) == planted > 0

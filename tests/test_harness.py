@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from visualauth import crypto, harness, qr
+from visualauth import adversary, crypto, harness, qr
 from visualauth.adversary import AdversaryConfig, AdversaryKind
 from visualauth.cli import main
 from visualauth.entities import EntityKind, export_transcript
@@ -261,6 +261,27 @@ class TestScenarioRuns:
         report = run_scenario(parsed.scenarios[0])
         assert report.failures == []
         assert report.breaches == 2
+
+    def test_a_scenario_mounts_one_alteration_probe(self, monkeypatch):
+        # the trials share one attempts map, as run_matrix's sessions do:
+        # the probe, a value of (locus, flags), runs once per scenario, and
+        # each trial still mounts its own follow-up, keyed by its seed
+        counts = {"run_flow": 0, "run_hijack_guard": 0}
+        for name in counts:
+            run = getattr(adversary, name)
+
+            def counting(*args, _name=name, _run=run, **kwargs):
+                counts[_name] += 1
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(adversary, name, counting)
+        parsed = parse_config(
+            "[scenario]\nname = infected\nprotocol = p2\ntrials = 3\nseed = 61\n"
+            "adversary = malware\nlocus = smartphone\nexpect_breaches = 3\n"
+        )
+        report = run_scenario(parsed.scenarios[0])
+        assert report.failures == []
+        assert counts == {"run_flow": 3 + 3, "run_hijack_guard": 1}
 
     def test_honest_scenario_has_no_breach_column(self):
         parsed = parse_config("[scenario]\nprotocol = p1\n")

@@ -29,11 +29,16 @@ def test_each_anchor_occurs_once(mutant):
 
 
 def test_an_anchor_that_moved_is_refused(tmp_path):
-    # positive control: an anchor found twice, or not at all, is no mutant
+    # positive control: an anchor found twice, or not at all, is no mutant,
+    # and neither is an indented anchor whose code moved deeper
     (tmp_path / "m.py").write_text("x = 1\nx = 1\n", encoding="utf-8")
-    for anchor in ("x = 1", "y = 2"):
+    (tmp_path / "deeper.py").write_text("        y = 1\n", encoding="utf-8")
+    for path, anchor in (("m.py", "x = 1"), ("m.py", "y = 2"), ("deeper.py", "    y = 1\n")):
         with pytest.raises(ValueError, match="anchor occurs"):
-            mutated_text(Mutant("m", "m.py", anchor, "x = 2", "none", "none"), root=tmp_path)
+            mutated_text(Mutant("m", path, anchor, "x = 2", "none", "none"), root=tmp_path)
+    # the control's control: at its own depth the indented anchor is found
+    mutant = Mutant("m", "deeper.py", "        y = 1\n", "        y = 2\n", "none", "none")
+    assert mutated_text(mutant, root=tmp_path) == "        y = 2\n"
 
 
 def test_the_runner_puts_the_copy_first_and_keeps_the_callers_path(monkeypatch, tmp_path):

@@ -67,6 +67,19 @@ def pack_slow(payload: bytes, spec: FrameSpec) -> bytes:
     return data + pads
 
 
+def repacked(bits: str, spec: FrameSpec) -> bytes | None:
+    """The payload a byte-mode stream, given as a string of bits, parses to
+    if packing that payload gives the stream back, else None: the check a
+    decode made by repacking before the parse checked the tail itself."""
+    width = COUNT_BITS[Mode.BYTE][spec.version >= 10]
+    count = int(bits[4 : 4 + width], 2)
+    body = bits[4 + width : 4 + width + 8 * count]
+    if bits[:4] != "0100" or len(body) < 8 * count:
+        return None
+    payload = int(body or "0", 2).to_bytes(count, "big")
+    return payload if qr._pack(payload, spec) == int(bits, 2).to_bytes(len(bits) // 8, "big") else None
+
+
 def framed(data: bytes, spec: FrameSpec) -> VisualFrame:
     """A frame around hand-built data codewords, with valid parity."""
     parity = qr.rs_parity(data, parity_codeword_count(spec))
@@ -234,7 +247,6 @@ class TestParsingRefusals:
 
     @pytest.mark.parametrize("rewrite", ["none", *STREAM_REWRITES])
     def test_only_the_encoded_stream_decodes(self, rewrite):
-        qr._PACKED.clear()  # no pack of the payload recorded: the repack is computed
         frame = rewritten_stream(rewrite)
         if rewrite == "none":  # the control: the encoding itself decodes
             assert qr_decode(frame) == NONCE_PAYLOAD
@@ -242,41 +254,29 @@ class TestParsingRefusals:
             with pytest.raises(UncorrectableFrameError, match="terminator or pad"):
                 qr_decode(frame)
 
-
-class TestPackRecord:
-    """qr_decode's repack takes the pack qr_encode recorded for the same
-    payload and spec, and still compares it with the data codewords the
-    frame carries."""
-
-    @pytest.mark.parametrize("rewrite", STREAM_REWRITES)
-    def test_a_rewritten_stream_is_refused_right_after_its_honest_pack(self, rewrite):
-        honest = qr_encode(NONCE_PAYLOAD, NONCE_SPEC)
-        data = pack_slow(NONCE_PAYLOAD, NONCE_SPEC)
-        assert honest.codewords.startswith(data) and qr._PACKED[-1] == (NONCE_PAYLOAD, NONCE_SPEC, data)
-        with pytest.raises(UncorrectableFrameError, match="terminator or pad"):
-            qr_decode(rewritten_stream(rewrite))
-        assert qr_decode(honest) == NONCE_PAYLOAD
-
-    def test_a_payload_packed_at_two_specs_decodes_at_each(self):
-        # the same payload packs to more pad codewords at version 2 than at
-        # 1: the record answers a repack only under the spec it was packed at
-        payload = b"two specs"
-        qr._PACKED.clear()
-        frames = [qr_encode(payload, FrameSpec(version, EcLevel.M, Mode.BYTE)) for version in (1, 2)]
-        packed = [frame.codewords[: data_codeword_count(frame.spec)] for frame in frames]
-        assert [entry[2] for entry in qr._PACKED] == packed
-        for frame in frames + frames[::-1]:
-            assert qr_decode(frame) == payload
-
-    def test_only_a_bytes_payload_is_recorded(self):
-        # a bytearray could change after its frame is made; it is packed
-        # and framed as before, and the repack of its decode is computed
-        qr._PACKED.clear()
-        payload = bytearray(b"mutable")
-        frame = qr_encode(payload, FrameSpec(1, EcLevel.M, Mode.BYTE))
-        assert list(qr._PACKED) == []
-        payload[0] ^= 1
-        assert qr_decode(frame) == b"mutable"
+    @pytest.mark.parametrize("ec", EcLevel, ids=lambda ec: ec.value)
+    def test_the_parse_takes_a_stream_exactly_when_its_repack_gives_it_back(self, ec):
+        # every single bit flip of the data codewords of 0-40 byte payloads:
+        # a flip inside the payload parses to another payload (which the
+        # parity recheck refuses in a frame), and a flip of the count,
+        # terminator, zero fill or pad is refused
+        taken = refused = 0
+        for length in range(41):
+            spec = choose_spec(bytes(length), ec)
+            honest = pack_slow(bytes(range(length)), spec)
+            bits = "".join(f"{b:08b}" for b in honest)
+            for i in range(len(bits)):
+                flipped = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+                data = bytearray(honest)
+                data[i // 8] ^= 0x80 >> i % 8
+                try:
+                    payload = qr._unpack(bytes(data), spec.version)
+                except UncorrectableFrameError:
+                    payload = None
+                assert payload == repacked(flipped, spec), (ec, length, i)
+                taken += payload is not None
+                refused += payload is None
+        assert taken and refused
 
 
 class TestCapacityErrors:

@@ -23,6 +23,15 @@ UNBOUNDED_CACHES = {
     "_generator_poly": "keyed by parity degree: at most the 40 specs' parity counts",
 }
 
+# The module-level records in src/, each a deque of the last few results
+# that saves curve work, with the soundness argument for it in its module's
+# docstring. Any other module-level deque is reported, so that no record
+# comes back unexamined.
+RECORDS = {
+    "_SIGNED": "crypto: verify answers a triple sign made",
+    "_SEALED": "crypto: decrypt takes the key encrypt derived",
+}
+
 
 def test_no_source_line_is_longer_than_the_bound():
     modules = sorted(SRC.rglob("*.py"))
@@ -62,7 +71,8 @@ def _bound(node) -> str:
 
 def cache_findings(source: str, filename: str = "<src>") -> list[str]:
     """Each functools cache in source that is neither numerically bounded
-    nor an allow-listed unbounded cache, as 'file:line name: problem'."""
+    nor an allow-listed unbounded cache, and each module-level deque that
+    is not an allow-listed record, as 'file:line name: problem'."""
     tree = ast.parse(source)
     decorated = {}
     for node in ast.walk(tree):
@@ -82,22 +92,36 @@ def cache_findings(source: str, filename: str = "<src>") -> list[str]:
             findings.append(f"{filename}:{node.lineno} {owner}: unbounded cache not allow-listed")
         elif bound == "implicit":
             findings.append(f"{filename}:{node.lineno} {owner}: no numeric maxsize")
+    for name, node in _module_deques(tree):
+        if name not in RECORDS:
+            findings.append(f"{filename}:{node.lineno} {name}: record not allow-listed")
     return findings
 
 
+def _module_deques(tree) -> list[tuple[str, ast.Call]]:
+    """(name, call) of each deque a module-level statement assigns."""
+    return [
+        (target.id, node.value)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call)
+        and _name(node.value.func) == "deque"
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+
+
 def test_every_cache_is_bounded_or_keyed_on_a_finite_domain():
-    findings, owners = [], set()
+    findings, owners, records = [], set(), set()
     for path in sorted(SRC.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         findings += cache_findings(source, str(path.relative_to(SRC)))
-        owners |= {
-            node.name
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.FunctionDef)
-        }
+        tree = ast.parse(source)
+        owners |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        records |= {name for name, _ in _module_deques(tree)}
     assert findings == []
-    # a stale entry would let a new cache of that name through unexamined
+    # a stale entry would let a new cache or record of that name through unexamined
     assert set(UNBOUNDED_CACHES) <= owners
+    assert set(RECORDS) <= records
 
 
 def test_the_cache_check_can_fail():
@@ -110,6 +134,8 @@ def test_the_cache_check_can_fail():
         "@lru_cache()\ndef f(x): ...": "numeric",
         "g = functools.lru_cache(maxsize=None)(len)": "unbounded",
         "g = functools.cache(len)": "unbounded",
+        "_PACKED = collections.deque(maxlen=4)": "record not allow-listed",
+        "_KEYED: deque = deque(maxlen=4)": "record not allow-listed",
     }
     for source, problem in flagged.items():
         (finding,) = cache_findings(source)
@@ -120,6 +146,8 @@ def test_the_cache_check_can_fail():
         "@functools.cache\ndef _generator_poly(degree): ...",
         "from functools import cache, lru_cache",
         "@functools.cached_property\ndef f(self): ...",
+        "_SEALED = collections.deque(maxlen=4)",
+        "def f():\n    recent = collections.deque(maxlen=4)",
     ]
     for source in passed:
         assert cache_findings(source) == [], source
