@@ -39,7 +39,6 @@ from visualauth.protocols import (
     Protocol,
     SessionConfig,
     SessionFlags,
-    SessionResult,
     SubmitCiphertext,
     SubmitPositions,
     run_flow,
@@ -617,17 +616,11 @@ class TestSharedSession:
         assert (AdversaryKind.SHOULDER_SURFER, EntityKind.TERMINAL) in changed
         assert (AdversaryKind.MALWARE, EntityKind.SMARTPHONE) in changed
 
-    def test_cells_of_one_session_draw_their_own_guesses(self, monkeypatch):
+    def test_cells_of_one_session_draw_their_own_guesses(self, spy):
         # the two brute-force cells share a session, not their guesses
-        seeds = []
-        guess = adversary.brute_force_guessing
-
-        def recording(store, user_id, budget, seed):
-            seeds.append(seed)
-            return guess(store, user_id, budget, seed)
-
-        monkeypatch.setattr(adversary, "brute_force_guessing", recording)
+        guesses = spy(adversary, "brute_force_guessing")
         run_matrix(2026, trials=2)
+        seeds = [call.args[3] for call in guesses]
         assert len(seeds) == len(set(seeds)) == len(AUTH_PROTOCOLS) * 2 * 2
 
     def test_matrix_leaves_the_store_alone(self, monkeypatch):
@@ -648,30 +641,15 @@ class TestSharedSession:
         assert [f.name for f in dataclasses.fields(store)] == ["server_pair", "server_name", "users"]
 
 
-def _recording_sessions(monkeypatch) -> list[tuple[list, SessionResult]]:
-    """The (views, result) of each run_attacked_session call from now on."""
-    sessions = []
-    run = adversary.run_attacked_session
-
-    def recording(*args, **kwargs):
-        handles, result = run(*args, **kwargs)
-        sessions.append((handles, result))
-        return handles, result
-
-    monkeypatch.setattr(adversary, "run_attacked_session", recording)
-    return sessions
-
-
 class TestOneReading:
     """run_attacked_session observes each delivery once and hands that
     reading to every view; a view keeps the channels its surface shows."""
 
-    def test_matrix_observes_each_delivery_once(self, monkeypatch):
-        observed = []
-        observe = adversary.observe
-        monkeypatch.setattr(adversary, "observe", lambda message: observed.append(message) or observe(message))
-        sessions = _recording_sessions(monkeypatch)
+    def test_matrix_observes_each_delivery_once(self, spy):
+        observes, runs = spy(adversary, "observe"), spy(adversary, "run_attacked_session")
         run_matrix(2026, trials=1)
+        sessions = [call.result for call in runs]
+        observed = [call.args[0] for call in observes]
         deliveries = [m for _, result in sessions for m in result.session.transcript]
         assert len(sessions) == len(AUTH_PROTOCOLS)
         assert len(observed) == len(deliveries) == 33
@@ -686,10 +664,10 @@ class TestOneReading:
             assert shared > 0
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_matrix_views_see_what_a_view_alone_sees(self, seed, monkeypatch):
-        sessions = _recording_sessions(monkeypatch)
+    def test_matrix_views_see_what_a_view_alone_sees(self, seed, spy):
+        runs = spy(adversary, "run_attacked_session")
         run_matrix(seed, trials=1)
-        for handles, result in sessions:
+        for handles, result in (call.result for call in runs):
             assert [handle.config for handle in handles] == MATRIX_CONFIGS
             for handle in handles:
                 alone = adversary.AttackerHandle(handle.config, result.session)
@@ -698,11 +676,9 @@ class TestOneReading:
                     handle.stolen_keypair,
                 ), handle.config
 
-    def test_a_lone_view_reads_only_its_channels(self, monkeypatch):
+    def test_a_lone_view_reads_only_its_channels(self, spy):
         # a keylogger alone observes the clicks into its locus, not every delivery
-        observed = []
-        observe = adversary.observe
-        monkeypatch.setattr(adversary, "observe", lambda message: observed.append(message) or observe(message))
+        observed = spy(adversary, "observe")
         (handle,), result = run_attacked_session(SessionConfig(protocol=Protocol.P1, seed=2), [AdversaryConfig(K, T)])
         assert len(observed) == len(handle.observations) == 2
         assert len(result.session.transcript) > 2
@@ -710,13 +686,11 @@ class TestOneReading:
 
 class TestAttackerKeys:
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_matrix_generates_only_the_store_keys(self, seed, monkeypatch):
+    def test_matrix_generates_only_the_store_keys(self, seed, spy):
         # the server's pair and alice's; learned credentials need no key of their own
-        calls = []
-        generate = crypto.generate_keypair
-        monkeypatch.setattr(crypto, "generate_keypair", lambda *args: calls.append(args) or generate(*args))
+        calls = spy(crypto, "generate_keypair")
         run_matrix(seed, trials=2)
-        assert [role for role, _ in calls] == [crypto.Role.SERVER, crypto.Role.USER]
+        assert [call.args[0] for call in calls] == [crypto.Role.SERVER, crypto.Role.USER]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_learned_credentials_log_in_on_a_keyless_phone(self, seed):
@@ -733,20 +707,6 @@ class TestAttackerKeys:
 FOLLOWUPS_PER_SESSION = {Protocol.P1: 1, Protocol.P2: 2, Protocol.P3: 2}
 
 
-def _count_followups(monkeypatch) -> dict[str, int]:
-    """Count the sessions adversary starts from now on, by entry point."""
-    counts = {"run_flow": 0, "run_hijack_guard": 0}
-    for name in counts:
-        run = getattr(adversary, name)
-
-        def counting(*args, _name=name, _run=run, **kwargs):
-            counts[_name] += 1
-            return _run(*args, **kwargs)
-
-        monkeypatch.setattr(adversary, name, counting)
-    return counts
-
-
 class TestSharedAttempts:
     """An attempt is a value of (strategy, user_id, loot, session seed): the
     views of one session that hold the same loot mount it once and read one
@@ -754,18 +714,18 @@ class TestSharedAttempts:
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     @pytest.mark.parametrize("protocol", AUTH_PROTOCOLS, ids=lambda p: p.value)
-    def test_one_followup_per_distinct_loot(self, protocol, seed, monkeypatch):
+    def test_one_followup_per_distinct_loot(self, protocol, seed, spy):
         handles, _ = run_attacked_session(SessionConfig(protocol=protocol, seed=seed), MATRIX_CONFIGS)
-        counts = _count_followups(monkeypatch)
+        followups, probes = spy(adversary, "run_flow"), spy(adversary, "run_hijack_guard")
         for handle in handles:
             evaluate(handle)
         # one alteration probe per malware locus, read again on the second pass
-        assert counts == {"run_flow": FOLLOWUPS_PER_SESSION[protocol], "run_hijack_guard": 2}
+        assert (len(followups), len(probes)) == (FOLLOWUPS_PER_SESSION[protocol], 2)
         for handle in handles:
             evaluate(handle)
-        assert counts == {"run_flow": FOLLOWUPS_PER_SESSION[protocol], "run_hijack_guard": 2}
+        assert (len(followups), len(probes)) == (FOLLOWUPS_PER_SESSION[protocol], 2)
 
-    def test_different_loot_mounts_its_own_attempt(self, monkeypatch):
+    def test_different_loot_mounts_its_own_attempt(self, spy):
         # positive control: two views of one session replay different
         # positions, one of them spelling the password on the replay's layout
         store = CredentialStore.provision(281)
@@ -780,22 +740,22 @@ class TestSharedAttempts:
             dataclasses.replace(obs, data=("positions", spelled)) if obs.data[0] == "positions" else obs
             for obs in surfer.observations
         ]
-        counts = _count_followups(monkeypatch)
+        followups = spy(adversary, "run_flow")
         assert (evaluate(keylogger).can_authenticate_later, evaluate(surfer).can_authenticate_later) == (False, True)
-        assert counts["run_flow"] == 2
+        assert len(followups) == 2
         assert sorted(keylogger.attempts.values()) == [False, True]
 
-    def test_separate_sessions_share_no_attempt(self, monkeypatch):
+    def test_separate_sessions_share_no_attempt(self, spy):
         config = SessionConfig(protocol=Protocol.P2, seed=0)
         first, _ = run_attacked_session(config, MATRIX_CONFIGS)
         second, _ = run_attacked_session(config, MATRIX_CONFIGS)
         alone = adversary.AttackerHandle(MATRIX_CONFIGS[0], first[0].session)
         assert first[0].attempts is not second[0].attempts
         assert alone.attempts == {} and alone.attempts is not first[0].attempts
-        counts = _count_followups(monkeypatch)
+        followups = spy(adversary, "run_flow")
         for handle in first + second:
             evaluate(handle)
-        assert counts["run_flow"] == 2 * FOLLOWUPS_PER_SESSION[Protocol.P2]
+        assert len(followups) == 2 * FOLLOWUPS_PER_SESSION[Protocol.P2]
 
     @pytest.mark.parametrize("trials", (2, 100))
     def test_matrix_shares_no_followup_across_trials(self, monkeypatch, trials):
@@ -832,7 +792,7 @@ class TestSharedAttempts:
         assert started == {"observed": trials * len(AUTH_PROTOCOLS), "followup": followups, "probe": 2}
         assert followups == 5 * trials
 
-    def test_one_probe_per_locus_and_flags(self, monkeypatch):
+    def test_one_probe_per_locus_and_flags(self, spy):
         # three sessions share one map: the probes are keyed by (locus, flags),
         # so the two unguarded sessions read one pair of probes between them
         store = CredentialStore.provision(5)
@@ -844,12 +804,12 @@ class TestSharedAttempts:
             for seed, flags in ((0, SessionFlags()), (1, unguarded), (2, unguarded))
         ]
         assert all(handle.attempts is attempts for handles in sessions for handle in handles)
-        counts = _count_followups(monkeypatch)
+        probes = spy(adversary, "run_hijack_guard")
         altered = [
             [evaluate(h).can_alter_transaction for h in handles if h.config.kind is AdversaryKind.MALWARE]
             for handles in sessions
         ]
-        assert counts["run_hijack_guard"] == 2 * 2
+        assert len(probes) == 2 * 2
         # positive control: with the guard off, the terminal malware views of
         # both unguarded sessions read the breach, the second without a probe
         # of its own; phone malware rewrites only the side copy, which an
@@ -862,27 +822,19 @@ class TestSharedAttempts:
 
 class TestVerifyBudget:
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_alteration_runs_verify_nothing(self, seed, monkeypatch):
+    def test_alteration_runs_verify_nothing(self, seed, spy):
         # the alteration runs submit EVIL_TX against the user's side copy, so
         # the guard rejects each before verifying; the three verifies left
         # per trial are the P1 and P2 challenges and the P2 stolen-key
         # follow-up's
-        counts = _count_followups(monkeypatch)
-        verify = crypto.verify
-        verifies = []
-
-        def counting(*args):
-            verifies.append(args)
-            return verify(*args)
-
-        monkeypatch.setattr(crypto, "verify", counting)
+        probes, verifies = spy(adversary, "run_hijack_guard"), spy(crypto, "verify")
         for trials in (1, 2):
             verifies.clear()
-            counts["run_hijack_guard"] = 0
+            probes.clear()
             run_matrix(seed, trials)
             assert len(verifies) == 3 * trials
             # two alteration runs per matrix, one per malware locus
-            assert counts["run_hijack_guard"] == 2
+            assert len(probes) == 2
 
 
 class TestReplaysAreJudged:
@@ -937,19 +889,16 @@ class TestReplaysAreJudged:
         assert (result.outcome, result.session.abort_reason) == (outcome, reason)
         assert result.session.step == steps
 
-    def test_matrix_replays_are_denied_not_aborted(self, monkeypatch):
+    def test_matrix_replays_are_denied_not_aborted(self, spy):
         # an abort would mean the replay arrived out of order, and the
         # cell's "resist" would prove nothing
-        sessions, run = [], adversary.run_flow
-
-        def recording(config, store=None, actions=()):
-            result = run(config, store, actions)
-            if any(type(action) is Inject for action in actions):  # a replay
-                sessions.append(result.session)
-            return result
-
-        monkeypatch.setattr(adversary, "run_flow", recording)
+        runs = spy(adversary, "run_flow")
         run_matrix(2026, trials=1)
+        sessions = [
+            call.result.session
+            for call in runs
+            if any(type(action) is Inject for actions in call.args[2:] for action in actions)  # a replay
+        ]
         assert {session.config.protocol for session in sessions} == set(AUTH_PROTOCOLS)
         assert {session.outcome for session in sessions} == {Outcome.DENIED}
 
@@ -1059,11 +1008,10 @@ class TestGoals:
         assert GOALS.keys() - reached == {"authenticate_as_victim"}
 
     @pytest.mark.parametrize("name", ATTACKS)
-    def test_a_row_run_twice_is_the_same_world(self, name, monkeypatch):
-        worlds, world = [], adversary.World
-        monkeypatch.setattr(adversary, "World", lambda *args: worlds.append(world(*args)) or worlds[-1])
+    def test_a_row_run_twice_is_the_same_world(self, name, spy):
+        worlds = spy(adversary, "World")
         assert run_attack(ATTACKS[name], 3) == run_attack(ATTACKS[name], 3)
-        first, second = worlds
+        first, second = (call.result for call in worlds)
         assert first.sessions.keys() == second.sessions.keys() and ATTACKED in first.sessions
         assert first.held == second.held
         for key, session in first.sessions.items():

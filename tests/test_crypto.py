@@ -331,11 +331,11 @@ class TestSignatureRecord:
     @pytest.mark.parametrize(
         "protocol", [Protocol.P1, Protocol.P2, Protocol.TXVERIFY, Protocol.HIJACKGUARD], ids=lambda p: p.value
     )
-    def test_an_honest_session_runs_no_curve_check(self, monkeypatch, curve_checks, protocol):
-        triples = []
+    def test_an_honest_session_runs_no_curve_check(self, spy, curve_checks, protocol):
         verify = crypto.verify
-        monkeypatch.setattr(crypto, "verify", lambda *args: triples.append(args) or verify(*args))
+        verifies = spy(crypto, "verify")
         result = run_flow(SessionConfig(protocol=protocol, seed=3))
+        triples = [call.args for call in verifies]
         assert result.outcome in (Outcome.AUTHENTICATED, Outcome.CONFIRMED, Outcome.ACCEPTED)
         assert triples and curve_checks == []
         # positive control: each triple, tampered, runs the curve check and fails it
@@ -346,13 +346,10 @@ class TestSignatureRecord:
 
 
 @pytest.fixture
-def derivations(monkeypatch):
-    """The (shared, ephemeral half, recipient half) of each key derivation:
-    one in each encrypt, and one in each decrypt its record does not answer."""
-    derived = []
-    derive = crypto._hybrid_key
-    monkeypatch.setattr(crypto, "_hybrid_key", lambda *args: derived.append(args) or derive(*args))
-    return derived
+def derivations(spy):
+    """Each key derivation: one in each encrypt, and one in each decrypt its
+    record does not answer."""
+    return spy(crypto, "_hybrid_key")
 
 
 class TestSealRecord:
@@ -470,17 +467,15 @@ class TestSealRecord:
     @pytest.mark.parametrize(
         "protocol", [Protocol.P1, Protocol.P2, Protocol.P3, Protocol.SECUREVIEW], ids=lambda p: p.value
     )
-    def test_an_honest_session_runs_no_decrypt_exchange(self, monkeypatch, exchanges, protocol):
-        sealed, opened = [], []
-        encrypt, decrypt = crypto.encrypt, crypto.decrypt
-        monkeypatch.setattr(crypto, "encrypt", lambda *args: sealed.append(args) or encrypt(*args))
-        monkeypatch.setattr(crypto, "decrypt", lambda *args: opened.append(args) or decrypt(*args))
+    def test_an_honest_session_runs_no_decrypt_exchange(self, spy, exchanges, protocol):
+        decrypt = crypto.decrypt
+        sealed, opened = spy(crypto, "encrypt"), spy(crypto, "decrypt")
         result = run_flow(SessionConfig(protocol=protocol, seed=3))
         assert result.outcome in (Outcome.AUTHENTICATED, Outcome.VIEWED)
         assert opened and len(exchanges) == len(sealed)
         # positive control: each payload, its ephemeral half flipped, runs
         # the exchange and is refused
-        for pair, ct in opened:
+        for pair, ct in (call.args for call in opened):
             with pytest.raises(IntegrityError):
                 decrypt(pair, Ciphertext(bytes([ct.body[0] ^ 1]) + ct.body[1:], ct.tag))
         assert len(exchanges) == len(sealed) + len(opened)

@@ -271,35 +271,29 @@ class TestEncoderOracle:
                 assert message.digest() == _reference_digest(message), case.where
 
     @staticmethod
-    def _every_session(monkeypatch):
+    def _every_session(runs):
         """Transcripts and snapshots of all six flows at seeds 0-2 and of
-        every session a one-trial matrix runs, plus its records."""
-        sessions = []
-        run = entities.Session.run
-
-        def recording_run(self, *args, **kwargs):
-            sessions.append(self)
-            return run(self, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(entities.Session, "run", recording_run)
-            for protocol in Protocol:
-                for seed in (0, 1, 2):
-                    run_flow(SessionConfig(protocol=protocol, seed=seed))
-            records = machine_records(Report(matrix=run_matrix(2026, trials=1)))
+        every session a one-trial matrix runs, plus its records; runs is a
+        spy on Session.run."""
+        start = len(runs)
+        for protocol in Protocol:
+            for seed in (0, 1, 2):
+                run_flow(SessionConfig(protocol=protocol, seed=seed))
+        records = machine_records(Report(matrix=run_matrix(2026, trials=1)))
         outputs = [
             (export_transcript(s), {kind: e.snapshots for kind, e in s.entities.items()})
-            for s in sessions
+            for s in (call.args[0] for call in runs[start:])
         ]
         return outputs, records
 
-    def test_sessions_match_the_reference(self, monkeypatch):
-        outputs, records = self._every_session(monkeypatch)
+    def test_sessions_match_the_reference(self, monkeypatch, spy):
+        runs = spy(entities.Session, "run")
+        outputs, records = self._every_session(runs)
         with monkeypatch.context() as patch:
             patch.setattr(entities, "canonical_bytes", reference_canonical_bytes)
             for cls in entities.MESSAGES.values():
                 patch.setattr(cls, "body_bytes", _reference_body_bytes)
-            reference, reference_records = self._every_session(monkeypatch)
+            reference, reference_records = self._every_session(runs)
         # 18 flow sessions; the matrix's 3 observed sessions, 5 follow-ups
         # (one per distinct loot) and 2 alteration runs (one per malware locus)
         assert len(outputs) == 18 + 3 + 5 + 2

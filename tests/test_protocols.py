@@ -417,49 +417,30 @@ class TestCaptureReuse:
     second time, as the benchmark's repeated passes do."""
 
     @pytest.mark.parametrize("damage", [0, "budget", "budget+1"], ids=str)
-    def test_one_miss_per_frame_one_hit_per_recheck(self, monkeypatch, damage):
-        counts = dict.fromkeys(("pack", "derive", "key_hit", "key_miss"), 0)
-        seals, opens, rechecks = [], [], []
+    def test_one_miss_per_frame_one_hit_per_recheck(self, spy, damage):
+        packs, derives, keys = spy(qr, "_pack"), spy(crypto, "_hybrid_key"), spy(crypto, "_recorded_key")
+        decodes, seals, opens = spy(qr, "qr_decode"), spy(crypto, "encrypt"), spy(crypto, "decrypt")
 
-        def counted(module, name, count):
-            fn = getattr(module, name)
+        def rechecks(calls):  # the decodes past the budget check, at the recheck
+            return [f for (f,) in (c.args for c in calls) if len(f.corrupted_codewords) <= qr.correction_budget(f.spec)]
 
-            def wrapper(*args):
-                result = fn(*args)
-                counts[count(result)] += 1
-                return result
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(qr, "_pack", lambda result: "pack")
-        counted(crypto, "_hybrid_key", lambda result: "derive")
-        counted(crypto, "_recorded_key", lambda result: "key_miss" if result is None else "key_hit")
-        decode, encrypt, decrypt = qr.qr_decode, crypto.encrypt, crypto.decrypt
-
-        def counting_decode(frame):
-            if len(frame.corrupted_codewords) <= qr.correction_budget(frame.spec):
-                rechecks.append(frame)  # past the budget check, at the recheck
-            return decode(frame)
-
-        monkeypatch.setattr(qr, "qr_decode", counting_decode)
-        monkeypatch.setattr(crypto, "encrypt", lambda *args: seals.append(args) or encrypt(*args))
-        monkeypatch.setattr(crypto, "decrypt", lambda *args: opens.append(args) or decrypt(*args))
         qr.rs_parity.cache_clear()
         for run in (1, 2):
             for protocol in Protocol:
                 for seed in (0, 1, 2):
-                    before = dict(counts, seals=len(seals), opens=len(opens), rechecks=len(rechecks))
+                    spied = (packs, derives, keys, decodes, seals, opens)
+                    before = [len(calls) for calls in spied]
                     parity = qr.rs_parity.cache_info()
                     session = run_flow(_cfg(protocol, seed, corrupt_codewords=damage)).session
-                    moved = {name: counts[name] - before[name] for name in counts}
-                    checked = len(rechecks) - before["rechecks"]
+                    packed, derived, keyed, decoded, sealed, opened = (c[n:] for c, n in zip(spied, before))
                     label = f"run {run}: {protocol.value} seed {seed}"
                     assert qr.rs_parity.cache_info().misses - parity.misses == len(session.frame_log), label
-                    assert qr.rs_parity.cache_info().hits - parity.hits == checked, label
-                    assert moved["pack"] == len(session.frame_log), label
-                    assert moved["derive"] == len(seals) - before["seals"], label
-                    assert (moved["key_hit"], moved["key_miss"]) == (len(opens) - before["opens"], 0), label
-        assert seals and (rechecks and opens or damage == "budget+1")
+                    assert qr.rs_parity.cache_info().hits - parity.hits == len(rechecks(decoded)), label
+                    assert len(packed) == len(session.frame_log), label
+                    assert len(derived) == len(sealed), label
+                    # every open finds its key in the record: no miss
+                    assert [call.result is not None for call in keyed] == [True] * len(opened), label
+        assert seals and (rechecks(decodes) and opens or damage == "budget+1")
 
 
 class TestHonestFramesDecode:
@@ -688,40 +669,33 @@ class TestTransactionVerification:
         assert result.session.executed_tx is None
 
     @staticmethod
-    def _shown(payload_of) -> tuple[ShowVerifiedTx, list, bytes]:
-        """What the phone shows the user and the verify calls it makes when
-        the terminal shows it payload_of(server pair, the honest signed text)
-        as its seed-3 confirmation frame, and that honest text."""
+    def _shown(spy, payload_of) -> tuple[ShowVerifiedTx, list, bytes]:
+        """What the phone shows the user and the arguments of each verify it
+        makes when the terminal shows it payload_of(server pair, the honest
+        signed text) as its seed-3 confirmation frame, and that honest text."""
         store = CredentialStore.provision(3)
         honest = run_flow(_cfg(Protocol.TXVERIFY, 3), store)
         (confirmation,) = [m for m in honest.session.transcript if m.TAG == "tx_confirmation"]
         text, _ = _unpack_signed(confirmation.frame.payload)
         payload = payload_of(store.server_pair, text)
         frame = qr.qr_encode(payload, qr.choose_spec(payload))
-        calls, verify = [], crypto.verify
-
-        def recording(*args):
-            calls.append(args)
-            return verify(*args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(crypto, "verify", recording)
-            result = run_flow(_cfg(Protocol.TXVERIFY, 3), store, actions=_rewriting_frames(frame=frame))
+        verifies = spy(crypto, "verify")
+        result = run_flow(_cfg(Protocol.TXVERIFY, 3), store, actions=_rewriting_frames(frame=frame))
         (shown,) = [m for m in result.session.transcript if m.TAG == "show_verified_tx"]
-        return shown, calls, text
+        return shown, [call.args for call in verifies], text
 
-    def test_phone_verifies_the_bytes_that_arrived_as_the_servers(self):
+    def test_phone_verifies_the_bytes_that_arrived_as_the_servers(self, spy):
         # the control: the server's own payload, shown back, verifies over
         # the text that arrived and only under the server's role
-        shown, calls, text = self._shown(lambda server, text: _pack_signed(text, crypto.sign(server, text)))
+        shown, calls, text = self._shown(spy, lambda server, text: _pack_signed(text, crypto.sign(server, text)))
         assert shown == ShowVerifiedTx(tx=DEFAULT_TX, sig_valid=True, fresh=True)
         ((public_key, message, _, signer),) = calls
         assert public_key == CredentialStore.provision(3).server_pair.public_key
         assert (message, signer) == (text, Role.SERVER)
 
-    def test_another_servers_signature_is_shown_invalid(self):
+    def test_another_servers_signature_is_shown_invalid(self, spy):
         other = crypto.generate_keypair(Role.SERVER, seed=42)
-        shown, _, _ = self._shown(lambda server, text: _pack_signed(text, crypto.sign(other, text)))
+        shown, _, _ = self._shown(spy, lambda server, text: _pack_signed(text, crypto.sign(other, text)))
         assert shown == ShowVerifiedTx(tx=DEFAULT_TX, sig_valid=False, fresh=True)
 
     # a payload the phone refuses to read: it shows no transaction. A
@@ -735,8 +709,8 @@ class TestTransactionVerification:
     }
 
     @pytest.mark.parametrize("payload_of", REFUSED, ids=str)
-    def test_refused_confirmation_shows_no_transaction(self, payload_of):
-        shown, calls, _ = self._shown(self.REFUSED[payload_of])
+    def test_refused_confirmation_shows_no_transaction(self, payload_of, spy):
+        shown, calls, _ = self._shown(spy, self.REFUSED[payload_of])
         assert shown == ShowVerifiedTx(tx=None, sig_valid=False, fresh=False)
         assert calls == []
 
@@ -821,32 +795,19 @@ def test_capture_contexts_name_real_captures(context, captured):
     assert bool(listed) is captured
 
 
-def _counting_verifies(monkeypatch) -> list[bool]:
-    """Record the result of every signature verify from now on."""
-    results = []
-    verify = crypto.verify
-
-    def counting(*args):
-        results.append(verify(*args))
-        return results[-1]
-
-    monkeypatch.setattr(crypto, "verify", counting)
-    return results
-
-
 class TestHijackGuard:
-    def test_honest_transfer_accepted(self, monkeypatch):
-        verifies = _counting_verifies(monkeypatch)
+    def test_honest_transfer_accepted(self, spy):
+        verifies = spy(crypto, "verify")
         result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160))
         assert result.outcome is Outcome.ACCEPTED
         assert result.session.executed_tx == DEFAULT_TX
-        assert verifies == [True]
+        assert [call.result for call in verifies] == [True]
 
     @pytest.mark.parametrize("locus", [EntityKind.TERMINAL, EntityKind.SMARTPHONE], ids=str)
-    def test_alteration_rejected_before_any_verify(self, locus, monkeypatch):
+    def test_alteration_rejected_before_any_verify(self, locus, spy):
         # the transactions differ, so the verdict is settled without the
         # signature check that only an agreeing side copy needs
-        verifies = _counting_verifies(monkeypatch)
+        verifies = spy(crypto, "verify")
         result = run_hijack_guard(_cfg(Protocol.HIJACKGUARD, 160), actions=_altering(locus))
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
@@ -868,18 +829,18 @@ class TestHijackGuard:
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
 
-    def test_forged_side_copy_rejected(self, monkeypatch):
+    def test_forged_side_copy_rejected(self, spy):
         # a side copy signed by the wrong key must not unlock execution; the
         # transactions agree, so the signature is checked, once, and fails
         store = CredentialStore.provision(164)
         stranger = crypto.generate_keypair(Role.USER, seed=164)
-        verifies = _counting_verifies(monkeypatch)
+        verifies = spy(crypto, "verify")
         result = run_hijack_guard(
             _cfg(Protocol.HIJACKGUARD, 164), store=store, actions=(Plant(EntityKind.SMARTPHONE, {"keypair": stranger}),)
         )
         assert result.outcome is Outcome.REJECTED
         assert result.session.executed_tx is None
-        assert verifies == [False]
+        assert [call.result for call in verifies] == [False]
 
 
 # each flow's honest message order, delivery by delivery, written by hand
