@@ -397,18 +397,16 @@ class OtpToken:
         return replace(self, consumed=True)
 
 
-def generate_otp(rng: random.Random | int, length: int = DEFAULT_OTP_LEN, outstanding=()) -> OtpToken:
-    """Draw a fresh token over the alphabet.
+def generate_otp(rng: random.Random | int, outstanding=()) -> OtpToken:
+    """Draw a fresh token of DEFAULT_OTP_LEN characters over the alphabet.
 
     Freshness means the value differs from every unconsumed token in
     outstanding; collisions redraw.
     """
-    if length <= 0:
-        raise ValueError("otp length must be positive")
     rng = as_rng(rng)
     live = {t.value for t in outstanding if not t.consumed}
     while True:
-        value = "".join(rng.choice(ALPHABET) for _ in range(length))
+        value = "".join(rng.choice(ALPHABET) for _ in range(DEFAULT_OTP_LEN))
         if value not in live:
             return OtpToken(value=value)
 

@@ -43,10 +43,11 @@ the value's own type, so a field of the wrong type encodes as what it
 holds. A message class gets its codec at registration, as its body_bytes
 method, which digest and the snapshots both call. An enum member's
 encoding is kept per member, since members and their values are fixed. A
-frozen dataclass instance keeps its first encoding in its own __dict__,
-as crypto.KeyPair keeps its loaded keys, so a frame that rides in two
+dataclass instance keeps its first encoding in its own __dict__, as
+crypto.KeyPair keeps its loaded keys, so a frame that rides in two
 messages is encoded once; a value rebuilt with dataclasses.replace encodes
-its own fields. The lazy records and this memo both rely on immutability.
+its own fields. The lazy records and this memo both rely on immutability,
+so only a frozen dataclass without __slots__ has an encoding.
 A Plant is checked in full when it is made, and a recorded state when it
 is first read, elements included; what a mappingproxy or a frozen
 dataclass other than a message holds inside is not checked.
@@ -195,7 +196,7 @@ def register_state(table: Mapping[EntityKind, Mapping[str, object]]) -> None:
 
 
 # the classes whose instances cannot change in place, beside frozen dataclasses
-_IMMUTABLE = (type(None), int, float, str, bytes, tuple, frozenset, MappingProxyType, enum.Enum)
+_IMMUTABLE = (type(None), int, str, bytes, tuple, frozenset, MappingProxyType, enum.Enum)
 
 
 def _field_check(hint) -> Callable[[object], bool]:
@@ -203,7 +204,7 @@ def _field_check(hint) -> Callable[[object], bool]:
     exactly, so False is no click position), X | None, tuple[X, ...] and
     tuple[X, Y]. TypeError for any other hint, and for a class whose
     instances may change in place, since the records hold values by
-    reference: each class is None, a number, str, bytes, tuple, frozenset,
+    reference: each class is None, an int, str, bytes, tuple, frozenset,
     mappingproxy, enum or frozen dataclass."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is None and isinstance(hint, type) and hint is not Any:  # Any is a class from 3.11
@@ -230,10 +231,11 @@ def canonical_bytes(obj) -> bytes:
 
     The encoder comes from _ENCODERS, keyed by exact type. A new type is
     resolved once against _RESOLUTION, in this order: None, Enum, bool,
-    int, float, str, bytes or bytearray, tuple or list, set or frozenset,
-    dict or mappingproxy, and last a dataclass instance. So every enum
-    member, mixin or not, encodes as its value, and a mappingproxy as the
-    dict it shows. Anything else, a class object included, raises TypeError.
+    int, str, bytes or bytearray, tuple or list, set or frozenset, dict or
+    mappingproxy, and last a frozen dataclass instance without __slots__.
+    So every enum member, mixin or not, encodes as its value, and a
+    mappingproxy as the dict it shows. Anything else, a float, a mutable
+    dataclass or a class object included, raises TypeError.
     """
     return _ENCODERS[type(obj)](obj)
 
@@ -249,11 +251,6 @@ def _encode_int(obj) -> bytes:
 
         enc = str(decimal.Decimal(obj)).encode()
     return b"i" + _u32(len(enc)) + enc
-
-
-def _encode_float(obj) -> bytes:
-    enc = repr(obj).encode()
-    return b"f" + _u32(len(enc)) + enc
 
 
 def _encode_str(obj) -> bytes:
@@ -305,7 +302,6 @@ _RESOLUTION = (
     (enum.Enum, None),  # one _Members per enum class
     (bool, lambda obj: b"?\x01" if obj else b"?\x00"),
     (int, _encode_int),
-    (float, _encode_float),
     (str, _encode_str),
     ((bytes, bytearray), _encode_bytes),
     ((tuple, list), _encode_sequence),
@@ -321,26 +317,21 @@ def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
                 encode = _Members().__getitem__
             break
     else:
-        if not dataclasses.is_dataclass(cls) or issubclass(cls, type):
+        frozen = dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        if not frozen or issubclass(cls, type) or hasattr(cls, "__slots__"):
             raise TypeError(f"cannot canonicalize {cls.__name__}")
         name = cls.__name__.encode()
         header = b"D" + _u32(len(name)) + name
         body = vars(cls).get("body_bytes") or _fields_encoder(cls)  # a message class's, built at registration
-        if cls.__dataclass_params__.frozen and not hasattr(cls, "__slots__"):
 
-            def encode(obj) -> bytes:
-                # kept in the instance __dict__, as functools.cached_property
-                # keeps a value; _MEMO is no field, so it is never encoded
-                held = obj.__dict__
-                enc = held.get(_MEMO)
-                if enc is None:
-                    enc = held[_MEMO] = header + body(obj)
-                return enc
-
-        else:
-
-            def encode(obj) -> bytes:
-                return header + body(obj)
+        def encode(obj) -> bytes:
+            # kept in the instance __dict__, as functools.cached_property
+            # keeps a value; _MEMO is no field, so it is never encoded
+            held = obj.__dict__
+            enc = held.get(_MEMO)
+            if enc is None:
+                enc = held[_MEMO] = header + body(obj)
+            return enc
 
     _ENCODERS[cls] = encode
     return encode

@@ -538,17 +538,13 @@ class TestKeyboardPermutation:
 
 class TestOtp:
     def test_alphabet_and_length(self):
-        token = crypto.generate_otp(fork(1, "otp"), length=8)
+        token = crypto.generate_otp(fork(1, "otp"))
         assert len(token.value) == 8
         assert all(ch in ALPHABET for ch in token.value)
 
     def test_no_duplicates_over_10000_draws(self):
         values = {crypto.generate_otp(fork(seed, "draws")).value for seed in range(10_000)}
         assert len(values) == 10_000
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            crypto.generate_otp(fork(2, "otp"), length=0)
 
     def test_consumption_state_machine(self):
         token = crypto.generate_otp(fork(3, "otp"))
