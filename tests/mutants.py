@@ -157,6 +157,16 @@ MUTANTS = (
            "    if fill:\n",
            "the codewords after the terminator must be the encoder's 0xEC/0x11 pad",
            "tests/test_qr.py::TestParsingRefusals::test_only_the_encoded_stream_decodes[pad_inverted]"),
+    Mutant("decode_heals_past_budget", "src/visualauth/qr.py",
+           "    if len(frame.corrupted_codewords) > budget:\n",
+           "    if False:\n",
+           "a frame with more corrupted codewords than its EC level corrects never decodes",
+           "tests/test_qr.py::TestCorruption::test_step_function_at_the_budget"),
+    Mutant("parity_recheck_skipped", "src/visualauth/qr.py",
+           "    if rs_parity(data, n_parity) != parity:\n",
+           "    if False:\n",
+           "damage the frame does not record fails the parity recheck, never decodes silently",
+           "tests/test_qr.py::TestCorruption::test_unrecorded_damage_never_decodes_silently"),
     Mutant("phone_skips_tx_freshness", "src/visualauth/protocols.py",
            'fresh = nonce is not None and nonce == self.state.get("session_nonce")',
            "fresh = True",
