@@ -461,6 +461,7 @@ def render_text(report: Report) -> str:
     if report.matrix:
         trials = report.matrix[0].trials
         lines.append(f"resistance matrix ({trials} seeded trials per cell)")
+        lines.append("a cell scores later authentication only: whether the loot logs in to a fresh session")
         lines.append("-" * 72)
         lines.append(f"{'protocol':9} {'adversary':17} {'terminal':19} {'smartphone':19}")
         for protocol, kind, pair in _matrix_rows(report.matrix):

@@ -361,6 +361,10 @@ class TestReports:
         assert report.ok
         text = render_text(report)
         assert "resistance matrix (1 seeded trials per cell)" in text
+        lines = text.splitlines()
+        assert lines[lines.index("resistance matrix (1 seeded trials per cell)") + 1] == (
+            "a cell scores later authentication only: whether the loot logs in to a fresh session"
+        )
         cells = [l for l in machine_records(report).splitlines() if l.startswith("cell|")]
         assert len(cells) == 24
         assert all(line.endswith("|OK") for line in cells)
