@@ -1,4 +1,4 @@
-"""Rules that hold for every source file under src/."""
+"""Rules that hold for every source file under src/, and one for the tests."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import visualauth
 from visualauth.entities import MESSAGES, EntityKind, Message
 from visualauth.protocols import STATE
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 MAX_LINE = 110
 
 # The functools caches in src/ allowed to grow without a bound, each with
@@ -517,3 +518,58 @@ def test_the_write_only_key_check_can_fail():
     # a write-only key back in the real table is flagged beside the two held for the scan
     returned = {**STATE, EntityKind.USER: {**STATE[EntityKind.USER], "typed_otps": int}}
     assert unread_keys(returned, _sources()) == {*HELD_FOR_SCAN, (EntityKind.USER, "typed_otps")}
+
+
+# The monkeypatch targets a lambda still records calls to, as (owner, name),
+# each with the reason conftest's spy cannot: it patches a module or class
+# attribute, and records a call's arguments and what it gave back.
+LAMBDA_RECORDERS = {
+    ("GOALS", "authenticate_as_victim"): "a dict entry, not an attribute",
+    ("Session", "inject"): "records the verdict standing at each send, which the session holds, not the arguments",
+}
+
+
+def lambda_recorders(source: str) -> list[tuple[int, str, str]]:
+    """(line, owner, name) of each setattr or setitem on a monkeypatch in
+    source whose value is a lambda that calls .append: a recorder of calls
+    written by hand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)  # not the builtin setattr
+            and node.func.attr in ("setattr", "setitem") and node.args and isinstance(node.args[-1], ast.Lambda)
+        ):
+            continue
+        if any(isinstance(part, ast.Call) and _name(part.func) == "append" for part in ast.walk(node.args[-1])):
+            owner, key = node.args[0], node.args[-2]
+            found.append((node.lineno, _name(owner), key.value if isinstance(key, ast.Constant) else _name(key)))
+    return found
+
+
+def test_no_test_records_calls_through_a_lambda():
+    found = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for line, owner, name in lambda_recorders(path.read_text(encoding="utf-8")):
+            found.setdefault((owner, name), []).append(f"{path.name}:{line}")
+    assert {key: lines for key, lines in found.items() if key not in LAMBDA_RECORDERS} == {}
+    # a stale entry would let a new recorder of that name through unexamined
+    assert set(LAMBDA_RECORDERS) <= found.keys()
+
+
+def test_the_lambda_recorder_check_can_fail():
+    flagged = {
+        'monkeypatch.setattr(crypto, "verify", lambda *a: calls.append(a) or real(*a))': ("crypto", "verify"),
+        'patch.setitem(entities._ENCODERS, str, lambda obj: seen.append(obj) or encode(obj))': ("_ENCODERS", "str"),
+        'monkeypatch.setattr("visualauth.crypto.verify", lambda *a: calls.append(a) or real(*a))':
+            (None, "visualauth.crypto.verify"),
+    }
+    for source, where in flagged.items():
+        assert [found[1:] for found in lambda_recorders(source)] == [where], source
+    passed = [
+        'calls = spy(crypto, "verify")',
+        'monkeypatch.setattr(mutants, "pytest", lambda work, args: (next(codes), "FAILED f - boom\\n"))',
+        'monkeypatch.setattr(adversary, "run_flow", recording)',
+        'setattr(box, "x", lambda: seen.append(1))',
+    ]
+    for source in passed:
+        assert lambda_recorders(source) == [], source
