@@ -424,11 +424,11 @@ class TestCaptureReuse:
         def rechecks(calls):  # the decodes past the budget check, at the recheck
             return [f for (f,) in (c.args for c in calls) if len(f.corrupted_codewords) <= qr.correction_budget(f.spec)]
 
+        spied = (packs, derives, keys, decodes, seals, opens)
         qr.rs_parity.cache_clear()
         for run in (1, 2):
             for protocol in Protocol:
                 for seed in (0, 1, 2):
-                    spied = (packs, derives, keys, decodes, seals, opens)
                     before = [len(calls) for calls in spied]
                     parity = qr.rs_parity.cache_info()
                     session = run_flow(_cfg(protocol, seed, corrupt_codewords=damage)).session
