@@ -15,13 +15,18 @@ and a party runs a handler for it only if each field has the type its
 class declares (register_message; Party.receive in protocols). What an
 onlooker learns is read off the transcript after the run. An attacker
 that acts is data: the session's actions, a tuple of four frozen values
-(Drop, Rewrite, Inject, Plant), empty in an honest run. Entity.emit
-applies the Drops and Rewrites of a party's sends, deliver queues each
-Inject as it falls due, and Session.begin applies the Plants first and
+(Drop, Rewrite, Inject, Plant), empty in an honest run. The session splits
+them once, when it is built: for each party, its Drops and Rewrites in
+order with the set of tags they name, and the Injects in order. Entity.emit
+walks a party's edits (Session._edited) only for a send whose tag is in
+that set, which is exact, since only an action that matches can retag a
+message; deliver scans only the Injects and queues each as it falls due;
+an honest session does neither. Session.begin applies the Plants first and
 snapshots each planted party at step 0, so a plant is recorded and scanned
-even where the party's first delivery overwrites it. The honest handler
-code cannot tell whether it is being watched, and no entity reads an
-attacker setting.
+even where the party's first delivery overwrites it. deliver hands the
+receiver the live session it was given, so a delivery reads the party's
+weak reference only to send. The honest handler code cannot tell whether
+it is being watched, and no entity reads an attacker setting.
 
 The session owns its parties, a party holds its session weakly (see
 Entity.session), and no action holds a session. So a finished session,
@@ -202,15 +207,18 @@ _IMMUTABLE = (type(None), int, str, bytes, tuple, frozenset, MappingProxyType, e
 def _field_check(hint) -> Callable[[object], bool]:
     """Whether a value has type hint, for four shapes: a class (bool and int
     exactly, so False is no click position), X | None, tuple[X, ...] and
-    tuple[X, Y]. TypeError for any other hint, and for a class whose
-    instances may change in place, since the records hold values by
-    reference: each class is None, an int, str, bytes, tuple, frozenset,
-    mappingproxy, enum or frozen dataclass."""
+    tuple[X, Y]. TypeError for any other hint, for a class whose instances
+    may change in place, since the records hold values by reference, and
+    for one canonical_bytes cannot encode, such as float: each class is
+    None, an int, str, bytes, tuple, frozenset, mappingproxy, enum or
+    frozen dataclass."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is None and isinstance(hint, type) and hint is not Any:  # Any is a class from 3.11
         frozen = dataclasses.is_dataclass(hint) and hint.__dataclass_params__.frozen
         if not (frozen or issubclass(hint, _IMMUTABLE)):
-            raise TypeError(f"{hint.__name__} may change in place")
+            # a list or a loose dataclass has a shape the codec knows; a float none
+            known = dataclasses.is_dataclass(hint) or any(issubclass(hint, bases) for bases, _ in _RESOLUTION)
+            raise TypeError(f"{hint.__name__} {'may change in place' if known else 'has no encoding'}")
         if hint in (bool, int):
             return lambda v: type(v) is hint
         return lambda v: isinstance(v, hint)
@@ -240,7 +248,7 @@ def canonical_bytes(obj) -> bytes:
     return _ENCODERS[type(obj)](obj)
 
 
-_u32 = struct.Struct(">I").pack
+_head = struct.Struct(">cI").pack  # a one-byte tag and a big-endian length, in one call
 
 
 def _encode_int(obj) -> bytes:
@@ -250,31 +258,31 @@ def _encode_int(obj) -> bytes:
         import decimal  # only such an int needs it, so import does not pay for it
 
         enc = str(decimal.Decimal(obj)).encode()
-    return b"i" + _u32(len(enc)) + enc
+    return _head(b"i", len(enc)) + enc
 
 
 def _encode_str(obj) -> bytes:
     enc = obj.encode("utf-8")
-    return b"s" + _u32(len(enc)) + enc
+    return _head(b"s", len(enc)) + enc
 
 
 def _encode_bytes(obj) -> bytes:
-    return b"b" + _u32(len(obj)) + bytes(obj)
+    return _head(b"b", len(obj)) + bytes(obj)
 
 
 def _encode_sequence(obj) -> bytes:
-    return b"l" + _u32(len(obj)) + b"".join([_ENCODERS[type(x)](x) for x in obj])
+    return _head(b"l", len(obj)) + b"".join([_ENCODERS[type(x)](x) for x in obj])
 
 
 def _encode_set(obj) -> bytes:
-    return b"e" + _u32(len(obj)) + b"".join(sorted([_ENCODERS[type(x)](x) for x in obj]))
+    return _head(b"e", len(obj)) + b"".join(sorted([_ENCODERS[type(x)](x) for x in obj]))
 
 
 def _encode_dict(obj) -> bytes:
     # sort (key, value) pairs, never their concatenations: one key's
     # encoding may be a prefix of another's
     items = sorted([(_ENCODERS[type(k)](k), _ENCODERS[type(v)](v)) for k, v in obj.items()])
-    return b"d" + _u32(len(items)) + b"".join([k + v for k, v in items])
+    return _head(b"d", len(items)) + b"".join([k + v for k, v in items])
 
 
 class _Encoders(dict):
@@ -321,7 +329,7 @@ def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
         if not frozen or issubclass(cls, type) or hasattr(cls, "__slots__"):
             raise TypeError(f"cannot canonicalize {cls.__name__}")
         name = cls.__name__.encode()
-        header = b"D" + _u32(len(name)) + name
+        header = _head(b"D", len(name)) + name
         body = vars(cls).get("body_bytes") or _fields_encoder(cls)  # a message class's, built at registration
 
         def encode(obj) -> bytes:
@@ -344,9 +352,19 @@ def _fields_encoder(cls: type) -> Callable[[object], bytes]:
     """A dataclass's field encodings, concatenated in declaration order. The
     fields are read in one call, and each value's encoder is looked up by
     the value's own type, so a value of the wrong type encodes as what it is.
+    A class of one field encodes its value alone, with no tuple and no join.
     Built once per class: by register_message for a message class, and by
     _resolve_encoder, which keeps it in _ENCODERS, for any other."""
-    values = field_values(tuple(f.name for f in dataclasses.fields(cls)))
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    if len(names) == 1:
+        get = operator.attrgetter(*names)
+
+        def body(obj) -> bytes:
+            v = get(obj)
+            return _ENCODERS[type(v)](v)
+
+        return body
+    values = field_values(names)
 
     def body(obj) -> bytes:
         return b"".join([_ENCODERS[type(v)](v) for v in values(obj)])
@@ -388,7 +406,7 @@ class Message:
     def digest(self) -> str:
         # over the wire form: tag byte, big-endian length, body
         body = self.body_bytes()
-        return hashlib.sha256(self.TAG_BYTE + _u32(len(body)) + body).hexdigest()[:16]
+        return hashlib.sha256(_head(self.TAG_BYTE, len(body)) + body).hexdigest()[:16]
 
 
 # -------- what an active attacker does, as data --------
@@ -503,12 +521,16 @@ def _check_state(kind: EntityKind, state: Mapping[str, object]) -> None:
             raise TypeError(f"the {kind.value}'s state {key!r} holds a {name}, which its hint refuses")
 
 
+_UNEDITED = (frozenset(), ())  # the tags and actions of a party no action edits
+
+
 class Entity:
     """Base participant: a tag-dispatched state machine with a state dict
     of the keys its kind declares (STATE_CHECKS).
 
-    Each delivery runs handle, which calls the subclass's receive(message)
-    once, then snapshots the state. The snapshot is a shallow copy, encoded
+    Each delivery runs handle, which calls the subclass's
+    receive(message, session) once with the live session, then snapshots
+    the state. The snapshot is a shallow copy, encoded
     only when snapshots is read, so a handler replaces a state value rather
     than changing it in place. The session owns its parties, and a party
     holds its session only weakly, so the session is no reference cycle.
@@ -531,25 +553,23 @@ class Entity:
         return session
 
     def emit(self, message: Message) -> None:
-        """Send message on the channel its class was registered for, after
-        the session's Drops and Rewrites of this party's sends, in order. The
-        sender is checked after them, so a Rewrite cannot move a message onto
-        another party's channel."""
+        """Send message on the channel its class was registered for, as the
+        session's Drops and Rewrites of this party's sends leave it
+        (Session._edited). The sender is checked after them, so a Rewrite
+        cannot move a message onto another party's channel."""
         session = self.session
-        if session.actions:  # () in an honest session, which sends message as it is
-            for action in session.actions:
-                if type(action) in (Drop, Rewrite) and (action.party, action.tag) == (self.kind, message.TAG):
-                    if type(action) is Drop:
-                        return  # lost in transit
-                    fields = action.fields
-                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)
+        if session._edits:  # {} in an honest session, which sends message as it is
+            message = session._edited(self.kind, message)
+            if message is None:
+                return  # lost in transit
         channel = message.CHANNEL
         if channel.sender is not self.kind:
             raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")
         session.inject(message)
 
-    def handle(self, message: Message) -> None:
-        self.receive(message)  # defined by the subclass
+    def handle(self, message: Message, session: "Session") -> None:
+        """Run the handler of message; deliver hands over the live session."""
+        self.receive(message, session)  # defined by the subclass
 
     def on_idle(self) -> None:
         """Called once when the queue drains without an outcome."""
@@ -586,8 +606,20 @@ class Session:
         self.config = config
         self.store = store
         self.actions = tuple(actions)
-        if not all(type(action) in ACTIONS for action in self.actions):
-            raise TypeError(f"an action is one of {', '.join(cls.__name__ for cls in ACTIONS)}")
+        # split once, for emit and deliver: each party's Drops and Rewrites in
+        # order, with the tags they name, and the Injects in order; an honest
+        # session has neither
+        edits: dict[EntityKind, list] = {}
+        injects = []
+        for action in self.actions:
+            if type(action) in (Drop, Rewrite):
+                edits.setdefault(action.party, []).append(action)
+            elif type(action) is Inject:
+                injects.append(action)
+            elif type(action) is not Plant:
+                raise TypeError(f"an action is one of {', '.join(cls.__name__ for cls in ACTIONS)}")
+        self._edits = {party: (frozenset(a.tag for a in own), tuple(own)) for party, own in edits.items()}
+        self._injects = tuple(injects)
         self.rng = rngmod.fork(seed, "session")
         self.entities: dict[EntityKind, Entity] = {}
         self.transcript: list[Message] = []
@@ -617,6 +649,20 @@ class Session:
         if len(data) < 3:
             raise ValueError("secret probe too short to scan for")
         self.secret_probes.append(SecretProbe(kind, bytes(data), frozenset(allowed)))
+
+    def _edited(self, party: EntityKind, message: Message) -> Message | None:
+        """message as party's Drops and Rewrites leave it, in order, each
+        matched against the message as the ones before it left it; None once
+        a Drop takes it."""
+        tags, edits = self._edits.get(party, _UNEDITED)
+        if message.TAG in tags:  # only an action that matches can retag a message
+            for action in edits:
+                if action.tag == message.TAG:
+                    if type(action) is Drop:
+                        return None
+                    fields = action.fields
+                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)
+        return message
 
     def inject(self, message: Message) -> None:
         """Queue a message on the channel its class declares: a party's
@@ -652,12 +698,13 @@ class Session:
 
     def run(self):
         """Drain the queue; one idle round lets timeouts fire fail-closed."""
+        order, transcript = self._order, self.transcript
         idled = False
         while True:
-            while self._order:
-                if self.step >= MAX_DELIVERIES:
+            while order:
+                if len(transcript) >= MAX_DELIVERIES:
                     raise LivenessError(f"exceeded {MAX_DELIVERIES} deliveries without settling")
-                deliver(self, self._order.popleft())
+                deliver(self, order.popleft())  # the module global, so a wrapper of deliver sees each
             if self.outcome is not None or idled:
                 break
             idled = True
@@ -683,23 +730,19 @@ def deliver(session: Session, message: Message) -> None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")
     transcript = session.transcript
     transcript.append(message)
-    for action in session.actions:  # () in an honest session
-        if type(action) is Inject and (
-            action.at == len(transcript)
-            or action.at == (channel.receiver, message.TAG)
+    for action in session._injects:  # () in an honest session
+        if action.at == len(transcript) or (
+            action.at == (channel.receiver, message.TAG)
             and [m.TAG for m in transcript].count(message.TAG) == 1
         ):
             session.inject(action.message)
-    receiver.handle(message)
+    receiver.handle(message, session)
     receiver.take_snapshot(len(transcript))
 
 
 def export_transcript(session: Session) -> str:
     """step|channel|from|to|tag|digest lines, one per delivery, from step 1."""
-    return "".join(
-        f"{step}{m.LINE_PREFIX}{m.digest()}\n"
-        for step, m in enumerate(session.transcript, 1)
-    )
+    return "".join([f"{step}{m.LINE_PREFIX}{m.digest()}\n" for step, m in enumerate(session.transcript, 1)])
 
 
 def scan_states_for_secrets(session: Session) -> list[SecretSighting]:

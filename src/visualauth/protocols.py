@@ -551,6 +551,9 @@ def _capture(session: Session, frame: VisualFrame, context: str) -> bytes:
 # -------- the four participants --------
 
 
+_NO_ROWS = MappingProxyType({})  # a phase in which a party takes nothing
+
+
 class Party(Entity):
     """One of the four parties. It takes a message only where its rows in
     SPEC allow, from the phase it stands in, and only if it is well_formed.
@@ -569,12 +572,11 @@ class Party(Entity):
         super().__init__(session)
         self.flow = FLOWS[session.config.protocol][self.kind]  # its rows, looked up once
 
-    def receive(self, message: Message) -> None:
-        session = self.session
+    def receive(self, message: Message, session: Session) -> None:
         tag = message.TAG
         flow = self.flow
         phase = "done" if session.outcome is Outcome.ABORTED else self.phase
-        row = flow.get(phase, {}).get(tag)
+        row = flow.get(phase, _NO_ROWS).get(tag)
         if row is None:
             known = any(tag in rows for rows in flow.values())
             session.finish(Outcome.ABORTED, f"{tag}_{'out_of_order' if known else 'out_of_protocol'}")
@@ -620,8 +622,7 @@ class UserModel(Party):
         # the flow opens with its leading rows, the ones the user sends; each
         # carries the user's id or the transaction the user means to make
         intent = {"user_id": self.state["user_id"], "tx": self.state["intended_tx"]}
-        rows = SPEC[self.session.config.protocol]
-        for cls, *_ in takewhile(lambda row: row[0].CHANNEL.sender is self.kind, rows):
+        for cls in OPENINGS[self.session.config.protocol]:
             self.emit(cls(**{name: intent[name] for name in cls.FIELDS}))
 
     def on_show_keyboard(self, msg: ShowKeyboard) -> None:
@@ -1106,6 +1107,14 @@ def _flows(rows: tuple) -> dict:
 # FLOWS[protocol][party][phase][tag] = (handler, next phase)
 FLOWS: dict[Protocol, dict[EntityKind, dict[str, dict[str, tuple]]]] = {
     protocol: _flows(rows) for protocol, rows in SPEC.items()
+}
+
+
+# each flow's opening, which UserModel.begin sends: the classes of its
+# leading rows, the ones the user sends
+OPENINGS: dict[Protocol, tuple[type[Message], ...]] = {
+    protocol: tuple(cls for cls, *_ in takewhile(lambda row: row[0].CHANNEL.sender is EntityKind.USER, rows))
+    for protocol, rows in SPEC.items()
 }
 
 

@@ -37,9 +37,14 @@ a session encodes before it captures them (two at most); a longer memo
 would let a rerun of identical sessions find the parity an earlier run
 computed, and hide the cost of computing it.
 
-choose_spec scans a table built at import: the ten byte-mode specs of
-each ec level with their capacities, smallest version first. Every frame
-therefore shares one FrameSpec instance per (version, ec level).
+Each FrameSpec carries its capacity, data codeword count and parity
+codeword count, read off the tables once, when it is made, as plain
+attributes that take no part in its equality or its encoding. So
+qr_encode, _pack, qr_decode and correction_budget read a count, and no
+frame resolves the ec level's value or a table entry. choose_spec
+bisects a table built at import: the ten byte-mode specs of each ec level
+with their capacities, smallest version first. Every frame therefore
+shares one FrameSpec instance per (version, ec level).
 
 Capacity constants for versions 1..10 are the published standard values
 for all three modes; the numeric and alphanumeric columns back the format
@@ -52,6 +57,7 @@ from __future__ import annotations
 import base64
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -141,6 +147,11 @@ def _count_bits(version: int) -> int:
 
 @dataclass(frozen=True)
 class FrameSpec:
+    """A version, ec level and mode. Each spec also carries its capacity,
+    data_codewords and parity_codewords, read off the tables once, when it
+    is made: plain attributes, not fields, so they take no part in its
+    equality or its encoding."""
+
     version: int
     ec_level: EcLevel
     mode: Mode
@@ -148,6 +159,12 @@ class FrameSpec:
     def __post_init__(self):
         if not (MIN_VERSION <= self.version <= MAX_VERSION):
             raise ValueError(f"version must be {MIN_VERSION}..{MAX_VERSION}")
+        parity = _EC_CODEWORDS[self.version][self.ec_level.value]
+        self.__dict__.update(  # past the frozen __setattr__, as __init__ sets the fields
+            capacity=_CAPACITY[self.version][self.ec_level.value][_MODE_COLUMN[self.mode]],
+            data_codewords=_TOTAL_CODEWORDS[self.version - 1] - parity,
+            parity_codewords=parity,
+        )
 
     @property
     def side_modules(self) -> int:
@@ -160,31 +177,29 @@ class FrameSpec:
 
 def capacity(spec: FrameSpec) -> int:
     """Published character capacity for a version/level/mode combination."""
-    return _CAPACITY[spec.version][spec.ec_level.value][_MODE_COLUMN[spec.mode]]
+    return spec.capacity
 
 
-# (capacity, spec) of every byte-mode version per ec level, smallest first:
-# the table choose_spec scans, built once at import
+# (capacities, specs) of every byte-mode version per ec level, smallest
+# first: the table choose_spec bisects, built once at import
 _BYTE_SPECS = {
-    ec: tuple(
-        (capacity(spec), spec)
-        for spec in (FrameSpec(v, ec, Mode.BYTE) for v in range(MIN_VERSION, MAX_VERSION + 1))
-    )
+    ec: (tuple(spec.capacity for spec in specs), specs)
     for ec in EcLevel
+    for specs in [tuple(FrameSpec(v, ec, Mode.BYTE) for v in range(MIN_VERSION, MAX_VERSION + 1))]
 }
 
 
 def data_codeword_count(spec: FrameSpec) -> int:
-    return _TOTAL_CODEWORDS[spec.version - 1] - _EC_CODEWORDS[spec.version][spec.ec_level.value]
+    return spec.data_codewords
 
 
 def parity_codeword_count(spec: FrameSpec) -> int:
-    return _EC_CODEWORDS[spec.version][spec.ec_level.value]
+    return spec.parity_codewords
 
 
 def correction_budget(spec: FrameSpec) -> int:
     """Codewords of damage the frame survives: floor(parity / 2)."""
-    return parity_codeword_count(spec) // 2
+    return spec.parity_codewords // 2
 
 
 # -------- GF(256) Reed-Solomon parity --------
@@ -252,7 +267,7 @@ def rs_parity(data: bytes, degree: int) -> bytes:
 def _pack(payload: bytes, spec: FrameSpec) -> bytes:
     """Indicator, count and payload as one integer, then the terminator
     (up to four zero bits), zeros to a byte boundary, and pad codewords."""
-    n_codewords = data_codeword_count(spec)
+    n_codewords = spec.data_codewords
     count_bits = _count_bits(spec.version)
     n = len(payload)
     stream = (_BYTE_INDICATOR << count_bits | n) << 8 * n | int.from_bytes(payload, "big")
@@ -307,7 +322,7 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
     """Frame a payload, or raise CapacityError naming the version needed."""
     if spec.mode is not Mode.BYTE:
         raise ValueError(f"frames carry bytes; {spec.mode.value} mode is not encoded")
-    cap = capacity(spec)
+    cap = spec.capacity
     if len(payload) > cap:
         try:
             required = choose_spec(payload, spec.ec_level).version
@@ -325,16 +340,17 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
             required_version=required,
         )
     data = _pack(payload, spec)
-    parity = rs_parity(data, parity_codeword_count(spec))
+    parity = rs_parity(data, spec.parity_codewords)
     return VisualFrame(spec=spec, payload=payload, codewords=data + parity)
 
 
 def choose_spec(payload: bytes, ec_level: EcLevel = EcLevel.M) -> FrameSpec:
     """Smallest byte-mode version whose capacity fits the payload at ec_level."""
     size = len(payload)
-    for cap, spec in _BYTE_SPECS[ec_level]:
-        if size <= cap:
-            return spec
+    capacities, specs = _BYTE_SPECS[ec_level]
+    fits = bisect_left(capacities, size)  # the first capacity >= size
+    if fits < len(specs):
+        return specs[fits]
     raise CapacityError(
         f"{size} symbols fit no version up to {MAX_VERSION} at {ec_level.value}/byte",
         required_version=None,
@@ -374,7 +390,8 @@ def qr_decode(frame: VisualFrame) -> bytes:
     """
     if not isinstance(frame, VisualFrame):
         raise UncorrectableFrameError(f"a {type(frame).__name__} is not a frame")
-    budget = correction_budget(frame.spec)
+    spec = frame.spec
+    budget = spec.parity_codewords // 2
     if len(frame.corrupted_codewords) > budget:
         raise UncorrectableFrameError(
             f"{len(frame.corrupted_codewords)} corrupted codewords exceed "
@@ -383,11 +400,11 @@ def qr_decode(frame: VisualFrame) -> bytes:
     healed = bytearray(frame.codewords)
     for i, mask in frame.damage_record:
         healed[i] ^= mask
-    n_parity = parity_codeword_count(frame.spec)
+    n_parity = spec.parity_codewords
     data, parity = bytes(healed[:-n_parity]), bytes(healed[-n_parity:])
     if rs_parity(data, n_parity) != parity:
         raise UncorrectableFrameError("parity recheck failed: unrecorded damage")
-    return _unpack(data, frame.spec.version)
+    return _unpack(data, spec.version)
 
 
 def estimated_scan_seconds(spec: FrameSpec, a: float, b: float) -> float:

@@ -279,9 +279,29 @@ MUTANTS = (
            "a party keeps each message it takes, so the scan sees what each party was handed",
            "tests/test_protocols.py::TestEachPartyKeepsWhatItTakes::test_each_party_holds_the_last_message_of_each_tag[Protocol.P1]"),
     Mutant("codec_encoder_per_position", "src/visualauth/entities.py",
+           "    if len(names) == 1:\n"
+           "        get = operator.attrgetter(*names)\n"
+           "\n"
+           "        def body(obj) -> bytes:\n"
+           "            v = get(obj)\n"
+           "            return _ENCODERS[type(v)](v)\n"
+           "\n"
+           "        return body\n"
+           "    values = field_values(names)\n"
+           "\n"
            "    def body(obj) -> bytes:\n"
            "        return b\"\".join([_ENCODERS[type(v)](v) for v in values(obj)])\n",
-           "    chosen = {}\n\n"
+           "    chosen = {}\n"
+           "    if len(names) == 1:\n"
+           "        get = operator.attrgetter(*names)\n"
+           "\n"
+           "        def body(obj) -> bytes:\n"
+           "            v = get(obj)\n"
+           "            return chosen.setdefault(0, _ENCODERS[type(v)])(v)\n"
+           "\n"
+           "        return body\n"
+           "    values = field_values(names)\n"
+           "\n"
            "    def body(obj) -> bytes:\n"
            "        return b\"\".join([chosen.setdefault(i, _ENCODERS[type(v)])(v) for i, v in enumerate(values(obj))])\n",
            "a message's codec encodes each value by its own type, not by the first type seen at its field",
@@ -289,9 +309,19 @@ MUTANTS = (
     Mutant("rewrite_moves_channel", "src/visualauth/entities.py",
            "                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n",
            "                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n"
-           "                    return session.inject(message)\n",
+           "                    return self.inject(message)\n",
            "emit checks the sender after a Rewrite: no rewrite moves a message onto another party's channel",
            "tests/test_entities.py::TestActions::test_a_rewrite_cannot_send_on_another_partys_channel"),
+    Mutant("edits_match_original_tag", "src/visualauth/entities.py",
+           "        if message.TAG in tags:  # only an action that matches can retag a message\n"
+           "            for action in edits:\n"
+           "                if action.tag == message.TAG:\n",
+           "        tag = message.TAG\n"
+           "        if tag in tags:\n"
+           "            for action in edits:\n"
+           "                if action.tag == tag:\n",
+           "each Drop and Rewrite meets a send as the actions before it left it: a retagged message meets later ones",
+           "tests/test_entities.py::TestActions::test_a_retagged_message_meets_only_the_actions_after_its_retag"),
     Mutant("frame_over_capacity_uncaught", "src/visualauth/protocols.py",
            "            try:\n"
            "                handler(self, message)\n"

@@ -21,7 +21,7 @@ import types
 import typing
 from dataclasses import replace
 
-from visualauth import crypto, protocols
+from visualauth import crypto, entities, protocols
 from visualauth.crypto import Role
 from visualauth.entities import EntityKind, Inject, Rewrite, export_transcript, secrecy_violations
 from visualauth.protocols import (
@@ -227,6 +227,17 @@ def fails_closed(session, where=()):
         raise AssertionError(f"{where}: export or scan raised {exc!r}") from exc
     assert violations == [], f"{where}: secrecy violations {violations}"
     return session
+
+
+def verdicts_at_sends(monkeypatch) -> list:
+    """A list that gains, at each send of every session run while
+    monkeypatch holds, the verdict that session stands at then: the
+    session's outcome at the Session.inject call, which its arguments do
+    not hold, so conftest's spy cannot record it."""
+    standing = []
+    queue = entities.Session.inject
+    monkeypatch.setattr(entities.Session, "inject", lambda s, m: standing.append(s.outcome) or queue(s, m))
+    return standing
 
 
 def digest(ended) -> str:

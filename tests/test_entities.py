@@ -58,6 +58,7 @@ from visualauth.protocols import (
     Server,
     SessionConfig,
     ShowOtp,
+    SubmitPositions,
     Transaction,  # read by an annotation TestRegistration evaluates in this module
     TypeId,
     TypeOtp,
@@ -509,6 +510,13 @@ class TestDeclaredState:
             with pytest.raises(TypeError, match="may change in place"):
                 register_state({EntityKind.SERVER: {"held": hint}})
         register_state({EntityKind.SERVER: {"held": tuple[tuple[str, str], ...] | None}})
+
+    def test_a_hint_with_no_encoding_is_refused(self, monkeypatch):
+        # a float cannot change in place, but canonical_bytes has no encoding for it
+        monkeypatch.setitem(entities.STATE_CHECKS, EntityKind.SERVER, dict(entities.STATE_CHECKS[EntityKind.SERVER]))
+        for hint in (float, tuple[float, ...], complex | None, object):
+            with pytest.raises(TypeError, match=r"^(float|complex|object) has no encoding$"):
+                register_state({EntityKind.SERVER: {"held": hint}})
 
 
 class TestRegistration:
@@ -1026,6 +1034,31 @@ class TestActions:
         with pytest.raises(ProtocolViolation, match="terminal cannot send on click_phone"):
             session.run()
         assert session.executed_tx is None
+
+    def test_two_rewrites_of_one_tag_apply_in_order(self):
+        first = Rewrite(EntityKind.TERMINAL, "echo_clicks", {"positions": (1,)})
+        then = Rewrite(EntityKind.TERMINAL, "echo_clicks", lambda m: dataclasses.replace(m, positions=m.positions + (2,)))
+        transcript = run_flow(self.CONFIG, actions=(first, then)).session.transcript
+        assert next(m for m in transcript if m.TAG == "echo_clicks").positions == (1, 2)
+
+    def test_a_retagged_message_meets_only_the_actions_after_its_retag(self):
+        # the terminal's echo goes out as a second submit_positions, ahead of
+        # its own: a Drop of that tag listed after the retag drops both, one
+        # listed before it drops only the terminal's own
+        retag = Rewrite(EntityKind.TERMINAL, "echo_clicks", lambda m: SubmitPositions(positions=m.positions))
+        drop = Drop(EntityKind.TERMINAL, "submit_positions")
+        assert _tags(self.CONFIG, retag, drop) == P1_TAGS[:7]
+        assert _tags(self.CONFIG, drop, retag) == P1_TAGS[:7] + P1_TAGS[8:]
+
+    def test_another_partys_drop_never_applies(self):
+        # the user's Drop of confirm_on_phone leaves the terminal's forged one
+        # to the sender check
+        config = SessionConfig(protocol=Protocol.HIJACKGUARD, seed=901)
+        forge = Rewrite(EntityKind.TERMINAL, "submit_tx", lambda msg: ConfirmOnPhone(tx=EVIL_TX))
+        session = build_session(config, CredentialStore.provision(901), (forge, Drop(EntityKind.USER, "confirm_on_phone")))
+        session.begin()
+        with pytest.raises(ProtocolViolation, match="terminal cannot send on click_phone"):
+            session.run()
 
     def test_inject_at_0_goes_before_the_user_begins(self):
         assert _tags(self.CONFIG, Inject(ECHO, 0)) == ["echo_clicks", *P1_TAGS]

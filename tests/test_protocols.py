@@ -1253,9 +1253,7 @@ class TestOversizedInputs:
     @pytest.mark.parametrize("case", NO_FRAME_FITS)
     def test_a_payload_no_frame_holds_aborts_fatal(self, monkeypatch, case):
         config, actions, context = self.NO_FRAME_FITS[case]
-        emitted = []  # the verdict standing at each send
-        queue = entities.Session.inject
-        monkeypatch.setattr(entities.Session, "inject", lambda s, m: emitted.append(s.outcome) or queue(s, m))
+        emitted = sweeps.verdicts_at_sends(monkeypatch)
         session = run_flow(config, CredentialStore.provision(3), actions).session
         assert (session.outcome, session.abort_reason) == (Outcome.ABORTED, f"{context}_frame_over_capacity")
         assert not session.abort_retryable

@@ -335,6 +335,41 @@ def test_the_reach_check_can_fail():
         assert reach_findings(source) == [], source
 
 
+# a session's actions, and the split of them that emit and deliver read
+ATTACKER_SETTINGS = ("actions", "_edits", "_injects")
+
+
+def attacker_setting_findings(source: str, filename: str = "<src>") -> list[str]:
+    """Each attribute in source named as one of ATTACKER_SETTINGS. What an
+    attacker does is the session fabric's alone to apply, so no party, flow
+    or report can tell whether its session is attacked."""
+    return [
+        f"{filename}:{node.lineno} reads .{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ATTACKER_SETTINGS
+    ]
+
+
+def test_only_the_session_fabric_reads_a_sessions_actions():
+    findings = {path.name: attacker_setting_findings(path.read_text(encoding="utf-8"), path.name) for path in SRC.rglob("*.py")}
+    assert len(findings.pop("entities.py")) >= 3  # the split, and emit's and deliver's reads of it
+    assert [finding for found in findings.values() for finding in found] == []
+
+
+def test_the_attacker_setting_check_can_fail():
+    flagged = [
+        "session.actions",
+        "if any(type(a) is Drop for a in self.session.actions): pass",
+        "planted = len(result.session.actions)",
+        "edits = self.session._edits.get(self.kind)",
+        "for action in session._injects: pass",
+    ]
+    for source in flagged:
+        assert len(attacker_setting_findings(source)) == 1, source
+    for source in ("actions = ()", "run_flow(config, store, actions)", "Session(seed, config, store, actions)"):
+        assert attacker_setting_findings(source) == [], source
+
+
 def holder_set_findings(source: str, filename: str = "<src>") -> list[str]:
     """Each register_secret call in source that spells its own holders: a
     set display or comprehension, a set() or frozenset() call, or EntityKind

@@ -90,9 +90,7 @@ class TestFieldTypeSweep:
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_every_rewritten_field_ends_in_a_verdict(self, monkeypatch, protocol):
-        emitted = []  # the verdict standing at each send
-        queue = entities.Session.inject
-        monkeypatch.setattr(entities.Session, "inject", lambda s, m: emitted.append(s.outcome) or queue(s, m))
+        emitted = sweeps.verdicts_at_sends(monkeypatch)
         for case in sweeps.field_type(protocol):
             emitted.clear()
             session = sweeps.check(case)
