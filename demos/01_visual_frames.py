@@ -23,7 +23,7 @@ for version in (1, 2, 5, 10):
     row = []
     for level in EcLevel:
         spec = FrameSpec(version, level, Mode.BYTE)
-        row.append(f"{level.value}:{qr.capacity(spec):4d}")
+        row.append(f"{level.value}:{spec.capacity:4d}")
     print(f"  version {version:2d}  bytes  {'  '.join(row)}")
 print(f"  format ceilings: numeric {qr.GLOBAL_MAX[Mode.NUMERIC]}, "
       f"alphanumeric {qr.GLOBAL_MAX[Mode.ALPHANUMERIC]}, "

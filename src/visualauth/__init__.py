@@ -49,7 +49,7 @@ from .protocols import (
     run_flow,
     run_hijack_guard,
 )
-from .qr import EcLevel, FrameSpec, Mode, VisualFrame, capacity, qr_decode, qr_encode
+from .qr import EcLevel, FrameSpec, Mode, VisualFrame, qr_decode, qr_encode
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "SessionFlags",
     "Transaction",
     "VisualFrame",
-    "capacity",
     "decrypt",
     "encrypt",
     "evaluate",

@@ -352,19 +352,9 @@ def _fields_encoder(cls: type) -> Callable[[object], bytes]:
     """A dataclass's field encodings, concatenated in declaration order. The
     fields are read in one call, and each value's encoder is looked up by
     the value's own type, so a value of the wrong type encodes as what it is.
-    A class of one field encodes its value alone, with no tuple and no join.
     Built once per class: by register_message for a message class, and by
     _resolve_encoder, which keeps it in _ENCODERS, for any other."""
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    if len(names) == 1:
-        get = operator.attrgetter(*names)
-
-        def body(obj) -> bytes:
-            v = get(obj)
-            return _ENCODERS[type(v)](v)
-
-        return body
-    values = field_values(names)
+    values = field_values(tuple(f.name for f in dataclasses.fields(cls)))
 
     def body(obj) -> bytes:
         return b"".join([_ENCODERS[type(v)](v) for v in values(obj)])

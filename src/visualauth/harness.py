@@ -386,7 +386,7 @@ def numeric_checks() -> list[NumericCheck]:
     ):
         got = qr.GLOBAL_MAX[mode]
         checks.append(NumericCheck(f"max_capacity_{mode.value}", got, expected, 0.0, got == expected))
-    v2m = qr.capacity(qr.FrameSpec(2, qr.EcLevel.M, qr.Mode.ALPHANUMERIC))
+    v2m = qr.FrameSpec(2, qr.EcLevel.M, qr.Mode.ALPHANUMERIC).capacity
     checks.append(
         NumericCheck("capacity_v2_M_alnum", v2m, 36, 0.0, v2m >= 36, comparison="at_least")
     )

@@ -39,12 +39,12 @@ computed, and hide the cost of computing it.
 
 Each FrameSpec carries its capacity, data codeword count and parity
 codeword count, read off the tables once, when it is made, as plain
-attributes that take no part in its equality or its encoding. So
-qr_encode, _pack, qr_decode and correction_budget read a count, and no
-frame resolves the ec level's value or a table entry. choose_spec
-bisects a table built at import: the ten byte-mode specs of each ec level
-with their capacities, smallest version first. Every frame therefore
-shares one FrameSpec instance per (version, ec level).
+attributes that take no part in its equality or its encoding. They are
+the one way to read a count, so no frame resolves the ec level's value
+or a table entry; correction_budget alone derives the budget from the
+parity count. choose_spec scans a table built at import: the ten
+byte-mode specs of each ec level, smallest version first. Every frame
+therefore shares one FrameSpec instance per (version, ec level).
 
 Capacity constants for versions 1..10 are the published standard values
 for all three modes; the numeric and alphanumeric columns back the format
@@ -57,7 +57,6 @@ from __future__ import annotations
 import base64
 import enum
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -175,26 +174,12 @@ class FrameSpec:
         return self.side_modules**2
 
 
-def capacity(spec: FrameSpec) -> int:
-    """Published character capacity for a version/level/mode combination."""
-    return spec.capacity
-
-
-# (capacities, specs) of every byte-mode version per ec level, smallest
-# first: the table choose_spec bisects, built once at import
+# every byte-mode spec per ec level, smallest version first: the table
+# choose_spec scans, built once at import
 _BYTE_SPECS = {
-    ec: (tuple(spec.capacity for spec in specs), specs)
+    ec: tuple(FrameSpec(v, ec, Mode.BYTE) for v in range(MIN_VERSION, MAX_VERSION + 1))
     for ec in EcLevel
-    for specs in [tuple(FrameSpec(v, ec, Mode.BYTE) for v in range(MIN_VERSION, MAX_VERSION + 1))]
 }
-
-
-def data_codeword_count(spec: FrameSpec) -> int:
-    return spec.data_codewords
-
-
-def parity_codeword_count(spec: FrameSpec) -> int:
-    return spec.parity_codewords
 
 
 def correction_budget(spec: FrameSpec) -> int:
@@ -347,10 +332,9 @@ def qr_encode(payload: bytes, spec: FrameSpec) -> VisualFrame:
 def choose_spec(payload: bytes, ec_level: EcLevel = EcLevel.M) -> FrameSpec:
     """Smallest byte-mode version whose capacity fits the payload at ec_level."""
     size = len(payload)
-    capacities, specs = _BYTE_SPECS[ec_level]
-    fits = bisect_left(capacities, size)  # the first capacity >= size
-    if fits < len(specs):
-        return specs[fits]
+    for spec in _BYTE_SPECS[ec_level]:
+        if size <= spec.capacity:
+            return spec
     raise CapacityError(
         f"{size} symbols fit no version up to {MAX_VERSION} at {ec_level.value}/byte",
         required_version=None,
@@ -391,7 +375,7 @@ def qr_decode(frame: VisualFrame) -> bytes:
     if not isinstance(frame, VisualFrame):
         raise UncorrectableFrameError(f"a {type(frame).__name__} is not a frame")
     spec = frame.spec
-    budget = spec.parity_codewords // 2
+    budget = correction_budget(spec)
     if len(frame.corrupted_codewords) > budget:
         raise UncorrectableFrameError(
             f"{len(frame.corrupted_codewords)} corrupted codewords exceed "

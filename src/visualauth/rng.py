@@ -16,11 +16,11 @@ import random
 
 def child_seed(seed: int, *path: object) -> int:
     """Derive a child seed from a parent seed and a label path."""
-    labels = []
+    h = hashlib.sha256()
     for part in (seed, *path):
         text = str(part).encode()
-        labels.append(f"{type(part).__name__}:{len(text)}:".encode() + text)
-    return int.from_bytes(hashlib.sha256(b"".join(labels)).digest()[:8], "big")
+        h.update(f"{type(part).__name__}:{len(text)}:".encode() + text)
+    return int.from_bytes(h.digest()[:8], "big")
 
 
 def fork(seed: int, *path: object) -> random.Random:

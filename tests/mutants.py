@@ -279,29 +279,9 @@ MUTANTS = (
            "a party keeps each message it takes, so the scan sees what each party was handed",
            "tests/test_protocols.py::TestEachPartyKeepsWhatItTakes::test_each_party_holds_the_last_message_of_each_tag[Protocol.P1]"),
     Mutant("codec_encoder_per_position", "src/visualauth/entities.py",
-           "    if len(names) == 1:\n"
-           "        get = operator.attrgetter(*names)\n"
-           "\n"
-           "        def body(obj) -> bytes:\n"
-           "            v = get(obj)\n"
-           "            return _ENCODERS[type(v)](v)\n"
-           "\n"
-           "        return body\n"
-           "    values = field_values(names)\n"
-           "\n"
            "    def body(obj) -> bytes:\n"
            "        return b\"\".join([_ENCODERS[type(v)](v) for v in values(obj)])\n",
-           "    chosen = {}\n"
-           "    if len(names) == 1:\n"
-           "        get = operator.attrgetter(*names)\n"
-           "\n"
-           "        def body(obj) -> bytes:\n"
-           "            v = get(obj)\n"
-           "            return chosen.setdefault(0, _ENCODERS[type(v)])(v)\n"
-           "\n"
-           "        return body\n"
-           "    values = field_values(names)\n"
-           "\n"
+           "    chosen = {}\n\n"
            "    def body(obj) -> bytes:\n"
            "        return b\"\".join([chosen.setdefault(i, _ENCODERS[type(v)])(v) for i, v in enumerate(values(obj))])\n",
            "a message's codec encodes each value by its own type, not by the first type seen at its field",

@@ -123,7 +123,7 @@ def test_criterion_3_entropy_arithmetic():
 
 
 def test_criterion_4_capacity_constants():
-    v2m = qr.capacity(FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC))
+    v2m = FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC).capacity
     ok = (
         qr.GLOBAL_MAX[Mode.NUMERIC] == 7089
         and qr.GLOBAL_MAX[Mode.ALPHANUMERIC] == 4296
@@ -152,7 +152,7 @@ def test_criterion_5_error_correction_step_function():
     swept = 0
     for spec in table:
         budget = qr.correction_budget(spec)
-        payload = bytes((7 * i) % 256 for i in range(qr.capacity(spec) // 2))
+        payload = bytes((7 * i) % 256 for i in range(spec.capacity // 2))
         clean = qr.qr_encode(payload, spec)
         for count in range(budget + 1):
             healed = qr.qr_decode(qr.corrupt(clean, count, seed=1000 + count))

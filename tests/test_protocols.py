@@ -488,10 +488,10 @@ class TestFrameHandling:
         result = run_flow(_cfg(Protocol.P1, 134))
         for _, _, frame in result.session.frame_log:
             spec = frame.spec
-            assert len(frame.payload) <= qr.capacity(spec)
+            assert len(frame.payload) <= spec.capacity
             if spec.version > 1:
                 smaller = qr.FrameSpec(spec.version - 1, spec.ec_level, spec.mode)
-                assert len(frame.payload) > qr.capacity(smaller)
+                assert len(frame.payload) > smaller.capacity
 
     @pytest.mark.parametrize("protocol", SEALED, ids=str)
     def test_mangled_signature_aborts_fatal(self, protocol):

@@ -17,14 +17,11 @@ from visualauth.qr import (
     Mode,
     UncorrectableFrameError,
     VisualFrame,
-    capacity,
     choose_spec,
     correction_budget,
     corrupt,
-    data_codeword_count,
     dump_frame,
     estimated_scan_seconds,
-    parity_codeword_count,
     qr_decode,
     qr_encode,
 )
@@ -45,7 +42,7 @@ def derived_capacity(spec: FrameSpec) -> int:
     """Capacity re-derived from codeword counts and each mode's packing
     arithmetic, so the published table is cross-checked rather than trusted."""
     count_bits = COUNT_BITS[spec.mode][spec.version >= 10]
-    bits = 8 * data_codeword_count(spec) - 4 - count_bits
+    bits = 8 * spec.data_codewords - 4 - count_bits
     if spec.mode is Mode.NUMERIC:
         triples, rem = divmod(bits, 10)
         return 3 * triples + (2 if rem >= 7 else 1 if rem >= 4 else 0)
@@ -57,7 +54,7 @@ def derived_capacity(spec: FrameSpec) -> int:
 
 def pack_slow(payload: bytes, spec: FrameSpec) -> bytes:
     """Byte-mode data codewords spelled out as a string of bits."""
-    n_codewords = data_codeword_count(spec)
+    n_codewords = spec.data_codewords
     width = COUNT_BITS[Mode.BYTE][spec.version >= 10]
     bits = "0100" + format(len(payload), f"0{width}b") + "".join(f"{b:08b}" for b in payload)
     bits += "0" * min(4, 8 * n_codewords - len(bits))
@@ -82,7 +79,7 @@ def repacked(bits: str, spec: FrameSpec) -> bytes | None:
 
 def framed(data: bytes, spec: FrameSpec) -> VisualFrame:
     """A frame around hand-built data codewords, with valid parity."""
-    parity = qr.rs_parity(data, parity_codeword_count(spec))
+    parity = qr.rs_parity(data, spec.parity_codewords)
     return VisualFrame(spec=spec, payload=b"", codewords=data + parity)
 
 
@@ -153,12 +150,12 @@ class TestCapacityTable:
         # 10 versions x 4 levels x 3 modes: the table is data, the
         # packing arithmetic is code, and they must agree cell by cell
         for spec in ALL_SPECS:
-            assert capacity(spec) == derived_capacity(spec), spec
+            assert spec.capacity == derived_capacity(spec), spec
 
     def test_monotone_in_version(self):
         for ec in EcLevel:
             for mode in Mode:
-                caps = [capacity(FrameSpec(v, ec, mode)) for v in range(1, 11)]
+                caps = [FrameSpec(v, ec, mode).capacity for v in range(1, 11)]
                 assert caps == sorted(caps)
 
     def test_monotone_in_protection(self):
@@ -166,7 +163,7 @@ class TestCapacityTable:
         order = [EcLevel.L, EcLevel.M, EcLevel.Q, EcLevel.H]
         for v in range(1, 11):
             for mode in Mode:
-                caps = [capacity(FrameSpec(v, ec, mode)) for ec in order]
+                caps = [FrameSpec(v, ec, mode).capacity for ec in order]
                 assert caps == sorted(caps, reverse=True)
 
     def test_global_maxima(self):
@@ -178,13 +175,13 @@ class TestCapacityTable:
         # hand derivation: 44 total codewords, 16 parity -> 28 data
         # -> 224 bits - 4 mode - 9 count = 211 -> 19 pairs + remainder 2
         # -> 38 symbols. Enough for a 36-symbol keyboard layout.
-        assert capacity(FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC)) == 38
-        assert capacity(FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC)) >= 36
+        assert FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC).capacity == 38
+        assert FrameSpec(2, EcLevel.M, Mode.ALPHANUMERIC).capacity >= 36
 
     def test_codeword_split(self):
         spec = FrameSpec(2, EcLevel.M, Mode.BYTE)
-        assert data_codeword_count(spec) == 28
-        assert parity_codeword_count(spec) == 16
+        assert spec.data_codewords == 28
+        assert spec.parity_codewords == 16
         assert correction_budget(spec) == 8
 
     def test_version_bounds_enforced(self):
@@ -203,13 +200,13 @@ class TestRoundTrips:
     def test_byte_mode_all_versions_and_levels(self):
         rng = random.Random(310)
         for spec in BYTE_SPECS:
-            payload = rng.randbytes(capacity(spec))
+            payload = rng.randbytes(spec.capacity)
             assert qr_decode(qr_encode(payload, spec)) == payload
 
     def test_pack_matches_bit_string_reference(self):
         rng = random.Random(311)
         for spec in BYTE_SPECS:
-            for length in (0, 1, capacity(spec) // 2, capacity(spec)):
+            for length in (0, 1, spec.capacity // 2, spec.capacity):
                 payload = rng.randbytes(length)
                 assert qr._pack(payload, spec) == pack_slow(payload, spec), (spec, length)
 
@@ -309,7 +306,7 @@ def scanned_spec(size: int, ec: EcLevel) -> FrameSpec | None:
     capacity table, or None past the last version."""
     for version in range(1, 11):
         spec = FrameSpec(version, ec, Mode.BYTE)
-        if size <= capacity(spec):
+        if size <= spec.capacity:
             return spec
     return None
 
@@ -327,7 +324,7 @@ class TestSpecTable:
                 assert err.value.required_version is None, size
             else:
                 assert choose_spec(payload, ec) == expected, size
-            if size > capacity(smallest):
+            if size > smallest.capacity:
                 with pytest.raises(CapacityError) as err:
                     qr_encode(payload, smallest)
                 assert err.value.required_version == (expected and expected.version), size
@@ -344,21 +341,21 @@ class TestReedSolomon:
             FrameSpec(4, EcLevel.Q, Mode.BYTE),
             FrameSpec(7, EcLevel.H, Mode.BYTE),
         ]:
-            payload = rng.randbytes(capacity(spec))
+            payload = rng.randbytes(spec.capacity)
             frame = qr_encode(payload, spec)
-            g = generator_poly_slow(parity_codeword_count(spec))
+            g = generator_poly_slow(spec.parity_codewords)
             remainder = poly_mod_slow(list(frame.codewords), g)
-            assert remainder == [0] * parity_codeword_count(spec), spec
+            assert remainder == [0] * spec.parity_codewords, spec
 
     def test_rs_parity_matches_slow_division(self):
         # every published parity degree, on empty, one-byte and full data
         rng = random.Random(89)
         spec_of_degree = {}
         for spec in BYTE_SPECS:
-            spec_of_degree.setdefault(parity_codeword_count(spec), spec)
+            spec_of_degree.setdefault(spec.parity_codewords, spec)
         for degree, spec in spec_of_degree.items():
             g = generator_poly_slow(degree)
-            for length in (0, 1, data_codeword_count(spec)):
+            for length in (0, 1, spec.data_codewords):
                 data = list(rng.randbytes(length))
                 fast = list(qr.rs_parity(bytes(data), degree))
                 assert fast == poly_mod_slow(data + [0] * degree, g), (spec, length)
@@ -384,7 +381,7 @@ class TestCorruption:
             FrameSpec(2, EcLevel.M, Mode.BYTE),
             FrameSpec(3, EcLevel.H, Mode.BYTE),
         ]:
-            payload = b"step function probe"[: capacity(spec)]
+            payload = b"step function probe"[: spec.capacity]
             clean = qr_encode(payload, spec)
             budget = correction_budget(spec)
             for count in range(budget + 1):
