@@ -15,13 +15,9 @@ and a party runs a handler for it only if each field has the type its
 class declares (register_message; Party.receive in protocols). What an
 onlooker learns is read off the transcript after the run. An attacker
 that acts is data: the session's actions, a tuple of four frozen values
-(Drop, Rewrite, Inject, Plant), empty in an honest run. The session splits
-them once, when it is built: for each party, its Drops and Rewrites in
-order with the set of tags they name, and the Injects in order. Entity.emit
-walks a party's edits (Session._edited) only for a send whose tag is in
-that set, which is exact, since only an action that matches can retag a
-message; deliver scans only the Injects and queues each as it falls due;
-an honest session does neither. Session.begin applies the Plants first and
+(Drop, Rewrite, Inject, Plant), empty in an honest run. Entity.emit
+applies the Drops and Rewrites of a party's sends, deliver queues each
+Inject as it falls due, and Session.begin applies the Plants first and
 snapshots each planted party at step 0, so a plant is recorded and scanned
 even where the party's first delivery overwrites it. deliver hands the
 receiver the live session it was given, so a delivery reads the party's
@@ -46,8 +42,7 @@ The codec of each dataclass, a message class included, is built once: it
 reads every field in one call and encodes each value by the encoder of
 the value's own type, so a field of the wrong type encodes as what it
 holds. A message class gets its codec at registration, as its body_bytes
-method, which digest and the snapshots both call. An enum member's
-encoding is kept per member, since members and their values are fixed. A
+method, which digest and the snapshots both call. A
 dataclass instance keeps its first encoding in its own __dict__, as
 crypto.KeyPair keeps its loaded keys, so a frame that rides in two
 messages is encoded once; a value rebuilt with dataclasses.replace encodes
@@ -293,21 +288,12 @@ class _Encoders(dict):
         return _resolve_encoder(cls)
 
 
-class _Members(dict):
-    """An enum class's encoder, as its __getitem__: each member's encoding,
-    kept per member, since members and their values are fixed."""
-
-    def __missing__(self, member: enum.Enum) -> bytes:
-        enc = self[member] = canonical_bytes(member._value_)
-        return enc
-
-
 _ENCODERS: dict[type, Callable[[object], bytes]] = _Encoders()
 
 # the isinstance chain a type meets on first sight; dataclasses come last
 _RESOLUTION = (
     (type(None), lambda obj: b"N"),
-    (enum.Enum, None),  # one _Members per enum class
+    (enum.Enum, lambda obj: canonical_bytes(obj._value_)),
     (bool, lambda obj: b"?\x01" if obj else b"?\x00"),
     (int, _encode_int),
     (str, _encode_str),
@@ -321,8 +307,6 @@ _RESOLUTION = (
 def _resolve_encoder(cls: type) -> Callable[[object], bytes]:
     for bases, encode in _RESOLUTION:
         if issubclass(cls, bases):
-            if encode is None:
-                encode = _Members().__getitem__
             break
     else:
         frozen = dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
@@ -511,9 +495,6 @@ def _check_state(kind: EntityKind, state: Mapping[str, object]) -> None:
             raise TypeError(f"the {kind.value}'s state {key!r} holds a {name}, which its hint refuses")
 
 
-_UNEDITED = (frozenset(), ())  # the tags and actions of a party no action edits
-
-
 class Entity:
     """Base participant: a tag-dispatched state machine with a state dict
     of the keys its kind declares (STATE_CHECKS).
@@ -543,15 +524,19 @@ class Entity:
         return session
 
     def emit(self, message: Message) -> None:
-        """Send message on the channel its class was registered for, as the
-        session's Drops and Rewrites of this party's sends leave it
-        (Session._edited). The sender is checked after them, so a Rewrite
-        cannot move a message onto another party's channel."""
+        """Send message on the channel its class was registered for, after
+        the session's Drops and Rewrites of this party's sends, in order, each
+        matched against the message as the ones before it left it. The sender
+        is checked after them, so a Rewrite cannot move a message onto
+        another party's channel."""
         session = self.session
-        if session._edits:  # {} in an honest session, which sends message as it is
-            message = session._edited(self.kind, message)
-            if message is None:
-                return  # lost in transit
+        if session.actions:  # () in an honest session, which sends message as it is
+            for action in session.actions:
+                if type(action) in (Drop, Rewrite) and (action.party, action.tag) == (self.kind, message.TAG):
+                    if type(action) is Drop:
+                        return  # lost in transit
+                    fields = action.fields
+                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)
         channel = message.CHANNEL
         if channel.sender is not self.kind:
             raise ProtocolViolation(f"{self.kind.value} cannot send on {channel.name}")
@@ -596,20 +581,8 @@ class Session:
         self.config = config
         self.store = store
         self.actions = tuple(actions)
-        # split once, for emit and deliver: each party's Drops and Rewrites in
-        # order, with the tags they name, and the Injects in order; an honest
-        # session has neither
-        edits: dict[EntityKind, list] = {}
-        injects = []
-        for action in self.actions:
-            if type(action) in (Drop, Rewrite):
-                edits.setdefault(action.party, []).append(action)
-            elif type(action) is Inject:
-                injects.append(action)
-            elif type(action) is not Plant:
-                raise TypeError(f"an action is one of {', '.join(cls.__name__ for cls in ACTIONS)}")
-        self._edits = {party: (frozenset(a.tag for a in own), tuple(own)) for party, own in edits.items()}
-        self._injects = tuple(injects)
+        if not all(type(action) in ACTIONS for action in self.actions):
+            raise TypeError(f"an action is one of {', '.join(cls.__name__ for cls in ACTIONS)}")
         self.rng = rngmod.fork(seed, "session")
         self.entities: dict[EntityKind, Entity] = {}
         self.transcript: list[Message] = []
@@ -639,20 +612,6 @@ class Session:
         if len(data) < 3:
             raise ValueError("secret probe too short to scan for")
         self.secret_probes.append(SecretProbe(kind, bytes(data), frozenset(allowed)))
-
-    def _edited(self, party: EntityKind, message: Message) -> Message | None:
-        """message as party's Drops and Rewrites leave it, in order, each
-        matched against the message as the ones before it left it; None once
-        a Drop takes it."""
-        tags, edits = self._edits.get(party, _UNEDITED)
-        if message.TAG in tags:  # only an action that matches can retag a message
-            for action in edits:
-                if action.tag == message.TAG:
-                    if type(action) is Drop:
-                        return None
-                    fields = action.fields
-                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)
-        return message
 
     def inject(self, message: Message) -> None:
         """Queue a message on the channel its class declares: a party's
@@ -720,9 +679,10 @@ def deliver(session: Session, message: Message) -> None:
         raise ProtocolViolation(f"no {channel.receiver.value} in this session")
     transcript = session.transcript
     transcript.append(message)
-    for action in session._injects:  # () in an honest session
-        if action.at == len(transcript) or (
-            action.at == (channel.receiver, message.TAG)
+    for action in session.actions:  # () in an honest session
+        if type(action) is Inject and (
+            action.at == len(transcript)
+            or action.at == (channel.receiver, message.TAG)
             and [m.TAG for m in transcript].count(message.TAG) == 1
         ):
             session.inject(action.message)

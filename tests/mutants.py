@@ -289,17 +289,15 @@ MUTANTS = (
     Mutant("rewrite_moves_channel", "src/visualauth/entities.py",
            "                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n",
            "                    message = fields(message) if callable(fields) else dataclasses.replace(message, **fields)\n"
-           "                    return self.inject(message)\n",
+           "                    return session.inject(message)\n",
            "emit checks the sender after a Rewrite: no rewrite moves a message onto another party's channel",
            "tests/test_entities.py::TestActions::test_a_rewrite_cannot_send_on_another_partys_channel"),
     Mutant("edits_match_original_tag", "src/visualauth/entities.py",
-           "        if message.TAG in tags:  # only an action that matches can retag a message\n"
-           "            for action in edits:\n"
-           "                if action.tag == message.TAG:\n",
-           "        tag = message.TAG\n"
-           "        if tag in tags:\n"
-           "            for action in edits:\n"
-           "                if action.tag == tag:\n",
+           "            for action in session.actions:\n"
+           "                if type(action) in (Drop, Rewrite) and (action.party, action.tag) == (self.kind, message.TAG):\n",
+           "            tag = message.TAG\n"
+           "            for action in session.actions:\n"
+           "                if type(action) in (Drop, Rewrite) and (action.party, action.tag) == (self.kind, tag):\n",
            "each Drop and Rewrite meets a send as the actions before it left it: a retagged message meets later ones",
            "tests/test_entities.py::TestActions::test_a_retagged_message_meets_only_the_actions_after_its_retag"),
     Mutant("frame_over_capacity_uncaught", "src/visualauth/protocols.py",
@@ -326,6 +324,36 @@ MUTANTS = (
            "    return False\n",
            "a row's goal can find its attack working: learn_password reads the breach the views pool",
            "tests/test_adversary.py::TestCrossSessionLayoutReplay::test_a_replayed_keyboard_frame_gives_up_the_password[1000]"),
+    Mutant("later_auth_tries_non_login", "src/visualauth/adversary.py",
+           "    if protocol not in AUTH_PROTOCOLS:\n",
+           "    if False:\n",
+           "an adversary over a flow with no login tries no later login, and raises no KeyError for one",
+           "tests/test_harness.py::TestScenarioRuns::test_malware_over_a_flow_with_no_login_breaches_nothing[txverify]"),
+    Mutant("stalled_session_gets_no_verdict", "src/visualauth/protocols.py",
+           "    if session.outcome is None:\n",
+           "    if False:\n",
+           "a session left waiting for a dropped message ends ABORTED stalled, never without a verdict",
+           "tests/test_sweeps.py::test_every_drop_fails_closed[Protocol.P1]"),
+    Mutant("duplicate_user_id_overwrites", "src/visualauth/protocols.py",
+           "        if credential.user_id in self.users:\n",
+           "        if False:\n",
+           "a store provisions each user id once: a second credential never replaces the first",
+           "tests/test_protocols.py::TestWrongCredentials::test_a_user_id_is_provisioned_once"),
+    Mutant("keypair_half_any_size", "src/visualauth/crypto.py",
+           "        if len(self.public_key) != 64 or len(self.private_key) != 64:\n",
+           "        if False:\n",
+           "a key pair holds 32+32 bytes on each half, so no half is read short or long",
+           "tests/test_crypto.py::TestKeyPairs::test_a_half_of_another_size_is_refused[public_key-63]"),
+    Mutant("corrupt_count_unchecked", "src/visualauth/qr.py",
+           "    if count < 0 or count > total:\n",
+           "    if False:\n",
+           "corrupt refuses a count outside 0..the frame's codewords itself",
+           "tests/test_qr.py::TestCorruption::test_count_bounds"),
+    Mutant("matrix_mismatch_unreported", "src/visualauth/harness.py",
+           "            if not cell.matches_expected:\n",
+           "            if False:\n",
+           "a matrix cell that disagrees with its expectation fails the report and the matrix command",
+           "tests/test_harness.py::TestReports::test_a_mismatched_cell_and_a_failed_check_are_reported"),
 )
 
 

@@ -335,8 +335,8 @@ def test_the_reach_check_can_fail():
         assert reach_findings(source) == [], source
 
 
-# a session's actions, and the split of them that emit and deliver read
-ATTACKER_SETTINGS = ("actions", "_edits", "_injects")
+# a session's actions, which emit and deliver read
+ATTACKER_SETTINGS = ("actions",)
 
 
 def attacker_setting_findings(source: str, filename: str = "<src>") -> list[str]:
@@ -352,7 +352,7 @@ def attacker_setting_findings(source: str, filename: str = "<src>") -> list[str]
 
 def test_only_the_session_fabric_reads_a_sessions_actions():
     findings = {path.name: attacker_setting_findings(path.read_text(encoding="utf-8"), path.name) for path in SRC.rglob("*.py")}
-    assert len(findings.pop("entities.py")) >= 3  # the split, and emit's and deliver's reads of it
+    assert len(findings.pop("entities.py")) >= 3  # the type check, and emit's and deliver's walks
     assert [finding for found in findings.values() for finding in found] == []
 
 
@@ -361,8 +361,6 @@ def test_the_attacker_setting_check_can_fail():
         "session.actions",
         "if any(type(a) is Drop for a in self.session.actions): pass",
         "planted = len(result.session.actions)",
-        "edits = self.session._edits.get(self.kind)",
-        "for action in session._injects: pass",
     ]
     for source in flagged:
         assert len(attacker_setting_findings(source)) == 1, source
