@@ -1,9 +1,10 @@
 """The fail-closed sweeps: one case generator and one invariant.
 
 A case is one flow run under a tuple of attacker actions. An alphabet
-yields the cases of one flow from one of two generators: ``injections``,
-from (flow, delivery point, message), and ``rewrites``, from (flow, ``SPEC``
-row, field, value class). ``ALPHABETS`` holds the four alphabets, and
+yields the cases of one flow from one of three generators: ``injections``,
+from (flow, delivery point, message), ``rewrites``, from (flow, ``SPEC``
+row, field, value class), and ``drops``, from (flow, ``SPEC`` row).
+``ALPHABETS`` holds the five alphabets, and
 ``check`` runs a case and asserts the one invariant, ``fails_closed``, on
 every alphabet alike. To add an alphabet, write a function from a flow to
 the cases one generator yields, add it to ``ALPHABETS`` and pin its size per
@@ -23,7 +24,7 @@ from dataclasses import replace
 
 from visualauth import crypto, entities, protocols
 from visualauth.crypto import Role
-from visualauth.entities import EntityKind, Inject, Rewrite, export_transcript, secrecy_violations
+from visualauth.entities import Drop, EntityKind, Inject, Rewrite, export_transcript, secrecy_violations
 from visualauth.protocols import (
     AUTH_PROTOCOLS,
     DEFAULT_TX,
@@ -43,7 +44,7 @@ from visualauth.protocols import (
     canonical_tx_bytes,
 )
 
-INJECTED_AT, REWRITTEN_AT = 185, 3  # the seeds of the injection and of the rewrite alphabets
+INJECTED_AT, REWRITTEN_AT = 185, 3  # the seeds of the injection and of the rewrite and drop alphabets
 TWO_USERS = (("alice", "data"), ("bob", "b0b5"))
 EVIL = Transaction(receiver_account="ACCT-0666", amount=999900, receiver_name="mule household")
 
@@ -142,6 +143,14 @@ def rewrites(protocol: Protocol, values):
                 yield Case((cls.TAG, name, value), config, (Rewrite(cls.CHANNEL.sender, cls.TAG, {name: value}),))
 
 
+def drops(protocol: Protocol):
+    """(flow, SPEC row): the message of each of protocol's rows, dropped by
+    its sender."""
+    config = SessionConfig(protocol=protocol, seed=REWRITTEN_AT)
+    for cls, *_ in SPEC[protocol]:
+        yield Case((cls.TAG,), config, (Drop(cls.CHANNEL.sender, cls.TAG),))
+
+
 # the field-type values: one list, which no field declares, and one value
 # each for the optional, str and int fields
 PROBE_VALUES = ([], None, "x", 7)
@@ -200,6 +209,7 @@ ALPHABETS = {
     "client_bound": lambda protocol: injections(protocol, client_bound()),
     "field_type": field_type,
     "oversize": oversize,
+    "drop": drops,
 }
 
 

@@ -72,6 +72,14 @@ class TestKeyPairs:
         assert len(pair.public_key) == 64
         assert len(pair.private_key) == 64
 
+    @pytest.mark.parametrize("size", [63, 65])
+    @pytest.mark.parametrize("half", ["public_key", "private_key"])
+    def test_a_half_of_another_size_is_refused(self, pair, half, size):
+        halves = {"public_key": pair.public_key, "private_key": pair.private_key}
+        halves[half] = (halves[half] + b"\x00")[:size]
+        with pytest.raises(ValueError, match=r"^key halves must be 32\+32 bytes$"):
+            KeyPair(pair.role, **halves)
+
 
 def _use(pair: KeyPair) -> Ciphertext:
     """Make pair load both private keys: it opens a payload and signs."""

@@ -8,13 +8,14 @@ import os
 import pytest
 
 from visualauth import adversary, crypto, harness, qr
-from visualauth.adversary import AdversaryConfig, AdversaryKind
+from visualauth.adversary import AdversaryConfig, AdversaryKind, MatrixCell
 from visualauth.cli import main
 from visualauth.entities import EntityKind, export_transcript
 from visualauth.harness import (
     WRONG_PASSWORD,
     ConfigError,
     MatrixRequest,
+    NumericCheck,
     Report,
     Scenario,
     machine_records,
@@ -275,6 +276,18 @@ class TestScenarioRuns:
         assert report.failures == []
         assert (len(followups), len(probes)) == (3 + 3, 1)
 
+    @pytest.mark.parametrize("protocol", ["txverify", "secureview", "hijackguard"])
+    def test_malware_over_a_flow_with_no_login_breaches_nothing(self, protocol):
+        # a flow with no login has no later login to try: no trial breaches,
+        # and no login's replay is looked up for it
+        for locus in ("terminal", "smartphone"):
+            parsed = parse_config(
+                f"[scenario]\nname = infected\nprotocol = {protocol}\ntrials = 2\nseed = 62\n"
+                f"adversary = malware\nlocus = {locus}\nexpect_breaches = 0\n"
+            )
+            report = run_scenario(parsed.scenarios[0])
+            assert (report.breaches, report.failures) == (0, []), locus
+
     def test_honest_scenario_has_no_breach_column(self):
         parsed = parse_config("[scenario]\nprotocol = p1\n")
         report = run_scenario(parsed.scenarios[0])
@@ -340,6 +353,26 @@ class TestReports:
         assert not report.ok
         assert "RESULT: FAIL" in render_text(report)
         assert any(line.startswith("failure|") for line in machine_records(report).splitlines())
+
+    def test_a_mismatched_cell_and_a_failed_check_are_reported(self):
+        cell = MatrixCell(Protocol.P1, AdversaryKind.KEYLOGGER, EntityKind.TERMINAL, 100, 1, expected_resist=True)
+        check = NumericCheck("log2(36!)", 140.0, 138.0, 0.5, passed=False)
+        report = Report(matrix=[cell], checks=[check])
+        text = render_text(report).splitlines()
+        assert "P1        keylogger         FAIL breach 1/100  " in text
+        assert "FAIL  log2(36!)                    computed=140.0000 expected=138 tol=0.5" in text
+        assert text[-3:] == [
+            "RESULT: FAIL",
+            "  matrix: P1/keylogger/terminal expected resist, got 1/100 breaches",
+            "  check: log2(36!) computed 140.0 vs 138.0",
+        ]
+        assert machine_records(report).splitlines() == [
+            "cell|P1|keylogger|terminal|trials=100|breaches=1|expected=resist|FAIL",
+            "check|log2(36!)|computed=140.0|expected=138.0|tol=0.5|within|FAIL",
+            "failure|matrix: P1/keylogger/terminal expected resist, got 1/100 breaches",
+            "failure|check: log2(36!) computed 140.0 vs 138.0",
+            "result|FAIL",
+        ]
 
     def test_machine_records_are_pipe_delimited(self):
         report = self._report(GOOD_CONFIG)
@@ -515,6 +548,18 @@ class TestCli:
         lines = capsys.readouterr().out.rstrip().splitlines()
         assert sum(1 for l in lines if l.startswith("cell|")) == 24
         assert lines[-1] == "result|pass"
+
+    def test_matrix_that_disagrees_with_its_expectations_exits_1(self, monkeypatch, capsys):
+        # expecting every cell to resist, the three conceded cells mismatch
+        monkeypatch.setattr(adversary, "BROKEN_CELLS", frozenset())
+        assert main(["matrix", "--trials", "1", "--seed", "7", "--machine"]) == 1
+        lines = capsys.readouterr().out.rstrip().splitlines()
+        assert [l for l in lines if l.startswith("failure|")] == [
+            "failure|matrix: P2/malware/smartphone expected resist, got 1/1 breaches",
+            "failure|matrix: P3/keylogger/smartphone expected resist, got 1/1 breaches",
+            "failure|matrix: P3/malware/smartphone expected resist, got 1/1 breaches",
+        ]
+        assert lines[-1] == "result|FAIL"
 
     def test_usage_errors_return_2(self, capsys):
         assert main([]) == 2

@@ -251,6 +251,10 @@ class TestWrongCredentials:
         with pytest.raises(ValueError, match="mallory"):
             build_session(_cfg(Protocol.P1, 113, user_id="mallory"), CredentialStore.provision(113))
 
+    def test_a_user_id_is_provisioned_once(self):
+        with pytest.raises(ValueError, match="^duplicate user id 'alice'$"):
+            CredentialStore.provision(113, users=(("alice", "data"), ("alice", "b0b5")))
+
     def test_p1_wrong_then_right_with_two_attempts(self):
         result = run_flow(
             _cfg(Protocol.P1, 114, submit_passwords=("wrongpw0", "data"), max_attempts=2)

@@ -414,11 +414,11 @@ class TestCorruption:
             assert qr_decode(twice) == frame.payload
 
     def test_count_bounds(self):
+        # corrupt's own refusal, not the one random.sample would raise after it
         frame = qr_encode(b"bounds", FrameSpec(1, EcLevel.L, Mode.BYTE))
-        with pytest.raises(ValueError):
-            corrupt(frame, -1, seed=1)
-        with pytest.raises(ValueError):
-            corrupt(frame, len(frame.codewords) + 1, seed=1)
+        for count in (-1, len(frame.codewords) + 1):
+            with pytest.raises(ValueError, match=rf"^corruption count must be 0\.\.{len(frame.codewords)}$"):
+                corrupt(frame, count, seed=1)
 
     def test_unrecorded_damage_never_decodes_silently(self):
         # flip a byte behind the model's back: the parity recheck after

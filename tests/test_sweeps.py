@@ -1,6 +1,6 @@
 """The sweeps of tests/sweeps.py: every case of every alphabet fails
-closed, each alphabet keeps its pinned size and the injection alphabets
-their pinned verdicts, and each clause of the invariant can fail."""
+closed, each alphabet keeps its pinned size, the injection and drop
+alphabets their pinned verdicts, and each clause of the invariant can fail."""
 
 from __future__ import annotations
 
@@ -34,6 +34,16 @@ CLIENT_SWEEP_DIGESTS = {
     Protocol.HIJACKGUARD: "ee1e2f2bd7faa8ea",  # 203 sessions
 }
 DIGESTS = {"server_bound": SERVER_SWEEP_DIGESTS, "client_bound": CLIENT_SWEEP_DIGESTS}
+# the drop alphabet's verdicts per flow: 35 of its 54 sessions wait for the
+# dropped message and end ABORTED "stalled"
+DROP_SWEEP_DIGESTS = {
+    Protocol.P1: "da589f7f47eca659",  # 11 sessions, 7 stalled
+    Protocol.P2: "e67e4a36bb9e7c8e",  # 11 sessions, 8 stalled
+    Protocol.P3: "9738d41b5f319fcc",  # 11 sessions, 8 stalled
+    Protocol.TXVERIFY: "82b07ea296b5a7d8",  # 10 sessions, 7 stalled
+    Protocol.SECUREVIEW: "d6692849c767e409",  # 5 sessions, 5 stalled
+    Protocol.HIJACKGUARD: "4046893b15c0a59f",  # 6 sessions, none stalled
+}
 
 # the cases of each alphabet per flow, in Protocol order
 SIZES = {
@@ -41,6 +51,7 @@ SIZES = {
     "client_bound": (348, 348, 348, 319, 174, 203),
     "field_type": (40, 40, 24, 32, 16, 16),  # 168
     "oversize": (11, 10, 5, 5, 6, 4),  # 41
+    "drop": (11, 11, 11, 10, 5, 6),  # 54, one per SPEC row
 }
 
 
@@ -64,6 +75,14 @@ def test_every_injection_fails_closed(alphabet, protocol):
     # phone directly
     ended = [(case, sweeps.check(case)) for case in sweeps.ALPHABETS[alphabet](protocol)]
     assert sweeps.digest(ended) == DIGESTS[alphabet][protocol]
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_every_drop_fails_closed(protocol):
+    # a party that waits for a dropped message leaves the queue empty with
+    # no verdict, which run_flow turns into ABORTED "stalled"
+    ended = [(case, sweeps.check(case)) for case in sweeps.drops(protocol)]
+    assert sweeps.digest(ended) == DROP_SWEEP_DIGESTS[protocol]
 
 
 # Before field types were checked at delivery, 29 of the sweep's then 180
