@@ -42,12 +42,12 @@ The codec of each dataclass, a message class included, is built once: it
 reads every field in one call and encodes each value by the encoder of
 the value's own type, so a field of the wrong type encodes as what it
 holds. A message class gets its codec at registration, as its body_bytes
-method, which digest and the snapshots both call. A
-dataclass instance keeps its first encoding in its own __dict__, as
-crypto.KeyPair keeps its loaded keys, so a frame that rides in two
-messages is encoded once; a value rebuilt with dataclasses.replace encodes
-its own fields. The lazy records and this memo both rely on immutability,
-so only a frozen dataclass without __slots__ has an encoding.
+method, which digest and the snapshots both call. A dataclass instance
+keeps its first encoding in its own __dict__, as crypto.KeyPair keeps its
+loaded keys, so a frame that rides in two messages is encoded once; a
+value rebuilt with dataclasses.replace encodes its own fields. The lazy
+records and this memo both rely on immutability, so only a frozen
+dataclass without __slots__ has an encoding.
 A Plant is checked in full when it is made, and a recorded state when it
 is first read, elements included; what a mappingproxy or a frozen
 dataclass other than a message holds inside is not checked.

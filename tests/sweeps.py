@@ -4,11 +4,11 @@ A case is one flow run under a tuple of attacker actions. An alphabet
 yields the cases of one flow from one of three generators: ``injections``,
 from (flow, delivery point, message), ``rewrites``, from (flow, ``SPEC``
 row, field, value class), and ``drops``, from (flow, ``SPEC`` row).
-``ALPHABETS`` holds the five alphabets, and
-``check`` runs a case and asserts the one invariant, ``fails_closed``, on
-every alphabet alike. To add an alphabet, write a function from a flow to
-the cases one generator yields, add it to ``ALPHABETS`` and pin its size per
-flow in ``tests/test_sweeps.py``. ``deliveries`` is the sweep that runs no
+``ALPHABETS`` holds the five alphabets, and ``check`` runs a case and
+asserts the one invariant, ``fails_closed``, on every alphabet alike. To
+add an alphabet, write a function from a flow to the cases one generator
+yields, add it to ``ALPHABETS`` and pin its size per flow in
+``tests/test_sweeps.py``. ``deliveries`` is the sweep that runs no
 session: (flow, party phase, message), each delivered straight to a party.
 Every honest message a sweep starts from comes from one seeded source,
 ``samples``. Nothing here runs a session or any crypto at import.
