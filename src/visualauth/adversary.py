@@ -3,7 +3,8 @@
 Four attacker kinds live on one of two loci (terminal or smartphone). Each
 sees one surface of its locus, a set of (direction, channel kind) pairs
 (``SURFACES``); an ``AttackerHandle`` reads that surface off the finished
-session's transcript, with the step of each sighting:
+session's transcript, with the step of each sighting, and reads only what
+it asks for:
 
 * keylogger: ("in", CLICK), the input events arriving at its locus.
 * shoulder_surfer: ("out", VISUAL), the displays its locus renders.
@@ -25,9 +26,11 @@ exfiltrated, and reports what the server said. The resistance matrix is
 therefore an output of the state machines, not a transcription.
 
 In the matrix, one honest session per (protocol, trial) is read by all
-eight adversaries: ``run_attacked_session`` observes each delivery once
-and returns one view per config, and ``evaluate`` scores each view into
-its own cell. A view only reads, so no adversary changes what another
+eight adversaries: ``run_attacked_session`` returns one view per config,
+and ``evaluate`` scores each view into its own cell. A view observes only
+the delivery each strategy asks for, the first under its label on the
+view's channels, so a one-trial matrix makes 11 observe calls over its
+33 deliveries. A view only reads, so no adversary changes what another
 sees. Views that captured the same loot share one follow-up
 (``_attempt``), a matrix mounts one alteration probe per (locus, flags)
 (``_transaction_alteration``), and the brute-force guesses stay per view.
@@ -62,7 +65,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import crypto, qr, rng as rngmod
 from .entities import (
@@ -189,16 +192,6 @@ def observe(message: Message) -> tuple:
     return (message.LABEL, *[_shown(getattr(message, name)) for name in message.FIELDS])
 
 
-def _sightings(transcript: Sequence[Message], shown: frozenset[str]) -> list[tuple[str, Observation]]:
-    """(channel name, Observation) for each delivery on a channel in shown,
-    in transcript order: one reading that every view of the session filters."""
-    return [
-        (message.CHANNEL.name, Observation(step, observe(message)))
-        for step, message in enumerate(transcript, 1)
-        if message.CHANNEL.name in shown
-    ]
-
-
 def _shown(value):
     if isinstance(value, qr.VisualFrame):
         return value.payload
@@ -213,15 +206,13 @@ def _shown(value):
 class AttackerHandle:
     """What one adversary takes from one finished session: a read-only view.
 
-    observations are the delivered messages on a channel its kind's surface
-    shows at its locus, each whole (observe fails closed), in transcript
-    order. Traffic is attributed by channel: a message injected on net_up
-    reads as the terminal's "out". Malware also reads its locus's final
-    state, so a phone compromise yields the key pair.
-
-    sightings, when given, is the session's reading by run_attacked_session,
-    which the views of one session share; a handle built alone reads the
-    transcript itself.
+    A view reads what it asks for, and only on the channels its kind's
+    surface shows at its locus: observed(label) observes the first such
+    delivery under label, and observations observes them all, in
+    transcript order, each whole (observe fails closed). Traffic is
+    attributed by channel: a message injected on net_up reads as the
+    terminal's "out". Malware also reads its locus's final state, so a
+    phone compromise yields the key pair.
     """
 
     config: AdversaryConfig
@@ -229,24 +220,27 @@ class AttackerHandle:
     # the follow-up verdicts of _attempt and _transaction_alteration, shared
     # as run_attacked_session says; a handle built alone gets its own
     attempts: dict[tuple, bool] = field(default_factory=dict, repr=False, compare=False)
-    sightings: InitVar[Sequence[tuple[str, Observation]] | None] = None
-    observations: list[Observation] = field(init=False)
     stolen_keypair: crypto.KeyPair | None = field(init=False, default=None)
 
-    def __post_init__(self, sightings):
-        visible = _VISIBLE[self.config.kind, self.config.locus]
-        if sightings is None:
-            sightings = _sightings(self.session.transcript, visible)
-        self.observations = [obs for name, obs in sightings if name in visible]
+    def __post_init__(self):
         if self.config.kind is AdversaryKind.MALWARE:
             pair = self.session.entities[self.config.locus].state.get("keypair")
             if isinstance(pair, crypto.KeyPair):
                 self.stolen_keypair = pair
 
+    def _visible(self):
+        """(step, message) of each delivery on a channel this view sees."""
+        visible = _VISIBLE[self.config.kind, self.config.locus]
+        return ((step, m) for step, m in enumerate(self.session.transcript, 1) if m.CHANNEL.name in visible)
+
+    @property
+    def observations(self) -> list[Observation]:
+        return [Observation(step, observe(message)) for step, message in self._visible()]
+
     def observed(self, label: str):
-        for obs in self.observations:
-            if obs.data[0] == label:
-                return obs.data[1:]
+        for _, message in self._visible():
+            if message.LABEL == label:
+                return observe(message)[1:]
         return None
 
 
@@ -399,8 +393,8 @@ def _later_authentication(handle: AttackerHandle) -> bool:
     if protocol not in AUTH_PROTOCOLS:
         return False
     user_id = session.config.user_id
-    login = handle.observed("login")
-    if login is not None and protocol is Protocol.P3 and _attempt(handle, "learned-creds", *login):
+    login = handle.observed("login") if protocol is Protocol.P3 else None
+    if login is not None and _attempt(handle, "learned-creds", *login):
         return True
     pair = handle.stolen_keypair
     if pair is not None and protocol is Protocol.P2 and _attempt(handle, "stolen-key", user_id, pair):
@@ -451,8 +445,8 @@ def run_attacked_session(
     attempts: dict[tuple, bool] | None = None,
 ) -> tuple[list[AttackerHandle], SessionResult]:
     """One honest run, read by one adversary per config; returns the
-    views, in the order of configs, sharing one attempts map and one
-    reading of the transcript, and the result.
+    views, in the order of configs, sharing one attempts map, and the
+    result.
 
     The map is fresh unless attempts is given. run_matrix and
     harness.run_scenario pass one map to all their sessions, on one store,
@@ -462,9 +456,7 @@ def run_attacked_session(
     store = store or CredentialStore.provision(rngmod.child_seed(session_config.seed, "store"))
     result = run_flow(session_config, store)
     attempts = {} if attempts is None else attempts
-    shown = frozenset().union(*(_VISIBLE[config.kind, config.locus] for config in configs))
-    sightings = _sightings(result.session.transcript, shown)
-    return [AttackerHandle(config, result.session, attempts, sightings) for config in configs], result
+    return [AttackerHandle(config, result.session, attempts) for config in configs], result
 
 
 # -------- the keylogger posterior, in closed form --------

@@ -630,7 +630,10 @@ class UserModel(Party):
             self._type_pending_otp()
 
     def on_show_layout(self, msg: ShowLayout) -> None:
-        # find each password symbol on the freshly decrypted layout
+        # find each password symbol on the freshly decrypted layout, and
+        # click only on a blank keyboard the terminal showed
+        if ShowKeyboard.TAG not in self.state:
+            return
         password = self._next_password()
         positions = tuple(msg.layout.position_of(ch) for ch in password)
         self.emit(ClickPositions(positions=positions))

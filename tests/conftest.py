@@ -1,7 +1,10 @@
-"""The one way a test records or counts the calls a layer makes: spy."""
+"""The one way a test records or counts the calls a layer makes: spy; and
+the reference run, which switches off every record and the per-class codec
+from outside src/: reference_path."""
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import pytest
@@ -41,3 +44,24 @@ def spy(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def reference_path(monkeypatch):
+    """For the rest of the test, run the program without its records and
+    its per-class codec, all switched off from here: crypto's _SIGNED and
+    _SEALED hold nothing, so every verify and decrypt does its curve work;
+    qr.rs_parity is the function its memo wraps; and canonical_bytes and
+    every message class's body_bytes walk the reference isinstance chain
+    of tests/test_entities.py, which keeps no encoding. Returns the names
+    of the records switched off."""
+    from test_entities import _reference_body_bytes, reference_canonical_bytes
+    from visualauth import crypto, entities, qr
+
+    for name in ("_SIGNED", "_SEALED"):
+        monkeypatch.setattr(crypto, name, collections.deque(maxlen=0))
+    monkeypatch.setattr(qr, "rs_parity", qr.rs_parity.__wrapped__)
+    monkeypatch.setattr(entities, "_ENCODERS", collections.defaultdict(lambda: reference_canonical_bytes))
+    for cls in entities.MESSAGES.values():
+        monkeypatch.setattr(cls, "body_bytes", _reference_body_bytes)
+    return ("_SIGNED", "_SEALED", "rs_parity")

@@ -354,6 +354,26 @@ MUTANTS = (
            "            if False:\n",
            "a matrix cell that disagrees with its expectation fails the report and the matrix command",
            "tests/test_harness.py::TestReports::test_a_mismatched_cell_and_a_failed_check_are_reported"),
+    Mutant("p1_clicks_without_keyboard", "src/visualauth/protocols.py",
+           "        if ShowKeyboard.TAG not in self.state:\n            return\n        password",
+           "        password",
+           "the P1 user clicks only on a blank keyboard the terminal showed, never on a grid it was not shown",
+           "tests/test_sweeps.py::test_every_drop_fails_closed[Protocol.P1]"),
+    Mutant("deliver_to_absent_party", "src/visualauth/entities.py",
+           "    if receiver is None:\n",
+           "    if False:\n",
+           "a message for a party the session lacks is refused as a ProtocolViolation, never an AttributeError",
+           "tests/test_entities.py::TestChannelDiscipline::test_a_party_the_session_lacks_is_refused"),
+    Mutant("decrypt_short_body_unchecked", "src/visualauth/crypto.py",
+           "    if len(ciphertext.body) < 32 + _GCM_NONCE_LEN:\n",
+           "    if False:\n",
+           "a sealed body too short for an ephemeral half and a nonce is refused before any curve call",
+           "tests/test_crypto.py::TestSealing::test_a_short_body_is_refused_before_any_curve_call"),
+    Mutant("view_sees_every_channel", "src/visualauth/adversary.py",
+           "for step, m in enumerate(self.session.transcript, 1) if m.CHANNEL.name in visible)",
+           "for step, m in enumerate(self.session.transcript, 1))",
+           "a view reads only the channels its kind's surface shows at its locus",
+           "tests/test_adversary.py::test_each_adversary_records_its_surface[P1-keylogger-smartphone]"),
 )
 
 

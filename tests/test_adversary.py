@@ -642,26 +642,30 @@ class TestSharedSession:
 
 
 class TestOneReading:
-    """run_attacked_session observes each delivery once and hands that
-    reading to every view; a view keeps the channels its surface shows."""
+    """A view reads what it asks for: observed(label) observes the first
+    delivery under label on the view's own channels, and nothing else."""
 
     def test_matrix_observes_each_delivery_once(self, spy):
-        observes, runs = spy(adversary, "observe"), spy(adversary, "run_attacked_session")
+        # a one-trial matrix asks 11 times for loot a view's channels carry,
+        # and observes just those 11 of its 33 deliveries
+        asks, observes = spy(adversary.AttackerHandle, "observed"), spy(adversary, "observe")
+        runs = spy(adversary, "run_attacked_session")
         run_matrix(2026, trials=1)
-        sessions = [call.result for call in runs]
-        observed = [call.args[0] for call in observes]
-        deliveries = [m for _, result in sessions for m in result.session.transcript]
-        assert len(sessions) == len(AUTH_PROTOCOLS)
-        assert len(observed) == len(deliveries) == 33
-        assert all(a is b for a, b in zip(observed, deliveries))
-        for handles, _ in sessions:
-            by_step, shared = {}, 0
-            for handle in handles:
-                for obs in handle.observations:
-                    shared += obs.step in by_step
-                    assert by_step.setdefault(obs.step, obs) is obs
-            # positive control: views do overlap, so the identity check bites
-            assert shared > 0
+        deliveries = [m for call in runs for m in call.result[1].session.transcript]
+        assert len(runs) == len(AUTH_PROTOCOLS) and len(deliveries) == 33
+        # observe runs once for each ask that found its label, and only then
+        found = [call for call in asks if call.result is not None]
+        assert len(observes) == len(found) == 11
+        for ask, seen in zip(found, observes):
+            handle, label = ask.args
+            (message,) = seen.args
+            visible = adversary._VISIBLE[handle.config.kind, handle.config.locus]
+            assert message.CHANNEL.name in visible
+            assert message.LABEL == label and ask.result == adversary.observe(message)[1:]
+            first = next(m for m in handle.session.transcript if m.CHANNEL.name in visible and m.LABEL == label)
+            assert first is message
+        # positive control: some ask found nothing, so the filter bites
+        assert len(asks) > len(found)
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_matrix_views_see_what_a_view_alone_sees(self, seed, spy):
@@ -677,10 +681,13 @@ class TestOneReading:
                 ), handle.config
 
     def test_a_lone_view_reads_only_its_channels(self, spy):
-        # a keylogger alone observes the clicks into its locus, not every delivery
+        # a keylogger alone observes the clicks into its locus, not every
+        # delivery, and only once its observations are read
         observed = spy(adversary, "observe")
         (handle,), result = run_attacked_session(SessionConfig(protocol=Protocol.P1, seed=2), [AdversaryConfig(K, T)])
-        assert len(observed) == len(handle.observations) == 2
+        assert observed == []
+        observations = handle.observations
+        assert len(observed) == len(observations) == 2
         assert len(result.session.transcript) > 2
 
 
@@ -725,7 +732,7 @@ class TestSharedAttempts:
             evaluate(handle)
         assert (len(followups), len(probes)) == (FOLLOWUPS_PER_SESSION[protocol], 2)
 
-    def test_different_loot_mounts_its_own_attempt(self, spy):
+    def test_different_loot_mounts_its_own_attempt(self, monkeypatch, spy):
         # positive control: two views of one session replay different
         # positions, one of them spelling the password on the replay's layout
         store = CredentialStore.provision(281)
@@ -736,10 +743,8 @@ class TestSharedAttempts:
         probe = run_flow(followup, store, actions=replay(SubmitPositions(positions=(0, 0, 0, 0))))
         layout = probe.session.entities[EntityKind.SERVER].state["layout"]
         spelled = tuple(layout.position_of(ch) for ch in store.users["alice"].password)
-        surfer.observations = [
-            dataclasses.replace(obs, data=("positions", spelled)) if obs.data[0] == "positions" else obs
-            for obs in surfer.observations
-        ]
+        observed = surfer.observed
+        monkeypatch.setattr(surfer, "observed", lambda label: (spelled,) if label == "positions" else observed(label))
         followups = spy(adversary, "run_flow")
         assert (evaluate(keylogger).can_authenticate_later, evaluate(surfer).can_authenticate_later) == (False, True)
         assert len(followups) == 2

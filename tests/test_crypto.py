@@ -186,6 +186,15 @@ class TestSealing:
             with pytest.raises(IntegrityError):
                 Ciphertext.from_bytes(wire[:cut])
 
+    def test_a_short_body_is_refused_before_any_curve_call(self, pair, exchanges):
+        # a well-framed wire whose body cannot hold an ephemeral half and a
+        # cipher nonce is refused as such, and hands the curve nothing
+        ct = Ciphertext.from_bytes(b"\x01" + (10).to_bytes(4, "big") + bytes(10) + bytes(16))
+        assert len(ct.body) == 10
+        with pytest.raises(IntegrityError, match="ciphertext body too short"):
+            crypto.decrypt(pair, ct)
+        assert exchanges == []
+
     def test_unknown_scheme_byte_rejected(self, pair):
         wire = crypto.encrypt(pair.public_key, b"relabel me", rng=8).to_bytes()
         assert wire[0] == 0x01

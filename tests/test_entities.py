@@ -686,6 +686,18 @@ class TestChannelDiscipline:
         with pytest.raises(ProtocolViolation):
             deliver(session, TypeId(user_id="alice"))
 
+    def test_a_party_the_session_lacks_is_refused(self):
+        # a session that holds only a user has no server to take a login
+        # request: deliver refuses it before the transcript records it
+        class User(Entity):
+            kind = EntityKind.USER
+
+        session = Session(seed=3)
+        session.add_entity(User(session))
+        with pytest.raises(ProtocolViolation, match="no server in this session"):
+            deliver(session, LoginRequest(user_id="alice", protocol="P1"))
+        assert session.transcript == []
+
 
 class TestRunLoop:
     def test_liveness_budget_enforced(self, monkeypatch):

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+import test_style
 from golden import goldens
+from visualauth import crypto, qr
+from visualauth.protocols import Protocol, SessionConfig, run_flow
 
 GOLDEN = goldens.load()
 SECTIONS = {
@@ -51,3 +54,21 @@ def test_check_writes_nothing_and_fails_on_a_moved_key(monkeypatch, capsys, move
     out = capsys.readouterr().out
     assert (f"moved    {key}" in out) is moved
     assert f"{int(moved)} of {len(GOLDEN)} digests differ" in out
+
+
+class TestReferencePath:
+    """The records and the per-class codec change no output: with all of
+    them switched off (conftest's reference_path), every golden that needs
+    no demo run is what digests.json pins."""
+
+    def test_the_reference_path_gives_every_golden(self, reference_path):
+        computed = goldens.compute()
+        assert computed.keys() == {key for key in GOLDEN if not key.startswith("demo/")}
+        assert {key: digest for key, digest in computed.items() if digest != GOLDEN[key]} == {}
+
+    def test_it_switches_off_each_record(self, reference_path):
+        # exactly the module-level records test_style allows, and the parity memo
+        assert sorted(reference_path) == sorted([*test_style.RECORDS, "rs_parity"])
+        run_flow(SessionConfig(protocol=Protocol.P1, seed=0))
+        assert len(crypto._SIGNED) == len(crypto._SEALED) == 0
+        assert not hasattr(qr.rs_parity, "cache_info")
